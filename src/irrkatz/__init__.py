@@ -29,7 +29,6 @@ from .weylalg import (
     INF,
     DiffOperator,
     X,
-    ad_exp,
     ad_power,
     char_poly,
     deg_of,

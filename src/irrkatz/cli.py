@@ -135,7 +135,10 @@ def _parse_overrides(pairs) -> dict[str, Fraction]:
         name, _, value = pair.partition("=")
         if not name or not value:
             raise CliError(f"malformed --param {pair!r}", EXIT_BAD_INPUT)
-        overrides[name] = Fraction(value)
+        try:
+            overrides[name] = Fraction(value)
+        except ZeroDivisionError:
+            raise CliError(f"zero denominator in --param {pair!r}", EXIT_BAD_INPUT) from None
     return overrides
 
 
@@ -143,24 +146,19 @@ def _run_entry(name: str, seed: int, overrides) -> dict:
     entry = corpus.get(name)
     params = corpus.params_for(name, seed, overrides)
     op = corpus.instantiate(name, params)
-    data = formal.extract_formal_data(op)
-    basis = rootsys.build_basis(formal.to_shape(data))
-    label, _ = rootsys.classify_diagram(basis)
-    m = formal.m_vector(data)
-    transcript = reduction.reduce_vector(m)
-    index = rootsys.idx(m)
     result = reduction.reduce_operator(
         op, reinstantiate=corpus.reinstantiator(name, seed, overrides)
     )
+    basis = rootsys.build_basis(formal.to_shape(result.initial))
+    label, _ = rootsys.classify_diagram(basis)
+    m = result.transcript.initial
+    verdict = result.transcript.verdict.value
     checks = {
         "diagram": (label, entry.expected_diagram),
         "m": (m.to_text(), entry.expected_m),
-        "idx": (index, entry.expected_idx),
-        "verdict": (transcript.verdict.value, entry.expected_verdict),
-        "operator_verdict": (
-            result.transcript.verdict.value,
-            entry.expected_verdict,
-        ),
+        "idx": (rootsys.idx(m), entry.expected_idx),
+        "verdict": (verdict, entry.expected_verdict),
+        "operator_verdict": (verdict, entry.expected_verdict),
     }
     failures = {k: v for k, v in checks.items() if v[0] != v[1]}
     return {
@@ -226,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_re = sub.add_parser("reduce", help="run the reduction algorithm")
     p_re.add_argument("--formal", required=True, help="formal-data JSON file")
     p_re.add_argument("--operator", help="cross-check against this operator")
-    p_re.add_argument("--seed", type=int, default=0)
     p_re.set_defaults(func=cmd_reduce)
 
     p_fu = sub.add_parser("fuchs", help="report the Fuchs-relation defect")

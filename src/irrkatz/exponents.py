@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .lattice import IndexTuple, LatticeShape
+from .rootsys import _pairing
 from .scalar import ParamExpr, ParamLike
 
 INFINITE_ORDER = float("inf")
@@ -102,14 +103,9 @@ def act_sigma_perm(nu: ExponentVector, i: int, j: int, s: int) -> ExponentVector
 
 
 def pair_coupling(shape: LatticeShape, t: IndexTuple, t2: IndexTuple) -> int:
-    """E = -sum_i wt(w_{t_i} - w_{t2_i}) + (p - 1) - #{i : t_i = t2_i}."""
-    total = 0
-    matches = 0
-    for i in range(shape.num_points):
-        total -= shape.weights[i][t[i]][t2[i]]
-        if t[i] == t2[i]:
-            matches += 1
-    return total + (shape.p - 1) - matches
+    """E = -sum_i wt(w_{t_i} - w_{t2_i}) + (p - 1) - #{i : t_i = t2_i},
+    minus the pairing of the two tuple nodes."""
+    return -_pairing(shape, ("t", t), ("t", t2))
 
 
 def coxeter_order(shape: LatticeShape, t: IndexTuple, t2: IndexTuple):
@@ -137,8 +133,10 @@ def mu_sequence(
 ) -> list[tuple[ParamExpr, ParamExpr]]:
     """Unroll the shift recursion driving the composite move m steps.
 
-    The partial sums of either column vanish exactly at the order reported
-    by :func:`coxeter_order` and not before.
+    For E <= 1 the partial sums of both columns vanish exactly at the
+    order reported by :func:`coxeter_order` (2 or 3) and not before.  For
+    E >= 2 they never vanish for generic exponents: the composite has
+    infinite order, whatever the table value says.
     """
     if t == t2:
         raise ValueError("mu_sequence needs two distinct index tuples")

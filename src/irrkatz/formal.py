@@ -520,5 +520,5 @@ def from_json(text: str) -> FormalData:
                 factors.append((w, s))
             points.append((loc, factors))
         return FormalData(points)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed formal-data JSON: {exc}") from exc

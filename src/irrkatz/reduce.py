@@ -8,8 +8,10 @@ stable sorted vector (an imaginary-root fundamental representative), or
 leaves the nonnegative cone (not a root).
 
 Operator level: replay the lattice transcript on a concrete operator via
-the twisted Euler transform, checking after every step that the extracted
-invariants match the lattice and exponent predictions.
+the twisted Euler transform.  Before each step the genericity hypotheses
+are checked on the predicted formal data of the twisted operand; after it
+the transformed operator is extracted, once, and its invariants are
+checked against the lattice and exponent predictions.
 """
 
 from __future__ import annotations
@@ -163,14 +165,12 @@ def twisted_euler(
     ``lambdas[i]`` is the first-slot exponent of the chosen factor at
     point i.  Twists move the chosen factors to exponential part zero and
     first exponent zero, the Euler transform with parameter
-    ``1 - sum(lambdas)`` acts, and the twists are undone.  Hypothesis
-    failures (integer resonances) raise AssumptionViolatedError.
+    ``1 - sum(lambdas)`` acts, and the twists are undone.  An integer
+    exponent sum raises AssumptionViolatedError here; the hypotheses on
+    the chains of the twisted operand are checked by
+    :func:`reduce_operator` on its predicted formal data, before the step.
     """
-    lam_sum = sum(lambdas, Fraction(0))
-    if lam_sum.denominator == 1:
-        raise AssumptionViolatedError(
-            f"exponent sum {lam_sum} along {t} is an integer"
-        )
+    lam_sum = _exponent_sum(t, lambdas)
     q = p
     for i, loc in enumerate(locations):
         w = factors[i][t[i]]
@@ -179,8 +179,6 @@ def twisted_euler(
     for i, loc in enumerate(locations):
         if loc is not INF and lambdas[i] != 0:
             q = weylalg.ad_power(q, loc, -lambdas[i])
-    q = weylalg.prim(q)
-    _check_euler_hypotheses(q, lam_sum)
     q = weylalg.euler(q, 1 - lam_sum)
     for i, loc in enumerate(locations):
         if loc is not INF and lambdas[i] != 0:
@@ -192,35 +190,69 @@ def twisted_euler(
     return weylalg.prim(q)
 
 
-def _check_euler_hypotheses(q: DiffOperator, lam_sum: Fraction):
-    """Genericity hypotheses on the pre-twisted operand of the Euler step.
+def _exponent_sum(t: IndexTuple, lambdas: Sequence[Fraction]) -> Fraction:
+    lam_sum = sum(lambdas, Fraction(0))
+    if lam_sum.denominator == 1:
+        raise AssumptionViolatedError(
+            f"exponent sum {lam_sum} along {t} is an integer"
+        )
+    return lam_sum
 
-    The moderate factor at a finite point may lack a zero-based chain (a
-    zero-multiplicity slot of the configuration); what must hold is that
-    low-degree factors at infinity avoid integer exponents and that the
-    nonzero chains at finite points stay off the integer resonance with
-    the exponent sum.
+
+def _check_euler_hypotheses(
+    factor_table: Sequence[Sequence[ExponentialFactor]],
+    m: LatticeVector,
+    nu: ExponentVector,
+    t: IndexTuple,
+    lambdas: Sequence[Fraction],
+):
+    """Genericity hypotheses of the Euler step, read off the predicted
+    formal data of the twisted operand: low-degree factors at infinity
+    avoid integer exponents, and the nonzero chains of the zero factor at
+    finite points stay off the integer resonance with the exponent sum."""
+    lam_sum = _exponent_sum(t, lambdas)
+    for w, chains in _twisted_chains(factor_table, m, nu, t, lambdas):
+        for base, _ in chains:
+            if w.point is INF and w.degree <= 1 and base.denominator == 1:
+                raise AssumptionViolatedError(
+                    f"integer exponent {base} in a low-degree factor at infinity"
+                )
+            if (
+                w.point is not INF and w.is_zero() and base != 0
+                and (base + lam_sum).denominator == 1
+            ):
+                raise AssumptionViolatedError(
+                    f"resonance: exponent {base} at {w.point} plus {lam_sum} is an integer"
+                )
+
+
+def _twisted_chains(
+    factor_table: Sequence[Sequence[ExponentialFactor]],
+    m: LatticeVector,
+    nu: ExponentVector,
+    t: IndexTuple,
+    lambdas: Sequence[Fraction],
+) -> list[tuple[ExponentialFactor, list[tuple[Fraction, int]]]]:
+    """Predicted factors with their sorted (exponent, multiplicity) chains
+    after the twists of :func:`twisted_euler`, point by point.
+
+    Factor j at point i moves to ``w_ij - w_it_i``; exponents shift by
+    ``-lambdas[i]`` at finite points and by the sum of the finite
+    ``lambdas`` at infinity (point 0); only slots of nonzero multiplicity
+    appear.
     """
-    inner = extract_formal_data(q)
-    for loc, factor_list in inner.points:
-        if loc is INF:
-            for w, spectral in factor_list:
-                if w.degree <= 1:
-                    for lam, _ in spectral.chains:
-                        if lam.as_rat().denominator == 1:
-                            raise AssumptionViolatedError(
-                                f"integer exponent {lam} in a low-degree factor at infinity"
-                            )
-        else:
-            zero = next((s for w, s in factor_list if w.is_zero()), None)
-            if zero is None:
-                continue
-            for lam, _ in zero.chains:
-                base = lam.as_rat()
-                if base != 0 and (base + lam_sum).denominator == 1:
-                    raise AssumptionViolatedError(
-                        f"resonance: exponent {base} at {loc} plus {lam_sum} is an integer"
-                    )
+    out = []
+    for i, factors in enumerate(factor_table):
+        shift = sum(lambdas[1:], Fraction(0)) if i == 0 else -lambdas[i]
+        for j, w in enumerate(factors):
+            chains = sorted(
+                (nu.slot(i, j, s).as_rat() + shift, mult)
+                for s, mult in enumerate(m.entries[i][j])
+                if mult
+            )
+            if chains:
+                out.append((w - factors[t[i]], chains))
+    return out
 
 
 @dataclass(frozen=True)
@@ -275,6 +307,7 @@ def _reduce_operator_once(p: DiffOperator) -> OperatorReduction:
         lambdas = [
             cur_nu.slot(i, t[i], 0).as_rat() for i in range(shape.num_points)
         ]
+        _check_euler_hypotheses(factor_table, step.before, cur_nu, t, lambdas)
         cur_op = twisted_euler(cur_op, locations, factor_table, t, lambdas)
         cur_nu = act_sigma_t(cur_nu, t)
         _check_prediction(cur_op, locations, factor_table, step.after, cur_nu)

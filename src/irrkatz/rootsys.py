@@ -409,13 +409,6 @@ def support_connected(alpha: RootVector) -> bool:
     return len(_component(adjacency, support[0])) == len(support)
 
 
-def in_phi_fundamental_set(a: LatticeVector) -> bool:
-    """Fundamental-set membership on the lattice side (full tuple set)."""
-    from .lattice import in_fundamental_domain
-
-    return in_fundamental_domain(a)
-
-
 def is_phi_root(a: LatticeVector) -> Verdict:
     """Classify a lattice vector by running the reduction.
 

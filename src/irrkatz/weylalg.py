@@ -253,7 +253,10 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
                 )
             raise OperatorSyntaxError(f"unexpected character {text[bad]!r}", bad)
         if m.group(1):
-            tokens.append(("num", Fraction(m.group(1)), m.start(1)))
+            try:
+                tokens.append(("num", Fraction(m.group(1)), m.start(1)))
+            except ZeroDivisionError:
+                raise OperatorSyntaxError("zero denominator", m.start(1)) from None
         elif m.group(2):
             tokens.append(("name", m.group(2), m.start(2)))
         else:
@@ -602,16 +605,23 @@ def prim(p: DiffOperator) -> DiffOperator:
     return DiffOperator([RatFunc(q * (1 / lead)) for q in nums])
 
 
+def _substitute(p: DiffOperator, coeff_image, d_image: DiffOperator) -> DiffOperator:
+    """Image of ``p`` under the algebra map sending each coefficient c to
+    ``coeff_image(c)`` and D to ``d_image``."""
+    acc = DiffOperator()
+    power = DiffOperator.of(1)
+    for i, c in enumerate(p.coeffs):
+        if i:
+            power = power * d_image
+        if not c.is_zero():
+            acc = acc + coeff_image(c) * power
+    return acc
+
+
 def subst_infty(p: DiffOperator) -> DiffOperator:
     """The chart operator at infinity: x -> 1/x, D -> -x^2 D (an involution)."""
     d_image = DiffOperator([RatFunc(0), RatFunc(Poly([0, 0, -1]))])
-    acc = DiffOperator()
-    power = DiffOperator.of(1)
-    for c in p.coeffs:
-        if not c.is_zero():
-            acc = acc + DiffOperator.of(c.subst_inverse()) * power
-        power = power * d_image
-    return acc
+    return _substitute(p, lambda c: DiffOperator.of(c.subst_inverse()), d_image)
 
 
 def ad_power(p: DiffOperator, c: Fraction, lam) -> DiffOperator:
@@ -622,20 +632,12 @@ def ad_power(p: DiffOperator, c: Fraction, lam) -> DiffOperator:
     """
     lam = ParamExpr.of(lam).as_rat()
     shift = DiffOperator.of(RatFunc(Poly.const(lam), Poly([-c, 1])))
-    return _substitute_d(p, D - shift)
-
-
-def ad_exp(p: DiffOperator, w) -> DiffOperator:
-    """Exponential twist by a factor in theta form.
-
-    ``w`` is an exponential factor (point plus coefficient map): at finite c
-    it is sum w_k (x-c)^(-k) and the twist is D -> D - w/(x-c); at infinity
-    it is sum w_k x^k and the twist is D -> D - w/x.
-    """
-    return ad_exp_raw(p, w.point, w.coeffs)
+    return _substitute(p, DiffOperator.of, D - shift)
 
 
 def ad_exp_raw(p: DiffOperator, at: Location, coeffs: Mapping[int, Fraction]) -> DiffOperator:
+    """Exponential twist by the theta-form factor w = sum w_k (x-c)^(-k)
+    (sum w_k x^k at infinity): D -> D - w/(x-c) (D -> D - w/x)."""
     f = RatFunc(0)
     for k, wk in coeffs.items():
         if k < 1:
@@ -644,43 +646,31 @@ def ad_exp_raw(p: DiffOperator, at: Location, coeffs: Mapping[int, Fraction]) ->
             f += RatFunc(Poly.monomial(wk, k - 1))
         else:
             f += RatFunc(Poly.const(wk), Poly([-at, 1]) ** (k + 1))
-    return _substitute_d(p, D - DiffOperator.of(f))
-
-
-def _substitute_d(p: DiffOperator, d_image: DiffOperator) -> DiffOperator:
-    acc = DiffOperator()
-    power = DiffOperator.of(1)
-    for c in p.coeffs:
-        if not c.is_zero():
-            acc = acc + DiffOperator.of(c) * power
-        power = power * d_image
-    return acc
+    return _substitute(p, DiffOperator.of, D - DiffOperator.of(f))
 
 
 def laplace(p: DiffOperator) -> DiffOperator:
     """Fourier-Laplace transform: x -> -D, D -> x (on W[x] only)."""
-    return _laplace_images(p, -D, X)
+    return _substitute(p, _polynomial_image(-D), X)
 
 
 def laplace_inv(p: DiffOperator) -> DiffOperator:
     """Inverse Fourier-Laplace transform: x -> D, D -> -x."""
-    return _laplace_images(p, D, -X)
+    return _substitute(p, _polynomial_image(D), -X)
 
 
-def _laplace_images(p: DiffOperator, x_image: DiffOperator, d_image: DiffOperator) -> DiffOperator:
-    if not p.is_polynomial():
-        raise ValueError("Fourier-Laplace transform needs polynomial coefficients")
-    acc = DiffOperator()
-    d_power = DiffOperator.of(1)
-    for c in p.coeffs:
-        if not c.is_zero():
-            poly = c.as_poly()
-            horner = DiffOperator()
-            for coeff in reversed(poly.coeffs):
-                horner = horner * x_image + DiffOperator.of(coeff)
-            acc = acc + horner * d_power
-        d_power = d_power * d_image
-    return acc
+def _polynomial_image(x_image: DiffOperator):
+    """Coefficient image for x -> ``x_image`` (polynomial coefficients only)."""
+
+    def image(c: RatFunc) -> DiffOperator:
+        if not c.is_poly():
+            raise ValueError("Fourier-Laplace transform needs polynomial coefficients")
+        horner = DiffOperator()
+        for coeff in reversed(c.as_poly().coeffs):
+            horner = horner * x_image + DiffOperator.of(coeff)
+        return horner
+
+    return image
 
 
 def euler(p: DiffOperator, lam) -> DiffOperator:
@@ -719,17 +709,3 @@ def singular_points(p: DiffOperator) -> list[Fraction]:
         )
     return sorted(roots)
 
-
-def is_singular(p: DiffOperator, at: Location) -> bool:
-    """True iff the point is a singular point of the operator."""
-    if at is INF:
-        return is_singular(subst_infty(p), Fraction(0))
-    if p.is_zero():
-        raise ValueError("singularity of the zero operator")
-    if p.rank == 0:
-        return False
-    lead = p.leading()
-    return any(
-        not c.is_zero() and c.order_at(at) < lead.order_at(at)
-        for c in p.coeffs[:-1]
-    )

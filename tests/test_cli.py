@@ -152,3 +152,50 @@ def test_assumption_violation_exit_code(tmp_path, capsys):
     path.write_text(out, encoding="utf-8")
     code, _, err = run(capsys, "reduce", "--formal", str(path), "--operator", to_text(op))
     assert code == 5
+
+
+def test_examples_run_extracts_once_per_operator(monkeypatch, capsys):
+    # one extraction of the input and one after the single Euler step
+    from irrkatz import reduce as reduction
+
+    calls = []
+    original = formal.extract_formal_data
+
+    def counting(op):
+        calls.append(op)
+        return original(op)
+
+    monkeypatch.setattr(formal, "extract_formal_data", counting)
+    monkeypatch.setattr(reduction, "extract_formal_data", counting)
+    code, out, _ = run(capsys, "examples", "--run", "--only", "Gauss")
+    assert code == 0 and "ok" in out
+    assert len(calls) == 2
+
+
+def test_analyze_zero_denominator(capsys):
+    code, _, err = run(capsys, "analyze", "--op", "1/0*D")
+    assert code == 2
+    assert "zero denominator" in err
+
+
+def test_examples_param_zero_denominator(capsys):
+    code, _, err = run(capsys, "examples", "--run", "--param", "a=1/0")
+    assert code == 2
+    assert "a=1/0" in err
+
+
+@pytest.mark.parametrize(
+    "location, w, exponent",
+    [("1/0", "[]", "1/3"), ("0", '[[1,"1/0"]]', "1/3"), ("0", "[]", "1/0")],
+)
+def test_formal_json_zero_denominator(tmp_path, capsys, location, w, exponent):
+    path = tmp_path / "bad.json"
+    path.write_text(
+        '{"points":[{"location":"inf","factors":[{"w":[],"spectral":[["1/2",1]]}]},'
+        f'{{"location":"{location}","factors":[{{"w":{w},"spectral":[["{exponent}",1]]}}]}}]}}',
+        encoding="utf-8",
+    )
+    for command in ("diagram", "reduce", "fuchs"):
+        code, _, err = run(capsys, command, "--formal", str(path))
+        assert code == 2
+        assert "malformed formal-data JSON" in err

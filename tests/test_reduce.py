@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from irrkatz import corpus, formal
-from irrkatz.exponents import act_sigma_t
+from irrkatz.exponents import act_sigma_perm, act_sigma_t
 from irrkatz.lattice import LatticeVector
 from irrkatz.reduce import (
     AssumptionViolatedError,
@@ -13,8 +13,10 @@ from irrkatz.reduce import (
     reduce_vector,
     twisted_euler,
     _check_prediction,
+    _twisted_chains,
 )
 from irrkatz.rootsys import Verdict, idx
+from irrkatz.weylalg import INF, D, DiffOperator, X, ad_exp_raw, ad_power, location_key, prim
 
 
 def shape_of(name):
@@ -168,6 +170,24 @@ def test_twisted_euler_integer_resonance_guard():
         reduce_operator(op)
 
 
+@pytest.mark.parametrize(
+    "a, b, c, message",
+    [
+        ("1", "2", "2", "exponent sum -1 along (0, 0, 0) is an integer"),
+        ("1", "1/2", "2", "integer exponent 0 in a low-degree factor at infinity"),
+        ("1", "0", "1/2", "resonance: exponent 1/2 at 0 plus -1/2 is an integer"),
+        ("1", "3/2", "2/11", "resonance: exponent 51/22 at 1 plus -29/22 is an integer"),
+    ],
+)
+def test_euler_hypotheses_on_resonant_gauss(a, b, c, message):
+    # each hypothesis, read off predicted data, fails with the message the
+    # extraction of the twisted operand gave
+    op = corpus.instantiate("Gauss", {k: Fraction(v) for k, v in zip("abc", (a, b, c))})
+    with pytest.raises(AssumptionViolatedError) as info:
+        reduce_operator(op)
+    assert str(info.value) == message
+
+
 def test_reduce_operator_retries_with_fresh_instance():
     bad = corpus.instantiate("Gauss", {"a": Fraction(1), "b": Fraction(2, 11), "c": Fraction(3, 5)})
     result = reduce_operator(bad, reinstantiate=corpus.reinstantiator("Gauss", seed=7))
@@ -257,6 +277,109 @@ def test_twisted_euler_matches_prediction_on_all_tuples():
             lambdas = [nu.slot(i, t[i], 0).as_rat() for i in range(shape.num_points)]
             moved = twisted_euler(op, locations, factor_table, t, lambdas)
             _check_prediction(moved, locations, factor_table, m.sigma_t(t), act_sigma_t(nu, t))
+
+
+# -- predicted data of the twisted operand -----------------------------------------
+
+
+def twisted_operand(op, locations, factor_table, t, lambdas):
+    """The operand the Euler transform acts on inside twisted_euler."""
+    q = op
+    for i, loc in enumerate(locations):
+        w = factor_table[i][t[i]]
+        if not w.is_zero():
+            q = ad_exp_raw(q, loc, {k: -v for k, v in w.coeffs.items()})
+        if loc is not INF and lambdas[i] != 0:
+            q = ad_power(q, loc, -lambdas[i])
+    return q
+
+
+def assert_twisted_chains_extracted(op, data, m, nu, t):
+    """Predicted twisted formal data equals extraction of the operand."""
+    locations = data.locations()
+    factor_table = [[w for w, _ in factors] for _, factors in data.points]
+    lambdas = [nu.slot(i, t[i], 0).as_rat() for i in range(len(locations))]
+    predicted = {location_key(loc): {} for loc in locations}
+    for w, chains in _twisted_chains(factor_table, m, nu, t, lambdas):
+        predicted[location_key(w.point)][w] = chains
+    twisted = twisted_operand(op, locations, factor_table, t, lambdas)
+    extracted = {
+        location_key(loc): {w: sorted((lam.as_rat(), k) for lam, k in s.chains) for w, s in factors}
+        for loc, factors in formal.extract_formal_data(twisted).points
+    }
+    for key, want in predicted.items():
+        got = extracted.pop(key, None)
+        if got is None:  # the twists made the point non-singular
+            assert key != location_key(INF) and list(want.values()) == [[(0, m.rank)]]
+        else:
+            assert got == want, (key, t)
+    assert extracted == {}
+
+
+def euler_step_states(p, result):
+    """(operator, multiplicities, exponents, tuple) before each Euler step."""
+    nu = formal.exponent_vector(result.initial)
+    ops = iter((p,) + result.operators)
+    cur = next(ops)
+    states = []
+    for step in result.transcript.steps:
+        if step.kind == "permutation":
+            nu = act_sigma_perm(nu, *step.index)
+            continue
+        states.append((cur, step.before, nu, step.index))
+        nu = act_sigma_t(nu, step.index)
+        cur = next(ops)
+    return states
+
+
+def hypergeometric(a, b):
+    """theta * prod(theta + b_j - 1) - x * prod(theta + a_i), made primitive."""
+    th = X * D
+    left, right = th, X
+    for bj in b:
+        left = left * (th + DiffOperator.of(bj - 1))
+    for ai in a:
+        right = right * (th + DiffOperator.of(ai))
+    return prim(left - right)
+
+
+HYPERGEOMETRIC = [
+    ([Fraction(1, 7), Fraction(2, 11)], [Fraction(1, 5)]),
+    ([Fraction(1, 7), Fraction(2, 11), Fraction(3, 13)], [Fraction(1, 5), Fraction(1, 3)]),
+    (
+        [Fraction(1, 7), Fraction(2, 11), Fraction(3, 13), Fraction(5, 17)],
+        [Fraction(1, 5), Fraction(1, 3), Fraction(1, 2)],
+    ),
+]
+
+
+def test_twisted_chains_match_extraction_at_every_euler_step():
+    # the hypotheses of each Euler step are read off predicted data; here
+    # the prediction is checked against extraction of the twisted operand
+    ops = [
+        corpus.instantiate(name, corpus.params_for(name, seed, {}))
+        for seed in range(8)
+        for name in corpus.names()
+    ]
+    ops += [hypergeometric(a, b) for a, b in HYPERGEOMETRIC]
+    steps = 0
+    for p in ops:
+        result = reduce_operator(p)
+        for op, m, nu, t in euler_step_states(p, result):
+            assert_twisted_chains_extracted(op, result.initial, m, nu, t)
+            steps += 1
+    assert steps == 8 + 1 + 2 + 3
+
+
+def test_twisted_chains_match_extraction_on_all_tuples():
+    # every index tuple of the irregular entries, so that twists at
+    # infinity and factors of every weight are predicted too
+    for name in ("cHeun", "bHeun", "tHeun", "dHeun"):
+        op = corpus.instantiate(name)
+        data = formal.extract_formal_data(op)
+        m, nu = formal.m_vector(data), formal.exponent_vector(data)
+        for t in formal.to_shape(data).index_tuples():
+            assert_twisted_chains_extracted(op, data, m, nu, t)
 
 
 def random_balanced(rng, shape, max_rank=5):
