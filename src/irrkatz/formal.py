@@ -389,9 +389,7 @@ def extract_formal_data(p: DiffOperator) -> FormalData:
     points: list[tuple[Location, list[tuple[ExponentialFactor, SpectralData]]]] = []
     finite = weylalg.singular_points(p)
     for at in [INF] + finite:
-        chart = weylalg.subst_infty(p) if at is INF else p
-        c = Fraction(0) if at is INF else at
-        raw = _peel_factors(chart, c, None)
+        raw = _peel_factors(*weylalg.local_chart(p, at), None)
         total = sum(s.rank for _, s in raw)
         if total != p.rank:
             raise ExtractionError(

@@ -128,22 +128,15 @@ class Poly:
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(0, self.degree - other.degree + 1)
-        rem = list(self.coeffs)
         d = other.degree
         lead = other.leading()
-        while len(rem) - 1 >= d and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            factor = rem[-1] / lead
-            q[k] = factor
-            for j in range(d + 1):
+        rem = list(self.coeffs)
+        q = [Fraction(0)] * max(0, len(rem) - d)
+        for k in range(len(rem) - 1 - d, -1, -1):
+            factor = q[k] = rem[k + d] / lead
+            for j in range(d):
                 rem[k + j] -= factor * other.coeffs[j]
-            rem.pop()
-        return Poly(q), Poly(rem)
+        return Poly(q), Poly(rem[:d])
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return self.divmod(other)[0]

@@ -316,8 +316,18 @@ def kernel_radical_check(shape: LatticeShape) -> bool:
 # -- diagram emission & classification --------------------------------------------
 
 
-def edge_multiplicity(basis: RootBasis, a: int, b: int) -> int:
-    return -basis.gram[a][b]
+def _adjacency(basis: RootBasis, nodes: Sequence[int]) -> dict[int, list[int]]:
+    """Neighbours among the given nodes, in increasing order, read from the
+    upper triangle of the Gram matrix once.  Off-diagonal entries are <= 0
+    (``build_basis``), so an edge has multiplicity ``-gram[a][b]``."""
+    adjacency: dict[int, list[int]] = {a: [] for a in nodes}
+    for k, a in enumerate(nodes):
+        row = basis.gram[a]
+        for b in nodes[k + 1:]:
+            if row[b]:
+                adjacency[a].append(b)
+                adjacency[b].append(a)
+    return adjacency
 
 
 def dot_text(basis: RootBasis) -> str:
@@ -325,9 +335,9 @@ def dot_text(basis: RootBasis) -> str:
     lines = ["graph diagram {"]
     for k in range(len(basis.nodes)):
         lines.append(f'  n{k} [label="{basis.node_label(k)}"];')
-    for a in range(len(basis.nodes)):
-        for b in range(a + 1, len(basis.nodes)):
-            mult = edge_multiplicity(basis, a, b)
+    for a, row in enumerate(basis.gram):
+        for b in range(a + 1, len(row)):
+            mult = -row[b]
             if mult == 1:
                 lines.append(f"  n{a} -- n{b};")
             elif mult >= 2:
@@ -348,14 +358,10 @@ def cartan_matrix_text(basis: RootBasis) -> str:
 def classify_diagram(basis: RootBasis) -> tuple[str, str]:
     """Label from the catalog {cycle, 5-node star, double edge, disjoint
     unions}, with "unrecognized" as the honest fallback; plus DOT text."""
-    n = len(basis.nodes)
-    adjacency = {
-        k: [b for b in range(n) if b != k and edge_multiplicity(basis, k, b) > 0]
-        for k in range(n)
-    }
+    adjacency = _adjacency(basis, range(len(basis.nodes)))
     seen: set[int] = set()
     labels = []
-    for start in range(n):
+    for start in adjacency:
         if start in seen:
             continue
         component = _component(adjacency, start)
@@ -379,17 +385,12 @@ def _component(adjacency, start):
 
 
 def _classify_component(basis: RootBasis, comp: list[int], adjacency) -> str:
-    mults = [
-        edge_multiplicity(basis, a, b)
-        for a in comp
-        for b in comp
-        if a < b and edge_multiplicity(basis, a, b) > 0
-    ]
+    mults = [-basis.gram[a][b] for a in comp for b in adjacency[a] if a < b]
     if len(comp) == 2 and mults == [2]:
         return "A1(1)"
     if mults and any(m != 1 for m in mults):
         return "unrecognized"
-    degrees = sorted(len([b for b in adjacency[a] if b in comp]) for a in comp)
+    degrees = sorted(len(adjacency[a]) for a in comp)
     if len(comp) >= 3 and degrees == [2] * len(comp):
         return f"A{len(comp) - 1}(1)"
     if len(comp) == 5 and degrees == [1, 1, 1, 1, 4]:
@@ -402,10 +403,7 @@ def support_connected(alpha: RootVector) -> bool:
     support = [k for k, v in enumerate(alpha.coords) if v != 0]
     if not support:
         return False
-    adjacency = {
-        a: [b for b in support if b != a and alpha.basis.gram[a][b] != 0]
-        for a in support
-    }
+    adjacency = _adjacency(alpha.basis, support)
     return len(_component(adjacency, support[0])) == len(support)
 
 

@@ -87,11 +87,7 @@ class ParamExpr:
 
     __rmul__ = __mul__
 
-    # -- predicates -------------------------------------------------------
-
-    @property
-    def is_const(self) -> bool:
-        return not self.terms
+    # -- conversion -------------------------------------------------------
 
     def as_rat(self) -> Fraction:
         if self.terms:

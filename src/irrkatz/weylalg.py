@@ -8,9 +8,10 @@ Newton polygons, theta expansions) and the global transforms (primitive
 component, additions, exponential twists, Fourier-Laplace, Euler).
 
 Points are either finite rationals or the point at infinity (``INF``).
-Analysis at infinity always routes through the involution
-``x -> 1/x, D -> -x^2*D`` (:func:`subst_infty`) so there is a single code
-path for local computations.
+Every local computation takes its operator and finite point from
+:func:`local_chart`, which routes infinity through the involution
+``x -> 1/x, D -> -x^2*D`` (:func:`subst_infty`) to the point 0, so there
+is a single code path for local computations.
 """
 
 from __future__ import annotations
@@ -234,6 +235,21 @@ def to_text(p: DiffOperator) -> str:
 
 # -- parser ----------------------------------------------------------------
 
+#: Largest rank and largest coefficient degree that operator text may
+#: describe; larger input is an ``OperatorSyntaxError``.  Without it a few
+#: characters (``x^1000000000``) ask for a dense power of any size.  The
+#: bound limits the size of an operator, not the time its analysis takes.
+MAX_DEGREE = 32
+
+
+def _size(p: DiffOperator) -> int:
+    """max(rank, coefficient degree) of a polynomial operator; 0 for zero."""
+    return max(
+        (max(i, a.num.degree) for i, a in enumerate(p.coeffs) if not a.is_zero()),
+        default=0,
+    )
+
+
 _TOKEN_RE = re.compile(r"\s*(?:(\d+(?:/\d+)?)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*^]))")
 
 
@@ -306,14 +322,16 @@ class _Parser:
     def term(self) -> DiffOperator:
         acc = self.factor()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if kind == "op" and val == "*":
                 self.next()
                 acc = acc * self.factor()
+                if _size(acc) > MAX_DEGREE:
+                    raise OperatorSyntaxError(
+                        f"product too large: rank and degree are limited to {MAX_DEGREE}", pos
+                    )
             elif kind in ("num", "name") or (kind == "op" and val == "("):
-                raise OperatorSyntaxError(
-                    "implicit multiplication is not allowed", self.peek()[2]
-                )
+                raise OperatorSyntaxError("implicit multiplication is not allowed", pos)
             else:
                 return acc
 
@@ -333,6 +351,10 @@ class _Parser:
             ekind, exp, epos = self.next()
             if ekind != "num" or not isinstance(exp, Fraction) or exp.denominator != 1 or exp < 0:
                 raise OperatorSyntaxError("exponent must be a nonnegative integer", epos)
+            if exp > MAX_DEGREE or exp * _size(base) > MAX_DEGREE:
+                raise OperatorSyntaxError(
+                    f"power too large: rank and degree are limited to {MAX_DEGREE}", epos
+                )
             return base ** int(exp)
         return base
 
@@ -354,11 +376,30 @@ class _Parser:
 
 
 def parse(text: str) -> DiffOperator:
-    """Parse operator text like ``"D^2 + (-x^2-7)*D + (-2*x+3)"``."""
+    """Parse operator text like ``"D^2 + (-x^2-7)*D + (-2*x+3)"``.
+
+    Rank and coefficient degrees are bounded by :data:`MAX_DEGREE`: a power
+    is rejected before it is computed, a product as soon as it is formed.
+    """
     return _Parser(text).parse()
 
 
 # -- local invariants --------------------------------------------------------
+
+
+def local_chart(p: DiffOperator, at: Location) -> tuple[DiffOperator, Fraction]:
+    """The operator and finite point on which local analysis at ``at`` runs:
+    the chart operator :func:`subst_infty` at 0 for infinity, ``p`` itself
+    at a finite point."""
+    if at is INF:
+        return subst_infty(p), Fraction(0)
+    return p, at
+
+
+def _weights(p: DiffOperator, c: Fraction) -> dict[int, int]:
+    """Weight of the lowest monomial in each nonzero coefficient:
+    ``{j: ord_c(a_j) - j}``."""
+    return {j: a.order_at(c) - j for j, a in enumerate(p.coeffs) if not a.is_zero()}
 
 
 def weight(p: DiffOperator, at: Location) -> int:
@@ -369,57 +410,39 @@ def weight(p: DiffOperator, at: Location) -> int:
     """
     if p.is_zero():
         raise ValueError("weight of the zero operator")
-    if at is INF:
-        return min(
-            i - c.degree_at_infinity()
-            for i, c in enumerate(p.coeffs)
-            if not c.is_zero()
-        )
-    return min(
-        c.order_at(at) - i for i, c in enumerate(p.coeffs) if not c.is_zero()
-    )
+    return min(_weights(*local_chart(p, at)).values())
 
 
 def homogeneous_part(p: DiffOperator, at: Location, k: int) -> DiffOperator:
     """Sum of the monomials of weight exactly k (possibly zero)."""
     if p.is_zero():
         raise ValueError("homogeneous part of the zero operator")
+    q, c = local_chart(p, at)
+    base = Poly([-c, 1])
     out = []
-    for i, c in enumerate(p.coeffs):
-        if c.is_zero():
-            out.append(RatFunc(0))
-            continue
-        if at is INF:
-            # monomial x^(i-k) D^i
-            gamma = c.subst_inverse().laurent_coeff(Fraction(0), k - i)
-            power = i - k
-        else:
-            gamma = c.laurent_coeff(at, k + i)
-            power = k + i
+    for i, a in enumerate(q.coeffs):
+        # monomial (x-c)^(k+i) D^i
+        gamma = a.laurent_coeff(c, k + i)
         if gamma == 0:
             out.append(RatFunc(0))
-            continue
-        base = Poly.x() if at is INF else Poly([-at, 1])
-        if power >= 0:
-            out.append(RatFunc(Poly.const(gamma) * base ** power))
+        elif k + i >= 0:
+            out.append(RatFunc(Poly.const(gamma) * base ** (k + i)))
         else:
-            out.append(RatFunc(Poly.const(gamma), base ** (-power)))
-    return DiffOperator(out)
+            out.append(RatFunc(Poly.const(gamma), base ** (-k - i)))
+    part = DiffOperator(out)
+    return subst_infty(part) if at is INF else part
 
 
 def char_poly(p: DiffOperator, at: Location) -> Poly:
     """Characteristic polynomial: falling-factorial symbol of the lowest
     weight part; its roots are the characteristic exponents."""
-    if at is INF:
-        return char_poly(subst_infty(p), Fraction(0))
     if p.is_zero():
         raise ValueError("characteristic polynomial of the zero operator")
-    wt = weight(p, at)
+    q, c = local_chart(p, at)
+    wt = weight(q, c)
     out = Poly()
-    for j, c in enumerate(p.coeffs):
-        if c.is_zero():
-            continue
-        gamma = c.laurent_coeff(at, wt + j)
+    for j, a in enumerate(q.coeffs):
+        gamma = a.laurent_coeff(c, wt + j)
         if gamma != 0:
             out = out + gamma * falling_factorial(j)
     return out
@@ -460,37 +483,20 @@ def newton_polygon(p: DiffOperator, at: Location) -> NewtonPolygon:
     """Newton polygon at the point, computed from monomial weights."""
     if p.is_zero():
         raise ValueError("Newton polygon of the zero operator")
-    pts = {}
-    for i, c in enumerate(p.coeffs):
-        if c.is_zero():
-            continue
-        if at is INF:
-            pts[i] = i - c.degree_at_infinity()
-        else:
-            pts[i] = c.order_at(at) - i
+    pts = _weights(*local_chart(p, at))
     wt = min(pts.values())
     i0 = max(i for i, y in pts.items() if y == wt)
-    # lower convex hull rightwards from (i0, wt)
-    chain: list[tuple[int, int]] = [(i0, wt)]
+    # lower convex hull rightwards from (i0, wt), by monotone chain
+    vertices: list[tuple[int, int]] = [(i0, wt)]
     for i in sorted(k for k in pts if k > i0):
         y = pts[i]
-        while len(chain) >= 2:
-            (i1, y1), (i2, y2) = chain[-2], chain[-1]
-            if (y2 - y1) * (i - i1) >= (y - y1) * (i2 - i1):
-                chain.pop()
-            else:
-                break
-        chain.append((i, y))
-    # drop interior points that are above the final hull
-    vertices = [chain[0]]
-    for pt in chain[1:]:
         while len(vertices) >= 2:
             (i1, y1), (i2, y2) = vertices[-2], vertices[-1]
-            if (y2 - y1) * (pt[0] - i1) >= (pt[1] - y1) * (i2 - i1):
+            if (y2 - y1) * (i - i1) >= (y - y1) * (i2 - i1):
                 vertices.pop()
             else:
                 break
-        vertices.append(pt)
+        vertices.append((i, y))
     if len(vertices) >= 2 and vertices[0][0] > 0:
         # an irregular point with a moderate block: the horizontal edge
         # up to the first positive slope belongs to the boundary
@@ -515,9 +521,6 @@ class ThetaExpansion:
     point: Location
     terms: tuple[tuple[int, Poly], ...]
 
-    def term_map(self) -> dict[int, Poly]:
-        return dict(self.terms)
-
     @property
     def min_index(self) -> int:
         return self.terms[0][0]
@@ -541,11 +544,15 @@ def _theta_reconstruct(terms, c: Fraction) -> DiffOperator:
     theta = DiffOperator([RatFunc(0), base])
     acc = DiffOperator()
     for i, q in terms:
-        power = DiffOperator.of(base ** i)
-        horner = DiffOperator()
-        for coeff in reversed(q.coeffs):
-            horner = horner * theta + DiffOperator.of(coeff)
-        acc = acc + power * horner
+        acc = acc + DiffOperator.of(base ** i) * _horner(q, theta)
+    return acc
+
+
+def _horner(q: Poly, op: DiffOperator) -> DiffOperator:
+    """The operator ``q(op)``."""
+    acc = DiffOperator()
+    for coeff in reversed(q.coeffs):
+        acc = acc * op + DiffOperator.of(coeff)
     return acc
 
 
@@ -556,14 +563,11 @@ def theta_expand(p: DiffOperator, at: Location) -> ThetaExpansion:
     denominators must be powers of (x - c); this holds for polynomial
     operators and for everything produced by the extraction pipeline.
     """
-    if at is INF:
-        chart = theta_expand(subst_infty(p), Fraction(0))
-        return ThetaExpansion(INF, chart.terms)
     if p.is_zero():
         raise ValueError("theta expansion of the zero operator")
-    c = at
+    q, c = local_chart(p, at)
     buckets: dict[int, Poly] = {}
-    for j, coeff in enumerate(p.coeffs):
+    for j, coeff in enumerate(q.coeffs):
         if coeff.is_zero():
             continue
         shift = coeff.den.order_at(c)
@@ -579,7 +583,7 @@ def theta_expand(p: DiffOperator, at: Location) -> ThetaExpansion:
             w = (m - shift) - j
             buckets[w] = buckets.get(w, Poly()) + gamma * ff
     terms = tuple(
-        (i, q) for i, q in sorted(buckets.items()) if not q.is_zero()
+        (i, t) for i, t in sorted(buckets.items()) if not t.is_zero()
     )
     return ThetaExpansion(at, terms)
 
@@ -665,10 +669,7 @@ def _polynomial_image(x_image: DiffOperator):
     def image(c: RatFunc) -> DiffOperator:
         if not c.is_poly():
             raise ValueError("Fourier-Laplace transform needs polynomial coefficients")
-        horner = DiffOperator()
-        for coeff in reversed(c.as_poly().coeffs):
-            horner = horner * x_image + DiffOperator.of(coeff)
-        return horner
+        return _horner(c.as_poly(), x_image)
 
     return image
 

@@ -34,6 +34,20 @@ def test_analyze_exit_codes(capsys):
     assert run(capsys, "analyze", "--op", "(x^2 - 2)*D - 1")[0] == 3  # irrational point
 
 
+@pytest.mark.parametrize("text", ["x^1000000000", "x^33", "(x^11)^3", "x*" * 33 + "D - 1"])
+def test_analyze_rejects_oversized_operator(capsys, text):
+    # rejected while parsing, before any dense power or product is built
+    code, _, err = run(capsys, "analyze", "--op", text)
+    assert code == 2
+    assert "limited to 32" in err
+
+
+def test_analyze_accepts_operator_at_size_bound(capsys):
+    code, out, _ = run(capsys, "analyze", "--op", "x^32*D - 1")
+    assert code == 0
+    assert formal.from_json(out).rank == 1
+
+
 def test_analyze_trivial_rank_one(capsys):
     code, out, _ = run(capsys, "analyze", "--op", "D")
     assert code == 0

@@ -111,10 +111,14 @@ def test_homogeneous_parts_sum_to_operator():
     rng = random.Random(5)
     for _ in range(20):
         p = random_poly_op(rng)
-        total = DiffOperator()
-        for k in range(-p.rank - 1, deg_of(p) + 1):
-            total = total + homogeneous_part(p, ZERO, k)
-        assert total == p
+        # x^a D^b has weight a - b at 0 and b - a at infinity
+        for at, lo, hi in ((ZERO, -p.rank - 1, deg_of(p)), (INF, -deg_of(p), p.rank)):
+            total = DiffOperator()
+            for k in range(lo, hi + 1):
+                part = homogeneous_part(p, at, k)
+                assert part.is_zero() or weight(part, at) == k
+                total = total + part
+            assert total == p
 
 
 # -- characteristic polynomials ---------------------------------------------------
@@ -167,6 +171,58 @@ def test_newton_polygon_examples():
     np_heun = newton_polygon(corpus.instantiate("Heun"), ZERO)
     assert np_heun.slopes == ()
     assert len(np_heun.vertices) == 1
+
+
+def _weight_table(p, at):
+    """{j: weight of the lowest monomial of a_j}, read off the coefficients
+    directly: j - deg a_j at infinity, (lowest power of x - c) - j at c."""
+    table = {}
+    for j, a in enumerate(p.coeffs):
+        if a.is_zero():
+            continue
+        if at is INF:
+            table[j] = j - a.as_poly().degree
+        else:
+            table[j] = next(m for m, v in enumerate(a.as_poly().shift(at).coeffs) if v) - j
+    return table
+
+
+def _below(np, j, y):
+    (i0, y0) = np.vertices[0]
+    if j <= i0:
+        return y < y0
+    for (ia, ya), (ib, yb) in zip(np.vertices, np.vertices[1:]):
+        if ia <= j <= ib:
+            return y < ya + Fraction(yb - ya, ib - ia) * (j - ia)
+    raise AssertionError(f"D-degree {j} lies right of the polygon")
+
+
+def _check_polygon(p, at):
+    table = _weight_table(p, at)
+    wt = min(table.values())
+    np = newton_polygon(p, at)
+    assert weight(p, at) == wt
+    assert all(a < b for a, b in zip(np.slopes, np.slopes[1:]))
+    for k, (j, y) in enumerate(np.vertices):
+        # a table point, or the inserted start of a horizontal edge
+        assert table.get(j) == y or (k, j, y) == (0, 0, wt)
+    assert not any(_below(np, j, y) for j, y in table.items())
+
+
+def test_weight_and_polygon_at_infinity_oracle():
+    rng = random.Random(12)
+    for _ in range(60):
+        _check_polygon(random_poly_op(rng, 4, 4), INF)
+
+
+def test_newton_polygon_hull_at_finite_points():
+    rng = random.Random(13)
+    for _ in range(40):
+        p = random_poly_op(rng, 4, 4)
+        for c in (ZERO, Fraction(1), Fraction(-2)):
+            # random valuations at c, so that the hull has several edges
+            q = DiffOperator([a * RatFunc(Poly([-c, 1]) ** rng.randint(0, 6)) for a in p.coeffs])
+            _check_polygon(q, c)
 
 
 def test_newton_polygon_regular_rank():
