@@ -251,7 +251,7 @@ def symbolic_formal_data(name: str, params: Params | None = None) -> FormalData:
 
 def instance_formal_data(name: str, params: Params | None = None) -> FormalData:
     """Fully concrete formal datum of an instantiation, with chains in the
-    canonical (sorted) order used by extraction."""
+    canonical (sorted) order used by extraction (oracle for tests)."""
     entry = get(name)
     params = dict(entry.defaults) if params is None else dict(params)
     sym = entry.symbolic(params)

@@ -1,56 +1,29 @@
 """The space of local exponents and the affine action on it.
 
 An exponent vector assigns a scalar (possibly parameter-carrying) to every
-chain slot of a shape.  The twisted-Euler moves act on it by affine maps;
-together with the slot permutations they realize a Weyl group action whose
-pairwise orders are dictated by the bilinear form: order 2, 3, 4, 6 or
-infinity according to E = 0, 1, 2, 3 or >= 4, where E is minus the pairing
-of the two tuple nodes.
+chain slot of a shape.  The twisted-Euler moves act on it by the affine
+maps dual to the lattice reflections, with the same coefficients
+:meth:`LatticeShape.euler_weight`; together with the slot permutations
+they realize a Weyl group action whose pairwise orders are dictated by the
+bilinear form: order 2, 3, 4, 6 or infinity according to E = 0, 1, 2, 3
+or >= 4, where E, the coupling of two index tuples t and t2, is the defect
+along t of the rank-1 vector of t2 (minus the pairing of the two tuple
+nodes).
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from .lattice import IndexTuple, LatticeShape
-from .rootsys import _pairing
-from .scalar import ParamExpr, ParamLike
+from .lattice import IndexTuple, LatticeShape, SlotTable
+from .scalar import ParamExpr
 
 INFINITE_ORDER = float("inf")
 
 
-class ExponentVector:
+class ExponentVector(SlotTable):
     """One scalar per chain slot of a shape."""
 
-    __slots__ = ("shape", "entries")
-
-    def __init__(self, shape: LatticeShape, entries: Sequence[Sequence[Sequence[ParamLike]]]):
-        ent = tuple(
-            tuple(tuple(ParamExpr.of(v) for v in chain) for chain in point)
-            for point in entries
-        )
-        if len(ent) != shape.num_points:
-            raise ValueError("exponent blocks do not match point count")
-        for i, point in enumerate(ent):
-            lens = shape.chain_lengths[i]
-            if len(point) != len(lens) or any(len(ch) != l for ch, l in zip(point, lens)):
-                raise ValueError(f"exponents at point {i} do not match chain lengths")
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "entries", ent)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExponentVector is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExponentVector):
-            return NotImplemented
-        return self.shape == other.shape and self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.shape, self.entries))
-
-    def slot(self, i: int, j: int, s: int) -> ParamExpr:
-        return self.entries[i][j][s]
+    __slots__ = ()
+    _coerce = staticmethod(ParamExpr.of)
 
     def tuple_sum(self, t: IndexTuple) -> ParamExpr:
         """Sum of the first-slot exponents along an index tuple."""
@@ -59,53 +32,33 @@ class ExponentVector:
             acc = acc + self.entries[i][t[i]][0]
         return acc
 
-    def __repr__(self):
-        body = "|".join(
-            ";".join(",".join(str(v) for v in ch) for ch in point)
-            for point in self.entries
-        )
-        return f"ExponentVector({body})"
-
 
 def act_sigma_t(nu: ExponentVector, t: IndexTuple) -> ExponentVector:
-    """The affine involution on exponents matching the lattice move at t."""
+    """The affine involution on exponents matching the lattice move at t:
+    slot (i, j, s) moves by -(euler_weight(t, i, j) - [j = t_i and s = 0])
+    times the shortfall 1 - tuple_sum(t)."""
     shape = nu.shape
-    w = shape.weights
     shortfall = ParamExpr(1) - nu.tuple_sum(t)
     out = []
-    for i in range(shape.num_points):
-        point = []
-        for j in range(shape.factor_count(i)):
-            chain = []
-            for s, val in enumerate(nu.entries[i][j]):
-                if i == 0:
-                    if j == t[0] and s == 0:
-                        chain.append(val + 2 * shortfall)
-                    else:
-                        chain.append(val - (-w[0][j][t[0]] - 1) * shortfall)
-                else:
-                    if j == t[i] and s == 0:
-                        chain.append(val)
-                    else:
-                        chain.append(val - (-w[i][j][t[i]] + 1) * shortfall)
-            point.append(chain)
-        out.append(point)
+    for i, point in enumerate(nu.entries):
+        blocks = []
+        for j, chain in enumerate(point):
+            step = shape.euler_weight(t, i, j) * shortfall
+            blocks.append([val - step for val in chain])
+        blocks[t[i]][0] += shortfall
+        out.append(blocks)
     return ExponentVector(shape, out)
 
 
 def act_sigma_perm(nu: ExponentVector, i: int, j: int, s: int) -> ExponentVector:
     """Swap the exponents of chain slots s and s+1 of factor (i, j)."""
-    if not (0 <= s <= nu.shape.chain_lengths[i][j] - 2):
-        raise IndexError(f"slot {s} out of range for chain (i={i}, j={j})")
-    entries = [[list(ch) for ch in point] for point in nu.entries]
-    entries[i][j][s], entries[i][j][s + 1] = entries[i][j][s + 1], entries[i][j][s]
-    return ExponentVector(nu.shape, entries)
+    return nu.swap_slots(i, j, s)
 
 
 def pair_coupling(shape: LatticeShape, t: IndexTuple, t2: IndexTuple) -> int:
-    """E = -sum_i wt(w_{t_i} - w_{t2_i}) + (p - 1) - #{i : t_i = t2_i},
-    minus the pairing of the two tuple nodes."""
-    return -_pairing(shape, ("t", t), ("t", t2))
+    """E, the defect along t of the rank-1 vector of t2:
+    sum_i euler_weight(t, i, t2_i) - #{i : t_i = t2_i}."""
+    return sum(shape.euler_weight(t, i, j) - (j == t[i]) for i, j in enumerate(t2))
 
 
 def coxeter_order(shape: LatticeShape, t: IndexTuple, t2: IndexTuple):

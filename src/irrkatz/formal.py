@@ -34,6 +34,12 @@ from .weylalg import (
     parse_location,
 )
 
+MAX_NODES = 1024
+"""Bound on the root basis of formal data read from JSON: prod k_i index
+tuples plus sum (l_ij - 1) interior chain slots.  The Gram matrix on it is
+dense, so 8 points with 3 factors each (6561 nodes) already exhausts a
+3 GB memory limit in ``diagram``."""
+
 
 class ExtractionError(Exception):
     """Base class for honest extraction failures."""
@@ -506,6 +512,9 @@ def to_json(data: FormalData) -> str:
 def from_json(text: str) -> FormalData:
     try:
         doc = json.loads(text)
+        _check_basis_size(
+            [[len(f["spectral"]) for f in entry["factors"]] for entry in doc["points"]]
+        )
         points = []
         for entry in doc["points"]:
             loc = parse_location(entry["location"])
@@ -520,3 +529,16 @@ def from_json(text: str) -> FormalData:
         return FormalData(points)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed formal-data JSON: {exc}") from exc
+
+
+def _check_basis_size(chain_counts: Sequence[Sequence[int]]) -> None:
+    """Reject data whose root basis exceeds MAX_NODES, before any of it is
+    built; ``chain_counts[i][j]`` is the chain length of factor j at point
+    i.  The tuple count is multiplied up one point at a time and stops at
+    the bound."""
+    nodes = sum(l - 1 for counts in chain_counts for l in counts)
+    tuples = 1
+    for counts in chain_counts:
+        tuples *= len(counts)
+        if tuples + nodes > MAX_NODES:
+            raise ValueError(f"more than MAX_NODES = {MAX_NODES} basis nodes")

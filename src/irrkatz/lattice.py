@@ -2,8 +2,17 @@
 
 A shape records, per singular point, the list of exponential factors (only
 through chain lengths and the table of pairwise weights of factor
-differences).  A lattice vector assigns an integer to every chain slot,
-with equal block sums across points; the common sum is its rank.
+differences).  A :class:`SlotTable` holds one immutable value per chain
+slot of a shape.  A lattice vector is a slot table of integers with equal
+block sums across points; the common sum is its rank.
+
+The twisted-Euler move along an index tuple t is the reflection
+s_t(m) = m - B(m, e_t) e_t, where e_t is the rank-1 vector of t and B is
+the star-shaped quiver form (Crawley-Boevey, Duke Math. J. 118, 2003; in
+the irregular version of Hiroe-Yamakawa, Adv. Math. 266, 2014).  Its
+coefficients are :meth:`LatticeShape.euler_weight`: the defect -B(m, e_t)
+sums euler_weight(t, i, j) times the block sum of factor (i, j), minus the
+first slot of the chosen factor at every point.
 
 Index conventions: points are numbered ``0..p`` with point 0 the point at
 infinity; factors and chain slots are 0-based.  An index tuple picks one
@@ -66,6 +75,12 @@ class LatticeShape:
         """The product of per-point factor indices, lexicographic."""
         return tuple(product(*[range(len(ls)) for ls in self.chain_lengths]))
 
+    def euler_weight(self, t: IndexTuple, i: int, j: int) -> int:
+        """Coefficient of the block sum of factor (i, j) in the defect along
+        ``t``: 1 at a finite point and -1 at infinity, minus the weight of
+        the difference of factor j and the chosen factor ``t[i]``."""
+        return (1 if i else -1) - self.weights[i][j][t[i]]
+
     def slots(self) -> Iterable[tuple[int, int, int]]:
         for i, lens in enumerate(self.chain_lengths):
             for j, l in enumerate(lens):
@@ -73,14 +88,16 @@ class LatticeShape:
                     yield (i, j, s)
 
 
-class LatticeVector:
-    """Integer multiplicities per chain slot, equal block sums per point."""
+class SlotTable:
+    """One immutable value per chain slot of a shape, as
+    ``entries[i][j][s]``; a subclass sets ``_coerce`` to its value type."""
 
     __slots__ = ("shape", "entries")
 
-    def __init__(self, shape: LatticeShape, entries: Sequence[Sequence[Sequence[int]]]):
+    def __init__(self, shape: LatticeShape, entries: Sequence[Sequence[Sequence]]):
+        coerce = self._coerce
         ent = tuple(
-            tuple(tuple(int(v) for v in chain) for chain in point)
+            tuple(tuple(coerce(v) for v in chain) for chain in point)
             for point in entries
         )
         if len(ent) != shape.num_points:
@@ -89,14 +106,53 @@ class LatticeVector:
             lens = shape.chain_lengths[i]
             if len(point) != len(lens) or any(len(ch) != l for ch, l in zip(point, lens)):
                 raise ValueError(f"entries at point {i} do not match chain lengths")
-        sums = [sum(sum(ch) for ch in point) for point in ent]
-        if len(set(sums)) > 1:
-            raise ValueError(f"unequal block sums {sums}")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "entries", ent)
 
     def __setattr__(self, name, value):
-        raise AttributeError("LatticeVector is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.shape == other.shape and self.entries == other.entries
+
+    def __hash__(self):
+        return hash((self.shape, self.entries))
+
+    def slot(self, i: int, j: int, s: int):
+        return self.entries[i][j][s]
+
+    def swap_slots(self, i: int, j: int, s: int):
+        """Swap chain slots s and s+1 of factor (i, j); an involution."""
+        if not (0 <= s <= self.shape.chain_lengths[i][j] - 2):
+            raise IndexError(f"slot {s} out of range for chain (i={i}, j={j})")
+        entries = [[list(ch) for ch in point] for point in self.entries]
+        entries[i][j][s], entries[i][j][s + 1] = entries[i][j][s + 1], entries[i][j][s]
+        return type(self)(self.shape, entries)
+
+    def to_text(self) -> str:
+        """Blocks per point joined by '|'; factors by ';'; slots by ','."""
+        return "|".join(
+            ";".join(",".join(str(v) for v in ch) for ch in point)
+            for point in self.entries
+        )
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.to_text()})"
+
+
+class LatticeVector(SlotTable):
+    """Integer multiplicities per chain slot, equal block sums per point."""
+
+    __slots__ = ()
+    _coerce = int
+
+    def __init__(self, shape: LatticeShape, entries: Sequence[Sequence[Sequence[int]]]):
+        super().__init__(shape, entries)
+        sums = [sum(sum(ch) for ch in point) for point in self.entries]
+        if len(set(sums)) > 1:
+            raise ValueError(f"unequal block sums {sums}")
 
     @staticmethod
     def zero(shape: LatticeShape) -> "LatticeVector":
@@ -104,14 +160,6 @@ class LatticeVector:
             shape,
             [[[0] * l for l in lens] for lens in shape.chain_lengths],
         )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LatticeVector):
-            return NotImplemented
-        return self.shape == other.shape and self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.shape, self.entries))
 
     @property
     def rank(self) -> int:
@@ -142,18 +190,15 @@ class LatticeVector:
     # -- the twisted-Euler endomorphisms ----------------------------------
 
     def defect(self, t: IndexTuple) -> int:
-        """Rank change effected by the twisted-Euler move along ``t``."""
-        shape = self.shape
+        """Rank change effected by the twisted-Euler move along ``t``;
+        minus the form B(m, e_t) with the rank-1 vector of ``t``."""
         self._check_tuple(t)
-        w = shape.weights
+        weight = self.shape.euler_weight
         total = 0
-        for i in range(1, shape.num_points):
-            for j in range(shape.factor_count(i)):
-                total += (-w[i][j][t[i]] + 1) * self.block_sum(i, j)
-        for j in range(shape.factor_count(0)):
-            total += (-w[0][j][t[0]] - 1) * self.block_sum(0, j)
-        for i in range(shape.num_points):
-            total -= self.entries[i][t[i]][0]
+        for i, point in enumerate(self.entries):
+            for j, chain in enumerate(point):
+                total += weight(t, i, j) * sum(chain)
+            total -= point[t[i]][0]
         return total
 
     def sigma_t(self, t: IndexTuple) -> "LatticeVector":
@@ -165,13 +210,7 @@ class LatticeVector:
             entries[i][t[i]][0] += d
         return LatticeVector(self.shape, entries)
 
-    def sigma_perm(self, i: int, j: int, s: int) -> "LatticeVector":
-        """Swap chain slots s and s+1 of factor (i, j); an involution."""
-        if not (0 <= s <= self.shape.chain_lengths[i][j] - 2):
-            raise IndexError(f"slot {s} out of range for chain (i={i}, j={j})")
-        entries = [[list(ch) for ch in point] for point in self.entries]
-        entries[i][j][s], entries[i][j][s + 1] = entries[i][j][s + 1], entries[i][j][s]
-        return LatticeVector(self.shape, entries)
+    sigma_perm = SlotTable.swap_slots
 
     def support_tuples(self) -> tuple[IndexTuple, ...]:
         """Index tuples passing only through factors with a nonzero block."""
@@ -191,29 +230,8 @@ class LatticeVector:
         ):
             raise IndexError(f"index tuple {t} out of range")
 
-    # -- text form ---------------------------------------------------------
-
-    def to_text(self) -> str:
-        """Blocks per point joined by '|'; factors by ';'; slots by ','."""
-        return "|".join(
-            ";".join(",".join(str(v) for v in ch) for ch in point)
-            for point in self.entries
-        )
-
-    @staticmethod
-    def from_text(shape: LatticeShape, text: str) -> "LatticeVector":
-        points = text.split("|")
-        entries = [
-            [[int(v) for v in ch.split(",")] for ch in point.split(";")]
-            for point in points
-        ]
-        return LatticeVector(shape, entries)
-
     def __str__(self) -> str:
         return self.to_text()
-
-    def __repr__(self) -> str:
-        return f"LatticeVector({self.to_text()})"
 
 
 def in_fundamental_domain(a: LatticeVector) -> bool:

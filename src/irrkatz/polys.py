@@ -232,12 +232,6 @@ class Poly:
                         roots[cand] = zp.order_at(cand)
         return roots
 
-    def splits_over_q(self) -> bool:
-        """True iff the polynomial factors completely into rational roots."""
-        if self.is_zero():
-            raise ValueError("zero polynomial")
-        return sum(self.rational_roots().values()) == self.degree
-
     # -- text ---------------------------------------------------------------
 
     def format(self, var: str = "x") -> str:
@@ -416,12 +410,6 @@ class RatFunc:
         if self.is_zero():
             raise ValueError("order of zero")
         return self.num.order_at(c) - self.den.order_at(c)
-
-    def degree_at_infinity(self) -> int:
-        """deg num - deg den; the order of growth at infinity."""
-        if self.is_zero():
-            raise ValueError("degree of zero")
-        return self.num.degree - self.den.degree
 
     def laurent_coeff(self, c: Fraction, k: int) -> Fraction:
         """Coefficient of (x-c)^k in the Laurent expansion at x = c."""

@@ -41,9 +41,11 @@ class RootBasis:
         return self.nodes.index(node)
 
     def tuple_nodes(self) -> list[int]:
+        """Positions of the tuple nodes (oracle for tests)."""
         return [k for k, (kind, _) in enumerate(self.nodes) if kind == "t"]
 
     def chain_nodes(self) -> list[int]:
+        """Positions of the chain nodes (oracle for tests)."""
         return [k for k, (kind, _) in enumerate(self.nodes) if kind == "c"]
 
     def node_label(self, k: int) -> str:
@@ -245,7 +247,7 @@ def idx(a: LatticeVector) -> int:
 
 def phi_of_tuple_node(shape: LatticeShape, t: IndexTuple) -> LatticeVector:
     """Image of a tuple node: multiplicity one in the first slot of the
-    chosen factor at every point (a rank-1 vector)."""
+    chosen factor at every point, a rank-1 vector (oracle for tests)."""
     basis = build_basis(shape)
     return phi(RootVector.unit(basis, ("t", tuple(t))))
 

@@ -76,6 +76,45 @@ def test_diagram_malformed_json(tmp_path, capsys):
     assert run(capsys, "diagram", "--formal", str(tmp_path / "missing.json"))[0] == 2
 
 
+def star_json(points, factors, chain=1):
+    """Formal data with the given counts of points and of factors per
+    point; factor j has pole order 1 and coefficient j."""
+    return json.dumps({"points": [
+        {
+            "location": "inf" if i == 0 else str(i - 1),
+            "factors": [
+                {
+                    "w": [[1, str(j)]] if j else [],
+                    "spectral": [[f"{j + 1}/{k + 7}", 1] for k in range(chain)],
+                }
+                for j in range(factors)
+            ],
+        }
+        for i in range(points)
+    ]})
+
+
+def test_diagram_rejects_formal_data_above_node_bound(tmp_path, capsys):
+    # 3^8 = 6561 basis nodes: rejected before any basis or Gram matrix exists
+    path = tmp_path / "big.json"
+    path.write_text(star_json(8, 3), encoding="utf-8")
+    code, _, err = run(capsys, "diagram", "--formal", str(path))
+    assert code == 2
+    assert f"MAX_NODES = {formal.MAX_NODES}" in err
+    # the bound is inclusive: 2^10 tuple nodes pass, 20 more chain nodes do not
+    assert len(formal.to_shape(formal.from_json(star_json(10, 2))).index_tuples()) == 1024
+    with pytest.raises(ValueError, match="MAX_NODES"):
+        formal.from_json(star_json(10, 2, chain=2))
+    assert formal.from_json(star_json(5, 2, chain=2)).rank == 4    # valid below the bound
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_diagram_accepts_corpus_formal_data(tmp_path, capsys, name):
+    path = tmp_path / "entry.json"
+    path.write_text(formal.to_json(corpus.symbolic_formal_data(name)), encoding="utf-8")
+    assert run(capsys, "diagram", "--formal", str(path))[0] == 0
+
+
 def test_reduce_unbalanced_formal_data(tmp_path, capsys):
     path = tmp_path / "unbalanced.json"
     path.write_text(

@@ -231,3 +231,99 @@ def random_balanced(rng, shape, max_rank=4):
             point[j][s] += 1
         entries.append(point)
     return LatticeVector(shape, entries)
+
+
+# -- one bilinear form behind defect, pair_coupling, idx and act_sigma_t -------------
+
+
+def form(shape, a, b):
+    """B(a, b) = sum a.b + sum_i sum_{j != j'} w_i[j][j'] A_ij B_ij' - (p-1) n_a n_b,
+    the polarization of idx, with A_ij and B_ij' the block sums."""
+    total = sum(
+        x * y
+        for pa, pb in zip(a.entries, b.entries)
+        for ca, cb in zip(pa, pb)
+        for x, y in zip(ca, cb)
+    )
+    for i, table in enumerate(shape.weights):
+        for j, row in enumerate(table):
+            for j2, w in enumerate(row):
+                if j != j2:
+                    total += w * a.block_sum(i, j) * b.block_sum(i, j2)
+    return total - (shape.p - 1) * a.rank * b.rank
+
+
+def rank_one(shape, t):
+    from irrkatz.lattice import LatticeVector
+
+    return LatticeVector(shape, [
+        [[int(j == t[i] and s == 0) for s in range(l)] for j, l in enumerate(lens)]
+        for i, lens in enumerate(shape.chain_lengths)
+    ])
+
+
+def act_sigma_t_reference(nu, t):
+    """The four-branch form of the exponent action: infinity and the finite
+    points apart, the chosen first slot apart from the others."""
+    shape = nu.shape
+    w = shape.weights
+    shortfall = ParamExpr(1) - nu.tuple_sum(t)
+    out = []
+    for i in range(shape.num_points):
+        point = []
+        for j in range(shape.factor_count(i)):
+            chain = []
+            for s, val in enumerate(nu.entries[i][j]):
+                if i == 0:
+                    if j == t[0] and s == 0:
+                        chain.append(val + 2 * shortfall)
+                    else:
+                        chain.append(val - (-w[0][j][t[0]] - 1) * shortfall)
+                else:
+                    if j == t[i] and s == 0:
+                        chain.append(val)
+                    else:
+                        chain.append(val - (-w[i][j][t[i]] + 1) * shortfall)
+            point.append(chain)
+        out.append(point)
+    return ExponentVector(shape, out)
+
+
+def form_shape(rng):
+    num_points = rng.randint(1, 4)
+    lengths, weights = [], []
+    for _ in range(num_points):
+        k = rng.randint(1, 3)
+        lengths.append(tuple(rng.randint(1, 3) for _ in range(k)))
+        table = [[0] * k for _ in range(k)]
+        for a in range(k):
+            for b in range(a + 1, k):
+                table[a][b] = table[b][a] = -rng.randint(1, 3)
+        weights.append(tuple(tuple(row) for row in table))
+    return LatticeShape(tuple(lengths), tuple(weights))
+
+
+def test_defect_coupling_idx_and_action_come_from_one_form():
+    from irrkatz.rootsys import _pairing, idx
+
+    rng = random.Random(6)
+    pairs = idx_checked = 0
+    for _ in range(150):
+        shape = form_shape(rng)
+        tuples = shape.index_tuples()
+        if len(tuples) > 36:
+            continue
+        m = random_balanced(rng, shape)
+        nu = symbolic_nu(shape)
+        e = {t: rank_one(shape, t) for t in tuples}
+        for t in tuples:
+            assert m.defect(t) == -form(shape, m, e[t]), (shape, m, t)
+            assert act_sigma_t(nu, t) == act_sigma_t_reference(nu, t), (shape, t)
+            for t2 in tuples:
+                expected = -_pairing(shape, ("t", t), ("t", t2))
+                assert pair_coupling(shape, t, t2) == expected == -form(shape, e[t], e[t2])
+                pairs += 1
+        if len(tuples) <= 12:
+            assert idx(m) == form(shape, m, m), (shape, m)
+            idx_checked += 1
+    assert pairs > 5000 and idx_checked > 50
