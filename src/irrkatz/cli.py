@@ -116,7 +116,7 @@ def cmd_reduce(args) -> int:
             raise CliError(
                 "operator does not match the formal data file", EXIT_CHECK_FAILED
             )
-        result = reduction.reduce_operator(op)
+        result = reduction.reduce_operator(op, data=extracted)
         final_rank = result.final.rank
         print(f"operator cross-check passed; final rank {final_rank}")
     return 0

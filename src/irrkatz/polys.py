@@ -3,13 +3,16 @@
 Internal plumbing for the operator algebra: nothing here knows about
 differential operators.  Polynomials are dense coefficient tuples, lowest
 degree first; rational functions are reduced fractions of polynomials with
-a monic denominator, so equality is structural.
+a monic denominator, so equality is structural.  Rational roots are found
+exactly by p-adic expansion (Loos, SIAM J. Comput. 12(2), 1983): roots
+modulo a small prime, Hensel-lifted and read back by rational
+reconstruction, each one checked over Z.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, isqrt
 from typing import Iterable, Union
 
 from .scalar import Rat
@@ -145,9 +148,10 @@ class Poly:
         return self.divmod(other)[1]
 
     def eval(self, point: Scalar) -> Fraction:
+        point = Fraction(point)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
-            acc = acc * Fraction(point) + c
+            acc = acc * point + c
         return acc
 
     def derivative(self) -> "Poly":
@@ -207,29 +211,31 @@ class Poly:
         return Poly([c / lead for c in self.coeffs])
 
     def rational_roots(self) -> dict[Fraction, int]:
-        """All rational roots with multiplicities (rational root theorem)."""
-        roots: dict[Fraction, int] = {}
+        """All rational roots with multiplicities, by p-adic expansion.
+
+        Loos, "Computing rational zeros of integral polynomials by p-adic
+        expansion", SIAM J. Comput. 12(2), 1983: after the factor x^k, the
+        square-free part f of the primitive part is reduced modulo the
+        smallest odd prime p that leaves lc(f) a unit and every root mod p
+        simple.  Each root mod p is Newton-lifted until p^e > 2|f(0)||lc(f)|
+        and read back as a/b with |a| <= |f(0)| and 0 < b <= |lc(f)|; a
+        candidate counts only if f(a/b) = 0 exactly.  The roots come 0
+        first, then by (|a|, b, a < 0): the order of the rational root
+        theorem's divisor enumeration.
+        """
         if self.is_zero():
             raise ValueError("roots of the zero polynomial")
-        p = self
         low = 0
-        while p[low] == 0:
+        while self.coeffs[low] == 0:
             low += 1
-        if low:
-            roots[Fraction(0)] = low
-            p = Poly(p.coeffs[low:])
-        _, zp = p.int_content_and_primitive()
+        roots = {Fraction(0): low} if low else {}
+        _, zp = Poly(self.coeffs[low:]).int_content_and_primitive()
         if zp.degree == 0:
             return roots
-        a0 = int(zp.coeffs[0])
-        an = int(zp.leading())
-        for p_div in _divisors(abs(a0)):
-            for q_div in _divisors(abs(an)):
-                for cand in (Fraction(p_div, q_div), Fraction(-p_div, q_div)):
-                    if cand in roots:
-                        continue
-                    if zp.eval(cand) == 0:
-                        roots[cand] = zp.order_at(cand)
+        _, sf = (zp // poly_gcd(zp, zp.derivative())).int_content_and_primitive()
+        found = _lifted_roots([int(c) for c in sf.coeffs])
+        for root in sorted(found, key=lambda q: (abs(q.numerator), q.denominator, q < 0)):
+            roots[root] = zp.order_at(root)
         return roots
 
     # -- text ---------------------------------------------------------------
@@ -269,18 +275,45 @@ def as_poly(value: PolyLike) -> Poly:
     return Poly.const(value)
 
 
-def _divisors(n: int) -> list[int]:
-    if n == 0:
-        return [1]
+def _eval_mod(f: list[int], r: int, m: int) -> int:
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * r + c) % m
+    return acc
+
+
+def _lifted_roots(f: list[int]) -> list[Fraction]:
+    """Rational roots of a square-free f in Z[x] (lowest degree first,
+    f(0) != 0), by lifting the roots modulo a good prime."""
+    a0, lead = abs(f[0]), abs(f[-1])
+    df = [k * c for k, c in enumerate(f)][1:]
+    p = 3
+    while True:
+        if lead % p and all(p % q for q in range(3, isqrt(p) + 1, 2)):
+            residues = [r for r in range(p) if _eval_mod(f, r, p) == 0]
+            if all(_eval_mod(df, r, p) for r in residues):
+                break
+        p += 2
+    bound = 2 * a0 * lead
+    n = len(f) - 1
     out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+    for r in residues:
+        m = p
+        while m <= bound:
+            m *= m
+            r = (r - _eval_mod(f, r, m) * pow(_eval_mod(df, r, m), -1, m)) % m
+        # half-extended Euclid: the unique a = b*r (mod m) with |a| <= a0
+        r0, r1, t0, t1 = m, r, 0, 1
+        while r1 > a0:
+            q = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+        a, b = (r1, t1) if t1 > 0 else (-r1, -t1)
+        if (
+            a and b <= lead and a0 % a == 0 and lead % b == 0
+            and sum(c * a**k * b ** (n - k) for k, c in enumerate(f)) == 0
+        ):
+            out.append(Fraction(a, b))
+    return out
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:

@@ -267,6 +267,7 @@ def reduce_operator(
     p: DiffOperator,
     reinstantiate: Callable[[int], DiffOperator] | None = None,
     retries: int = 3,
+    data: FormalData | None = None,
 ) -> OperatorReduction:
     """Drive the lattice reduction on a concrete operator.
 
@@ -274,21 +275,24 @@ def reduce_operator(
     step and checks the extracted invariants against the predicted
     multiplicities and exponents.  On an integer resonance the instance is
     re-drawn through ``reinstantiate`` (attempt number passed in), up to
-    ``retries`` times.
+    ``retries`` times.  ``data``, when given, must be the formal data
+    extracted from ``p``; the first attempt then does not extract ``p``
+    again.
     """
     attempt = 0
     while True:
         try:
-            return _reduce_operator_once(p)
+            return _reduce_operator_once(p, data)
         except (AssumptionViolatedError, ExtractionError, CrossCheckError):
             if reinstantiate is None or attempt >= retries:
                 raise
-            p = reinstantiate(attempt)
+            p, data = reinstantiate(attempt), None
             attempt += 1
 
 
-def _reduce_operator_once(p: DiffOperator) -> OperatorReduction:
-    data = extract_formal_data(p)
+def _reduce_operator_once(p: DiffOperator, data: FormalData | None) -> OperatorReduction:
+    if data is None:
+        data = extract_formal_data(p)
     shape = formal.to_shape(data)
     locations = data.locations()
     factor_table = [[w for w, _ in factors] for _, factors in data.points]

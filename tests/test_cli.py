@@ -48,6 +48,16 @@ def test_analyze_accepts_operator_at_size_bound(capsys):
     assert formal.from_json(out).rank == 1
 
 
+
+def test_analyze_high_power_of_d(capsys):
+    # the characteristic polynomial at infinity has degree 24 and the
+    # roots -23..0, so its rational roots must not be found by trying
+    # divisor pairs of its coefficients
+    code, out, _ = run(capsys, "analyze", "--op", "D^24")
+    assert code == 0
+    assert formal.from_json(out).rank == 24
+
+
 def test_analyze_trivial_rank_one(capsys):
     code, out, _ = run(capsys, "analyze", "--op", "D")
     assert code == 0
@@ -223,6 +233,40 @@ def test_examples_run_extracts_once_per_operator(monkeypatch, capsys):
     code, out, _ = run(capsys, "examples", "--run", "--only", "Gauss")
     assert code == 0 and "ok" in out
     assert len(calls) == 2
+
+
+
+def test_reduce_operator_extracts_input_once(tmp_path, monkeypatch, capsys):
+    # the operator is extracted once for the comparison with the file and
+    # that extraction seeds the reduction; one more after the Euler step
+    from irrkatz import reduce as reduction
+
+    gauss = corpus.instantiate("Gauss")
+    code, out, _ = run(capsys, "analyze", "--op", to_text(gauss))
+    path = tmp_path / "gauss.json"
+    path.write_text(out, encoding="utf-8")
+    calls, steps = [], []
+    original, original_euler = formal.extract_formal_data, reduction.twisted_euler
+
+    def counting(op):
+        calls.append(op)
+        return original(op)
+
+    def counting_euler(*args):
+        steps.append(args)
+        return original_euler(*args)
+
+    monkeypatch.setattr(formal, "extract_formal_data", counting)
+    monkeypatch.setattr(reduction, "extract_formal_data", counting)
+    monkeypatch.setattr(reduction, "twisted_euler", counting_euler)
+    code, out, _ = run(capsys, "reduce", "--formal", str(path), "--operator", to_text(gauss))
+    assert code == 0 and "final rank 1" in out
+    assert calls.count(gauss) == 1 and len(calls) == 2 and len(steps) == 1
+    calls.clear()
+    steps.clear()
+    code, _, err = run(capsys, "reduce", "--formal", str(path), "--operator", "x*D - 5")
+    assert code == 1 and "does not match" in err
+    assert len(calls) == 1 and steps == []
 
 
 def test_analyze_zero_denominator(capsys):

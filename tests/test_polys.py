@@ -1,5 +1,8 @@
 import random
 from fractions import Fraction
+from math import isqrt
+
+import pytest
 
 from irrkatz.polys import Poly, RatFunc, falling_factorial, poly_gcd
 
@@ -24,6 +27,86 @@ def test_rational_roots_with_multiplicity():
     assert sum(p.rational_roots().values()) == p.degree
     assert sum(Poly([1, 0, 1]).rational_roots().values()) == 0     # x^2 + 1
     assert sum(Poly([-2, 0, 1]).rational_roots().values()) == 0    # x^2 - 2
+
+
+def _divisors(n):
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return sorted(set(small + [n // d for d in small]))
+
+
+def _enumerate_roots(p):
+    """Reference: try every divisor pair of a0 and an (rational root theorem)."""
+    roots = {}
+    low = 0
+    while p[low] == 0:
+        low += 1
+    if low:
+        roots[Fraction(0)] = low
+        p = Poly(p.coeffs[low:])
+    _, zp = p.int_content_and_primitive()
+    if zp.degree == 0:
+        return roots
+    for p_div in _divisors(abs(int(zp.coeffs[0]))):
+        for q_div in _divisors(abs(int(zp.leading()))):
+            for cand in (Fraction(p_div, q_div), Fraction(-p_div, q_div)):
+                if cand not in roots and zp.eval(cand) == 0:
+                    roots[cand] = zp.order_at(cand)
+    return roots
+
+
+def random_root_poly(rng):
+    """Product of linear factors b*x - a (multiplicities 1-2) with a
+    rational content; sometimes x^k, x^2 + 1 (roots mod 5), x^2 - 2
+    (roots mod 7) or x^2 - x - 9 (its 3-adic root reads back as -9, which
+    divides 9: only the exact check rejects it), and leading coefficients
+    divisible by 3, 5 and 7, so that the prime search has to pass them."""
+    p = Poly([Fraction(rng.randint(-6, 6) or 1, rng.randint(1, 6))])
+    for _ in range(rng.randint(0, 3)):
+        b = rng.choice([1, 2, 3, 4, 5, 7, 105])
+        p = p * Poly([-rng.randint(-9, 9), b]) ** rng.randint(1, 2)
+    for extra in (Poly.x(rng.randint(1, 3)), Poly([1, 0, 1]), Poly([-2, 0, 1]), Poly([-9, -1, 1])):
+        if rng.random() < 0.2:
+            p = p * extra
+    return p
+
+
+def test_rational_roots_match_divisor_enumeration():
+    rng = random.Random(7)
+    polys = [random_root_poly(rng) for _ in range(120)]
+    polys += [
+        Poly([5]),
+        Poly([Fraction(-3, 4)]),
+        Poly.x(3),
+        Poly([1, 0, 1]) * Poly([-2, 0, 1]),
+        Poly([-9, -1, 1]),
+        Poly([-4, 0, 1]) * Poly([-1, 0, 4]),            # 1/2, -1/2, 2, -2
+        Poly([1, 105]) * Poly([-2, 35]) ** 2 * Poly([1, 0, 1]),
+    ]
+    for p in polys:
+        assert list(p.rational_roots().items()) == list(_enumerate_roots(p).items()), p
+    assert Poly([5]).rational_roots() == {}
+    assert Poly([-9, -1, 1]).rational_roots() == {}
+    assert list((Poly([-4, 0, 1]) * Poly([-1, 0, 4])).rational_roots()) == [
+        Fraction(1, 2), Fraction(-1, 2), Fraction(2), Fraction(-2)
+    ]
+
+
+def test_rational_roots_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(8)
+    for _ in range(40):
+        p = random_root_poly(rng)
+        if p.degree < 1:
+            continue
+        factors = sympy.Poly(list(reversed(p.coeffs)), x, domain="QQ").factor_list()[1]
+        want = {}
+        for f, mult in factors:
+            if f.degree() == 1:
+                c1, c0 = f.all_coeffs()
+                root = -c0 / c1
+                want[Fraction(int(root.p), int(root.q))] = mult
+        assert p.rational_roots() == want, p
 
 
 def test_shift_and_reverse():

@@ -16,7 +16,17 @@ from irrkatz.reduce import (
     _twisted_chains,
 )
 from irrkatz.rootsys import Verdict, idx
-from irrkatz.weylalg import INF, D, DiffOperator, X, ad_exp_raw, ad_power, location_key, prim
+from irrkatz.weylalg import (
+    INF,
+    D,
+    DiffOperator,
+    X,
+    ad_exp_raw,
+    ad_power,
+    format_location,
+    location_key,
+    prim,
+)
 
 
 def shape_of(name):
@@ -369,6 +379,46 @@ def test_twisted_chains_match_extraction_at_every_euler_step():
             assert_twisted_chains_extracted(op, result.initial, m, nu, t)
             steps += 1
     assert steps == 8 + 1 + 2 + 3
+
+
+
+PRIMES = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+
+
+def test_reduce_operator_high_rank_hypergeometric():
+    # nF(n-1) at ranks 5 and 6: generic a_i, b_j with distinct prime denominators
+    for n in (5, 6):
+        a = [Fraction(k + 1, PRIMES[k]) for k in range(n)]
+        b = [Fraction(1, PRIMES[n + k]) for k in range(n - 1)]
+        result = reduce_operator(hypergeometric(a, b))
+        assert result.final.rank == 1
+        assert result.transcript.verdict is Verdict.REAL_ROOT
+
+
+def test_reduce_operator_irregular_kummer_ladder():
+    # theta * prod(theta + b_j - 1) - x * prod(theta + a_i), n - 1 factors
+    # each: at infinity the factor 0 with exponents a_i and the factor x
+    # with exponent sum(b) - sum(a); at 0 the exponents 0 and 1 - b_j
+    for n in range(2, 7):
+        a = [Fraction(k + 1, PRIMES[k]) for k in range(n - 1)]
+        b = [Fraction(1, PRIMES[n + k]) for k in range(n - 1)]
+        op = hypergeometric(a, b)
+        closed_form = {
+            ("inf", ()): sorted((ai, 1) for ai in a),
+            ("inf", ((1, 1),)): [(sum(b) - sum(a), 1)],
+            ("0", ()): sorted([(Fraction(0), 1)] + [(1 - bj, 1) for bj in b]),
+        }
+        extracted = {
+            (format_location(loc), tuple(sorted(w.coeffs.items()))): sorted(
+                (lam.as_rat(), m) for lam, m in s.chains
+            )
+            for loc, factors in formal.extract_formal_data(op).points
+            for w, s in factors
+        }
+        assert extracted == closed_form, n
+        result = reduce_operator(op)
+        assert result.final.rank == 1
+        assert result.transcript.verdict is Verdict.REAL_ROOT
 
 
 def test_twisted_chains_match_extraction_on_all_tuples():
