@@ -176,9 +176,12 @@ class Poly:
         return Poly(out)
 
     def order_at(self, c: Scalar) -> int:
-        """Multiplicity of the root x = c (0 if p(c) != 0); error on zero."""
+        """Multiplicity of the root x = c (0 if p(c) != 0); error on zero.
+        At c = 0 it is the number of low zero coefficients."""
         if self.is_zero():
             raise ValueError("order of the zero polynomial")
+        if c == 0:
+            return next(k for k, a in enumerate(self.coeffs) if a)
         p, m = self, 0
         c = Fraction(c)
         while p.eval(c) == 0:

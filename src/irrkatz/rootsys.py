@@ -1,20 +1,31 @@
 """The root-lattice side: basis, bilinear form, reflections, and the
 surjection onto the multiplicity lattice.
 
-The basis has one node per index tuple and one node per interior chain
-slot.  The symmetric bilinear form has diagonal 2; the off-diagonal
-entries come from weights of factor differences and from shared tuple
-coordinates.  The surjection intertwines reflections in tuple nodes with
-the twisted-Euler moves and reflections in chain nodes with the slot
+The basis has one node e_t per index tuple t and one node c_ijs per
+interior chain slot (s < l_ij - 1).  The symmetric bilinear form is the
+star-shaped quiver form (Crawley-Boevey, Duke Math. J. 118, 2003; in its
+irregular form, Hiroe-Yamakawa, Adv. Math. 266, 2014).  Its Gram matrix
+has diagonal 2 and, block by block,
+
+    B(e_t, e_t')        = sum_i (w_i[t_i][t'_i] + [t_i = t'_i]) - (p - 1)
+    B(e_t, c_ijs)        = -1 if t_i = j and s = 0, else 0
+    B(c_ijs, c_i'j's')   = -1 if (i', j') = (i, j) and |s - s'| = 1, else 0
+                           (off the diagonal)
+
+with w_i the weight table at point i and p the number of finite points.
+The surjection intertwines reflections in tuple nodes with the
+twisted-Euler moves and reflections in chain nodes with the slot
 permutations, which is what lets root-theoretic language classify
 operators.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .lattice import IndexTuple, LatticeShape, LatticeVector
@@ -38,7 +49,26 @@ class RootBasis:
     gram: tuple[tuple[int, ...], ...]
 
     def node_index(self, node: Node) -> int:
-        return self.nodes.index(node)
+        """Position of a node, computed rather than searched: tuple nodes
+        come first in lexicographic order (a mixed-radix number), then the
+        chain nodes in (i, j, s) order."""
+        kind, payload = node
+        lens = self.shape.chain_lengths
+        k = -1
+        with suppress(IndexError, TypeError, ValueError):
+            if kind == "t":
+                k = 0
+                for i, j in enumerate(payload):
+                    k = k * len(lens[i]) + j
+            else:
+                i, j, s = payload
+                later = sum(l - 1 for l in lens[i][j:]) + sum(
+                    l - 1 for ls in lens[i + 1:] for l in ls
+                )
+                k = len(self.nodes) - later + s
+        if not 0 <= k < len(self.nodes) or self.nodes[k] != node:
+            raise ValueError(f"{node!r} is not a node of this basis")
+        return k
 
     def tuple_nodes(self) -> list[int]:
         """Positions of the tuple nodes (oracle for tests)."""
@@ -59,28 +89,92 @@ class RootBasis:
 def build_basis(shape: LatticeShape) -> RootBasis:
     """Basis and Gram matrix for a shape.
 
+    The Gram matrix is set block by block in closed form:
+
+    - tuple-tuple: B(e_t, e_t') = sum_i (w_i[t_i][t'_i] + [t_i = t'_i]) - (p - 1),
+      the outer sum over the points of the per-point rows
+      ``w_i[t_i][.] + [t_i = .]`` (see :func:`_suffix_row`);
+    - tuple-chain: -1 between e_t and chain node (i, j, 0) when t_i = j, and
+      0 for every other chain node;
+    - chain-chain: 2 on the diagonal, -1 between adjacent slots of one
+      chain, 0 otherwise.
+
     Off-diagonal entries are checked to be <= 0; a violation would leave
-    root-system territory and is reported rather than silently accepted.
+    root-system territory and is reported, for the first pair (a, b) with
+    a < b in row-major order, rather than silently accepted.
     """
-    nodes: list[Node] = [("t", t) for t in shape.index_tuples()]
-    for i in range(shape.num_points):
-        for j in range(shape.factor_count(i)):
-            for s in range(shape.chain_lengths[i][j] - 1):
-                nodes.append(("c", (i, j, s)))
-    n = len(nodes)
-    gram = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            v = _pairing(shape, nodes[a], nodes[b])
-            gram[a][b] = gram[b][a] = v
-            if a != b and v > 0:
-                raise ValueError(
-                    f"positive off-diagonal pairing {v} between {nodes[a]} and {nodes[b]}"
-                )
-    return RootBasis(shape, tuple(nodes), tuple(tuple(row) for row in gram))
+    tuples = shape.index_tuples()
+    nt = len(tuples)
+    chains = [
+        (i, j, s)
+        for i, lens in enumerate(shape.chain_lengths)
+        for j, l in enumerate(lens)
+        for s in range(l - 1)
+    ]
+    nodes = tuple([("t", t) for t in tuples] + [("c", c) for c in chains])
+    first_slot = {c[:2]: q for q, c in enumerate(chains) if c[2] == 0}
+    per_point = [
+        [[w + (j == j2) for j2, w in enumerate(row)] for j, row in enumerate(table)]
+        for table in shape.weights
+    ]
+    memo: dict[tuple[IndexTuple, int], list[int]] = {}
+    gram = []
+    for a, t in enumerate(tuples):
+        row = _suffix_row(per_point, memo, t, 1 - shape.p)
+        if max(row[a + 1:], default=0) > 0:
+            b = next(b for b in range(a + 1, nt) if row[b] > 0)
+            raise ValueError(
+                f"positive off-diagonal pairing {row[b]} between {nodes[a]} and {nodes[b]}"
+            )
+        coupling = [0] * len(chains)
+        for i, j in enumerate(t):
+            q = first_slot.get((i, j))
+            if q is not None:
+                coupling[q] = -1
+        row += coupling
+        gram.append(tuple(row))
+    for q, (i, j, s) in enumerate(chains):
+        if s == 0:
+            row = [-1 if t[i] == j else 0 for t in tuples]
+        else:
+            row = [0] * nt
+        coupling = [0] * len(chains)
+        coupling[q] = 2
+        if s:
+            coupling[q - 1] = -1
+        if q + 1 < len(chains) and chains[q + 1][2] == s + 1:
+            coupling[q + 1] = -1
+        gram.append(tuple(row + coupling))
+    return RootBasis(shape, nodes, tuple(gram))
+
+
+def _suffix_row(per_point, memo, u: IndexTuple, c: int) -> list[int]:
+    """The row of e_u over the last ``len(u)`` points, every entry shifted
+    by ``c``: the outer sum of the per-point rows ``per_point[i][u_i]`` =
+    ``w_i[u_i][.] + [u_i = .]``, in :meth:`LatticeShape.index_tuples` order.
+
+    It is the concatenation, over the entries x of the first per-point
+    row, of the row of ``u[1:]`` shifted by c + x.  A row of a proper
+    suffix depends only on (suffix, c), so ``memo`` keeps it and every
+    longer row that reaches it shares it: a Gram row costs about one
+    pointer copy per entry, and equal entries share one int object.  A
+    whole row is never shared and comes back as a new list.
+    """
+    row = memo.get((u, c))
+    if row is None:
+        if u:
+            row = []
+            for x in per_point[-len(u)][u[0]]:
+                row += _suffix_row(per_point, memo, u[1:], c + x)
+        else:
+            row = [c]
+        if len(u) < len(per_point):
+            memo[u, c] = row
+    return row
 
 
 def _pairing(shape: LatticeShape, n1: Node, n2: Node) -> int:
+    """The form on two nodes, entry by entry (oracle for tests)."""
     kind1, pay1 = n1
     kind2, pay2 = n2
     if kind1 == "t" and kind2 == "t":
@@ -157,10 +251,12 @@ class RootVector:
 
 
 def pairing(alpha: RootVector, beta: RootVector) -> int:
+    """alpha^T G beta over the nonzero coordinates of alpha only: a lift
+    from :func:`canonical_lift` has few of them."""
     gram = alpha.basis.gram
+    coords = beta.coords
     return sum(
-        a * sum(g * b for g, b in zip(row, beta.coords))
-        for a, row in zip(alpha.coords, gram)
+        a * sum(map(mul, gram[k], coords)) for k, a in enumerate(alpha.coords) if a
     )
 
 
@@ -322,6 +418,7 @@ def _adjacency(basis: RootBasis, nodes: Sequence[int]) -> dict[int, list[int]]:
     """Neighbours among the given nodes, in increasing order, read from the
     upper triangle of the Gram matrix once.  Off-diagonal entries are <= 0
     (``build_basis``), so an edge has multiplicity ``-gram[a][b]``."""
+    nodes = list(nodes)     # one int object per node, shared by every edge list
     adjacency: dict[int, list[int]] = {a: [] for a in nodes}
     for k, a in enumerate(nodes):
         row = basis.gram[a]
@@ -333,19 +430,24 @@ def _adjacency(basis: RootBasis, nodes: Sequence[int]) -> dict[int, list[int]]:
 
 
 def dot_text(basis: RootBasis) -> str:
-    """Graphviz text; parallel edges are rendered once with a label."""
-    lines = ["graph diagram {"]
+    """Graphviz text; parallel edges are rendered once with a label.  The
+    edge lines of one Gram row are joined before the next row is read, so
+    a dense diagram never holds one string object per edge."""
+    parts = ["graph diagram {"]
     for k in range(len(basis.nodes)):
-        lines.append(f'  n{k} [label="{basis.node_label(k)}"];')
+        parts.append(f'  n{k} [label="{basis.node_label(k)}"];')
     for a, row in enumerate(basis.gram):
+        lines = []
         for b in range(a + 1, len(row)):
             mult = -row[b]
             if mult == 1:
                 lines.append(f"  n{a} -- n{b};")
             elif mult >= 2:
                 lines.append(f'  n{a} -- n{b} [label="{mult}"];')
-    lines.append("}")
-    return "\n".join(lines)
+        if lines:
+            parts.append("\n".join(lines))
+    parts.append("}")
+    return "\n".join(parts)
 
 
 def cartan_matrix_text(basis: RootBasis) -> str:

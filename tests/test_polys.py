@@ -109,6 +109,27 @@ def test_rational_roots_match_sympy():
         assert p.rational_roots() == want, p
 
 
+def _order_by_division(p, c):
+    """Reference: divide by (x - c) while c is a root."""
+    m = 0
+    while p.eval(c) == 0:
+        p = p // Poly([-c, 1])
+        m += 1
+    return m
+
+
+def test_order_at_zero_counts_low_zero_coefficients():
+    rng = random.Random(8)
+    for _ in range(200):
+        p = random_root_poly(rng) * Poly.x(rng.randint(0, 6))
+        for c in (Fraction(0), 0, Fraction(1, 2), Fraction(-3)):
+            assert p.order_at(c) == _order_by_division(p, Fraction(c))
+    assert Poly.x(24).order_at(0) == 24
+    assert Poly([Fraction(1, 3)]).order_at(0) == 0
+    with pytest.raises(ValueError):
+        Poly().order_at(0)
+
+
 def test_shift_and_reverse():
     p = Poly([1, 2, 3])
     assert p.shift(Fraction(1)).eval(0) == p.eval(1)

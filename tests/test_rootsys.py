@@ -6,6 +6,7 @@ import pytest
 from irrkatz import corpus, formal
 from irrkatz.lattice import LatticeShape, LatticeVector
 from irrkatz.rootsys import (
+    RootBasis,
     RootVector,
     Verdict,
     build_basis,
@@ -21,6 +22,7 @@ from irrkatz.rootsys import (
     phi_of_tuple_node,
     reflect,
     support_connected,
+    _pairing,
 )
 
 
@@ -67,6 +69,112 @@ def test_positive_off_diagonal_rejected():
     # shape construction time already
     with pytest.raises(ValueError):
         LatticeShape(((1, 1), (1,)), (((0, 1), (1, 0)), ((0,),)))
+
+
+def _pairwise_basis(shape):
+    """Reference: the basis filled pair by pair from ``_pairing``."""
+    nodes = [("t", t) for t in shape.index_tuples()]
+    for i in range(shape.num_points):
+        for j in range(shape.factor_count(i)):
+            for s in range(shape.chain_lengths[i][j] - 1):
+                nodes.append(("c", (i, j, s)))
+    n = len(nodes)
+    gram = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            v = _pairing(shape, nodes[a], nodes[b])
+            gram[a][b] = gram[b][a] = v
+            if a != b and v > 0:
+                raise ValueError(
+                    f"positive off-diagonal pairing {v} between {nodes[a]} and {nodes[b]}"
+                )
+    return RootBasis(shape, tuple(nodes), tuple(tuple(row) for row in gram))
+
+
+def _random_tables(rng, factors, values):
+    tables = []
+    for k in factors:
+        table = [[0] * k for _ in range(k)]
+        for j in range(k):
+            for j2 in range(j + 1, k):
+                table[j][j2] = table[j2][j] = rng.choice(values)
+        tables.append(tuple(tuple(row) for row in table))
+    return tuple(tables)
+
+
+def random_shape(rng, max_nodes=300):
+    """2-5 points, 1-4 factors per point, chains of length 1-3."""
+    while True:
+        factors = [rng.randint(1, 4) for _ in range(rng.randint(2, 5))]
+        chain_lengths = tuple(tuple(rng.randint(1, 3) for _ in range(k)) for k in factors)
+        shape = LatticeShape(chain_lengths, _random_tables(rng, factors, (-1, -1, -2, -3)))
+        size = len(shape.index_tuples()) + sum(l - 1 for ls in chain_lengths for l in ls)
+        if size <= max_nodes:
+            return shape
+
+
+def test_gram_matches_pairwise_oracle():
+    rng = random.Random(36)
+    shapes = [random_shape(rng) for _ in range(110)]
+    shapes += [shape_of(name) for name in corpus.names()]
+    assert max(len(s.index_tuples()) for s in shapes) > 200
+    for shape in shapes:
+        basis = build_basis(shape)
+        reference = _pairwise_basis(shape)
+        assert basis.nodes == reference.nodes
+        nodes = basis.nodes
+        for a, row in enumerate(basis.gram):
+            assert row == tuple(_pairing(shape, nodes[a], node) for node in nodes)
+        assert basis == reference
+        assert dot_text(basis) == dot_text(reference)
+        assert cartan_matrix_text(basis) == cartan_matrix_text(reference)
+        assert classify_diagram(basis)[0] == classify_diagram(reference)[0]
+        for k, node in enumerate(nodes):
+            assert basis.node_index(node) == k
+
+
+def test_node_index_rejects_foreign_nodes():
+    basis = build_basis(shape_of("Gauss"))
+    for node in [("t", (0, 0)), ("t", (0, 0, 2)), ("t", (0, 0, 0, 0)), ("t", (-1, 0, 0)),
+                 ("c", (0, 0, 1)), ("c", (0, 1, 0)), ("c", (5, 0, 0)), ("x", (0,))]:
+        with pytest.raises(ValueError):
+            basis.node_index(node)
+
+
+def test_positive_off_diagonal_message_matches_pairwise_oracle():
+    # weight tables that skip the shape's own validation reach the check
+    rng = random.Random(37)
+    raised = 0
+    for _ in range(60):
+        factors = [rng.randint(1, 3) for _ in range(rng.randint(2, 4))]
+        shape = object.__new__(LatticeShape)
+        object.__setattr__(
+            shape, "chain_lengths", tuple(tuple(rng.randint(1, 2) for _ in range(k)) for k in factors)
+        )
+        object.__setattr__(shape, "weights", _random_tables(rng, factors, (-2, -1, -1, 0, 1)))
+        try:
+            expected = _pairwise_basis(shape)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                build_basis(shape)
+            assert str(got.value) == str(exc)
+            raised += 1
+        else:
+            assert build_basis(shape) == expected
+    assert 10 < raised < 60
+
+
+def test_pairing_skips_zero_coordinates_only():
+    rng = random.Random(38)
+    basis = build_basis(random_shape(rng))
+    n = len(basis.nodes)
+    for _ in range(20):
+        alpha = RootVector(basis, [rng.choice((0, 0, 0, rng.randint(-3, 3))) for _ in range(n)])
+        beta = RootVector(basis, [rng.randint(-3, 3) for _ in range(n)])
+        dense = sum(
+            alpha.coords[a] * basis.gram[a][b] * beta.coords[b] for a in range(n) for b in range(n)
+        )
+        assert pairing(alpha, beta) == dense == pairing(beta, alpha)
 
 
 # -- reflections -------------------------------------------------------------------
