@@ -26,7 +26,7 @@ from .formal import (
     RamifiedPointError,
 )
 from .reduce import AssumptionViolatedError, CrossCheckError
-from .weylalg import IrrationalSingularityError, OperatorSyntaxError
+from .weylalg import IrrationalSingularityError
 
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
@@ -41,20 +41,18 @@ class CliError(Exception):
         self.code = code
 
 
-def _classify_error(exc: Exception) -> int:
-    if isinstance(exc, (RamifiedPointError, IrrationalSingularityError)):
-        return EXIT_UNSUPPORTED
-    if isinstance(exc, (OshimaCheckError, NonSplitCharPolyError)):
-        return EXIT_UNVERIFIED
-    if isinstance(exc, AssumptionViolatedError):
-        return EXIT_ASSUMPTION
-    if isinstance(exc, ExtractionError):
-        return EXIT_UNSUPPORTED
-    if isinstance(exc, CrossCheckError):
-        return EXIT_CHECK_FAILED
-    if isinstance(exc, (OperatorSyntaxError, ValueError, OSError, KeyError)):
-        return EXIT_BAD_INPUT
-    return EXIT_CHECK_FAILED
+# Exit code of each exception class ``main`` handles.  The first matching
+# row wins, so IrrationalSingularityError, a ValueError, comes before
+# ValueError; OperatorSyntaxError, also one, takes the ValueError row.
+_EXIT_CODES = (
+    ((RamifiedPointError, IrrationalSingularityError), EXIT_UNSUPPORTED),
+    ((OshimaCheckError, NonSplitCharPolyError), EXIT_UNVERIFIED),
+    ((AssumptionViolatedError,), EXIT_ASSUMPTION),
+    ((ExtractionError,), EXIT_UNSUPPORTED),
+    ((CrossCheckError,), EXIT_CHECK_FAILED),
+    ((ValueError, OSError, KeyError), EXIT_BAD_INPUT),
+)
+_HANDLED = tuple(cls for classes, _ in _EXIT_CODES for cls in classes)
 
 
 def _load_operator(args) -> weylalg.DiffOperator:
@@ -249,18 +247,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (
-        OperatorSyntaxError,
-        ExtractionError,
-        IrrationalSingularityError,
-        AssumptionViolatedError,
-        CrossCheckError,
-        ValueError,
-        OSError,
-        KeyError,
-    ) as exc:
+    except _HANDLED as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _classify_error(exc)
+        return next(code for classes, code in _EXIT_CODES if isinstance(exc, classes))
 
 
 if __name__ == "__main__":

@@ -142,8 +142,6 @@ class ExponentialFactor:
 
 def factor_weight_diff(w1: ExponentialFactor, w2: ExponentialFactor) -> int:
     """wt of the difference of two factors; 0 when they are equal."""
-    if w1 == w2:
-        return 0
     return (w1 - w2).weight()
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 IndexTuple = tuple[int, ...]
 
@@ -80,12 +80,6 @@ class LatticeShape:
         ``t``: 1 at a finite point and -1 at infinity, minus the weight of
         the difference of factor j and the chosen factor ``t[i]``."""
         return (1 if i else -1) - self.weights[i][j][t[i]]
-
-    def slots(self) -> Iterable[tuple[int, int, int]]:
-        for i, lens in enumerate(self.chain_lengths):
-            for j, l in enumerate(lens):
-                for s in range(l):
-                    yield (i, j, s)
 
 
 class SlotTable:

@@ -7,11 +7,14 @@ the rank, so the loop ends at rank <= 1 (a real-root terminal), at a
 stable sorted vector (an imaginary-root fundamental representative), or
 leaves the nonnegative cone (not a root).
 
-Operator level: replay the lattice transcript on a concrete operator via
-the twisted Euler transform.  Before each step the genericity hypotheses
-are checked on the predicted formal data of the twisted operand; after it
-the transformed operator is extracted, once, and its invariants are
-checked against the lattice and exponent predictions.
+Operator level: replay the lattice transcript on a concrete operator.
+Each Euler step is one conjugation around ``weylalg.euler``: twist the
+chosen factors to exponential part and first exponent zero, transform,
+twist back.  Its data are predicted as one chain table per operator
+(factor -> (exponent, multiplicity) chains at every point): before the
+step the genericity hypotheses are read off the table of the twisted
+operand, and after it the transformed operator is extracted, once, and
+compared with the table predicted from the lattice and exponent moves.
 """
 
 from __future__ import annotations
@@ -27,12 +30,10 @@ from .formal import (
     ExponentialFactor,
     ExtractionError,
     FormalData,
-    SpectralData,
     extract_formal_data,
 )
 from .lattice import IndexTuple, LatticeVector
 from .rootsys import Verdict
-from .scalar import ParamExpr
 from .weylalg import INF, DiffOperator, Location
 
 
@@ -43,6 +44,9 @@ class AssumptionViolatedError(Exception):
 
 class CrossCheckError(Exception):
     """Operator-level invariants disagree with the lattice prediction."""
+
+
+RETRIES = 3   # fresh instances drawn after a failed operator-level reduction
 
 
 @dataclass(frozen=True)
@@ -160,34 +164,41 @@ def twisted_euler(
     t: IndexTuple,
     lambdas: Sequence[Fraction],
 ) -> DiffOperator:
-    """Twisted Euler transform along the index tuple ``t``.
+    """Twisted Euler transform along the index tuple ``t``: one
+    conjugation around the Euler transform.
 
     ``lambdas[i]`` is the first-slot exponent of the chosen factor at
-    point i.  Twists move the chosen factors to exponential part zero and
-    first exponent zero, the Euler transform with parameter
-    ``1 - sum(lambdas)`` acts, and the twists are undone.  An integer
-    exponent sum raises AssumptionViolatedError here; the hypotheses on
-    the chains of the twisted operand are checked by
-    :func:`reduce_operator` on its predicted formal data, before the step.
+    point i.  :func:`_conjugate` moves the chosen factors to exponential
+    part zero and first exponent zero, the Euler transform with parameter
+    ``1 - sum(lambdas)`` acts, and the same conjugation undoes the move.
+    An integer exponent sum raises AssumptionViolatedError here; the
+    hypotheses on the chains of the twisted operand are checked by
+    :func:`reduce_operator` on its predicted chain table, before the step.
     """
     lam_sum = _exponent_sum(t, lambdas)
-    q = p
+    q = weylalg.euler(_conjugate(p, locations, factors, t, lambdas, -1), 1 - lam_sum)
+    return weylalg.prim(_conjugate(q, locations, factors, t, lambdas, 1))
+
+
+def _conjugate(
+    q: DiffOperator,
+    locations: Sequence[Location],
+    factors: Sequence[Sequence[ExponentialFactor]],
+    t: IndexTuple,
+    lambdas: Sequence[Fraction],
+    sign: int,
+) -> DiffOperator:
+    """Twist ``q`` at every point by ``sign`` times the chosen factor
+    ``factors[i][t[i]]`` and, at finite points, add ``sign * lambdas[i]``
+    to the exponents.  All these twists commute, so ``sign = -1`` before
+    the Euler transform and ``+1`` after it undo each other."""
     for i, loc in enumerate(locations):
         w = factors[i][t[i]]
         if not w.is_zero():
-            q = weylalg.ad_exp_raw(q, loc, {k: -v for k, v in w.coeffs.items()})
-    for i, loc in enumerate(locations):
+            q = weylalg.ad_exp_raw(q, loc, {k: sign * v for k, v in w.coeffs.items()})
         if loc is not INF and lambdas[i] != 0:
-            q = weylalg.ad_power(q, loc, -lambdas[i])
-    q = weylalg.euler(q, 1 - lam_sum)
-    for i, loc in enumerate(locations):
-        if loc is not INF and lambdas[i] != 0:
-            q = weylalg.ad_power(q, loc, lambdas[i])
-    for i, loc in enumerate(locations):
-        w = factors[i][t[i]]
-        if not w.is_zero():
-            q = weylalg.ad_exp_raw(q, loc, w.coeffs)
-    return weylalg.prim(q)
+            q = weylalg.ad_power(q, loc, sign * lambdas[i])
+    return q
 
 
 def _exponent_sum(t: IndexTuple, lambdas: Sequence[Fraction]) -> Fraction:
@@ -199,6 +210,33 @@ def _exponent_sum(t: IndexTuple, lambdas: Sequence[Fraction]) -> Fraction:
     return lam_sum
 
 
+ChainTable = dict[tuple, dict[ExponentialFactor, list[tuple[Fraction, int]]]]
+
+
+def _chain_table(
+    factor_table: Sequence[Sequence[ExponentialFactor]],
+    m: LatticeVector,
+    nu: ExponentVector,
+    shifts: Sequence[Fraction],
+) -> ChainTable:
+    """Predicted formal data as ``{location_key: {factor: chains}}``:
+    factor ``factor_table[i][j]`` carries the sorted (exponent,
+    multiplicity) chains of slot (i, j), exponents shifted by
+    ``shifts[i]``; only slots of nonzero multiplicity appear."""
+    table = {}
+    for i, factors in enumerate(factor_table):
+        point = table[weylalg.location_key(factors[0].point)] = {}
+        for j, w in enumerate(factors):
+            chains = sorted(
+                (nu.slot(i, j, s).as_rat() + shifts[i], mult)
+                for s, mult in enumerate(m.entries[i][j])
+                if mult
+            )
+            if chains:
+                point[w] = chains
+    return table
+
+
 def _check_euler_hypotheses(
     factor_table: Sequence[Sequence[ExponentialFactor]],
     m: LatticeVector,
@@ -207,52 +245,29 @@ def _check_euler_hypotheses(
     lambdas: Sequence[Fraction],
 ):
     """Genericity hypotheses of the Euler step, read off the predicted
-    formal data of the twisted operand: low-degree factors at infinity
-    avoid integer exponents, and the nonzero chains of the zero factor at
-    finite points stay off the integer resonance with the exponent sum."""
+    chain table of the twisted operand: factor j at point i moves to
+    ``w_ij - w_it_i``, exponents shift by the sum of the finite
+    ``lambdas`` at infinity (point 0) and by ``-lambdas[i]`` at finite
+    points.  Low-degree factors at infinity must avoid integer exponents,
+    and the nonzero chains of the zero factor at finite points must stay
+    off the integer resonance with the exponent sum."""
     lam_sum = _exponent_sum(t, lambdas)
-    for w, chains in _twisted_chains(factor_table, m, nu, t, lambdas):
-        for base, _ in chains:
-            if w.point is INF and w.degree <= 1 and base.denominator == 1:
-                raise AssumptionViolatedError(
-                    f"integer exponent {base} in a low-degree factor at infinity"
-                )
-            if (
-                w.point is not INF and w.is_zero() and base != 0
-                and (base + lam_sum).denominator == 1
-            ):
-                raise AssumptionViolatedError(
-                    f"resonance: exponent {base} at {w.point} plus {lam_sum} is an integer"
-                )
-
-
-def _twisted_chains(
-    factor_table: Sequence[Sequence[ExponentialFactor]],
-    m: LatticeVector,
-    nu: ExponentVector,
-    t: IndexTuple,
-    lambdas: Sequence[Fraction],
-) -> list[tuple[ExponentialFactor, list[tuple[Fraction, int]]]]:
-    """Predicted factors with their sorted (exponent, multiplicity) chains
-    after the twists of :func:`twisted_euler`, point by point.
-
-    Factor j at point i moves to ``w_ij - w_it_i``; exponents shift by
-    ``-lambdas[i]`` at finite points and by the sum of the finite
-    ``lambdas`` at infinity (point 0); only slots of nonzero multiplicity
-    appear.
-    """
-    out = []
-    for i, factors in enumerate(factor_table):
-        shift = sum(lambdas[1:], Fraction(0)) if i == 0 else -lambdas[i]
-        for j, w in enumerate(factors):
-            chains = sorted(
-                (nu.slot(i, j, s).as_rat() + shift, mult)
-                for s, mult in enumerate(m.entries[i][j])
-                if mult
-            )
-            if chains:
-                out.append((w - factors[t[i]], chains))
-    return out
+    twisted = [[w - factors[t[i]] for w in factors] for i, factors in enumerate(factor_table)]
+    shifts = [sum(lambdas[1:], Fraction(0))] + [-lam for lam in lambdas[1:]]
+    for point in _chain_table(twisted, m, nu, shifts).values():
+        for w, chains in point.items():
+            for base, _ in chains:
+                if w.point is INF and w.degree <= 1 and base.denominator == 1:
+                    raise AssumptionViolatedError(
+                        f"integer exponent {base} in a low-degree factor at infinity"
+                    )
+                if (
+                    w.point is not INF and w.is_zero() and base != 0
+                    and (base + lam_sum).denominator == 1
+                ):
+                    raise AssumptionViolatedError(
+                        f"resonance: exponent {base} at {w.point} plus {lam_sum} is an integer"
+                    )
 
 
 @dataclass(frozen=True)
@@ -266,7 +281,6 @@ class OperatorReduction:
 def reduce_operator(
     p: DiffOperator,
     reinstantiate: Callable[[int], DiffOperator] | None = None,
-    retries: int = 3,
     data: FormalData | None = None,
 ) -> OperatorReduction:
     """Drive the lattice reduction on a concrete operator.
@@ -275,7 +289,7 @@ def reduce_operator(
     step and checks the extracted invariants against the predicted
     multiplicities and exponents.  On an integer resonance the instance is
     re-drawn through ``reinstantiate`` (attempt number passed in), up to
-    ``retries`` times.  ``data``, when given, must be the formal data
+    ``RETRIES`` times.  ``data``, when given, must be the formal data
     extracted from ``p``; the first attempt then does not extract ``p``
     again.
     """
@@ -284,7 +298,7 @@ def reduce_operator(
         try:
             return _reduce_operator_once(p, data)
         except (AssumptionViolatedError, ExtractionError, CrossCheckError):
-            if reinstantiate is None or attempt >= retries:
+            if reinstantiate is None or attempt >= RETRIES:
                 raise
             p, data = reinstantiate(attempt), None
             attempt += 1
@@ -293,9 +307,9 @@ def reduce_operator(
 def _reduce_operator_once(p: DiffOperator, data: FormalData | None) -> OperatorReduction:
     if data is None:
         data = extract_formal_data(p)
-    shape = formal.to_shape(data)
     locations = data.locations()
     factor_table = [[w for w, _ in factors] for _, factors in data.points]
+    no_shift = [Fraction(0)] * len(locations)
     m = formal.m_vector(data)
     nu = formal.exponent_vector(data)
     transcript = reduce_vector(m)
@@ -308,13 +322,12 @@ def _reduce_operator_once(p: DiffOperator, data: FormalData | None) -> OperatorR
             cur_nu = act_sigma_perm(cur_nu, *step.index)
             continue
         t = step.index
-        lambdas = [
-            cur_nu.slot(i, t[i], 0).as_rat() for i in range(shape.num_points)
-        ]
+        lambdas = [cur_nu.slot(i, t[i], 0).as_rat() for i in range(len(locations))]
         _check_euler_hypotheses(factor_table, step.before, cur_nu, t, lambdas)
         cur_op = twisted_euler(cur_op, locations, factor_table, t, lambdas)
         cur_nu = act_sigma_t(cur_nu, t)
-        _check_prediction(cur_op, locations, factor_table, step.after, cur_nu)
+        predicted = _chain_table(factor_table, step.after, cur_nu, no_shift)
+        _check_prediction(cur_op, locations, predicted, step.after.rank)
         ops.append(cur_op)
     return OperatorReduction(transcript, data, tuple(ops), cur_op)
 
@@ -322,48 +335,29 @@ def _reduce_operator_once(p: DiffOperator, data: FormalData | None) -> OperatorR
 def _check_prediction(
     op: DiffOperator,
     locations: Sequence[Location],
-    factor_table: Sequence[Sequence[ExponentialFactor]],
-    m_pred: LatticeVector,
-    nu_pred: ExponentVector,
+    predicted: ChainTable,
+    rank: int,
 ):
-    """Extract the transformed operator and compare, factor by factor,
-    with the predicted (multiplicity, exponent) chains."""
-    extracted = extract_formal_data(op)
-    ext_points = {weylalg.location_key(loc): factors for loc, factors in extracted.points}
-    rank = m_pred.rank
-    for i, loc in enumerate(locations):
-        ext = ext_points.pop(weylalg.location_key(loc), None)
-        if ext is None:
-            ext = [_trivial_point_data(loc, rank)]
-        ext_by_w = {w: s for w, s in ext}
-        for j, w in enumerate(factor_table[i]):
-            expected = sorted(
-                (nu_pred.slot(i, j, s).as_rat(), m_pred.entries[i][j][s])
-                for s in range(len(m_pred.entries[i][j]))
-                if m_pred.entries[i][j][s] != 0
-            )
-            got = ext_by_w.pop(w, None)
-            got_chains = (
-                sorted((lam.as_rat(), m) for lam, m in got.chains)
-                if got is not None
-                else []
-            )
-            if got_chains != expected:
-                raise CrossCheckError(
-                    f"at {weylalg.format_location(loc)}, factor {w.format()}: "
-                    f"extracted {got_chains}, predicted {expected}"
-                )
-        if ext_by_w:
-            extra = ", ".join(w.format() for w in ext_by_w)
+    """Extract ``op`` and compare it, point by point, with the predicted
+    chain table.  A point the extraction omits is non-singular: it must be
+    predicted as the zero factor with the single chain (0, rank).  Such a
+    point is finite, since ``FormalData`` always lists infinity."""
+    extracted = {
+        weylalg.location_key(loc): (loc, factors)
+        for loc, factors in extract_formal_data(op).points
+    }
+    for loc in locations:
+        key = weylalg.location_key(loc)
+        _, factors = extracted.pop(key, (loc, None))
+        if factors is None:
+            got = {ExponentialFactor(loc, {}): [(Fraction(0), rank)]}
+        else:
+            got = {w: sorted((lam.as_rat(), k) for lam, k in s.chains) for w, s in factors}
+        if got != predicted[key]:
             raise CrossCheckError(
-                f"unpredicted factors at {weylalg.format_location(loc)}: {extra}"
+                f"at {weylalg.format_location(loc)}: extracted {got}, predicted {predicted[key]}"
             )
-    if ext_points:
-        raise CrossCheckError(f"unpredicted singular points: {sorted(ext_points)}")
+    if extracted:
+        extra = ", ".join(weylalg.format_location(loc) for loc, _ in extracted.values())
+        raise CrossCheckError(f"unpredicted singular points: {extra}")
 
-
-def _trivial_point_data(loc: Location, rank: int):
-    """Formal datum of a non-singular point: exponents 0..rank-1 at a
-    finite point, 1-rank..0 at infinity, one chain, zero factor."""
-    base = 1 - rank if loc is INF else 0
-    return (ExponentialFactor(loc, {}), SpectralData([(ParamExpr(base), rank)]))

@@ -88,10 +88,6 @@ class DiffOperator:
         raise AttributeError("DiffOperator is immutable")
 
     @staticmethod
-    def zero() -> "DiffOperator":
-        return DiffOperator()
-
-    @staticmethod
     def of(value: "OpLike") -> "DiffOperator":
         if isinstance(value, DiffOperator):
             return value

@@ -1,6 +1,8 @@
-"""One traced pass of the benchmark's lattice ladder, run in-process from
-the bench's own files: its correctness checks pass and every span it
-requires fires (including the ``canonical_lift`` and ``pairing`` gate)."""
+"""One traced pass of each benchmark workload, run in-process from the
+bench's own files: its correctness checks pass, the tracer wraps every
+call site, and every span the workload requires fires (among them the
+``ad_exp_raw`` and ``ad_power`` twists of the Euler step and the
+``canonical_lift`` and ``pairing`` gate of the lattice ladder)."""
 
 import importlib.util
 import sys
@@ -30,19 +32,20 @@ def bench_run():
     return module
 
 
-def test_lattice_ladder_pass_is_correct_and_fully_traced(bench_run):
+@pytest.mark.parametrize("workload", ["corpus", "hyp_ladder", "lattice_ladder", "analyze_mix"])
+def test_workload_pass_is_correct_and_fully_traced(bench_run, workload):
     spans, workloads = bench_run.spans, bench_run.workloads
-    one_pass = next(workloads.GENERATORS["lattice_ladder"](0))
+    one_pass = next(workloads.GENERATORS[workload](0))
     tracer = spans.Tracer()
     unpatched = tracer.install()
     tracer.active = True
     try:
-        _, records = bench_run.run_loop(irrkatz, "lattice_ladder", [one_pass], tracer=tracer)
+        _, records = bench_run.run_loop(irrkatz, workload, [one_pass], tracer=tracer)
     finally:
         tracer.active = False
         tracer.uninstall()
     assert unpatched == []
-    # each record's error is what check_lattice returned (or the exception)
+    # each record's error is what the workload's check returned (or the exception)
     assert [r["error"] for r in records] == [None] * len(one_pass)
     fired = {span for span, stat in tracer.stats.items() if stat.calls}
-    assert set(bench_run.EXPECTED_SPANS["lattice_ladder"]) <= fired
+    assert set(bench_run.EXPECTED_SPANS[workload]) <= fired

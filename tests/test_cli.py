@@ -32,6 +32,15 @@ def test_analyze_exit_codes(capsys):
     assert run(capsys, "analyze", "--op", "D^2 + )")[0] == 2
     assert run(capsys, "analyze", "--op", "D^2 - x")[0] == 3          # ramified
     assert run(capsys, "analyze", "--op", "(x^2 - 2)*D - 1")[0] == 3  # irrational point
+    assert run(capsys, "analyze", "--op", "x^2*D^2 + x*D + 1")[0] == 4  # x^2 + 1 does not split
+
+
+def test_unverified_chains_exit_code(capsys):
+    # at c = 0 the exponents 0 and 1 - c at x = 0 differ by an integer and
+    # the triangular vanishing conditions fail
+    code, _, err = run(capsys, "examples", "--run", "--only", "Gauss", "--param", "c=0")
+    assert code == 4
+    assert "triangular vanishing conditions fail" in err
 
 
 @pytest.mark.parametrize("text", ["x^1000000000", "x^33", "(x^11)^3", "x*" * 33 + "D - 1"])

@@ -8,12 +8,14 @@ from irrkatz.exponents import act_sigma_perm, act_sigma_t
 from irrkatz.lattice import LatticeVector
 from irrkatz.reduce import (
     AssumptionViolatedError,
+    CrossCheckError,
     normalize,
     reduce_operator,
     reduce_vector,
     twisted_euler,
+    _chain_table,
     _check_prediction,
-    _twisted_chains,
+    _conjugate,
 )
 from irrkatz.rootsys import Verdict, idx
 from irrkatz.weylalg import (
@@ -23,9 +25,11 @@ from irrkatz.weylalg import (
     X,
     ad_exp_raw,
     ad_power,
+    euler,
     format_location,
     location_key,
     prim,
+    to_text,
 )
 
 
@@ -250,7 +254,15 @@ def test_twisted_euler_through_exponential_twist():
     lambdas = [nu.slot(i, t[i], 0).as_rat() for i in range(2)]
     moved = twisted_euler(op, locations, factor_table, t, lambdas)
     assert moved.rank == 1
-    _check_prediction(moved, locations, factor_table, m.sigma_t(t), act_sigma_t(nu, t))
+    check_after_step(moved, locations, factor_table, m, nu, t)
+
+
+def check_after_step(moved, locations, factor_table, m, nu, t):
+    """Extraction of the moved operator equals the chain table predicted
+    by sigma_t on the multiplicities and the exponents."""
+    after = m.sigma_t(t)
+    predicted = _chain_table(factor_table, after, act_sigma_t(nu, t), [0] * len(locations))
+    _check_prediction(moved, locations, predicted, after.rank)
 
 
 def test_twisted_euler_is_an_involution_on_operators():
@@ -286,44 +298,134 @@ def test_twisted_euler_matches_prediction_on_all_tuples():
         for t in shape.index_tuples():
             lambdas = [nu.slot(i, t[i], 0).as_rat() for i in range(shape.num_points)]
             moved = twisted_euler(op, locations, factor_table, t, lambdas)
-            _check_prediction(moved, locations, factor_table, m.sigma_t(t), act_sigma_t(nu, t))
+            check_after_step(moved, locations, factor_table, m, nu, t)
+
+
+def four_loop_twisted_euler(p, locations, factors, t, lambdas):
+    """twisted_euler as it was first written: each kind of twist in its
+    own loop over the points, undone in reverse order after euler."""
+    q = p
+    for i, loc in enumerate(locations):
+        w = factors[i][t[i]]
+        if not w.is_zero():
+            q = ad_exp_raw(q, loc, {k: -v for k, v in w.coeffs.items()})
+    for i, loc in enumerate(locations):
+        if loc is not INF and lambdas[i] != 0:
+            q = ad_power(q, loc, -lambdas[i])
+    q = euler(q, 1 - sum(lambdas, Fraction(0)))
+    for i, loc in enumerate(locations):
+        if loc is not INF and lambdas[i] != 0:
+            q = ad_power(q, loc, lambdas[i])
+    for i, loc in enumerate(locations):
+        w = factors[i][t[i]]
+        if not w.is_zero():
+            q = ad_exp_raw(q, loc, w.coeffs)
+    return prim(q)
+
+
+def test_twisted_euler_matches_four_loop_oracle():
+    # one conjugation per side of euler gives the very operator the four
+    # separate loops gave: on every index tuple of the irregular entries
+    # and on every Euler step of Gauss and nF(n-1), n = 2..4
+    cases = []
+    for name in ("cHeun", "bHeun", "dHeun"):
+        op = corpus.instantiate(name)
+        data = formal.extract_formal_data(op)
+        nu = formal.exponent_vector(data)
+        cases += [(op, data, nu, t) for t in formal.to_shape(data).index_tuples()]
+    for p in [corpus.instantiate("Gauss")] + [hypergeometric(a, b) for a, b in HYPERGEOMETRIC]:
+        result = reduce_operator(p)
+        cases += [(op, result.initial, nu, t) for op, _, nu, t in euler_step_states(p, result)]
+    assert len(cases) == 2 + 2 + 4 + 1 + 1 + 2 + 3
+    for op, data, nu, t in cases:
+        locations = data.locations()
+        factor_table = [[w for w, _ in factors] for _, factors in data.points]
+        lambdas = [nu.slot(i, t[i], 0).as_rat() for i in range(len(locations))]
+        got = twisted_euler(op, locations, factor_table, t, lambdas)
+        want = four_loop_twisted_euler(op, locations, factor_table, t, lambdas)
+        assert to_text(got) == to_text(want), t
+
+
+def gauss_after_step():
+    """The Gauss operator after its one Euler step, with the locations,
+    the predicted chain table and the rank the cross-check is given."""
+    op = corpus.instantiate("Gauss")
+    data = formal.extract_formal_data(op)
+    locations = data.locations()
+    factor_table = [[w for w, _ in factors] for _, factors in data.points]
+    m, nu = formal.m_vector(data), formal.exponent_vector(data)
+    t = (0, 0, 0)
+    lambdas = [nu.slot(i, 0, 0).as_rat() for i in range(3)]
+    moved = twisted_euler(op, locations, factor_table, t, lambdas)
+    after = m.sigma_t(t)
+    predicted = _chain_table(factor_table, after, act_sigma_t(nu, t), [0] * 3)
+    return moved, locations, predicted, after.rank
+
+
+def test_cross_check_rejects_wrong_exponent():
+    moved, locations, predicted, rank = gauss_after_step()
+    _check_prediction(moved, locations, predicted, rank)
+    point = predicted[location_key(Fraction(1))]
+    for w, chains in point.items():
+        point[w] = [(lam + 1, k) for lam, k in chains]
+    with pytest.raises(CrossCheckError, match=r"^at 1: extracted "):
+        _check_prediction(moved, locations, predicted, rank)
+
+
+def test_cross_check_rejects_unpredicted_factor():
+    moved, locations, predicted, rank = gauss_after_step()
+    predicted[location_key(INF)] = {}
+    with pytest.raises(CrossCheckError, match=r"^at inf: extracted \{ExponentialFactor\(inf: 0\)"):
+        _check_prediction(moved, locations, predicted, rank)
+
+
+def test_cross_check_rejects_unpredicted_singular_point():
+    moved, locations, predicted, rank = gauss_after_step()
+    del predicted[location_key(Fraction(1))]
+    with pytest.raises(CrossCheckError, match=r"^unpredicted singular points: 1$"):
+        _check_prediction(moved, locations[:2], predicted, rank)
+
+
+def test_cross_check_accepts_point_made_non_singular():
+    # x*D - 1/3 is singular at 0 and infinity only: a predicted point 1 is
+    # accepted exactly when it carries the zero factor with chain (0, rank);
+    # infinity is never omitted, formal data without it cannot be built
+    op = X * D - DiffOperator.of(Fraction(1, 3))
+    data = formal.extract_formal_data(op)
+    assert data.locations() == (INF, Fraction(0))
+    with pytest.raises(ValueError, match="first point must be the point at infinity"):
+        formal.FormalData(data.points[1:])
+    locations = [INF, Fraction(0), Fraction(1)]
+    predicted = {
+        location_key(loc): {w: sorted((lam.as_rat(), k) for lam, k in s.chains) for w, s in factors}
+        for loc, factors in data.points
+    }
+    zero = formal.ExponentialFactor(Fraction(1))
+    predicted[location_key(Fraction(1))] = {zero: [(Fraction(0), 1)]}
+    _check_prediction(op, locations, predicted, 1)
+    predicted[location_key(Fraction(1))] = {zero: [(Fraction(1), 1)]}
+    with pytest.raises(CrossCheckError, match=r"^at 1: "):
+        _check_prediction(op, locations, predicted, 1)
 
 
 # -- predicted data of the twisted operand -----------------------------------------
 
 
-def twisted_operand(op, locations, factor_table, t, lambdas):
-    """The operand the Euler transform acts on inside twisted_euler."""
-    q = op
-    for i, loc in enumerate(locations):
-        w = factor_table[i][t[i]]
-        if not w.is_zero():
-            q = ad_exp_raw(q, loc, {k: -v for k, v in w.coeffs.items()})
-        if loc is not INF and lambdas[i] != 0:
-            q = ad_power(q, loc, -lambdas[i])
-    return q
-
-
 def assert_twisted_chains_extracted(op, data, m, nu, t):
-    """Predicted twisted formal data equals extraction of the operand."""
+    """Predicted twisted formal data equals extraction of the operand the
+    Euler transform acts on inside twisted_euler: factor j at point i
+    moves to w_ij - w_it_i, exponents shift by the sum of the finite
+    lambdas at infinity and by -lambda_i at finite points.  A point the
+    twists make non-singular must be predicted as (0, rank) on the zero
+    factor."""
     locations = data.locations()
     factor_table = [[w for w, _ in factors] for _, factors in data.points]
     lambdas = [nu.slot(i, t[i], 0).as_rat() for i in range(len(locations))]
-    predicted = {location_key(loc): {} for loc in locations}
-    for w, chains in _twisted_chains(factor_table, m, nu, t, lambdas):
-        predicted[location_key(w.point)][w] = chains
-    twisted = twisted_operand(op, locations, factor_table, t, lambdas)
-    extracted = {
-        location_key(loc): {w: sorted((lam.as_rat(), k) for lam, k in s.chains) for w, s in factors}
-        for loc, factors in formal.extract_formal_data(twisted).points
-    }
-    for key, want in predicted.items():
-        got = extracted.pop(key, None)
-        if got is None:  # the twists made the point non-singular
-            assert key != location_key(INF) and list(want.values()) == [[(0, m.rank)]]
-        else:
-            assert got == want, (key, t)
-    assert extracted == {}
+    twisted = [[w - ws[t[i]] for w in ws] for i, ws in enumerate(factor_table)]
+    shifts = [sum(lambdas[1:], Fraction(0))] + [-lam for lam in lambdas[1:]]
+    predicted = _chain_table(twisted, m, nu, shifts)
+    operand = _conjugate(op, locations, factor_table, t, lambdas, -1)
+    _check_prediction(operand, locations, predicted, m.rank)
 
 
 def euler_step_states(p, result):
