@@ -10,6 +10,7 @@ from irrkatz import (
     build_basis,
     cartan_matrix_text,
     classify_diagram,
+    dot_text,
     extract_formal_data,
     idx,
     m_vector,
@@ -22,7 +23,7 @@ for name in corpus.names():
     data = extract_formal_data(op)
     shape = to_shape(data)
     basis = build_basis(shape)
-    label, dot = classify_diagram(basis)
+    label, _ = classify_diagram(basis)
     m = m_vector(data)
     print(f"== {name}")
     print("   operator:", op)
@@ -33,6 +34,6 @@ for name in corpus.names():
         print("     ", line)
     if name == "tHeun":
         print("   DOT output:")
-        for line in dot.splitlines():
+        for line in dot_text(basis).splitlines():
             print("     ", line)
     print()

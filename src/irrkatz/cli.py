@@ -86,11 +86,11 @@ def cmd_analyze(args) -> int:
 def cmd_diagram(args) -> int:
     data = _load_formal(args.formal)
     basis = rootsys.build_basis(formal.to_shape(data))
-    label, dot = rootsys.classify_diagram(basis)
+    label, _ = rootsys.classify_diagram(basis)
     print(label)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(dot + "\n")
+            handle.write(rootsys.dot_text(basis) + "\n")
     if args.gram:
         print(rootsys.cartan_matrix_text(basis))
     return 0

@@ -510,6 +510,11 @@ def to_json(data: FormalData) -> str:
 def from_json(text: str) -> FormalData:
     try:
         doc = json.loads(text)
+        if len(doc["points"]) > weylalg.MAX_DEGREE + 1:
+            # infinity plus the at most MAX_DEGREE finite singular points of
+            # an operator within the text bound; one-factor, one-chain points
+            # add no basis node, so MAX_NODES does not bound their count
+            raise ValueError(f"more than MAX_DEGREE + 1 = {weylalg.MAX_DEGREE + 1} points")
         _check_basis_size(
             [[len(f["spectral"]) for f in entry["factors"]] for entry in doc["points"]]
         )

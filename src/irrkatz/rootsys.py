@@ -25,6 +25,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import compress
 from operator import mul
 from typing import Sequence
 
@@ -415,17 +416,22 @@ def kernel_radical_check(shape: LatticeShape) -> bool:
 
 
 def _adjacency(basis: RootBasis, nodes: Sequence[int]) -> dict[int, list[int]]:
-    """Neighbours among the given nodes, in increasing order, read from the
-    upper triangle of the Gram matrix once.  Off-diagonal entries are <= 0
-    (``build_basis``), so an edge has multiplicity ``-gram[a][b]``."""
-    nodes = list(nodes)     # one int object per node, shared by every edge list
-    adjacency: dict[int, list[int]] = {a: [] for a in nodes}
-    for k, a in enumerate(nodes):
-        row = basis.gram[a]
-        for b in nodes[k + 1:]:
-            if row[b]:
-                adjacency[a].append(b)
-                adjacency[b].append(a)
+    """Neighbours among the given nodes (increasing positions), in
+    increasing order.  ``compress`` picks them from the node's Gram row,
+    read at ``nodes``, so the per-edge work runs in C; the matrix is
+    symmetric, so one row gives every edge at its node, and ``remove``
+    drops the diagonal.  Edge lists hold the int objects of the one list
+    ``nodes``.  Off-diagonal entries are <= 0 (``build_basis``), so an edge
+    has multiplicity ``-gram[a][b]``."""
+    nodes = list(nodes)
+    gram = basis.gram
+    whole = len(nodes) == len(gram)
+    adjacency: dict[int, list[int]] = {}
+    for a in nodes:
+        row = gram[a]
+        near = list(compress(nodes, row if whole else map(row.__getitem__, nodes)))
+        near.remove(a)
+        adjacency[a] = near
     return adjacency
 
 
@@ -459,47 +465,56 @@ def cartan_matrix_text(basis: RootBasis) -> str:
     )
 
 
-def classify_diagram(basis: RootBasis) -> tuple[str, str]:
+def classify_diagram(basis: RootBasis) -> tuple[str, list[list[int]]]:
     """Label from the catalog {cycle, 5-node star, double edge, disjoint
-    unions}, with "unrecognized" as the honest fallback; plus DOT text."""
+    unions}, with "unrecognized" as the honest fallback, plus the connected
+    components it labelled: sorted lists of node positions, one per term of
+    the label and in its order.  DOT text is :func:`dot_text`."""
     adjacency = _adjacency(basis, range(len(basis.nodes)))
-    seen: set[int] = set()
+    rest = set(adjacency)
     labels = []
+    components = []
     for start in adjacency:
-        if start in seen:
-            continue
-        component = _component(adjacency, start)
-        seen |= set(component)
-        labels.append(_classify_component(basis, component, adjacency))
-    return " + ".join(labels), dot_text(basis)
+        if start in rest:
+            component = _component(adjacency, start, rest)
+            labels.append(_classify_component(basis, component, adjacency))
+            components.append(component)
+    return " + ".join(labels), components
 
 
-def _component(adjacency, start):
+def _component(adjacency, start, rest: set[int]) -> list[int]:
+    """Sorted positions of the component of ``start``, which are taken out
+    of ``rest``, the nodes no component holds yet.  Each popped node adds
+    its neighbours still in ``rest``, found by one set intersection."""
+    rest.remove(start)
     stack = [start]
-    comp = []
-    seen = {start}
+    comp = [start]
     while stack:
-        k = stack.pop()
-        comp.append(k)
-        for b in adjacency[k]:
-            if b not in seen:
-                seen.add(b)
-                stack.append(b)
+        new = rest.intersection(adjacency[stack.pop()])
+        rest -= new
+        stack += new
+        comp += new
     return sorted(comp)
 
 
 def _classify_component(basis: RootBasis, comp: list[int], adjacency) -> str:
-    mults = [-basis.gram[a][b] for a in comp for b in adjacency[a] if a < b]
-    if len(comp) == 2 and mults == [2]:
-        return "A1(1)"
-    if mults and any(m != 1 for m in mults):
-        return "unrecognized"
+    """Two nodes are A1(1) when joined by a double edge.  Otherwise the
+    degrees decide the candidate, a cycle or a 5-node star, and only then
+    are the edge multiplicities read: every edge must be simple."""
+    gram = basis.gram
+    if len(comp) == 2:
+        a, b = comp
+        return "A1(1)" if gram[a][b] == -2 else "unrecognized"
     degrees = sorted(len(adjacency[a]) for a in comp)
-    if len(comp) >= 3 and degrees == [2] * len(comp):
-        return f"A{len(comp) - 1}(1)"
-    if len(comp) == 5 and degrees == [1, 1, 1, 1, 4]:
-        return "D4(1)"
-    return "unrecognized"
+    if degrees == [2] * len(comp):
+        label = f"A{len(comp) - 1}(1)"
+    elif degrees == [1, 1, 1, 1, 4]:
+        label = "D4(1)"
+    else:
+        return "unrecognized"
+    if any(gram[a][b] != -1 for a in comp for b in adjacency[a]):
+        return "unrecognized"
+    return label
 
 
 def support_connected(alpha: RootVector) -> bool:
@@ -507,8 +522,9 @@ def support_connected(alpha: RootVector) -> bool:
     support = [k for k, v in enumerate(alpha.coords) if v != 0]
     if not support:
         return False
-    adjacency = _adjacency(alpha.basis, support)
-    return len(_component(adjacency, support[0])) == len(support)
+    rest = set(support)
+    _component(_adjacency(alpha.basis, support), support[0], rest)
+    return not rest
 
 
 def is_phi_root(a: LatticeVector) -> Verdict:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from irrkatz import cli, corpus, formal
+from irrkatz import cli, corpus, formal, rootsys
 from irrkatz.weylalg import to_text
 
 
@@ -132,6 +132,48 @@ def test_diagram_accepts_corpus_formal_data(tmp_path, capsys, name):
     path = tmp_path / "entry.json"
     path.write_text(formal.to_json(corpus.symbolic_formal_data(name)), encoding="utf-8")
     assert run(capsys, "diagram", "--formal", str(path))[0] == 0
+
+
+def test_diagram_writes_dot_text_only_for_dot(tmp_path, capsys, monkeypatch):
+    for name in corpus.names():
+        data = corpus.symbolic_formal_data(name)
+        path = tmp_path / "entry.json"
+        path.write_text(formal.to_json(data), encoding="utf-8")
+        dot_path = tmp_path / "entry.dot"
+        code, out, _ = run(
+            capsys, "diagram", "--formal", str(path), "--dot", str(dot_path), "--gram"
+        )
+        basis = rootsys.build_basis(formal.to_shape(data))
+        assert code == 0
+        assert dot_path.read_text(encoding="utf-8") == rootsys.dot_text(basis) + "\n"
+        assert out == (
+            rootsys.classify_diagram(basis)[0] + "\n" + rootsys.cartan_matrix_text(basis) + "\n"
+        )
+    calls = []
+    monkeypatch.setattr(rootsys, "dot_text", lambda basis: calls.append(basis) or "")
+    path.write_text(formal.to_json(corpus.symbolic_formal_data("Heun")), encoding="utf-8")
+    code, out, _ = run(capsys, "diagram", "--formal", str(path), "--gram")
+    assert code == 0 and out.startswith("D4(1)\n")
+    code, out, _ = run(capsys, "examples", "--run")
+    assert code == 0 and out.count(" ok ") == len(corpus.names())
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "command, code_at_bound", [("diagram", 0), ("reduce", 0), ("fuchs", 1)]
+)
+def test_formal_data_point_bound(tmp_path, capsys, command, code_at_bound):
+    # one-factor, one-chain points add no basis node, so MAX_NODES lets any
+    # number of them through; the point count has its own bound
+    path = tmp_path / "points.json"
+    for points in (34, 1000):
+        path.write_text(star_json(points, 1), encoding="utf-8")
+        code, _, err = run(capsys, command, "--formal", str(path))
+        assert code == 2
+        assert "more than MAX_DEGREE + 1 = 33 points" in err
+    # at the bound the data are read; fuchs exits 1 on their nonzero defect
+    path.write_text(star_json(33, 1), encoding="utf-8")
+    assert run(capsys, command, "--formal", str(path))[0] == code_at_bound
 
 
 def test_reduce_unbalanced_formal_data(tmp_path, capsys):

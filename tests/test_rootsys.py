@@ -316,9 +316,11 @@ def test_classify_examples():
         "Gauss": "unrecognized",
     }
     for name, expected in labels.items():
-        label, dot = classify_diagram(build_basis(shape_of(name)))
+        basis = build_basis(shape_of(name))
+        label, components = classify_diagram(basis)
         assert label == expected, name
-        assert dot.startswith("graph")
+        assert len(components) == label.count(" + ") + 1
+        assert dot_text(basis).startswith("graph")
 
 
 def test_dot_output_contains_multiplicity():
@@ -334,6 +336,189 @@ def test_support_connected():
     assert support_connected(RootVector(basis, [2, 1, 1, 1, 1]))
     assert not support_connected(RootVector(basis, [0, 1, 1, 0, 0]))
     assert support_connected(RootVector(basis, [1, 0, 0, 0, 0]))
+
+
+def _oracle_adjacency(basis, nodes):
+    """Reference: neighbours from one Python pass over the upper triangle."""
+    nodes = list(nodes)
+    adjacency = {a: [] for a in nodes}
+    for k, a in enumerate(nodes):
+        row = basis.gram[a]
+        for b in nodes[k + 1:]:
+            if row[b]:
+                adjacency[a].append(b)
+                adjacency[b].append(a)
+    return adjacency
+
+
+def _oracle_component(adjacency, start):
+    stack = [start]
+    comp = []
+    seen = {start}
+    while stack:
+        k = stack.pop()
+        comp.append(k)
+        for b in adjacency[k]:
+            if b not in seen:
+                seen.add(b)
+                stack.append(b)
+    return sorted(comp)
+
+
+def _oracle_classify_component(basis, comp, adjacency):
+    """Reference: every multiplicity first, then the degrees."""
+    mults = [-basis.gram[a][b] for a in comp for b in adjacency[a] if a < b]
+    if len(comp) == 2 and mults == [2]:
+        return "A1(1)"
+    if mults and any(m != 1 for m in mults):
+        return "unrecognized"
+    degrees = sorted(len(adjacency[a]) for a in comp)
+    if len(comp) >= 3 and degrees == [2] * len(comp):
+        return f"A{len(comp) - 1}(1)"
+    if len(comp) == 5 and degrees == [1, 1, 1, 1, 4]:
+        return "D4(1)"
+    return "unrecognized"
+
+
+def _oracle_classify(basis):
+    adjacency = _oracle_adjacency(basis, range(len(basis.nodes)))
+    seen = set()
+    labels, components = [], []
+    for start in adjacency:
+        if start in seen:
+            continue
+        component = _oracle_component(adjacency, start)
+        seen |= set(component)
+        labels.append(_oracle_classify_component(basis, component, adjacency))
+        components.append(component)
+    return " + ".join(labels), components
+
+
+def _oracle_support_connected(alpha):
+    support = [k for k, v in enumerate(alpha.coords) if v != 0]
+    if not support:
+        return False
+    adjacency = _oracle_adjacency(alpha.basis, support)
+    return len(_oracle_component(adjacency, support[0])) == len(support)
+
+
+def graph_basis(n, edges):
+    """A basis with only a Gram matrix: diagonal 2 and -m on each edge
+    (a, b, m); ``classify_diagram`` reads nothing else."""
+    gram = [[0] * n for _ in range(n)]
+    for a in range(n):
+        gram[a][a] = 2
+    for a, b, m in edges:
+        gram[a][b] = gram[b][a] = -m
+    nodes = tuple(("c", (0, 0, k)) for k in range(n))
+    return RootBasis(None, nodes, tuple(tuple(row) for row in gram))
+
+
+def relabel(edges, perm):
+    return [(perm[a], perm[b], m) for a, b, m in edges]
+
+
+def cycle(nodes, m=1):
+    return [(a, nodes[(k + 1) % len(nodes)], m) for k, a in enumerate(nodes)]
+
+
+def star(centre, leaves, mults=(1, 1, 1, 1)):
+    return [(centre, leaf, m) for leaf, m in zip(leaves, mults)]
+
+
+def test_classify_catalog_shapes():
+    rng = random.Random(40)
+    cases = [
+        (2, [(0, 1, 2)], "A1(1)"),
+        (2, [(0, 1, 1)], "unrecognized"),
+        (2, [(0, 1, 3)], "unrecognized"),
+        (1, [], "unrecognized"),
+        (5, star(2, (0, 1, 3, 4)), "D4(1)"),
+        (5, star(0, (1, 2, 3, 4), (1, 2, 1, 1)), "unrecognized"),
+        (5, star(4, (0, 1, 2, 3), (1, 1, 1, 2)), "unrecognized"),
+        (5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)], "unrecognized"),
+        (6, star(0, (1, 2, 3, 4)) + [(4, 5, 1)], "unrecognized"),
+        (4, star(0, (1, 2, 3)), "unrecognized"),
+        (4, cycle([0, 1, 2, 3]) + [(0, 2, 1)], "unrecognized"),
+        (6, cycle([0, 1, 2]) + cycle([3, 4, 5]), "A2(1) + A2(1)"),
+        (7, [(0, 1, 2)] + star(2, (3, 4, 5, 6)), "A1(1) + D4(1)"),
+        (8, [(0, 7, 2)] + cycle([1, 3, 5]) + [(2, 4, 1)],
+         "A1(1) + A2(1) + unrecognized + unrecognized"),
+    ]
+    for n in range(3, 9):
+        cases.append((n, cycle(list(range(n))), f"A{n - 1}(1)"))
+        cases.append((n, cycle(list(range(n)), 2), "unrecognized"))
+        double = cycle(list(range(n)))
+        k = rng.randrange(n)
+        double[k] = (*double[k][:2], 2)
+        cases.append((n, double, "unrecognized"))
+    for n, edges, expected in cases:
+        for _ in range(4):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            basis = graph_basis(n, relabel(edges, perm))
+            label, components = classify_diagram(basis)
+            # the terms come in the order of each component's first node
+            assert sorted(label.split(" + ")) == sorted(expected.split(" + ")), (n, edges)
+            assert (label, components) == _oracle_classify(basis)
+            assert sorted(k for comp in components for k in comp) == list(range(n))
+
+
+def random_graph_basis(rng):
+    """Sparse Gram matrices, whose components are often cycles, stars and
+    small pieces, with an occasional double or triple edge."""
+    n = rng.randint(1, 40)
+    edges = []
+    for _ in range(rng.randint(0, n + 2)):
+        a, b = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if a != b:
+            edges.append((a, b, rng.choice((1, 1, 1, 1, 2, 3))))
+    for _ in range(rng.randint(0, 3)):
+        size = rng.randint(2, 8)
+        start = n
+        n += size
+        if size == 5 and rng.random() < 0.5:
+            mults = rng.choice(((1, 1, 1, 1), (1, 1, 2, 1)))
+            edges += star(start, range(start + 1, start + 5), mults)
+        elif size == 2:
+            edges.append((start, start + 1, rng.choice((1, 2))))
+        else:
+            edges += cycle(list(range(start, n)), rng.choice((1, 1, 1, 2)))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return graph_basis(n, relabel(edges, perm))
+
+
+def test_classify_matches_oracle():
+    rng = random.Random(41)
+    bases = [build_basis(random_shape(rng)) for _ in range(40)]
+    bases += [build_basis(shape_of(name)) for name in corpus.names()]
+    bases += [random_graph_basis(rng) for _ in range(400)]
+    labels = set()
+    for basis in bases:
+        got = classify_diagram(basis)
+        assert got == _oracle_classify(basis)
+        labels.update(got[0].split(" + "))
+    assert {"A1(1)", "A2(1)", "A3(1)", "D4(1)", "unrecognized"} <= labels
+
+
+def test_support_connected_matches_oracle():
+    rng = random.Random(42)
+    bases = [build_basis(random_shape(rng, max_nodes=60)) for _ in range(20)]
+    bases += [random_graph_basis(rng) for _ in range(40)]
+    outcomes = set()
+    for basis in bases:
+        n = len(basis.nodes)
+        for _ in range(10):
+            density = rng.random()
+            coords = [rng.randint(-2, 2) if rng.random() < density else 0 for _ in range(n)]
+            alpha = RootVector(basis, coords)
+            got = support_connected(alpha)
+            assert got == _oracle_support_connected(alpha)
+            outcomes.add(got)
+        full = RootVector(basis, [1] * n)
+        assert support_connected(full) == _oracle_support_connected(full)
+    assert outcomes == {True, False}
 
 
 # -- equivariance (the central identities) ---------------------------------------------------
