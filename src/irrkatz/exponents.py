@@ -35,7 +35,7 @@ class ExponentVector(SlotTable):
 
 def act_sigma_t(nu: ExponentVector, t: IndexTuple) -> ExponentVector:
     """The affine involution on exponents matching the lattice move at t:
-    slot (i, j, s) moves by -(euler_weight(t, i, j) - [j = t_i and s = 0])
+    slot (i, j, s) moves by -(euler_weight(i, j, t_i) - [j = t_i and s = 0])
     times the shortfall 1 - tuple_sum(t)."""
     shape = nu.shape
     shortfall = ParamExpr(1) - nu.tuple_sum(t)
@@ -43,7 +43,7 @@ def act_sigma_t(nu: ExponentVector, t: IndexTuple) -> ExponentVector:
     for i, point in enumerate(nu.entries):
         blocks = []
         for j, chain in enumerate(point):
-            step = shape.euler_weight(t, i, j) * shortfall
+            step = shape.euler_weight(i, j, t[i]) * shortfall
             blocks.append([val - step for val in chain])
         blocks[t[i]][0] += shortfall
         out.append(blocks)
@@ -57,8 +57,8 @@ def act_sigma_perm(nu: ExponentVector, i: int, j: int, s: int) -> ExponentVector
 
 def pair_coupling(shape: LatticeShape, t: IndexTuple, t2: IndexTuple) -> int:
     """E, the defect along t of the rank-1 vector of t2:
-    sum_i euler_weight(t, i, t2_i) - #{i : t_i = t2_i}."""
-    return sum(shape.euler_weight(t, i, j) - (j == t[i]) for i, j in enumerate(t2))
+    sum_i euler_weight(i, t2_i, t_i) - #{i : t_i = t2_i}."""
+    return sum(shape.euler_weight(i, j, t[i]) - (j == t[i]) for i, j in enumerate(t2))
 
 
 def coxeter_order(shape: LatticeShape, t: IndexTuple, t2: IndexTuple):

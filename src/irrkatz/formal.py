@@ -515,6 +515,12 @@ def from_json(text: str) -> FormalData:
             # an operator within the text bound; one-factor, one-chain points
             # add no basis node, so MAX_NODES does not bound their count
             raise ValueError(f"more than MAX_DEGREE + 1 = {weylalg.MAX_DEGREE + 1} points")
+        # no operator within the text bound has a larger rank
+        rank = sum(
+            int(m) for e in doc["points"][:1] for f in e["factors"] for _, m in f["spectral"]
+        )
+        if rank > weylalg.MAX_DEGREE:
+            raise ValueError(f"rank {rank} is more than MAX_DEGREE = {weylalg.MAX_DEGREE}")
         _check_basis_size(
             [[len(f["spectral"]) for f in entry["factors"]] for entry in doc["points"]]
         )

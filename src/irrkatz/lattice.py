@@ -11,8 +11,8 @@ s_t(m) = m - B(m, e_t) e_t, where e_t is the rank-1 vector of t and B is
 the star-shaped quiver form (Crawley-Boevey, Duke Math. J. 118, 2003; in
 the irregular version of Hiroe-Yamakawa, Adv. Math. 266, 2014).  Its
 coefficients are :meth:`LatticeShape.euler_weight`: the defect -B(m, e_t)
-sums euler_weight(t, i, j) times the block sum of factor (i, j), minus the
-first slot of the chosen factor at every point.
+sums euler_weight(i, j, t_i) times the block sum of factor (i, j), minus
+the first slot of the chosen factor at every point.
 
 Index conventions: points are numbered ``0..p`` with point 0 the point at
 infinity; factors and chain slots are 0-based.  An index tuple picks one
@@ -75,11 +75,11 @@ class LatticeShape:
         """The product of per-point factor indices, lexicographic."""
         return tuple(product(*[range(len(ls)) for ls in self.chain_lengths]))
 
-    def euler_weight(self, t: IndexTuple, i: int, j: int) -> int:
+    def euler_weight(self, i: int, j: int, k: int) -> int:
         """Coefficient of the block sum of factor (i, j) in the defect along
-        ``t``: 1 at a finite point and -1 at infinity, minus the weight of
-        the difference of factor j and the chosen factor ``t[i]``."""
-        return (1 if i else -1) - self.weights[i][j][t[i]]
+        a tuple choosing factor ``k`` at point i: 1 at a finite point and -1
+        at infinity, minus the weight of the difference of factors j and k."""
+        return (1 if i else -1) - self.weights[i][j][k]
 
 
 class SlotTable:
@@ -183,17 +183,26 @@ class LatticeVector(SlotTable):
 
     # -- the twisted-Euler endomorphisms ----------------------------------
 
+    def point_defects(self) -> list[list[int]]:
+        """``g[i][k]``, the share of point i in the defect of a tuple that
+        chooses factor k there: the sum over j of euler_weight(i, j, k)
+        times the block sum of factor (i, j), minus the first slot of
+        factor (i, k).  The defect along t is the sum of ``g[i][t_i]``."""
+        weight = self.shape.euler_weight
+        shares = []
+        for i, point in enumerate(self.entries):
+            blocks = [sum(chain) for chain in point]
+            shares.append([
+                sum(weight(i, j, k) * b for j, b in enumerate(blocks)) - point[k][0]
+                for k in range(len(point))
+            ])
+        return shares
+
     def defect(self, t: IndexTuple) -> int:
         """Rank change effected by the twisted-Euler move along ``t``;
         minus the form B(m, e_t) with the rank-1 vector of ``t``."""
         self._check_tuple(t)
-        weight = self.shape.euler_weight
-        total = 0
-        for i, point in enumerate(self.entries):
-            for j, chain in enumerate(point):
-                total += weight(t, i, j) * sum(chain)
-            total -= point[t[i]][0]
-        return total
+        return sum(g[k] for g, k in zip(self.point_defects(), t))
 
     def sigma_t(self, t: IndexTuple) -> "LatticeVector":
         """Add the defect to the first chain slot of the chosen factor at
@@ -206,16 +215,13 @@ class LatticeVector(SlotTable):
 
     sigma_perm = SlotTable.swap_slots
 
+    def support_factors(self) -> list[list[int]]:
+        """Per point, the factors with a nonzero chain entry, ascending."""
+        return [[j for j, chain in enumerate(point) if any(chain)] for point in self.entries]
+
     def support_tuples(self) -> tuple[IndexTuple, ...]:
-        """Index tuples passing only through factors with a nonzero block."""
-        return tuple(
-            t
-            for t in self.shape.index_tuples()
-            if all(
-                any(v != 0 for v in self.entries[i][t[i]])
-                for i in range(self.shape.num_points)
-            )
-        )
+        """Index tuples through factors with a nonzero block, lexicographic."""
+        return tuple(product(*self.support_factors()))
 
     def _check_tuple(self, t: IndexTuple):
         if len(t) != self.shape.num_points or any(
@@ -231,11 +237,13 @@ class LatticeVector(SlotTable):
 def in_fundamental_domain(a: LatticeVector) -> bool:
     """Membership in the terminal set of the reduction: nonzero, all
     entries nonnegative, chains sorted descending, and no index tuple
-    (over the full product, not just the support) has negative defect."""
+    (over the full product, not just the support) has negative defect.
+    The defect is a sum of per-point shares, so its least value over the
+    full product is the sum of the per-point minima."""
     if a.is_zero() or not a.is_nonnegative():
         return False
     for point in a.entries:
         for ch in point:
             if any(ch[s] < ch[s + 1] for s in range(len(ch) - 1)):
                 return False
-    return all(a.defect(t) >= 0 for t in a.shape.index_tuples())
+    return sum(min(g) for g in a.point_defects()) >= 0

@@ -143,12 +143,16 @@ def reduce_vector(a: LatticeVector) -> Transcript:
             if cur.rank == 0:
                 return Transcript(a, tuple(steps), Verdict.NOT_ROOT)
             return Transcript(a, tuple(steps), Verdict.REAL_ROOT)
-        support = cur.support_tuples()
-        defects = {t: cur.defect(t) for t in support}
-        best = min(defects.values())
+        # the defect is a sum of per-point shares: the least minimizer at each
+        # point gives the lexicographically least tuple of most negative defect
+        picks = [
+            min((g[j], j) for j in js)
+            for g, js in zip(cur.point_defects(), cur.support_factors())
+        ]
+        best = sum(d for d, _ in picks)
         if best >= 0:
             return Transcript(a, tuple(steps), Verdict.IMAGINARY_ROOT, cur)
-        t = min(t for t, d in defects.items() if d == best)
+        t = tuple(j for _, j in picks)
         nxt = cur.sigma_t(t)
         steps.append(ReductionStep("twisted_euler", t, cur, nxt, best))
         cur = nxt

@@ -336,8 +336,8 @@ def canonical_lift(a: LatticeVector, tau: IndexTuple) -> RootVector:
 def idx(a: LatticeVector) -> int:
     """Self-pairing of any preimage; well-defined because the kernel of
     the surjection is in the radical of the form."""
-    support = a.support_tuples()
-    tau = support[0] if support else a.shape.index_tuples()[0]
+    support = a.support_factors()
+    tau = tuple(js[0] for js in support) if all(support) else (0,) * len(support)
     lift = canonical_lift(a, tau)
     return pairing(lift, lift)
 
@@ -415,26 +415,6 @@ def kernel_radical_check(shape: LatticeShape) -> bool:
 # -- diagram emission & classification --------------------------------------------
 
 
-def _adjacency(basis: RootBasis, nodes: Sequence[int]) -> dict[int, list[int]]:
-    """Neighbours among the given nodes (increasing positions), in
-    increasing order.  ``compress`` picks them from the node's Gram row,
-    read at ``nodes``, so the per-edge work runs in C; the matrix is
-    symmetric, so one row gives every edge at its node, and ``remove``
-    drops the diagonal.  Edge lists hold the int objects of the one list
-    ``nodes``.  Off-diagonal entries are <= 0 (``build_basis``), so an edge
-    has multiplicity ``-gram[a][b]``."""
-    nodes = list(nodes)
-    gram = basis.gram
-    whole = len(nodes) == len(gram)
-    adjacency: dict[int, list[int]] = {}
-    for a in nodes:
-        row = gram[a]
-        near = list(compress(nodes, row if whole else map(row.__getitem__, nodes)))
-        near.remove(a)
-        adjacency[a] = near
-    return adjacency
-
-
 def dot_text(basis: RootBasis) -> str:
     """Graphviz text; parallel edges are rendered once with a label.  The
     edge lines of one Gram row are joined before the next row is read, so
@@ -470,49 +450,50 @@ def classify_diagram(basis: RootBasis) -> tuple[str, list[list[int]]]:
     unions}, with "unrecognized" as the honest fallback, plus the connected
     components it labelled: sorted lists of node positions, one per term of
     the label and in its order.  DOT text is :func:`dot_text`."""
-    adjacency = _adjacency(basis, range(len(basis.nodes)))
-    rest = set(adjacency)
+    gram = basis.gram
+    rest = set(range(len(gram)))
     labels = []
     components = []
-    for start in adjacency:
+    for start in range(len(gram)):
         if start in rest:
-            component = _component(adjacency, start, rest)
-            labels.append(_classify_component(basis, component, adjacency))
+            component = _component(gram, start, rest)
+            labels.append(_classify_component(gram, component))
             components.append(component)
     return " + ".join(labels), components
 
 
-def _component(adjacency, start, rest: set[int]) -> list[int]:
+def _component(gram, start: int, rest: set[int]) -> list[int]:
     """Sorted positions of the component of ``start``, which are taken out
     of ``rest``, the nodes no component holds yet.  Each popped node adds
-    its neighbours still in ``rest``, found by one set intersection."""
+    the nonzero positions of its Gram row still in ``rest``."""
+    nodes = range(len(gram))
     rest.remove(start)
     stack = [start]
     comp = [start]
-    while stack:
-        new = rest.intersection(adjacency[stack.pop()])
+    while stack and rest:
+        new = rest.intersection(compress(nodes, gram[stack.pop()]))
         rest -= new
         stack += new
         comp += new
     return sorted(comp)
 
 
-def _classify_component(basis: RootBasis, comp: list[int], adjacency) -> str:
+def _classify_component(gram, comp: list[int]) -> str:
     """Two nodes are A1(1) when joined by a double edge.  Otherwise the
-    degrees decide the candidate, a cycle or a 5-node star, and only then
-    are the edge multiplicities read: every edge must be simple."""
-    gram = basis.gram
+    degrees (nonzero off-diagonal entries of a row) decide the candidate, a
+    cycle or a 5-node star.  Off-diagonal entries are <= 0 (``build_basis``),
+    so every edge is simple when every row's least entry is -1."""
     if len(comp) == 2:
         a, b = comp
         return "A1(1)" if gram[a][b] == -2 else "unrecognized"
-    degrees = sorted(len(adjacency[a]) for a in comp)
-    if degrees == [2] * len(comp):
+    n = len(gram)
+    if all(n - 1 - gram[a].count(0) == 2 for a in comp):
         label = f"A{len(comp) - 1}(1)"
-    elif degrees == [1, 1, 1, 1, 4]:
+    elif len(comp) == 5 and sorted(n - 1 - gram[a].count(0) for a in comp) == [1, 1, 1, 1, 4]:
         label = "D4(1)"
     else:
         return "unrecognized"
-    if any(gram[a][b] != -1 for a in comp for b in adjacency[a]):
+    if any(min(gram[a]) != -1 for a in comp):
         return "unrecognized"
     return label
 
@@ -523,7 +504,7 @@ def support_connected(alpha: RootVector) -> bool:
     if not support:
         return False
     rest = set(support)
-    _component(_adjacency(alpha.basis, support), support[0], rest)
+    _component(alpha.basis.gram, support[0], rest)
     return not rest
 
 

@@ -176,6 +176,35 @@ def test_formal_data_point_bound(tmp_path, capsys, command, code_at_bound):
     assert run(capsys, command, "--formal", str(path))[0] == code_at_bound
 
 
+def d4_star_json(first, second):
+    """Four points with one zero factor each and two chains of the given
+    multiplicities: rank first + second."""
+    return json.dumps({"points": [
+        {
+            "location": location,
+            "factors": [{"w": [], "spectral": [[f"1/{k + 7}", first], [f"1/{k + 11}", second]]}],
+        }
+        for k, location in enumerate(("inf", "0", "1", "2"))
+    ]})
+
+
+@pytest.mark.parametrize(
+    "command, code_at_bound", [("reduce", 0), ("diagram", 0), ("fuchs", 1)]
+)
+def test_formal_data_rank_bound(tmp_path, capsys, command, code_at_bound):
+    # rank 200001 used to run a reduction of 500,000 steps; the rank is
+    # read from the raw JSON, before any object is built
+    path = tmp_path / "rank.json"
+    for first, second in ((10**5 + 1, 10**5), (17, 16)):
+        path.write_text(d4_star_json(first, second), encoding="utf-8")
+        code, _, err = run(capsys, command, "--formal", str(path))
+        assert code == 2
+        assert f"rank {first + second} is more than MAX_DEGREE = 32" in err
+    path.write_text(d4_star_json(17, 15), encoding="utf-8")
+    assert formal.from_json(path.read_text(encoding="utf-8")).rank == 32
+    assert run(capsys, command, "--formal", str(path))[0] == code_at_bound
+
+
 def test_reduce_unbalanced_formal_data(tmp_path, capsys):
     path = tmp_path / "unbalanced.json"
     path.write_text(

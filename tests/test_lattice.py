@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from irrkatz import corpus, formal
+from irrkatz import corpus, formal, rootsys
 from irrkatz.lattice import LatticeShape, LatticeVector, in_fundamental_domain
 
 
@@ -99,6 +99,127 @@ def test_fundamental_domain():
     shape = shape_of("Heun")
     unsorted = LatticeVector(shape, [[[1, 2]], [[1, 2]], [[1, 2]], [[1, 2]]])
     assert not in_fundamental_domain(unsorted)
+
+
+# -- the per-point defect shares against the full-product search -----------------
+
+
+def _oracle_defect(a, t):
+    """The per-block defect loop over the whole tuple t."""
+    total = 0
+    for i, point in enumerate(a.entries):
+        for j, chain in enumerate(point):
+            total += ((1 if i else -1) - a.shape.weights[i][j][t[i]]) * sum(chain)
+        total -= point[t[i]][0]
+    return total
+
+
+def _oracle_support_tuples(a):
+    """The full product filtered to factors with a nonzero chain entry."""
+    return tuple(
+        t for t in a.shape.index_tuples()
+        if all(any(v != 0 for v in a.entries[i][j]) for i, j in enumerate(t))
+    )
+
+
+def _oracle_in_fundamental_domain(a):
+    if a.is_zero() or not a.is_nonnegative():
+        return False
+    if any(list(ch) != sorted(ch, reverse=True) for point in a.entries for ch in point):
+        return False
+    return all(_oracle_defect(a, t) >= 0 for t in a.shape.index_tuples())
+
+
+def random_shape(rng, equal_rows=False):
+    """1-5 points, 1-4 factors per point, chains of length 1-3; with
+    ``equal_rows`` every weight is -1, so factors of a point tie."""
+    factors = [rng.randint(1, 4) for _ in range(rng.randint(1, 5))]
+    tables = []
+    for k in factors:
+        table = [[0] * k for _ in range(k)]
+        for j in range(k):
+            for j2 in range(j + 1, k):
+                table[j][j2] = table[j2][j] = -1 if equal_rows else rng.choice((-1, -2, -3))
+        tables.append(tuple(tuple(row) for row in table))
+    chain_lengths = tuple(tuple(rng.randint(1, 3) for _ in range(k)) for k in factors)
+    return LatticeShape(chain_lengths, tuple(tables))
+
+
+def mixed_vector(rng, shape):
+    """A random vector with, at some points, two units moved from one slot
+    to another: unsorted chains and negative entries, equal block sums."""
+    a = random_vector(rng, shape)
+    entries = [[list(ch) for ch in point] for point in a.entries]
+    for i, lens in enumerate(shape.chain_lengths):
+        if rng.random() < 0.5:
+            slots = [(j, s) for j, l in enumerate(lens) for s in range(l)]
+            (j, s), (j2, s2) = rng.choice(slots), rng.choice(slots)
+            entries[i][j][s] -= 2
+            entries[i][j2][s2] += 2
+    return LatticeVector(shape, entries)
+
+
+def sorted_vector(a):
+    return LatticeVector(
+        a.shape, [[sorted(ch, reverse=True) for ch in point] for point in a.entries]
+    )
+
+
+def oracle_cases(seed, count):
+    rng = random.Random(seed)
+    shapes = [shape_of(name) for name in corpus.names()]
+    shapes += [random_shape(rng, equal_rows=k % 3 == 0) for k in range(count)]
+    for shape in shapes:
+        for _ in range(4):
+            a = random_vector(rng, shape, max_rank=6)
+            yield from (a, sorted_vector(a), mixed_vector(rng, shape))
+        yield LatticeVector.zero(shape)
+
+
+def test_point_defects_sum_to_the_full_tuple_defect():
+    for a in oracle_cases(70, 40):
+        shares = a.point_defects()
+        assert a.support_tuples() == _oracle_support_tuples(a)
+        for t in a.shape.index_tuples():
+            assert sum(g[k] for g, k in zip(shares, t)) == _oracle_defect(a, t) == a.defect(t)
+
+
+def test_fundamental_domain_matches_full_product_search():
+    outcomes = set()
+    for a in oracle_cases(71, 60):
+        got = in_fundamental_domain(a)
+        assert got == _oracle_in_fundamental_domain(a), a
+        outcomes.add((got, a.is_nonnegative()))
+    assert outcomes == {(True, True), (False, True), (False, False)}
+
+
+def test_tuples_off_the_support_have_nonnegative_defect():
+    # For a nonnegative vector of rank n, a factor with zero block has share
+    # sum_j (1 - w_i[j][k]) B_ij >= 2n at a finite point and >= 0 at infinity,
+    # while any share is >= 0 at a finite point and >= -2n at infinity.  So
+    # the support filter of the reduction never changes the tuple it picks.
+    checked = 0
+    for a in oracle_cases(73, 60):
+        if a.is_nonnegative():
+            support = set(_oracle_support_tuples(a))
+            for t in a.shape.index_tuples():
+                if t not in support:
+                    assert _oracle_defect(a, t) >= 0
+                    checked += 1
+    assert checked > 1000
+
+
+def test_idx_lifts_from_the_first_support_tuple(monkeypatch):
+    taus = []
+    lift = rootsys.canonical_lift
+    monkeypatch.setattr(rootsys, "canonical_lift", lambda a, tau: taus.append(tau) or lift(a, tau))
+    cases = list(oracle_cases(72, 20))
+    heun = shape_of("Heun")
+    cases.append(LatticeVector(heun, [[[1, -1]], [[0, 0]], [[2, -2]], [[0, 0]]]))
+    for a in cases:
+        rootsys.idx(a)
+        support = _oracle_support_tuples(a)
+        assert taus.pop() == (support[0] if support else (0,) * a.shape.num_points)
 
 
 def random_vector(rng, shape, max_rank=5):

@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from irrkatz import corpus, formal
 from irrkatz.exponents import act_sigma_perm, act_sigma_t
-from irrkatz.lattice import LatticeVector
+from irrkatz.lattice import LatticeShape, LatticeVector, in_fundamental_domain
 from irrkatz.reduce import (
     AssumptionViolatedError,
     CrossCheckError,
+    ReductionStep,
+    Transcript,
     normalize,
     reduce_operator,
     reduce_vector,
@@ -145,6 +148,121 @@ def test_transcript_json_lines():
     assert first["kind"] == "twisted_euler"
     assert first["defect"] == -1
     assert first["before"] == "1,1|1,1|1,1"
+
+
+def _oracle_support_tuples(a):
+    return [
+        t for t in a.shape.index_tuples()
+        if all(any(v != 0 for v in a.entries[i][j]) for i, j in enumerate(t))
+    ]
+
+
+def _oracle_reduce_vector(a):
+    """The reduction loop searching the support tuples of the full product:
+    the defect of each, then the least tuple of most negative defect."""
+    steps = []
+    cur = a
+    while True:
+        cur, perm_steps = normalize(cur)
+        steps += perm_steps
+        if not cur.is_nonnegative():
+            return Transcript(a, tuple(steps), Verdict.NOT_ROOT)
+        if cur.rank <= 1:
+            verdict = Verdict.REAL_ROOT if cur.rank == 1 else Verdict.NOT_ROOT
+            return Transcript(a, tuple(steps), verdict)
+        defects = {t: cur.defect(t) for t in _oracle_support_tuples(cur)}
+        best = min(defects.values())
+        if best >= 0:
+            return Transcript(a, tuple(steps), Verdict.IMAGINARY_ROOT, cur)
+        t = min(t for t, d in defects.items() if d == best)
+        nxt = cur.sigma_t(t)
+        steps.append(ReductionStep("twisted_euler", t, cur, nxt, best))
+        cur = nxt
+
+
+def random_lattice_shape(rng, points, factors, equal_rows=False):
+    """Chains of length 1-3; with ``equal_rows`` every weight is -1, so
+    the factors of a point tie."""
+    tables = []
+    for _ in range(points):
+        table = [[0] * factors for _ in range(factors)]
+        for j in range(factors):
+            for j2 in range(j + 1, factors):
+                table[j][j2] = table[j2][j] = -1 if equal_rows else rng.choice((-1, -1, -2))
+        tables.append(tuple(tuple(row) for row in table))
+    chain_lengths = tuple(
+        tuple(rng.choice((1, 2, 2, 3)) for _ in range(factors)) for _ in range(points)
+    )
+    return LatticeShape(chain_lengths, tuple(tables))
+
+
+def raised_root(rng, shape, moves):
+    """A real root built backwards from a rank-1 vector: each move raises
+    the rank along the tuple of least positive defect among a sample, then
+    swaps two slots of one chain."""
+    tuples = list(product(*[range(len(lens)) for lens in shape.chain_lengths]))
+    entries = [[[0] * l for l in lens] for lens in shape.chain_lengths]
+    for i, j in enumerate(rng.choice(tuples)):
+        entries[i][j][0] = 1
+    a = LatticeVector(shape, entries)
+    for _ in range(moves):
+        sample = rng.sample(tuples, min(32, len(tuples)))
+        rises = [(d, t) for t in sample if (d := a.defect(t)) > 0]
+        if not rises:
+            break
+        a = a.sigma_t(min(rises)[1])
+        slots = [(i, j, s) for i, lens in enumerate(shape.chain_lengths)
+                 for j, l in enumerate(lens) for s in range(l - 1)]
+        if slots:
+            a = a.sigma_perm(*rng.choice(slots))
+    return a
+
+
+def test_reduce_vector_matches_full_product_search():
+    rng = random.Random(56)
+    cases = []
+    for name in corpus.names():
+        shape = shape_of(name)
+        cases += [m_of(name), m_of(name).scale(3)]
+        cases += [random_balanced(rng, shape, max_rank=8) for _ in range(10)]
+    for k in range(150):
+        points, factors = rng.randint(1, 5), rng.randint(1, 4)
+        shape = random_lattice_shape(rng, points, factors, equal_rows=k % 3 == 0)
+        cases += [random_balanced(rng, shape, max_rank=6), raised_root(rng, shape, 3)]
+    ties = 0
+    verdicts = set()
+    for a in cases:
+        got, want = reduce_vector(a), _oracle_reduce_vector(a)
+        assert got.to_json_lines() == want.to_json_lines()
+        assert got.verdict is want.verdict
+        assert got.fundamental == want.fundamental
+        verdicts.add(got.verdict)
+        for step in want.euler_steps():
+            support = _oracle_support_tuples(step.before)
+            ties += sum(step.before.defect(t) == step.defect for t in support) > 1
+    assert max(len(a.shape.index_tuples()) for a in cases) == 1024
+    assert ties > 20
+    assert verdicts == set(Verdict)
+
+
+def test_reduction_enumerates_no_index_tuples(monkeypatch):
+    rng = random.Random(57)
+    shape = random_lattice_shape(rng, 5, 4)
+    real = raised_root(rng, shape, 4)
+    balanced = LatticeVector(
+        shape, [[[1] + [0] * (l - 1) for l in lens] for lens in shape.chain_lengths]
+    )
+
+    def refuse(*args):
+        raise AssertionError("index tuples enumerated")
+
+    monkeypatch.setattr(LatticeShape, "index_tuples", refuse)
+    monkeypatch.setattr(LatticeVector, "support_tuples", refuse)
+    transcript = reduce_vector(real)
+    assert transcript.verdict is Verdict.REAL_ROOT and transcript.euler_steps()
+    assert not in_fundamental_domain(normalize(real)[0])
+    assert reduce_vector(balanced).verdict is Verdict.IMAGINARY_ROOT
+    assert in_fundamental_domain(balanced)
 
 
 # -- operator-level reduction ----------------------------------------------------
