@@ -26,6 +26,7 @@ from .formal import (
     RamifiedPointError,
 )
 from .reduce import AssumptionViolatedError, CrossCheckError
+from .scalar import parse_rat
 from .weylalg import IrrationalSingularityError
 
 EXIT_CHECK_FAILED = 1
@@ -134,7 +135,7 @@ def _parse_overrides(pairs) -> dict[str, Fraction]:
         if not name or not value:
             raise CliError(f"malformed --param {pair!r}", EXIT_BAD_INPUT)
         try:
-            overrides[name] = Fraction(value)
+            overrides[name] = parse_rat(value, f"--param {name}")
         except ZeroDivisionError:
             raise CliError(f"zero denominator in --param {pair!r}", EXIT_BAD_INPUT) from None
     return overrides

@@ -23,7 +23,7 @@ from . import weylalg
 from .lattice import LatticeShape, LatticeVector
 from .exponents import ExponentVector
 from .polys import Poly
-from .scalar import ParamExpr, ParamLike, diff_in_integers, parse_param_expr
+from .scalar import ParamExpr, ParamLike, diff_in_integers, parse_param_expr, parse_rat
 from .weylalg import (
     INF,
     DiffOperator,
@@ -529,7 +529,7 @@ def from_json(text: str) -> FormalData:
             loc = parse_location(entry["location"])
             factors = []
             for f in entry["factors"]:
-                w = ExponentialFactor(loc, {int(k): Fraction(v) for k, v in f["w"]})
+                w = ExponentialFactor(loc, {int(k): parse_rat(v, "w") for k, v in f["w"]})
                 s = SpectralData(
                     [(parse_param_expr(lam), int(m)) for lam, m in f["spectral"]]
                 )

@@ -7,6 +7,14 @@ a monic denominator, so equality is structural.  Rational roots are found
 exactly by p-adic expansion (Loos, SIAM J. Comput. 12(2), 1983): roots
 modulo a small prime, Hensel-lifted and read back by rational
 reconstruction, each one checked over Z.
+
+Normalization is skipped where it cannot change the result.  The gcd with
+a nonzero constant is 1, so a constant denominator only divides the
+numerator.  Two fractions over the same denominator add without a
+cross-multiplication: the reduced form with a monic denominator is
+unique.  A product with the constant 1 is the other factor, shared as
+``Poly`` is immutable.  Coefficients that already are ``Fraction``s are
+kept, not rebuilt.
 """
 
 from __future__ import annotations
@@ -33,7 +41,8 @@ class Poly:
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         object.__setattr__(
-            self, "coeffs", _trim([Fraction(c) for c in coeffs])
+            self, "coeffs",
+            _trim([c if type(c) is Fraction else Fraction(c) for c in coeffs]),
         )
 
     def __setattr__(self, name, value):
@@ -106,6 +115,10 @@ class Poly:
         other = as_poly(other)
         if self.is_zero() or other.is_zero():
             return Poly()
+        if other.coeffs == (1,):
+            return self
+        if self.coeffs == (1,):
+            return other
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
@@ -348,6 +361,10 @@ class RatFunc:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
             den = Poly.const(1)
+        elif den.degree == 0:
+            if den.coeffs != (1,):
+                num = num * (1 / den.coeffs[0])
+                den = Poly.const(1)
         else:
             g = poly_gcd(num, den)
             if g.degree > 0:
@@ -395,6 +412,8 @@ class RatFunc:
 
     def __add__(self, other: "RatLike") -> "RatFunc":
         other = RatFunc.of(other)
+        if self.den == other.den:
+            return RatFunc(self.num + other.num, self.den)
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__

@@ -130,8 +130,19 @@ _TERM_RE = re.compile(
 )
 
 
+def parse_rat(text: str, field: str) -> Fraction:
+    """Parse a rational ``p`` or ``p/q`` written in decimal digits, as a
+    string.  Floats, decimals and exponent notation are refused, so
+    Python's 4300-digit limit on integer strings bounds every numerator."""
+    if not isinstance(text, str) or not re.fullmatch(_RAT_RE, text):
+        raise ValueError(f"{field}: expected p or p/q in decimal digits, got {text!r:.40}")
+    return Fraction(text)
+
+
 def parse_param_expr(text: str) -> ParamExpr:
     """Parse the textual form ``<rat>`` or ``<rat> [+-] <rat>*<name> ...``."""
+    if not isinstance(text, str):
+        raise ValueError(f"scalar expression: expected a string, got {text!r:.40}")
     rest = text.strip()
     if not rest:
         raise ValueError("empty scalar expression")

@@ -23,7 +23,7 @@ from math import comb
 from typing import Iterable, Mapping, Union
 
 from .polys import Poly, RatFunc, RatLike, as_poly, falling_factorial, poly_gcd
-from .scalar import ParamExpr
+from .scalar import ParamExpr, parse_rat
 
 
 class _Infinity:
@@ -55,10 +55,9 @@ def format_location(at: Location) -> str:
 
 
 def parse_location(text: str) -> Location:
-    text = text.strip()
     if text == "inf":
         return INF
-    return Fraction(text)
+    return parse_rat(text, "location")
 
 
 class OperatorSyntaxError(ValueError):
@@ -594,7 +593,8 @@ def prim(p: DiffOperator) -> DiffOperator:
         raise ValueError("primitive component of the zero operator")
     den = Poly.const(1)
     for c in p.coeffs:
-        den = den * (c.den // poly_gcd(den, c.den))
+        if c.den.degree > 0:
+            den = den * (c.den // poly_gcd(den, c.den))
     nums = [(c * RatFunc(den)).as_poly() for c in p.coeffs]
     g = Poly()
     for q in nums:

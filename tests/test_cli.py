@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -376,3 +377,60 @@ def test_formal_json_zero_denominator(tmp_path, capsys, location, w, exponent):
         code, _, err = run(capsys, command, "--formal", str(path))
         assert code == 2
         assert "malformed formal-data JSON" in err
+
+
+# JSON text of values that are not p or p/q in decimal digits as a string:
+# exponent notation, a decimal, a JSON float and a JSON int
+NOT_RATIONAL = ['"1e3"', '"0.1"', "0.1", "1"]
+
+
+@pytest.mark.parametrize("value", NOT_RATIONAL)
+@pytest.mark.parametrize(
+    "point, field",
+    [
+        ('"location":{},"factors":[{{"w":[],"spectral":[["1/3",1]]}}]', "location:"),
+        ('"location":"0","factors":[{{"w":[[1,{}]],"spectral":[["1/3",1]]}}]', "w:"),
+        ('"location":"0","factors":[{{"w":[],"spectral":[[{},1]]}}]', ""),
+    ],
+)
+def test_formal_json_rejects_non_rational_text(tmp_path, capsys, value, point, field):
+    # spectral values are scalar expressions; their errors quote the text
+    path = tmp_path / "bad.json"
+    path.write_text(
+        '{"points":[{"location":"inf","factors":[{"w":[],"spectral":[["1/2",1]]}]},'
+        f"{{{point.format(value)}}}]}}",
+        encoding="utf-8",
+    )
+    for command in ("diagram", "reduce", "fuchs"):
+        code, _, err = run(capsys, command, "--formal", str(path))
+        assert code == 2
+        assert f"malformed formal-data JSON: {field}" in err
+
+
+def test_formal_json_huge_exponent_exits_at_once(tmp_path, capsys):
+    # "1e10000000" used to be expanded to a ten-million-digit numerator
+    data = json.loads(formal.to_json(formal.extract_formal_data(corpus.instantiate("cHeun"))))
+    w = next(f for e in data["points"] for f in e["factors"] if f["w"])
+    w["w"] = [[1, "1e10000000"]]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, _, err = run(capsys, "reduce", "--formal", str(path))
+    assert code == 2
+    assert "w: expected p or p/q in decimal digits, got '1e10000000'" in err
+    # one digit past Python's limit on integer strings is refused too
+    w["w"] = [[1, "1" * 4301]]
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert run(capsys, "reduce", "--formal", str(path))[0] == 2
+
+
+@pytest.mark.parametrize("value", ["1e3", "1e3000000", "0.1", ".5", "1/2.0", " 1", "+1", "0x10"])
+def test_examples_param_rejects_non_rational_text(capsys, value):
+    code, _, err = run(capsys, "examples", "--run", "--only", "Gauss", "--param", f"a={value}")
+    assert code == 2
+    assert f"--param a: expected p or p/q in decimal digits, got {value!r}" in err
+
+
+def test_param_accepts_integers_and_fractions():
+    assert cli._parse_overrides(["a=3", "b=-2/7", "c=0"]) == {
+        "a": 3, "b": Fraction(-2, 7), "c": 0
+    }

@@ -4,6 +4,7 @@ from math import isqrt
 
 import pytest
 
+from irrkatz import polys, weylalg
 from irrkatz.polys import Poly, RatFunc, falling_factorial, poly_gcd
 
 
@@ -171,3 +172,119 @@ def test_subst_inverse():
     f = RatFunc(Poly([1, 2]), Poly([0, 1]))             # (1+2x)/x
     g = f.subst_inverse()                               # (1+2/x)*x = x + 2
     assert g == RatFunc(Poly([2, 1]))
+
+
+# -- fast paths against the normalization they skip ------------------------------
+
+
+def _coerced(coeffs):
+    """The constructor before the fast path: every entry through Fraction."""
+    out = [Fraction(c) for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _schoolbook(a, b):
+    out = [Fraction(0)] * max(0, len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return _coerced(out)
+
+
+def _gcd_normalized(num, den):
+    """(num, den) coefficients as RatFunc normalized them with a gcd on
+    every call, then a monic denominator."""
+    if num.is_zero():
+        return (), (Fraction(1),)
+    g = poly_gcd(num, den)
+    num, den = num // g, den // g
+    lead = den.leading()
+    return tuple(c / lead for c in num.coeffs), tuple(c / lead for c in den.coeffs)
+
+
+def _assert_normalized(f, num, den):
+    assert (f.num.coeffs, f.den.coeffs) == _gcd_normalized(num, den)
+    assert all(type(c) is Fraction for c in f.num.coeffs + f.den.coeffs)
+
+
+def _random_poly(rng, degree):
+    return Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(degree + 1)])
+
+
+def test_fast_paths_match_gcd_normalization():
+    rng = random.Random(12)
+    one = Poly.const(1)
+    scaled = shared = cancelled = 0
+    for _ in range(300):
+        num = _random_poly(rng, rng.randint(-1, 4))
+        # a constant denominator, 1 or not
+        c = Fraction(rng.choice([-7, -2, -1, 1, 1, 3, 6]), rng.choice([1, 1, 2, 5]))
+        scaled += c != 1
+        _assert_normalized(RatFunc(num, Poly([c])), num, Poly([c]))
+        _assert_normalized(RatFunc(num, c), num, Poly([c]))
+        # zero numerators over any denominator
+        den = _random_poly(rng, rng.randint(0, 3)) or one
+        _assert_normalized(RatFunc(Poly(), den), Poly(), den)
+        _assert_normalized(RatFunc(num, den), num, den)
+        # equal denominators (x - a)(x - b); half the time the second
+        # numerator is chosen so that the sum of numerators keeps x - a
+        a, b = (Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2))
+        d = Poly([-a, 1]) * Poly([-b, 1])
+        n1 = _random_poly(rng, rng.randint(0, 3))
+        n2 = _random_poly(rng, rng.randint(0, 3))
+        if rng.random() < 0.5:
+            n2 = Poly([-a, 1]) * n2 - n1
+        f1, f2 = RatFunc(n1, d), RatFunc(n2, d)
+        if f1.den == f2.den and f1.den.degree > 0:
+            shared += 1
+            total = f1 + f2
+            cancelled += total.den.degree < f1.den.degree
+            _assert_normalized(total, f1.num * f2.den + f2.num * f1.den, f1.den * f2.den)
+        # polynomials added as rational functions
+        _assert_normalized(RatFunc(num) + RatFunc(n1), num + n1, one)
+        # products with the constant 1 on either side
+        for product in (num * one, one * num, num * 1, 1 * num):
+            assert product.coeffs == _schoolbook(num, one)
+            assert all(type(c) is Fraction for c in product.coeffs)
+        assert (num * n1).coeffs == _schoolbook(num, n1)
+        _assert_normalized(RatFunc(num) * RatFunc(one), num, one)
+    assert scaled > 100 and shared - cancelled > 100 and cancelled > 100
+
+
+def test_poly_constructor_coerces_only_non_fractions():
+    for coeffs in (
+        [1, 2], [True], [False], [0, 0], [Fraction(1, 2), 3, Fraction(0), -4, 0],
+        [Fraction(-3), True, 7, Fraction(5, 9)], (c for c in [2, Fraction(1, 3)]),
+    ):
+        coeffs = list(coeffs)
+        p = Poly(coeffs)
+        assert p.coeffs == _coerced(coeffs)
+        assert all(type(c) is Fraction for c in p.coeffs)
+    assert Poly([True]) == Poly([1]) == 1
+
+
+def test_polynomial_paths_make_no_gcd_calls(monkeypatch):
+    # the gcd with a constant is 1: a constant denominator, a sum of
+    # polynomials and the lcm loop of prim on a polynomial operator must
+    # not ask for it
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return poly_gcd(a, b)
+
+    op = weylalg.parse("x^2*D^2 + 3*x*D + x")
+    monkeypatch.setattr(polys, "poly_gcd", counted)
+    monkeypatch.setattr(weylalg, "poly_gcd", counted)
+    p, q = Poly([1, 2, 3]), Poly([Fraction(-1, 2), 0, 5])
+    assert RatFunc(p, Poly([Fraction(3, 7)])).num == Poly([Fraction(7, 3), Fraction(14, 3), 7])
+    assert RatFunc(p, 5).den == 1
+    assert RatFunc(p) + RatFunc(q) == RatFunc(p + q)
+    assert calls == []
+    # prim of x (x D^2 + 3 D + 1): only the content loop over the three
+    # coefficients x, 3x, x^2 calls the gcd
+    assert weylalg.prim(op) == weylalg.parse("x*D^2 + 3*D + 1")
+    x = Poly.x()
+    assert calls == [(x, 3 * x), (x, x * x)]

@@ -602,12 +602,12 @@ def test_twisted_chains_match_extraction_at_every_euler_step():
 
 
 
-PRIMES = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+PRIMES = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 
 
 def test_reduce_operator_high_rank_hypergeometric():
-    # nF(n-1) at ranks 5 and 6: generic a_i, b_j with distinct prime denominators
-    for n in (5, 6):
+    # nF(n-1) at ranks 5 to 8: generic a_i, b_j with distinct prime denominators
+    for n in range(5, 9):
         a = [Fraction(k + 1, PRIMES[k]) for k in range(n)]
         b = [Fraction(1, PRIMES[n + k]) for k in range(n - 1)]
         result = reduce_operator(hypergeometric(a, b))
@@ -619,7 +619,7 @@ def test_reduce_operator_irregular_kummer_ladder():
     # theta * prod(theta + b_j - 1) - x * prod(theta + a_i), n - 1 factors
     # each: at infinity the factor 0 with exponents a_i and the factor x
     # with exponent sum(b) - sum(a); at 0 the exponents 0 and 1 - b_j
-    for n in range(2, 7):
+    for n in range(2, 9):
         a = [Fraction(k + 1, PRIMES[k]) for k in range(n - 1)]
         b = [Fraction(1, PRIMES[n + k]) for k in range(n - 1)]
         op = hypergeometric(a, b)
