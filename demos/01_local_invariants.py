@@ -1,8 +1,9 @@
 """Local invariants of differential operators, step by step.
 
 Parses a few operators and walks through the machinery that reads off
-their local structure: weights, characteristic polynomials, Newton
-polygons, theta expansions, and the extracted formal data.
+their local structure: one theta expansion per point, and the weight,
+characteristic polynomial, Newton polygon and regularity read off it,
+then the extracted formal data.
 """
 
 from fractions import Fraction
@@ -16,7 +17,6 @@ from irrkatz import (
     parse,
     singular_points,
     theta_expand,
-    weight,
 )
 
 ZERO = Fraction(0)
@@ -30,18 +30,20 @@ def section(title):
 section("a first-order operator: x*D - 5")
 p = parse("x*D - 5")
 print("operator:      ", p)
-print("weight at 0:   ", weight(p, ZERO))
-print("char poly at 0:", char_poly(p, ZERO).format("t"), "-> exponent 5")
-print("char poly at oo:", char_poly(p, INF).format("t"), "-> exponent -5")
-print("theta form at 0:", [(i, q.format("t")) for i, q in theta_expand(p, ZERO).terms])
+at_0 = theta_expand(p, ZERO)
+print("weight at 0:   ", at_0.min_index)
+print("char poly at 0:", char_poly(at_0).format("t"), "-> exponent 5")
+print("char poly at oo:", char_poly(theta_expand(p, INF)).format("t"), "-> exponent -5")
+print("theta form at 0:", [(i, q.format("t")) for i, q in at_0.terms])
 
 section("the triconfluent operator: D^2 + (-x^2-7)*D + (-2*x+3)")
 tri = parse("D^2 + (-x^2-7)*D + (-2*x+3)")
 print("operator:        ", tri)
 print("finite singular points:", singular_points(tri), "(none: everything sits at infinity)")
-np = newton_polygon(tri, INF)
+tri_inf = theta_expand(tri, INF)
+np = newton_polygon(tri_inf)
 print("Newton polygon at oo: vertices", np.vertices, "slopes", [str(s) for s in np.slopes])
-print("regular singular at oo?", is_regular_singular(tri, INF))
+print("regular singular at oo?", is_regular_singular(tri_inf))
 data = extract_formal_data(tri)
 print("formal data:", data)
 print("note the slope-3 factor: its theta form is x^3 + 7x, degree = slope")

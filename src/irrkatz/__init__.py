@@ -43,7 +43,6 @@ from .weylalg import (
     singular_points,
     subst_infty,
     theta_expand,
-    weight,
 )
 from .formal import (
     ExponentialFactor,

@@ -416,12 +416,15 @@ def _peel_factors(
     """Factors of the chart operator at c with theta-degree < max_degree.
 
     Returns raw coefficient maps in chart orientation; the caller flips
-    signs for the point at infinity.
+    signs for the point at infinity.  The chart is expanded once; the
+    polygon, the boundary polynomials and the regular part read that
+    expansion.
     """
-    np = weylalg.newton_polygon(q, c)
+    theta = weylalg.theta_expand(q, c)
+    np = weylalg.newton_polygon(theta)
     out: list[tuple[dict[int, Fraction], SpectralData]] = []
     if np.regular_rank > 0:
-        out.append(({}, _regular_spectral_data(q, c, np.regular_rank)))
+        out.append(({}, _regular_spectral_data(theta, np.regular_rank)))
     for slope in np.slopes:
         if slope == 0 or (max_degree is not None and slope >= max_degree):
             continue
@@ -430,7 +433,7 @@ def _peel_factors(
                 f"Newton polygon slope {slope} is not an integer"
             )
         k = int(slope)
-        edge = _edge_polynomial(q, c, np, slope)
+        edge = _edge_polynomial(theta, np, k)
         roots = edge.rational_roots()
         if sum(roots.values()) != edge.degree:
             raise NonSplitCharPolyError(
@@ -451,8 +454,8 @@ def _peel_factors(
     return out
 
 
-def _regular_spectral_data(q: DiffOperator, c: Fraction, expected_rank: int) -> SpectralData:
-    char = weylalg.char_poly(q, c)
+def _regular_spectral_data(theta: ThetaExpansion, expected_rank: int) -> SpectralData:
+    char = weylalg.char_poly(theta)
     if char.degree != expected_rank:
         raise ExtractionError(
             f"characteristic polynomial degree {char.degree} != regular rank {expected_rank}"
@@ -464,24 +467,21 @@ def _regular_spectral_data(q: DiffOperator, c: Fraction, expected_rank: int) -> 
         )
     chains = group_chains(roots)
     data = SpectralData(chains)
-    if not oshima_check(weylalg.theta_expand(q, c), data):
+    if not oshima_check(theta, data):
         raise OshimaCheckError(
             f"triangular vanishing conditions fail for chains {data.format()}"
         )
     return data
 
 
-def _edge_polynomial(q, c: Fraction, np, slope: Fraction) -> Poly:
-    (ia, ya), (ib, _) = np.slope_edge(slope)
-    coeffs = []
-    for i in range(ia, ib + 1):
-        y = ya + slope * (i - ia)
-        a_i = q.coeff(i)
-        if a_i.is_zero() or y.denominator != 1:
-            coeffs.append(Fraction(0))
-        else:
-            coeffs.append(a_i.laurent_coeff(c, int(y) + i))
-    return Poly(coeffs)
+def _edge_polynomial(theta: ThetaExpansion, np: weylalg.NewtonPolygon, k: int) -> Poly:
+    """Boundary polynomial of the slope-k edge.  Its coefficient at
+    D-degree i is that of the monomial of weight y = ya + k(i - ia), which
+    is the theta^i coefficient of p_y: no monomial of weight y lies right
+    of the edge, so deg p_y <= i and only theta^i's own falling factorial
+    reaches that degree."""
+    (ia, ya), (ib, _) = np.slope_edge(k)
+    return Poly([theta.term(ya + k * (i - ia))[i] for i in range(ia, ib + 1)])
 
 
 # -- JSON ------------------------------------------------------------------------
@@ -517,7 +517,10 @@ def from_json(text: str) -> FormalData:
             raise ValueError(f"more than MAX_DEGREE + 1 = {weylalg.MAX_DEGREE + 1} points")
         # no operator within the text bound has a larger rank
         rank = sum(
-            int(m) for e in doc["points"][:1] for f in e["factors"] for _, m in f["spectral"]
+            _json_int(m, "spectral")
+            for e in doc["points"][:1]
+            for f in e["factors"]
+            for _, m in f["spectral"]
         )
         if rank > weylalg.MAX_DEGREE:
             raise ValueError(f"rank {rank} is more than MAX_DEGREE = {weylalg.MAX_DEGREE}")
@@ -529,15 +532,26 @@ def from_json(text: str) -> FormalData:
             loc = parse_location(entry["location"])
             factors = []
             for f in entry["factors"]:
-                w = ExponentialFactor(loc, {int(k): parse_rat(v, "w") for k, v in f["w"]})
-                s = SpectralData(
-                    [(parse_param_expr(lam), int(m)) for lam, m in f["spectral"]]
+                w = ExponentialFactor(
+                    loc, {_json_int(k, "w"): parse_rat(v, "w") for k, v in f["w"]}
                 )
+                s = SpectralData([
+                    (parse_param_expr(lam, "spectral"), _json_int(m, "spectral"))
+                    for lam, m in f["spectral"]
+                ])
                 factors.append((w, s))
             points.append((loc, factors))
         return FormalData(points)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed formal-data JSON: {exc}") from exc
+
+
+def _json_int(value, field: str) -> int:
+    """A JSON integer; a float, a string or a boolean is refused rather
+    than truncated."""
+    if type(value) is not int:
+        raise ValueError(f"{field}: expected an integer, got {value!r:.40}")
+    return value
 
 
 def _check_basis_size(chain_counts: Sequence[Sequence[int]]) -> None:

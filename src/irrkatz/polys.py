@@ -458,35 +458,6 @@ class RatFunc:
             return self
         return RatFunc(self.num.reverse(n), self.den.reverse(n))
 
-    # -- local data ---------------------------------------------------------
-
-    def order_at(self, c: Fraction) -> int:
-        """Valuation at x = c: root multiplicity of num minus that of den."""
-        if self.is_zero():
-            raise ValueError("order of zero")
-        return self.num.order_at(c) - self.den.order_at(c)
-
-    def laurent_coeff(self, c: Fraction, k: int) -> Fraction:
-        """Coefficient of (x-c)^k in the Laurent expansion at x = c."""
-        if self.is_zero():
-            return Fraction(0)
-        num = self.num.shift(c)
-        den = self.den.shift(c)
-        dord = den.order_at(Fraction(0))
-        den = Poly(den.coeffs[dord:])
-        # series of num/den up to order k + dord, den now a unit at 0
-        need = k + dord
-        if need < 0:
-            return Fraction(0)
-        series = [Fraction(0)] * (need + 1)
-        inv0 = 1 / den.coeffs[0]
-        for j in range(need + 1):
-            acc = num[j]
-            for i in range(1, j + 1):
-                acc -= den[i] * series[j - i]
-            series[j] = acc * inv0
-        return series[need]
-
     def format(self, var: str = "x") -> str:
         if self.is_poly():
             return self.num.format(var)

@@ -2,7 +2,8 @@
 
 Lattice level: normalize chains to descending order, then repeatedly apply
 the twisted-Euler move of most negative defect (lexicographically least
-tuple on ties, support tuples only).  Each such move strictly decreases
+tuple on ties; it runs through the support, since no tuple through a
+zero block has negative defect).  Each such move strictly decreases
 the rank, so the loop ends at rank <= 1 (a real-root terminal), at a
 stable sorted vector (an imaginary-root fundamental representative), or
 leaves the nonnegative cone (not a root).
@@ -144,11 +145,14 @@ def reduce_vector(a: LatticeVector) -> Transcript:
                 return Transcript(a, tuple(steps), Verdict.NOT_ROOT)
             return Transcript(a, tuple(steps), Verdict.REAL_ROOT)
         # the defect is a sum of per-point shares: the least minimizer at each
-        # point gives the lexicographically least tuple of most negative defect
-        picks = [
-            min((g[j], j) for j in js)
-            for g, js in zip(cur.point_defects(), cur.support_factors())
-        ]
+        # point gives the lexicographically least tuple of most negative
+        # defect.  Factors off the support need no filter: for nonnegative
+        # m a tuple through a zero block has defect >= 0 (at a finite point
+        # that block's share is sum_{j != t_i} (1 - w) B_ij >= 2n, finite
+        # shares are >= 0 and the share at infinity is >= -2n; a zero block
+        # at infinity makes every share >= 0), so when the best defect is
+        # negative every support minimizer is below every off-support factor
+        picks = [min((d, j) for j, d in enumerate(g)) for g in cur.point_defects()]
         best = sum(d for d, _ in picks)
         if best >= 0:
             return Transcript(a, tuple(steps), Verdict.IMAGINARY_ROOT, cur)

@@ -139,13 +139,14 @@ def parse_rat(text: str, field: str) -> Fraction:
     return Fraction(text)
 
 
-def parse_param_expr(text: str) -> ParamExpr:
-    """Parse the textual form ``<rat>`` or ``<rat> [+-] <rat>*<name> ...``."""
+def parse_param_expr(text: str, field: str) -> ParamExpr:
+    """Parse the textual form ``<rat>`` or ``<rat> [+-] <rat>*<name> ...``;
+    errors start with ``field``."""
     if not isinstance(text, str):
-        raise ValueError(f"scalar expression: expected a string, got {text!r:.40}")
+        raise ValueError(f"{field}: expected a string, got {text!r:.40}")
     rest = text.strip()
     if not rest:
-        raise ValueError("empty scalar expression")
+        raise ValueError(f"{field}: empty scalar expression")
     const = Fraction(0)
     terms: dict[str, Fraction] = {}
     sign = 1
@@ -157,11 +158,11 @@ def parse_param_expr(text: str) -> ParamExpr:
             elif rest[0] == "-":
                 sign = -1
             else:
-                raise ValueError(f"expected '+' or '-' in {text!r} at {rest!r}")
+                raise ValueError(f"{field}: expected '+' or '-' in {text!r} at {rest!r}")
             rest = rest[1:]
         m = _TERM_RE.match(rest)
         if not m:
-            raise ValueError(f"malformed scalar expression {text!r} at {rest!r}")
+            raise ValueError(f"{field}: malformed scalar expression {text!r} at {rest!r}")
         coeff = Fraction(m.group(1)) * sign
         name = m.group(2)
         if name is None:

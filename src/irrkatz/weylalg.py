@@ -8,10 +8,13 @@ Newton polygons, theta expansions) and the global transforms (primitive
 component, additions, exponential twists, Fourier-Laplace, Euler).
 
 Points are either finite rationals or the point at infinity (``INF``).
-Every local computation takes its operator and finite point from
-:func:`local_chart`, which routes infinity through the involution
-``x -> 1/x, D -> -x^2*D`` (:func:`subst_infty`) to the point 0, so there
-is a single code path for local computations.
+Local analysis goes through :func:`theta_expand`, the only local
+computation that reads an operator's coefficients: it takes its operator
+and finite point from :func:`local_chart`, which routes infinity through
+the involution ``x -> 1/x, D -> -x^2*D`` (:func:`subst_infty`) to the
+point 0.  The weight (``min_index``), :func:`char_poly`,
+:func:`newton_polygon`, :func:`is_regular_singular` and
+:func:`homogeneous_part` read the :class:`ThetaExpansion` it returns.
 """
 
 from __future__ import annotations
@@ -391,126 +394,23 @@ def local_chart(p: DiffOperator, at: Location) -> tuple[DiffOperator, Fraction]:
     return p, at
 
 
-def _weights(p: DiffOperator, c: Fraction) -> dict[int, int]:
-    """Weight of the lowest monomial in each nonzero coefficient:
-    ``{j: ord_c(a_j) - j}``."""
-    return {j: a.order_at(c) - j for j, a in enumerate(p.coeffs) if not a.is_zero()}
-
-
-def weight(p: DiffOperator, at: Location) -> int:
-    """Minimum monomial weight of ``p`` at the point.
-
-    At finite c the weight of ``(x-c)^a D^b`` is ``a - b``; at infinity the
-    weight of ``x^a D^b`` is ``b - a``.
-    """
-    if p.is_zero():
-        raise ValueError("weight of the zero operator")
-    return min(_weights(*local_chart(p, at)).values())
-
-
-def homogeneous_part(p: DiffOperator, at: Location, k: int) -> DiffOperator:
-    """Sum of the monomials of weight exactly k (possibly zero)."""
-    if p.is_zero():
-        raise ValueError("homogeneous part of the zero operator")
-    q, c = local_chart(p, at)
-    base = Poly([-c, 1])
-    out = []
-    for i, a in enumerate(q.coeffs):
-        # monomial (x-c)^(k+i) D^i
-        gamma = a.laurent_coeff(c, k + i)
-        if gamma == 0:
-            out.append(RatFunc(0))
-        elif k + i >= 0:
-            out.append(RatFunc(Poly.const(gamma) * base ** (k + i)))
-        else:
-            out.append(RatFunc(Poly.const(gamma), base ** (-k - i)))
-    part = DiffOperator(out)
-    return subst_infty(part) if at is INF else part
-
-
-def char_poly(p: DiffOperator, at: Location) -> Poly:
-    """Characteristic polynomial: falling-factorial symbol of the lowest
-    weight part; its roots are the characteristic exponents."""
-    if p.is_zero():
-        raise ValueError("characteristic polynomial of the zero operator")
-    q, c = local_chart(p, at)
-    wt = weight(q, c)
-    out = Poly()
-    for j, a in enumerate(q.coeffs):
-        gamma = a.laurent_coeff(c, wt + j)
-        if gamma != 0:
-            out = out + gamma * falling_factorial(j)
-    return out
-
-
-def is_regular_singular(p: DiffOperator, at: Location) -> bool:
-    """Degree criterion: the characteristic polynomial has full degree."""
-    return char_poly(p, at).degree == p.rank
-
-
-@dataclass(frozen=True)
-class NewtonPolygon:
-    """Relevant boundary of the weight diagram at a point.
-
-    ``vertices`` are (D-degree, weight) pairs with strictly increasing
-    slopes between them.  A point with no positive-slope edges (a regular
-    singular point, in particular) has a single vertex and no slopes; at
-    an irregular point with a moderate (slope-0) block, the leading
-    horizontal edge is part of the boundary and contributes slope 0.
-    """
-
-    vertices: tuple[tuple[int, int], ...]
-    slopes: tuple[Fraction, ...]
-
-    def slope_edge(self, slope: Fraction) -> tuple[tuple[int, int], tuple[int, int]]:
-        k = self.slopes.index(slope)
-        return self.vertices[k], self.vertices[k + 1]
-
-    @property
-    def regular_rank(self) -> int:
-        """Total rank of the moderate part: where positive slopes begin."""
-        if self.slopes and self.slopes[0] == 0:
-            return self.vertices[1][0]
-        return self.vertices[0][0]
-
-
-def newton_polygon(p: DiffOperator, at: Location) -> NewtonPolygon:
-    """Newton polygon at the point, computed from monomial weights."""
-    if p.is_zero():
-        raise ValueError("Newton polygon of the zero operator")
-    pts = _weights(*local_chart(p, at))
-    wt = min(pts.values())
-    i0 = max(i for i, y in pts.items() if y == wt)
-    # lower convex hull rightwards from (i0, wt), by monotone chain
-    vertices: list[tuple[int, int]] = [(i0, wt)]
-    for i in sorted(k for k in pts if k > i0):
-        y = pts[i]
-        while len(vertices) >= 2:
-            (i1, y1), (i2, y2) = vertices[-2], vertices[-1]
-            if (y2 - y1) * (i - i1) >= (y - y1) * (i2 - i1):
-                vertices.pop()
-            else:
-                break
-        vertices.append((i, y))
-    if len(vertices) >= 2 and vertices[0][0] > 0:
-        # an irregular point with a moderate block: the horizontal edge
-        # up to the first positive slope belongs to the boundary
-        vertices.insert(0, (0, wt))
-    slopes = tuple(
-        Fraction(vertices[k + 1][1] - vertices[k][1], vertices[k + 1][0] - vertices[k][0])
-        for k in range(len(vertices) - 1)
-    )
-    return NewtonPolygon(tuple(vertices), slopes)
-
-
 @dataclass(frozen=True)
 class ThetaExpansion:
     """Expansion ``P = sum_i (x-c)^i p_i(theta_c)`` with ``theta_c = (x-c)D``.
 
     At infinity the terms are those of the chart operator at 0, which is
     the same as writing ``P = sum_i x^(-i) p_i(theta_inf)`` with
-    ``theta_inf = -x*D``.  The minimal-index term is the characteristic
-    polynomial.
+    ``theta_inf = -x*D``.  ``terms`` lists the nonzero ``(i, p_i)`` by
+    ascending i.  The monomial ``(x-c)^(i+j) D^j`` has weight i and puts
+    the falling factorial of degree j into ``p_i``, so ``deg p_i`` is the
+    largest D-degree of weight i, ``min_index`` is the weight of the
+    operator, and the largest ``deg p_i`` is its rank.
+
+    Every local invariant (characteristic polynomial, Newton polygon,
+    regularity, homogeneous parts, slope-boundary polynomials) is read off
+    this object; :func:`theta_expand` is the one place that reads the
+    coefficients, and it requires them to be Laurent polynomials at the
+    point, so every reader inherits that requirement.
     """
 
     point: Location
@@ -518,6 +418,7 @@ class ThetaExpansion:
 
     @property
     def min_index(self) -> int:
+        """The weight: the least index with a nonzero term."""
         return self.terms[0][0]
 
     def term(self, i: int) -> Poly:
@@ -527,7 +428,7 @@ class ThetaExpansion:
         return Poly()
 
     def reconstruct(self) -> DiffOperator:
-        """Rebuild the operator (oracle for tests)."""
+        """Rebuild the operator at its own point from the terms."""
         if self.point is INF:
             chart = _theta_reconstruct(self.terms, Fraction(0))
             return subst_infty(chart)
@@ -557,6 +458,7 @@ def theta_expand(p: DiffOperator, at: Location) -> ThetaExpansion:
     Coefficients must be Laurent polynomials in the local parameter, i.e.
     denominators must be powers of (x - c); this holds for polynomial
     operators and for everything produced by the extraction pipeline.
+    Anything else raises ``ValueError``.
     """
     if p.is_zero():
         raise ValueError("theta expansion of the zero operator")
@@ -581,6 +483,89 @@ def theta_expand(p: DiffOperator, at: Location) -> ThetaExpansion:
         (i, t) for i, t in sorted(buckets.items()) if not t.is_zero()
     )
     return ThetaExpansion(at, terms)
+
+
+def homogeneous_part(expansion: ThetaExpansion, k: int) -> DiffOperator:
+    """Sum of the monomials of weight exactly k (possibly zero): the term
+    ``(x-c)^k p_k(theta)`` alone, as an operator at the expansion's point."""
+    part = tuple((i, q) for i, q in expansion.terms if i == k)
+    return ThetaExpansion(expansion.point, part).reconstruct()
+
+
+def char_poly(expansion: ThetaExpansion) -> Poly:
+    """Characteristic polynomial: the term of least index, the
+    falling-factorial symbol of the lowest weight part; its roots are the
+    characteristic exponents."""
+    return expansion.terms[0][1]
+
+
+def is_regular_singular(expansion: ThetaExpansion) -> bool:
+    """Degree criterion: the characteristic polynomial has full degree,
+    the rank being the largest term degree."""
+    return char_poly(expansion).degree == max(q.degree for _, q in expansion.terms)
+
+
+@dataclass(frozen=True)
+class NewtonPolygon:
+    """Relevant boundary of the weight diagram at a point.
+
+    ``vertices`` are (D-degree, weight) pairs with strictly increasing
+    slopes between them.  A point with no positive-slope edges (a regular
+    singular point, in particular) has a single vertex and no slopes; at
+    an irregular point with a moderate (slope-0) block, the leading
+    horizontal edge is part of the boundary and contributes slope 0.
+    Built by :func:`newton_polygon` from a :class:`ThetaExpansion`, so it
+    needs the same Laurent coefficients.
+    """
+
+    vertices: tuple[tuple[int, int], ...]
+    slopes: tuple[Fraction, ...]
+
+    def slope_edge(self, slope: Fraction) -> tuple[tuple[int, int], tuple[int, int]]:
+        k = self.slopes.index(slope)
+        return self.vertices[k], self.vertices[k + 1]
+
+    @property
+    def regular_rank(self) -> int:
+        """Total rank of the moderate part: where positive slopes begin."""
+        if self.slopes and self.slopes[0] == 0:
+            return self.vertices[1][0]
+        return self.vertices[0][0]
+
+
+def newton_polygon(expansion: ThetaExpansion) -> NewtonPolygon:
+    """Newton polygon read off the theta expansion.
+
+    Term i contributes the point (deg p_i, i), the rightmost monomial of
+    weight i; each D-degree keeps its least weight.  Every vertex of the
+    lower boundary of all monomials is such a point, since a monomial
+    right of a vertex at the same weight would lie below a positive slope.
+    """
+    pts: dict[int, int] = {}
+    for i, q in expansion.terms:
+        pts.setdefault(q.degree, i)
+    wt, lowest = expansion.terms[0]
+    i0 = lowest.degree
+    # lower convex hull rightwards from (i0, wt), by monotone chain
+    vertices: list[tuple[int, int]] = [(i0, wt)]
+    for i in sorted(k for k in pts if k > i0):
+        y = pts[i]
+        while len(vertices) >= 2:
+            (i1, y1), (i2, y2) = vertices[-2], vertices[-1]
+            if (y2 - y1) * (i - i1) >= (y - y1) * (i2 - i1):
+                vertices.pop()
+            else:
+                break
+        vertices.append((i, y))
+    if len(vertices) >= 2 and vertices[0][0] > 0:
+        # an irregular point with a moderate block: the horizontal edge
+        # up to the first positive slope belongs to the boundary
+        vertices.insert(0, (0, wt))
+    slopes = tuple(
+        Fraction(vertices[k + 1][1] - vertices[k][1], vertices[k + 1][0] - vertices[k][0])
+        for k in range(len(vertices) - 1)
+    )
+    return NewtonPolygon(tuple(vertices), slopes)
 
 
 # -- transforms --------------------------------------------------------------

@@ -390,7 +390,7 @@ NOT_RATIONAL = ['"1e3"', '"0.1"', "0.1", "1"]
     [
         ('"location":{},"factors":[{{"w":[],"spectral":[["1/3",1]]}}]', "location:"),
         ('"location":"0","factors":[{{"w":[[1,{}]],"spectral":[["1/3",1]]}}]', "w:"),
-        ('"location":"0","factors":[{{"w":[],"spectral":[[{},1]]}}]', ""),
+        ('"location":"0","factors":[{{"w":[],"spectral":[[{},1]]}}]', "spectral:"),
     ],
 )
 def test_formal_json_rejects_non_rational_text(tmp_path, capsys, value, point, field):
@@ -405,6 +405,35 @@ def test_formal_json_rejects_non_rational_text(tmp_path, capsys, value, point, f
         code, _, err = run(capsys, command, "--formal", str(path))
         assert code == 2
         assert f"malformed formal-data JSON: {field}" in err
+
+
+ONE_AT_INF = '{"w":[],"spectral":[["1/2",1]]}'
+
+
+@pytest.mark.parametrize(
+    "inf_factor, zero_factor, field",
+    [
+        # read with int(), both truncate to 1: reduce reported RealRoot idx=2
+        ('{"w":[],"spectral":[["1/2",1.9]]}', '{"w":[],"spectral":[["1/3",true]]}', "spectral:"),
+        ('{"w":[],"spectral":[["1/2",true]]}', '{"w":[],"spectral":[["1/3",1]]}', "spectral:"),
+        (ONE_AT_INF, '{"w":[],"spectral":[["1/3",true]]}', "spectral:"),
+        (ONE_AT_INF, '{"w":[],"spectral":[["1/3","1"]]}', "spectral:"),
+        (ONE_AT_INF, '{"w":[[1.7,"2"]],"spectral":[["1/3",1]]}', "w:"),
+        (ONE_AT_INF, '{"w":[[true,"2"]],"spectral":[["1/3",1]]}', "w:"),
+    ],
+)
+def test_formal_json_requires_integer_counts(tmp_path, capsys, inf_factor, zero_factor, field):
+    # multiplicities and w orders are JSON integers; nothing is truncated
+    path = tmp_path / "bad.json"
+    path.write_text(
+        f'{{"points":[{{"location":"inf","factors":[{inf_factor}]}},'
+        f'{{"location":"0","factors":[{zero_factor}]}}]}}',
+        encoding="utf-8",
+    )
+    for command in ("diagram", "reduce", "fuchs"):
+        code, _, err = run(capsys, command, "--formal", str(path))
+        assert code == 2
+        assert f"malformed formal-data JSON: {field} expected an integer" in err
 
 
 def test_formal_json_huge_exponent_exits_at_once(tmp_path, capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_poly_op
-from irrkatz import corpus
+from irrkatz import corpus, formal, weylalg
 from irrkatz.formal import (
     ExponentialFactor,
     FormalData,
@@ -156,6 +156,31 @@ def test_extract_matches_symbolic_tables():
     for name in corpus.names():
         data = extract_formal_data(corpus.instantiate(name))
         assert data == corpus.instance_formal_data(name), name
+
+
+def test_extraction_expands_each_chart_once(monkeypatch):
+    calls = {"theta_expand": 0, "_peel_factors": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(weylalg, "theta_expand")
+    counted(formal, "_peel_factors")
+    ops = [corpus.instantiate(name) for name in corpus.names()]
+    ops += [parse("D^2 + (-x^2-7)*D + (-2*x+3)"), parse("D^3 - x^2*D")]
+    points = 0
+    for op in ops:
+        data = extract_formal_data(op)
+        points += len(data.locations())
+    # the twisted charts of the irregular points are peeled too
+    assert calls["_peel_factors"] > points
+    assert calls["theta_expand"] == calls["_peel_factors"]
 
 
 def test_extract_ramified_rejected():

@@ -197,7 +197,7 @@ def test_tuples_off_the_support_have_nonnegative_defect():
     # For a nonnegative vector of rank n, a factor with zero block has share
     # sum_j (1 - w_i[j][k]) B_ij >= 2n at a finite point and >= 0 at infinity,
     # while any share is >= 0 at a finite point and >= -2n at infinity.  So
-    # the support filter of the reduction never changes the tuple it picks.
+    # the reduction, which minimizes over all factors, picks support tuples.
     checked = 0
     for a in oracle_cases(73, 60):
         if a.is_nonnegative():

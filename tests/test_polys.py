@@ -152,22 +152,6 @@ def test_ratfunc_canonical_form():
     assert f == RatFunc(Poly([1]), Poly([0, 2]))
 
 
-def test_laurent_coefficients():
-    # 1/(1-x) = 1 + x + x^2 + ...
-    f = RatFunc(Poly([1]), Poly([1, -1]))
-    assert [f.laurent_coeff(Fraction(0), k) for k in range(4)] == [1, 1, 1, 1]
-    # x^-2 * (1 + x)
-    g = RatFunc(Poly([1, 1]), Poly([0, 0, 1]))
-    assert g.laurent_coeff(Fraction(0), -2) == 1
-    assert g.laurent_coeff(Fraction(0), -1) == 1
-    assert g.laurent_coeff(Fraction(0), 0) == 0
-    assert g.order_at(Fraction(0)) == -2
-    # at a shifted point
-    h = RatFunc(Poly([1]), Poly([-1, 1]) ** 2)
-    assert h.laurent_coeff(Fraction(1), -2) == 1
-    assert h.order_at(Fraction(1)) == -2
-
-
 def test_subst_inverse():
     f = RatFunc(Poly([1, 2]), Poly([0, 1]))             # (1+2x)/x
     g = f.subst_inverse()                               # (1+2/x)*x = x + 2

@@ -65,11 +65,11 @@ def test_difference_predicate_symmetric(e1, e2):
 
 @given(exprs)
 def test_text_round_trip(e):
-    assert parse_param_expr(str(e)) == e
+    assert parse_param_expr(str(e), "e") == e
 
 
 def test_text_examples():
     assert str(ParamExpr(Fraction(1, 2), {"c": -1})) == "1/2 - 1*c"
-    assert parse_param_expr("1/2 - 1*c") == ParamExpr(Fraction(1, 2), {"c": -1})
+    assert parse_param_expr("1/2 - 1*c", "e") == ParamExpr(Fraction(1, 2), {"c": -1})
     assert str(ParamExpr(0, {"a": 1})) == "0 + 1*a"
-    assert parse_param_expr("0 + 1*a") == ParamExpr.param("a")
+    assert parse_param_expr("0 + 1*a", "e") == ParamExpr.param("a")

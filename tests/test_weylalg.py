@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_poly_op
 from irrkatz import corpus
+from irrkatz.formal import _edge_polynomial
 from irrkatz.polys import Poly, RatFunc, falling_factorial
 from irrkatz.weylalg import (
     D,
@@ -21,6 +22,7 @@ from irrkatz.weylalg import (
     is_regular_singular,
     laplace,
     laplace_inv,
+    local_chart,
     newton_polygon,
     parse,
     prim,
@@ -28,7 +30,6 @@ from irrkatz.weylalg import (
     subst_infty,
     theta_expand,
     to_text,
-    weight,
 )
 
 ZERO = Fraction(0)
@@ -86,8 +87,8 @@ def test_apply():
 
 
 def test_weight_examples():
-    assert weight(parse("x*D - 5"), ZERO) == 0
-    assert weight(parse("x^2*D^2 + x*D"), ZERO) == 0
+    assert theta_expand(parse("x*D - 5"), ZERO).min_index == 0
+    assert theta_expand(parse("x^2*D^2 + x*D"), ZERO).min_index == 0
     tri = parse("D^2 + (-x^2-7)*D + (-2*x+3)")
     # oracle: enumerate monomials x^a D^b and take min of b - a
     expected = min(
@@ -98,13 +99,13 @@ def test_weight_examples():
         if cv != 0
     )
     assert expected == -1
-    assert weight(tri, INF) == expected
+    assert theta_expand(tri, INF).min_index == expected
 
 
 def test_homogeneous_part_examples():
-    assert homogeneous_part(parse("x*D + 1"), ZERO, 0) == parse("x*D + 1")
-    assert homogeneous_part(parse("x*D + x^2"), ZERO, 2) == parse("x^2")
-    assert homogeneous_part(parse("x^2*D + D"), ZERO, -1) == parse("D")
+    assert homogeneous_part(theta_expand(parse("x*D + 1"), ZERO), 0) == parse("x*D + 1")
+    assert homogeneous_part(theta_expand(parse("x*D + x^2"), ZERO), 2) == parse("x^2")
+    assert homogeneous_part(theta_expand(parse("x^2*D + D"), ZERO), -1) == parse("D")
 
 
 def test_homogeneous_parts_sum_to_operator():
@@ -114,9 +115,10 @@ def test_homogeneous_parts_sum_to_operator():
         # x^a D^b has weight a - b at 0 and b - a at infinity
         for at, lo, hi in ((ZERO, -p.rank - 1, deg_of(p)), (INF, -deg_of(p), p.rank)):
             total = DiffOperator()
+            exp = theta_expand(p, at)
             for k in range(lo, hi + 1):
-                part = homogeneous_part(p, at, k)
-                assert part.is_zero() or weight(part, at) == k
+                part = homogeneous_part(exp, k)
+                assert part.is_zero() or theta_expand(part, at).min_index == k
                 total = total + part
             assert total == p
 
@@ -125,20 +127,20 @@ def test_homogeneous_parts_sum_to_operator():
 
 
 def test_char_poly_examples():
-    assert char_poly(parse("x*D - 5"), ZERO) == Poly([-5, 1])
+    assert char_poly(theta_expand(parse("x*D - 5"), ZERO)) == Poly([-5, 1])
     # oracle: the falling-factorial expansion computed directly
     expected = falling_factorial(2) + 3 * falling_factorial(1) + Poly([1])
-    assert char_poly(parse("x^2*D^2 + 3*x*D + 1"), ZERO) == expected
+    assert char_poly(theta_expand(parse("x^2*D^2 + 3*x*D + 1"), ZERO)) == expected
     heun = corpus.instantiate("Heun")
     c = corpus.get("Heun").defaults["c"]
-    roots = char_poly(heun, ZERO).rational_roots()
+    roots = char_poly(theta_expand(heun, ZERO)).rational_roots()
     assert roots == {Fraction(0): 1, 1 - c: 1}
 
 
 def test_is_regular_singular_examples():
-    assert is_regular_singular(corpus.instantiate("Heun"), ZERO)
-    assert not is_regular_singular(corpus.instantiate("cHeun"), INF)
-    assert is_regular_singular(parse("x*D - 5"), ZERO)
+    assert is_regular_singular(theta_expand(corpus.instantiate("Heun"), ZERO))
+    assert not is_regular_singular(theta_expand(corpus.instantiate("cHeun"), INF))
+    assert is_regular_singular(theta_expand(parse("x*D - 5"), ZERO))
 
 
 def test_char_poly_degree_dichotomy_on_corpus():
@@ -147,14 +149,15 @@ def test_char_poly_degree_dichotomy_on_corpus():
     for name in corpus.names():
         op = corpus.instantiate(name)
         for at in [INF] + singular_points(op):
-            c = char_poly(op, at)
+            exp = theta_expand(op, at)
+            c = char_poly(exp)
             assert c.degree <= op.rank
-            assert (c.degree == op.rank) == is_regular_singular(op, at)
+            assert (c.degree == op.rank) == is_regular_singular(exp)
 
 
 def test_char_poly_at_infinity_orientation():
     # solutions x^5 have exponent -5 at infinity
-    assert char_poly(parse("x*D - 5"), INF).rational_roots() == {Fraction(-5): 1}
+    assert char_poly(theta_expand(parse("x*D - 5"), INF)).rational_roots() == {Fraction(-5): 1}
 
 
 # -- Newton polygons -----------------------------------------------------------
@@ -162,13 +165,13 @@ def test_char_poly_at_infinity_orientation():
 
 def test_newton_polygon_examples():
     tri = parse("D^2 + (-x^2-7)*D + (-2*x+3)")
-    np_tri = newton_polygon(tri, INF)
+    np_tri = newton_polygon(theta_expand(tri, INF))
     assert set(np_tri.slopes) == {0, 3}
     a, b = np_tri.slope_edge(Fraction(3))
     assert (a[0], b[0]) == (1, 2)
-    np_cheun = newton_polygon(corpus.instantiate("cHeun"), INF)
+    np_cheun = newton_polygon(theta_expand(corpus.instantiate("cHeun"), INF))
     assert set(np_cheun.slopes) == {0, 1}
-    np_heun = newton_polygon(corpus.instantiate("Heun"), ZERO)
+    np_heun = newton_polygon(theta_expand(corpus.instantiate("Heun"), ZERO))
     assert np_heun.slopes == ()
     assert len(np_heun.vertices) == 1
 
@@ -200,8 +203,9 @@ def _below(np, j, y):
 def _check_polygon(p, at):
     table = _weight_table(p, at)
     wt = min(table.values())
-    np = newton_polygon(p, at)
-    assert weight(p, at) == wt
+    exp = theta_expand(p, at)
+    np = newton_polygon(exp)
+    assert exp.min_index == wt
     assert all(a < b for a, b in zip(np.slopes, np.slopes[1:]))
     for k, (j, y) in enumerate(np.vertices):
         # a table point, or the inserted start of a horizontal edge
@@ -226,8 +230,8 @@ def test_newton_polygon_hull_at_finite_points():
 
 
 def test_newton_polygon_regular_rank():
-    assert newton_polygon(parse("D - 1"), INF).regular_rank == 0
-    assert newton_polygon(corpus.instantiate("dHeun"), ZERO).regular_rank == 1
+    assert newton_polygon(theta_expand(parse("D - 1"), INF)).regular_rank == 0
+    assert newton_polygon(theta_expand(corpus.instantiate("dHeun"), ZERO)).regular_rank == 1
 
 
 # -- theta expansions -----------------------------------------------------------
@@ -246,7 +250,181 @@ def test_theta_expand_reconstruction_oracle():
         for at in (ZERO, Fraction(2), INF):
             exp = theta_expand(p, at)
             assert exp.reconstruct() == p
-            assert exp.term(exp.min_index) == char_poly(p, at)
+            assert exp.term(exp.min_index) == _laurent_char_poly(p, at)
+
+
+# -- the Laurent-coefficient oracle ------------------------------------------------
+#
+# The local invariants as they were computed before the theta expansion
+# became their only source: each reads single Laurent coefficients of the
+# operator's coefficients, by a Taylor shift and a series division.  The
+# series division also expands coefficients with poles away from the
+# point, which theta_expand refuses.
+
+
+def _laurent_coeff(f: RatFunc, c: Fraction, k: int) -> Fraction:
+    """Coefficient of (x-c)^k in the Laurent expansion of f at x = c."""
+    if f.is_zero():
+        return Fraction(0)
+    num = f.num.shift(c)
+    den = f.den.shift(c)
+    dord = den.order_at(Fraction(0))
+    den = Poly(den.coeffs[dord:])
+    # series of num/den up to order k + dord, den now a unit at 0
+    need = k + dord
+    if need < 0:
+        return Fraction(0)
+    series = [Fraction(0)] * (need + 1)
+    inv0 = 1 / den.coeffs[0]
+    for j in range(need + 1):
+        acc = num[j]
+        for i in range(1, j + 1):
+            acc -= den[i] * series[j - i]
+        series[j] = acc * inv0
+    return series[need]
+
+
+def _laurent_weights(p: DiffOperator, c: Fraction) -> dict[int, int]:
+    """{j: ord_c(a_j) - j} over the nonzero coefficients."""
+    return {
+        j: a.num.order_at(c) - a.den.order_at(c) - j
+        for j, a in enumerate(p.coeffs)
+        if not a.is_zero()
+    }
+
+
+def _laurent_char_poly(p: DiffOperator, at) -> Poly:
+    q, c = local_chart(p, at)
+    wt = min(_laurent_weights(q, c).values())
+    out = Poly()
+    for j, a in enumerate(q.coeffs):
+        gamma = _laurent_coeff(a, c, wt + j)
+        if gamma != 0:
+            out = out + gamma * falling_factorial(j)
+    return out
+
+
+def _laurent_homogeneous_part(p: DiffOperator, at, k: int) -> DiffOperator:
+    q, c = local_chart(p, at)
+    base = Poly([-c, 1])
+    out = []
+    for i, a in enumerate(q.coeffs):
+        # monomial (x-c)^(k+i) D^i
+        gamma = _laurent_coeff(a, c, k + i)
+        if gamma == 0:
+            out.append(RatFunc(0))
+        elif k + i >= 0:
+            out.append(RatFunc(Poly.const(gamma) * base ** (k + i)))
+        else:
+            out.append(RatFunc(Poly.const(gamma), base ** (-k - i)))
+    part = DiffOperator(out)
+    return subst_infty(part) if at is INF else part
+
+
+def _laurent_newton_polygon(p: DiffOperator, at) -> tuple:
+    """(vertices, slopes) by the monotone-chain hull over the weight table."""
+    pts = _laurent_weights(*local_chart(p, at))
+    wt = min(pts.values())
+    i0 = max(i for i, y in pts.items() if y == wt)
+    vertices = [(i0, wt)]
+    for i in sorted(k for k in pts if k > i0):
+        y = pts[i]
+        while len(vertices) >= 2:
+            (i1, y1), (i2, y2) = vertices[-2], vertices[-1]
+            if (y2 - y1) * (i - i1) >= (y - y1) * (i2 - i1):
+                vertices.pop()
+            else:
+                break
+        vertices.append((i, y))
+    if len(vertices) >= 2 and vertices[0][0] > 0:
+        vertices.insert(0, (0, wt))
+    slopes = tuple(
+        Fraction(vertices[k + 1][1] - vertices[k][1], vertices[k + 1][0] - vertices[k][0])
+        for k in range(len(vertices) - 1)
+    )
+    return tuple(vertices), slopes
+
+
+def _laurent_edge_polynomial(q: DiffOperator, c: Fraction, np, slope: Fraction) -> Poly:
+    (ia, ya), (ib, _) = np.slope_edge(slope)
+    coeffs = []
+    for i in range(ia, ib + 1):
+        y = ya + slope * (i - ia)
+        a_i = q.coeff(i)
+        if a_i.is_zero() or y.denominator != 1:
+            coeffs.append(Fraction(0))
+        else:
+            coeffs.append(_laurent_coeff(a_i, c, int(y) + i))
+    return Poly(coeffs)
+
+
+def test_laurent_oracle_examples():
+    # 1/(1-x) = 1 + x + x^2 + ...
+    f = RatFunc(Poly([1]), Poly([1, -1]))
+    assert [_laurent_coeff(f, Fraction(0), k) for k in range(4)] == [1, 1, 1, 1]
+    # x^-2 * (1 + x)
+    g = RatFunc(Poly([1, 1]), Poly([0, 0, 1]))
+    assert _laurent_coeff(g, Fraction(0), -2) == 1
+    assert _laurent_coeff(g, Fraction(0), -1) == 1
+    assert _laurent_coeff(g, Fraction(0), 0) == 0
+    assert _laurent_weights(DiffOperator([g]), Fraction(0)) == {0: -2}
+    # at a shifted point
+    h = RatFunc(Poly([1]), Poly([-1, 1]) ** 2)
+    assert _laurent_coeff(h, Fraction(1), -2) == 1
+    assert _laurent_weights(DiffOperator([h]), Fraction(1)) == {0: -2}
+
+
+def _oracle_cases(rng: random.Random):
+    """(operator, point) pairs: random polynomial operators at 0, 1, -2 and
+    infinity, twists of their charts by ad_exp_raw, and charts scaled
+    coefficient by coefficient with powers of (x - c)."""
+    for _ in range(20):
+        p = random_poly_op(rng, 4, 4)
+        for at in (ZERO, Fraction(1), Fraction(-2), INF):
+            yield p, at
+            q, c = local_chart(p, at)
+            w = {k: random_fraction_nonzero(rng) for k in range(1, rng.randint(1, 3) + 1)}
+            yield ad_exp_raw(q, c, w), c
+            base = RatFunc(Poly([-c, 1]))
+            yield DiffOperator([a * base ** rng.randint(-3, 4) for a in q.coeffs]), c
+
+
+def test_readers_match_the_laurent_oracle():
+    for p, at in _oracle_cases(random.Random(14)):
+        exp = theta_expand(p, at)
+        wt = min(_laurent_weights(*local_chart(p, at)).values())
+        assert exp.min_index == wt
+        char = char_poly(exp)
+        assert char == _laurent_char_poly(p, at)
+        assert is_regular_singular(exp) == (char.degree == p.rank)
+        np = newton_polygon(exp)
+        assert (np.vertices, np.slopes) == _laurent_newton_polygon(p, at)
+        for k in range(wt, wt + 6):
+            assert homogeneous_part(exp, k) == _laurent_homogeneous_part(p, at, k)
+        q, c = local_chart(p, at)
+        for slope in np.slopes:
+            if slope > 0 and slope.denominator == 1:
+                edge = _edge_polynomial(exp, np, int(slope))
+                assert edge == _laurent_edge_polynomial(q, c, np, slope)
+
+
+def test_readers_refuse_a_pole_away_from_the_point():
+    # 1/(x - 1) has no Laurent polynomial at 0, nor does its chart at infinity
+    p = DiffOperator([RatFunc(1, Poly([-1, 1])), RatFunc(Poly.x(2))])
+    readers = (
+        lambda exp: exp.min_index,
+        char_poly,
+        is_regular_singular,
+        newton_polygon,
+        lambda exp: homogeneous_part(exp, 0),
+        lambda exp: _edge_polynomial(exp, newton_polygon(exp), 1),
+    )
+    for at in (ZERO, INF):
+        for reader in readers:
+            with pytest.raises(ValueError, match="not a Laurent polynomial"):
+                reader(theta_expand(p, at))
+    # the Laurent oracle expands it as a series
+    assert _laurent_char_poly(p, ZERO) == Poly([-1])
 
 
 # -- prim -------------------------------------------------------------------------
@@ -275,7 +453,8 @@ def test_prim_idempotent_and_unique():
 
 def test_ad_power_examples():
     assert ad_power(parse("x*D - 5"), ZERO, Fraction(2)) == parse("x*D - 7")
-    assert char_poly(ad_power(parse("x*D - 5"), ZERO, Fraction(2)), ZERO) == Poly([-7, 1])
+    shifted = ad_power(parse("x*D - 5"), ZERO, Fraction(2))
+    assert char_poly(theta_expand(shifted, ZERO)) == Poly([-7, 1])
     twisted = ad_power(parse("D"), ZERO, Fraction(1))
     assert twisted == D - DiffOperator.of(RatFunc(1, Poly.x()))
     assert prim(twisted) == parse("x*D - 1")
@@ -287,10 +466,10 @@ def test_ad_power_char_poly_shift_property():
         p = random_poly_op(rng)
         lam = random_fraction_nonzero(rng)
         c = rng.choice([ZERO, Fraction(1), Fraction(-2)])
-        shifted = char_poly(ad_power(p, c, lam), c)
-        expected = char_poly(p, c).shift(-lam)
-        assert shifted == expected
-        assert weight(ad_power(p, c, lam), c) == weight(p, c)
+        shifted = theta_expand(ad_power(p, c, lam), c)
+        original = theta_expand(p, c)
+        assert char_poly(shifted) == char_poly(original).shift(-lam)
+        assert shifted.min_index == original.min_index
 
 
 def random_fraction_nonzero(rng):
@@ -353,7 +532,7 @@ def test_euler_on_rank_one():
     p = parse("x*D - 1/3")
     q = prim(euler(p, Fraction(1, 2)))
     assert q.rank == 1
-    assert char_poly(q, INF).rational_roots() == {Fraction(1, 6): 1}
+    assert char_poly(theta_expand(q, INF)).rational_roots() == {Fraction(1, 6): 1}
 
 
 def test_deg_of_examples():
@@ -370,10 +549,11 @@ def test_degree_change_under_addition():
     p = prim(p0 + X * theta)
     from irrkatz.formal import SpectralData, oshima_check
 
-    char_roots = char_poly(p, ZERO).rational_roots()
+    exp = theta_expand(p, ZERO)
+    char_roots = char_poly(exp).rational_roots()
     assert char_roots == {Fraction(0): 1, Fraction(1): 1, lam: 1}
     data = SpectralData([(Fraction(0), 2), (lam, 1)])
-    assert oshima_check(theta_expand(p, ZERO), data)
+    assert oshima_check(exp, data)
     q = prim(ad_power(p, ZERO, -lam))
     assert deg_of(q) - deg_of(p) == 2 - 1
 
