@@ -171,7 +171,10 @@ class Poly:
         return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
 
     def shift(self, c: Scalar) -> "Poly":
-        """The polynomial q with q(y) = p(y + c) (Taylor shift)."""
+        """The polynomial q with q(y) = p(y + c) (Taylor shift); p itself
+        at c = 0."""
+        if c == 0:
+            return self
         c = Fraction(c)
         out = Poly()
         for coeff in reversed(self.coeffs):
@@ -333,7 +336,11 @@ def _lifted_roots(f: list[int]) -> list[Fraction]:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over Q[x]."""
+    """Monic gcd over Q[x].  With a monomial c*x^k on one side it is
+    x^min(k, v), v the order at 0 of the other side, without division."""
+    for mono, other in ((a, b), (b, a)):
+        if mono.coeffs and not any(mono.coeffs[:-1]) and other.coeffs:
+            return Poly.x(min(mono.degree, other.order_at(0)))
     while not b.is_zero():
         a, b = b, a % b
     if a.is_zero():

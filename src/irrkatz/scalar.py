@@ -12,6 +12,7 @@ positive denominator).  :class:`ParamExpr` is the affine expression type.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import Mapping, Union
 
@@ -130,13 +131,27 @@ _TERM_RE = re.compile(
 )
 
 
+def _numeral(text: str, field: str) -> Fraction:
+    """The value of a numeral of the ``_RAT_RE`` grammar; a zero
+    denominator or more digits than Python's limit on integer strings
+    raises ``ValueError`` naming ``field``."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{field}: zero denominator in {text!r:.40}") from None
+    except ValueError:
+        raise ValueError(
+            f"{field}: numeral with more than {sys.get_int_max_str_digits()} digits"
+        ) from None
+
+
 def parse_rat(text: str, field: str) -> Fraction:
     """Parse a rational ``p`` or ``p/q`` written in decimal digits, as a
     string.  Floats, decimals and exponent notation are refused, so
     Python's 4300-digit limit on integer strings bounds every numerator."""
     if not isinstance(text, str) or not re.fullmatch(_RAT_RE, text):
         raise ValueError(f"{field}: expected p or p/q in decimal digits, got {text!r:.40}")
-    return Fraction(text)
+    return _numeral(text, field)
 
 
 def parse_param_expr(text: str, field: str) -> ParamExpr:
@@ -163,7 +178,7 @@ def parse_param_expr(text: str, field: str) -> ParamExpr:
         m = _TERM_RE.match(rest)
         if not m:
             raise ValueError(f"{field}: malformed scalar expression {text!r} at {rest!r}")
-        coeff = Fraction(m.group(1)) * sign
+        coeff = _numeral(m.group(1), field) * sign
         name = m.group(2)
         if name is None:
             const += coeff

@@ -15,6 +15,23 @@ the involution ``x -> 1/x, D -> -x^2*D`` (:func:`subst_infty`) to the
 point 0.  The weight (``min_index``), :func:`char_poly`,
 :func:`newton_polygon`, :func:`is_regular_singular` and
 :func:`homogeneous_part` read the :class:`ThetaExpansion` it returns.
+
+The coordinate changes (the chart at infinity, the twists, Fourier-Laplace
+and so Euler) are coefficient formulas; none multiplies operators:
+
+- a twist D -> D - f is conjugation by e^F with F' = f, so
+  ``(D - f)^i = sum_j C(i, j) Y_j D^(i-j)`` with ``Y_0 = 1`` and
+  ``Y_(j+1) = Y_j' - f Y_j`` (:func:`_shift_d`, shared by :func:`ad_power`,
+  where ``Y_j = (-lam)(-lam-1)...(-lam-j+1)/(x-c)^j``, and
+  :func:`ad_exp_raw`);
+- the chart at infinity uses ``(-x^2 D)^i = (-1)^i sum_k L(i, k) x^(i+k)
+  D^k`` with the Lah numbers ``L(i, k) = C(i-1, k-1) i!/k!``;
+- Fourier-Laplace sends ``a x^k D^i`` to ``+-a D^k x^i`` and normal-orders
+  by ``D^k x^i = sum_j C(k, j) i(i-1)...(i-j+1) x^(i-j) D^(k-j)``
+  (:func:`_fourier`, shared by :func:`laplace` and :func:`laplace_inv`).
+
+Normal forms are unique and coefficients are reduced with a monic
+denominator, so these agree exactly with multiplying out the images.
 """
 
 from __future__ import annotations
@@ -22,7 +39,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, perm
 from typing import Iterable, Mapping, Union
 
 from .polys import Poly, RatFunc, RatLike, as_poly, falling_factorial, poly_gcd
@@ -571,16 +588,22 @@ def newton_polygon(expansion: ThetaExpansion) -> NewtonPolygon:
 # -- transforms --------------------------------------------------------------
 
 
+def _over_common_denominator(p: DiffOperator) -> tuple[Poly, list[Poly]]:
+    """``(M, [N_i])`` with ``a_i = N_i / M`` for every coefficient, M the
+    monic lcm of the denominators."""
+    den = Poly.const(1)
+    for c in p.coeffs:
+        if c.den.degree > 0:
+            den = den * (c.den // poly_gcd(den, c.den))
+    return den, [c.num if c.den == den else c.num * (den // c.den) for c in p.coeffs]
+
+
 def prim(p: DiffOperator) -> DiffOperator:
     """The primitive component: polynomial coefficients with trivial common
     factor and monic top coefficient.  Unique in W(x) f-multiples."""
     if p.is_zero():
         raise ValueError("primitive component of the zero operator")
-    den = Poly.const(1)
-    for c in p.coeffs:
-        if c.den.degree > 0:
-            den = den * (c.den // poly_gcd(den, c.den))
-    nums = [(c * RatFunc(den)).as_poly() for c in p.coeffs]
+    _, nums = _over_common_denominator(p)
     g = Poly()
     for q in nums:
         if not q.is_zero():
@@ -590,69 +613,121 @@ def prim(p: DiffOperator) -> DiffOperator:
     return DiffOperator([RatFunc(q * (1 / lead)) for q in nums])
 
 
-def _substitute(p: DiffOperator, coeff_image, d_image: DiffOperator) -> DiffOperator:
-    """Image of ``p`` under the algebra map sending each coefficient c to
-    ``coeff_image(c)`` and D to ``d_image``."""
-    acc = DiffOperator()
-    power = DiffOperator.of(1)
-    for i, c in enumerate(p.coeffs):
-        if i:
-            power = power * d_image
-        if not c.is_zero():
-            acc = acc + coeff_image(c) * power
-    return acc
+def _shift_d(p: DiffOperator, g: Poly, e: int, c: Fraction) -> DiffOperator:
+    """Image of ``p`` under the twist D -> D - f with f = g/(x-c)^e.
 
-
-def subst_infty(p: DiffOperator) -> DiffOperator:
-    """The chart operator at infinity: x -> 1/x, D -> -x^2 D (an involution)."""
-    d_image = DiffOperator([RatFunc(0), RatFunc(Poly([0, 0, -1]))])
-    return _substitute(p, lambda c: DiffOperator.of(c.subst_inverse()), d_image)
+    D - f is e^F D e^(-F) with F' = f, so ``(D - f)^i = sum_j C(i, j) Y_j
+    D^(i-j)``, where ``Y_j e^(-F)`` is the j-th derivative of e^(-F):
+    ``Y_0 = 1`` and ``Y_(j+1) = Y_j' - f Y_j``.  In numerators over
+    ``(x-c)^(e j)``, ``Y_j = P_j/(x-c)^(e j)`` with ``P_0 = 1`` and
+    ``P_(j+1) = (x-c)^e P_j' - (e j (x-c)^(e-1) + g) P_j``.  The
+    coefficient of D^m is ``sum_j C(m+j, j) a_(m+j) Y_j``, summed over the
+    common denominator of the ``a_i`` times ``(x-c)^(e J)``, J the largest j.
+    """
+    den, nums = _over_common_denominator(p)
+    u = Poly([-c, 1])
+    ue = u ** e
+    drop = e * u ** (e - 1) if e else Poly()
+    ys = [Poly.const(1)]
+    for j in range(len(nums) - 1):
+        ys.append(ue * ys[-1].derivative() - (j * drop + g) * ys[-1])
+    out = []
+    for m in range(len(nums)):
+        acc = Poly()
+        for j in range(len(nums) - m):
+            acc = acc * ue + comb(m + j, j) * nums[m + j] * ys[j]
+        out.append(RatFunc(acc, den * ue ** (len(nums) - 1 - m)))
+    return DiffOperator(out)
 
 
 def ad_power(p: DiffOperator, c: Fraction, lam) -> DiffOperator:
     """Addition at x - c: the automorphism D -> D - lam/(x-c).
 
     Shifts the characteristic exponents at c by +lam.  The concrete engine
-    requires a rational lam; parameter-carrying values are rejected.
+    requires a rational lam; parameter-carrying values are rejected.  Here
+    the ``Y_j`` of :func:`_shift_d` are ``(-lam)(-lam-1)...(-lam-j+1) /
+    (x-c)^j``.
     """
     lam = ParamExpr.of(lam).as_rat()
-    shift = DiffOperator.of(RatFunc(Poly.const(lam), Poly([-c, 1])))
-    return _substitute(p, DiffOperator.of, D - shift)
+    return _shift_d(p, Poly.const(lam), 1, c)
 
 
 def ad_exp_raw(p: DiffOperator, at: Location, coeffs: Mapping[int, Fraction]) -> DiffOperator:
     """Exponential twist by the theta-form factor w = sum w_k (x-c)^(-k)
-    (sum w_k x^k at infinity): D -> D - w/(x-c) (D -> D - w/x)."""
-    f = RatFunc(0)
-    for k, wk in coeffs.items():
-        if k < 1:
-            raise ValueError("theta-form orders must be >= 1")
-        if at is INF:
-            f += RatFunc(Poly.monomial(wk, k - 1))
-        else:
-            f += RatFunc(Poly.const(wk), Poly([-at, 1]) ** (k + 1))
-    return _substitute(p, DiffOperator.of, D - DiffOperator.of(f))
+    (sum w_k x^k at infinity): D -> D - w/(x-c) (D -> D - w/x).
+
+    At a finite point f = g/(x-c)^(K+1) with ``g = sum w_k (x-c)^(K-k)``,
+    K the largest order; at infinity f is the polynomial
+    ``sum w_k x^(k-1)``."""
+    if any(k < 1 for k in coeffs):
+        raise ValueError("theta-form orders must be >= 1")
+    if at is INF:
+        g = sum((Poly.monomial(wk, k - 1) for k, wk in coeffs.items()), Poly())
+        return _shift_d(p, g, 0, Fraction(0))
+    top = max(coeffs, default=0)
+    u = Poly([-at, 1])
+    g = sum((wk * u ** (top - k) for k, wk in coeffs.items()), Poly())
+    return _shift_d(p, g, top + 1, at)
+
+
+def _lah(i: int, k: int) -> int:
+    """The Lah number ``L(i, k) = C(i-1, k-1) i!/k!`` (1 <= k <= i): the
+    coefficient in ``(x^2 D)^i = sum_k L(i, k) x^(i+k) D^k``."""
+    return comb(i - 1, k - 1) * factorial(i) // factorial(k)
+
+
+def subst_infty(p: DiffOperator) -> DiffOperator:
+    """The chart operator at infinity: x -> 1/x, D -> -x^2 D (an involution).
+
+    ``(-x^2 D)^i = (-1)^i sum_(k=1..i) L(i, k) x^(i+k) D^k`` for i >= 1, with
+    the Lah numbers L (:func:`_lah`).  With ``a_i = N_i/M``
+    and d the largest degree among M and the N_i, ``a_i(1/x) =
+    rev_d(N_i)/rev_d(M)``, so the coefficient of D^k is
+    ``sum_i (-1)^i L(i, k) x^(i+k) rev_d(N_i)`` over ``rev_d(M)``.
+    """
+    if p.is_zero():
+        return p
+    den, nums = _over_common_denominator(p)
+    d = max(q.degree for q in [den, *nums])
+    revs = [q.reverse(d) for q in nums]
+    out = [revs[0]]
+    for k in range(1, len(revs)):
+        acc = Poly()
+        for i in range(k, len(revs)):
+            lah = (-1) ** i * _lah(i, k)
+            acc = acc + Poly([0] * (i + k) + [lah * a for a in revs[i].coeffs])
+        out.append(acc)
+    rev_den = den.reverse(d)
+    return DiffOperator([RatFunc(q, rev_den) for q in out])
+
+
+def _fourier(p: DiffOperator, x_sign: int, d_sign: int) -> DiffOperator:
+    """Image of ``p`` under x -> x_sign*D, D -> d_sign*x (polynomial
+    coefficients only): ``x^k D^i`` goes to ``x_sign^k d_sign^i D^k x^i``,
+    normal-ordered by ``D^k x^i = sum_j C(k, j) i(i-1)...(i-j+1) x^(i-j)
+    D^(k-j)``."""
+    if not p.is_polynomial():
+        raise ValueError("Fourier-Laplace transform needs polynomial coefficients")
+    rank = max((c.num.degree for c in p.coeffs), default=-1)
+    out = [[Fraction(0)] * len(p.coeffs) for _ in range(rank + 1)]
+    for i, c in enumerate(p.coeffs):
+        for k, a in enumerate(c.num.coeffs):
+            if a == 0:
+                continue
+            a = a * x_sign ** k * d_sign ** i
+            for j in range(min(i, k) + 1):
+                out[k - j][i - j] += a * comb(k, j) * perm(i, j)
+    return DiffOperator([RatFunc(Poly(row)) for row in out])
 
 
 def laplace(p: DiffOperator) -> DiffOperator:
     """Fourier-Laplace transform: x -> -D, D -> x (on W[x] only)."""
-    return _substitute(p, _polynomial_image(-D), X)
+    return _fourier(p, -1, 1)
 
 
 def laplace_inv(p: DiffOperator) -> DiffOperator:
     """Inverse Fourier-Laplace transform: x -> D, D -> -x."""
-    return _substitute(p, _polynomial_image(D), -X)
-
-
-def _polynomial_image(x_image: DiffOperator):
-    """Coefficient image for x -> ``x_image`` (polynomial coefficients only)."""
-
-    def image(c: RatFunc) -> DiffOperator:
-        if not c.is_poly():
-            raise ValueError("Fourier-Laplace transform needs polynomial coefficients")
-        return _horner(c.as_poly(), x_image)
-
-    return image
+    return _fourier(p, 1, -1)
 
 
 def euler(p: DiffOperator, lam) -> DiffOperator:

@@ -359,7 +359,7 @@ def test_analyze_zero_denominator(capsys):
 def test_examples_param_zero_denominator(capsys):
     code, _, err = run(capsys, "examples", "--run", "--param", "a=1/0")
     assert code == 2
-    assert "a=1/0" in err
+    assert "--param a: zero denominator in '1/0'" in err
 
 
 @pytest.mark.parametrize(
@@ -457,6 +457,46 @@ def test_examples_param_rejects_non_rational_text(capsys, value):
     code, _, err = run(capsys, "examples", "--run", "--only", "Gauss", "--param", f"a={value}")
     assert code == 2
     assert f"--param a: expected p or p/q in decimal digits, got {value!r}" in err
+
+
+# numerals that match the p/q grammar but have no value: a zero denominator
+# and more digits than Python converts from a string (4300 by default)
+LONG_NUMERAL = "7" * 4301
+NO_VALUE = [
+    ("1/0", "zero denominator in '1/0'"),
+    (f"1/{LONG_NUMERAL}", "numeral with more than 4300 digits"),
+    (LONG_NUMERAL, "numeral with more than 4300 digits"),
+]
+
+
+@pytest.mark.parametrize("value, message", NO_VALUE)
+@pytest.mark.parametrize(
+    "point, field",
+    [
+        ('"location":"{}","factors":[{{"w":[],"spectral":[["1/3",1]]}}]', "location:"),
+        ('"location":"0","factors":[{{"w":[[1,"{}"]],"spectral":[["1/3",1]]}}]', "w:"),
+        ('"location":"0","factors":[{{"w":[],"spectral":[["{}",1]]}}]', "spectral:"),
+        ('"location":"0","factors":[{{"w":[],"spectral":[["1/3 + {}*a",1]]}}]', "spectral:"),
+    ],
+)
+def test_formal_json_numeral_without_value_names_the_field(tmp_path, capsys, value, message, point, field):
+    path = tmp_path / "bad.json"
+    path.write_text(
+        '{"points":[{"location":"inf","factors":[{"w":[],"spectral":[["1/2",1]]}]},'
+        f"{{{point.format(value)}}}]}}",
+        encoding="utf-8",
+    )
+    for command in ("diagram", "reduce", "fuchs"):
+        code, _, err = run(capsys, command, "--formal", str(path))
+        assert code == 2
+        assert f"malformed formal-data JSON: {field} {message}" in err
+
+
+@pytest.mark.parametrize("value, message", NO_VALUE)
+def test_examples_param_numeral_without_value_names_the_field(capsys, value, message):
+    code, _, err = run(capsys, "examples", "--run", "--only", "Gauss", "--param", f"a={value}")
+    assert code == 2
+    assert f"--param a: {message}" in err
 
 
 def test_param_accepts_integers_and_fractions():

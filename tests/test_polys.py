@@ -138,6 +138,23 @@ def test_shift_and_reverse():
     assert p.reverse(4) == Poly([0, 0, 3, 2, 1])
 
 
+def _shift_by_horner(p: Poly, c: Fraction) -> Poly:
+    out = Poly()
+    for coeff in reversed(p.coeffs):
+        out = out * Poly([c, 1]) + Poly.const(coeff)
+    return out
+
+
+def test_shift_matches_the_horner_loop():
+    rng = random.Random(15)
+    for _ in range(100):
+        p = Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(0, 7))])
+        for c in (Fraction(0), 0, Fraction(1), Fraction(-2), Fraction(3, 7)):
+            assert p.shift(c) == _shift_by_horner(p, Fraction(c))
+        # at 0 the polynomial itself comes back, without a loop
+        assert p.shift(0) is p
+
+
 def test_falling_factorial():
     assert falling_factorial(0) == Poly([1])
     assert falling_factorial(1) == Poly([0, 1])
@@ -247,6 +264,22 @@ def test_poly_constructor_coerces_only_non_fractions():
         assert p.coeffs == _coerced(coeffs)
         assert all(type(c) is Fraction for c in p.coeffs)
     assert Poly([True]) == Poly([1]) == 1
+
+
+def _euclid_gcd(a, b):
+    while not b.is_zero():
+        a, b = b, a % b
+    return a if a.is_zero() else a.monic()
+
+
+def test_gcd_with_a_monomial_matches_euclid():
+    rng = random.Random(16)
+    for _ in range(200):
+        mono = Poly.monomial(Fraction(rng.randint(1, 9), rng.randint(1, 4)) * rng.choice([1, -1]), rng.randint(0, 6))
+        other = _random_poly(rng, rng.randint(0, 5)) * Poly.x(rng.randint(0, 7))
+        for a, b in ((mono, other), (other, mono), (mono, Poly()), (Poly(), mono), (mono, mono)):
+            assert poly_gcd(a, b) == _euclid_gcd(a, b)
+    assert poly_gcd(Poly(), Poly()) == Poly()
 
 
 def test_polynomial_paths_make_no_gcd_calls(monkeypatch):

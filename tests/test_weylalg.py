@@ -597,3 +597,147 @@ def test_subst_infty_involution():
     for _ in range(20):
         p = random_poly_op(rng)
         assert subst_infty(subst_infty(p)) == p
+
+
+# -- coordinate changes against the power-of-image oracle ----------------------------
+
+
+def _substitute(p: DiffOperator, coeff_image, d_image: DiffOperator) -> DiffOperator:
+    """The image of ``p`` under the algebra map c -> coeff_image(c), D ->
+    d_image, by multiplying out the powers of d_image (the oracle)."""
+    acc = DiffOperator()
+    power = DiffOperator.of(1)
+    for i, c in enumerate(p.coeffs):
+        if i:
+            power = power * d_image
+        if not c.is_zero():
+            acc = acc + coeff_image(c) * power
+    return acc
+
+
+def _polynomial_image(x_image: DiffOperator):
+    def image(c: RatFunc) -> DiffOperator:
+        if not c.is_poly():
+            raise ValueError("Fourier-Laplace transform needs polynomial coefficients")
+        acc = DiffOperator()
+        for coeff in reversed(c.as_poly().coeffs):
+            acc = acc * x_image + DiffOperator.of(coeff)
+        return acc
+
+    return image
+
+
+def _oracle_subst_infty(p):
+    d_image = DiffOperator([RatFunc(0), RatFunc(Poly([0, 0, -1]))])
+    return _substitute(p, lambda c: DiffOperator.of(c.subst_inverse()), d_image)
+
+
+def _oracle_ad_power(p, c, lam):
+    shift = DiffOperator.of(RatFunc(Poly.const(lam), Poly([-c, 1])))
+    return _substitute(p, DiffOperator.of, D - shift)
+
+
+def _oracle_ad_exp_raw(p, at, coeffs):
+    f = RatFunc(0)
+    for k, wk in coeffs.items():
+        if at is INF:
+            f += RatFunc(Poly.monomial(wk, k - 1))
+        else:
+            f += RatFunc(Poly.const(wk), Poly([-at, 1]) ** (k + 1))
+    return _substitute(p, DiffOperator.of, D - DiffOperator.of(f))
+
+
+def _oracle_laplace(p):
+    return _substitute(p, _polynomial_image(-D), X)
+
+
+def _oracle_laplace_inv(p):
+    return _substitute(p, _polynomial_image(D), -X)
+
+
+def _oracle_euler(p, lam):
+    q = _oracle_laplace_inv(prim(p))
+    return _oracle_laplace(prim(_oracle_ad_power(q, ZERO, lam)))
+
+
+def _with_poles(rng: random.Random, p: DiffOperator, c: Fraction) -> DiffOperator:
+    """``p`` with each coefficient divided by a power of (x - c) and, now
+    and then, by a factor vanishing elsewhere."""
+    coeffs = []
+    for a in p.coeffs:
+        den = Poly([-c, 1]) ** rng.randint(0, 2)
+        if rng.random() < 0.3:
+            den = den * Poly([rng.choice([3, -5, Fraction(1, 2)]), 1])
+        coeffs.append(a / RatFunc(den))
+    return DiffOperator(coeffs)
+
+
+def test_coordinate_changes_match_the_power_of_image_oracle():
+    rng = random.Random(14)
+    lams = (ZERO, Fraction(1), Fraction(-2), Fraction(1, 3), Fraction(-7, 2))
+    points = (ZERO, Fraction(1), Fraction(-2))
+    refused = 0
+    for n in range(300):
+        p = DiffOperator() if n == 0 else random_poly_op(rng, 3, 3)
+        q = _with_poles(rng, p, ZERO) if n % 2 else p
+        assert subst_infty(q) == _oracle_subst_infty(q)
+        c, lam = points[n % 3], lams[n % 5]
+        q = _with_poles(rng, p, c) if n % 2 else p
+        assert ad_power(q, c, lam) == _oracle_ad_power(q, c, lam)
+        at = (Fraction(1), INF)[n % 2]
+        if n % 4 == 1:
+            q = _with_poles(rng, p, ZERO)     # poles away from infinity
+        elif n % 4 == 2:
+            q = _with_poles(rng, p, at)
+        else:
+            q = p
+        w = {k: random_fraction_nonzero(rng) for k in rng.sample(range(1, 4), rng.randint(1, 3))}
+        assert ad_exp_raw(q, at, w) == _oracle_ad_exp_raw(q, at, w)
+        assert laplace(p) == _oracle_laplace(p)
+        assert laplace_inv(p) == _oracle_laplace_inv(p)
+        if p and n % 4 == 0:
+            lam = random_fraction_nonzero(rng)
+            assert euler(p, lam) == _oracle_euler(p, lam)
+        if p and n % 10 == 0:
+            q = DiffOperator([a / RatFunc(Poly([-1, 1])) for a in p.coeffs])
+            if not q.is_polynomial():
+                refused += 1
+                for transform, oracle in ((laplace, _oracle_laplace), (laplace_inv, _oracle_laplace_inv)):
+                    with pytest.raises(ValueError) as new:
+                        transform(q)
+                    with pytest.raises(ValueError) as old:
+                        oracle(q)
+                    assert (type(new.value), str(new.value)) == (type(old.value), str(old.value))
+    assert refused > 20
+
+
+def test_coordinate_changes_make_no_operator_products(monkeypatch):
+    products = []
+    mul = DiffOperator.__mul__
+
+    def counted(self, other):
+        products.append((self, other))
+        return mul(self, other)
+
+    from irrkatz.reduce import reduce_operator
+
+    gauss = corpus.instantiate("Gauss")
+    heun = corpus.instantiate("Heun")
+    rational = DiffOperator([a / RatFunc(Poly([-1, 1]) ** 2) for a in heun.coeffs])
+    monkeypatch.setattr(DiffOperator, "__mul__", counted)
+    for p in (gauss, heun, rational):
+        subst_infty(p)
+        local_chart(p, INF)
+        for c, lam in ((ZERO, Fraction(1, 3)), (Fraction(1), ZERO), (Fraction(-2), Fraction(-5, 2))):
+            ad_power(p, c, lam)
+        for at in (ZERO, Fraction(1), INF):
+            ad_exp_raw(p, at, {1: Fraction(2), 2: Fraction(-1, 3), 3: Fraction(5)})
+    for p in (gauss, heun):
+        laplace(p)
+        laplace_inv(p)
+        euler(p, Fraction(1, 7))
+    # a whole reduction, Euler step and cross-check included
+    assert reduce_operator(gauss).transcript.euler_steps()
+    assert products == []
+    gauss * heun
+    assert len(products) == 1
