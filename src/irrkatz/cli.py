@@ -167,9 +167,11 @@ def _run_entry(name: str, seed: int, overrides) -> dict:
 
 def cmd_examples(args) -> int:
     overrides = _parse_overrides(args.param)
-    selected = [args.only] if args.only else corpus.names()
-    if args.only:
-        corpus.get(args.only)
+    selected = [corpus.get(args.only).name] if args.only else corpus.names()
+    known = {key for name in selected for key in corpus.get(name).defaults}
+    unknown = ", ".join(sorted(overrides.keys() - known))
+    if unknown:
+        raise CliError(f"--param {unknown}: no selected corpus entry has it", EXIT_BAD_INPUT)
     if not args.run:
         for name in selected:
             entry = corpus.get(name)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from operator import mul
 from typing import Mapping, Sequence
 
 from . import weylalg
@@ -309,23 +310,18 @@ def fuchs_defect(data: FormalData) -> ParamExpr:
 def fuchs_defect_of(
     shape: LatticeShape, m: LatticeVector, nu: ExponentVector
 ) -> ParamExpr:
+    """The defect in one pass over the blocks: n(n-1) - (p+1)n(n-1)/2,
+    plus B_ij * sum_j' w_i[j][j'] B_ij' / 2 per factor (i, j) with block
+    sums B (the diagonal of w is 0), plus m(2 lam + m - 1)/2 per slot."""
     n = m.rank
-    total = ParamExpr(0)
-    for i in range(shape.num_points):
-        for j in range(shape.factor_count(i)):
-            for s in range(shape.chain_lengths[i][j]):
-                ms = m.entries[i][j][s]
-                lam = nu.entries[i][j][s]
+    total = ParamExpr(n * (n - 1) - Fraction((shape.p + 1) * n * (n - 1), 2))
+    for table, point, lams in zip(shape.weights, m.entries, nu.entries):
+        blocks = [sum(chain) for chain in point]
+        for row, b, chain, lam_chain in zip(table, blocks, point, lams):
+            total = total + Fraction(b * sum(map(mul, row, blocks)), 2)
+            for ms, lam in zip(chain, lam_chain):
                 total = total + Fraction(ms, 2) * (2 * lam + (ms - 1))
-        for j in range(shape.factor_count(i)):
-            for j2 in range(shape.factor_count(i)):
-                if j == j2:
-                    continue
-                total = total + Fraction(
-                    shape.weights[i][j][j2] * m.block_sum(i, j) * m.block_sum(i, j2), 2
-                )
-    total = total - Fraction((shape.p + 1) * n * (n - 1), 2)
-    return total + n * (n - 1)
+    return total
 
 
 # -- the triangular certification ----------------------------------------------
@@ -532,9 +528,12 @@ def from_json(text: str) -> FormalData:
             loc = parse_location(entry["location"])
             factors = []
             for f in entry["factors"]:
-                w = ExponentialFactor(
-                    loc, {_json_int(k, "w"): parse_rat(v, "w") for k, v in f["w"]}
-                )
+                coeffs = {}
+                for k, v in f["w"]:
+                    if _json_int(k, "w") in coeffs:
+                        raise ValueError(f"w: order {k} appears twice")
+                    coeffs[k] = parse_rat(v, "w")
+                w = ExponentialFactor(loc, coeffs)
                 s = SpectralData([
                     (parse_param_expr(lam, "spectral"), _json_int(m, "spectral"))
                     for lam, m in f["spectral"]
@@ -542,7 +541,7 @@ def from_json(text: str) -> FormalData:
                 factors.append((w, s))
             points.append((loc, factors))
         return FormalData(points)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError) as exc:
         raise ValueError(f"malformed formal-data JSON: {exc}") from exc
 
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import compress
+from math import prod
 from operator import mul
 from typing import Sequence
 
@@ -92,9 +93,9 @@ def build_basis(shape: LatticeShape) -> RootBasis:
 
     The Gram matrix is set block by block in closed form:
 
-    - tuple-tuple: B(e_t, e_t') = sum_i (w_i[t_i][t'_i] + [t_i = t'_i]) - (p - 1),
-      the outer sum over the points of the per-point rows
-      ``w_i[t_i][.] + [t_i = .]`` (see :func:`_suffix_row`);
+    - tuple-tuple: B(e_t, e_t') = sum_i ([t_i = t'_i] - euler_weight(i, t'_i, t_i)),
+      the outer sum over the points of these rows (see :func:`_suffix_row`),
+      equal to the module docstring's form as the signs sum to p - 1;
     - tuple-chain: -1 between e_t and chain node (i, j, 0) when t_i = j, and
       0 for every other chain node;
     - chain-chain: 2 on the diagonal, -1 between adjacent slots of one
@@ -115,13 +116,13 @@ def build_basis(shape: LatticeShape) -> RootBasis:
     nodes = tuple([("t", t) for t in tuples] + [("c", c) for c in chains])
     first_slot = {c[:2]: q for q, c in enumerate(chains) if c[2] == 0}
     per_point = [
-        [[w + (j == j2) for j2, w in enumerate(row)] for j, row in enumerate(table)]
-        for table in shape.weights
+        [[(j == j2) - shape.euler_weight(i, j2, j) for j2 in range(k)] for j in range(k)]
+        for i, k in enumerate(map(len, shape.chain_lengths))
     ]
     memo: dict[tuple[IndexTuple, int], list[int]] = {}
     gram = []
     for a, t in enumerate(tuples):
-        row = _suffix_row(per_point, memo, t, 1 - shape.p)
+        row = _suffix_row(per_point, memo, t, 0)
         if max(row[a + 1:], default=0) > 0:
             b = next(b for b in range(a + 1, nt) if row[b] > 0)
             raise ValueError(
@@ -152,7 +153,7 @@ def build_basis(shape: LatticeShape) -> RootBasis:
 def _suffix_row(per_point, memo, u: IndexTuple, c: int) -> list[int]:
     """The row of e_u over the last ``len(u)`` points, every entry shifted
     by ``c``: the outer sum of the per-point rows ``per_point[i][u_i]`` =
-    ``w_i[u_i][.] + [u_i = .]``, in :meth:`LatticeShape.index_tuples` order.
+    ``[u_i = .] - euler_weight(i, ., u_i)``, in ``index_tuples`` order.
 
     It is the concatenation, over the entries x of the first per-point
     row, of the row of ``u[1:]`` shifted by c + x.  A row of a proper
@@ -272,64 +273,46 @@ def reflect(alpha: RootVector, node: Node) -> RootVector:
 
 
 def phi(alpha: RootVector) -> LatticeVector:
-    """The surjection onto the multiplicity lattice.
-
-    First slots collect the tuple coordinates through the factor minus the
-    first chain coordinate; later slots telescope consecutive chain
-    coordinates.
-    """
+    """The surjection onto the multiplicity lattice, one node at a time: a
+    tuple node t adds its coordinate to the first slot of factor t_i at
+    every point, and a chain node (i, j, s) moves its coordinate from slot
+    s to slot s+1 of factor (i, j)."""
     basis = alpha.basis
-    shape = basis.shape
-    tuple_coeff = {t: alpha.coords[k] for k, (kind, t) in enumerate(basis.nodes) if kind == "t"}
-    chain_coeff = {pay: alpha.coords[k] for k, (kind, pay) in enumerate(basis.nodes) if kind == "c"}
-
-    def chain(i, j, s):
-        return chain_coeff.get((i, j, s), 0)
-
-    entries = []
-    for i in range(shape.num_points):
-        point = []
-        for j in range(shape.factor_count(i)):
-            l = shape.chain_lengths[i][j]
-            through = sum(v for t, v in tuple_coeff.items() if t[i] == j)
-            ch = [through - chain(i, j, 0)]
-            for s in range(1, l):
-                ch.append(chain(i, j, s - 1) - chain(i, j, s))
-            point.append(ch)
-        entries.append(point)
-    return LatticeVector(shape, entries)
+    entries = [[[0] * l for l in lens] for lens in basis.shape.chain_lengths]
+    for (kind, payload), v in zip(basis.nodes, alpha.coords):
+        if not v:
+            continue
+        if kind == "t":
+            for i, j in enumerate(payload):
+                entries[i][j][0] += v
+        else:
+            i, j, s = payload
+            entries[i][j][s] -= v
+            entries[i][j][s + 1] += v
+    return LatticeVector(basis.shape, entries)
 
 
 def canonical_lift(a: LatticeVector, tau: IndexTuple) -> RootVector:
-    """An explicit preimage of ``a`` built from the index tuple ``tau``.
+    """An explicit preimage of ``a`` built from the index tuple ``tau``: the
+    tau node starts at -p * rank, each factor (i, j) adds its block sum to
+    the tuple that is tau with j at point i, and chain node (i, j, s) gets
+    that block sum minus the first s+1 entries.
 
     Total in tau (any tuple works); when tau minimizes the defect over the
     support of a nonnegative ``a`` with idx + rank > 0, the lift has
     nonnegative coordinates.
     """
-    shape = a.shape
-    basis = build_basis(shape)
-    m = a.rank
+    basis = build_basis(a.shape)
+    tau = tuple(tau)
     coords = [0] * len(basis.nodes)
-    block = [
-        [a.block_sum(i, j) for j in range(shape.factor_count(i))]
-        for i in range(shape.num_points)
-    ]
-    for i in range(shape.num_points):
-        for j in range(shape.factor_count(i)):
-            if j == tau[i]:
-                continue
-            t = tuple(j if k == i else tau[k] for k in range(shape.num_points))
-            coords[basis.node_index(("t", t))] += block[i][j]
-    coords[basis.node_index(("t", tuple(tau)))] += (
-        sum(block[i][tau[i]] for i in range(shape.num_points)) - shape.p * m
-    )
-    for i in range(shape.num_points):
-        for j in range(shape.factor_count(i)):
-            partial = 0
-            for s in range(shape.chain_lengths[i][j] - 1):
-                partial += a.entries[i][j][s]
-                coords[basis.node_index(("c", (i, j, s)))] += block[i][j] - partial
+    coords[basis.node_index(("t", tau))] = -a.shape.p * a.rank
+    for i, point in enumerate(a.entries):
+        for j, chain in enumerate(point):
+            rest = sum(chain)
+            coords[basis.node_index(("t", tau[:i] + (j,) + tau[i + 1:]))] += rest
+            for s, v in enumerate(chain[:-1]):
+                rest -= v
+                coords[basis.node_index(("c", (i, j, s)))] = rest
     return RootVector(basis, coords)
 
 
@@ -399,11 +382,7 @@ def kernel_radical_check(shape: LatticeShape) -> bool:
     basis = build_basis(shape)
     kernel = _rational_kernel(_phi_matrix(shape, basis))
     ks = [shape.factor_count(i) for i in range(shape.num_points)]
-    expected = 1
-    for k in ks:
-        expected *= k
-    expected += -sum(ks) + shape.p
-    if len(kernel) != expected:
+    if len(kernel) != prod(ks) - sum(ks) + shape.p:
         return False
     for vec in kernel:
         for row in basis.gram:

@@ -37,6 +37,7 @@ denominator, so these agree exactly with multiplying out the images.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, perm
@@ -288,6 +289,9 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
                 tokens.append(("num", Fraction(m.group(1)), m.start(1)))
             except ZeroDivisionError:
                 raise OperatorSyntaxError("zero denominator", m.start(1)) from None
+            except ValueError:
+                message = f"numeral with more than {sys.get_int_max_str_digits()} digits"
+                raise OperatorSyntaxError(message, m.start(1)) from None
         elif m.group(2):
             tokens.append(("name", m.group(2), m.start(2)))
         else:
@@ -395,8 +399,15 @@ def parse(text: str) -> DiffOperator:
 
     Rank and coefficient degrees are bounded by :data:`MAX_DEGREE`: a power
     is rejected before it is computed, a product as soon as it is formed.
+    Text nested deeper than the interpreter's recursion limit is rejected
+    at the token where the limit is reached.
     """
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        pos = parser.tokens[min(parser.k, len(parser.tokens) - 1)][2]
+        raise OperatorSyntaxError("operator text nested too deeply", pos) from None
 
 
 # -- local invariants --------------------------------------------------------
@@ -445,28 +456,27 @@ class ThetaExpansion:
         return Poly()
 
     def reconstruct(self) -> DiffOperator:
-        """Rebuild the operator at its own point from the terms."""
+        """Rebuild the operator at its own point from the terms:
+        ``theta_c^j = sum_k S(j, k) (x-c)^k D^k`` (:func:`_stirling2`), so
+        term i adds ``sum_j q_j S(j, k) (x-c)^(i+k)`` to the coefficient of
+        D^k, a numerator in x-c over (x-c)^-lo with lo = min(0, min_index).
+        At infinity the chart at 0 is sent back by :func:`subst_infty`."""
         if self.point is INF:
-            chart = _theta_reconstruct(self.terms, Fraction(0))
-            return subst_infty(chart)
-        return _theta_reconstruct(self.terms, self.point)
+            return subst_infty(ThetaExpansion(Fraction(0), self.terms).reconstruct())
+        lo = min(0, self.terms[0][0]) if self.terms else 0
+        nums = [Poly()] * (max((q.degree for _, q in self.terms), default=-1) + 1)
+        for i, q in self.terms:
+            for k in range(q.degree + 1):
+                s = sum(qj * _stirling2(j, k) for j, qj in enumerate(q.coeffs[k:], k))
+                nums[k] += Poly.monomial(s, i + k - lo)
+        den = Poly([-self.point, 1]) ** -lo
+        return DiffOperator([RatFunc(num.shift(-self.point), den) for num in nums])
 
 
-def _theta_reconstruct(terms, c: Fraction) -> DiffOperator:
-    base = RatFunc(Poly([-c, 1]))
-    theta = DiffOperator([RatFunc(0), base])
-    acc = DiffOperator()
-    for i, q in terms:
-        acc = acc + DiffOperator.of(base ** i) * _horner(q, theta)
-    return acc
-
-
-def _horner(q: Poly, op: DiffOperator) -> DiffOperator:
-    """The operator ``q(op)``."""
-    acc = DiffOperator()
-    for coeff in reversed(q.coeffs):
-        acc = acc * op + DiffOperator.of(coeff)
-    return acc
+def _stirling2(j: int, k: int) -> int:
+    """The Stirling number of the second kind, ``S(j, k) = sum_i (-1)^i
+    C(k, i) (k-i)^j / k!``."""
+    return sum((-1) ** i * comb(k, i) * (k - i) ** j for i in range(k + 1)) // factorial(k)
 
 
 def theta_expand(p: DiffOperator, at: Location) -> ThetaExpansion:

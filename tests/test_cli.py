@@ -503,3 +503,69 @@ def test_param_accepts_integers_and_fractions():
     assert cli._parse_overrides(["a=3", "b=-2/7", "c=0"]) == {
         "a": 3, "b": Fraction(-2, 7), "c": 0
     }
+
+
+# -- nesting, repeated w orders and unknown parameters ---------------------------
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(" * 10000 + "D" + ")" * 10000, "-" * 10000 + "D", "+-" * 5000 + "D"],
+    ids=["parentheses", "minus", "signs"],
+)
+def test_analyze_deep_nesting_names_the_position(capsys, text):
+    code, out, err = run(capsys, "analyze", f"--op={text}")
+    assert code == 2 and out == ""
+    assert "error: operator text nested too deeply (at position " in err
+
+
+@pytest.mark.parametrize("numeral", [f"1/{'3' * 4301}", "7" * 4301], ids=["denominator", "numerator"])
+def test_analyze_overlong_numeral_names_the_position(capsys, numeral):
+    code, _, err = run(capsys, "analyze", "--op", f"D - {numeral}")
+    assert code == 2
+    assert "numeral with more than 4300 digits (at position 4)" in err
+
+
+@pytest.mark.parametrize("depth", [1000, 100000])
+def test_formal_json_deep_nesting_is_malformed(tmp_path, capsys, depth):
+    path = tmp_path / "deep.json"
+    path.write_text('{"points": ' + "[" * depth + "]" * depth + "}", encoding="utf-8")
+    for command in ("diagram", "reduce", "fuchs"):
+        code, _, err = run(capsys, command, "--formal", str(path))
+        assert code == 2
+        assert "malformed formal-data JSON: " in err
+
+
+@pytest.mark.parametrize("w", ['[[1,"1"],[1,"2"]]', '[[2,"1"],[1,"3"],[2,"1"]]', '[[1,"0"],[1,"2"]]'])
+def test_formal_json_repeated_w_order(tmp_path, capsys, w):
+    # two factors at infinity: the second one's w names an order twice
+    doc = (
+        '{"points":[{"location":"inf","factors":[{"w":[],"spectral":[["1/2",1]]},'
+        '{"w":%s,"spectral":[["1/3",1]]}]},'
+        '{"location":"0","factors":[{"w":[],"spectral":[["1/5",1],["1/7",1]]}]}]}'
+    )
+    path = tmp_path / "w.json"
+    path.write_text(doc % '[[1,"2"]]', encoding="utf-8")
+    assert run(capsys, "diagram", "--formal", str(path))[0] == 0
+    path.write_text(doc % w, encoding="utf-8")
+    order = json.loads(w)[-1][0]
+    for command in ("diagram", "reduce", "fuchs"):
+        code, out, err = run(capsys, command, "--formal", str(path))
+        assert code == 2 and out == ""
+        assert f"malformed formal-data JSON: w: order {order} appears twice" in err
+
+
+@pytest.mark.parametrize("param", ["A=2/13", "zz=1", "t=3"])
+def test_examples_param_unknown_to_the_selected_entry(capsys, param):
+    code, out, err = run(capsys, "examples", "--run", "--only", "Gauss", "--param", param)
+    assert code == 2 and out == ""
+    assert f"--param {param.split('=')[0]}: no selected corpus entry has it" in err
+
+
+def test_examples_param_unknown_to_every_entry(capsys):
+    code, out, err = run(capsys, "examples", "--run", "--param", "zz=1", "--param", "A=2")
+    assert code == 2 and out == ""
+    assert "--param A, zz: no selected corpus entry has it" in err
+    # t is a parameter of the Heun family, though not of Gauss
+    code, out, _ = run(capsys, "examples", "--param", "t=3")
+    assert code == 0 and len(out.splitlines()) == 6

@@ -178,13 +178,13 @@ def test_composite_action_high_coupling_keeps_moving():
 # -- Fuchs compatibility on randomized shapes ------------------------------------------
 
 
-def random_shape(rng):
+def random_shape(rng, max_factors=2, max_length=2):
     num_points = rng.randint(1, 3)
     lengths = []
     weights = []
     for i in range(num_points):
-        k = rng.randint(1, 2)
-        lengths.append(tuple(rng.randint(1, 2) for _ in range(k)))
+        k = rng.randint(1, max_factors)
+        lengths.append(tuple(rng.randint(1, max_length) for _ in range(k)))
         table = [[0] * k for _ in range(k)]
         for a in range(k):
             for b in range(a + 1, k):
@@ -231,6 +231,51 @@ def random_balanced(rng, shape, max_rank=4):
             point[j][s] += 1
         entries.append(point)
     return LatticeVector(shape, entries)
+
+
+def _fuchs_defect_oracle(shape, m, nu):
+    """The defect as it was written before the one-pass form: a triple
+    loop over the slots and over the ordered pairs of distinct factors."""
+    n = m.rank
+    total = ParamExpr(0)
+    for i in range(shape.num_points):
+        for j in range(shape.factor_count(i)):
+            for s in range(shape.chain_lengths[i][j]):
+                ms = m.entries[i][j][s]
+                lam = nu.entries[i][j][s]
+                total = total + Fraction(ms, 2) * (2 * lam + (ms - 1))
+        for j in range(shape.factor_count(i)):
+            for j2 in range(shape.factor_count(i)):
+                if j == j2:
+                    continue
+                total = total + Fraction(
+                    shape.weights[i][j][j2] * m.block_sum(i, j) * m.block_sum(i, j2), 2
+                )
+    total = total - Fraction((shape.p + 1) * n * (n - 1), 2)
+    return total + n * (n - 1)
+
+
+def test_fuchs_defect_matches_the_triple_loop_oracle():
+    rng = random.Random(41)
+    shapes = [shape_of(name) for name in corpus.names()]
+    shapes += [random_shape(rng, max_factors=4, max_length=3) for _ in range(200)]
+    for shape in shapes:
+        nu = ExponentVector(shape, [
+            [
+                [
+                    ParamExpr(
+                        Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+                        {f"n{i}_{j}_{s}": rng.choice((0, 1, -2, Fraction(1, 3)))},
+                    )
+                    for s in range(l)
+                ]
+                for j, l in enumerate(lens)
+            ]
+            for i, lens in enumerate(shape.chain_lengths)
+        ])
+        m = random_balanced(rng, shape)
+        for vec in (m, -m, m.scale(3), m.sigma_t(shape.index_tuples()[0])):
+            assert fuchs_defect_of(shape, vec, nu) == _fuchs_defect_oracle(shape, vec, nu)
 
 
 # -- one bilinear form behind defect, pair_coupling, idx and act_sigma_t -------------

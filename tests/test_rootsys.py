@@ -254,6 +254,78 @@ def test_canonical_lift_total_in_tau():
                 assert phi(canonical_lift(a, tau)) == a
 
 
+# The surjection and its lift as they were written before the one-pass
+# forms: phi scans the coordinates once per slot, the lift fills a block
+# table and adds the tau node's share after the other tuples.
+
+
+def _phi_oracle(alpha):
+    basis = alpha.basis
+    shape = basis.shape
+    tuple_coeff = {t: alpha.coords[k] for k, (kind, t) in enumerate(basis.nodes) if kind == "t"}
+    chain_coeff = {pay: alpha.coords[k] for k, (kind, pay) in enumerate(basis.nodes) if kind == "c"}
+
+    def chain(i, j, s):
+        return chain_coeff.get((i, j, s), 0)
+
+    entries = []
+    for i in range(shape.num_points):
+        point = []
+        for j in range(shape.factor_count(i)):
+            through = sum(v for t, v in tuple_coeff.items() if t[i] == j)
+            ch = [through - chain(i, j, 0)]
+            for s in range(1, shape.chain_lengths[i][j]):
+                ch.append(chain(i, j, s - 1) - chain(i, j, s))
+            point.append(ch)
+        entries.append(point)
+    return LatticeVector(shape, entries)
+
+
+def _canonical_lift_oracle(a, tau):
+    shape = a.shape
+    basis = build_basis(shape)
+    coords = [0] * len(basis.nodes)
+    block = [
+        [a.block_sum(i, j) for j in range(shape.factor_count(i))]
+        for i in range(shape.num_points)
+    ]
+    for i in range(shape.num_points):
+        for j in range(shape.factor_count(i)):
+            if j == tau[i]:
+                continue
+            t = tuple(j if k == i else tau[k] for k in range(shape.num_points))
+            coords[basis.node_index(("t", t))] += block[i][j]
+    coords[basis.node_index(("t", tuple(tau)))] += (
+        sum(block[i][tau[i]] for i in range(shape.num_points)) - shape.p * a.rank
+    )
+    for i in range(shape.num_points):
+        for j in range(shape.factor_count(i)):
+            partial = 0
+            for s in range(shape.chain_lengths[i][j] - 1):
+                partial += a.entries[i][j][s]
+                coords[basis.node_index(("c", (i, j, s)))] += block[i][j] - partial
+    return RootVector(basis, coords)
+
+
+def test_phi_and_lift_match_the_slot_scan_oracles():
+    rng = random.Random(37)
+    shapes = [random_shape(rng, max_nodes=80) for _ in range(120)]
+    shapes += [shape_of(name) for name in corpus.names()]
+    lifts = 0
+    for shape in shapes:
+        basis = build_basis(shape)
+        for _ in range(3):
+            alpha = RootVector(basis, [rng.randint(-3, 3) for _ in basis.nodes])
+            assert phi(alpha) == _phi_oracle(alpha)
+        for a in (LatticeVector.zero(shape), random_vector(rng, shape)):
+            for tau in shape.index_tuples():
+                lift = canonical_lift(a, tau)
+                assert lift == _canonical_lift_oracle(a, tau)
+                assert phi(lift) == _phi_oracle(lift) == a
+                lifts += 1
+    assert lifts > 2000
+
+
 def test_idx_examples():
     assert idx(m_of("Heun")) == 0
     assert idx(m_of("Gauss")) == 2

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -12,6 +13,7 @@ from irrkatz.weylalg import (
     INF,
     DiffOperator,
     OperatorSyntaxError,
+    ThetaExpansion,
     X,
     ad_exp_raw,
     ad_power,
@@ -61,6 +63,19 @@ def test_parse_errors_carry_position():
         parse("x^(1/2)")
     with pytest.raises(OperatorSyntaxError):
         parse("1/x")
+
+
+def test_parse_deep_nesting_is_a_syntax_error():
+    for opening, closing in (("(", ")"), ("-", ""), ("+", "")):
+        text = opening * 10000 + "x*D" + closing * 10000
+        with pytest.raises(OperatorSyntaxError, match="nested too deeply") as err:
+            parse(text)
+        # the position of the token the recursion limit was reached at
+        assert text[err.value.pos] == opening
+    # moderate nesting still parses
+    assert parse("(" * 20 + "x*D" + ")" * 20) == parse("-" * 20 + "x*D") == parse("x*D")
+    with pytest.raises(OperatorSyntaxError, match=r"more than 4300 digits \(at position 4\)"):
+        parse("D - 1/" + "3" * 4301)
 
 
 def test_reparse_round_trip():
@@ -408,6 +423,36 @@ def test_readers_match_the_laurent_oracle():
                 assert edge == _laurent_edge_polynomial(q, c, np, slope)
 
 
+def _horner_reconstruct(expansion):
+    """The operator of a theta expansion as it was built before the
+    Stirling form: sum_i (x-c)^i q_i(theta_c), with q_i(theta_c) by
+    Horner's rule in operator products."""
+    c = ZERO if expansion.point is INF else expansion.point
+    base = RatFunc(Poly([-c, 1]))
+    theta = DiffOperator([RatFunc(0), base])
+    acc = DiffOperator()
+    for i, q in expansion.terms:
+        power = DiffOperator()
+        for coeff in reversed(q.coeffs):
+            power = power * theta + DiffOperator.of(coeff)
+        acc = acc + DiffOperator.of(base ** i) * power
+    return subst_infty(acc) if expansion.point is INF else acc
+
+
+def test_reconstruct_matches_the_horner_oracle():
+    rng = random.Random(15)
+    cases = list(islice(_oracle_cases(rng), 120))
+    cases += [(random_poly_op(rng, 5, 4), at) for at in (ZERO, Fraction(3, 2), INF) for _ in range(4)]
+    for p, at in cases:
+        exp = theta_expand(p, at)
+        assert exp.reconstruct() == _horner_reconstruct(exp)
+        for k in range(exp.min_index - 1, exp.min_index + 4):
+            part = ThetaExpansion(exp.point, tuple((i, q) for i, q in exp.terms if i == k))
+            assert homogeneous_part(exp, k) == _horner_reconstruct(part)
+    assert ThetaExpansion(ZERO, ()).reconstruct() == DiffOperator()
+    assert ThetaExpansion(INF, ()).reconstruct() == DiffOperator()
+
+
 def test_readers_refuse_a_pole_away_from_the_point():
     # 1/(x - 1) has no Laurent polynomial at 0, nor does its chart at infinity
     p = DiffOperator([RatFunc(1, Poly([-1, 1])), RatFunc(Poly.x(2))])
@@ -736,6 +781,11 @@ def test_coordinate_changes_make_no_operator_products(monkeypatch):
         laplace(p)
         laplace_inv(p)
         euler(p, Fraction(1, 7))
+        # the way back from a theta expansion
+        for at in (ZERO, Fraction(1), INF):
+            exp = theta_expand(p, at)
+            exp.reconstruct()
+            homogeneous_part(exp, exp.min_index)
     # a whole reduction, Euler step and cross-check included
     assert reduce_operator(gauss).transcript.euler_steps()
     assert products == []
