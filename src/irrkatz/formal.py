@@ -516,7 +516,7 @@ def from_json(text: str) -> FormalData:
             _json_int(m, "spectral")
             for e in doc["points"][:1]
             for f in e["factors"]
-            for _, m in f["spectral"]
+            for _, m in _json_pairs(f["spectral"], "spectral")
         )
         if rank > weylalg.MAX_DEGREE:
             raise ValueError(f"rank {rank} is more than MAX_DEGREE = {weylalg.MAX_DEGREE}")
@@ -529,20 +529,28 @@ def from_json(text: str) -> FormalData:
             factors = []
             for f in entry["factors"]:
                 coeffs = {}
-                for k, v in f["w"]:
+                for k, v in _json_pairs(f["w"], "w"):
                     if _json_int(k, "w") in coeffs:
                         raise ValueError(f"w: order {k} appears twice")
                     coeffs[k] = parse_rat(v, "w")
                 w = ExponentialFactor(loc, coeffs)
                 s = SpectralData([
                     (parse_param_expr(lam, "spectral"), _json_int(m, "spectral"))
-                    for lam, m in f["spectral"]
+                    for lam, m in _json_pairs(f["spectral"], "spectral")
                 ])
                 factors.append((w, s))
             points.append((loc, factors))
         return FormalData(points)
     except (KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError) as exc:
         raise ValueError(f"malformed formal-data JSON: {exc}") from exc
+
+
+def _json_pairs(items, field: str):
+    """The items of a JSON list of pairs; any other item is refused, not unpacked."""
+    for item in items:
+        if type(item) is not list or len(item) != 2:
+            raise ValueError(f"{field}: expected a pair, got {item!r:.40}")
+        yield item
 
 
 def _json_int(value, field: str) -> int:

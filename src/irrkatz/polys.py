@@ -34,6 +34,17 @@ def _trim(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
+def pow_by_squaring(base, n: int, one):
+    """``base**n`` for n >= 0, ``one`` at 0: from the top bit of n down,
+    (bit_length(n) - 1) squarings and (popcount(n) - 1) products by base."""
+    result = one if n == 0 else base
+    for bit in bin(n)[3:]:
+        result = result * result
+        if bit == "1":
+            result = result * base
+    return result
+
+
 class Poly:
     """Polynomial in one variable over Q, dense, lowest degree first."""
 
@@ -132,14 +143,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return pow_by_squaring(self, n, Poly.const(1))
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if other.is_zero():

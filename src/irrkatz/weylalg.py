@@ -43,7 +43,7 @@ from fractions import Fraction
 from math import comb, factorial, perm
 from typing import Iterable, Mapping, Union
 
-from .polys import Poly, RatFunc, RatLike, as_poly, falling_factorial, poly_gcd
+from .polys import Poly, RatFunc, RatLike, as_poly, falling_factorial, poly_gcd, pow_by_squaring
 from .scalar import ParamExpr, parse_rat
 
 
@@ -196,14 +196,7 @@ class DiffOperator:
     def __pow__(self, n: int) -> "DiffOperator":
         if n < 0:
             raise ValueError("negative operator power")
-        result = DiffOperator.of(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return pow_by_squaring(self, n, DiffOperator.of(1))
 
     def apply(self, f: RatLike) -> RatFunc:
         """Apply the operator to a rational function."""
@@ -257,6 +250,10 @@ def to_text(p: DiffOperator) -> str:
 #: bound limits the size of an operator, not the time its analysis takes.
 MAX_DEGREE = 32
 
+#: Most levels operator text may nest: each ``(`` and each unary sign opens
+#: one until its factor is complete.  Deeper text is an ``OperatorSyntaxError``.
+MAX_NESTING = 1000
+
 
 def _size(p: DiffOperator) -> int:
     """max(rank, coefficient degree) of a polynomial operator; 0 for zero."""
@@ -301,113 +298,93 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.k = 0
-
-    def peek(self):
-        return self.tokens[self.k]
-
-    def next(self):
-        tok = self.tokens[self.k]
-        self.k += 1
-        return tok
-
-    def expect_op(self, symbol: str):
-        kind, val, pos = self.next()
-        if kind != "op" or val != symbol:
-            raise OperatorSyntaxError(f"expected {symbol!r}", pos)
-
-    def parse(self) -> DiffOperator:
-        expr = self.expr()
-        kind, _, pos = self.peek()
-        if kind != "end":
-            raise OperatorSyntaxError("trailing input", pos)
-        return expr
-
-    def expr(self) -> DiffOperator:
-        acc = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                rhs = self.term()
-                acc = acc + rhs if val == "+" else acc - rhs
-            else:
-                return acc
-
-    def term(self) -> DiffOperator:
-        acc = self.factor()
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "op" and val == "*":
-                self.next()
-                acc = acc * self.factor()
-                if _size(acc) > MAX_DEGREE:
-                    raise OperatorSyntaxError(
-                        f"product too large: rank and degree are limited to {MAX_DEGREE}", pos
-                    )
-            elif kind in ("num", "name") or (kind == "op" and val == "("):
-                raise OperatorSyntaxError("implicit multiplication is not allowed", pos)
-            else:
-                return acc
-
-    def factor(self) -> DiffOperator:
-        kind, val, pos = self.peek()
-        if kind == "op" and val in "+-":
-            self.next()
-            inner = self.factor()
-            return inner if val == "+" else -inner
-        return self.power()
-
-    def power(self) -> DiffOperator:
-        base = self.atom()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.next()
-            ekind, exp, epos = self.next()
-            if ekind != "num" or not isinstance(exp, Fraction) or exp.denominator != 1 or exp < 0:
-                raise OperatorSyntaxError("exponent must be a nonnegative integer", epos)
-            if exp > MAX_DEGREE or exp * _size(base) > MAX_DEGREE:
-                raise OperatorSyntaxError(
-                    f"power too large: rank and degree are limited to {MAX_DEGREE}", epos
-                )
-            return base ** int(exp)
-        return base
-
-    def atom(self) -> DiffOperator:
-        kind, val, pos = self.next()
-        if kind == "num":
-            return DiffOperator.of(val)
-        if kind == "name":
-            if val == "x":
-                return X
-            if val == "D":
-                return D
-            raise OperatorSyntaxError(f"unknown symbol {val!r}", pos)
-        if kind == "op" and val == "(":
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
-        raise OperatorSyntaxError("expected a number, 'x', 'D' or '('", pos)
-
-
 def parse(text: str) -> DiffOperator:
     """Parse operator text like ``"D^2 + (-x^2-7)*D + (-2*x+3)"``.
 
+    Grammar: ``expr := term (('+'|'-') term)*``, ``term := factor ('*'
+    factor)*``, ``factor := ('+'|'-')* atom ['^' n]`` and ``atom := number
+    | x | D | '(' expr ')'``; signs apply after ``^``, so ``-x^2`` is
+    ``-(x^2)``.  The whole text is tokenized first, so a bad character wins
+    over an earlier grammar error.  One loop reads the tokens, with one
+    frame per open parenthesis on an explicit stack.
+
     Rank and coefficient degrees are bounded by :data:`MAX_DEGREE`: a power
-    is rejected before it is computed, a product as soon as it is formed.
-    Text nested deeper than the interpreter's recursion limit is rejected
-    at the token where the limit is reached.
+    is rejected before it is computed, a product as soon as its right
+    factor is complete.  Each ``(`` and each unary sign opens a level until
+    its factor is complete; the opener of level ``MAX_NESTING + 1`` is
+    rejected, whatever the caller's stack depth.
     """
-    parser = _Parser(text)
-    try:
-        return parser.parse()
-    except RecursionError:
-        pos = parser.tokens[min(parser.k, len(parser.tokens) - 1)][2]
-        raise OperatorSyntaxError("operator text nested too deeply", pos) from None
+    tokens = _tokenize(text)
+    too_large = f"too large: rank and degree are limited to {MAX_DEGREE}"
+    # a frame: the sum so far, the sign before the current term, the product
+    # so far, the position of the '*' after it, the signs before the factor
+    stack = []
+    total = op = prod = star = None
+    signs = ""
+    depth = 0  # open parentheses plus pending signs, in all frames
+    k = 0
+    while True:
+        kind, val, pos = tokens[k]
+        k += 1
+        if kind == "op" and val in "+-(":
+            depth += 1
+            if depth > MAX_NESTING:
+                raise OperatorSyntaxError("operator text nested too deeply", pos)
+            if val == "(":
+                stack.append((total, op, prod, star, signs))
+                total = op = prod = None
+                signs = ""
+            else:
+                signs += val
+            continue
+        if kind == "num":
+            value = DiffOperator.of(val)
+        elif kind == "name" and val in ("x", "D"):
+            value = X if val == "x" else D
+        elif kind == "name":
+            raise OperatorSyntaxError(f"unknown symbol {val!r}", pos)
+        else:
+            raise OperatorSyntaxError("expected a number, 'x', 'D' or '('", pos)
+        # close the factor, term and expression the atom completes, and each
+        # parenthesis that closes after them
+        while True:
+            if tokens[k][1] == "^":
+                ekind, exp, epos = tokens[k + 1]
+                k += 2
+                if ekind != "num" or exp.denominator != 1:
+                    raise OperatorSyntaxError("exponent must be a nonnegative integer", epos)
+                if exp > MAX_DEGREE or exp * _size(value) > MAX_DEGREE:
+                    raise OperatorSyntaxError("power " + too_large, epos)
+                value = value ** int(exp)
+            if signs.count("-") % 2:
+                value = -value
+            depth -= len(signs)
+            signs = ""
+            if prod is not None:
+                value = prod * value
+                if _size(value) > MAX_DEGREE:
+                    raise OperatorSyntaxError("product " + too_large, star)
+            kind, val, pos = tokens[k]
+            k += 1
+            if kind in ("num", "name") or val == "(":
+                raise OperatorSyntaxError("implicit multiplication is not allowed", pos)
+            if val == "*":
+                prod, star = value, pos
+                break
+            prod = None
+            if op is not None:
+                value = total + value if op == "+" else total - value
+            if val in ("+", "-"):
+                total, op = value, val
+                break
+            if not stack:
+                if kind != "end":
+                    raise OperatorSyntaxError("trailing input", pos)
+                return value
+            if val != ")":
+                raise OperatorSyntaxError("expected ')'", pos)
+            depth -= 1
+            total, op, prod, star, signs = stack.pop()
 
 
 # -- local invariants --------------------------------------------------------

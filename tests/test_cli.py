@@ -569,3 +569,30 @@ def test_examples_param_unknown_to_every_entry(capsys):
     # t is a parameter of the Heun family, though not of Gauss
     code, out, _ = run(capsys, "examples", "--param", "t=3")
     assert code == 0 and len(out.splitlines()) == 6
+
+
+@pytest.mark.parametrize(
+    "inf_factor, zero_factor, field, item",
+    [
+        (ONE_AT_INF, '{"w":[[1,"2","3"]],"spectral":[["1/3",1]]}', "w:", "[1, '2', '3']"),
+        (ONE_AT_INF, '{"w":[1],"spectral":[["1/3",1]]}', "w:", "1"),
+        # read by the rank bound at the first point, then by the spectral
+        # loop at any point
+        ('{"w":[],"spectral":[["1/2",1,7]]}', '{"w":[],"spectral":[["1/3",1]]}', "spectral:", "['1/2', 1, 7]"),
+        (ONE_AT_INF, '{"w":[],"spectral":[["1/3",1,7]]}', "spectral:", "['1/3', 1, 7]"),
+        ('{"w":[],"spectral":[1]}', '{"w":[],"spectral":[["1/3",1]]}', "spectral:", "1"),
+    ],
+)
+def test_formal_json_items_must_be_pairs(tmp_path, capsys, inf_factor, zero_factor, field, item):
+    # each w item is an [order, value] pair and each spectral item an
+    # [exponent, multiplicity] pair; other items are refused, not unpacked
+    path = tmp_path / "pairs.json"
+    path.write_text(
+        f'{{"points":[{{"location":"inf","factors":[{inf_factor}]}},'
+        f'{{"location":"0","factors":[{zero_factor}]}}]}}',
+        encoding="utf-8",
+    )
+    for command in ("diagram", "fuchs"):
+        code, out, err = run(capsys, command, "--formal", str(path))
+        assert code == 2 and out == ""
+        assert f"malformed formal-data JSON: {field} expected a pair, got {item}" in err

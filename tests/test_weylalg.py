@@ -70,12 +70,42 @@ def test_parse_deep_nesting_is_a_syntax_error():
         text = opening * 10000 + "x*D" + closing * 10000
         with pytest.raises(OperatorSyntaxError, match="nested too deeply") as err:
             parse(text)
-        # the position of the token the recursion limit was reached at
+        # the position of the opener that crosses the nesting bound
         assert text[err.value.pos] == opening
     # moderate nesting still parses
     assert parse("(" * 20 + "x*D" + ")" * 20) == parse("-" * 20 + "x*D") == parse("x*D")
     with pytest.raises(OperatorSyntaxError, match=r"more than 4300 digits \(at position 4\)"):
         parse("D - 1/" + "3" * 4301)
+
+
+def test_powers_square_and_multiply_from_the_base(monkeypatch):
+    rng = random.Random(16)
+    ops = [random_poly_op(rng, max_rank=2, max_deg=2) for _ in range(3)]
+    polys = [Poly([rng.randint(-4, 4) for _ in range(3)]) for _ in range(3)] + [Poly()]
+    products = []
+    mul = DiffOperator.__mul__
+
+    def counted(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    for n in range(10):
+        for q in polys:
+            repeated = Poly.const(1)
+            for _ in range(n):
+                repeated = repeated * q
+            assert q ** n == repeated
+        for p in ops:
+            repeated = DiffOperator.of(1)
+            for _ in range(n):
+                repeated = repeated * p
+            monkeypatch.setattr(DiffOperator, "__mul__", counted)
+            products.clear()
+            assert p ** n == repeated
+            monkeypatch.setattr(DiffOperator, "__mul__", mul)
+            # (bit_length(n) - 1) squarings and (popcount(n) - 1) products
+            # by p, none after the top bit; p**0 is 1 without a product
+            assert len(products) == (n.bit_length() + bin(n).count("1") - 2 if n else 0)
 
 
 def test_reparse_round_trip():
