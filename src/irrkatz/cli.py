@@ -239,9 +239,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bind_operator_text(argv) -> list[str]:
+    """Join ``--op``, ``--operator`` or an abbreviation of them and the next
+    word, which is always its value: argparse would read text that starts
+    with "-", such as "-x*D", as an option."""
+    words = []
+    for word in argv:
+        if words and len(words[-1]) > 2 and "--operator".startswith(words[-1]):
+            words[-1] += "=" + word
+        else:
+            words.append(word)
+    return words
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_bind_operator_text(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except CliError as exc:

@@ -50,13 +50,6 @@ def _subst(template: str, params: Params) -> str:
     return re.sub(pattern, repl, template)
 
 
-def _ev(e: ParamExpr, params: Params) -> Fraction:
-    acc = e.const
-    for name, coeff in e.terms.items():
-        acc += coeff * params[name]
-    return acc
-
-
 def _point(loc, factors):
     return (loc, [(ExponentialFactor(loc, w), SpectralData(chains)) for w, chains in factors])
 
@@ -247,25 +240,6 @@ def symbolic_formal_data(name: str, params: Params | None = None) -> FormalData:
     entry = get(name)
     params = dict(entry.defaults) if params is None else dict(params)
     return entry.symbolic(params)
-
-
-def instance_formal_data(name: str, params: Params | None = None) -> FormalData:
-    """Fully concrete formal datum of an instantiation, with chains in the
-    canonical (sorted) order used by extraction (oracle for tests)."""
-    entry = get(name)
-    params = dict(entry.defaults) if params is None else dict(params)
-    sym = entry.symbolic(params)
-    points = []
-    for loc, factors in sym.points:
-        fs = []
-        for w, s in factors:
-            chains = sorted(
-                ((_ev(lam, params), m) for lam, m in s.chains),
-                key=lambda pair: (pair[0], pair[1]),
-            )
-            fs.append((w, SpectralData(chains)))
-        points.append((loc, fs))
-    return FormalData(points)
 
 
 def reinstantiator(name: str, seed: int, overrides: Params | None = None):

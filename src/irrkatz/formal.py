@@ -505,29 +505,30 @@ def to_json(data: FormalData) -> str:
 
 def from_json(text: str) -> FormalData:
     try:
-        doc = json.loads(text)
-        if len(doc["points"]) > weylalg.MAX_DEGREE + 1:
+        entries = _json_objects(json.loads(text)["points"], "points")
+        if len(entries) > weylalg.MAX_DEGREE + 1:
             # infinity plus the at most MAX_DEGREE finite singular points of
             # an operator within the text bound; one-factor, one-chain points
             # add no basis node, so MAX_NODES does not bound their count
             raise ValueError(f"more than MAX_DEGREE + 1 = {weylalg.MAX_DEGREE + 1} points")
+        point_factors = [_json_objects(e["factors"], "factors") for e in entries]
         # no operator within the text bound has a larger rank
         rank = sum(
             _json_int(m, "spectral")
-            for e in doc["points"][:1]
-            for f in e["factors"]
+            for fs in point_factors[:1]
+            for f in fs
             for _, m in _json_pairs(f["spectral"], "spectral")
         )
         if rank > weylalg.MAX_DEGREE:
             raise ValueError(f"rank {rank} is more than MAX_DEGREE = {weylalg.MAX_DEGREE}")
         _check_basis_size(
-            [[len(f["spectral"]) for f in entry["factors"]] for entry in doc["points"]]
+            [[len(_json_list(f["spectral"], "spectral")) for f in fs] for fs in point_factors]
         )
         points = []
-        for entry in doc["points"]:
+        for entry, fs in zip(entries, point_factors):
             loc = parse_location(entry["location"])
             factors = []
-            for f in entry["factors"]:
+            for f in fs:
                 coeffs = {}
                 for k, v in _json_pairs(f["w"], "w"):
                     if _json_int(k, "w") in coeffs:
@@ -545,9 +546,24 @@ def from_json(text: str) -> FormalData:
         raise ValueError(f"malformed formal-data JSON: {exc}") from exc
 
 
+def _json_list(value, field: str) -> list:
+    """A JSON list; an object or a string is refused rather than iterated."""
+    if type(value) is not list:
+        raise ValueError(f"{field}: expected a list, got {value!r:.40}")
+    return value
+
+
+def _json_objects(value, field: str) -> list[dict]:
+    """A JSON list of JSON objects; any other item is refused rather than indexed."""
+    for item in _json_list(value, field):
+        if type(item) is not dict:
+            raise ValueError(f"{field}: expected an object, got {item!r:.40}")
+    return value
+
+
 def _json_pairs(items, field: str):
     """The items of a JSON list of pairs; any other item is refused, not unpacked."""
-    for item in items:
+    for item in _json_list(items, field):
         if type(item) is not list or len(item) != 2:
             raise ValueError(f"{field}: expected a pair, got {item!r:.40}")
         yield item

@@ -160,9 +160,6 @@ class LatticeVector(SlotTable):
         """The common block sum."""
         return sum(sum(ch) for ch in self.entries[0])
 
-    def block_sum(self, i: int, j: int) -> int:
-        return sum(self.entries[i][j])
-
     def is_nonnegative(self) -> bool:
         return all(v >= 0 for point in self.entries for ch in point for v in ch)
 
@@ -218,10 +215,6 @@ class LatticeVector(SlotTable):
     def support_factors(self) -> list[list[int]]:
         """Per point, the factors with a nonzero chain entry, ascending."""
         return [[j for j, chain in enumerate(point) if any(chain)] for point in self.entries]
-
-    def support_tuples(self) -> tuple[IndexTuple, ...]:
-        """Index tuples through factors with a nonzero block, lexicographic."""
-        return tuple(product(*self.support_factors()))
 
     def _check_tuple(self, t: IndexTuple):
         if len(t) != self.shape.num_points or any(

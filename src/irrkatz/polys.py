@@ -462,13 +462,6 @@ class RatFunc:
             self.den * self.den,
         )
 
-    def subst_inverse(self) -> "RatFunc":
-        """f(1/x) as a rational function of x."""
-        n = max(self.num.degree, self.den.degree)
-        if n < 0:
-            return self
-        return RatFunc(self.num.reverse(n), self.den.reverse(n))
-
     def format(self, var: str = "x") -> str:
         if self.is_poly():
             return self.num.format(var)

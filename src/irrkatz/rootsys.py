@@ -16,7 +16,9 @@ with w_i the weight table at point i and p the number of finite points.
 The surjection intertwines reflections in tuple nodes with the
 twisted-Euler moves and reflections in chain nodes with the slot
 permutations, which is what lets root-theoretic language classify
-operators.
+operators.  Its kernel has a closed-form basis, one alternating sum of
+tuple nodes per tuple with two or more nonzero entries, and lies in the
+radical of the form (:func:`kernel_radical_check`).
 """
 
 from __future__ import annotations
@@ -24,10 +26,8 @@ from __future__ import annotations
 from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from itertools import compress
-from math import prod
-from operator import mul
+from itertools import compress, product
+from operator import mul, ne
 from typing import Sequence
 
 from .lattice import IndexTuple, LatticeShape, LatticeVector
@@ -71,14 +71,6 @@ class RootBasis:
         if not 0 <= k < len(self.nodes) or self.nodes[k] != node:
             raise ValueError(f"{node!r} is not a node of this basis")
         return k
-
-    def tuple_nodes(self) -> list[int]:
-        """Positions of the tuple nodes (oracle for tests)."""
-        return [k for k, (kind, _) in enumerate(self.nodes) if kind == "t"]
-
-    def chain_nodes(self) -> list[int]:
-        """Positions of the chain nodes (oracle for tests)."""
-        return [k for k, (kind, _) in enumerate(self.nodes) if kind == "c"]
 
     def node_label(self, k: int) -> str:
         kind, payload = self.nodes[k]
@@ -173,32 +165,6 @@ def _suffix_row(per_point, memo, u: IndexTuple, c: int) -> list[int]:
         if len(u) < len(per_point):
             memo[u, c] = row
     return row
-
-
-def _pairing(shape: LatticeShape, n1: Node, n2: Node) -> int:
-    """The form on two nodes, entry by entry (oracle for tests)."""
-    kind1, pay1 = n1
-    kind2, pay2 = n2
-    if kind1 == "t" and kind2 == "t":
-        total = 0
-        matches = 0
-        for i in range(shape.num_points):
-            total += shape.weights[i][pay1[i]][pay2[i]]
-            if pay1[i] == pay2[i]:
-                matches += 1
-        return total - (shape.p - 1) + matches
-    if kind1 == "c" and kind2 == "c":
-        (i, j, s), (i2, j2, s2) = pay1, pay2
-        if pay1 == pay2:
-            return 2
-        if (i, j) == (i2, j2) and abs(s - s2) == 1:
-            return -1
-        return 0
-    if kind1 == "c":
-        n1, n2 = n2, n1
-        pay1, pay2 = pay2, pay1
-    t, (i, j, s) = pay1, pay2
-    return -1 if t[i] == j and s == 0 else 0
 
 
 class RootVector:
@@ -325,70 +291,37 @@ def idx(a: LatticeVector) -> int:
     return pairing(lift, lift)
 
 
-def phi_of_tuple_node(shape: LatticeShape, t: IndexTuple) -> LatticeVector:
-    """Image of a tuple node: multiplicity one in the first slot of the
-    chosen factor at every point, a rank-1 vector (oracle for tests)."""
-    basis = build_basis(shape)
-    return phi(RootVector.unit(basis, ("t", tuple(t))))
-
-
 # -- kernel & radical -----------------------------------------------------------
 
 
-def _phi_matrix(shape: LatticeShape, basis: RootBasis) -> list[list[int]]:
-    rows = []
-    for node in basis.nodes:
-        image = phi(RootVector.unit(basis, node))
-        rows.append([v for point in image.entries for ch in point for v in ch])
-    # columns are slots; transpose to slots x nodes
-    return [list(col) for col in zip(*rows)]
-
-
-def _rational_kernel(matrix: list[list[int]]) -> list[list[Fraction]]:
-    """Kernel basis of a (slots x nodes) integer matrix over Q."""
-    rows = [[Fraction(v) for v in row] for row in matrix]
-    ncols = len(matrix[0]) if matrix else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((k for k in range(r, len(rows)) if rows[k][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        lead = rows[r][c]
-        rows[r] = [v / lead for v in rows[r]]
-        for k in range(len(rows)):
-            if k != r and rows[k][c] != 0:
-                factor = rows[k][c]
-                rows[k] = [v - factor * w for v, w in zip(rows[k], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for rr, pc in enumerate(pivots):
-            vec[pc] = -rows[rr][fc]
-        basis.append(vec)
-    return basis
-
-
 def kernel_radical_check(shape: LatticeShape) -> bool:
-    """The kernel of the surjection pairs to zero with every node, and its
-    dimension matches the rank bookkeeping of the two lattices."""
+    """The kernel of the surjection pairs to zero with every node.
+
+    ker phi has the basis v_t = sum over U in S(t) of (-1)^|S(t) - U| e_(t|U),
+    one vector per tuple t with two or more nonzero entries: S(t) is where
+    t is nonzero and t|U is t on U and 0 off it.  A kernel vector has no
+    chain coordinates (the last slot of a chain is reached only by its last
+    chain node), so ker phi is the tuple-node vectors with zero marginals;
+    each v_t is e_t plus tuples of smaller support, and there are
+    prod k_i - 1 - sum (k_i - 1) of them, the dimension of that space.
+    """
     basis = build_basis(shape)
-    kernel = _rational_kernel(_phi_matrix(shape, basis))
-    ks = [shape.factor_count(i) for i in range(shape.num_points)]
-    if len(kernel) != prod(ks) - sum(ks) + shape.p:
-        return False
-    for vec in kernel:
-        for row in basis.gram:
-            if sum(g * v for g, v in zip(row, vec)) != 0:
-                return False
-    return True
+    return all(
+        phi(v).is_zero() and not any(sum(map(mul, row, v.coords)) for row in basis.gram)
+        for v in _kernel_basis(basis)
+    )
+
+
+def _kernel_basis(basis: RootBasis) -> list[RootVector]:
+    """The vectors v_t of :func:`kernel_radical_check`, in tuple order."""
+    vectors = []
+    for t in basis.shape.index_tuples():
+        if sum(map(bool, t)) >= 2:
+            coords = [0] * len(basis.nodes)
+            for u in product(*((0, j) if j else (0,) for j in t)):
+                coords[basis.node_index(("t", u))] = (-1) ** sum(map(ne, t, u))
+            vectors.append(RootVector(basis, coords))
+    return vectors
 
 
 # -- diagram emission & classification --------------------------------------------

@@ -51,6 +51,7 @@ from irrkatz.weylalg import (
     theta_expand,
 )
 from conftest import random_poly_op
+from oracles import phi_matrix, rational_kernel
 
 ZERO = Fraction(0)
 
@@ -143,9 +144,7 @@ def test_criterion_3_remaining_confluences():
         (a1, b1), (a2, b2) = sorted(edges_d)
         assert {a1, b1} | {a2, b2} == {0, 1, 2, 3} and {a1, b1} & {a2, b2} == set()
         # rank-1 kernel pairing to zero with every node
-        from irrkatz.rootsys import _phi_matrix, _rational_kernel
-
-        kernel = _rational_kernel(_phi_matrix(shape_d, basis_d))
+        kernel = rational_kernel(phi_matrix(basis_d))
         assert len(kernel) == 1
         for row in basis_d.gram:
             assert sum(g * v for g, v in zip(row, kernel[0])) == 0

@@ -36,6 +36,25 @@ def test_analyze_exit_codes(capsys):
     assert run(capsys, "analyze", "--op", "x^2*D^2 + x*D + 1")[0] == 4  # x^2 + 1 does not split
 
 
+@pytest.mark.parametrize("option, text", [("--op", "-x*D"), ("--op", "-D"), ("--o", "-D")])
+def test_analyze_reads_operator_text_that_starts_with_minus(capsys, option, text):
+    code, out, err = run(capsys, "analyze", option, text)
+    assert code == 0 and formal.from_json(out).rank == 1
+    assert (code, out, err) == run(capsys, "analyze", f"--op={text}")
+
+
+def test_reduce_reads_operator_text_that_starts_with_minus(tmp_path, capsys):
+    path = tmp_path / "minus_d.json"
+    path.write_text(run(capsys, "analyze", "--op", "-D")[1], encoding="utf-8")
+    for option in ("--operator", "--op"):
+        code, out, _ = run(capsys, "reduce", "--formal", str(path), option, "-D")
+        assert code == 0 and "operator cross-check passed" in out
+    gauss = run(capsys, "analyze", "--op", to_text(corpus.instantiate("Gauss")))[1]
+    path.write_text(gauss, encoding="utf-8")
+    code, _, err = run(capsys, "reduce", "--formal", str(path), "--operator", "-D")
+    assert code == 1 and "does not match" in err
+
+
 def test_unverified_chains_exit_code(capsys):
     # at c = 0 the exponents 0 and 1 - c at x = 0 differ by an integer and
     # the triangular vanishing conditions fail
@@ -509,12 +528,17 @@ def test_param_accepts_integers_and_fractions():
 
 
 @pytest.mark.parametrize(
-    "text",
-    ["(" * 10000 + "D" + ")" * 10000, "-" * 10000 + "D", "+-" * 5000 + "D"],
-    ids=["parentheses", "minus", "signs"],
+    "argv",
+    [
+        ["--op=" + "(" * 10000 + "D" + ")" * 10000],
+        ["--op=" + "-" * 10000 + "D"],
+        ["--op=" + "+-" * 5000 + "D"],
+        ["--op", "-" * 10000 + "D"],
+    ],
+    ids=["parentheses", "minus", "signs", "minus-separate"],
 )
-def test_analyze_deep_nesting_names_the_position(capsys, text):
-    code, out, err = run(capsys, "analyze", f"--op={text}")
+def test_analyze_deep_nesting_names_the_position(capsys, argv):
+    code, out, err = run(capsys, "analyze", *argv)
     assert code == 2 and out == ""
     assert "error: operator text nested too deeply (at position " in err
 
@@ -596,3 +620,26 @@ def test_formal_json_items_must_be_pairs(tmp_path, capsys, inf_factor, zero_fact
         code, out, err = run(capsys, command, "--formal", str(path))
         assert code == 2 and out == ""
         assert f"malformed formal-data JSON: {field} expected a pair, got {item}" in err
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ('{"points":[{"location":"inf","factors":[{"w":{},"spectral":[["1/2",1]]}]}]}',
+         "w: expected a list, got {}"),
+        ('{"points":[{"location":"inf","factors":{}}]}', "factors: expected a list, got {}"),
+        ('{"points":[{"location":"inf","factors":[5]}]}', "factors: expected an object, got 5"),
+        ('{"points":[{"location":"inf","factors":[{"w":[],"spectral":"ab"}]}]}',
+         "spectral: expected a list, got 'ab'"),
+        ('{"points":{}}', "points: expected a list, got {}"),
+        ('{"points":[5]}', "points: expected an object, got 5"),
+    ],
+    ids=["w", "factors", "factor", "spectral", "points", "point"],
+)
+def test_formal_json_containers_must_be_lists_and_objects(tmp_path, capsys, doc, message):
+    path = tmp_path / "containers.json"
+    path.write_text(doc, encoding="utf-8")
+    for command in ("diagram", "reduce", "fuchs"):
+        code, out, err = run(capsys, command, "--formal", str(path))
+        assert code == 2 and out == ""
+        assert f"malformed formal-data JSON: {message}" in err

@@ -34,6 +34,7 @@ from irrkatz.weylalg import (
     prim,
     to_text,
 )
+from oracles import support_tuples
 
 
 def shape_of(name):
@@ -150,13 +151,6 @@ def test_transcript_json_lines():
     assert first["before"] == "1,1|1,1|1,1"
 
 
-def _oracle_support_tuples(a):
-    return [
-        t for t in a.shape.index_tuples()
-        if all(any(v != 0 for v in a.entries[i][j]) for i, j in enumerate(t))
-    ]
-
-
 def _oracle_reduce_vector(a):
     """The reduction loop searching the support tuples of the full product:
     the defect of each, then the least tuple of most negative defect."""
@@ -170,7 +164,7 @@ def _oracle_reduce_vector(a):
         if cur.rank <= 1:
             verdict = Verdict.REAL_ROOT if cur.rank == 1 else Verdict.NOT_ROOT
             return Transcript(a, tuple(steps), verdict)
-        defects = {t: cur.defect(t) for t in _oracle_support_tuples(cur)}
+        defects = {t: cur.defect(t) for t in support_tuples(cur)}
         best = min(defects.values())
         if best >= 0:
             return Transcript(a, tuple(steps), Verdict.IMAGINARY_ROOT, cur)
@@ -238,7 +232,7 @@ def test_reduce_vector_matches_full_product_search():
         assert got.fundamental == want.fundamental
         verdicts.add(got.verdict)
         for step in want.euler_steps():
-            support = _oracle_support_tuples(step.before)
+            support = support_tuples(step.before)
             ties += sum(step.before.defect(t) == step.defect for t in support) > 1
     assert max(len(a.shape.index_tuples()) for a in cases) == 1024
     assert ties > 20
@@ -257,7 +251,6 @@ def test_reduction_enumerates_no_index_tuples(monkeypatch):
         raise AssertionError("index tuples enumerated")
 
     monkeypatch.setattr(LatticeShape, "index_tuples", refuse)
-    monkeypatch.setattr(LatticeVector, "support_tuples", refuse)
     transcript = reduce_vector(real)
     assert transcript.verdict is Verdict.REAL_ROOT and transcript.euler_steps()
     assert not in_fundamental_domain(normalize(real)[0])

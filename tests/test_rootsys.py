@@ -19,10 +19,19 @@ from irrkatz.rootsys import (
     kernel_radical_check,
     pairing,
     phi,
-    phi_of_tuple_node,
     reflect,
     support_connected,
-    _pairing,
+    _kernel_basis,
+)
+from oracles import (
+    block_sum,
+    chain_nodes,
+    node_pairing,
+    phi_matrix,
+    phi_of_tuple_node,
+    rational_kernel,
+    support_tuples,
+    tuple_nodes,
 )
 
 
@@ -72,7 +81,7 @@ def test_positive_off_diagonal_rejected():
 
 
 def _pairwise_basis(shape):
-    """Reference: the basis filled pair by pair from ``_pairing``."""
+    """Reference: the basis filled pair by pair from ``node_pairing``."""
     nodes = [("t", t) for t in shape.index_tuples()]
     for i in range(shape.num_points):
         for j in range(shape.factor_count(i)):
@@ -82,7 +91,7 @@ def _pairwise_basis(shape):
     gram = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(a, n):
-            v = _pairing(shape, nodes[a], nodes[b])
+            v = node_pairing(shape, nodes[a], nodes[b])
             gram[a][b] = gram[b][a] = v
             if a != b and v > 0:
                 raise ValueError(
@@ -124,7 +133,7 @@ def test_gram_matches_pairwise_oracle():
         assert basis.nodes == reference.nodes
         nodes = basis.nodes
         for a, row in enumerate(basis.gram):
-            assert row == tuple(_pairing(shape, nodes[a], node) for node in nodes)
+            assert row == tuple(node_pairing(shape, nodes[a], node) for node in nodes)
         assert basis == reference
         assert dot_text(basis) == dot_text(reference)
         assert cartan_matrix_text(basis) == cartan_matrix_text(reference)
@@ -224,7 +233,7 @@ def test_phi_block_sums_are_tuple_sum():
         for _ in range(10):
             alpha = RootVector(basis, [rng.randint(-3, 3) for _ in basis.nodes])
             image = phi(alpha)
-            expected = sum(alpha.coords[k] for k in basis.tuple_nodes())
+            expected = sum(alpha.coords[k] for k in tuple_nodes(basis))
             assert image.rank == expected
 
 
@@ -233,7 +242,7 @@ def test_canonical_lift_examples():
     lift = canonical_lift(gauss, (0, 0, 0))
     basis = lift.basis
     assert lift.coords[basis.node_index(("t", (0, 0, 0)))] == 2
-    assert all(lift.coords[k] == 1 for k in basis.chain_nodes())
+    assert all(lift.coords[k] == 1 for k in chain_nodes(basis))
     assert phi(lift) == gauss
 
     heun = m_of("Heun")
@@ -286,7 +295,7 @@ def _canonical_lift_oracle(a, tau):
     basis = build_basis(shape)
     coords = [0] * len(basis.nodes)
     block = [
-        [a.block_sum(i, j) for j in range(shape.factor_count(i))]
+        [block_sum(a, i, j) for j in range(shape.factor_count(i))]
         for i in range(shape.num_points)
     ]
     for i in range(shape.num_points):
@@ -353,6 +362,37 @@ def test_kernel_checks():
         assert kernel_radical_check(shape_of(name)), name
 
 
+def _rank(vectors):
+    """Rank over Q of a list of coordinate vectors."""
+    return len(vectors) - len(rational_kernel([list(row) for row in zip(*vectors)]))
+
+
+def test_closed_form_kernel_basis_matches_gaussian_elimination():
+    rng = random.Random(38)
+    shapes = []
+    for _ in range(150):
+        factors = [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
+        lengths = tuple(tuple(rng.randint(1, 3) for _ in range(k)) for k in factors)
+        shapes.append(LatticeShape(lengths, _random_tables(rng, factors, (-1, -1, -2, -3))))
+    assert sum(s.num_points == 1 for s in shapes) > 20
+    assert sum(1 in map(len, s.chain_lengths) for s in shapes) > 50
+    shapes += [shape_of(name) for name in corpus.names()]
+    for shape in shapes:
+        basis = build_basis(shape)
+        closed = _kernel_basis(basis)
+        oracle = rational_kernel(phi_matrix(basis))
+        coords = [v.coords for v in closed]
+        assert len(closed) == len(oracle) == _rank(coords) == _rank(coords + oracle)
+        for v in closed:
+            assert phi(v).is_zero()
+            support = [k for k, c in enumerate(v.coords) if c]
+            for node in basis.nodes:
+                assert sum(
+                    v.coords[k] * node_pairing(shape, basis.nodes[k], node) for k in support
+                ) == 0
+        assert kernel_radical_check(shape)
+
+
 def test_doubly_confluent_kernel_vector():
     shape = shape_of("dHeun")
     basis = build_basis(shape)
@@ -370,9 +410,7 @@ def test_heun_phi_injective():
     # all factor counts 1: kernel must be trivial
     shape = shape_of("Heun")
     basis = build_basis(shape)
-    from irrkatz.rootsys import _phi_matrix, _rational_kernel
-
-    assert _rational_kernel(_phi_matrix(shape, basis)) == []
+    assert rational_kernel(phi_matrix(basis)) == []
 
 
 # -- diagrams ----------------------------------------------------------------------------
@@ -627,7 +665,7 @@ def test_positivity_of_minimizing_lift():
             a = _sorted_chains(random_vector(rng, shape))
             if idx(a) + a.rank <= 0:
                 continue
-            support = a.support_tuples()
+            support = support_tuples(a)
             defects = {t: a.defect(t) for t in support}
             best = min(defects.values())
             assert best <= 0

@@ -33,6 +33,7 @@ from irrkatz.weylalg import (
     theta_expand,
     to_text,
 )
+from oracles import subst_inverse
 
 ZERO = Fraction(0)
 
@@ -704,7 +705,7 @@ def _polynomial_image(x_image: DiffOperator):
 
 def _oracle_subst_infty(p):
     d_image = DiffOperator([RatFunc(0), RatFunc(Poly([0, 0, -1]))])
-    return _substitute(p, lambda c: DiffOperator.of(c.subst_inverse()), d_image)
+    return _substitute(p, lambda c: DiffOperator.of(subst_inverse(c)), d_image)
 
 
 def _oracle_ad_power(p, c, lam):
