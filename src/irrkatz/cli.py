@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import corpus, formal, reduce as reduction, rootsys, weylalg
 from .formal import (
@@ -197,7 +198,9 @@ def cmd_examples(args) -> int:
     return 0 if all(res["ok"] for res in results) else EXIT_CHECK_FAILED
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="irrkatz",
         description=(

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from operator import mul
 from typing import Mapping, Sequence
 
 from . import weylalg
@@ -37,9 +36,11 @@ from .weylalg import (
 
 MAX_NODES = 1024
 """Bound on the root basis of formal data read from JSON: prod k_i index
-tuples plus sum (l_ij - 1) interior chain slots.  The Gram matrix on it is
-dense, so 8 points with 3 factors each (6561 nodes) already exhausts a
-3 GB memory limit in ``diagram``."""
+tuples plus sum (l_ij - 1) interior chain slots.  Only the commands that
+read a diagram (``diagram``, ``examples --run``) build the Gram matrix on
+it, but it is dense, so 8 points with 3 factors each (6561 nodes) already
+exhausts a 3 GB memory limit in ``diagram``; and ``reduce`` still lists
+the nodes to lift m for ``idx``, so the bound holds for every command."""
 
 
 class ExtractionError(Exception):
@@ -304,23 +305,21 @@ def exponent_vector(data: FormalData) -> ExponentVector:
 def fuchs_defect(data: FormalData) -> ParamExpr:
     """Deviation from the weighted exponent-sum identity; zero iff the
     Fuchs relation holds."""
-    return fuchs_defect_of(to_shape(data), m_vector(data), exponent_vector(data))
+    m = m_vector(data)
+    return fuchs_defect_of(m.shape, m, exponent_vector(data))
 
 
 def fuchs_defect_of(
     shape: LatticeShape, m: LatticeVector, nu: ExponentVector
 ) -> ParamExpr:
-    """The defect in one pass over the blocks: n(n-1) - (p+1)n(n-1)/2,
-    plus B_ij * sum_j' w_i[j][j'] B_ij' / 2 per factor (i, j) with block
-    sums B (the diagonal of w is 0), plus m(2 lam + m - 1)/2 per slot."""
-    n = m.rank
-    total = ParamExpr(n * (n - 1) - Fraction((shape.p + 1) * n * (n - 1), 2))
-    for table, point, lams in zip(shape.weights, m.entries, nu.entries):
-        blocks = [sum(chain) for chain in point]
-        for row, b, chain, lam_chain in zip(table, blocks, point, lams):
-            total = total + Fraction(b * sum(map(mul, row, blocks)), 2)
+    """sum m.lam + idx(m)/2 - n, with idx(m) = :meth:`LatticeVector.form`
+    of m with itself: the Fuchs relation reads sum m.lam = n - idx(m)/2.
+    ``shape``, the shape of m, is not read."""
+    total = ParamExpr(Fraction(m.form(m), 2) - m.rank)
+    for point, lams in zip(m.entries, nu.entries):
+        for chain, lam_chain in zip(point, lams):
             for ms, lam in zip(chain, lam_chain):
-                total = total + Fraction(ms, 2) * (2 * lam + (ms - 1))
+                total = total + ms * lam
     return total
 
 
@@ -505,32 +504,34 @@ def to_json(data: FormalData) -> str:
 
 def from_json(text: str) -> FormalData:
     try:
-        entries = _json_objects(json.loads(text)["points"], "points")
+        doc = _json_object(json.loads(text), "document")
+        entries = _json_objects(_json_key(doc, "points"), "points")
         if len(entries) > weylalg.MAX_DEGREE + 1:
             # infinity plus the at most MAX_DEGREE finite singular points of
             # an operator within the text bound; one-factor, one-chain points
             # add no basis node, so MAX_NODES does not bound their count
             raise ValueError(f"more than MAX_DEGREE + 1 = {weylalg.MAX_DEGREE + 1} points")
-        point_factors = [_json_objects(e["factors"], "factors") for e in entries]
+        point_factors = [_json_objects(_json_key(e, "factors"), "factors") for e in entries]
         # no operator within the text bound has a larger rank
         rank = sum(
             _json_int(m, "spectral")
             for fs in point_factors[:1]
             for f in fs
-            for _, m in _json_pairs(f["spectral"], "spectral")
+            for _, m in _json_pairs(_json_key(f, "spectral"), "spectral")
         )
         if rank > weylalg.MAX_DEGREE:
             raise ValueError(f"rank {rank} is more than MAX_DEGREE = {weylalg.MAX_DEGREE}")
-        _check_basis_size(
-            [[len(_json_list(f["spectral"], "spectral")) for f in fs] for fs in point_factors]
-        )
+        _check_basis_size([
+            [len(_json_list(_json_key(f, "spectral"), "spectral")) for f in fs]
+            for fs in point_factors
+        ])
         points = []
         for entry, fs in zip(entries, point_factors):
-            loc = parse_location(entry["location"])
+            loc = parse_location(_json_key(entry, "location"))
             factors = []
             for f in fs:
                 coeffs = {}
-                for k, v in _json_pairs(f["w"], "w"):
+                for k, v in _json_pairs(_json_key(f, "w"), "w"):
                     if _json_int(k, "w") in coeffs:
                         raise ValueError(f"w: order {k} appears twice")
                     coeffs[k] = parse_rat(v, "w")
@@ -553,12 +554,25 @@ def _json_list(value, field: str) -> list:
     return value
 
 
-def _json_objects(value, field: str) -> list[dict]:
-    """A JSON list of JSON objects; any other item is refused rather than indexed."""
-    for item in _json_list(value, field):
-        if type(item) is not dict:
-            raise ValueError(f"{field}: expected an object, got {item!r:.40}")
+def _json_object(value, field: str) -> dict:
+    """A JSON object; any other value is refused rather than indexed."""
+    if type(value) is not dict:
+        raise ValueError(f"{field}: expected an object, got {value!r:.40}")
     return value
+
+
+def _json_objects(value, field: str) -> list[dict]:
+    """A JSON list of JSON objects."""
+    for item in _json_list(value, field):
+        _json_object(item, field)
+    return value
+
+
+def _json_key(obj: dict, key: str):
+    """The value of ``key`` in a JSON object; a missing key is named."""
+    if key not in obj:
+        raise ValueError(f"{key}: missing")
+    return obj[key]
 
 
 def _json_pairs(items, field: str):

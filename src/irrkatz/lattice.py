@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import mul
 from typing import Sequence
 
 IndexTuple = tuple[int, ...]
@@ -194,6 +195,18 @@ class LatticeVector(SlotTable):
                 for k in range(len(point))
             ])
         return shares
+
+    def form(self, other: "LatticeVector") -> int:
+        """The form B(m, m'): the slot-by-slot product minus, per factor
+        (i, k), ``g[i][k]`` plus the first slot of m there, times the block
+        sum of factor (i, k) of m', with g = :meth:`point_defects`.  It
+        equals sum m.m' + sum_i sum_jj' w_i[j][j'] B_ij B'_ij' - (p - 1) n n',
+        so B(m, e_t) = -defect(t) and B(m, m) = idx(m)."""
+        total = 0
+        for g, point, other_point in zip(self.point_defects(), self.entries, other.entries):
+            for share, chain, other_chain in zip(g, point, other_point):
+                total += sum(map(mul, chain, other_chain)) - (share + chain[0]) * sum(other_chain)
+        return total
 
     def defect(self, t: IndexTuple) -> int:
         """Rank change effected by the twisted-Euler move along ``t``;

@@ -19,6 +19,14 @@ permutations, which is what lets root-theoretic language classify
 operators.  Its kernel has a closed-form basis, one alternating sum of
 tuple nodes per tuple with two or more nonzero entries, and lies in the
 radical of the form (:func:`kernel_radical_check`).
+
+So the form is the pullback of :meth:`LatticeVector.form` along the
+surjection: :func:`pairing`, :func:`reflect` and :func:`idx` evaluate it
+on the images and never read the Gram matrix.  A :class:`RootBasis` is
+its nodes; the Gram matrix is built on its first read, which only the
+diagram readers make (:func:`dot_text`, :func:`cartan_matrix_text`,
+:func:`classify_diagram`, :func:`support_connected`) and
+:func:`kernel_radical_check`, the proof that the pullback is exact.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from __future__ import annotations
 from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import compress, product
 from operator import mul, ne
 from typing import Sequence
@@ -43,34 +52,25 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class RootBasis:
-    """Ordered nodes (tuple nodes first, then chain nodes) plus the Gram
-    matrix of the bilinear form."""
+    """Ordered nodes, tuple nodes first and then chain nodes; the Gram
+    matrix of the bilinear form is built on its first read."""
 
     shape: LatticeShape
     nodes: tuple[Node, ...]
-    gram: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def gram(self) -> tuple[tuple[int, ...], ...]:
+        return _gram(self.shape, self.nodes)
+
+    @cached_property
+    def _positions(self) -> dict[Node, int]:
+        return {node: k for k, node in enumerate(self.nodes)}
 
     def node_index(self, node: Node) -> int:
-        """Position of a node, computed rather than searched: tuple nodes
-        come first in lexicographic order (a mixed-radix number), then the
-        chain nodes in (i, j, s) order."""
-        kind, payload = node
-        lens = self.shape.chain_lengths
-        k = -1
-        with suppress(IndexError, TypeError, ValueError):
-            if kind == "t":
-                k = 0
-                for i, j in enumerate(payload):
-                    k = k * len(lens[i]) + j
-            else:
-                i, j, s = payload
-                later = sum(l - 1 for l in lens[i][j:]) + sum(
-                    l - 1 for ls in lens[i + 1:] for l in ls
-                )
-                k = len(self.nodes) - later + s
-        if not 0 <= k < len(self.nodes) or self.nodes[k] != node:
-            raise ValueError(f"{node!r} is not a node of this basis")
-        return k
+        """Position of a node; any other value raises ``ValueError``."""
+        with suppress(KeyError, TypeError):
+            return self._positions[node]
+        raise ValueError(f"{node!r} is not a node of this basis")
 
     def node_label(self, k: int) -> str:
         kind, payload = self.nodes[k]
@@ -81,9 +81,20 @@ class RootBasis:
 
 
 def build_basis(shape: LatticeShape) -> RootBasis:
-    """Basis and Gram matrix for a shape.
+    """The nodes of a shape: the index tuples in lexicographic order, then
+    the interior chain slots in (i, j, s) order."""
+    chains = [
+        ("c", (i, j, s))
+        for i, lens in enumerate(shape.chain_lengths)
+        for j, l in enumerate(lens)
+        for s in range(l - 1)
+    ]
+    return RootBasis(shape, tuple([("t", t) for t in shape.index_tuples()] + chains))
 
-    The Gram matrix is set block by block in closed form:
+
+def _gram(shape: LatticeShape, nodes: tuple[Node, ...]) -> tuple[tuple[int, ...], ...]:
+    """The Gram matrix on the nodes of :func:`build_basis`, set block by
+    block in closed form:
 
     - tuple-tuple: B(e_t, e_t') = sum_i ([t_i = t'_i] - euler_weight(i, t'_i, t_i)),
       the outer sum over the points of these rows (see :func:`_suffix_row`),
@@ -97,15 +108,9 @@ def build_basis(shape: LatticeShape) -> RootBasis:
     root-system territory and is reported, for the first pair (a, b) with
     a < b in row-major order, rather than silently accepted.
     """
-    tuples = shape.index_tuples()
+    tuples = [t for kind, t in nodes if kind == "t"]
     nt = len(tuples)
-    chains = [
-        (i, j, s)
-        for i, lens in enumerate(shape.chain_lengths)
-        for j, l in enumerate(lens)
-        for s in range(l - 1)
-    ]
-    nodes = tuple([("t", t) for t in tuples] + [("c", c) for c in chains])
+    chains = [c for _, c in nodes[nt:]]
     first_slot = {c[:2]: q for q, c in enumerate(chains) if c[2] == 0}
     per_point = [
         [[(j == j2) - shape.euler_weight(i, j2, j) for j2 in range(k)] for j in range(k)]
@@ -139,7 +144,7 @@ def build_basis(shape: LatticeShape) -> RootBasis:
         if q + 1 < len(chains) and chains[q + 1][2] == s + 1:
             coupling[q + 1] = -1
         gram.append(tuple(row + coupling))
-    return RootBasis(shape, nodes, tuple(gram))
+    return tuple(gram)
 
 
 def _suffix_row(per_point, memo, u: IndexTuple, c: int) -> list[int]:
@@ -219,23 +224,16 @@ class RootVector:
 
 
 def pairing(alpha: RootVector, beta: RootVector) -> int:
-    """alpha^T G beta over the nonzero coordinates of alpha only: a lift
-    from :func:`canonical_lift` has few of them."""
-    gram = alpha.basis.gram
-    coords = beta.coords
-    return sum(
-        a * sum(map(mul, gram[k], coords)) for k, a in enumerate(alpha.coords) if a
-    )
+    """alpha^T G beta, as the form of the images under :func:`phi`: the
+    form on the nodes is the pullback of :meth:`LatticeVector.form`."""
+    return phi(alpha).form(phi(beta))
 
 
 def reflect(alpha: RootVector, node: Node) -> RootVector:
-    """Reflection in a basis node (all nodes have self-pairing 2)."""
-    basis = alpha.basis
-    k = basis.node_index(node)
-    coeff = sum(g * v for g, v in zip(basis.gram[k], alpha.coords))
-    coords = list(alpha.coords)
-    coords[k] -= coeff
-    return RootVector(basis, coords)
+    """Reflection in a basis node (all nodes have self-pairing 2):
+    alpha - B(e, alpha) e with e the node's unit vector."""
+    unit = RootVector.unit(alpha.basis, node)
+    return alpha - unit.scale(pairing(unit, alpha))
 
 
 def phi(alpha: RootVector) -> LatticeVector:

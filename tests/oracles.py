@@ -1,9 +1,10 @@
 """Reference implementations and helpers that only the tests use.
 
 Each is either the direct, slow form of something ``irrkatz`` computes
-another way (the form entry by entry, ker phi by Gaussian elimination,
-the support tuples by filtering the full product) or a small accessor no
-pipeline code needs, so it lives here and not in ``src``.
+another way (the form entry by entry or block by block, a reflection
+from a Gram row, ker phi by Gaussian elimination, the support tuples by
+filtering the full product) or a small accessor no pipeline code needs,
+so it lives here and not in ``src``.
 """
 
 from __future__ import annotations
@@ -43,6 +44,25 @@ def node_pairing(shape: LatticeShape, n1: Node, n2: Node) -> int:
         pay1, pay2 = pay2, pay1
     t, (i, j, s) = pay1, pay2
     return -1 if t[i] == j and s == 0 else 0
+
+
+def basis_with_gram(shape: LatticeShape, nodes, gram) -> RootBasis:
+    """A basis whose Gram matrix is ``gram``, set in place of the one
+    ``RootBasis.gram`` builds on its first read."""
+    basis = RootBasis(shape, tuple(nodes))
+    basis.__dict__["gram"] = tuple(tuple(row) for row in gram)
+    return basis
+
+
+def reflect(alpha: RootVector, node: Node) -> RootVector:
+    """Reflection in a basis node, its coefficient read from the node's
+    Gram row."""
+    basis = alpha.basis
+    k = basis.node_index(node)
+    coeff = sum(g * v for g, v in zip(basis.gram[k], alpha.coords))
+    coords = list(alpha.coords)
+    coords[k] -= coeff
+    return RootVector(basis, coords)
 
 
 def tuple_nodes(basis: RootBasis) -> list[int]:
@@ -109,6 +129,32 @@ def rational_kernel(matrix: list[list[int]]) -> list[list[Fraction]]:
 def block_sum(a: LatticeVector, i: int, j: int) -> int:
     """The sum of the chain of factor (i, j)."""
     return sum(a.entries[i][j])
+
+
+def form(shape: LatticeShape, a: LatticeVector, b: LatticeVector) -> int:
+    """B(a, b) = sum a.b + sum_i sum_{j != j'} w_i[j][j'] A_ij B_ij' - (p-1) n_a n_b,
+    the polarization of idx, with A_ij and B_ij' the block sums."""
+    total = sum(
+        x * y
+        for pa, pb in zip(a.entries, b.entries)
+        for ca, cb in zip(pa, pb)
+        for x, y in zip(ca, cb)
+    )
+    for i, table in enumerate(shape.weights):
+        for j, row in enumerate(table):
+            for j2, w in enumerate(row):
+                if j != j2:
+                    total += w * block_sum(a, i, j) * block_sum(b, i, j2)
+    return total - (shape.p - 1) * a.rank * b.rank
+
+
+def rank_one(shape: LatticeShape, t: IndexTuple) -> LatticeVector:
+    """The rank-1 vector of an index tuple: 1 in the first slot of factor
+    t_i at every point."""
+    return LatticeVector(shape, [
+        [[int(j == t[i] and s == 0) for s in range(l)] for j, l in enumerate(lens)]
+        for i, lens in enumerate(shape.chain_lengths)
+    ])
 
 
 def support_tuples(a: LatticeVector) -> tuple[IndexTuple, ...]:

@@ -622,6 +622,17 @@ def test_formal_json_items_must_be_pairs(tmp_path, capsys, inf_factor, zero_fact
         assert f"malformed formal-data JSON: {field} expected a pair, got {item}" in err
 
 
+def test_parser_is_built_once_and_reused_safely(capsys):
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    first = parser.parse_args(["examples", "--param", "a=1"])
+    second = parser.parse_args(["examples", "--param", "b=2"])
+    assert (first.param, second.param) == (["a=1"], ["b=2"])
+    with pytest.raises(SystemExit):
+        parser.parse_args(["analyze", "--op", "D", "--file", "op.txt"])
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
@@ -633,8 +644,19 @@ def test_formal_json_items_must_be_pairs(tmp_path, capsys, inf_factor, zero_fact
          "spectral: expected a list, got 'ab'"),
         ('{"points":{}}', "points: expected a list, got {}"),
         ('{"points":[5]}', "points: expected an object, got 5"),
+        ("[]", "document: expected an object, got []"),
+        ('"x"', "document: expected an object, got 'x'"),
+        ("5", "document: expected an object, got 5"),
+        ("null", "document: expected an object, got None"),
+        ("{}", "points: missing"),
+        ('{"points":[{"factors":[{"w":[],"spectral":[["1/2",1]]}]}]}', "location: missing"),
+        ('{"points":[{"location":"inf"}]}', "factors: missing"),
+        ('{"points":[{"location":"inf","factors":[{"spectral":[["1/2",1]]}]}]}', "w: missing"),
+        ('{"points":[{"location":"inf","factors":[{"w":[]}]}]}', "spectral: missing"),
     ],
-    ids=["w", "factors", "factor", "spectral", "points", "point"],
+    ids=["w", "factors", "factor", "spectral", "points", "point", "list-document",
+         "string-document", "number-document", "null-document", "no-points", "no-location",
+         "no-factors", "no-w", "no-spectral"],
 )
 def test_formal_json_containers_must_be_lists_and_objects(tmp_path, capsys, doc, message):
     path = tmp_path / "containers.json"

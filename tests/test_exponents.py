@@ -16,7 +16,7 @@ from irrkatz.exponents import (
 from irrkatz.formal import fuchs_defect_of
 from irrkatz.lattice import LatticeShape
 from irrkatz.scalar import ParamExpr
-from oracles import block_sum, node_pairing
+from oracles import block_sum, form, node_pairing, rank_one
 
 
 def shape_of(name):
@@ -280,32 +280,6 @@ def test_fuchs_defect_matches_the_triple_loop_oracle():
 
 
 # -- one bilinear form behind defect, pair_coupling, idx and act_sigma_t -------------
-
-
-def form(shape, a, b):
-    """B(a, b) = sum a.b + sum_i sum_{j != j'} w_i[j][j'] A_ij B_ij' - (p-1) n_a n_b,
-    the polarization of idx, with A_ij and B_ij' the block sums."""
-    total = sum(
-        x * y
-        for pa, pb in zip(a.entries, b.entries)
-        for ca, cb in zip(pa, pb)
-        for x, y in zip(ca, cb)
-    )
-    for i, table in enumerate(shape.weights):
-        for j, row in enumerate(table):
-            for j2, w in enumerate(row):
-                if j != j2:
-                    total += w * block_sum(a, i, j) * block_sum(b, i, j2)
-    return total - (shape.p - 1) * a.rank * b.rank
-
-
-def rank_one(shape, t):
-    from irrkatz.lattice import LatticeVector
-
-    return LatticeVector(shape, [
-        [[int(j == t[i] and s == 0) for s in range(l)] for j, l in enumerate(lens)]
-        for i, lens in enumerate(shape.chain_lengths)
-    ])
 
 
 def act_sigma_t_reference(nu, t):

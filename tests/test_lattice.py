@@ -5,7 +5,7 @@ import pytest
 
 from irrkatz import corpus, formal, rootsys
 from irrkatz.lattice import LatticeShape, LatticeVector, in_fundamental_domain
-from oracles import support_tuples
+from oracles import form, rank_one, support_tuples
 
 
 def shape_of(name):
@@ -201,6 +201,38 @@ def test_tuples_off_the_support_have_nonnegative_defect():
                     assert _oracle_defect(a, t) >= 0
                     checked += 1
     assert checked > 1000
+
+
+def rank_zero_vector(rng, shape):
+    """Random entries in -3..3, every block sum made zero at the first slot."""
+    entries = []
+    for lens in shape.chain_lengths:
+        point = [[rng.randint(-3, 3) for _ in range(l)] for l in lens]
+        point[0][0] -= sum(map(sum, point))
+        entries.append(point)
+    return LatticeVector(shape, entries)
+
+
+def test_form_matches_the_block_sum_oracle():
+    rng = random.Random(74)
+    shape = None
+    shapes = with_units = 0
+    for a in oracle_cases(74, 100):
+        if a.shape is not shape:
+            shape = a.shape
+            shapes += 1
+            tuples = shape.index_tuples()
+            # every tuple, on the shapes with at most 48 of them
+            units = {t: rank_one(shape, t) for t in tuples} if len(tuples) <= 48 else {}
+            with_units += bool(units)
+        zero_rank = rank_zero_vector(rng, shape)
+        for b in (a, zero_rank, random_vector(rng, shape), mixed_vector(rng, shape)):
+            assert a.form(b) == form(shape, a, b) == b.form(a)
+        assert a.form(a) == rootsys.idx(a)
+        assert zero_rank.form(zero_rank) == rootsys.idx(zero_rank)
+        for t, unit in units.items():
+            assert a.form(unit) == -a.defect(t) == unit.form(a)
+    assert shapes > 100 and with_units > 80
 
 
 def test_idx_lifts_from_the_first_support_tuple(monkeypatch):

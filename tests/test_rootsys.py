@@ -3,10 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from irrkatz import corpus, formal
+from irrkatz import cli, corpus, formal, rootsys
 from irrkatz.lattice import LatticeShape, LatticeVector
 from irrkatz.rootsys import (
-    RootBasis,
     RootVector,
     Verdict,
     build_basis,
@@ -24,6 +23,7 @@ from irrkatz.rootsys import (
     _kernel_basis,
 )
 from oracles import (
+    basis_with_gram,
     block_sum,
     chain_nodes,
     node_pairing,
@@ -33,6 +33,7 @@ from oracles import (
     support_tuples,
     tuple_nodes,
 )
+from oracles import reflect as reflect_oracle
 
 
 def shape_of(name):
@@ -97,7 +98,7 @@ def _pairwise_basis(shape):
                 raise ValueError(
                     f"positive off-diagonal pairing {v} between {nodes[a]} and {nodes[b]}"
                 )
-    return RootBasis(shape, tuple(nodes), tuple(tuple(row) for row in gram))
+    return basis_with_gram(shape, nodes, gram)
 
 
 def _random_tables(rng, factors, values):
@@ -135,6 +136,7 @@ def test_gram_matches_pairwise_oracle():
         for a, row in enumerate(basis.gram):
             assert row == tuple(node_pairing(shape, nodes[a], node) for node in nodes)
         assert basis == reference
+        assert basis.gram == reference.gram
         assert dot_text(basis) == dot_text(reference)
         assert cartan_matrix_text(basis) == cartan_matrix_text(reference)
         assert classify_diagram(basis)[0] == classify_diagram(reference)[0]
@@ -145,7 +147,8 @@ def test_gram_matches_pairwise_oracle():
 def test_node_index_rejects_foreign_nodes():
     basis = build_basis(shape_of("Gauss"))
     for node in [("t", (0, 0)), ("t", (0, 0, 2)), ("t", (0, 0, 0, 0)), ("t", (-1, 0, 0)),
-                 ("c", (0, 0, 1)), ("c", (0, 1, 0)), ("c", (5, 0, 0)), ("x", (0,))]:
+                 ("c", (0, 0, 1)), ("c", (0, 1, 0)), ("c", (5, 0, 0)), ("x", (0,)),
+                 ("t", [0, 0, 0]), ("c", [0, 0, 0])]:
         with pytest.raises(ValueError):
             basis.node_index(node)
 
@@ -165,25 +168,58 @@ def test_positive_off_diagonal_message_matches_pairwise_oracle():
             expected = _pairwise_basis(shape)
         except ValueError as exc:
             with pytest.raises(ValueError) as got:
-                build_basis(shape)
+                build_basis(shape).gram
             assert str(got.value) == str(exc)
             raised += 1
         else:
             assert build_basis(shape) == expected
+            assert build_basis(shape).gram == expected.gram
     assert 10 < raised < 60
 
 
 def test_pairing_skips_zero_coordinates_only():
     rng = random.Random(38)
-    basis = build_basis(random_shape(rng))
-    n = len(basis.nodes)
-    for _ in range(20):
-        alpha = RootVector(basis, [rng.choice((0, 0, 0, rng.randint(-3, 3))) for _ in range(n)])
-        beta = RootVector(basis, [rng.randint(-3, 3) for _ in range(n)])
-        dense = sum(
-            alpha.coords[a] * basis.gram[a][b] * beta.coords[b] for a in range(n) for b in range(n)
-        )
-        assert pairing(alpha, beta) == dense == pairing(beta, alpha)
+    with_chains = 0
+    for _ in range(100):
+        basis = build_basis(random_shape(rng, max_nodes=80))
+        n = len(basis.nodes)
+        with_chains += basis.nodes[-1][0] == "c"
+        for _ in range(4):
+            alpha = RootVector(basis, [rng.choice((0, 0, 0, rng.randint(-3, 3))) for _ in range(n)])
+            beta = RootVector(basis, [rng.randint(-3, 3) for _ in range(n)])
+            dense = sum(
+                alpha.coords[a] * basis.gram[a][b] * beta.coords[b] for a in range(n) for b in range(n)
+            )
+            assert pairing(alpha, beta) == dense == pairing(beta, alpha)
+    assert with_chains > 80
+
+
+def test_only_the_diagram_readers_build_the_gram(monkeypatch, tmp_path, capsys):
+    def refuse(shape, nodes):
+        raise AssertionError("Gram matrix built")
+
+    monkeypatch.setattr(rootsys, "_gram", refuse)
+    for name in corpus.names():
+        data = corpus.symbolic_formal_data(name)
+        m = formal.m_vector(data)
+        lift = canonical_lift(m, (0,) * m.shape.num_points)
+        assert phi(lift) == m
+        assert pairing(lift, lift) == idx(m) == m.form(m)
+        for node in lift.basis.nodes:
+            reflect(lift, node)
+        assert formal.fuchs_defect(data).is_zero()
+        path = tmp_path / f"{name}.json"
+        path.write_text(formal.to_json(data), encoding="utf-8")
+        for command in ("reduce", "fuchs"):
+            assert cli.main([command, "--formal", str(path)]) == 0
+    capsys.readouterr()
+    basis = build_basis(shape_of("dHeun"))
+    readers = [dot_text, cartan_matrix_text, classify_diagram,
+               lambda b: support_connected(RootVector.unit(b, b.nodes[0])),
+               lambda b: kernel_radical_check(b.shape)]
+    for reader in readers:
+        with pytest.raises(AssertionError, match="Gram matrix built"):
+            reader(basis)
 
 
 # -- reflections -------------------------------------------------------------------
@@ -201,6 +237,17 @@ def test_reflect_examples():
         node = rng.choice(basis.nodes)
         assert pairing(reflect(alpha, node), reflect(beta, node)) == pairing(alpha, beta)
         assert reflect(reflect(alpha, node), node) == alpha
+
+
+def test_reflect_matches_the_gram_row_oracle():
+    rng = random.Random(39)
+    shapes = [random_shape(rng, max_nodes=60) for _ in range(100)]
+    shapes += [shape_of(name) for name in corpus.names()]
+    for shape in shapes:
+        basis = build_basis(shape)
+        alpha = RootVector(basis, [rng.randint(-3, 3) for _ in basis.nodes])
+        for node in basis.nodes:
+            assert reflect(alpha, node) == reflect_oracle(alpha, node)
 
 
 def test_heun_delta_invariant():
@@ -521,7 +568,7 @@ def graph_basis(n, edges):
     for a, b, m in edges:
         gram[a][b] = gram[b][a] = -m
     nodes = tuple(("c", (0, 0, k)) for k in range(n))
-    return RootBasis(None, nodes, tuple(tuple(row) for row in gram))
+    return basis_with_gram(None, nodes, gram)
 
 
 def relabel(edges, perm):
