@@ -289,9 +289,11 @@ def m_vector(data: FormalData) -> LatticeVector:
     )
 
 
-def exponent_vector(data: FormalData) -> ExponentVector:
+def exponent_vector(data: FormalData, shape: LatticeShape | None = None) -> ExponentVector:
+    """The exponents of ``data``; ``shape``, when given, is
+    ``to_shape(data)``, built once by the caller."""
     return ExponentVector(
-        to_shape(data),
+        to_shape(data) if shape is None else shape,
         [
             [[lam for lam, _ in s.chains] for _, s in factors]
             for _, factors in data.points
@@ -306,7 +308,7 @@ def fuchs_defect(data: FormalData) -> ParamExpr:
     """Deviation from the weighted exponent-sum identity; zero iff the
     Fuchs relation holds."""
     m = m_vector(data)
-    return fuchs_defect_of(m.shape, m, exponent_vector(data))
+    return fuchs_defect_of(m.shape, m, exponent_vector(data, m.shape))
 
 
 def fuchs_defect_of(

@@ -14,7 +14,9 @@ numerator.  Two fractions over the same denominator add without a
 cross-multiplication: the reduced form with a monic denominator is
 unique.  A product with the constant 1 is the other factor, shared as
 ``Poly`` is immutable.  Coefficients that already are ``Fraction``s are
-kept, not rebuilt.
+kept, not rebuilt.  Every polynomial ``RatFunc`` holds the one shared
+denominator :data:`UNIT`, so building one allocates no denominator, and
+one built over ``UNIT`` skips the normalization altogether.
 """
 
 from __future__ import annotations
@@ -360,31 +362,36 @@ def falling_factorial(j: int) -> Poly:
     return out
 
 
+#: The denominator of every polynomial ``RatFunc``: one shared object.
+UNIT = Poly.const(1)
+
+
 class RatFunc:
-    """Reduced fraction num/den of polynomials, den monic and nonzero."""
+    """Reduced fraction num/den of polynomials, den monic and nonzero; a
+    constant denominator is always :data:`UNIT`."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: PolyLike, den: PolyLike = 1):
+    def __init__(self, num: PolyLike, den: PolyLike = UNIT):
         num = as_poly(num)
-        den = as_poly(den)
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            den = Poly.const(1)
-        elif den.degree == 0:
-            if den.coeffs != (1,):
-                num = num * (1 / den.coeffs[0])
-                den = Poly.const(1)
-        else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num // g
-                den = den // g
-            lead = den.leading()
-            if lead != 1:
-                num = num * (1 / lead)
-                den = den.monic()
+        if den is not UNIT:
+            den = as_poly(den)
+            if den.is_zero():
+                raise ZeroDivisionError("rational function with zero denominator")
+            if num.is_zero():
+                den = UNIT
+            else:
+                if den.degree > 0:
+                    g = poly_gcd(num, den)
+                    if g.degree > 0:
+                        num = num // g
+                        den = den // g
+                lead = den.leading()
+                if lead != 1:
+                    num = num * (1 / lead)
+                    den = den.monic()
+                if den.degree == 0:
+                    den = UNIT
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -423,7 +430,7 @@ class RatFunc:
 
     def __add__(self, other: "RatLike") -> "RatFunc":
         other = RatFunc.of(other)
-        if self.den == other.den:
+        if self.den is other.den or self.den == other.den:
             return RatFunc(self.num + other.num, self.den)
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
 

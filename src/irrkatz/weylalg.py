@@ -32,6 +32,15 @@ and so Euler) are coefficient formulas; none multiplies operators:
 
 Normal forms are unique and coefficients are reduced with a monic
 denominator, so these agree exactly with multiplying out the images.
+
+The product itself (``DiffOperator.__mul__``) works on numerator rows over
+common denominators, as :func:`_shift_d` does.  With ``P = sum_i N_i D^i / M``
+and ``Q = sum_j K_j D^j / L``, the Leibniz rule ``D^i b = sum_k C(i, k)
+b^(k) D^(i-k)`` needs ``(K_j/L)^(k) = R_jk / L^(k+1)``, where ``R_j0 = K_j``
+and ``R_j(k+1) = R_jk' L - (k+1) R_jk L'``.  So the coefficient of D^m is
+``sum_(i-k+j=m) C(i, k) N_i R_jk L^(I-k)`` over ``M L^(I+1)``, I the rank of
+P.  For polynomial operators ``M = L = 1``, and the product is row
+arithmetic over Q with no gcd.
 """
 
 from __future__ import annotations
@@ -43,7 +52,9 @@ from fractions import Fraction
 from math import comb, factorial, perm
 from typing import Iterable, Mapping, Union
 
-from .polys import Poly, RatFunc, RatLike, as_poly, falling_factorial, poly_gcd, pow_by_squaring
+from .polys import (
+    UNIT, Poly, RatFunc, RatLike, as_poly, falling_factorial, poly_gcd, pow_by_squaring,
+)
 from .scalar import ParamExpr, parse_rat
 
 
@@ -166,28 +177,41 @@ class DiffOperator:
         return DiffOperator.of(other) + (-self)
 
     def __mul__(self, other: "OpLike") -> "DiffOperator":
+        # the closed form of the module docstring, accumulated in place into
+        # one row of numerator coefficients per power of D
         other = DiffOperator.of(other)
         if self.is_zero() or other.is_zero():
             return DiffOperator()
-        out = [RatFunc(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for j, b in enumerate(other.coeffs):
-            if b.is_zero():
-                continue
-            # D^i * b = sum_k comb(i, k) * b^(k) * D^(i-k)
-            deriv = b
-            derivs = [deriv]
-            for _ in range(len(self.coeffs) - 1):
-                deriv = deriv.derivative()
-                derivs.append(deriv)
-            for i, a in enumerate(self.coeffs):
-                if a.is_zero():
-                    continue
-                for k in range(i + 1):
-                    term = derivs[k]
-                    if term.is_zero():
+        den, nums = _over_common_denominator(self)
+        lden, knums = _over_common_denominator(other)
+        top = len(nums) - 1
+        dl = lden.derivative()
+        lpows = [UNIT]
+        for _ in range(top):
+            lpows.append(lpows[-1] * lden)
+        # deg(R_jk L^(I-k)) <= deg K_j + I deg L bounds every row
+        width = max(q.degree for q in nums) + max(q.degree for q in knums) + top * lden.degree + 1
+        rows = [[_ZERO] * width for _ in range(top + len(knums))]
+        left = [(i, [(s, a) for s, a in enumerate(q.coeffs) if a]) for i, q in enumerate(nums) if q]
+        for j, r in enumerate(knums):
+            for k in range(top + 1):
+                if k:
+                    # L' is zero when L is 1
+                    r = r.derivative() * lden - r * dl * k if dl else r.derivative()
+                if r.is_zero():
+                    break
+                right = [(t, b) for t, b in enumerate((r * lpows[top - k]).coeffs) if b]
+                for i, terms in left:
+                    if i < k:
                         continue
-                    out[i - k + j] += a * comb(i, k) * term
-        return DiffOperator(out)
+                    row = rows[i - k + j]
+                    c = comb(i, k)
+                    for s, a in terms:
+                        ca = c * a
+                        for t, b in right:
+                            row[s + t] += ca * b
+        out_den = den * lpows[top] * lden
+        return DiffOperator([RatFunc(Poly(row), out_den) for row in rows])
 
     def __rmul__(self, other: "OpLike") -> "DiffOperator":
         # functions and scalars commute into the coefficients
@@ -217,6 +241,8 @@ class DiffOperator:
 
 
 OpLike = Union[DiffOperator, RatFunc, Poly, Fraction, int]
+
+_ZERO = Fraction(0)
 
 X = DiffOperator([RatFunc(Poly.x())])
 D = DiffOperator([RatFunc(0), RatFunc(1)])
@@ -578,7 +604,7 @@ def newton_polygon(expansion: ThetaExpansion) -> NewtonPolygon:
 def _over_common_denominator(p: DiffOperator) -> tuple[Poly, list[Poly]]:
     """``(M, [N_i])`` with ``a_i = N_i / M`` for every coefficient, M the
     monic lcm of the denominators."""
-    den = Poly.const(1)
+    den = UNIT
     for c in p.coeffs:
         if c.den.degree > 0:
             den = den * (c.den // poly_gcd(den, c.den))

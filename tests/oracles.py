@@ -3,13 +3,15 @@
 Each is either the direct, slow form of something ``irrkatz`` computes
 another way (the form entry by entry or block by block, a reflection
 from a Gram row, ker phi by Gaussian elimination, the support tuples by
-filtering the full product) or a small accessor no pipeline code needs,
-so it lives here and not in ``src``.
+filtering the full product, the operator product by the Leibniz rule
+term by term) or a small accessor no pipeline code needs, so it lives
+here and not in ``src``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from irrkatz import corpus
 from irrkatz.formal import FormalData, SpectralData
@@ -17,6 +19,7 @@ from irrkatz.lattice import IndexTuple, LatticeShape, LatticeVector
 from irrkatz.polys import RatFunc
 from irrkatz.rootsys import Node, RootBasis, RootVector, build_basis, phi
 from irrkatz.scalar import ParamExpr
+from irrkatz.weylalg import DiffOperator, OpLike
 
 # -- rootsys ---------------------------------------------------------------------
 
@@ -174,6 +177,32 @@ def subst_inverse(f: RatFunc) -> RatFunc:
     if n < 0:
         return f
     return RatFunc(f.num.reverse(n), f.den.reverse(n))
+
+
+# -- weylalg ---------------------------------------------------------------------
+
+
+def leibniz_product(p: DiffOperator, q: OpLike) -> DiffOperator:
+    """The product term by term in ``RatFunc`` arithmetic: ``D^i b =
+    sum_k C(i, k) b^(k) D^(i-k)``, each derivative of each coefficient of
+    q taken once."""
+    q = DiffOperator.of(q)
+    if p.is_zero() or q.is_zero():
+        return DiffOperator()
+    out = [RatFunc(0)] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for j, b in enumerate(q.coeffs):
+        if b.is_zero():
+            continue
+        derivs = [b]
+        for _ in range(len(p.coeffs) - 1):
+            derivs.append(derivs[-1].derivative())
+        for i, a in enumerate(p.coeffs):
+            if a.is_zero():
+                continue
+            for k in range(i + 1):
+                if not derivs[k].is_zero():
+                    out[i - k + j] += a * comb(i, k) * derivs[k]
+    return DiffOperator(out)
 
 
 # -- corpus ----------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """One traced pass of each benchmark workload, run in-process from the
 bench's own files: its correctness checks pass, the tracer wraps every
-call site, and every span the workload requires fires (among them the
+call site, every span the workload requires fires (among them the
 ``ad_exp_raw`` and ``ad_power`` twists of the Euler step and the
-``canonical_lift`` and ``pairing`` gate of the lattice ladder)."""
+``canonical_lift`` and ``pairing`` gate of the lattice ladder), and the
+bench's ``check_trace`` reports no problem."""
 
 import importlib.util
 import sys
@@ -49,3 +50,7 @@ def test_workload_pass_is_correct_and_fully_traced(bench_run, workload):
     assert [r["error"] for r in records] == [None] * len(one_pass)
     fired = {span for span, stat in tracer.stats.items() if stat.calls}
     assert set(bench_run.EXPECTED_SPANS[workload]) <= fired
+    # the bench's own gate on a traced run: every expected span fires, self
+    # times add up, and program spans cover 95 % of the traced op time
+    problems, _ = bench_run.check_trace(tracer, workload, sum(r["wall_s"] for r in records))
+    assert problems == []

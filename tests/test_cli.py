@@ -277,6 +277,38 @@ def test_fuchs_command(tmp_path, capsys):
     assert out.strip() != "0"
 
 
+def test_fuchs_builds_the_shape_once(tmp_path, capsys, monkeypatch):
+    to_shape = formal.to_shape
+    shapes = []
+
+    def counted(data):
+        shapes.append(data)
+        return to_shape(data)
+
+    path = tmp_path / "data.json"
+    nonzero = 0
+    for name in corpus.names():
+        doc = json.loads(formal.to_json(formal.extract_formal_data(corpus.instantiate(name))))
+        for perturbed in (False, True):
+            if perturbed:
+                doc["points"][-1]["factors"][0]["spectral"][0][0] = "1/9"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            data = formal.from_json(path.read_text(encoding="utf-8"))
+            # the defect as fuchs_defect composed it before building the shape once
+            expected = formal.fuchs_defect_of(
+                to_shape(data), formal.m_vector(data), formal.exponent_vector(data)
+            )
+            monkeypatch.setattr(formal, "to_shape", counted)
+            shapes.clear()
+            code, out, _ = run(capsys, "fuchs", "--formal", str(path))
+            monkeypatch.setattr(formal, "to_shape", to_shape)
+            assert len(shapes) == 1
+            assert out == f"{expected}\n"
+            assert code == (0 if expected.is_zero() else 1)
+            nonzero += not expected.is_zero()
+    assert nonzero == len(corpus.names())
+
+
 def test_examples_listing_and_run(capsys):
     code, out, _ = run(capsys, "examples")
     assert code == 0

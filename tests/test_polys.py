@@ -170,6 +170,29 @@ def test_ratfunc_canonical_form():
     assert f == RatFunc(Poly([1]), Poly([0, 2]))
 
 
+def test_polynomial_ratfuncs_share_the_unit_denominator():
+    rng = random.Random(20)
+    for _ in range(100):
+        p = _random_poly(rng, rng.randint(-1, 4))
+        q = _random_poly(rng, rng.randint(1, 3))
+        q = q if q.degree > 0 else Poly([1, 1])
+        built = [
+            RatFunc(p), RatFunc(p, 1), RatFunc(p, Poly.const(3)), RatFunc(0, q),
+            RatFunc(p) + RatFunc(q), RatFunc(p) * RatFunc(q), RatFunc(p * q, q),
+            RatFunc(p, q) * RatFunc(q), RatFunc(p, q) - RatFunc(p, q), RatFunc(q) ** 0,
+            RatFunc(q).derivative(),
+        ]
+        for f in built:
+            assert f.den is polys.UNIT
+            fresh = object.__new__(RatFunc)
+            object.__setattr__(fresh, "num", f.num)
+            object.__setattr__(fresh, "den", Poly.const(1))
+            assert f == fresh and fresh == f
+            assert hash(f) == hash(fresh)
+            assert f.format() == fresh.format() and f.is_poly()
+    assert polys.UNIT.coeffs == (1,)
+
+
 def test_subst_inverse():
     f = RatFunc(Poly([1, 2]), Poly([0, 1]))             # (1+2x)/x
     g = subst_inverse(f)                                # (1+2/x)*x = x + 2
@@ -293,9 +316,11 @@ def test_polynomial_paths_make_no_gcd_calls(monkeypatch):
         calls.append((a, b))
         return poly_gcd(a, b)
 
-    op = weylalg.parse("x^2*D^2 + 3*x*D + x")
     monkeypatch.setattr(polys, "poly_gcd", counted)
     monkeypatch.setattr(weylalg, "poly_gcd", counted)
+    # nor do the products of polynomial operators, those of parse included
+    op = weylalg.parse("x^2*D^2 + 3*x*D + x")
+    assert op * op == op ** 2 and (op * op).is_polynomial()
     p, q = Poly([1, 2, 3]), Poly([Fraction(-1, 2), 0, 5])
     assert RatFunc(p, Poly([Fraction(3, 7)])).num == Poly([Fraction(7, 3), Fraction(14, 3), 7])
     assert RatFunc(p, 5).den == 1

@@ -1,6 +1,8 @@
+import importlib.util
 import random
 from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -33,7 +35,7 @@ from irrkatz.weylalg import (
     theta_expand,
     to_text,
 )
-from oracles import subst_inverse
+from oracles import leibniz_product, subst_inverse
 
 ZERO = Fraction(0)
 
@@ -122,6 +124,64 @@ def test_product_associative_and_commutation():
         a, b, c = (random_poly_op(rng, 2, 2) for _ in range(3))
         assert (a * b) * c == a * (b * c)
     assert X * D - D * X == DiffOperator.of(-1)
+
+
+def test_product_matches_the_leibniz_oracle():
+    rng = random.Random(20)
+    points = (ZERO, Fraction(1), Fraction(-2))
+    for n in range(300):
+        case = n % 6
+        size = 2 if case in (1, 2, 3) else 3
+        p, q = random_poly_op(rng, size, size), random_poly_op(rng, size, size)
+        if case == 1:     # poles at one shared point
+            c = points[n % 3]
+            p, q = _with_poles(rng, p, c), _with_poles(rng, q, c)
+        elif case == 2:   # poles at distinct points
+            p, q = _with_poles(rng, p, points[n % 3]), _with_poles(rng, q, points[(n + 1) % 3])
+        elif case == 3:   # poles on one side
+            p, q = (_with_poles(rng, p, ZERO), q) if n % 4 == 1 else (p, _with_poles(rng, q, ZERO))
+        elif case == 4:   # the zero operator on either side
+            p, q = (DiffOperator(), q) if n % 12 == 4 else (p, DiffOperator())
+        assert p * q == leibniz_product(p, q)
+        # rank-0 scalars and functions on either side, and powers
+        f = RatFunc(Poly([rng.randint(-3, 3), 1]), Poly([-points[n % 3], 1]) ** rng.randint(0, 2))
+        s = (random_fraction_nonzero(rng), rng.randint(-3, 3), f.num, f)[n % 4]
+        assert p * s == leibniz_product(p, s)
+        assert DiffOperator.of(s) * p == leibniz_product(DiffOperator.of(s), p)
+        if n % 4 < 2:
+            assert s * p == DiffOperator.of(s) * p
+        if n % 4 == 0:
+            u = Poly([-points[n % 3], 1]) ** (n % 8 // 4)
+            r = DiffOperator([a / RatFunc(u) for a in random_poly_op(rng, 2, 2).coeffs])
+            repeated = DiffOperator.of(1)
+            for k in range(4):
+                assert r ** k == repeated
+                repeated = leibniz_product(r, repeated)
+
+
+def _bench_workloads():
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    if not path.is_file():
+        pytest.skip("no bench/ in this checkout")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_parse_matches_the_leibniz_oracle_on_bench_and_corpus_texts(monkeypatch):
+    workloads = _bench_workloads()
+    texts = [
+        corpus._subst(corpus.get(name).template, corpus.params_for(name, seed))
+        for name in corpus.names()
+        for seed in range(41)
+    ]
+    for seed in range(41):
+        for name in ("analyze_mix", "hyp_ladder"):
+            texts += [inst["op"] for inst in next(workloads.GENERATORS[name](seed))]
+    parsed = [to_text(parse(text)) for text in texts]
+    monkeypatch.setattr(DiffOperator, "__mul__", leibniz_product)
+    assert parsed == [to_text(parse(text)) for text in texts]
 
 
 def test_apply():
