@@ -21,7 +21,6 @@ from .scalar import (
     ParamExpr,
     Rat,
     diff_in_integers,
-    diff_in_nonzero_integers,
     is_generically_integer,
 )
 from .weylalg import (
@@ -31,9 +30,7 @@ from .weylalg import (
     X,
     ad_power,
     char_poly,
-    deg_of,
     euler,
-    homogeneous_part,
     is_regular_singular,
     laplace,
     laplace_inv,
@@ -51,12 +48,11 @@ from .formal import (
     exponent_vector,
     extract_formal_data,
     fuchs_defect,
-    index_set,
     m_vector,
     oshima_check,
     to_shape,
 )
-from .lattice import LatticeShape, LatticeVector, in_fundamental_domain
+from .lattice import LatticeShape, LatticeVector
 from .rootsys import (
     RootBasis,
     RootVector,
@@ -68,11 +64,9 @@ from .rootsys import (
     dot_text,
     idx,
     is_phi_root,
-    kernel_radical_check,
     pairing,
     phi,
     reflect,
-    support_connected,
 )
 from .exponents import (
     INFINITE_ORDER,

@@ -146,9 +146,8 @@ def _run_entry(name: str, seed: int, overrides) -> dict:
     result = reduction.reduce_operator(
         op, reinstantiate=corpus.reinstantiator(name, seed, overrides)
     )
-    basis = rootsys.build_basis(formal.to_shape(result.initial))
-    label, _ = rootsys.classify_diagram(basis)
     m = result.transcript.initial
+    label, _ = rootsys.classify_diagram(rootsys.build_basis(m.shape))
     verdict = result.transcript.verdict.value
     checks = {
         "diagram": (label, entry.expected_diagram),

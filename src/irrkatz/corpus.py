@@ -202,7 +202,7 @@ def names() -> list[str]:
 
 def get(name: str) -> CorpusEntry:
     if name not in CORPUS:
-        raise KeyError(f"unknown corpus entry {name!r}; have {', '.join(CORPUS)}")
+        raise ValueError(f"unknown corpus entry {name!r}; have {', '.join(CORPUS)}")
     return CORPUS[name]
 
 

@@ -257,11 +257,6 @@ class FormalData:
         return "FormalData(" + " | ".join(rows) + ")"
 
 
-def index_set(data: FormalData) -> tuple[tuple[int, ...], ...]:
-    """All index tuples (one factor index per point), lexicographic."""
-    return to_shape(data).index_tuples()
-
-
 # -- bridges to the lattice side ---------------------------------------------
 
 

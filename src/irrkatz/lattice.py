@@ -238,18 +238,3 @@ class LatticeVector(SlotTable):
 
     def __str__(self) -> str:
         return self.to_text()
-
-
-def in_fundamental_domain(a: LatticeVector) -> bool:
-    """Membership in the terminal set of the reduction: nonzero, all
-    entries nonnegative, chains sorted descending, and no index tuple
-    (over the full product, not just the support) has negative defect.
-    The defect is a sum of per-point shares, so its least value over the
-    full product is the sum of the per-point minima."""
-    if a.is_zero() or not a.is_nonnegative():
-        return False
-    for point in a.entries:
-        for ch in point:
-            if any(ch[s] < ch[s + 1] for s in range(len(ch) - 1)):
-                return False
-    return sum(min(g) for g in a.point_defects()) >= 0

@@ -25,8 +25,6 @@ from fractions import Fraction
 from math import gcd as int_gcd, isqrt
 from typing import Iterable, Union
 
-from .scalar import Rat
-
 Scalar = Union[Fraction, int]
 
 
@@ -109,9 +107,10 @@ class Poly:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "PolyLike") -> "Poly":
-        other = as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self[k] + other[k] for k in range(n)])
+        if not isinstance(other, _POLY_OPERANDS):
+            return NotImplemented
+        a, b = self.coeffs, as_poly(other).coeffs
+        return Poly([x + y for x, y in zip(a, b)] + list(a[len(b):] or b[len(a):]))
 
     __radd__ = __add__
 
@@ -119,12 +118,18 @@ class Poly:
         return Poly([-c for c in self.coeffs])
 
     def __sub__(self, other: "PolyLike") -> "Poly":
+        if not isinstance(other, _POLY_OPERANDS):
+            return NotImplemented
         return self + (-as_poly(other))
 
     def __rsub__(self, other: "PolyLike") -> "Poly":
+        if not isinstance(other, _POLY_OPERANDS):
+            return NotImplemented
         return as_poly(other) + (-self)
 
     def __mul__(self, other: "PolyLike") -> "Poly":
+        if not isinstance(other, _POLY_OPERANDS):
+            return NotImplemented
         other = as_poly(other)
         if self.is_zero() or other.is_zero():
             return Poly()
@@ -292,6 +297,9 @@ class Poly:
 
 
 PolyLike = Union[Poly, Fraction, int]
+#: The operands ``Poly`` arithmetic coerces; any other operand gets
+#: ``NotImplemented``, so its own reflected method can answer.
+_POLY_OPERANDS = (Poly, Fraction, int)
 
 
 def as_poly(value: PolyLike) -> Poly:
@@ -429,6 +437,8 @@ class RatFunc:
         return not self.is_zero()
 
     def __add__(self, other: "RatLike") -> "RatFunc":
+        if not isinstance(other, _RAT_OPERANDS):
+            return NotImplemented
         other = RatFunc.of(other)
         if self.den is other.den or self.den == other.den:
             return RatFunc(self.num + other.num, self.den)
@@ -440,22 +450,32 @@ class RatFunc:
         return RatFunc(-self.num, self.den)
 
     def __sub__(self, other: "RatLike") -> "RatFunc":
+        if not isinstance(other, _RAT_OPERANDS):
+            return NotImplemented
         return self + (-RatFunc.of(other))
 
     def __rsub__(self, other: "RatLike") -> "RatFunc":
+        if not isinstance(other, _RAT_OPERANDS):
+            return NotImplemented
         return RatFunc.of(other) + (-self)
 
     def __mul__(self, other: "RatLike") -> "RatFunc":
+        if not isinstance(other, _RAT_OPERANDS):
+            return NotImplemented
         other = RatFunc.of(other)
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: "RatLike") -> "RatFunc":
+        if not isinstance(other, _RAT_OPERANDS):
+            return NotImplemented
         other = RatFunc.of(other)
         return RatFunc(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other: "RatLike") -> "RatFunc":
+        if not isinstance(other, _RAT_OPERANDS):
+            return NotImplemented
         return RatFunc.of(other) / self
 
     def __pow__(self, n: int) -> "RatFunc":
@@ -482,3 +502,5 @@ class RatFunc:
 
 
 RatLike = Union[RatFunc, Poly, Fraction, int]
+#: The operands ``RatFunc`` arithmetic coerces, as ``_POLY_OPERANDS``.
+_RAT_OPERANDS = (RatFunc, Poly, Fraction, int)

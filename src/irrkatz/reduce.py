@@ -319,7 +319,7 @@ def _reduce_operator_once(p: DiffOperator, data: FormalData | None) -> OperatorR
     factor_table = [[w for w, _ in factors] for _, factors in data.points]
     no_shift = [Fraction(0)] * len(locations)
     m = formal.m_vector(data)
-    nu = formal.exponent_vector(data)
+    nu = formal.exponent_vector(data, m.shape)
     transcript = reduce_vector(m)
 
     cur_op = p

@@ -18,15 +18,14 @@ twisted-Euler moves and reflections in chain nodes with the slot
 permutations, which is what lets root-theoretic language classify
 operators.  Its kernel has a closed-form basis, one alternating sum of
 tuple nodes per tuple with two or more nonzero entries, and lies in the
-radical of the form (:func:`kernel_radical_check`).
+radical of the form.
 
 So the form is the pullback of :meth:`LatticeVector.form` along the
 surjection: :func:`pairing`, :func:`reflect` and :func:`idx` evaluate it
 on the images and never read the Gram matrix.  A :class:`RootBasis` is
 its nodes; the Gram matrix is built on its first read, which only the
 diagram readers make (:func:`dot_text`, :func:`cartan_matrix_text`,
-:func:`classify_diagram`, :func:`support_connected`) and
-:func:`kernel_radical_check`, the proof that the pullback is exact.
+:func:`classify_diagram`).
 """
 
 from __future__ import annotations
@@ -35,8 +34,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import compress, product
-from operator import mul, ne
+from itertools import compress
 from typing import Sequence
 
 from .lattice import IndexTuple, LatticeShape, LatticeVector
@@ -289,39 +287,6 @@ def idx(a: LatticeVector) -> int:
     return pairing(lift, lift)
 
 
-# -- kernel & radical -----------------------------------------------------------
-
-
-def kernel_radical_check(shape: LatticeShape) -> bool:
-    """The kernel of the surjection pairs to zero with every node.
-
-    ker phi has the basis v_t = sum over U in S(t) of (-1)^|S(t) - U| e_(t|U),
-    one vector per tuple t with two or more nonzero entries: S(t) is where
-    t is nonzero and t|U is t on U and 0 off it.  A kernel vector has no
-    chain coordinates (the last slot of a chain is reached only by its last
-    chain node), so ker phi is the tuple-node vectors with zero marginals;
-    each v_t is e_t plus tuples of smaller support, and there are
-    prod k_i - 1 - sum (k_i - 1) of them, the dimension of that space.
-    """
-    basis = build_basis(shape)
-    return all(
-        phi(v).is_zero() and not any(sum(map(mul, row, v.coords)) for row in basis.gram)
-        for v in _kernel_basis(basis)
-    )
-
-
-def _kernel_basis(basis: RootBasis) -> list[RootVector]:
-    """The vectors v_t of :func:`kernel_radical_check`, in tuple order."""
-    vectors = []
-    for t in basis.shape.index_tuples():
-        if sum(map(bool, t)) >= 2:
-            coords = [0] * len(basis.nodes)
-            for u in product(*((0, j) if j else (0,) for j in t)):
-                coords[basis.node_index(("t", u))] = (-1) ** sum(map(ne, t, u))
-            vectors.append(RootVector(basis, coords))
-    return vectors
-
-
 # -- diagram emission & classification --------------------------------------------
 
 
@@ -406,16 +371,6 @@ def _classify_component(gram, comp: list[int]) -> str:
     if any(min(gram[a]) != -1 for a in comp):
         return "unrecognized"
     return label
-
-
-def support_connected(alpha: RootVector) -> bool:
-    """Connectivity of the support under the Gram adjacency."""
-    support = [k for k, v in enumerate(alpha.coords) if v != 0]
-    if not support:
-        return False
-    rest = set(support)
-    _component(alpha.basis.gram, support[0], rest)
-    return not rest
 
 
 def is_phi_root(a: LatticeVector) -> Verdict:

@@ -203,13 +203,3 @@ def is_generically_integer(e: ParamLike) -> bool:
 def diff_in_integers(e1: ParamLike, e2: ParamLike) -> bool:
     """True iff ``e1 - e2`` is generically an integer."""
     return is_generically_integer(ParamExpr.of(e1) - ParamExpr.of(e2))
-
-
-def diff_in_nonzero_integers(e1: ParamLike, e2: ParamLike) -> bool:
-    """True iff ``e1 - e2`` is generically a *nonzero* integer.
-
-    Companion to :func:`diff_in_integers`; some hypotheses in the
-    literature exclude only nonzero integer differences.
-    """
-    d = ParamExpr.of(e1) - ParamExpr.of(e2)
-    return is_generically_integer(d) and not d.is_zero()

@@ -13,8 +13,8 @@ computation that reads an operator's coefficients: it takes its operator
 and finite point from :func:`local_chart`, which routes infinity through
 the involution ``x -> 1/x, D -> -x^2*D`` (:func:`subst_infty`) to the
 point 0.  The weight (``min_index``), :func:`char_poly`,
-:func:`newton_polygon`, :func:`is_regular_singular` and
-:func:`homogeneous_part` read the :class:`ThetaExpansion` it returns.
+:func:`newton_polygon` and :func:`is_regular_singular` read the
+:class:`ThetaExpansion` it returns.
 
 The coordinate changes (the chart at infinity, the twists, Fourier-Laplace
 and so Euler) are coefficient formulas; none multiplies operators:
@@ -161,9 +161,8 @@ class DiffOperator:
     # -- ring structure ---------------------------------------------------
 
     def __add__(self, other: "OpLike") -> "DiffOperator":
-        other = DiffOperator.of(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return DiffOperator([self.coeff(i) + other.coeff(i) for i in range(n)])
+        a, b = self.coeffs, DiffOperator.of(other).coeffs
+        return DiffOperator([x + y for x, y in zip(a, b)] + list(a[len(b):] or b[len(a):]))
 
     __radd__ = __add__
 
@@ -438,7 +437,7 @@ class ThetaExpansion:
     operator, and the largest ``deg p_i`` is its rank.
 
     Every local invariant (characteristic polynomial, Newton polygon,
-    regularity, homogeneous parts, slope-boundary polynomials) is read off
+    regularity, slope-boundary polynomials) is read off
     this object; :func:`theta_expand` is the one place that reads the
     coefficients, and it requires them to be Laurent polynomials at the
     point, so every reader inherits that requirement.
@@ -457,29 +456,6 @@ class ThetaExpansion:
             if k == i:
                 return q
         return Poly()
-
-    def reconstruct(self) -> DiffOperator:
-        """Rebuild the operator at its own point from the terms:
-        ``theta_c^j = sum_k S(j, k) (x-c)^k D^k`` (:func:`_stirling2`), so
-        term i adds ``sum_j q_j S(j, k) (x-c)^(i+k)`` to the coefficient of
-        D^k, a numerator in x-c over (x-c)^-lo with lo = min(0, min_index).
-        At infinity the chart at 0 is sent back by :func:`subst_infty`."""
-        if self.point is INF:
-            return subst_infty(ThetaExpansion(Fraction(0), self.terms).reconstruct())
-        lo = min(0, self.terms[0][0]) if self.terms else 0
-        nums = [Poly()] * (max((q.degree for _, q in self.terms), default=-1) + 1)
-        for i, q in self.terms:
-            for k in range(q.degree + 1):
-                s = sum(qj * _stirling2(j, k) for j, qj in enumerate(q.coeffs[k:], k))
-                nums[k] += Poly.monomial(s, i + k - lo)
-        den = Poly([-self.point, 1]) ** -lo
-        return DiffOperator([RatFunc(num.shift(-self.point), den) for num in nums])
-
-
-def _stirling2(j: int, k: int) -> int:
-    """The Stirling number of the second kind, ``S(j, k) = sum_i (-1)^i
-    C(k, i) (k-i)^j / k!``."""
-    return sum((-1) ** i * comb(k, i) * (k - i) ** j for i in range(k + 1)) // factorial(k)
 
 
 def theta_expand(p: DiffOperator, at: Location) -> ThetaExpansion:
@@ -513,13 +489,6 @@ def theta_expand(p: DiffOperator, at: Location) -> ThetaExpansion:
         (i, t) for i, t in sorted(buckets.items()) if not t.is_zero()
     )
     return ThetaExpansion(at, terms)
-
-
-def homogeneous_part(expansion: ThetaExpansion, k: int) -> DiffOperator:
-    """Sum of the monomials of weight exactly k (possibly zero): the term
-    ``(x-c)^k p_k(theta)`` alone, as an operator at the expansion's point."""
-    part = tuple((i, q) for i, q in expansion.terms if i == k)
-    return ThetaExpansion(expansion.point, part).reconstruct()
 
 
 def char_poly(expansion: ThetaExpansion) -> Poly:
@@ -752,15 +721,6 @@ def euler(p: DiffOperator, lam) -> DiffOperator:
     q = ad_power(q, Fraction(0), lam)
     q = prim(q)
     return laplace(q)
-
-
-def deg_of(p: DiffOperator) -> int:
-    """Maximum coefficient degree (for polynomial operators)."""
-    if not p.is_polynomial():
-        raise ValueError("degree is defined for polynomial operators")
-    if p.is_zero():
-        raise ValueError("degree of the zero operator")
-    return max(c.as_poly().degree for c in p.coeffs if not c.is_zero())
 
 
 class IrrationalSingularityError(ValueError):

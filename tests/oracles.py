@@ -1,17 +1,21 @@
 """Reference implementations and helpers that only the tests use.
 
-Each is either the direct, slow form of something ``irrkatz`` computes
-another way (the form entry by entry or block by block, a reflection
-from a Gram row, ker phi by Gaussian elimination, the support tuples by
-filtering the full product, the operator product by the Leibniz rule
-term by term) or a small accessor no pipeline code needs, so it lives
-here and not in ``src``.
+Each is the direct, slow form of something ``irrkatz`` computes another
+way (the form entry by entry or block by block, a reflection from a Gram
+row, ker phi by Gaussian elimination, the support tuples and the
+fundamental domain by the full product, the operator product by the
+Leibniz rule term by term), a check no pipeline code runs (ker phi in
+the radical of the form, from its closed-form basis), or a small
+accessor no pipeline code needs (the degree of an operator), so it lives
+here and not in ``src``; ``test_reach.py`` keeps it that way.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import comb
+from operator import mul, ne
 
 from irrkatz import corpus
 from irrkatz.formal import FormalData, SpectralData
@@ -85,6 +89,37 @@ def phi_of_tuple_node(shape: LatticeShape, t: IndexTuple) -> LatticeVector:
     return phi(RootVector.unit(basis, ("t", tuple(t))))
 
 
+def kernel_basis(basis: RootBasis) -> list[RootVector]:
+    """The closed-form basis of ker phi, in tuple order.
+
+    v_t = sum over U in S(t) of (-1)^|S(t) - U| e_(t|U), one vector per
+    tuple t with two or more nonzero entries: S(t) is where t is nonzero
+    and t|U is t on U and 0 off it.  A kernel vector has no chain
+    coordinates (the last slot of a chain is reached only by its last
+    chain node), so ker phi is the tuple-node vectors with zero marginals;
+    each v_t is e_t plus tuples of smaller support, and there are
+    prod k_i - 1 - sum (k_i - 1) of them, the dimension of that space.
+    """
+    vectors = []
+    for t in basis.shape.index_tuples():
+        if sum(map(bool, t)) >= 2:
+            coords = [0] * len(basis.nodes)
+            for u in product(*((0, j) if j else (0,) for j in t)):
+                coords[basis.node_index(("t", u))] = (-1) ** sum(map(ne, t, u))
+            vectors.append(RootVector(basis, coords))
+    return vectors
+
+
+def kernel_radical_check(shape: LatticeShape) -> bool:
+    """The kernel of the surjection pairs to zero with every node, read
+    from the Gram matrix: the proof that the form pulls back exactly."""
+    basis = build_basis(shape)
+    return all(
+        phi(v).is_zero() and not any(sum(map(mul, row, v.coords)) for row in basis.gram)
+        for v in kernel_basis(basis)
+    )
+
+
 def phi_matrix(basis: RootBasis) -> list[list[int]]:
     """The surjection as a (slots x nodes) integer matrix."""
     rows = []
@@ -151,6 +186,27 @@ def form(shape: LatticeShape, a: LatticeVector, b: LatticeVector) -> int:
     return total - (shape.p - 1) * a.rank * b.rank
 
 
+def tuple_defect(a: LatticeVector, t: IndexTuple) -> int:
+    """The defect of a tuple, block by block over the whole tuple."""
+    total = 0
+    for i, point in enumerate(a.entries):
+        for j, chain in enumerate(point):
+            total += ((1 if i else -1) - a.shape.weights[i][j][t[i]]) * sum(chain)
+        total -= point[t[i]][0]
+    return total
+
+
+def in_fundamental_domain(a: LatticeVector) -> bool:
+    """Membership in the terminal set of the reduction: nonzero, all
+    entries nonnegative, chains sorted descending, and no index tuple of
+    the full product with negative defect."""
+    if a.is_zero() or not a.is_nonnegative():
+        return False
+    if any(list(ch) != sorted(ch, reverse=True) for point in a.entries for ch in point):
+        return False
+    return all(tuple_defect(a, t) >= 0 for t in a.shape.index_tuples())
+
+
 def rank_one(shape: LatticeShape, t: IndexTuple) -> LatticeVector:
     """The rank-1 vector of an index tuple: 1 in the first slot of factor
     t_i at every point."""
@@ -203,6 +259,15 @@ def leibniz_product(p: DiffOperator, q: OpLike) -> DiffOperator:
                 if not derivs[k].is_zero():
                     out[i - k + j] += a * comb(i, k) * derivs[k]
     return DiffOperator(out)
+
+
+def deg_of(p: DiffOperator) -> int:
+    """Maximum coefficient degree of a polynomial operator."""
+    if not p.is_polynomial():
+        raise ValueError("degree is defined for polynomial operators")
+    if p.is_zero():
+        raise ValueError("degree of the zero operator")
+    return max(c.as_poly().degree for c in p.coeffs if not c.is_zero())
 
 
 # -- corpus ----------------------------------------------------------------------

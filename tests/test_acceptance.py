@@ -44,14 +44,13 @@ from irrkatz.weylalg import (
     X,
     ad_power,
     char_poly,
-    deg_of,
     newton_polygon,
     parse,
     prim,
     theta_expand,
 )
 from conftest import random_poly_op
-from oracles import phi_matrix, rational_kernel
+from oracles import deg_of, phi_matrix, rational_kernel
 
 ZERO = Fraction(0)
 

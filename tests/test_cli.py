@@ -334,7 +334,9 @@ def test_examples_param_override(capsys):
 
 
 def test_examples_unknown_entry(capsys):
-    assert run(capsys, "examples", "--run", "--only", "nope")[0] == 2
+    message = f"error: unknown corpus entry 'nope'; have {', '.join(corpus.names())}\n"
+    for argv in (["--run", "--only", "nope"], ["--only", "nope"]):
+        assert run(capsys, "examples", *argv) == (2, "", message)
 
 
 def test_assumption_violation_exit_code(tmp_path, capsys):
@@ -366,6 +368,33 @@ def test_examples_run_extracts_once_per_operator(monkeypatch, capsys):
     assert code == 0 and "ok" in out
     assert len(calls) == 2
 
+
+
+def test_examples_run_builds_the_shape_once_per_attempt(monkeypatch, capsys):
+    from irrkatz import reduce as reduction
+
+    to_shape, once = formal.to_shape, reduction._reduce_operator_once
+    shapes, attempts = [], []
+
+    def counted(data):
+        shapes.append(data)
+        return to_shape(data)
+
+    def attempt(*args):
+        attempts.append(len(shapes))
+        return once(*args)
+
+    monkeypatch.setattr(formal, "to_shape", counted)
+    monkeypatch.setattr(reduction, "_reduce_operator_once", attempt)
+    code, out, _ = run(capsys, "examples", "--run", "--only", "Gauss")
+    assert code == 0 and "ok" in out
+    assert len(shapes) == 1 and attempts == [0]
+    # a = 1 is resonant at every draw: each attempt builds one shape and fails
+    shapes.clear()
+    attempts.clear()
+    code, _, _ = run(capsys, "examples", "--run", "--only", "Gauss", "--param", "a=1")
+    assert code == 5
+    assert attempts == list(range(reduction.RETRIES + 1)) and len(shapes) == len(attempts)
 
 
 def test_reduce_operator_extracts_input_once(tmp_path, monkeypatch, capsys):

@@ -17,7 +17,6 @@ from irrkatz.formal import (
     from_json,
     fuchs_defect,
     group_chains,
-    index_set,
     m_vector,
     oshima_check,
     to_json,
@@ -71,9 +70,9 @@ def test_formal_data_requires_balanced_ranks():
 
 
 def test_index_set_sizes():
-    assert len(index_set(corpus.symbolic_formal_data("Heun"))) == 1
-    assert len(index_set(corpus.symbolic_formal_data("cHeun"))) == 2
-    assert len(index_set(corpus.symbolic_formal_data("dHeun"))) == 4
+    assert len(to_shape(corpus.symbolic_formal_data("Heun")).index_tuples()) == 1
+    assert len(to_shape(corpus.symbolic_formal_data("cHeun")).index_tuples()) == 2
+    assert len(to_shape(corpus.symbolic_formal_data("dHeun")).index_tuples()) == 4
 
 
 # -- chain grouping and the triangular check -------------------------------------

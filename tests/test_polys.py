@@ -238,6 +238,27 @@ def _random_poly(rng, degree):
     return Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(degree + 1)])
 
 
+def _padded_sum(a, b):
+    """The sum position by position, the shorter operand padded with zeros."""
+    return _coerced([a[k] + b[k] for k in range(max(len(a.coeffs), len(b.coeffs)))])
+
+
+def test_sums_of_unequal_length_match_the_padded_sum():
+    rng = random.Random(17)
+    for _ in range(100):
+        a = _random_poly(rng, rng.randint(0, 6))
+        b = _random_poly(rng, rng.randint(0, 6))
+        # cancel's top coefficients cancel against a's, down to b
+        cancel = Poly(_padded_sum(b, -a))
+        for x, y in ((a, b), (b, a), (a, cancel), (cancel, a), (a, -a), (a, Poly())):
+            assert (x + y).coeffs == _padded_sum(x, y)
+            assert (x - y).coeffs == _padded_sum(x, -y)
+        assert (a + cancel).coeffs == b.coeffs
+        for c in (0, 3, Fraction(-2, 7)):
+            assert (a + c).coeffs == (c + a).coeffs == _padded_sum(a, Poly([c]))
+            assert (c - a).coeffs == _padded_sum(Poly([c]), -a)
+
+
 def test_fast_paths_match_gcd_normalization():
     rng = random.Random(12)
     one = Poly.const(1)

@@ -15,17 +15,17 @@ from irrkatz.rootsys import (
     dot_text,
     idx,
     is_phi_root,
-    kernel_radical_check,
     pairing,
     phi,
     reflect,
-    support_connected,
-    _kernel_basis,
 )
 from oracles import (
     basis_with_gram,
     block_sum,
     chain_nodes,
+    in_fundamental_domain,
+    kernel_basis,
+    kernel_radical_check,
     node_pairing,
     phi_matrix,
     phi_of_tuple_node,
@@ -215,7 +215,6 @@ def test_only_the_diagram_readers_build_the_gram(monkeypatch, tmp_path, capsys):
     capsys.readouterr()
     basis = build_basis(shape_of("dHeun"))
     readers = [dot_text, cartan_matrix_text, classify_diagram,
-               lambda b: support_connected(RootVector.unit(b, b.nodes[0])),
                lambda b: kernel_radical_check(b.shape)]
     for reader in readers:
         with pytest.raises(AssertionError, match="Gram matrix built"):
@@ -426,7 +425,7 @@ def test_closed_form_kernel_basis_matches_gaussian_elimination():
     shapes += [shape_of(name) for name in corpus.names()]
     for shape in shapes:
         basis = build_basis(shape)
-        closed = _kernel_basis(basis)
+        closed = kernel_basis(basis)
         oracle = rational_kernel(phi_matrix(basis))
         coords = [v.coords for v in closed]
         assert len(closed) == len(oracle) == _rank(coords) == _rank(coords + oracle)
@@ -488,13 +487,6 @@ def test_dot_output_contains_multiplicity():
     assert text.splitlines()[0].split() == ["2", "-2"]
 
 
-def test_support_connected():
-    basis = build_basis(shape_of("Heun"))
-    assert support_connected(RootVector(basis, [2, 1, 1, 1, 1]))
-    assert not support_connected(RootVector(basis, [0, 1, 1, 0, 0]))
-    assert support_connected(RootVector(basis, [1, 0, 0, 0, 0]))
-
-
 def _oracle_adjacency(basis, nodes):
     """Reference: neighbours from one Python pass over the upper triangle."""
     nodes = list(nodes)
@@ -549,14 +541,6 @@ def _oracle_classify(basis):
         labels.append(_oracle_classify_component(basis, component, adjacency))
         components.append(component)
     return " + ".join(labels), components
-
-
-def _oracle_support_connected(alpha):
-    support = [k for k, v in enumerate(alpha.coords) if v != 0]
-    if not support:
-        return False
-    adjacency = _oracle_adjacency(alpha.basis, support)
-    return len(_oracle_component(adjacency, support[0])) == len(support)
 
 
 def graph_basis(n, edges):
@@ -659,25 +643,6 @@ def test_classify_matches_oracle():
     assert {"A1(1)", "A2(1)", "A3(1)", "D4(1)", "unrecognized"} <= labels
 
 
-def test_support_connected_matches_oracle():
-    rng = random.Random(42)
-    bases = [build_basis(random_shape(rng, max_nodes=60)) for _ in range(20)]
-    bases += [random_graph_basis(rng) for _ in range(40)]
-    outcomes = set()
-    for basis in bases:
-        n = len(basis.nodes)
-        for _ in range(10):
-            density = rng.random()
-            coords = [rng.randint(-2, 2) if rng.random() < density else 0 for _ in range(n)]
-            alpha = RootVector(basis, coords)
-            got = support_connected(alpha)
-            assert got == _oracle_support_connected(alpha)
-            outcomes.add(got)
-        full = RootVector(basis, [1] * n)
-        assert support_connected(full) == _oracle_support_connected(full)
-    assert outcomes == {True, False}
-
-
 # -- equivariance (the central identities) ---------------------------------------------------
 
 
@@ -748,8 +713,6 @@ def test_is_phi_root_matches_orbit_search():
 
 
 def _orbit_search_oracle(a, bound=12):
-    from irrkatz.lattice import in_fundamental_domain
-
     shape = a.shape
     seen = set()
     frontier = [a]

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 from irrkatz.scalar import (
     ParamExpr,
     diff_in_integers,
-    diff_in_nonzero_integers,
     is_generically_integer,
     parse_param_expr,
 )
@@ -49,13 +48,6 @@ def test_diff_in_integers_examples():
     assert diff_in_integers(a, a + 2)
     assert not diff_in_integers(a, ParamExpr.param("b"))
     assert diff_in_integers(Fraction(1, 3), Fraction(4, 3))
-
-
-def test_diff_in_nonzero_integers():
-    a = ParamExpr.param("a")
-    assert not diff_in_nonzero_integers(a, a)
-    assert diff_in_nonzero_integers(a, a + 2)
-    assert not diff_in_nonzero_integers(a, a + Fraction(1, 2))
 
 
 @given(exprs, exprs)
