@@ -385,7 +385,10 @@ def extract_formal_data(p: DiffOperator) -> FormalData:
     points: list[tuple[Location, list[tuple[ExponentialFactor, SpectralData]]]] = []
     finite = weylalg.singular_points(p)
     for at in [INF] + finite:
-        raw = _peel_factors(*weylalg.local_chart(p, at), None)
+        try:
+            raw = _peel_factors(*weylalg.local_chart(p, at), None)
+        except NonSplitCharPolyError as exc:
+            raise NonSplitCharPolyError(f"at {format_location(at)}: {exc}") from None
         total = sum(s.rank for _, s in raw)
         if total != p.rank:
             raise ExtractionError(
@@ -455,7 +458,7 @@ def _regular_spectral_data(theta: ThetaExpansion, expected_rank: int) -> Spectra
     roots = char.rational_roots()
     if sum(roots.values()) != char.degree:
         raise NonSplitCharPolyError(
-            f"characteristic polynomial {char} does not split over Q"
+            f"characteristic polynomial {char.format('theta')} does not split over Q"
         )
     chains = group_chains(roots)
     data = SpectralData(chains)

@@ -16,12 +16,17 @@ unique.  A product with the constant 1 is the other factor, shared as
 ``Poly`` is immutable.  Coefficients that already are ``Fraction``s are
 kept, not rebuilt.  Every polynomial ``RatFunc`` holds the one shared
 denominator :data:`UNIT`, so building one allocates no denominator, and
-one built over ``UNIT`` skips the normalization altogether.
+one built over ``UNIT`` skips the normalization altogether.  Division by a
+monomial ``a*x^d`` (the denominators of the chart at infinity and of the
+twists at 0) is a slice: the quotient is ``coeffs[d:]/a``, the remainder
+``coeffs[:d]``.  The Taylor shift and the order at a root are synthetic,
+in place on one list of coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd as int_gcd, isqrt
 from typing import Iterable, Union
 
@@ -157,6 +162,10 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         d = other.degree
         lead = other.leading()
+        if not any(other.coeffs[:d]):
+            # a monomial lead*x^d: the quotient and remainder are slices
+            high = self.coeffs[d:]
+            return Poly(high if lead == 1 else [a / lead for a in high]), Poly(self.coeffs[:d])
         rem = list(self.coeffs)
         q = [Fraction(0)] * max(0, len(rem) - d)
         for k in range(len(rem) - 1 - d, -1, -1):
@@ -183,14 +192,16 @@ class Poly:
 
     def shift(self, c: Scalar) -> "Poly":
         """The polynomial q with q(y) = p(y + c) (Taylor shift); p itself
-        at c = 0."""
+        at c = 0.  Synthetic: pass i divides by y - c in place and leaves
+        the i-th Taylor coefficient in slot i."""
         if c == 0:
             return self
         c = Fraction(c)
-        out = Poly()
-        for coeff in reversed(self.coeffs):
-            out = out * Poly([c, 1]) + Poly.const(coeff)
-        return out
+        a = list(self.coeffs)
+        for i in range(len(a) - 1):
+            for k in range(len(a) - 2, i - 1, -1):
+                a[k] += c * a[k + 1]
+        return Poly(a)
 
     def reverse(self, at_degree: int | None = None) -> "Poly":
         """Coefficient reversal: x^n * p(1/x) for n = at_degree (default deg p)."""
@@ -209,12 +220,15 @@ class Poly:
             raise ValueError("order of the zero polynomial")
         if c == 0:
             return next(k for k, a in enumerate(self.coeffs) if a)
-        p, m = self, 0
         c = Fraction(c)
-        while p.eval(c) == 0:
-            p = p // Poly([-c, 1])
-            m += 1
-        return m
+        a = list(self.coeffs)
+        for m in range(len(a)):
+            # synthetic division by x - c: the quotient in a[1:], p(c) in a[0]
+            for k in range(len(a) - 2, -1, -1):
+                a[k] += c * a[k + 1]
+            if a[0]:
+                return m
+            del a[0]
 
     # -- integer structure --------------------------------------------------
 
@@ -362,8 +376,10 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
+@cache
 def falling_factorial(j: int) -> Poly:
-    """t (t-1) ... (t-j+1) as a polynomial in t; 1 for j = 0."""
+    """t (t-1) ... (t-j+1) as a polynomial in t; 1 for j = 0.  Memoized:
+    one row per rank a θ-expansion reaches, filled on first use."""
     out = Poly.const(1)
     for k in range(j):
         out = out * Poly([-k, 1])

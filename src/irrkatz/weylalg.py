@@ -33,6 +33,15 @@ and so Euler) are coefficient formulas; none multiplies operators:
 Normal forms are unique and coefficients are reduced with a monic
 denominator, so these agree exactly with multiplying out the images.
 
+These kernels and :func:`theta_expand` work on rows of coefficients, one
+list per power of D (per weight for the expansion), and build each output
+``Poly`` once: :func:`_add_product` adds a scaled product of two rows into
+a row at an offset.  The expansion reads the numerators through the
+synthetic ``Poly.shift`` and the falling factorials from the memoized
+``falling_factorial``; in :func:`_shift_d` a Horner step multiplies the row
+by ``(x-c)^e`` and adds ``C(m+j, j) N_(m+j) Y_j``; the chart at infinity
+adds each Lah term at the offset ``i + k``.
+
 The product itself (``DiffOperator.__mul__``) works on numerator rows over
 common denominators, as :func:`_shift_d` does.  With ``P = sum_i N_i D^i / M``
 and ``Q = sum_j K_j D^j / L``, the Leibniz rule ``D^i b = sum_k C(i, k)
@@ -191,7 +200,7 @@ class DiffOperator:
         # deg(R_jk L^(I-k)) <= deg K_j + I deg L bounds every row
         width = max(q.degree for q in nums) + max(q.degree for q in knums) + top * lden.degree + 1
         rows = [[_ZERO] * width for _ in range(top + len(knums))]
-        left = [(i, [(s, a) for s, a in enumerate(q.coeffs) if a]) for i, q in enumerate(nums) if q]
+        left = [(i, q.coeffs) for i, q in enumerate(nums) if q]
         for j, r in enumerate(knums):
             for k in range(top + 1):
                 if k:
@@ -199,16 +208,10 @@ class DiffOperator:
                     r = r.derivative() * lden - r * dl * k if dl else r.derivative()
                 if r.is_zero():
                     break
-                right = [(t, b) for t, b in enumerate((r * lpows[top - k]).coeffs) if b]
-                for i, terms in left:
-                    if i < k:
-                        continue
-                    row = rows[i - k + j]
-                    c = comb(i, k)
-                    for s, a in terms:
-                        ca = c * a
-                        for t, b in right:
-                            row[s + t] += ca * b
+                right = (r * lpows[top - k]).coeffs
+                for i, a in left:
+                    if i >= k:
+                        _add_product(rows[i - k + j], a, right, comb(i, k))
         out_den = den * lpows[top] * lden
         return DiffOperator([RatFunc(Poly(row), out_den) for row in rows])
 
@@ -242,6 +245,18 @@ class DiffOperator:
 OpLike = Union[DiffOperator, RatFunc, Poly, Fraction, int]
 
 _ZERO = Fraction(0)
+
+
+def _add_product(row: list, a, b, scale=1, offset: int = 0) -> None:
+    """``row[offset + s + t] += scale * a[s] * b[t]`` over the nonzero
+    entries: a scaled product of two coefficient rows, added in place."""
+    b = [(t, y) for t, y in enumerate(b) if y]
+    for s, x in enumerate(a, offset):
+        if x:
+            if scale != 1:
+                x = scale * x
+            for t, y in b:
+                row[s + t] += x * y
 
 X = DiffOperator([RatFunc(Poly.x())])
 D = DiffOperator([RatFunc(0), RatFunc(1)])
@@ -469,26 +484,25 @@ def theta_expand(p: DiffOperator, at: Location) -> ThetaExpansion:
     if p.is_zero():
         raise ValueError("theta expansion of the zero operator")
     q, c = local_chart(p, at)
-    buckets: dict[int, Poly] = {}
+    rows: dict[int, list[Fraction]] = {}
     for j, coeff in enumerate(q.coeffs):
         if coeff.is_zero():
             continue
-        shift = coeff.den.order_at(c)
-        if coeff.den != Poly([-c, 1]) ** shift:
+        # a monic denominator of degree s is (x-c)^s iff its order at c is s
+        shift = coeff.den.degree
+        if shift and coeff.den.order_at(c) != shift:
             raise ValueError(
                 f"coefficient {coeff} is not a Laurent polynomial at {c}"
             )
-        num = coeff.num.shift(c)
-        ff = falling_factorial(j)
-        for m, gamma in enumerate(num.coeffs):
-            if gamma == 0:
-                continue
-            w = (m - shift) - j
-            buckets[w] = buckets.get(w, Poly()) + gamma * ff
-    terms = tuple(
-        (i, t) for i, t in sorted(buckets.items()) if not t.is_zero()
-    )
-    return ThetaExpansion(at, terms)
+        ff = falling_factorial(j).coeffs
+        for m, gamma in enumerate(coeff.num.shift(c).coeffs):
+            if gamma:
+                w = (m - shift) - j
+                if w not in rows:
+                    rows[w] = [_ZERO] * len(q.coeffs)
+                _add_product(rows[w], ff, (gamma,))
+    terms = ((i, Poly(rows[i])) for i in sorted(rows))
+    return ThetaExpansion(at, tuple((i, t) for i, t in terms if t))
 
 
 def char_poly(expansion: ThetaExpansion) -> Poly:
@@ -613,12 +627,18 @@ def _shift_d(p: DiffOperator, g: Poly, e: int, c: Fraction) -> DiffOperator:
     ys = [Poly.const(1)]
     for j in range(len(nums) - 1):
         ys.append(ue * ys[-1].derivative() - (j * drop + g) * ys[-1])
+    # deg N + deg Y + e*J bounds every partial sum of the Horner steps
+    width = max((q.degree for q in nums), default=0) + max(y.degree for y in ys)
+    width += e * (len(nums) - 1) + 1
     out = []
     for m in range(len(nums)):
-        acc = Poly()
+        acc = ()
         for j in range(len(nums) - m):
-            acc = acc * ue + comb(m + j, j) * nums[m + j] * ys[j]
-        out.append(RatFunc(acc, den * ue ** (len(nums) - 1 - m)))
+            row = [_ZERO] * width
+            _add_product(row, acc, ue.coeffs)
+            _add_product(row, nums[m + j].coeffs, ys[j].coeffs, comb(m + j, j))
+            acc = row
+        out.append(RatFunc(Poly(acc), den * ue ** (len(nums) - 1 - m)))
     return DiffOperator(out)
 
 
@@ -671,16 +691,13 @@ def subst_infty(p: DiffOperator) -> DiffOperator:
         return p
     den, nums = _over_common_denominator(p)
     d = max(q.degree for q in [den, *nums])
-    revs = [q.reverse(d) for q in nums]
-    out = [revs[0]]
-    for k in range(1, len(revs)):
-        acc = Poly()
-        for i in range(k, len(revs)):
-            lah = (-1) ** i * _lah(i, k)
-            acc = acc + Poly([0] * (i + k) + [lah * a for a in revs[i].coeffs])
-        out.append(acc)
+    revs = [q.reverse(d).coeffs for q in nums]
+    rows = [list(revs[0])] + [[_ZERO] * (d + 2 * len(revs)) for _ in revs[1:]]
+    for i in range(1, len(revs)):
+        for k in range(1, i + 1):
+            _add_product(rows[k], revs[i], ((-1) ** i * _lah(i, k),), offset=i + k)
     rev_den = den.reverse(d)
-    return DiffOperator([RatFunc(q, rev_den) for q in out])
+    return DiffOperator([RatFunc(Poly(row), rev_den) for row in rows])
 
 
 def _fourier(p: DiffOperator, x_sign: int, d_sign: int) -> DiffOperator:

@@ -4,7 +4,10 @@ Each is the direct, slow form of something ``irrkatz`` computes another
 way (the form entry by entry or block by block, a reflection from a Gram
 row, ker phi by Gaussian elimination, the support tuples and the
 fundamental domain by the full product, the operator product by the
-Leibniz rule term by term), a check no pipeline code runs (ker phi in
+Leibniz rule term by term, the Taylor shift, the order at a root, long
+division, the theta expansion, the chart at infinity and the twists in
+``Poly`` arithmetic, one new ``Poly`` per partial sum), a check no
+pipeline code runs (ker phi in
 the radical of the form, from its closed-form basis), or a small
 accessor no pipeline code needs (the degree of an operator), so it lives
 here and not in ``src``; ``test_reach.py`` keeps it that way.
@@ -20,10 +23,12 @@ from operator import mul, ne
 from irrkatz import corpus
 from irrkatz.formal import FormalData, SpectralData
 from irrkatz.lattice import IndexTuple, LatticeShape, LatticeVector
-from irrkatz.polys import RatFunc
+from irrkatz.polys import Poly, RatFunc
 from irrkatz.rootsys import Node, RootBasis, RootVector, build_basis, phi
 from irrkatz.scalar import ParamExpr
-from irrkatz.weylalg import DiffOperator, OpLike
+from irrkatz.weylalg import (
+    INF, DiffOperator, Location, OpLike, ThetaExpansion, _lah, _over_common_denominator,
+)
 
 # -- rootsys ---------------------------------------------------------------------
 
@@ -225,6 +230,109 @@ def support_tuples(a: LatticeVector) -> tuple[IndexTuple, ...]:
 
 
 # -- polys -----------------------------------------------------------------------
+
+
+def taylor_shift(p: Poly, c) -> Poly:
+    """q(y) = p(y + c) by Horner's rule on ``Poly`` objects."""
+    if c == 0:
+        return p
+    c = Fraction(c)
+    out = Poly()
+    for coeff in reversed(p.coeffs):
+        out = out * Poly([c, 1]) + Poly.const(coeff)
+    return out
+
+
+def long_divmod(p: Poly, other: Poly) -> tuple[Poly, Poly]:
+    """Quotient and remainder by schoolbook long division."""
+    if other.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    d = other.degree
+    lead = other.leading()
+    rem = list(p.coeffs)
+    q = [Fraction(0)] * max(0, len(rem) - d)
+    for k in range(len(rem) - 1 - d, -1, -1):
+        factor = q[k] = rem[k + d] / lead
+        for j in range(d):
+            rem[k + j] -= factor * other.coeffs[j]
+    return Poly(q), Poly(rem[:d])
+
+
+def order_at(p: Poly, c) -> int:
+    """Multiplicity of the root c: evaluate, then divide by x - c, while
+    p(c) = 0."""
+    if p.is_zero():
+        raise ValueError("order of the zero polynomial")
+    c, m = Fraction(c), 0
+    while p.eval(c) == 0:
+        p = long_divmod(p, Poly([-c, 1]))[0]
+        m += 1
+    return m
+
+
+def falling_factorial(j: int) -> Poly:
+    """t (t-1) ... (t-j+1) as a product of ``Poly`` factors."""
+    out = Poly.const(1)
+    for k in range(j):
+        out = out * Poly([-k, 1])
+    return out
+
+
+def subst_infinity(p: DiffOperator) -> DiffOperator:
+    """The chart at infinity, one new ``Poly`` per Lah term."""
+    if p.is_zero():
+        return p
+    den, nums = _over_common_denominator(p)
+    d = max(q.degree for q in [den, *nums])
+    revs = [q.reverse(d) for q in nums]
+    out = [revs[0]]
+    for k in range(1, len(revs)):
+        acc = Poly()
+        for i in range(k, len(revs)):
+            lah = (-1) ** i * _lah(i, k)
+            acc = acc + Poly([0] * (i + k) + [lah * a for a in revs[i].coeffs])
+        out.append(acc)
+    rev_den = den.reverse(d)
+    return DiffOperator([RatFunc(q, rev_den) for q in out])
+
+
+def theta_expansion(p: DiffOperator, at: Location) -> ThetaExpansion:
+    """The theta expansion in per-weight ``Poly`` buckets, the Laurent
+    check by comparing with the power of x - c."""
+    if p.is_zero():
+        raise ValueError("theta expansion of the zero operator")
+    q, c = (subst_infinity(p), Fraction(0)) if at is INF else (p, at)
+    buckets: dict[int, Poly] = {}
+    for j, coeff in enumerate(q.coeffs):
+        if coeff.is_zero():
+            continue
+        shift = order_at(coeff.den, c)
+        if coeff.den != Poly([-c, 1]) ** shift:
+            raise ValueError(f"coefficient {coeff} is not a Laurent polynomial at {c}")
+        ff = falling_factorial(j)
+        for m, gamma in enumerate(taylor_shift(coeff.num, c).coeffs):
+            if gamma != 0:
+                w = (m - shift) - j
+                buckets[w] = buckets.get(w, Poly()) + gamma * ff
+    return ThetaExpansion(at, tuple((i, t) for i, t in sorted(buckets.items()) if t))
+
+
+def shift_d(p: DiffOperator, g: Poly, e: int, c: Fraction) -> DiffOperator:
+    """The twist D -> D - g/(x-c)^e, Horner's rule on ``Poly`` objects."""
+    den, nums = _over_common_denominator(p)
+    u = Poly([-c, 1])
+    ue = u ** e
+    drop = e * u ** (e - 1) if e else Poly()
+    ys = [Poly.const(1)]
+    for j in range(len(nums) - 1):
+        ys.append(ue * ys[-1].derivative() - (j * drop + g) * ys[-1])
+    out = []
+    for m in range(len(nums)):
+        acc = Poly()
+        for j in range(len(nums) - m):
+            acc = acc * ue + comb(m + j, j) * nums[m + j] * ys[j]
+        out.append(RatFunc(acc, den * ue ** (len(nums) - 1 - m)))
+    return DiffOperator(out)
 
 
 def subst_inverse(f: RatFunc) -> RatFunc:

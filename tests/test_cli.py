@@ -36,6 +36,19 @@ def test_analyze_exit_codes(capsys):
     assert run(capsys, "analyze", "--op", "x^2*D^2 + x*D + 1")[0] == 4  # x^2 + 1 does not split
 
 
+def test_non_split_error_names_the_point_and_theta(capsys):
+    code, out, err = run(capsys, "analyze", "--op", "x^2*D^2 + x*D + 1/4")
+    assert (code, out) == (4, "")
+    assert err == "error: at inf: characteristic polynomial theta^2 + 1/4 does not split over Q\n"
+    code, _, err = run(capsys, "analyze", "--op", "D^2 + 1")
+    assert code == 4
+    assert err == "error: at inf: slope-1 boundary polynomial x^2 + 1 does not split over Q\n"
+    # exponents 1/3 and -1/3 at infinity, none over Q at 0
+    code, _, err = run(capsys, "analyze", "--op", "x^2*(x-1)*D^2 + x*(x-1)*D + (-1/9*x-1)")
+    assert code == 4
+    assert err == "error: at 0: characteristic polynomial -theta^2 - 1 does not split over Q\n"
+
+
 @pytest.mark.parametrize("option, text", [("--op", "-x*D"), ("--op", "-D"), ("--o", "-D")])
 def test_analyze_reads_operator_text_that_starts_with_minus(capsys, option, text):
     code, out, err = run(capsys, "analyze", option, text)

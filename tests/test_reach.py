@@ -1,5 +1,7 @@
-"""Every module-level function in ``irrkatz`` is reached by what the
-package is for: the CLI commands on the built-in corpus and the demos.
+"""Every function in ``irrkatz``, at module level or in a class body, is
+reached by what the package is for: the CLI commands on the built-in
+corpus, the demos, and one checked pass of each benchmark workload (when
+the checkout has ``bench/``).
 
 A function only the tests call belongs in ``tests/oracles.py``, not in
 ``src``.  The walk below runs in-process under ``sys.setprofile`` and
@@ -11,6 +13,7 @@ the test.
 
 import contextlib
 import importlib
+import importlib.util
 import inspect
 import io
 import pkgutil
@@ -19,12 +22,14 @@ import sys
 from pathlib import Path
 
 import irrkatz
-from irrkatz import cli, corpus, weylalg
+from irrkatz import cli, corpus, polys, weylalg
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+BENCH = ROOT / "bench"
 
-#: Functions no CLI command or demo reaches, each with the reason it stays.
+#: Functions no CLI command, demo or bench pass reaches, each with the
+#: reason it stays.
 ALLOWED = {
     "irrkatz.rootsys.is_phi_root":
         "the verdict on a bare lattice vector: public API for the planned "
@@ -37,24 +42,94 @@ ALLOWED = {
         for name in ("_heun_symbolic", "_cheun_symbolic", "_bheun_symbolic",
                      "_theun_symbolic", "_dheun_symbolic", "_gauss_symbolic")
     },
+    # methods, by reason
+    **dict.fromkeys(
+        [f"irrkatz.{cls}.__setattr__" for cls in (
+            "formal.ExponentialFactor", "formal.FormalData", "formal.SpectralData",
+            "lattice.SlotTable", "polys.Poly", "polys.RatFunc", "rootsys.RootVector",
+            "scalar.ParamExpr", "weylalg.DiffOperator")],
+        "the guard of an immutable value: only an assignment, a caller's bug, reaches it"),
+    **dict.fromkeys(
+        [f"irrkatz.{cls}.__hash__" for cls in (
+            "formal.FormalData", "formal.SpectralData", "lattice.SlotTable", "polys.Poly",
+            "polys.RatFunc", "rootsys.RootVector", "scalar.ParamExpr", "weylalg.DiffOperator")]
+        + [f"irrkatz.{cls}.__repr__" for cls in (
+            "formal.ExponentialFactor", "formal.SpectralData", "lattice.SlotTable", "polys.Poly",
+            "polys.RatFunc", "rootsys.RootVector", "scalar.ParamExpr", "weylalg.DiffOperator",
+            "weylalg._Infinity")]
+        + ["irrkatz.lattice.LatticeVector.__str__", "irrkatz.polys.RatFunc.__str__"],
+        "the value protocol: a value with __eq__ hashes, and every value shows in a "
+        "debugger; nothing the walk runs hashes or prints these"),
+    **dict.fromkeys(
+        ["irrkatz.cli.CliError.__init__", "irrkatz.weylalg.OperatorSyntaxError.__init__"],
+        "raised on malformed input (a bad --param, bad operator text), which the walk "
+        "does not give; test_cli and test_parse do"),
+    "irrkatz.weylalg._Infinity.__new__": "runs once, when weylalg is imported, before the walk",
+    **dict.fromkeys(
+        [f"irrkatz.polys.{name}" for name in (
+            "Poly.__rsub__", "Poly.monomial", "RatFunc.__bool__", "RatFunc.__eq__",
+            "RatFunc.__mul__", "RatFunc.__rmul__", "RatFunc.__pow__", "RatFunc.__sub__",
+            "RatFunc.__rsub__", "RatFunc.__truediv__", "RatFunc.__rtruediv__",
+            "RatFunc.derivative")]
+        + [f"irrkatz.weylalg.DiffOperator.{name}" for name in (
+            "__bool__", "__eq__", "__rmul__", "__rsub__", "apply", "coeff")],
+        "the operator and rational-function algebra, public API for constructing "
+        "operators from formal data and for reducibility certificates (ROADMAP items 5-7)"),
+    **dict.fromkeys(
+        [f"irrkatz.lattice.LatticeVector.{name}" for name in (
+            "__neg__", "is_zero", "scale", "zero")]
+        + [f"irrkatz.rootsys.RootVector.{name}" for name in (
+            "__add__", "__eq__", "__neg__", "is_nonnegative")]
+        + ["irrkatz.formal.FormalData.factors", "irrkatz.reduce.Transcript.euler_steps"],
+        "lattice and formal-data accessors for is_phi_root and ROADMAP items 5-7; "
+        "the tests read them"),
 }
 
 
+def _code(value):
+    """The code object of a function, method, static or class method,
+    property getter or cached property in the source; None otherwise."""
+    value = getattr(value, "fget", None) or getattr(value, "func", None) or value
+    fn = inspect.unwrap(getattr(value, "__func__", value))
+    return fn.__code__ if inspect.isfunction(fn) else None
+
+
 def _functions():
-    """``module.name`` of every function defined at the top level of a
-    module of the package, with its code object."""
+    """``module.name`` and ``module.Class.name`` of every function defined
+    in the source of a module of the package, with its code object."""
     out = {}
     for info in pkgutil.iter_modules(irrkatz.__path__, "irrkatz."):
         module = importlib.import_module(info.name)
         for name, value in vars(module).items():
-            fn = inspect.unwrap(value)
-            if inspect.isfunction(fn) and fn.__module__ == module.__name__:
-                out[f"{module.__name__}.{name}"] = fn.__code__
+            if getattr(value, "__module__", None) != module.__name__:
+                continue
+            members = vars(value).items() if inspect.isclass(value) else [("", value)]
+            for attr, member in members:
+                code = _code(member)
+                if code is not None and code.co_filename == module.__file__:
+                    out[".".join(filter(None, (module.__name__, name, attr)))] = code
     return out
 
 
+def _bench_pass():
+    """One pass of each benchmark workload, each operation checked by the
+    bench's own check; nothing without ``bench/``."""
+    if not (BENCH / "run.py").is_file():
+        return
+    saved = list(sys.path)
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+    bench_run = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(bench_run)
+    finally:
+        sys.path[:] = saved
+    for workload, (op, check) in bench_run.OPS.items():
+        for inst in next(bench_run.workloads.GENERATORS[workload](0)):
+            assert check(irrkatz, inst, op(irrkatz, inst)) is None, (workload, inst)
+
+
 def _walk(tmp_path):
-    """The CLI commands on every corpus entry, then the four demos."""
+    """The CLI commands on every corpus entry, the four demos, one bench pass."""
     runs = [["examples"], ["examples", "--run", "--seed", "0"]]
     for name in corpus.names():
         text = weylalg.to_text(corpus.instantiate(name))
@@ -72,6 +147,7 @@ def _walk(tmp_path):
         assert cli.main(argv) == 0, argv
     for demo in DEMOS:
         runpy.run_path(str(demo), run_name="__main__")
+    _bench_pass()
 
 
 def test_every_src_function_is_reached(tmp_path):
@@ -82,8 +158,9 @@ def test_every_src_function_is_reached(tmp_path):
         if event == "call":
             reached.add(frame.f_code)
 
-    # the parser is built once per process: drop an earlier test's so the walk builds it
+    # memos fill once per process: drop an earlier test's so the walk fills them
     cli.build_parser.cache_clear()
+    polys.falling_factorial.cache_clear()
     sink = io.StringIO()
     sys.setprofile(profile)
     try:
@@ -94,5 +171,5 @@ def test_every_src_function_is_reached(tmp_path):
     unreached = sorted(
         name for name, code in functions.items() if code not in reached and name not in ALLOWED
     )
-    assert not unreached, "no CLI command or demo reaches " + ", ".join(unreached)
+    assert not unreached, "no CLI command, demo or bench pass reaches " + ", ".join(unreached)
     assert set(ALLOWED) <= set(functions), "an allowlisted function is gone"

@@ -1,0 +1,162 @@
+"""Print one SHA-256 per output family of irrkatz, to check that two
+checkouts produce byte-identical results.
+
+Run it from the root of each checkout and compare the lines:
+
+    python3 tools/digest.py            # one "<sha256>  <section>" line each
+    python3 tools/digest.py --show S   # the text of section S, to diff
+
+The program is imported from this checkout's ``src/``; the operator texts
+of ``analyze`` come from ``bench/workloads.py`` (the section is left out
+without ``bench/``).  Nothing is written: the commands that read a
+formal-data file are replayed through the functions they call.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import importlib.util
+import io
+import runpy
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from irrkatz import cli, corpus, formal, reduce as reduction, rootsys, weylalg  # noqa: E402
+
+#: Seeds of ``examples --run --json``, of the bench texts, and the ranks of
+#: the hypergeometric and Kummer ladders.
+EXAMPLE_SEEDS = range(41)
+BENCH_SEEDS = range(5)
+LADDER = range(2, 9)
+#: Denominators of the ladder parameters, as in ``tests/test_reduce.py``.
+PRIMES = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+
+
+def _cli(*argv: str) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return f"$ {' '.join(argv)}\n{out.getvalue()}{err.getvalue()}exit {code}\n"
+
+
+def _workloads():
+    path = ROOT / "bench" / "workloads.py"
+    if not path.is_file():
+        return None
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def examples() -> str:
+    text = _cli("examples")
+    for seed in EXAMPLE_SEEDS:
+        text += _cli("examples", "--run", "--json", "--seed", str(seed))
+    return text
+
+
+def demos() -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for demo in sorted((ROOT / "demos").glob("*.py")):
+            print(f"== {demo.name}")
+            runpy.run_path(str(demo), run_name="__main__")
+    return out.getvalue()
+
+
+def bench_texts() -> list[str]:
+    workloads = _workloads()
+    if workloads is None:
+        return []
+    texts = []
+    for name in ("analyze_mix", "hyp_ladder"):
+        for seed in BENCH_SEEDS:
+            texts += [inst["op"] for inst in next(workloads.GENERATORS[name](seed))]
+    return texts
+
+
+def analyze() -> str:
+    return "".join(_cli("analyze", "--op", text) for text in bench_texts())
+
+
+def corpus_texts() -> str:
+    """``to_text(parse(t))`` on the bench texts and the corpus operators,
+    then ``diagram --gram --dot``, ``reduce`` and ``fuchs`` on the corpus
+    formal data."""
+    out = io.StringIO()
+    for text in bench_texts():
+        print(weylalg.to_text(weylalg.parse(text)), file=out)
+    for name in corpus.names():
+        text = weylalg.to_text(corpus.instantiate(name))
+        print(f"== {name}\n{weylalg.to_text(weylalg.parse(text))}", file=out)
+        data = formal.from_json(formal.to_json(formal.extract_formal_data(weylalg.parse(text))))
+        basis = rootsys.build_basis(formal.to_shape(data))
+        print(rootsys.classify_diagram(basis)[0], file=out)
+        print(rootsys.cartan_matrix_text(basis), file=out)
+        print(rootsys.dot_text(basis), file=out)
+        m = formal.m_vector(data)
+        transcript = reduction.reduce_vector(m)
+        print(transcript.to_json_lines(), transcript.verdict.value, rootsys.idx(m), file=out)
+        if transcript.fundamental is not None:
+            print(transcript.fundamental.to_text(), file=out)
+        print(formal.fuchs_defect(data), file=out)
+    return out.getvalue()
+
+
+def _hypergeometric(a, b) -> weylalg.DiffOperator:
+    """theta * prod(theta + b_j - 1) - x * prod(theta + a_i), made primitive."""
+    th = weylalg.X * weylalg.D
+    left, right = th, weylalg.X
+    for bj in b:
+        left = left * (th + weylalg.DiffOperator.of(bj - 1))
+    for ai in a:
+        right = right * (th + weylalg.DiffOperator.of(ai))
+    return weylalg.prim(left - right)
+
+
+def ladders() -> str:
+    """``reduce_operator`` transcripts and operators on nF(n-1) and on the
+    Kummer ladder (n - 1 parameters a_i), n = 2..8."""
+    out = io.StringIO()
+    for kummer in (False, True):
+        for n in LADDER:
+            a = [Fraction(k + 1, PRIMES[k]) for k in range(n - kummer)]
+            b = [Fraction(1, PRIMES[n + k]) for k in range(n - 1)]
+            result = reduction.reduce_operator(_hypergeometric(a, b))
+            print(f"== {'kummer' if kummer else 'nF'} {n}", file=out)
+            print(result.transcript.to_json_lines(), result.transcript.verdict.value, file=out)
+            for op in (*result.operators, result.final):
+                print(weylalg.to_text(op), file=out)
+    return out.getvalue()
+
+
+SECTIONS = {
+    "examples": examples,
+    "demos": demos,
+    "analyze": analyze,
+    "texts": corpus_texts,
+    "ladders": ladders,
+}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--show", choices=sorted(SECTIONS), help="print this section's text")
+    args = parser.parse_args(argv)
+    if args.show:
+        sys.stdout.write(SECTIONS[args.show]())
+        return 0
+    for name, make in SECTIONS.items():
+        print(hashlib.sha256(make().encode("utf-8")).hexdigest(), name)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
