@@ -387,8 +387,11 @@ def extract_formal_data(p: DiffOperator) -> FormalData:
     for at in [INF] + finite:
         try:
             raw = _peel_factors(*weylalg.local_chart(p, at), None)
-        except NonSplitCharPolyError as exc:
-            raise NonSplitCharPolyError(f"at {format_location(at)}: {exc}") from None
+        except RamifiedPointError:
+            raise   # keeps its message, which demo 01 prints
+        except ExtractionError as exc:
+            # the same class, so the exit code does not change
+            raise type(exc)(f"at {format_location(at)}: {exc}") from None
         total = sum(s.rank for _, s in raw)
         if total != p.rank:
             raise ExtractionError(

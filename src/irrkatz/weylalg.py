@@ -746,9 +746,10 @@ class IrrationalSingularityError(ValueError):
 
 
 def singular_points(p: DiffOperator) -> list[Fraction]:
-    """Finite singular points of the primitive component, sorted."""
-    q = prim(p)
-    lead = q.leading().as_poly()
+    """Finite singular points of the primitive operator ``p`` (as
+    :func:`prim` returns it), sorted: the roots of its leading
+    coefficient."""
+    lead = p.leading().as_poly()
     roots = lead.rational_roots()
     if sum(roots.values()) != lead.degree:
         raise IrrationalSingularityError(

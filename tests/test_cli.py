@@ -49,6 +49,16 @@ def test_non_split_error_names_the_point_and_theta(capsys):
     assert err == "error: at 0: characteristic polynomial -theta^2 - 1 does not split over Q\n"
 
 
+@pytest.mark.parametrize("text, code, message", [
+    ("x^2*(x-1)*D^2 + x*(x-1)*D + 1", 4,
+     "at inf: repeated characteristic exponent 0; chain grouping is ambiguous"),
+    ("x^2*(x-1)*D^2 + x*(x-1)*D + (-x-1)", 4,
+     "at inf: exponents -1 and 1 differ by a non-unit integer; no valid chain grouping"),
+])
+def test_extraction_errors_name_the_point(capsys, text, code, message):
+    assert run(capsys, "analyze", "--op", text) == (code, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("option, text", [("--op", "-x*D"), ("--op", "-D"), ("--o", "-D")])
 def test_analyze_reads_operator_text_that_starts_with_minus(capsys, option, text):
     code, out, err = run(capsys, "analyze", option, text)
@@ -365,7 +375,8 @@ def test_assumption_violation_exit_code(tmp_path, capsys):
 
 
 def test_examples_run_extracts_once_per_operator(monkeypatch, capsys):
-    # one extraction of the input and one after the single Euler step
+    # one extraction of the input; the single Euler step is verified
+    # against its predicted table, not extracted
     from irrkatz import reduce as reduction
 
     calls = []
@@ -379,7 +390,7 @@ def test_examples_run_extracts_once_per_operator(monkeypatch, capsys):
     monkeypatch.setattr(reduction, "extract_formal_data", counting)
     code, out, _ = run(capsys, "examples", "--run", "--only", "Gauss")
     assert code == 0 and "ok" in out
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 
@@ -412,7 +423,7 @@ def test_examples_run_builds_the_shape_once_per_attempt(monkeypatch, capsys):
 
 def test_reduce_operator_extracts_input_once(tmp_path, monkeypatch, capsys):
     # the operator is extracted once for the comparison with the file and
-    # that extraction seeds the reduction; one more after the Euler step
+    # that extraction seeds the reduction; the Euler step is not extracted
     from irrkatz import reduce as reduction
 
     gauss = corpus.instantiate("Gauss")
@@ -435,7 +446,7 @@ def test_reduce_operator_extracts_input_once(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(reduction, "twisted_euler", counting_euler)
     code, out, _ = run(capsys, "reduce", "--formal", str(path), "--operator", to_text(gauss))
     assert code == 0 and "final rank 1" in out
-    assert calls.count(gauss) == 1 and len(calls) == 2 and len(steps) == 1
+    assert calls == [gauss] and len(steps) == 1
     calls.clear()
     steps.clear()
     code, _, err = run(capsys, "reduce", "--formal", str(path), "--operator", "x*D - 5")

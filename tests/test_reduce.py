@@ -4,7 +4,8 @@ from itertools import product
 
 import pytest
 
-from irrkatz import corpus, formal
+from irrkatz import cli, corpus, formal
+from irrkatz import reduce as reduction
 from irrkatz.exponents import act_sigma_perm, act_sigma_t
 from irrkatz.lattice import LatticeShape, LatticeVector
 from irrkatz.reduce import (
@@ -19,6 +20,7 @@ from irrkatz.reduce import (
     _chain_table,
     _check_prediction,
     _conjugate,
+    _verified,
 )
 from irrkatz.rootsys import Verdict, idx
 from irrkatz.weylalg import (
@@ -509,10 +511,7 @@ def test_cross_check_accepts_point_made_non_singular():
     with pytest.raises(ValueError, match="first point must be the point at infinity"):
         formal.FormalData(data.points[1:])
     locations = [INF, Fraction(0), Fraction(1)]
-    predicted = {
-        location_key(loc): {w: sorted((lam.as_rat(), k) for lam, k in s.chains) for w, s in factors}
-        for loc, factors in data.points
-    }
+    predicted = table_of(data)
     zero = formal.ExponentialFactor(Fraction(1))
     predicted[location_key(Fraction(1))] = {zero: [(Fraction(0), 1)]}
     _check_prediction(op, locations, predicted, 1)
@@ -645,6 +644,152 @@ def test_twisted_chains_match_extraction_on_all_tuples():
         m, nu = formal.m_vector(data), formal.exponent_vector(data)
         for t in formal.to_shape(data).index_tuples():
             assert_twisted_chains_extracted(op, data, m, nu, t)
+
+
+# -- the per-step verifier -------------------------------------------------------
+
+
+def record_checks(monkeypatch):
+    """Wrap the per-step verifier: each call appends (operator, locations,
+    predicted table, rank, verdict) to the returned list."""
+    calls = []
+
+    def record(op, locations, predicted, rank):
+        ok = _verified(op, locations, predicted, rank)
+        calls.append((op, locations, predicted, rank, ok))
+        return ok
+
+    monkeypatch.setattr(reduction, "_verified", record)
+    return calls
+
+
+def ladder(kummer):
+    """nF(n-1), or the Kummer ladder with n - 1 parameters a_i, n = 2..8."""
+    for n in range(2, 9):
+        a = [Fraction(k + 1, PRIMES[k]) for k in range(n - kummer)]
+        b = [Fraction(1, PRIMES[n + k]) for k in range(n - 1)]
+        yield hypergeometric(a, b)
+
+
+def test_verified_steps_pass_the_extraction_check(monkeypatch, capsys):
+    # every Euler step of nF(n-1) is verified, with no fallback; the Kummer
+    # steps keep a factor x at infinity, which falls back; on every step the
+    # verifier accepts, extraction accepts the same prediction
+    calls = record_checks(monkeypatch)
+    for op in ladder(False):
+        reduce_operator(op)
+    assert len(calls) == sum(range(1, 8)) and all(ok for *_, ok in calls)
+    for op in ladder(True):
+        reduce_operator(op)
+    ladder_steps = len(calls)
+    for seed in range(41):
+        assert cli.main(["examples", "--run", "--json", "--seed", str(seed)]) == 0
+    capsys.readouterr()
+    assert len(calls) > ladder_steps
+    for op, locations, predicted, rank, ok in calls:
+        if ok:
+            _check_prediction(op, locations, predicted, rank)
+
+
+def test_reduce_operator_extracts_only_its_input(monkeypatch):
+    calls = []
+    original = formal.extract_formal_data
+
+    def counting(op):
+        calls.append(op)
+        return original(op)
+
+    monkeypatch.setattr(formal, "extract_formal_data", counting)
+    monkeypatch.setattr(reduction, "extract_formal_data", counting)
+    for n, op in enumerate(ladder(False), start=2):
+        calls.clear()
+        result = reduce_operator(op)
+        assert len(result.operators) == n - 1 and calls == [op], n
+
+
+def table_of(data):
+    """The chain table of extracted formal data."""
+    return {
+        location_key(loc): {w: sorted((lam.as_rat(), k) for lam, k in s.chains) for w, s in factors}
+        for loc, factors in data.points
+    }
+
+
+def first_step_of_4f3(monkeypatch):
+    """The first Euler step of 4F3: (operator, locations, predicted table,
+    rank); at 1 the table reads [(beta, 1), (0, 2)]."""
+    calls = record_checks(monkeypatch)
+    reduce_operator(hypergeometric(*HYPERGEOMETRIC[2]))
+    op, locations, predicted, rank, ok = calls[0]
+    assert ok and rank == 3
+    return op, list(locations), predicted, rank
+
+
+ONE, INF_KEY = location_key(Fraction(1)), location_key(INF)
+
+
+def shifted(table, locations):
+    table[ONE] = {w: [(lam + 1, k) for lam, k in chains] for w, chains in table[ONE].items()}
+    return locations
+
+
+def swapped(table, locations):
+    (w, [(beta, k1), (zero, k2)]), = table[ONE].items()
+    table[ONE] = {w: [(beta, k2), (zero, k1)]}
+    return locations
+
+
+def split(table, locations):
+    (w, [(beta, _), (zero, _)]), = table[ONE].items()
+    table[ONE] = {w: [(beta, 1), (zero, 1), (zero + 1, 1)]}
+    return locations
+
+
+def dropped(table, locations):
+    (w, [chain, _]), = table[ONE].items()
+    table[ONE] = {w: [chain]}
+    return locations
+
+
+def irregular(table, locations):
+    (_, chains), = table[INF_KEY].items()
+    table[INF_KEY] = {formal.ExponentialFactor(INF, {1: Fraction(1)}): chains}
+    return locations
+
+
+def missing(table, locations):
+    del table[ONE]
+    return locations[:2]
+
+
+@pytest.mark.parametrize("wrong, message", [
+    (shifted, r"^at 1: extracted "),
+    (swapped, r"^at 1: extracted "),
+    (split, r"^at 1: extracted "),
+    (dropped, r"^at 1: extracted "),
+    (irregular, r"^at inf: extracted \{ExponentialFactor\(inf: 0\)"),
+    (missing, r"^unpredicted singular points: 1$"),
+])
+def test_wrong_prediction_falls_back_to_the_extraction_check(monkeypatch, wrong, message):
+    op, locations, predicted, rank = first_step_of_4f3(monkeypatch)
+    locations = wrong(predicted, locations)
+    assert not _verified(op, locations, predicted, rank)
+    with pytest.raises(CrossCheckError, match=message):
+        _check_prediction(op, locations, predicted, rank)
+
+
+def test_extra_root_of_the_leading_coefficient_falls_back():
+    # composing with x - 5 adds the root 5 to the leading coefficient; the
+    # prediction is the extraction everywhere else
+    moved, locations, _, rank = gauss_after_step()
+    op = prim(moved * (X - DiffOperator.of(5)))
+    data = formal.extract_formal_data(op)
+    assert data.locations() == tuple(locations) + (Fraction(5),)
+    predicted = table_of(data)
+    assert _verified(op, data.locations(), predicted, rank)
+    assert not _verified(op, locations, predicted, rank)
+    with pytest.raises(CrossCheckError, match=r"^unpredicted singular points: 5$"):
+        _check_prediction(op, locations, predicted, rank)
 
 
 def random_balanced(rng, shape, max_rank=5):
