@@ -387,8 +387,6 @@ def extract_formal_data(p: DiffOperator) -> FormalData:
     for at in [INF] + finite:
         try:
             raw = _peel_factors(*weylalg.local_chart(p, at), None)
-        except RamifiedPointError:
-            raise   # keeps its message, which demo 01 prints
         except ExtractionError as exc:
             # the same class, so the exit code does not change
             raise type(exc)(f"at {format_location(at)}: {exc}") from None

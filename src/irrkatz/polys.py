@@ -1,9 +1,17 @@
 """Dense univariate polynomials and rational functions over exact rationals.
 
 Internal plumbing for the operator algebra: nothing here knows about
-differential operators.  Polynomials are dense coefficient tuples, lowest
-degree first; rational functions are reduced fractions of polynomials with
-a monic denominator, so equality is structural.  Rational roots are found
+differential operators.  A polynomial is a tuple of integer numerators,
+lowest degree first, over one positive denominator coprime to their
+content; the pair is unique, so equality is structural.  Arithmetic runs on
+Python ints and normalizes each result once, with one gcd, instead of once
+per coefficient product (von zur Gathen and Gerhard, *Modern Computer
+Algebra*, §8.4); division is pseudo-division over Z.  ``Poly.coeffs``, the
+coefficients as ``Fraction``s, is a read-only view built on first read; no
+arithmetic runs on it.  The row kernels of ``weylalg`` take their inputs
+through :func:`int_rows` and build their results with :func:`from_row`.
+Rational functions are reduced fractions of polynomials with a monic
+denominator, so equality is structural too.  Rational roots are found
 exactly by p-adic expansion (Loos, SIAM J. Comput. 12(2), 1983): roots
 modulo a small prime, Hensel-lifted and read back by rational
 reconstruction, each one checked over Z.
@@ -13,30 +21,23 @@ a nonzero constant is 1, so a constant denominator only divides the
 numerator.  Two fractions over the same denominator add without a
 cross-multiplication: the reduced form with a monic denominator is
 unique.  A product with the constant 1 is the other factor, shared as
-``Poly`` is immutable.  Coefficients that already are ``Fraction``s are
-kept, not rebuilt.  Every polynomial ``RatFunc`` holds the one shared
+``Poly`` is immutable.  Every polynomial ``RatFunc`` holds the one shared
 denominator :data:`UNIT`, so building one allocates no denominator, and
 one built over ``UNIT`` skips the normalization altogether.  Division by a
 monomial ``a*x^d`` (the denominators of the chart at infinity and of the
 twists at 0) is a slice: the quotient is ``coeffs[d:]/a``, the remainder
-``coeffs[:d]``.  The Taylor shift and the order at a root are synthetic,
-in place on one list of coefficients.
+``coeffs[:d]``.  The Taylor shift and the order at a point ``a/b`` run on
+integers, scaled by powers of ``b``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import gcd as int_gcd, isqrt
-from typing import Iterable, Union
+from math import gcd as int_gcd, isqrt, lcm
+from typing import Iterable, Sequence, Union
 
 Scalar = Union[Fraction, int]
-
-
-def _trim(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
 
 
 def pow_by_squaring(base, n: int, one):
@@ -50,16 +51,40 @@ def pow_by_squaring(base, n: int, one):
     return result
 
 
-class Poly:
-    """Polynomial in one variable over Q, dense, lowest degree first."""
+def from_row(n: list[int], d: int = 1) -> "Poly":
+    """The polynomial n/d for d > 0, trimmed and reduced: the one
+    normalization of each operation."""
+    while n and not n[-1]:
+        n.pop()
+    if d != 1 and n:
+        g = int_gcd(d, *n)
+        if g != 1:
+            n = [a // g for a in n]
+            d //= g
+    p = object.__new__(Poly)
+    object.__setattr__(p, "_n", tuple(n))
+    object.__setattr__(p, "_d", d if n else 1)
+    return p
 
-    __slots__ = ("coeffs",)
+
+def int_rows(polys: Sequence["Poly"]) -> tuple[list, int]:
+    """The numerators of ``polys`` over one denominator, the lcm of theirs."""
+    d = lcm(*(q._d for q in polys))
+    return [q._n if q._d == d else [a * (d // q._d) for a in q._n] for q in polys], d
+
+
+class Poly:
+    """Polynomial in one variable over Q, dense, lowest degree first:
+    integer numerators ``_n`` over one positive denominator ``_d``."""
+
+    __slots__ = ("_n", "_d", "_coeffs")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        object.__setattr__(
-            self, "coeffs",
-            _trim([c if type(c) is Fraction else Fraction(c) for c in coeffs]),
-        )
+        cs = [c if type(c) is int or type(c) is Fraction else Fraction(c) for c in coeffs]
+        d = lcm(*(c.denominator for c in cs))
+        p = from_row([c.numerator * (d // c.denominator) for c in cs], d)
+        object.__setattr__(self, "_n", p._n)
+        object.__setattr__(self, "_d", p._d)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -70,7 +95,7 @@ class Poly:
 
     @staticmethod
     def x(power: int = 1) -> "Poly":
-        return Poly([0] * power + [1])
+        return from_row([0] * power + [1])
 
     @staticmethod
     def monomial(coeff: Scalar, power: int) -> "Poly":
@@ -78,49 +103,60 @@ class Poly:
 
     # -- basics -----------------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as ``Fraction``s: a view built on first read."""
+        try:
+            return self._coeffs
+        except AttributeError:
+            object.__setattr__(self, "_coeffs", tuple(Fraction(a, self._d) for a in self._n))
+            return self._coeffs
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._n
 
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self._n) - 1
 
     def __getitem__(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
+        if 0 <= k < len(self._n):
             return self.coeffs[k]
         return Fraction(0)
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self._n:
             return Fraction(0)
-        return self.coeffs[-1]
+        return Fraction(self._n[-1], self._d)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = Poly.const(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._n == other._n and self._d == other._d
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self._n, self._d))
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._n)
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "PolyLike") -> "Poly":
         if not isinstance(other, _POLY_OPERANDS):
             return NotImplemented
-        a, b = self.coeffs, as_poly(other).coeffs
-        return Poly([x + y for x, y in zip(a, b)] + list(a[len(b):] or b[len(a):]))
+        (a, b), d = int_rows((self, as_poly(other)))
+        if len(a) < len(b):
+            a, b = b, a
+        return from_row([x + y for x, y in zip(a, b)] + list(a[len(b):]), d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return from_row([-a for a in self._n], self._d)
 
     def __sub__(self, other: "PolyLike") -> "Poly":
         if not isinstance(other, _POLY_OPERANDS):
@@ -136,43 +172,57 @@ class Poly:
         if not isinstance(other, _POLY_OPERANDS):
             return NotImplemented
         other = as_poly(other)
-        if self.is_zero() or other.is_zero():
-            return Poly()
-        if other.coeffs == (1,):
+        a, b = self._n, other._n
+        if not a or not b:
+            return from_row([])
+        if b == (1,) and other._d == 1:
             return self
-        if self.coeffs == (1,):
+        if a == (1,) and self._d == 1:
             return other
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        n = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    n[j] += x * y
+        return from_row(n, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        return pow_by_squaring(self, n, Poly.const(1))
+        return pow_by_squaring(self, n, UNIT)
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
+        """Quotient and remainder, by pseudo-division over Z: the
+        numerators are scaled by a factor of the divisor's leading
+        numerator only where a quotient term needs it."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        d = other.degree
-        lead = other.leading()
-        if not any(other.coeffs[:d]):
+        b, d = other._n, other.degree
+        lead = b[-1]
+        if not any(b[:d]):
             # a monomial lead*x^d: the quotient and remainder are slices
-            high = self.coeffs[d:]
-            return Poly(high if lead == 1 else [a / lead for a in high]), Poly(self.coeffs[:d])
-        rem = list(self.coeffs)
-        q = [Fraction(0)] * max(0, len(rem) - d)
+            sign = -1 if lead < 0 else 1
+            high = [sign * other._d * a for a in self._n[d:]]
+            return from_row(high, sign * lead * self._d), from_row(list(self._n[:d]), self._d)
+        # scale * numerators = q * b + rem, the scale a product of factors of lead
+        rem = list(self._n)
+        q = [0] * max(0, len(rem) - d)
+        scale = 1
         for k in range(len(rem) - 1 - d, -1, -1):
-            factor = q[k] = rem[k + d] / lead
-            for j in range(d):
-                rem[k + j] -= factor * other.coeffs[j]
-        return Poly(q), Poly(rem[:d])
+            t = rem[k + d]
+            if t:
+                f = abs(lead) // int_gcd(t, lead)
+                if f != 1:
+                    rem = [f * a for a in rem]
+                    q = [f * a for a in q]
+                    scale *= f
+                factor = q[k] = t * f // lead
+                for j in range(d):
+                    rem[k + j] -= factor * b[j]
+        den = scale * self._d
+        return from_row([other._d * a for a in q], den), from_row(rem[:d], den)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return self.divmod(other)[0]
@@ -181,54 +231,70 @@ class Poly:
         return self.divmod(other)[1]
 
     def eval(self, point: Scalar) -> Fraction:
+        """p(a/b) = (sum n_k a^k b^(m-k)) / (b^m d), m = deg p, by Horner's
+        rule on integers."""
+        if not self._n:
+            return Fraction(0)
         point = Fraction(point)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+        a, b = point.numerator, point.denominator
+        acc, bk = 0, 1
+        for c in reversed(self._n):
+            acc = acc * a + c * bk
+            bk *= b
+        return Fraction(acc, self._d * (bk // b))
 
     def derivative(self) -> "Poly":
-        return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
+        return from_row([k * c for k, c in enumerate(self._n)][1:], self._d)
 
     def shift(self, c: Scalar) -> "Poly":
         """The polynomial q with q(y) = p(y + c) (Taylor shift); p itself
-        at c = 0.  Synthetic: pass i divides by y - c in place and leaves
-        the i-th Taylor coefficient in slot i."""
+        at c = 0.  At c = a/b, n(y + a/b) = b^(-m) s(b y + a) with s(z) =
+        b^m n(z/b) in Z[z]; the integer shift by a is synthetic: pass i
+        divides by z - a in place and leaves the i-th Taylor coefficient in
+        slot i."""
         if c == 0:
             return self
         c = Fraction(c)
-        a = list(self.coeffs)
-        for i in range(len(a) - 1):
-            for k in range(len(a) - 2, i - 1, -1):
-                a[k] += c * a[k + 1]
-        return Poly(a)
+        a, b = c.numerator, c.denominator
+        m = self.degree
+        s = [x * b ** (m - k) for k, x in enumerate(self._n)] if b != 1 else list(self._n)
+        for i in range(m):
+            for k in range(m - 1, i - 1, -1):
+                s[k] += a * s[k + 1]
+        if b != 1:
+            s = [x * b**k for k, x in enumerate(s)]
+        return from_row(s, self._d * b**m)
 
     def reverse(self, at_degree: int | None = None) -> "Poly":
         """Coefficient reversal: x^n * p(1/x) for n = at_degree (default deg p)."""
         n = self.degree if at_degree is None else at_degree
         if n < self.degree:
             raise ValueError("reversal degree below actual degree")
-        out = [Fraction(0)] * (n + 1)
-        for k, c in enumerate(self.coeffs):
-            out[n - k] = c
-        return Poly(out)
+        return from_row([0] * (n - self.degree) + list(reversed(self._n)), self._d)
 
     def order_at(self, c: Scalar) -> int:
         """Multiplicity of the root x = c (0 if p(c) != 0); error on zero.
-        At c = 0 it is the number of low zero coefficients."""
+        At c = 0 it is the number of low zero coefficients.  At c = a/b
+        the numerators are divided exactly by b*x - a over Z, while the
+        division leaves no remainder (Gauss's lemma: b*x - a is primitive)."""
         if self.is_zero():
             raise ValueError("order of the zero polynomial")
         if c == 0:
-            return next(k for k, a in enumerate(self.coeffs) if a)
+            return next(k for k, a in enumerate(self._n) if a)
         c = Fraction(c)
-        a = list(self.coeffs)
-        for m in range(len(a)):
-            # synthetic division by x - c: the quotient in a[1:], p(c) in a[0]
-            for k in range(len(a) - 2, -1, -1):
-                a[k] += c * a[k + 1]
-            if a[0]:
+        a, b = c.numerator, c.denominator
+        n = list(self._n)
+        for m in range(len(n)):
+            # the quotient s_(k-1) = (n_k + a s_k)/b lands in slot k
+            carry = 0
+            for k in range(len(n) - 1, 0, -1):
+                carry, r = divmod(n[k] + a * carry, b)
+                if r:
+                    return m
+                n[k] = carry
+            if n[0] + a * carry:
                 return m
-            del a[0]
+            del n[0]
 
     # -- integer structure --------------------------------------------------
 
@@ -236,23 +302,16 @@ class Poly:
         """Write p = r * q with q in Z[x], content 1, positive leading coeff."""
         if self.is_zero():
             return Fraction(0), Poly()
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // int_gcd(den, c.denominator)
-        ints = [c * den for c in self.coeffs]
-        num = 0
-        for c in ints:
-            num = int_gcd(num, int(c))
-        if ints[-1] < 0:
-            num = -num
-        r = Fraction(num, den)
-        return r, Poly([c / r for c in self.coeffs])
+        g = int_gcd(*self._n)
+        if self._n[-1] < 0:
+            g = -g
+        return Fraction(g, self._d), from_row([a // g for a in self._n])
 
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        lead = self.leading()
-        return Poly([c / lead for c in self.coeffs])
+        sign = -1 if self._n[-1] < 0 else 1
+        return from_row([sign * a for a in self._n], sign * self._n[-1])
 
     def rational_roots(self) -> dict[Fraction, int]:
         """All rational roots with multiplicities, by p-adic expansion.
@@ -269,15 +328,13 @@ class Poly:
         """
         if self.is_zero():
             raise ValueError("roots of the zero polynomial")
-        low = 0
-        while self.coeffs[low] == 0:
-            low += 1
+        low = self.order_at(0)
         roots = {Fraction(0): low} if low else {}
-        _, zp = Poly(self.coeffs[low:]).int_content_and_primitive()
+        _, zp = from_row(list(self._n[low:])).int_content_and_primitive()
         if zp.degree == 0:
             return roots
         _, sf = (zp // poly_gcd(zp, zp.derivative())).int_content_and_primitive()
-        found = _lifted_roots([int(c) for c in sf.coeffs])
+        found = _lifted_roots(sf._n)
         for root in sorted(found, key=lambda q: (abs(q.numerator), q.denominator, q < 0)):
             roots[root] = zp.order_at(root)
         return roots
@@ -310,6 +367,10 @@ class Poly:
         return f"Poly({self.format()})"
 
 
+#: The denominator of every polynomial ``RatFunc``: one shared object.
+UNIT = from_row([1])
+
+
 PolyLike = Union[Poly, Fraction, int]
 #: The operands ``Poly`` arithmetic coerces; any other operand gets
 #: ``NotImplemented``, so its own reflected method can answer.
@@ -329,7 +390,7 @@ def _eval_mod(f: list[int], r: int, m: int) -> int:
     return acc
 
 
-def _lifted_roots(f: list[int]) -> list[Fraction]:
+def _lifted_roots(f: tuple[int, ...]) -> list[Fraction]:
     """Rational roots of a square-free f in Z[x] (lowest degree first,
     f(0) != 0), by lifting the roots modulo a good prime."""
     a0, lead = abs(f[0]), abs(f[-1])
@@ -367,7 +428,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd over Q[x].  With a monomial c*x^k on one side it is
     x^min(k, v), v the order at 0 of the other side, without division."""
     for mono, other in ((a, b), (b, a)):
-        if mono.coeffs and not any(mono.coeffs[:-1]) and other.coeffs:
+        if mono._n and not any(mono._n[:-1]) and other._n:
             return Poly.x(min(mono.degree, other.order_at(0)))
     while not b.is_zero():
         a, b = b, a % b
@@ -384,10 +445,6 @@ def falling_factorial(j: int) -> Poly:
     for k in range(j):
         out = out * Poly([-k, 1])
     return out
-
-
-#: The denominator of every polynomial ``RatFunc``: one shared object.
-UNIT = Poly.const(1)
 
 
 class RatFunc:

@@ -33,14 +33,16 @@ and so Euler) are coefficient formulas; none multiplies operators:
 Normal forms are unique and coefficients are reduced with a monic
 denominator, so these agree exactly with multiplying out the images.
 
-These kernels and :func:`theta_expand` work on rows of coefficients, one
-list per power of D (per weight for the expansion), and build each output
-``Poly`` once: :func:`_add_product` adds a scaled product of two rows into
-a row at an offset.  The expansion reads the numerators through the
-synthetic ``Poly.shift`` and the falling factorials from the memoized
-``falling_factorial``; in :func:`_shift_d` a Horner step multiplies the row
-by ``(x-c)^e`` and adds ``C(m+j, j) N_(m+j) Y_j``; the chart at infinity
-adds each Lah term at the offset ``i + k``.
+These kernels and :func:`theta_expand` work on rows of Python ints, one
+list per power of D (per weight for the expansion): each call brings its
+input polynomials to one integer denominator, the lcm of theirs, and builds
+each output ``Poly`` once from a row and a denominator.
+:func:`_add_product` adds a scaled product of two rows into a row at an
+offset.  The expansion reads the numerators through ``Poly.shift`` and the
+falling factorials from the memoized ``falling_factorial``; in
+:func:`_shift_d` a Horner step multiplies the row by the numerators of
+``(x-c)^e = U/b^e`` and adds ``C(m+j, j) N_(m+j) Y_j`` scaled by ``b^(e j)``;
+the chart at infinity adds each Lah term at the offset ``i + k``.
 
 The product itself (``DiffOperator.__mul__``) works on numerator rows over
 common denominators, as :func:`_shift_d` does.  With ``P = sum_i N_i D^i / M``
@@ -48,8 +50,9 @@ and ``Q = sum_j K_j D^j / L``, the Leibniz rule ``D^i b = sum_k C(i, k)
 b^(k) D^(i-k)`` needs ``(K_j/L)^(k) = R_jk / L^(k+1)``, where ``R_j0 = K_j``
 and ``R_j(k+1) = R_jk' L - (k+1) R_jk L'``.  So the coefficient of D^m is
 ``sum_(i-k+j=m) C(i, k) N_i R_jk L^(I-k)`` over ``M L^(I+1)``, I the rank of
-P.  For polynomial operators ``M = L = 1``, and the product is row
-arithmetic over Q with no gcd.
+P.  For polynomial operators ``M = L = 1``, and the product is integer
+row arithmetic over one integer denominator, with one gcd per output
+coefficient.
 """
 
 from __future__ import annotations
@@ -62,7 +65,8 @@ from math import comb, factorial, perm
 from typing import Iterable, Mapping, Union
 
 from .polys import (
-    UNIT, Poly, RatFunc, RatLike, as_poly, falling_factorial, poly_gcd, pow_by_squaring,
+    UNIT, Poly, RatFunc, RatLike, as_poly, falling_factorial, from_row, int_rows, poly_gcd,
+    pow_by_squaring,
 )
 from .scalar import ParamExpr, parse_rat
 
@@ -197,10 +201,7 @@ class DiffOperator:
         lpows = [UNIT]
         for _ in range(top):
             lpows.append(lpows[-1] * lden)
-        # deg(R_jk L^(I-k)) <= deg K_j + I deg L bounds every row
-        width = max(q.degree for q in nums) + max(q.degree for q in knums) + top * lden.degree + 1
-        rows = [[_ZERO] * width for _ in range(top + len(knums))]
-        left = [(i, q.coeffs) for i, q in enumerate(nums) if q]
+        rights = []
         for j, r in enumerate(knums):
             for k in range(top + 1):
                 if k:
@@ -208,12 +209,19 @@ class DiffOperator:
                     r = r.derivative() * lden - r * dl * k if dl else r.derivative()
                 if r.is_zero():
                     break
-                right = (r * lpows[top - k]).coeffs
-                for i, a in left:
-                    if i >= k:
-                        _add_product(rows[i - k + j], a, right, comb(i, k))
+                rights.append((j, k, r * lpows[top - k]))
+        lrows, ld = int_rows(nums)
+        rrows, rd = int_rows([q for _, _, q in rights])
+        # deg(R_jk L^(I-k)) <= deg K_j + I deg L bounds every row
+        width = max(q.degree for q in nums) + max(q.degree for q in knums) + top * lden.degree + 1
+        rows = [[0] * width for _ in range(top + len(knums))]
+        left = [(i, a) for i, a in enumerate(lrows) if a]
+        for (j, k, _), right in zip(rights, rrows):
+            for i, a in left:
+                if i >= k:
+                    _add_product(rows[i - k + j], a, right, comb(i, k))
         out_den = den * lpows[top] * lden
-        return DiffOperator([RatFunc(Poly(row), out_den) for row in rows])
+        return DiffOperator([RatFunc(from_row(row, ld * rd), out_den) for row in rows])
 
     def __rmul__(self, other: "OpLike") -> "DiffOperator":
         # functions and scalars commute into the coefficients
@@ -243,8 +251,6 @@ class DiffOperator:
 
 
 OpLike = Union[DiffOperator, RatFunc, Poly, Fraction, int]
-
-_ZERO = Fraction(0)
 
 
 def _add_product(row: list, a, b, scale=1, offset: int = 0) -> None:
@@ -484,7 +490,7 @@ def theta_expand(p: DiffOperator, at: Location) -> ThetaExpansion:
     if p.is_zero():
         raise ValueError("theta expansion of the zero operator")
     q, c = local_chart(p, at)
-    rows: dict[int, list[Fraction]] = {}
+    shifted = []
     for j, coeff in enumerate(q.coeffs):
         if coeff.is_zero():
             continue
@@ -494,14 +500,18 @@ def theta_expand(p: DiffOperator, at: Location) -> ThetaExpansion:
             raise ValueError(
                 f"coefficient {coeff} is not a Laurent polynomial at {c}"
             )
-        ff = falling_factorial(j).coeffs
-        for m, gamma in enumerate(coeff.num.shift(c).coeffs):
+        shifted.append((j, shift, coeff.num.shift(c)))
+    gammas, d = int_rows([s for _, _, s in shifted])
+    rows: dict[int, list[int]] = {}
+    for (j, shift, _), row in zip(shifted, gammas):
+        (ff,), _ = int_rows([falling_factorial(j)])
+        for m, gamma in enumerate(row):
             if gamma:
                 w = (m - shift) - j
                 if w not in rows:
-                    rows[w] = [_ZERO] * len(q.coeffs)
+                    rows[w] = [0] * len(q.coeffs)
                 _add_product(rows[w], ff, (gamma,))
-    terms = ((i, Poly(rows[i])) for i in sorted(rows))
+    terms = ((i, from_row(rows[i], d)) for i in sorted(rows))
     return ThetaExpansion(at, tuple((i, t) for i, t in terms if t))
 
 
@@ -604,9 +614,13 @@ def prim(p: DiffOperator) -> DiffOperator:
     for q in nums:
         if not q.is_zero():
             g = q if g.is_zero() else poly_gcd(g, q)
-    nums = [q // g for q in nums]
-    lead = nums[-1].leading()
-    return DiffOperator([RatFunc(q * (1 / lead)) for q in nums])
+    if g.degree > 0:
+        nums = [q // g for q in nums]
+    # a_i / lead is the ratio of integer numerators over one denominator
+    rows, _ = int_rows(nums)
+    lead = rows[-1][-1]
+    sign = -1 if lead < 0 else 1
+    return DiffOperator([RatFunc(from_row([sign * a for a in row], sign * lead)) for row in rows])
 
 
 def _shift_d(p: DiffOperator, g: Poly, e: int, c: Fraction) -> DiffOperator:
@@ -621,12 +635,18 @@ def _shift_d(p: DiffOperator, g: Poly, e: int, c: Fraction) -> DiffOperator:
     common denominator of the ``a_i`` times ``(x-c)^(e J)``, J the largest j.
     """
     den, nums = _over_common_denominator(p)
-    u = Poly([-c, 1])
+    u = Poly.x() - c
     ue = u ** e
     drop = e * u ** (e - 1) if e else Poly()
     ys = [Poly.const(1)]
     for j in range(len(nums) - 1):
         ys.append(ue * ys[-1].derivative() - (j * drop + g) * ys[-1])
+    # with ue = U/b^e, step j scales its term by b^(e j) to keep the rows
+    # over one integer denominator
+    nrows, dn = int_rows(nums)
+    yrows, dy = int_rows(ys)
+    (urow,), du = int_rows([ue])
+    scales = [du ** j for j in range(len(nums))]
     # deg N + deg Y + e*J bounds every partial sum of the Horner steps
     width = max((q.degree for q in nums), default=0) + max(y.degree for y in ys)
     width += e * (len(nums) - 1) + 1
@@ -634,11 +654,12 @@ def _shift_d(p: DiffOperator, g: Poly, e: int, c: Fraction) -> DiffOperator:
     for m in range(len(nums)):
         acc = ()
         for j in range(len(nums) - m):
-            row = [_ZERO] * width
-            _add_product(row, acc, ue.coeffs)
-            _add_product(row, nums[m + j].coeffs, ys[j].coeffs, comb(m + j, j))
+            row = [0] * width
+            _add_product(row, acc, urow)
+            _add_product(row, nrows[m + j], yrows[j], comb(m + j, j) * scales[j])
             acc = row
-        out.append(RatFunc(Poly(acc), den * ue ** (len(nums) - 1 - m)))
+        top = len(nums) - 1 - m
+        out.append(RatFunc(from_row(acc, dn * dy * scales[top]), den * ue ** top))
     return DiffOperator(out)
 
 
@@ -691,13 +712,14 @@ def subst_infty(p: DiffOperator) -> DiffOperator:
         return p
     den, nums = _over_common_denominator(p)
     d = max(q.degree for q in [den, *nums])
-    revs = [q.reverse(d).coeffs for q in nums]
-    rows = [list(revs[0])] + [[_ZERO] * (d + 2 * len(revs)) for _ in revs[1:]]
+    nrows, dr = int_rows(nums)
+    revs = [[0] * (d + 1 - len(row)) + list(row[::-1]) for row in nrows]
+    rows = [revs[0]] + [[0] * (d + 2 * len(revs)) for _ in revs[1:]]
     for i in range(1, len(revs)):
         for k in range(1, i + 1):
             _add_product(rows[k], revs[i], ((-1) ** i * _lah(i, k),), offset=i + k)
     rev_den = den.reverse(d)
-    return DiffOperator([RatFunc(Poly(row), rev_den) for row in rows])
+    return DiffOperator([RatFunc(from_row(row, dr), rev_den) for row in rows])
 
 
 def _fourier(p: DiffOperator, x_sign: int, d_sign: int) -> DiffOperator:
@@ -708,15 +730,16 @@ def _fourier(p: DiffOperator, x_sign: int, d_sign: int) -> DiffOperator:
     if not p.is_polynomial():
         raise ValueError("Fourier-Laplace transform needs polynomial coefficients")
     rank = max((c.num.degree for c in p.coeffs), default=-1)
-    out = [[Fraction(0)] * len(p.coeffs) for _ in range(rank + 1)]
-    for i, c in enumerate(p.coeffs):
-        for k, a in enumerate(c.num.coeffs):
+    rows, dn = int_rows([c.num for c in p.coeffs])
+    out = [[0] * len(p.coeffs) for _ in range(rank + 1)]
+    for i, row in enumerate(rows):
+        for k, a in enumerate(row):
             if a == 0:
                 continue
             a = a * x_sign ** k * d_sign ** i
             for j in range(min(i, k) + 1):
                 out[k - j][i - j] += a * comb(k, j) * perm(i, j)
-    return DiffOperator([RatFunc(Poly(row)) for row in out])
+    return DiffOperator([RatFunc(from_row(row, dn)) for row in out])
 
 
 def laplace(p: DiffOperator) -> DiffOperator:

@@ -4,7 +4,8 @@ Each is the direct, slow form of something ``irrkatz`` computes another
 way (the form entry by entry or block by block, a reflection from a Gram
 row, ker phi by Gaussian elimination, the support tuples and the
 fundamental domain by the full product, the operator product by the
-Leibniz rule term by term, the Taylor shift, the order at a root, long
+Leibniz rule term by term, ``Poly`` and its gcd on ``Fraction`` tuples,
+the Taylor shift, the order at a root, long
 division, the theta expansion, the chart at infinity and the twists in
 ``Poly`` arithmetic, one new ``Poly`` per partial sum), a check no
 pipeline code runs (ker phi in
@@ -17,13 +18,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, gcd, lcm
 from operator import mul, ne
 
 from irrkatz import corpus
 from irrkatz.formal import FormalData, SpectralData
 from irrkatz.lattice import IndexTuple, LatticeShape, LatticeVector
-from irrkatz.polys import Poly, RatFunc
+from irrkatz.polys import Poly, RatFunc, _lifted_roots
 from irrkatz.rootsys import Node, RootBasis, RootVector, build_basis, phi
 from irrkatz.scalar import ParamExpr
 from irrkatz.weylalg import (
@@ -230,6 +231,138 @@ def support_tuples(a: LatticeVector) -> tuple[IndexTuple, ...]:
 
 
 # -- polys -----------------------------------------------------------------------
+
+
+class FractionPoly:
+    """``Poly`` as it was before integer numerators: a trimmed tuple of
+    ``Fraction`` coefficients, every operation coefficient by coefficient,
+    the reference the differential test compares ``Poly`` against."""
+
+    def __init__(self, coeffs=()):
+        coeffs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        self.coeffs = tuple(coeffs)
+
+    @staticmethod
+    def of(value) -> "FractionPoly":
+        return value if isinstance(value, FractionPoly) else FractionPoly([value])
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def __getitem__(self, k: int) -> Fraction:
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+
+    def leading(self) -> Fraction:
+        return self.coeffs[-1] if self.coeffs else Fraction(0)
+
+    def __eq__(self, other) -> bool:
+        return self.coeffs == FractionPoly.of(other).coeffs
+
+    def __add__(self, other) -> "FractionPoly":
+        a, b = self.coeffs, FractionPoly.of(other).coeffs
+        return FractionPoly([x + y for x, y in zip(a, b)] + list(a[len(b):] or b[len(a):]))
+
+    def __neg__(self) -> "FractionPoly":
+        return FractionPoly([-c for c in self.coeffs])
+
+    def __sub__(self, other) -> "FractionPoly":
+        return self + (-FractionPoly.of(other))
+
+    def __mul__(self, other) -> "FractionPoly":
+        other = FractionPoly.of(other)
+        out = [Fraction(0)] * max(0, len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return FractionPoly(out)
+
+    def __pow__(self, n: int) -> "FractionPoly":
+        out = FractionPoly([1])
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def divmod(self, other: "FractionPoly") -> tuple["FractionPoly", "FractionPoly"]:
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        d, lead = other.degree, other.leading()
+        rem = list(self.coeffs)
+        q = [Fraction(0)] * max(0, len(rem) - d)
+        for k in range(len(rem) - 1 - d, -1, -1):
+            factor = q[k] = rem[k + d] / lead
+            for j in range(d):
+                rem[k + j] -= factor * other.coeffs[j]
+        return FractionPoly(q), FractionPoly(rem[:d])
+
+    def eval(self, point) -> Fraction:
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * Fraction(point) + c
+        return acc
+
+    def derivative(self) -> "FractionPoly":
+        return FractionPoly([k * c for k, c in enumerate(self.coeffs)][1:])
+
+    def shift(self, c) -> "FractionPoly":
+        a = list(self.coeffs)
+        for i in range(len(a) - 1):
+            for k in range(len(a) - 2, i - 1, -1):
+                a[k] += Fraction(c) * a[k + 1]
+        return FractionPoly(a)
+
+    def reverse(self, at_degree: int | None = None) -> "FractionPoly":
+        n = self.degree if at_degree is None else at_degree
+        if n < self.degree:
+            raise ValueError("reversal degree below actual degree")
+        return FractionPoly([0] * (n - self.degree) + list(reversed(self.coeffs)))
+
+    def order_at(self, c) -> int:
+        if self.is_zero():
+            raise ValueError("order of the zero polynomial")
+        p, m = self, 0
+        while p.eval(c) == 0:
+            p, m = p.divmod(FractionPoly([-Fraction(c), 1]))[0], m + 1
+        return m
+
+    def int_content_and_primitive(self) -> tuple[Fraction, "FractionPoly"]:
+        if self.is_zero():
+            return Fraction(0), FractionPoly()
+        den = lcm(*(c.denominator for c in self.coeffs))
+        num = gcd(*(int(c * den) for c in self.coeffs))
+        r = Fraction(-num if self.coeffs[-1] < 0 else num, den)
+        return r, FractionPoly([c / r for c in self.coeffs])
+
+    def monic(self) -> "FractionPoly":
+        return FractionPoly([c / self.leading() for c in self.coeffs])
+
+    def rational_roots(self) -> dict[Fraction, int]:
+        """The roots as ``Poly.rational_roots`` finds them, with the
+        square-free part and the multiplicities in ``Fraction`` arithmetic."""
+        if self.is_zero():
+            raise ValueError("roots of the zero polynomial")
+        low = self.order_at(0)
+        roots = {Fraction(0): low} if low else {}
+        _, zp = FractionPoly(self.coeffs[low:]).int_content_and_primitive()
+        if zp.degree == 0:
+            return roots
+        _, sf = zp.divmod(fraction_poly_gcd(zp, zp.derivative()))[0].int_content_and_primitive()
+        found = _lifted_roots(tuple(int(c) for c in sf.coeffs))
+        for root in sorted(found, key=lambda q: (abs(q.numerator), q.denominator, q < 0)):
+            roots[root] = zp.order_at(root)
+        return roots
+
+
+def fraction_poly_gcd(a: FractionPoly, b: FractionPoly) -> FractionPoly:
+    """Monic gcd by Euclid's algorithm on ``FractionPoly``."""
+    while not b.is_zero():
+        a, b = b, a.divmod(b)[1]
+    return a if a.is_zero() else a.monic()
 
 
 def taylor_shift(p: Poly, c) -> Poly:

@@ -36,6 +36,12 @@ def test_analyze_exit_codes(capsys):
     assert run(capsys, "analyze", "--op", "x^2*D^2 + x*D + 1")[0] == 4  # x^2 + 1 does not split
 
 
+def test_ramified_error_names_the_point(capsys):
+    code, out, err = run(capsys, "analyze", "--op", "D^2 - x")
+    assert (code, out) == (3, "")
+    assert err == "error: at inf: Newton polygon slope 3/2 is not an integer\n"
+
+
 def test_non_split_error_names_the_point_and_theta(capsys):
     code, out, err = run(capsys, "analyze", "--op", "x^2*D^2 + x*D + 1/4")
     assert (code, out) == (4, "")

@@ -33,11 +33,12 @@ from irrkatz import cli, corpus, formal, reduce as reduction, rootsys, weylalg  
 #: the hypergeometric and Kummer ladders.
 EXAMPLE_SEEDS = range(41)
 BENCH_SEEDS = range(5)
-LADDER = range(2, 15)
+LADDER = range(2, 21)
 #: Denominators of the ladder parameters, as in ``tests/test_reduce.py``:
 #: rank n reads the first 2n - 1.
 PRIMES = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89,
-          97, 101, 103, 107, 109, 113)
+          97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179,
+          181)
 
 
 def _cli(*argv: str) -> str:
@@ -125,7 +126,7 @@ def _hypergeometric(a, b) -> weylalg.DiffOperator:
 
 def ladders() -> str:
     """``reduce_operator`` transcripts and operators on nF(n-1) and on the
-    Kummer ladder (n - 1 parameters a_i), n = 2..14."""
+    Kummer ladder (n - 1 parameters a_i), n = 2..20."""
     out = io.StringIO()
     for kummer in (False, True):
         for n in LADDER:
