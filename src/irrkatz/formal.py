@@ -379,6 +379,8 @@ def extract_formal_data(p: DiffOperator) -> FormalData:
     Requires rational singular points, integer slopes and characteristic
     polynomials splitting over Q; failures raise the dedicated errors.
     """
+    if p.is_zero():
+        raise ValueError("extraction needs an operator of rank >= 1, got the zero operator")
     p = weylalg.prim(p)
     if p.rank < 1:
         raise ValueError("extraction needs an operator of rank >= 1")

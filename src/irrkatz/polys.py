@@ -18,9 +18,7 @@ reconstruction, each one checked over Z.
 
 Normalization is skipped where it cannot change the result.  The gcd with
 a nonzero constant is 1, so a constant denominator only divides the
-numerator.  Two fractions over the same denominator add without a
-cross-multiplication: the reduced form with a monic denominator is
-unique.  A product with the constant 1 is the other factor, shared as
+numerator.  A product with the constant 1 is the other factor, shared as
 ``Poly`` is immutable.  Every polynomial ``RatFunc`` holds the one shared
 denominator :data:`UNIT`, so building one allocates no denominator, and
 one built over ``UNIT`` skips the normalization altogether.  Division by a
@@ -513,8 +511,6 @@ class RatFunc:
         if not isinstance(other, _RAT_OPERANDS):
             return NotImplemented
         other = RatFunc.of(other)
-        if self.den is other.den or self.den == other.den:
-            return RatFunc(self.num + other.num, self.den)
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__

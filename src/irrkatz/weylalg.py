@@ -30,29 +30,27 @@ and so Euler) are coefficient formulas; none multiplies operators:
   by ``D^k x^i = sum_j C(k, j) i(i-1)...(i-j+1) x^(i-j) D^(k-j)``
   (:func:`_fourier`, shared by :func:`laplace` and :func:`laplace_inv`).
 
-Normal forms are unique and coefficients are reduced with a monic
-denominator, so these agree exactly with multiplying out the images.
+Normal forms are unique, so these agree exactly with multiplying out the
+images.
 
-These kernels and :func:`theta_expand` work on rows of Python ints, one
-list per power of D (per weight for the expansion): each call brings its
-input polynomials to one integer denominator, the lcm of theirs, and builds
-each output ``Poly`` once from a row and a denominator.
-:func:`_add_product` adds a scaled product of two rows into a row at an
-offset.  The expansion reads the numerators through ``Poly.shift`` and the
-falling factorials from the memoized ``falling_factorial``; in
-:func:`_shift_d` a Horner step multiplies the row by the numerators of
-``(x-c)^e = U/b^e`` and adds ``C(m+j, j) N_(m+j) Y_j`` scaled by ``b^(e j)``;
-the chart at infinity adds each Lah term at the offset ``i + k``.
+An operator ``sum_i N_i D^i / (d M)`` is held as one row of integer
+coefficients per N_i, one integer d and one monic ``Poly`` M, 1 for
+polynomial operators.  The ring operations and these kernels work on the
+rows and normalize each result once (``_operator``); :func:`_add_product`
+adds a scaled product of two rows at an offset.  The twists and the chart
+at infinity keep pole orders away from their point, so only the power of
+x - c dividing every row cancels; a sum or product with M != 1 runs one
+gcd chain.  In :func:`_shift_d` a Horner step multiplies the row by the
+numerators of ``(x-c)^e = U/b^e`` and adds ``C(m+j, j) N_(m+j) P_j``
+scaled by ``b^(e j)``; the chart at infinity adds each Lah term at the
+offset ``i + k``.
 
-The product itself (``DiffOperator.__mul__``) works on numerator rows over
-common denominators, as :func:`_shift_d` does.  With ``P = sum_i N_i D^i / M``
-and ``Q = sum_j K_j D^j / L``, the Leibniz rule ``D^i b = sum_k C(i, k)
-b^(k) D^(i-k)`` needs ``(K_j/L)^(k) = R_jk / L^(k+1)``, where ``R_j0 = K_j``
-and ``R_j(k+1) = R_jk' L - (k+1) R_jk L'``.  So the coefficient of D^m is
+The product (``DiffOperator.__mul__``): with ``P = sum_i N_i D^i / M`` and
+``Q = sum_j K_j D^j / L``, the Leibniz rule ``D^i b = sum_k C(i, k) b^(k)
+D^(i-k)`` needs ``(K_j/L)^(k) = R_jk / L^(k+1)``, where ``R_j0 = K_j`` and
+``R_j(k+1) = R_jk' L - (k+1) R_jk L'``.  So the coefficient of D^m is
 ``sum_(i-k+j=m) C(i, k) N_i R_jk L^(I-k)`` over ``M L^(I+1)``, I the rank of
-P.  For polynomial operators ``M = L = 1``, and the product is integer
-row arithmetic over one integer denominator, with one gcd per output
-coefficient.
+P; for polynomial operators ``M = L = 1``.
 """
 
 from __future__ import annotations
@@ -61,12 +59,12 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, perm
+from itertools import chain
+from math import comb, factorial, gcd as int_gcd, lcm, perm
 from typing import Iterable, Mapping, Union
 
 from .polys import (
-    UNIT, Poly, RatFunc, RatLike, as_poly, falling_factorial, from_row, int_rows, poly_gcd,
-    pow_by_squaring,
+    UNIT, Poly, RatFunc, RatLike, falling_factorial, from_row, int_rows, poly_gcd, pow_by_squaring,
 )
 from .scalar import ParamExpr, parse_rat
 
@@ -116,17 +114,41 @@ class OperatorSyntaxError(ValueError):
 class DiffOperator:
     """A differential operator in normal form; immutable.
 
-    ``coeffs[i]`` is the rational-function coefficient of ``D^i``; the top
-    coefficient is nonzero.  The zero operator has an empty tuple.
+    ``sum_i N_i D^i / (d M)``: ``_rows`` are the N_i, trimmed integer rows;
+    ``_d`` = d > 0; ``_den`` = M is monic, :data:`UNIT` for polynomial
+    operators.  gcd(content, d) = 1 and gcd(M, N_0, ..., N_n) = 1, so the
+    form is unique.  ``coeffs`` (the reduced coefficients, ``coeffs[i]``
+    that of D^i) is a view built on first read; the zero operator has none.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_rows", "_d", "_den", "_coeffs")
 
     def __init__(self, coeffs: Iterable[RatLike] = ()):
         cs = [RatFunc.of(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den = UNIT
+        for c in cs:
+            den = den * (c.den // poly_gcd(den, c.den))
+        self._set(*int_rows([c.num * (den // c.den) for c in cs]), den)
+
+    def _set(self, rows, d: int, den: Poly) -> "DiffOperator":
+        """Hold ``sum_i rows[i] D^i / (d den)``, for d > 0 and den monic and
+        coprime to the rows: trimmed, and reduced by one integer gcd."""
+        out = []
+        for row in rows:
+            if row and not row[-1]:
+                row = list(row)
+                while row and not row[-1]:
+                    row.pop()
+            out.append(tuple(row))
+        while out and not out[-1]:
+            out.pop()
+        g = int_gcd(d, *chain.from_iterable(out)) if d != 1 else 1
+        if g != 1:
+            out, d = [tuple(a // g for a in row) for row in out], d // g
+        object.__setattr__(self, "_rows", tuple(out))
+        object.__setattr__(self, "_d", d)
+        object.__setattr__(self, "_den", den if out and den.degree > 0 else UNIT)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("DiffOperator is immutable")
@@ -135,93 +157,102 @@ class DiffOperator:
     def of(value: "OpLike") -> "DiffOperator":
         if isinstance(value, DiffOperator):
             return value
-        return DiffOperator([RatFunc.of(value)])
+        if isinstance(value, (int, Fraction)):
+            return _operator([(value.numerator,)], value.denominator)
+        return DiffOperator((value,))
+
+    @property
+    def coeffs(self) -> tuple[RatFunc, ...]:
+        try:
+            return self._coeffs
+        except AttributeError:
+            cs = tuple(RatFunc(from_row(list(row), self._d), self._den) for row in self._rows)
+            object.__setattr__(self, "_coeffs", cs)
+            return cs
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._rows
 
     @property
     def rank(self) -> int:
         """Degree in D; raises on the zero operator."""
-        if not self.coeffs:
+        if not self._rows:
             raise ValueError("rank of the zero operator")
-        return len(self.coeffs) - 1
+        return len(self._rows) - 1
 
     def coeff(self, i: int) -> RatFunc:
-        if 0 <= i < len(self.coeffs):
+        if 0 <= i < len(self._rows):
             return self.coeffs[i]
         return RatFunc(0)
 
     def leading(self) -> RatFunc:
-        if not self.coeffs:
+        if not self._rows:
             raise ValueError("leading coefficient of the zero operator")
-        return self.coeffs[-1]
+        return RatFunc(from_row(list(self._rows[-1]), self._d), self._den)
 
     def is_polynomial(self) -> bool:
-        return all(c.is_poly() for c in self.coeffs)
+        return self._den is UNIT
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiffOperator):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._rows == other._rows and self._d == other._d and self._den == other._den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self._rows, self._d, self._den))
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._rows)
 
     # -- ring structure ---------------------------------------------------
 
     def __add__(self, other: "OpLike") -> "DiffOperator":
-        a, b = self.coeffs, DiffOperator.of(other).coeffs
-        return DiffOperator([x + y for x, y in zip(a, b)] + list(a[len(b):] or b[len(a):]))
+        return _sum(self, DiffOperator.of(other), 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "DiffOperator":
-        return DiffOperator([-c for c in self.coeffs])
+        return _operator([[-a for a in row] for row in self._rows], self._d, self._den)
 
     def __sub__(self, other: "OpLike") -> "DiffOperator":
-        return self + (-DiffOperator.of(other))
+        return _sum(self, DiffOperator.of(other), -1)
 
     def __rsub__(self, other: "OpLike") -> "DiffOperator":
-        return DiffOperator.of(other) + (-self)
+        return _sum(DiffOperator.of(other), self, -1)
 
     def __mul__(self, other: "OpLike") -> "DiffOperator":
-        # the closed form of the module docstring, accumulated in place into
-        # one row of numerator coefficients per power of D
+        # the closed form of the module docstring on integer rows; with
+        # L = lrow/ld, K_j/(d' L) = ld K_j/(d' lrow), so R_j0 = ld K_j
         other = DiffOperator.of(other)
         if self.is_zero() or other.is_zero():
             return DiffOperator()
-        den, nums = _over_common_denominator(self)
-        lden, knums = _over_common_denominator(other)
-        top = len(nums) - 1
-        dl = lden.derivative()
-        lpows = [UNIT]
-        for _ in range(top):
-            lpows.append(lpows[-1] * lden)
+        top = len(self._rows) - 1
+        lrow, ld = other._den._n, other._den._d
+        dl = [k * a for k, a in enumerate(lrow)][1:]  # empty when L is 1
+        lpows = [(1,)]
+        for _ in range(top if dl else 0):
+            lpows.append(_product(lpows[-1], lrow))
         rights = []
-        for j, r in enumerate(knums):
+        for j, r in enumerate(other._rows):
+            r = [ld * a for a in r]
             for k in range(top + 1):
                 if k:
-                    # L' is zero when L is 1
-                    r = r.derivative() * lden - r * dl * k if dl else r.derivative()
-                if r.is_zero():
+                    r, prev = [i * a for i, a in enumerate(r)][1:], r
+                    if dl:
+                        r = _product(r, lrow)
+                        _add_product(r, prev, dl, -k)
+                if not any(r):
                     break
-                rights.append((j, k, r * lpows[top - k]))
-        lrows, ld = int_rows(nums)
-        rrows, rd = int_rows([q for _, _, q in rights])
-        # deg(R_jk L^(I-k)) <= deg K_j + I deg L bounds every row
-        width = max(q.degree for q in nums) + max(q.degree for q in knums) + top * lden.degree + 1
-        rows = [[0] * width for _ in range(top + len(knums))]
-        left = [(i, a) for i, a in enumerate(lrows) if a]
-        for (j, k, _), right in zip(rights, rrows):
-            for i, a in left:
-                if i >= k:
-                    _add_product(rows[i - k + j], a, right, comb(i, k))
-        out_den = den * lpows[top] * lden
-        return DiffOperator([RatFunc(from_row(row, ld * rd), out_den) for row in rows])
+                rights.append((j, k, _product(r, lpows[top - k]) if dl else r))
+        width = max(map(len, self._rows)) + max(len(r) for _, _, r in rights)
+        rows = [[0] * width for _ in range(top + len(other._rows))]
+        for j, k, right in rights:
+            for i, a in enumerate(self._rows[k:], k):
+                _add_product(rows[i - k + j], a, right, comb(i, k))
+        d = self._d * other._d * ld ** (top + 1)
+        if self._den is UNIT and other._den is UNIT:
+            return _operator(rows, d)
+        return _cancelled(rows, d, self._den * other._den ** (top + 1))
 
     def __rmul__(self, other: "OpLike") -> "DiffOperator":
         # functions and scalars commute into the coefficients
@@ -253,7 +284,44 @@ class DiffOperator:
 OpLike = Union[DiffOperator, RatFunc, Poly, Fraction, int]
 
 
-def _add_product(row: list, a, b, scale=1, offset: int = 0) -> None:
+def _operator(rows: list, d: int = 1, den: Poly = UNIT) -> DiffOperator:
+    """The operator ``sum_i rows[i] D^i / (d den)``: the one normalization
+    of each operation (``DiffOperator._set``)."""
+    return object.__new__(DiffOperator)._set(rows, d, den)
+
+
+def _cancelled(rows: list, d: int, den: Poly) -> DiffOperator:
+    """:func:`_operator` after dividing den and the rows by their gcd over
+    Q[x], one gcd chain when den is not 1: for sums and products."""
+    if den is UNIT:
+        return _operator(rows, d)
+    nums = [from_row(list(row)) for row in rows]
+    g = den
+    for q in nums:
+        if q and g.degree > 0:
+            g = poly_gcd(g, q)
+    rows, dq = int_rows([q // g for q in nums])
+    return _operator(rows, d * dq, den // g)
+
+
+def _sum(p: DiffOperator, q: DiffOperator, sign: int) -> DiffOperator:
+    """``p + sign*q``, over the denominator they share or their product."""
+    (a, da), (b, db), den = (p._rows, p._d), (q._rows, q._d), p._den
+    if q._den is not den and q._den != den:
+        den = p._den * q._den
+        a, da = [_product(row, q._den._n) for row in a], da * q._den._d
+        b, db = [_product(row, p._den._n) for row in b], db * p._den._d
+    d = lcm(da, db)
+    width = max(map(len, (*a, *b)), default=0)
+    rows = [[0] * width for _ in range(max(len(a), len(b)))]
+    for src, scale in ((a, d // da), (b, sign * (d // db))):
+        for row, r in zip(rows, src):
+            for k, x in enumerate(r):
+                row[k] += scale * x
+    return _cancelled(rows, d, den)
+
+
+def _add_product(row: list, a, b, scale=1, offset: int = 0) -> list:
     """``row[offset + s + t] += scale * a[s] * b[t]`` over the nonzero
     entries: a scaled product of two coefficient rows, added in place."""
     b = [(t, y) for t, y in enumerate(b) if y]
@@ -263,9 +331,15 @@ def _add_product(row: list, a, b, scale=1, offset: int = 0) -> None:
                 x = scale * x
             for t, y in b:
                 row[s + t] += x * y
+    return row
 
-X = DiffOperator([RatFunc(Poly.x())])
-D = DiffOperator([RatFunc(0), RatFunc(1)])
+
+def _product(a, b) -> list:
+    """The product of two coefficient rows, as a new list."""
+    return _add_product([0] * (len(a) + len(b)), a, b)
+
+X = DiffOperator([Poly.x()])
+D = DiffOperator([0, 1])
 
 
 def to_text(p: DiffOperator) -> str:
@@ -277,8 +351,6 @@ def to_text(p: DiffOperator) -> str:
         if c.is_zero():
             continue
         body = c.format()
-        if not c.is_poly():
-            body = f"({c.num.format()})/({c.den.format()})"
         if i == 0:
             parts.append(f"({body})")
         elif i == 1:
@@ -303,10 +375,7 @@ MAX_NESTING = 1000
 
 def _size(p: DiffOperator) -> int:
     """max(rank, coefficient degree) of a polynomial operator; 0 for zero."""
-    return max(
-        (max(i, a.num.degree) for i, a in enumerate(p.coeffs) if not a.is_zero()),
-        default=0,
-    )
+    return max((max(i, len(row) - 1) for i, row in enumerate(p._rows) if row), default=0)
 
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+(?:/\d+)?)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*^]))")
@@ -490,28 +559,23 @@ def theta_expand(p: DiffOperator, at: Location) -> ThetaExpansion:
     if p.is_zero():
         raise ValueError("theta expansion of the zero operator")
     q, c = local_chart(p, at)
-    shifted = []
-    for j, coeff in enumerate(q.coeffs):
-        if coeff.is_zero():
-            continue
-        # a monic denominator of degree s is (x-c)^s iff its order at c is s
-        shift = coeff.den.degree
-        if shift and coeff.den.order_at(c) != shift:
-            raise ValueError(
-                f"coefficient {coeff} is not a Laurent polynomial at {c}"
-            )
-        shifted.append((j, shift, coeff.num.shift(c)))
-    gammas, d = int_rows([s for _, _, s in shifted])
+    # a monic denominator of degree s is (x-c)^s iff its order at c is s
+    shift = q._den.degree
+    if shift and q._den.order_at(c) != shift:
+        bad = next(a for a in q.coeffs if a.den.degree and a.den.order_at(c) != a.den.degree)
+        raise ValueError(f"coefficient {bad} is not a Laurent polynomial at {c}")
+    shifted = [(j, from_row(list(row)).shift(c)) for j, row in enumerate(q._rows) if row]
+    gammas, d = int_rows([s for _, s in shifted])
     rows: dict[int, list[int]] = {}
-    for (j, shift, _), row in zip(shifted, gammas):
-        (ff,), _ = int_rows([falling_factorial(j)])
+    for (j, _), row in zip(shifted, gammas):
+        ff = falling_factorial(j)._n
         for m, gamma in enumerate(row):
             if gamma:
                 w = (m - shift) - j
                 if w not in rows:
-                    rows[w] = [0] * len(q.coeffs)
+                    rows[w] = [0] * len(q._rows)
                 _add_product(rows[w], ff, (gamma,))
-    terms = ((i, from_row(rows[i], d)) for i in sorted(rows))
+    terms = ((i, from_row(rows[i], d * q._d)) for i in sorted(rows))
     return ThetaExpansion(at, tuple((i, t) for i, t in terms if t))
 
 
@@ -594,33 +658,29 @@ def newton_polygon(expansion: ThetaExpansion) -> NewtonPolygon:
 # -- transforms --------------------------------------------------------------
 
 
-def _over_common_denominator(p: DiffOperator) -> tuple[Poly, list[Poly]]:
-    """``(M, [N_i])`` with ``a_i = N_i / M`` for every coefficient, M the
-    monic lcm of the denominators."""
-    den = UNIT
-    for c in p.coeffs:
-        if c.den.degree > 0:
-            den = den * (c.den // poly_gcd(den, c.den))
-    return den, [c.num if c.den == den else c.num * (den // c.den) for c in p.coeffs]
-
-
 def prim(p: DiffOperator) -> DiffOperator:
     """The primitive component: polynomial coefficients with trivial common
     factor and monic top coefficient.  Unique in W(x) f-multiples."""
     if p.is_zero():
         raise ValueError("primitive component of the zero operator")
-    _, nums = _over_common_denominator(p)
+    nums = [from_row(list(row)) for row in p._rows]
     g = Poly()
     for q in nums:
-        if not q.is_zero():
-            g = q if g.is_zero() else poly_gcd(g, q)
-    if g.degree > 0:
-        nums = [q // g for q in nums]
+        if q and g.degree:
+            g = poly_gcd(g, q) if g else q
+    rows = int_rows([q // g for q in nums])[0] if g.degree > 0 else p._rows
     # a_i / lead is the ratio of integer numerators over one denominator
-    rows, _ = int_rows(nums)
-    lead = rows[-1][-1]
-    sign = -1 if lead < 0 else 1
-    return DiffOperator([RatFunc(from_row([sign * a for a in row], sign * lead)) for row in rows])
+    sign = -1 if rows[-1][-1] < 0 else 1
+    return _operator([[sign * a for a in row] for row in rows], sign * rows[-1][-1])
+
+
+def _divide_out(rows: list, c, most: int) -> tuple[int, list, int]:
+    """The largest k <= most such that (x - c)^k divides every row, and the
+    rows divided by it, over one integer denominator."""
+    nums = [from_row(list(row)) for row in rows]
+    k = min([most] + [q.order_at(c) for q in nums if q])
+    u = Poly.x(k) if c == 0 else (Poly.x() - c) ** k
+    return (k, *int_rows([q // u for q in nums]))
 
 
 def _shift_d(p: DiffOperator, g: Poly, e: int, c: Fraction) -> DiffOperator:
@@ -631,36 +691,38 @@ def _shift_d(p: DiffOperator, g: Poly, e: int, c: Fraction) -> DiffOperator:
     ``Y_0 = 1`` and ``Y_(j+1) = Y_j' - f Y_j``.  In numerators over
     ``(x-c)^(e j)``, ``Y_j = P_j/(x-c)^(e j)`` with ``P_0 = 1`` and
     ``P_(j+1) = (x-c)^e P_j' - (e j (x-c)^(e-1) + g) P_j``.  The
-    coefficient of D^m is ``sum_j C(m+j, j) a_(m+j) Y_j``, summed over the
-    common denominator of the ``a_i`` times ``(x-c)^(e J)``, J the largest j.
+    coefficient of D^m is ``sum_j C(m+j, j) a_(m+j) Y_j``, summed over
+    ``p``'s denominator times ``(x-c)^(e J)``, J the rank.  Away from c the
+    twist keeps pole orders, so only a power of x - c can cancel.
     """
-    den, nums = _over_common_denominator(p)
+    if p.is_zero():
+        return p
+    n = len(p._rows)
     u = Poly.x() - c
     ue = u ** e
     drop = e * u ** (e - 1) if e else Poly()
-    ys = [Poly.const(1)]
-    for j in range(len(nums) - 1):
+    ys = [UNIT]
+    for j in range(n - 1):
         ys.append(ue * ys[-1].derivative() - (j * drop + g) * ys[-1])
-    # with ue = U/b^e, step j scales its term by b^(e j) to keep the rows
-    # over one integer denominator
-    nrows, dn = int_rows(nums)
+    # with ue = U/b^e, term j is scaled by b^(e j) to keep the rows over one
+    # integer denominator; Horner's rule in U takes J steps for every m
     yrows, dy = int_rows(ys)
     (urow,), du = int_rows([ue])
-    scales = [du ** j for j in range(len(nums))]
-    # deg N + deg Y + e*J bounds every partial sum of the Horner steps
-    width = max((q.degree for q in nums), default=0) + max(y.degree for y in ys)
-    width += e * (len(nums) - 1) + 1
+    width = max(map(len, p._rows)) + max(map(len, yrows)) + e * (n - 1)
     out = []
-    for m in range(len(nums)):
+    for m in range(n):
         acc = ()
-        for j in range(len(nums) - m):
+        for j in range(n):
             row = [0] * width
             _add_product(row, acc, urow)
-            _add_product(row, nrows[m + j], yrows[j], comb(m + j, j) * scales[j])
+            if j < n - m:
+                _add_product(row, p._rows[m + j], yrows[j], comb(m + j, j) * du**j)
             acc = row
-        top = len(nums) - 1 - m
-        out.append(RatFunc(from_row(acc, dn * dy * scales[top]), den * ue ** top))
-    return DiffOperator(out)
+        out.append(acc)
+    k, out, dk = _divide_out(out, c, e * (n - 1) + p._den.order_at(c)) if e else (0, out, 1)
+    t = e * (n - 1) - k
+    den = p._den * u**t if t >= 0 else p._den // u ** -t
+    return _operator(out, p._d * dy * du ** (n - 1) * dk, den)
 
 
 def ad_power(p: DiffOperator, c: Fraction, lam) -> DiffOperator:
@@ -710,16 +772,21 @@ def subst_infty(p: DiffOperator) -> DiffOperator:
     """
     if p.is_zero():
         return p
-    den, nums = _over_common_denominator(p)
-    d = max(q.degree for q in [den, *nums])
-    nrows, dr = int_rows(nums)
-    revs = [[0] * (d + 1 - len(row)) + list(row[::-1]) for row in nrows]
+    den = p._den
+    d = max(den.degree, *(len(row) - 1 for row in p._rows))
+    revs = [[0] * (d + 1 - len(row)) + list(row[::-1]) for row in p._rows]
     rows = [revs[0]] + [[0] * (d + 2 * len(revs)) for _ in revs[1:]]
     for i in range(1, len(revs)):
         for k in range(1, i + 1):
             _add_product(rows[k], revs[i], ((-1) ** i * _lah(i, k),), offset=i + k)
-    rev_den = den.reverse(d)
-    return DiffOperator([RatFunc(from_row(row, dr), rev_den) for row in rows])
+    # rev_d(M) = x^(d - deg M) rev(M) is lead/R_d times its monic form; away
+    # from 0 the involution keeps pole orders, so only powers of x cancel
+    rev = den.reverse(d)
+    lead = rev._n[-1]
+    scale = rev._d if lead > 0 else -rev._d
+    k, rows, dk = _divide_out(rows, 0, d - den.degree)
+    return _operator([[scale * a for a in row] for row in rows], p._d * abs(lead) * dk,
+                     rev.monic() // Poly.x(k))
 
 
 def _fourier(p: DiffOperator, x_sign: int, d_sign: int) -> DiffOperator:
@@ -729,17 +796,16 @@ def _fourier(p: DiffOperator, x_sign: int, d_sign: int) -> DiffOperator:
     D^(k-j)``."""
     if not p.is_polynomial():
         raise ValueError("Fourier-Laplace transform needs polynomial coefficients")
-    rank = max((c.num.degree for c in p.coeffs), default=-1)
-    rows, dn = int_rows([c.num for c in p.coeffs])
-    out = [[0] * len(p.coeffs) for _ in range(rank + 1)]
-    for i, row in enumerate(rows):
+    rank = max((len(row) - 1 for row in p._rows), default=-1)
+    out = [[0] * len(p._rows) for _ in range(rank + 1)]
+    for i, row in enumerate(p._rows):
         for k, a in enumerate(row):
             if a == 0:
                 continue
             a = a * x_sign ** k * d_sign ** i
             for j in range(min(i, k) + 1):
                 out[k - j][i - j] += a * comb(k, j) * perm(i, j)
-    return DiffOperator([RatFunc(from_row(row, dn)) for row in out])
+    return _operator(out, p._d)
 
 
 def laplace(p: DiffOperator) -> DiffOperator:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,19 @@ def random_poly_op(rng: random.Random, max_rank: int = 3, max_deg: int = 3) -> D
         op = DiffOperator(coeffs)
         if not op.is_zero():
             return op
+
+
+def bench_texts(*workloads: str, seeds=range(3)) -> list[str]:
+    """The operator texts of the first pass of each workload of
+    ``bench/workloads.py`` at each seed; none without ``bench/``."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    if not path.is_file():
+        return []
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [inst["op"] for name in workloads for seed in seeds
+            for inst in next(module.GENERATORS[name](seed))]
 
 
 def random_fraction(rng: random.Random) -> Fraction:

@@ -5,7 +5,8 @@ way (the form entry by entry or block by block, a reflection from a Gram
 row, ker phi by Gaussian elimination, the support tuples and the
 fundamental domain by the full product, the operator product by the
 Leibniz rule term by term, ``Poly`` and its gcd on ``Fraction`` tuples,
-the Taylor shift, the order at a root, long
+the operator and its kernels on reduced ``RatFunc`` coefficients, the
+Taylor shift, the order at a root, long
 division, the theta expansion, the chart at infinity and the twists in
 ``Poly`` arithmetic, one new ``Poly`` per partial sum), a check no
 pipeline code runs (ker phi in
@@ -18,17 +19,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, perm
 from operator import mul, ne
 
 from irrkatz import corpus
 from irrkatz.formal import FormalData, SpectralData
 from irrkatz.lattice import IndexTuple, LatticeShape, LatticeVector
-from irrkatz.polys import Poly, RatFunc, _lifted_roots
+from irrkatz.polys import (
+    UNIT, Poly, RatFunc, _lifted_roots, from_row, int_rows, poly_gcd, pow_by_squaring,
+)
 from irrkatz.rootsys import Node, RootBasis, RootVector, build_basis, phi
 from irrkatz.scalar import ParamExpr
 from irrkatz.weylalg import (
-    INF, DiffOperator, Location, OpLike, ThetaExpansion, _lah, _over_common_denominator,
+    INF, DiffOperator, Location, OpLike, ThetaExpansion, _add_product, _lah,
 )
 
 # -- rootsys ---------------------------------------------------------------------
@@ -411,11 +414,21 @@ def falling_factorial(j: int) -> Poly:
     return out
 
 
+def over_common_denominator(p) -> tuple[Poly, list[Poly]]:
+    """``(M, [N_i])`` with ``a_i = N_i / M`` for every coefficient, M the
+    monic lcm of the denominators."""
+    den = UNIT
+    for c in p.coeffs:
+        if c.den.degree > 0:
+            den = den * (c.den // poly_gcd(den, c.den))
+    return den, [c.num if c.den == den else c.num * (den // c.den) for c in p.coeffs]
+
+
 def subst_infinity(p: DiffOperator) -> DiffOperator:
     """The chart at infinity, one new ``Poly`` per Lah term."""
     if p.is_zero():
         return p
-    den, nums = _over_common_denominator(p)
+    den, nums = over_common_denominator(p)
     d = max(q.degree for q in [den, *nums])
     revs = [q.reverse(d) for q in nums]
     out = [revs[0]]
@@ -426,7 +439,7 @@ def subst_infinity(p: DiffOperator) -> DiffOperator:
             acc = acc + Poly([0] * (i + k) + [lah * a for a in revs[i].coeffs])
         out.append(acc)
     rev_den = den.reverse(d)
-    return DiffOperator([RatFunc(q, rev_den) for q in out])
+    return type(p)([RatFunc(q, rev_den) for q in out])
 
 
 def theta_expansion(p: DiffOperator, at: Location) -> ThetaExpansion:
@@ -452,7 +465,7 @@ def theta_expansion(p: DiffOperator, at: Location) -> ThetaExpansion:
 
 def shift_d(p: DiffOperator, g: Poly, e: int, c: Fraction) -> DiffOperator:
     """The twist D -> D - g/(x-c)^e, Horner's rule on ``Poly`` objects."""
-    den, nums = _over_common_denominator(p)
+    den, nums = over_common_denominator(p)
     u = Poly([-c, 1])
     ue = u ** e
     drop = e * u ** (e - 1) if e else Poly()
@@ -465,7 +478,7 @@ def shift_d(p: DiffOperator, g: Poly, e: int, c: Fraction) -> DiffOperator:
         for j in range(len(nums) - m):
             acc = acc * ue + comb(m + j, j) * nums[m + j] * ys[j]
         out.append(RatFunc(acc, den * ue ** (len(nums) - 1 - m)))
-    return DiffOperator(out)
+    return type(p)(out)
 
 
 def subst_inverse(f: RatFunc) -> RatFunc:
@@ -538,3 +551,137 @@ def instance_formal_data(name: str, params=None) -> FormalData:
             fs.append((w, SpectralData(chains)))
         points.append((loc, fs))
     return FormalData(points)
+
+
+# -- the operator on reduced coefficients ------------------------------------------
+
+
+class RatFuncOperator:
+    """``DiffOperator`` as it was before integer rows over one denominator:
+    a tuple of reduced ``RatFunc`` coefficients, the sum coefficient by
+    coefficient and the product on numerator rows over each operand's
+    common denominator, one ``RatFunc`` per output coefficient; the
+    reference the differential test compares ``DiffOperator`` against."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = [RatFunc.of(c) for c in coeffs]
+        while cs and cs[-1].is_zero():
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @staticmethod
+    def of(value) -> "RatFuncOperator":
+        if isinstance(value, RatFuncOperator):
+            return value
+        return RatFuncOperator([RatFunc.of(value)])
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def rank(self) -> int:
+        if not self.coeffs:
+            raise ValueError("rank of the zero operator")
+        return len(self.coeffs) - 1
+
+    def is_polynomial(self) -> bool:
+        return all(c.is_poly() for c in self.coeffs)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, RatFuncOperator) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __add__(self, other) -> "RatFuncOperator":
+        a, b = self.coeffs, RatFuncOperator.of(other).coeffs
+        return RatFuncOperator([x + y for x, y in zip(a, b)] + list(a[len(b):] or b[len(a):]))
+
+    def __neg__(self) -> "RatFuncOperator":
+        return RatFuncOperator([-c for c in self.coeffs])
+
+    def __sub__(self, other) -> "RatFuncOperator":
+        return self + (-RatFuncOperator.of(other))
+
+    def __mul__(self, other) -> "RatFuncOperator":
+        other = RatFuncOperator.of(other)
+        if self.is_zero() or other.is_zero():
+            return RatFuncOperator()
+        den, nums = over_common_denominator(self)
+        lden, knums = over_common_denominator(other)
+        top = len(nums) - 1
+        dl = lden.derivative()
+        lpows = [UNIT]
+        for _ in range(top):
+            lpows.append(lpows[-1] * lden)
+        rights = []
+        for j, r in enumerate(knums):
+            for k in range(top + 1):
+                if k:
+                    r = r.derivative() * lden - r * dl * k if dl else r.derivative()
+                if r.is_zero():
+                    break
+                rights.append((j, k, r * lpows[top - k]))
+        lrows, ld = int_rows(nums)
+        rrows, rd = int_rows([q for _, _, q in rights])
+        width = max(q.degree for q in nums) + max(q.degree for q in knums) + top * lden.degree + 1
+        rows = [[0] * width for _ in range(top + len(knums))]
+        left = [(i, a) for i, a in enumerate(lrows) if a]
+        for (j, k, _), right in zip(rights, rrows):
+            for i, a in left:
+                if i >= k:
+                    _add_product(rows[i - k + j], a, right, comb(i, k))
+        out_den = den * lpows[top] * lden
+        return RatFuncOperator([RatFunc(from_row(row, ld * rd), out_den) for row in rows])
+
+    def __pow__(self, n: int) -> "RatFuncOperator":
+        return pow_by_squaring(self, n, RatFuncOperator.of(1))
+
+
+def rat_prim(p: RatFuncOperator) -> RatFuncOperator:
+    """The primitive component, one ``poly_gcd`` per nonzero coefficient."""
+    if p.is_zero():
+        raise ValueError("primitive component of the zero operator")
+    _, nums = over_common_denominator(p)
+    g = Poly()
+    for q in nums:
+        if not q.is_zero():
+            g = q if g.is_zero() else poly_gcd(g, q)
+    if g.degree > 0:
+        nums = [q // g for q in nums]
+    lead = nums[-1].leading()
+    return RatFuncOperator([RatFunc(q * (1 / lead)) for q in nums])
+
+
+def rat_ad_power(p: RatFuncOperator, c: Fraction, lam) -> RatFuncOperator:
+    return shift_d(p, Poly.const(lam), 1, c)
+
+
+def rat_ad_exp_raw(p: RatFuncOperator, at: Location, coeffs) -> RatFuncOperator:
+    if at is INF:
+        return shift_d(p, sum((Poly.monomial(wk, k - 1) for k, wk in coeffs.items()), Poly()), 0, 0)
+    top = max(coeffs)
+    u = Poly([-at, 1])
+    return shift_d(p, sum((wk * u ** (top - k) for k, wk in coeffs.items()), Poly()), top + 1, at)
+
+
+def rat_fourier(p: RatFuncOperator, x_sign: int, d_sign: int) -> RatFuncOperator:
+    """x -> x_sign*D, D -> d_sign*x, term by term in ``RatFunc`` arithmetic."""
+    if not p.is_polynomial():
+        raise ValueError("Fourier-Laplace transform needs polynomial coefficients")
+    out: list[RatFunc] = []
+    for i, a in enumerate(p.coeffs):
+        for k, coeff in enumerate(a.num.coeffs):
+            t = coeff * x_sign ** k * d_sign ** i
+            for j in range(min(i, k) + 1):
+                while len(out) <= k - j:
+                    out.append(RatFunc(0))
+                out[k - j] += RatFunc(Poly.monomial(t * comb(k, j) * perm(i, j), i - j))
+    return RatFuncOperator(out)
+
+
+def rat_euler(p: RatFuncOperator, lam) -> RatFuncOperator:
+    q = rat_fourier(rat_prim(p), 1, -1)
+    return rat_fourier(rat_prim(rat_ad_power(q, Fraction(0), lam)), -1, 1)

@@ -122,6 +122,16 @@ def test_analyze_trivial_rank_one(capsys):
     assert json.loads(out)["points"][0]["location"] == "inf"
 
 
+@pytest.mark.parametrize("text", ["0", "D - D", "0*D"])
+def test_zero_operator_is_refused_with_the_rank_bound(tmp_path, capsys, text):
+    message = "error: extraction needs an operator of rank >= 1, got the zero operator\n"
+    assert run(capsys, "analyze", "--op", text) == (2, "", message)
+    path = tmp_path / "d.json"
+    path.write_text(run(capsys, "analyze", "--op", "D")[1], encoding="utf-8")
+    code, out, err = run(capsys, "reduce", "--formal", str(path), "--operator", text)
+    assert (code, err) == (2, message)
+
+
 def test_diagram_pipeline(tmp_path, capsys):
     code, out, _ = run(capsys, "analyze", "--op", to_text(corpus.instantiate("Heun")))
     assert code == 0

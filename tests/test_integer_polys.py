@@ -7,7 +7,9 @@ monomial polynomials, negative leading coefficients, and points and
 divisors whose denominators are not 1.  The kernels and ``prim`` are
 checked by structure: under ``sys.setprofile`` a reduction of nF(4) makes
 no call into ``fractions`` from their frames, so a return to ``Fraction``
-rows fails here and not only in the benchmark.
+rows fails here and not only in the benchmark.  In the same way, parse on
+the ``analyze_mix`` texts and that reduction build no ``RatFunc`` under
+parse, the operator ring or the kernels.
 """
 
 import fractions
@@ -17,7 +19,8 @@ from fractions import Fraction
 from math import gcd
 
 from irrkatz import weylalg
-from irrkatz.polys import Poly, poly_gcd
+from conftest import bench_texts
+from irrkatz.polys import Poly, RatFunc, poly_gcd
 from irrkatz.reduce import reduce_operator
 from oracles import FractionPoly, fraction_poly_gcd
 
@@ -150,4 +153,46 @@ def test_row_kernels_call_no_fraction_arithmetic():
         sys.setprofile(None)
     assert result.final.rank == 1
     assert kernels <= ran
+    assert calls == []
+
+
+#: parse, the ring methods of ``DiffOperator`` and the kernels: they read
+#: and write integer rows, so no call under them builds a ``RatFunc``.
+ROW_CODE = (
+    weylalg.parse, weylalg.ad_power, weylalg.ad_exp_raw, weylalg.laplace, weylalg.laplace_inv,
+    weylalg.euler, weylalg.local_chart, *KERNELS,
+    *(getattr(weylalg.DiffOperator, name) for name in (
+        "__init__", "__add__", "__neg__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+        "__pow__")),
+    weylalg.DiffOperator.of,
+)
+
+
+def test_operator_rows_build_no_ratfunc():
+    guarded = {f.__code__ for f in ROW_CODE}
+    init = RatFunc.__init__.__code__
+    ran, calls = set(), []
+
+    def profile(frame, event, arg):
+        if event != "call":
+            return
+        ran.add(frame.f_code)
+        if frame.f_code is init:
+            caller = frame.f_back
+            while caller is not None and caller.f_code not in guarded:
+                caller = caller.f_back
+            if caller is not None:
+                calls.append(caller.f_code.co_name)
+
+    texts = bench_texts("analyze_mix")
+    sys.setprofile(profile)
+    try:
+        for text in texts:
+            weylalg.parse(text)
+        result = reduce_operator(weylalg.parse(NF4))
+    finally:
+        sys.setprofile(None)
+    assert result.final.rank == 1
+    names = {"parse", "__mul__", "__add__", "__sub__", "__neg__", "__pow__", "of"}
+    assert {f.__code__ for f in KERNELS} | {c for c in guarded if c.co_name in names} <= ran
     assert calls == []

@@ -1,0 +1,126 @@
+"""``DiffOperator`` on integer rows over one denominator against
+``oracles.RatFuncOperator``, the operator on reduced ``RatFunc``
+coefficients.
+
+Every case builds both from the same coefficients: the zero operator, rank
+0, a negative leading coefficient, coefficients over powers of x - c at
+points with and without a denominator, over powers of x, or over a factor
+vanishing elsewhere.  The ring operations, equality, hashing, the text
+and every kernel must agree, and each result must be in the unique form
+(trimmed integer rows, gcd(content, d) = 1, a monic denominator coprime to
+the rows).  Twists that cancel must give back a polynomial operator.
+"""
+
+import random
+from fractions import Fraction
+from itertools import chain
+from math import gcd
+
+from irrkatz.polys import UNIT, Poly, RatFunc, poly_gcd
+from irrkatz.weylalg import (
+    INF, DiffOperator, ad_exp_raw, ad_power, euler, laplace, laplace_inv, prim, subst_infty,
+    theta_expand, to_text,
+)
+from oracles import (
+    RatFuncOperator, rat_ad_exp_raw, rat_ad_power, rat_euler, rat_fourier, rat_prim,
+    subst_infinity, theta_expansion,
+)
+
+POINTS = [Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 2), Fraction(-3, 4)]
+
+
+def _poly(rng: random.Random, top: int) -> Poly:
+    return Poly([Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3])) for _ in range(top)])
+
+
+def _coeffs(rng: random.Random, k: int, c: Fraction) -> list[RatFunc]:
+    """By case number: zero, rank 0, a negative leading coefficient, poles
+    at c, poles at 0, or poles at c and at a point elsewhere."""
+    kind = k % 6
+    if kind == 0:
+        return []
+    cs = [RatFunc(_poly(rng, rng.randint(0, 4))) for _ in range(1 if kind == 1 else rng.randint(2, 4))]
+    lead = _poly(rng, rng.randint(1, 3)) or Poly([1])
+    cs[-1] = RatFunc(-lead if (kind == 2) == (lead.leading() > 0) else lead)
+    if kind in (3, 5):
+        u = Poly([-c, 1])
+        cs = [a / RatFunc(u ** rng.randint(0, 3)) for a in cs]
+    if kind == 4:
+        cs = [a / RatFunc(Poly.x(rng.randint(0, 3))) for a in cs]
+    if kind == 5:
+        cs = [a / RatFunc(Poly([rng.choice([3, -5]), 1])) if rng.random() < 0.4 else a for a in cs]
+    return cs
+
+
+def _pair(rng, k, c):
+    cs = _coeffs(rng, k, c)
+    return DiffOperator(cs), RatFuncOperator(cs)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _same(new, old) -> None:
+    """``new`` holds ``old``'s coefficients, in the unique form."""
+    if isinstance(new, str) or isinstance(old, str):
+        assert new == old
+        return
+    assert new.coeffs == old.coeffs
+    assert to_text(new) == to_text(old)
+    rows, d, den = new._rows, new._d, new._den
+    assert all(type(a) is int for a in chain(*rows)) and type(d) is int and d > 0
+    assert all(row[-1] for row in rows if row) and (not rows or rows[-1])
+    assert gcd(d, *chain(*rows)) == 1
+    assert den.leading() == 1 and (den is UNIT) == (den.degree == 0) == old.is_polynomial()
+    g = den
+    for row in rows:
+        if row and g.degree > 0:
+            g = poly_gcd(g, Poly(row))
+    assert g.degree == 0
+    again = DiffOperator(old.coeffs)
+    assert new == again and hash(new) == hash(again)
+
+
+def test_operator_rows_match_the_ratfunc_oracle():
+    for k in range(600):
+        rng = random.Random(k)
+        c = POINTS[k % len(POINTS)]
+        (p, fp), (q, fq) = _pair(rng, k, c), _pair(rng, k // 6 + rng.randint(0, 5), c)
+        for new, old in ((p + q, fp + fq), (p - q, fp - fq), (-p, -fp), (p * q, fp * fq),
+                         (q * p, fq * fp), (p ** (k % 3), fp ** (k % 3)), (p, fp)):
+            _same(new, old)
+        assert (p == q) == (fp == fq) and p + q - q == p and hash(p + q - q) == hash(p)
+        assert (p - p).is_zero() and p * 1 == p
+        lam = Fraction(rng.randint(-7, 7), rng.choice([1, 2, 3]))
+        w = {k: Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 3))
+             for k in rng.sample(range(1, 4), rng.randint(1, 3))}
+        _same(_outcome(prim, p), _outcome(rat_prim, fp))
+        _same(subst_infty(p), subst_infinity(fp))
+        _same(ad_power(p, c, lam), rat_ad_power(fp, c, lam))
+        for at in (c, INF):
+            _same(ad_exp_raw(p, at, w), rat_ad_exp_raw(fp, at, w))
+            assert _outcome(theta_expand, p, at) == _outcome(theta_expansion, fp, at), k
+        for new, old in ((laplace, (-1, 1)), (laplace_inv, (1, -1))):
+            _same(_outcome(new, p), _outcome(rat_fourier, fp, *old))
+        if p.is_polynomial() and p:
+            _same(euler(p, lam), rat_euler(fp, lam))
+
+
+def test_twists_that_cancel_give_back_the_polynomial_operator():
+    for k in range(200):
+        rng = random.Random(1000 + k)
+        c = POINTS[k % len(POINTS)]
+        p = DiffOperator(_coeffs(rng, 1 + k % 2, c))   # rank 0, or rank 1-3
+        lam = Fraction(rng.randint(-7, 7) or 1, rng.choice([1, 2, 3]))
+        other = c + 1
+        for back in (ad_power(p, c, 0), ad_power(ad_power(p, c, lam), c, -lam)):
+            assert back == p and back.is_polynomial(), k
+            # a denominator left at c would not be Laurent at another point
+            assert theta_expand(back, other) == theta_expand(p, other)
+        w = {1: lam, 2: Fraction(1, 3)}
+        twisted = ad_exp_raw(p, c, w)
+        assert ad_exp_raw(twisted, c, {j: -v for j, v in w.items()}) == p

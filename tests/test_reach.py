@@ -65,9 +65,13 @@ ALLOWED = {
         "raised on malformed input (a bad --param, bad operator text), which the walk "
         "does not give; test_cli and test_parse do"),
     "irrkatz.weylalg._Infinity.__new__": "runs once, when weylalg is imported, before the walk",
+    "irrkatz.weylalg.DiffOperator.__init__":
+        "the constructor from coefficients: builds X and D when weylalg is imported, before "
+        "the walk; parse and the kernels build operators from integer rows",
     **dict.fromkeys(
         [f"irrkatz.polys.{name}" for name in (
-            "Poly.__rsub__", "Poly.monomial", "RatFunc.__bool__", "RatFunc.__eq__",
+            "Poly.__rsub__", "Poly.monomial", "RatFunc.__add__", "RatFunc.__radd__",
+            "RatFunc.__neg__", "RatFunc.of", "RatFunc.__bool__", "RatFunc.__eq__",
             "RatFunc.__mul__", "RatFunc.__rmul__", "RatFunc.__pow__", "RatFunc.__sub__",
             "RatFunc.__rsub__", "RatFunc.__truediv__", "RatFunc.__rtruediv__",
             "RatFunc.derivative")]
@@ -75,6 +79,10 @@ ALLOWED = {
             "__bool__", "__eq__", "__rmul__", "__rsub__", "apply", "coeff")],
         "the operator and rational-function algebra, public API for constructing "
         "operators from formal data and for reducibility certificates (ROADMAP items 5-7)"),
+    "irrkatz.weylalg._product":
+        "the sum and product of operators whose denominator is not 1, which no pipeline "
+        "step forms (parse only builds polynomial operators); the operator algebra is "
+        "public API for ROADMAP items 5-7, and test_operator_rows checks it",
     **dict.fromkeys(
         [f"irrkatz.lattice.LatticeVector.{name}" for name in (
             "__neg__", "is_zero", "scale", "zero")]

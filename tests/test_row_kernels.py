@@ -3,18 +3,14 @@ forms in ``oracles``: the Taylor shift, the order at a root, division by a
 monomial, the theta expansion, the chart at infinity and the twists.  And
 none of the first five builds a partial ``Poly`` on the pipeline's inputs."""
 
-import importlib.util
 import random
 from fractions import Fraction
-from pathlib import Path
 
-from conftest import random_poly_op
+from conftest import bench_texts, random_poly_op
 from irrkatz import corpus
 from irrkatz.polys import Poly, RatFunc
 from irrkatz.weylalg import INF, DiffOperator, _shift_d, parse, subst_infty, theta_expand
 from oracles import long_divmod, order_at, shift_d, subst_infinity, taylor_shift, theta_expansion
-
-BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def _point(rng: random.Random, k: int) -> Fraction:
@@ -70,24 +66,9 @@ def test_row_kernels_match_their_poly_oracles():
             assert dividend.divmod(divisor) == long_divmod(dividend, divisor), k
 
 
-def _bench_texts():
-    path = BENCH / "workloads.py"
-    if not path.is_file():
-        return []
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return [
-        inst["op"]
-        for name in ("analyze_mix", "hyp_ladder")
-        for seed in range(3)
-        for inst in next(workloads.GENERATORS[name](seed))
-    ]
-
-
 def test_row_kernels_build_no_partial_polys(monkeypatch):
     ops = [corpus.instantiate(name) for name in corpus.names()]
-    ops += [parse(text) for text in _bench_texts()]
+    ops += [parse(text) for text in bench_texts("analyze_mix", "hyp_ladder")]
     roots = [p.leading().num.rational_roots() for p in ops]
 
     def refuse(*args):

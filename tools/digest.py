@@ -140,12 +140,38 @@ def ladders() -> str:
     return out.getvalue()
 
 
+#: Operator texts past the parser's bounds or malformed (a power, a power
+#: of a power and a 33-factor product past MAX_DEGREE, nesting past
+#: MAX_NESTING, implicit multiplication, a numeral past 4300 digits, a zero
+#: denominator, an unknown symbol), then the two texts at the size bound.
+PARSE_TEXTS = (
+    "x^33", "(x^11)^3", "x*" * 33 + "D - 1",
+    "(" * (weylalg.MAX_NESTING + 1) + "x*D" + ")" * (weylalg.MAX_NESTING + 1),
+    "2 x", "D - " + "7" * 4301, "1/0*D", "D + y", "x^32*D - 1", "D^32",
+)
+
+
+def parse_errors() -> str:
+    """The ``OperatorSyntaxError`` text, with its position, of each refused
+    text of ``PARSE_TEXTS`` and ``to_text(parse(t))`` of each accepted one."""
+    out = io.StringIO()
+    for text in PARSE_TEXTS:
+        try:
+            result = weylalg.to_text(weylalg.parse(text))
+        except weylalg.OperatorSyntaxError as exc:
+            result = f"OperatorSyntaxError: {exc}"
+        label = text if len(text) <= 40 else f"{text[:20]}... ({len(text)} characters)"
+        print(f"{label} -> {result}", file=out)
+    return out.getvalue()
+
+
 SECTIONS = {
     "examples": examples,
     "demos": demos,
     "analyze": analyze,
     "texts": corpus_texts,
     "ladders": ladders,
+    "parse_errors": parse_errors,
 }
 
 
