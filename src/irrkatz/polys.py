@@ -71,6 +71,21 @@ def int_rows(polys: Sequence["Poly"]) -> tuple[list, int]:
     return [q._n if q._d == d else [a * (d // q._d) for a in q._n] for q in polys], d
 
 
+def linear_quotient(n: Sequence[int], a: int, b: int) -> list[int] | None:
+    """n / (b*x - a) for a nonzero integer row n, when b*x - a divides it
+    over Z, else None; b*x - a is primitive, so by Gauss's lemma this is
+    divisibility over Q.  The quotient s_(k-1) = (n_k + a s_k)/b is found
+    from the top, and n_0 = -a s_0 checks it."""
+    s = [0] * (len(n) - 1)
+    carry = 0
+    for k in range(len(n) - 1, 0, -1):
+        carry, r = divmod(n[k] + a * carry, b)
+        if r:
+            return None
+        s[k - 1] = carry
+    return s if n[0] + a * carry == 0 else None
+
+
 class Poly:
     """Polynomial in one variable over Q, dense, lowest degree first:
     integer numerators ``_n`` over one positive denominator ``_d``."""
@@ -280,19 +295,10 @@ class Poly:
         if c == 0:
             return next(k for k, a in enumerate(self._n) if a)
         c = Fraction(c)
-        a, b = c.numerator, c.denominator
-        n = list(self._n)
-        for m in range(len(n)):
-            # the quotient s_(k-1) = (n_k + a s_k)/b lands in slot k
-            carry = 0
-            for k in range(len(n) - 1, 0, -1):
-                carry, r = divmod(n[k] + a * carry, b)
-                if r:
-                    return m
-                n[k] = carry
-            if n[0] + a * carry:
-                return m
-            del n[0]
+        n, m = self._n, 0
+        while (n := linear_quotient(n, c.numerator, c.denominator)) is not None:
+            m += 1
+        return m
 
     # -- integer structure --------------------------------------------------
 

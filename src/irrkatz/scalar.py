@@ -201,5 +201,9 @@ def is_generically_integer(e: ParamLike) -> bool:
 
 
 def diff_in_integers(e1: ParamLike, e2: ParamLike) -> bool:
-    """True iff ``e1 - e2`` is generically an integer."""
-    return is_generically_integer(ParamExpr.of(e1) - ParamExpr.of(e2))
+    """True iff ``e1 - e2`` is generically an integer; between constants,
+    iff their difference is an integer."""
+    e1, e2 = ParamExpr.of(e1), ParamExpr.of(e2)
+    if e1.terms or e2.terms:
+        return is_generically_integer(e1 - e2)
+    return (e1.const - e2.const).denominator == 1

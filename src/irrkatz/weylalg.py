@@ -35,15 +35,15 @@ images.
 
 An operator ``sum_i N_i D^i / (d M)`` is held as one row of integer
 coefficients per N_i, one integer d and one monic ``Poly`` M, 1 for
-polynomial operators.  The ring operations and these kernels work on the
-rows and normalize each result once (``_operator``); :func:`_add_product`
-adds a scaled product of two rows at an offset.  The twists and the chart
-at infinity keep pole orders away from their point, so only the power of
-x - c dividing every row cancels; a sum or product with M != 1 runs one
-gcd chain.  In :func:`_shift_d` a Horner step multiplies the row by the
-numerators of ``(x-c)^e = U/b^e`` and adds ``C(m+j, j) N_(m+j) P_j``
-scaled by ``b^(e j)``; the chart at infinity adds each Lah term at the
-offset ``i + k``.
+polynomial operators.  The product, :func:`parse` and these kernels work
+on the rows and normalize each result once (``_operator``);
+:func:`_add_product` adds a scaled product of two rows at an offset.  The
+twists and the chart at infinity keep pole orders away from their point,
+so only the power of x - c dividing every row cancels; a product with
+M != 1 runs one gcd chain.  In :func:`_shift_d` a Horner step multiplies
+the row by the numerators of ``(x-c)^e = U/b^e`` and adds ``C(m+j, j)
+N_(m+j) P_j`` scaled by ``b^(e j)``; the chart at infinity adds each Lah
+term at the offset ``i + k``.
 
 The product (``DiffOperator.__mul__``): with ``P = sum_i N_i D^i / M`` and
 ``Q = sum_j K_j D^j / L``, the Leibniz rule ``D^i b = sum_k C(i, k) b^(k)
@@ -64,7 +64,8 @@ from math import comb, factorial, gcd as int_gcd, lcm, perm
 from typing import Iterable, Mapping, Union
 
 from .polys import (
-    UNIT, Poly, RatFunc, RatLike, falling_factorial, from_row, int_rows, poly_gcd, pow_by_squaring,
+    UNIT, Poly, RatFunc, RatLike, falling_factorial, from_row, int_rows, linear_quotient, poly_gcd,
+    pow_by_squaring,
 )
 from .scalar import ParamExpr, parse_rat
 
@@ -206,20 +207,6 @@ class DiffOperator:
 
     # -- ring structure ---------------------------------------------------
 
-    def __add__(self, other: "OpLike") -> "DiffOperator":
-        return _sum(self, DiffOperator.of(other), 1)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "DiffOperator":
-        return _operator([[-a for a in row] for row in self._rows], self._d, self._den)
-
-    def __sub__(self, other: "OpLike") -> "DiffOperator":
-        return _sum(self, DiffOperator.of(other), -1)
-
-    def __rsub__(self, other: "OpLike") -> "DiffOperator":
-        return _sum(DiffOperator.of(other), self, -1)
-
     def __mul__(self, other: "OpLike") -> "DiffOperator":
         # the closed form of the module docstring on integer rows; with
         # L = lrow/ld, K_j/(d' L) = ld K_j/(d' lrow), so R_j0 = ld K_j
@@ -292,7 +279,7 @@ def _operator(rows: list, d: int = 1, den: Poly = UNIT) -> DiffOperator:
 
 def _cancelled(rows: list, d: int, den: Poly) -> DiffOperator:
     """:func:`_operator` after dividing den and the rows by their gcd over
-    Q[x], one gcd chain when den is not 1: for sums and products."""
+    Q[x], one gcd chain when den is not 1: for products."""
     if den is UNIT:
         return _operator(rows, d)
     nums = [from_row(list(row)) for row in rows]
@@ -304,13 +291,9 @@ def _cancelled(rows: list, d: int, den: Poly) -> DiffOperator:
     return _operator(rows, d * dq, den // g)
 
 
-def _sum(p: DiffOperator, q: DiffOperator, sign: int) -> DiffOperator:
-    """``p + sign*q``, over the denominator they share or their product."""
-    (a, da), (b, db), den = (p._rows, p._d), (q._rows, q._d), p._den
-    if q._den is not den and q._den != den:
-        den = p._den * q._den
-        a, da = [_product(row, q._den._n) for row in a], da * q._den._d
-        b, db = [_product(row, p._den._n) for row in b], db * p._den._d
+def _add_rows(a, da: int, b, db: int, sign: int) -> tuple[list, int]:
+    """``a/da + sign*b/db`` for lists of coefficient rows: the rows over
+    lcm(da, db), trimmed."""
     d = lcm(da, db)
     width = max(map(len, (*a, *b)), default=0)
     rows = [[0] * width for _ in range(max(len(a), len(b)))]
@@ -318,7 +301,12 @@ def _sum(p: DiffOperator, q: DiffOperator, sign: int) -> DiffOperator:
         for row, r in zip(rows, src):
             for k, x in enumerate(r):
                 row[k] += scale * x
-    return _cancelled(rows, d, den)
+    for row in rows:
+        while row and not row[-1]:
+            row.pop()
+    while rows and not rows[-1]:
+        rows.pop()
+    return rows, d
 
 
 def _add_product(row: list, a, b, scale=1, offset: int = 0) -> list:
@@ -335,8 +323,9 @@ def _add_product(row: list, a, b, scale=1, offset: int = 0) -> list:
 
 
 def _product(a, b) -> list:
-    """The product of two coefficient rows, as a new list."""
-    return _add_product([0] * (len(a) + len(b)), a, b)
+    """The product of two coefficient rows, as a new list; trimmed when
+    both are."""
+    return _add_product([0] * (len(a) + len(b) - 1), a, b)
 
 X = DiffOperator([Poly.x()])
 D = DiffOperator([0, 1])
@@ -373,12 +362,34 @@ MAX_DEGREE = 32
 MAX_NESTING = 1000
 
 
-def _size(p: DiffOperator) -> int:
-    """max(rank, coefficient degree) of a polynomial operator; 0 for zero."""
-    return max((max(i, len(row) - 1) for i, row in enumerate(p._rows) if row), default=0)
+def _size(rows) -> int:
+    """max(rank, coefficient degree) of trimmed operator rows; 0 for zero."""
+    return max((max(i, len(row) - 1) for i, row in enumerate(rows) if row), default=0)
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+(?:/\d+)?)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*^]))")
+def _times(a, da: int, b, db: int) -> tuple[list, int]:
+    """The product of the operators ``a/da`` and ``b/db`` given by trimmed
+    rows.  With no D on the left it multiplies b's rows by a's one row;
+    otherwise it is the Leibniz product ``DiffOperator.__mul__``."""
+    if len(a) > 1:
+        p = _operator(a, da) * _operator(b, db)
+        return p._rows, p._d
+    return [_product(a[0], row) if row else () for row in b] if a else [], da * db
+
+
+def _power(a, d: int, n: int) -> tuple[list, int]:
+    """The n-th power of the operator ``a/d`` given by trimmed rows: by
+    ``DiffOperator.__pow__`` when it has D, otherwise of its one row."""
+    if len(a) > 1:
+        p = _operator(a, d) ** n
+        return p._rows, p._d
+    value = [(1,)], 1
+    for _ in range(n):
+        value = _times(*value, a, d)
+    return value
+
+
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)(?:/(\d+))?|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*^]))")
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
@@ -386,7 +397,7 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
+        if not m:
             stripped = text[pos:].lstrip()
             if not stripped:
                 break
@@ -396,19 +407,24 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
                     "'/' is only allowed inside rational literals p/q", bad
                 )
             raise OperatorSyntaxError(f"unexpected character {text[bad]!r}", bad)
-        if m.group(1):
+        num, den, name, op = m.groups()
+        pos = m.end()
+        if num:
+            # an integer numeral is an int, p/q a Fraction
             try:
-                tokens.append(("num", Fraction(m.group(1)), m.start(1)))
+                value = int(num)
+                if den:
+                    value = Fraction(value, int(den))
             except ZeroDivisionError:
                 raise OperatorSyntaxError("zero denominator", m.start(1)) from None
             except ValueError:
                 message = f"numeral with more than {sys.get_int_max_str_digits()} digits"
                 raise OperatorSyntaxError(message, m.start(1)) from None
-        elif m.group(2):
-            tokens.append(("name", m.group(2), m.start(2)))
+            tokens.append(("num", value, m.start(1)))
+        elif name:
+            tokens.append(("name", name, pos - len(name)))
         else:
-            tokens.append(("op", m.group(3), m.start(3)))
-        pos = m.end()
+            tokens.append(("op", op, pos - 1))
     tokens.append(("end", None, len(text)))
     return tokens
 
@@ -422,6 +438,14 @@ def parse(text: str) -> DiffOperator:
     ``-(x^2)``.  The whole text is tokenized first, so a bad character wins
     over an earlier grammar error.  One loop reads the tokens, with one
     frame per open parenthesis on an explicit stack.
+
+    Each value is a pair (rows, d): trimmed integer rows, one per power of
+    D, over one positive integer.  A sum adds rows over lcm of the two d
+    (:func:`_add_rows`); a product whose left factor has no D multiplies
+    rows by its one row, and only a left factor with D, or a power of
+    one, goes through the Leibniz product ``DiffOperator.__mul__``
+    (:func:`_times`, :func:`_power`).  The text's operator is normalized
+    once, at the end.
 
     Rank and coefficient degrees are bounded by :data:`MAX_DEGREE`: a power
     is rejected before it is computed, a product as soon as its right
@@ -453,9 +477,9 @@ def parse(text: str) -> DiffOperator:
                 signs += val
             continue
         if kind == "num":
-            value = DiffOperator.of(val)
+            value = [(val.numerator,)] if val else [], val.denominator
         elif kind == "name" and val in ("x", "D"):
-            value = X if val == "x" else D
+            value = X._rows if val == "x" else D._rows, 1
         elif kind == "name":
             raise OperatorSyntaxError(f"unknown symbol {val!r}", pos)
         else:
@@ -468,16 +492,16 @@ def parse(text: str) -> DiffOperator:
                 k += 2
                 if ekind != "num" or exp.denominator != 1:
                     raise OperatorSyntaxError("exponent must be a nonnegative integer", epos)
-                if exp > MAX_DEGREE or exp * _size(value) > MAX_DEGREE:
+                if exp > MAX_DEGREE or exp * _size(value[0]) > MAX_DEGREE:
                     raise OperatorSyntaxError("power " + too_large, epos)
-                value = value ** int(exp)
+                value = _power(*value, int(exp))
             if signs.count("-") % 2:
-                value = -value
+                value = [[-a for a in row] for row in value[0]], value[1]
             depth -= len(signs)
             signs = ""
             if prod is not None:
-                value = prod * value
-                if _size(value) > MAX_DEGREE:
+                value = _times(*prod, *value)
+                if _size(value[0]) > MAX_DEGREE:
                     raise OperatorSyntaxError("product " + too_large, star)
             kind, val, pos = tokens[k]
             k += 1
@@ -488,14 +512,14 @@ def parse(text: str) -> DiffOperator:
                 break
             prod = None
             if op is not None:
-                value = total + value if op == "+" else total - value
+                value = _add_rows(*total, *value, 1 if op == "+" else -1)
             if val in ("+", "-"):
                 total, op = value, val
                 break
             if not stack:
                 if kind != "end":
                     raise OperatorSyntaxError("trailing input", pos)
-                return value
+                return _operator(*value)
             if val != ")":
                 raise OperatorSyntaxError("expected ')'", pos)
             depth -= 1
@@ -663,24 +687,46 @@ def prim(p: DiffOperator) -> DiffOperator:
     factor and monic top coefficient.  Unique in W(x) f-multiples."""
     if p.is_zero():
         raise ValueError("primitive component of the zero operator")
-    nums = [from_row(list(row)) for row in p._rows]
-    g = Poly()
-    for q in nums:
-        if q and g.degree:
-            g = poly_gcd(g, q) if g else q
-    rows = int_rows([q // g for q in nums])[0] if g.degree > 0 else p._rows
+    rows = p._rows
+    g = UNIT  # the gcd of the rows; 1 when one of them is a nonzero constant
+    if not any(len(row) == 1 for row in rows):
+        nums = [from_row(list(row)) for row in rows]
+        g = Poly()
+        for q in nums:
+            if q and g.degree:
+                g = poly_gcd(g, q) if g else q
+    if g.degree > 0:
+        rows = int_rows([q // g for q in nums])[0]
+    elif p._den is UNIT and rows[-1][-1] == p._d:
+        return p  # polynomial, coprime rows and a monic top coefficient
     # a_i / lead is the ratio of integer numerators over one denominator
     sign = -1 if rows[-1][-1] < 0 else 1
     return _operator([[sign * a for a in row] for row in rows], sign * rows[-1][-1])
 
 
-def _divide_out(rows: list, c, most: int) -> tuple[int, list, int]:
-    """The largest k <= most such that (x - c)^k divides every row, and the
-    rows divided by it, over one integer denominator."""
-    nums = [from_row(list(row)) for row in rows]
-    k = min([most] + [q.order_at(c) for q in nums if q])
-    u = Poly.x(k) if c == 0 else (Poly.x() - c) ** k
-    return (k, *int_rows([q // u for q in nums]))
+def _divide_out(rows: list, c, most: int) -> tuple[int, list]:
+    """The largest k <= most such that (x - c)^k divides every integer row,
+    and the rows divided by it, integer rows again.
+
+    At c = 0 the quotients are slices.  At c = a/b each step divides every
+    nonzero row by b*x - a over Z (``linear_quotient``) and keeps the
+    quotients, until a row does not divide; the rows over (x - c)^k are the
+    last quotients times b^k."""
+    if c == 0:
+        k = min([most] + [next(i for i, a in enumerate(row) if a) for row in rows if any(row)])
+        return k, [row[k:] for row in rows]
+    a, b = c.numerator, c.denominator
+    for k in range(most):
+        quotients = [linear_quotient(row, a, b) if any(row) else row for row in rows]
+        if None in quotients:
+            break
+        rows = quotients
+    else:
+        k = most
+    if b != 1 and k:
+        scale = b**k
+        rows = [[scale * x for x in row] for row in rows]
+    return k, rows
 
 
 def _shift_d(p: DiffOperator, g: Poly, e: int, c: Fraction) -> DiffOperator:
@@ -719,10 +765,10 @@ def _shift_d(p: DiffOperator, g: Poly, e: int, c: Fraction) -> DiffOperator:
                 _add_product(row, p._rows[m + j], yrows[j], comb(m + j, j) * du**j)
             acc = row
         out.append(acc)
-    k, out, dk = _divide_out(out, c, e * (n - 1) + p._den.order_at(c)) if e else (0, out, 1)
+    k, out = _divide_out(out, c, e * (n - 1) + p._den.order_at(c)) if e else (0, out)
     t = e * (n - 1) - k
     den = p._den * u**t if t >= 0 else p._den // u ** -t
-    return _operator(out, p._d * dy * du ** (n - 1) * dk, den)
+    return _operator(out, p._d * dy * du ** (n - 1), den)
 
 
 def ad_power(p: DiffOperator, c: Fraction, lam) -> DiffOperator:
@@ -784,8 +830,8 @@ def subst_infty(p: DiffOperator) -> DiffOperator:
     rev = den.reverse(d)
     lead = rev._n[-1]
     scale = rev._d if lead > 0 else -rev._d
-    k, rows, dk = _divide_out(rows, 0, d - den.degree)
-    return _operator([[scale * a for a in row] for row in rows], p._d * abs(lead) * dk,
+    k, rows = _divide_out(rows, 0, d - den.degree)
+    return _operator([[scale * a for a in row] for row in rows], p._d * abs(lead),
                      rev.monic() // Poly.x(k))
 
 

@@ -8,15 +8,20 @@ Leibniz rule term by term, ``Poly`` and its gcd on ``Fraction`` tuples,
 the operator and its kernels on reduced ``RatFunc`` coefficients, the
 Taylor shift, the order at a root, long
 division, the theta expansion, the chart at infinity and the twists in
-``Poly`` arithmetic, one new ``Poly`` per partial sum), a check no
+``Poly`` arithmetic, one new ``Poly`` per partial sum, the primitive
+component and the division by (x - c)^k as they were, the tokenizer that
+read every numeral as a ``Fraction``), a check no
 pipeline code runs (ker phi in
 the radical of the form, from its closed-form basis), or a small
-accessor no pipeline code needs (the degree of an operator), so it lives
-here and not in ``src``; ``test_reach.py`` keeps it that way.
+accessor no pipeline code needs (the degree of an operator, the sum and
+negation of operators, which the tests use to build operators), so it
+lives here and not in ``src``; ``test_reach.py`` keeps it that way.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from itertools import product
 from math import comb, gcd, lcm, perm
@@ -31,7 +36,8 @@ from irrkatz.polys import (
 from irrkatz.rootsys import Node, RootBasis, RootVector, build_basis, phi
 from irrkatz.scalar import ParamExpr
 from irrkatz.weylalg import (
-    INF, DiffOperator, Location, OpLike, ThetaExpansion, _add_product, _lah,
+    INF, DiffOperator, Location, OperatorSyntaxError, OpLike, ThetaExpansion, _add_product,
+    _add_rows, _cancelled, _lah, _operator, _product,
 )
 
 # -- rootsys ---------------------------------------------------------------------
@@ -513,6 +519,87 @@ def leibniz_product(p: DiffOperator, q: OpLike) -> DiffOperator:
                 if not derivs[k].is_zero():
                     out[i - k + j] += a * comb(i, k) * derivs[k]
     return DiffOperator(out)
+
+
+def op_sum(p: OpLike, q: OpLike, sign: int = 1) -> DiffOperator:
+    """``p + sign*q``, over the denominator they share or their product:
+    ``DiffOperator.__add__`` and ``__sub__`` as they were.  No pipeline step
+    adds operators; parse adds integer rows itself."""
+    p, q = DiffOperator.of(p), DiffOperator.of(q)
+    (a, da), (b, db), den = (p._rows, p._d), (q._rows, q._d), p._den
+    if q._den is not den and q._den != den:
+        den = p._den * q._den
+        a, da = [_product(row, q._den._n) for row in a], da * q._den._d
+        b, db = [_product(row, p._den._n) for row in b], db * p._den._d
+    return _cancelled(*_add_rows(a, da, b, db, sign), den)
+
+
+def op_neg(p: DiffOperator) -> DiffOperator:
+    """``-p``: ``DiffOperator.__neg__`` as it was."""
+    return _operator([[-a for a in row] for row in p._rows], p._d, p._den)
+
+
+def prim_by_gcd(p: DiffOperator) -> DiffOperator:
+    """``weylalg.prim`` without its test for primitive input: the gcd chain
+    over every row, the division by it, then the division by the
+    leading coefficient."""
+    if p.is_zero():
+        raise ValueError("primitive component of the zero operator")
+    nums = [from_row(list(row)) for row in p._rows]
+    g = Poly()
+    for q in nums:
+        if q and g.degree:
+            g = poly_gcd(g, q) if g else q
+    rows = int_rows([q // g for q in nums])[0] if g.degree > 0 else p._rows
+    sign = -1 if rows[-1][-1] < 0 else 1
+    return _operator([[sign * a for a in row] for row in rows], sign * rows[-1][-1])
+
+
+def divide_out_two_pass(rows: list, c, most: int) -> tuple[int, list, int]:
+    """``weylalg._divide_out`` as it was: the order of each row at c by
+    ``Poly.order_at``, then one division of each by (x - c)^k; the rows
+    over one integer denominator."""
+    nums = [from_row(list(row)) for row in rows]
+    k = min([most] + [q.order_at(c) for q in nums if q])
+    u = Poly.x(k) if c == 0 else (Poly.x() - c) ** k
+    return (k, *int_rows([q // u for q in nums]))
+
+
+_TOKEN_RE = re.compile(r"\s*(?:(\d+(?:/\d+)?)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*^]))")
+
+
+def tokenize(text: str) -> list[tuple[str, object, int]]:
+    """The operator-text tokens, every numeral a ``Fraction``: the parser's
+    tokenizer before it read integer numerals with ``int``."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if not m or m.end() == pos:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            bad = len(text) - len(stripped)
+            if text[bad] == "/":
+                raise OperatorSyntaxError(
+                    "'/' is only allowed inside rational literals p/q", bad
+                )
+            raise OperatorSyntaxError(f"unexpected character {text[bad]!r}", bad)
+        if m.group(1):
+            try:
+                tokens.append(("num", Fraction(m.group(1)), m.start(1)))
+            except ZeroDivisionError:
+                raise OperatorSyntaxError("zero denominator", m.start(1)) from None
+            except ValueError:
+                message = f"numeral with more than {sys.get_int_max_str_digits()} digits"
+                raise OperatorSyntaxError(message, m.start(1)) from None
+        elif m.group(2):
+            tokens.append(("name", m.group(2), m.start(2)))
+        else:
+            tokens.append(("op", m.group(3), m.start(3)))
+        pos = m.end()
+    tokens.append(("end", None, len(text)))
+    return tokens
 
 
 def deg_of(p: DiffOperator) -> int:

@@ -50,7 +50,7 @@ from irrkatz.weylalg import (
     theta_expand,
 )
 from conftest import random_poly_op
-from oracles import deg_of, phi_matrix, rational_kernel
+from oracles import deg_of, op_sum, phi_matrix, rational_kernel
 
 ZERO = Fraction(0)
 
@@ -266,11 +266,11 @@ def test_criterion_8_operator_engine_conformance():
         def poly_at(q):
             acc = parse("0")
             for coeff in reversed(q.coeffs):
-                acc = acc * theta + coeff
+                acc = op_sum(acc * theta, coeff)
             return acc
 
         def build(p0, p1, p2):
-            return poly_at(p0) + X * poly_at(p1) + X * X * poly_at(p2)
+            return op_sum(op_sum(poly_at(p0), X * poly_at(p1)), X * X * poly_at(p2))
 
         def divisible(op, s):
             from irrkatz.polys import RatFunc

@@ -156,14 +156,15 @@ def test_row_kernels_call_no_fraction_arithmetic():
     assert calls == []
 
 
-#: parse, the ring methods of ``DiffOperator`` and the kernels: they read
-#: and write integer rows, so no call under them builds a ``RatFunc``.
+#: parse and its row helpers, the ring methods of ``DiffOperator`` and the
+#: kernels: they read and write integer rows, so no call under them builds
+#: a ``RatFunc``.
 ROW_CODE = (
-    weylalg.parse, weylalg.ad_power, weylalg.ad_exp_raw, weylalg.laplace, weylalg.laplace_inv,
-    weylalg.euler, weylalg.local_chart, *KERNELS,
+    weylalg.parse, weylalg._add_rows, weylalg._times, weylalg._power, weylalg.ad_power,
+    weylalg.ad_exp_raw, weylalg.laplace, weylalg.laplace_inv, weylalg.euler,
+    weylalg.local_chart, *KERNELS,
     *(getattr(weylalg.DiffOperator, name) for name in (
-        "__init__", "__add__", "__neg__", "__sub__", "__rsub__", "__mul__", "__rmul__",
-        "__pow__")),
+        "__init__", "__mul__", "__rmul__", "__pow__")),
     weylalg.DiffOperator.of,
 )
 
@@ -193,6 +194,6 @@ def test_operator_rows_build_no_ratfunc():
     finally:
         sys.setprofile(None)
     assert result.final.rank == 1
-    names = {"parse", "__mul__", "__add__", "__sub__", "__neg__", "__pow__", "of"}
+    names = {"parse", "_add_rows", "_times", "_power", "__mul__", "__pow__", "of"}
     assert {f.__code__ for f in KERNELS} | {c for c in guarded if c.co_name in names} <= ran
     assert calls == []

@@ -16,14 +16,14 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd
 
-from irrkatz.polys import UNIT, Poly, RatFunc, poly_gcd
+from irrkatz.polys import UNIT, Poly, RatFunc, from_row, int_rows, poly_gcd
 from irrkatz.weylalg import (
-    INF, DiffOperator, ad_exp_raw, ad_power, euler, laplace, laplace_inv, prim, subst_infty,
-    theta_expand, to_text,
+    INF, DiffOperator, _divide_out, ad_exp_raw, ad_power, euler, laplace, laplace_inv, prim,
+    subst_infty, theta_expand, to_text,
 )
 from oracles import (
-    RatFuncOperator, rat_ad_exp_raw, rat_ad_power, rat_euler, rat_fourier, rat_prim,
-    subst_infinity, theta_expansion,
+    RatFuncOperator, divide_out_two_pass, op_neg, op_sum, prim_by_gcd, rat_ad_exp_raw,
+    rat_ad_power, rat_euler, rat_fourier, rat_prim, subst_infinity, theta_expansion,
 )
 
 POINTS = [Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 2), Fraction(-3, 4)]
@@ -90,11 +90,13 @@ def test_operator_rows_match_the_ratfunc_oracle():
         rng = random.Random(k)
         c = POINTS[k % len(POINTS)]
         (p, fp), (q, fq) = _pair(rng, k, c), _pair(rng, k // 6 + rng.randint(0, 5), c)
-        for new, old in ((p + q, fp + fq), (p - q, fp - fq), (-p, -fp), (p * q, fp * fq),
-                         (q * p, fq * fp), (p ** (k % 3), fp ** (k % 3)), (p, fp)):
+        for new, old in ((op_sum(p, q), fp + fq), (op_sum(p, q, -1), fp - fq), (op_neg(p), -fp),
+                         (p * q, fp * fq), (q * p, fq * fp), (p ** (k % 3), fp ** (k % 3)),
+                         (p, fp)):
             _same(new, old)
-        assert (p == q) == (fp == fq) and p + q - q == p and hash(p + q - q) == hash(p)
-        assert (p - p).is_zero() and p * 1 == p
+        back = op_sum(op_sum(p, q), q, -1)
+        assert (p == q) == (fp == fq) and back == p and hash(back) == hash(p)
+        assert op_sum(p, p, -1).is_zero() and p * 1 == p
         lam = Fraction(rng.randint(-7, 7), rng.choice([1, 2, 3]))
         w = {k: Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 3))
              for k in rng.sample(range(1, 4), rng.randint(1, 3))}
@@ -124,3 +126,51 @@ def test_twists_that_cancel_give_back_the_polynomial_operator():
         w = {1: lam, 2: Fraction(1, 3)}
         twisted = ad_exp_raw(p, c, w)
         assert ad_exp_raw(twisted, c, {j: -v for j, v in w.items()}) == p
+
+
+def test_prim_returns_primitive_input_itself():
+    # prim skips the division when its input is already primitive; it must
+    # agree with the gcd chain that always runs, and return its input
+    # exactly when that input is primitive
+    seen = set()
+    for k in range(600):
+        rng = random.Random(2000 + k)
+        c = POINTS[k % len(POINTS)]
+        p = DiffOperator(_coeffs(rng, 1 + k % 5, c))
+        if k % 4 == 1:
+            p = prim_by_gcd(p)                               # primitive
+        elif k % 4 == 2:
+            p = prim_by_gcd(p) * Poly([-c, 1]) ** rng.randint(1, 2)   # a common factor
+        elif k % 4 == 3:
+            p = prim_by_gcd(p) * Fraction(rng.choice([-1, 2, -3]), rng.choice([1, 5]))
+        expected = prim_by_gcd(p)
+        got = prim(p)
+        _same(got, RatFuncOperator(expected.coeffs))
+        assert got == expected, k
+        assert (got is p) == (expected == p), k
+        seen.add(got is p)
+    assert seen == {True, False}
+
+
+def test_divide_out_matches_the_two_pass_form():
+    # rows (x - c)^j * N_i with zero rows and trailing zeros, as the twists
+    # and the chart at infinity leave them; the bound `most` below, at and
+    # above the common order
+    cases = set()
+    for k in range(400):
+        rng = random.Random(3000 + k)
+        c = (Fraction(0), *POINTS)[k % (len(POINTS) + 1)]
+        j = rng.randint(0, 3)
+        u = Poly([-c, 1]) ** j
+        polys = [u * _poly(rng, rng.randint(1, 4)) if rng.random() < 0.8 else Poly()
+                 for _ in range(rng.randint(1, 4))]
+        rows = [list(row) + [0] * rng.randint(0, 2) for row in int_rows(polys)[0]]
+        most = rng.randint(0, j + 2)
+        got_k, got = _divide_out(rows, c, most)
+        want_k, want, want_d = divide_out_two_pass(rows, c, most)
+        assert got_k == want_k, k
+        assert ([from_row(list(row)) for row in got]
+                == [from_row(list(row), want_d) for row in want]), k
+        cases.add((c == 0, got_k == 0, got_k == most))
+    assert {(zero, k0, top) for zero in (True, False) for k0, top in (
+        (True, False), (False, True), (False, False))} <= cases

@@ -1,6 +1,10 @@
 """The operator-text parser against the recursive-descent parser it
 replaced, which is kept here as the oracle, and the parser's verdict at
-different stack depths."""
+different stack depths.
+
+The oracle shares no code with the parser: it reads the text with
+``oracles.tokenize``, every numeral a ``Fraction``, and computes on
+``oracles.RatFuncOperator``, reduced ``RatFunc`` coefficients."""
 
 import random
 from fractions import Fraction
@@ -8,26 +12,30 @@ from fractions import Fraction
 import pytest
 
 from irrkatz import cli, corpus
+from irrkatz.polys import Poly
 from irrkatz.weylalg import (
     MAX_DEGREE,
     MAX_NESTING,
-    D,
     DiffOperator,
     OperatorSyntaxError,
     X,
-    _size,
-    _tokenize,
     parse,
 )
+from oracles import RatFuncOperator, op_neg, tokenize
 
 
 # -- the oracle: the recursive-descent parser as it was ------------------------
 
 
+def _size(p: RatFuncOperator) -> int:
+    """max(rank, coefficient degree) of a polynomial operator; 0 for zero."""
+    return max((max(i, c.num.degree) for i, c in enumerate(p.coeffs) if c), default=0)
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = tokenize(text)
         self.k = 0
 
     def peek(self):
@@ -48,9 +56,9 @@ class _Parser:
         kind, _, pos = self.peek()
         if kind != "end":
             raise OperatorSyntaxError("trailing input", pos)
-        return expr
+        return DiffOperator(expr.coeffs)
 
-    def expr(self) -> DiffOperator:
+    def expr(self) -> RatFuncOperator:
         acc = self.term()
         while True:
             kind, val, _ = self.peek()
@@ -61,7 +69,7 @@ class _Parser:
             else:
                 return acc
 
-    def term(self) -> DiffOperator:
+    def term(self) -> RatFuncOperator:
         acc = self.factor()
         while True:
             kind, val, pos = self.peek()
@@ -77,7 +85,7 @@ class _Parser:
             else:
                 return acc
 
-    def factor(self) -> DiffOperator:
+    def factor(self) -> RatFuncOperator:
         kind, val, pos = self.peek()
         if kind == "op" and val in "+-":
             self.next()
@@ -85,7 +93,7 @@ class _Parser:
             return inner if val == "+" else -inner
         return self.power()
 
-    def power(self) -> DiffOperator:
+    def power(self) -> RatFuncOperator:
         base = self.atom()
         kind, val, _ = self.peek()
         if kind == "op" and val == "^":
@@ -100,15 +108,15 @@ class _Parser:
             return base ** int(exp)
         return base
 
-    def atom(self) -> DiffOperator:
+    def atom(self) -> RatFuncOperator:
         kind, val, pos = self.next()
         if kind == "num":
-            return DiffOperator.of(val)
+            return RatFuncOperator.of(val)
         if kind == "name":
             if val == "x":
-                return X
+                return RatFuncOperator([Poly.x()])
             if val == "D":
-                return D
+                return RatFuncOperator([0, 1])
             raise OperatorSyntaxError(f"unknown symbol {val!r}", pos)
         if kind == "op" and val == "(":
             inner = self.expr()
@@ -250,7 +258,7 @@ def test_a_bad_character_wins_over_an_earlier_grammar_error():
 
 
 def test_signs_bind_looser_than_powers():
-    assert parse("-x^2") == -(X ** 2) == parse("-(x^2)")
+    assert parse("-x^2") == op_neg(X ** 2) == parse("-(x^2)")
     assert parse("(-x)^2") == X ** 2
 
 
@@ -288,7 +296,7 @@ def test_nesting_counts_open_levels_only():
     # a level closes with its factor, so long flat texts are not nested
     flat = " + ".join(["(-x)"] * 3 * MAX_NESTING)
     assert parse(flat) == DiffOperator.of(-3 * MAX_NESTING) * X
-    assert parse("(" * 600 + "-" * 399 + "x" + ")" * 600) == -X
+    assert parse("(" * 600 + "-" * 399 + "x" + ")" * 600) == op_neg(X)
     with pytest.raises(OperatorSyntaxError, match=r"nested too deeply \(at position 1000\)"):
         parse("(" * 600 + "-" * 401 + "x" + ")" * 600)
 

@@ -76,13 +76,13 @@ ALLOWED = {
             "RatFunc.__rsub__", "RatFunc.__truediv__", "RatFunc.__rtruediv__",
             "RatFunc.derivative")]
         + [f"irrkatz.weylalg.DiffOperator.{name}" for name in (
-            "__bool__", "__eq__", "__rmul__", "__rsub__", "apply", "coeff")],
+            "__bool__", "__eq__", "__rmul__", "apply", "coeff")],
         "the operator and rational-function algebra, public API for constructing "
         "operators from formal data and for reducibility certificates (ROADMAP items 5-7)"),
-    "irrkatz.weylalg._product":
-        "the sum and product of operators whose denominator is not 1, which no pipeline "
-        "step forms (parse only builds polynomial operators); the operator algebra is "
-        "public API for ROADMAP items 5-7, and test_operator_rows checks it",
+    "irrkatz.weylalg._cancelled":
+        "the product of operators with a denominator: the twists make such operators, so "
+        "DiffOperator.__mul__ must be right on them, but no pipeline step multiplies one "
+        "(parse forms only polynomial operators); test_operator_rows checks it",
     **dict.fromkeys(
         [f"irrkatz.lattice.LatticeVector.{name}" for name in (
             "__neg__", "is_zero", "scale", "zero")]

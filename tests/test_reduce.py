@@ -36,7 +36,7 @@ from irrkatz.weylalg import (
     prim,
     to_text,
 )
-from oracles import in_fundamental_domain, support_tuples
+from oracles import in_fundamental_domain, op_sum, support_tuples
 
 
 def shape_of(name):
@@ -333,8 +333,8 @@ def test_reduce_operator_rank_three_rigid():
     b1, b2 = Fraction(1, 5), Fraction(1, 3)
     th = X * D
     p = prim(
-        th * (th + DiffOperator.of(b1 - 1)) * (th + DiffOperator.of(b2 - 1))
-        - X * (th + DiffOperator.of(a1)) * (th + DiffOperator.of(a2)) * (th + DiffOperator.of(a3))
+        op_sum(th * op_sum(th, b1 - 1) * op_sum(th, b2 - 1),
+               X * op_sum(th, a1) * op_sum(th, a2) * op_sum(th, a3), -1)
     )
     data = formal.extract_formal_data(p)
     point_one = {w.is_zero(): s for w, s in data.factors(2)}
@@ -505,7 +505,7 @@ def test_cross_check_accepts_point_made_non_singular():
     # x*D - 1/3 is singular at 0 and infinity only: a predicted point 1 is
     # accepted exactly when it carries the zero factor with chain (0, rank);
     # infinity is never omitted, formal data without it cannot be built
-    op = X * D - DiffOperator.of(Fraction(1, 3))
+    op = op_sum(X * D, Fraction(1, 3), -1)
     data = formal.extract_formal_data(op)
     assert data.locations() == (INF, Fraction(0))
     with pytest.raises(ValueError, match="first point must be the point at infinity"):
@@ -561,10 +561,10 @@ def hypergeometric(a, b):
     th = X * D
     left, right = th, X
     for bj in b:
-        left = left * (th + DiffOperator.of(bj - 1))
+        left = left * op_sum(th, bj - 1)
     for ai in a:
-        right = right * (th + DiffOperator.of(ai))
-    return prim(left - right)
+        right = right * op_sum(th, ai)
+    return prim(op_sum(left, right, -1))
 
 
 HYPERGEOMETRIC = [
@@ -782,7 +782,7 @@ def test_extra_root_of_the_leading_coefficient_falls_back():
     # composing with x - 5 adds the root 5 to the leading coefficient; the
     # prediction is the extraction everywhere else
     moved, locations, _, rank = gauss_after_step()
-    op = prim(moved * (X - DiffOperator.of(5)))
+    op = prim(moved * op_sum(X, 5, -1))
     data = formal.extract_formal_data(op)
     assert data.locations() == tuple(locations) + (Fraction(5),)
     predicted = table_of(data)

@@ -50,6 +50,25 @@ def test_diff_in_integers_examples():
     assert diff_in_integers(Fraction(1, 3), Fraction(4, 3))
 
 
+def test_diff_in_integers_matches_the_general_path():
+    # between constants the difference of the two constants is tested
+    # directly; the general path builds e1 - e2 and asks whether it is an
+    # integer for generic parameters
+    values = [0, 3, -2, Fraction(1, 2), Fraction(-7, 3), Fraction(5, 3)]
+    consts = values + [ParamExpr(v) for v in values]
+    affine = [ParamExpr(v, terms) for v in values for terms in (
+        {"a": 1}, {"a": Fraction(1, 2)}, {"a": 1, "b": -2}, {"b": 3})]
+    cases = [(e1, e2) for e1 in consts + affine for e2 in consts + affine]
+    cases += [(e + k, e) for e in affine for k in (0, 1, -4, Fraction(1, 3))]
+    answers = set()
+    for e1, e2 in cases:
+        general = is_generically_integer(ParamExpr.of(e1) - ParamExpr.of(e2))
+        assert diff_in_integers(e1, e2) == general, (e1, e2)
+        answers.add((isinstance(e1, ParamExpr) and bool(e1.terms), general))
+    # both answers, on constants and on affine expressions
+    assert answers == {(False, False), (False, True), (True, False), (True, True)}
+
+
 @given(exprs, exprs)
 def test_difference_predicate_symmetric(e1, e2):
     assert is_generically_integer(e1 - e2) == is_generically_integer(e2 - e1)

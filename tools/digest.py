@@ -8,7 +8,8 @@ Run it from the root of each checkout and compare the lines:
 
 The program is imported from this checkout's ``src/``; the operator texts
 of ``analyze`` come from ``bench/workloads.py`` (the section is left out
-without ``bench/``).  Nothing is written: the commands that read a
+without ``bench/``), and those of ``parse_fuzz`` from the fuzz of
+``tests/test_parse.py``.  Nothing is written: the commands that read a
 formal-data file are replayed through the functions they call.
 """
 
@@ -48,11 +49,11 @@ def _cli(*argv: str) -> str:
     return f"$ {' '.join(argv)}\n{out.getvalue()}{err.getvalue()}exit {code}\n"
 
 
-def _workloads():
-    path = ROOT / "bench" / "workloads.py"
+def _module(name: str, path: Path):
+    """The module at ``path``, or None without the file."""
     if not path.is_file():
         return None
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -75,7 +76,7 @@ def demos() -> str:
 
 
 def bench_texts() -> list[str]:
-    workloads = _workloads()
+    workloads = _module("bench_workloads", ROOT / "bench" / "workloads.py")
     if workloads is None:
         return []
     texts = []
@@ -115,13 +116,9 @@ def corpus_texts() -> str:
 
 def _hypergeometric(a, b) -> weylalg.DiffOperator:
     """theta * prod(theta + b_j - 1) - x * prod(theta + a_i), made primitive."""
-    th = weylalg.X * weylalg.D
-    left, right = th, weylalg.X
-    for bj in b:
-        left = left * (th + weylalg.DiffOperator.of(bj - 1))
-    for ai in a:
-        right = right * (th + weylalg.DiffOperator.of(ai))
-    return weylalg.prim(left - right)
+    left = "".join(f"*(x*D + ({bj - 1}))" for bj in b)
+    right = "".join(f"*(x*D + ({ai}))" for ai in a)
+    return weylalg.prim(weylalg.parse(f"x*D{left} - x{right}"))
 
 
 def ladders() -> str:
@@ -165,6 +162,29 @@ def parse_errors() -> str:
     return out.getvalue()
 
 
+#: Seeds and counts of the fuzz texts of ``tests/test_parse.py``.
+FUZZ = ((16, 2500), (17, 1500))
+
+
+def parse_fuzz() -> str:
+    """``to_text(parse(t))``, or the ``OperatorSyntaxError`` text with its
+    position, of each fuzz text of ``tests/test_parse.py``."""
+    sys.path.insert(0, str(ROOT / "tests"))
+    try:
+        tests = _module("test_parse", ROOT / "tests" / "test_parse.py")
+    finally:
+        sys.path.remove(str(ROOT / "tests"))
+    out = io.StringIO()
+    for seed, count in FUZZ:
+        for text in tests.fuzz_texts(seed, count):
+            try:
+                result = weylalg.to_text(weylalg.parse(text))
+            except weylalg.OperatorSyntaxError as exc:
+                result = f"OperatorSyntaxError: {exc}"
+            print(f"{text!r} -> {result}", file=out)
+    return out.getvalue()
+
+
 SECTIONS = {
     "examples": examples,
     "demos": demos,
@@ -172,6 +192,7 @@ SECTIONS = {
     "texts": corpus_texts,
     "ladders": ladders,
     "parse_errors": parse_errors,
+    "parse_fuzz": parse_fuzz,
 }
 
 
