@@ -1,4 +1,4 @@
-"""Dense univariate polynomials and rational functions over exact rationals.
+"""Dense univariate polynomials over exact rationals.
 
 Internal plumbing for the operator algebra: nothing here knows about
 differential operators.  A polynomial is a tuple of integer numerators,
@@ -10,22 +10,17 @@ Algebra*, §8.4); division is pseudo-division over Z.  ``Poly.coeffs``, the
 coefficients as ``Fraction``s, is a read-only view built on first read; no
 arithmetic runs on it.  The row kernels of ``weylalg`` take their inputs
 through :func:`int_rows` and build their results with :func:`from_row`.
-Rational functions are reduced fractions of polynomials with a monic
-denominator, so equality is structural too.  Rational roots are found
-exactly by p-adic expansion (Loos, SIAM J. Comput. 12(2), 1983): roots
-modulo a small prime, Hensel-lifted and read back by rational
-reconstruction, each one checked over Z.
+Rational roots are found exactly by p-adic expansion (Loos, SIAM J.
+Comput. 12(2), 1983): roots modulo a small prime, Hensel-lifted and read
+back by rational reconstruction, each one checked over Z.
 
 Normalization is skipped where it cannot change the result.  The gcd with
 a nonzero constant is 1, so a constant denominator only divides the
 numerator.  A product with the constant 1 is the other factor, shared as
-``Poly`` is immutable.  Every polynomial ``RatFunc`` holds the one shared
-denominator :data:`UNIT`, so building one allocates no denominator, and
-one built over ``UNIT`` skips the normalization altogether.  Division by a
-monomial ``a*x^d`` (the denominators of the chart at infinity and of the
-twists at 0) is a slice: the quotient is ``coeffs[d:]/a``, the remainder
-``coeffs[:d]``.  The Taylor shift and the order at a point ``a/b`` run on
-integers, scaled by powers of ``b``.
+``Poly`` is immutable.  Division by a monomial ``a*x^d`` (the denominators
+of the chart at infinity and of the twists at 0) is a slice: the quotient
+is ``coeffs[d:]/a``, the remainder ``coeffs[:d]``.  The Taylor shift and
+the order at a point ``a/b`` run on integers, scaled by powers of ``b``.
 """
 
 from __future__ import annotations
@@ -371,7 +366,8 @@ class Poly:
         return f"Poly({self.format()})"
 
 
-#: The denominator of every polynomial ``RatFunc``: one shared object.
+#: The constant 1: one shared object, the denominator of every polynomial
+#: operator, so a test for one is an identity test.
 UNIT = from_row([1])
 
 
@@ -449,133 +445,3 @@ def falling_factorial(j: int) -> Poly:
     for k in range(j):
         out = out * Poly([-k, 1])
     return out
-
-
-class RatFunc:
-    """Reduced fraction num/den of polynomials, den monic and nonzero; a
-    constant denominator is always :data:`UNIT`."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: PolyLike, den: PolyLike = UNIT):
-        num = as_poly(num)
-        if den is not UNIT:
-            den = as_poly(den)
-            if den.is_zero():
-                raise ZeroDivisionError("rational function with zero denominator")
-            if num.is_zero():
-                den = UNIT
-            else:
-                if den.degree > 0:
-                    g = poly_gcd(num, den)
-                    if g.degree > 0:
-                        num = num // g
-                        den = den // g
-                lead = den.leading()
-                if lead != 1:
-                    num = num * (1 / lead)
-                    den = den.monic()
-                if den.degree == 0:
-                    den = UNIT
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatFunc is immutable")
-
-    @staticmethod
-    def of(value: "RatLike") -> "RatFunc":
-        if isinstance(value, RatFunc):
-            return value
-        return RatFunc(as_poly(value))
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_poly(self) -> bool:
-        return self.den.degree == 0
-
-    def as_poly(self) -> Poly:
-        if not self.is_poly():
-            raise ValueError(f"{self} is not a polynomial")
-        return self.num
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, Poly)):
-            other = RatFunc.of(other)
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def __add__(self, other: "RatLike") -> "RatFunc":
-        if not isinstance(other, _RAT_OPERANDS):
-            return NotImplemented
-        other = RatFunc.of(other)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other: "RatLike") -> "RatFunc":
-        if not isinstance(other, _RAT_OPERANDS):
-            return NotImplemented
-        return self + (-RatFunc.of(other))
-
-    def __rsub__(self, other: "RatLike") -> "RatFunc":
-        if not isinstance(other, _RAT_OPERANDS):
-            return NotImplemented
-        return RatFunc.of(other) + (-self)
-
-    def __mul__(self, other: "RatLike") -> "RatFunc":
-        if not isinstance(other, _RAT_OPERANDS):
-            return NotImplemented
-        other = RatFunc.of(other)
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "RatLike") -> "RatFunc":
-        if not isinstance(other, _RAT_OPERANDS):
-            return NotImplemented
-        other = RatFunc.of(other)
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other: "RatLike") -> "RatFunc":
-        if not isinstance(other, _RAT_OPERANDS):
-            return NotImplemented
-        return RatFunc.of(other) / self
-
-    def __pow__(self, n: int) -> "RatFunc":
-        if n < 0:
-            return RatFunc(self.den ** (-n), self.num ** (-n))
-        return RatFunc(self.num ** n, self.den ** n)
-
-    def derivative(self) -> "RatFunc":
-        return RatFunc(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
-
-    def format(self, var: str = "x") -> str:
-        if self.is_poly():
-            return self.num.format(var)
-        return f"({self.num.format(var)})/({self.den.format(var)})"
-
-    def __str__(self) -> str:
-        return self.format()
-
-    def __repr__(self) -> str:
-        return f"RatFunc({self.format()})"
-
-
-RatLike = Union[RatFunc, Poly, Fraction, int]
-#: The operands ``RatFunc`` arithmetic coerces, as ``_POLY_OPERANDS``.
-_RAT_OPERANDS = (RatFunc, Poly, Fraction, int)

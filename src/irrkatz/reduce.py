@@ -373,7 +373,7 @@ def _verified(
     """
     if rank < 1 or op.rank != rank:
         return False
-    lead = op.leading().as_poly()
+    lead = op.leading()
     orders = [lead.order_at(c) for c in locations[1:]]
     if sum(orders) != lead.degree:
         return False

@@ -1,11 +1,14 @@
-"""Exact noncommutative operator algebra over Q(x).
+"""Exact differential operators in one variable over Q.
 
-Operators are sums ``a_0 + a_1*D + ... + a_n*D^n`` with rational-function
-coefficients, kept in normal form (all powers of D commuted to the right)
-under the relation ``x*D - D*x = -1``.  On top of the ring structure this
-module provides the local invariants (weights, characteristic polynomials,
-Newton polygons, theta expansions) and the global transforms (primitive
-component, additions, exponential twists, Fourier-Laplace, Euler).
+Operators are sums ``a_0 + a_1*D + ... + a_n*D^n`` kept in normal form (all
+powers of D commuted to the right) under the relation ``x*D - D*x = -1``.
+Their coefficients are polynomials, so they lie in the Weyl algebra,
+except just after a twist or the chart at infinity: those make rational
+coefficients, which the twists, :func:`theta_expand` and :func:`prim` read
+and nothing multiplies.  On top of the product this module provides the
+local invariants (weights, characteristic polynomials, Newton polygons,
+theta expansions) and the global transforms (primitive component,
+additions, exponential twists, Fourier-Laplace, Euler).
 
 Points are either finite rationals or the point at infinity (``INF``).
 Local analysis goes through :func:`theta_expand`, the only local
@@ -35,22 +38,21 @@ images.
 
 An operator ``sum_i N_i D^i / (d M)`` is held as one row of integer
 coefficients per N_i, one integer d and one monic ``Poly`` M, 1 for
-polynomial operators.  The product, :func:`parse` and these kernels work
-on the rows and normalize each result once (``_operator``);
+polynomial operators; this is its only form, and :func:`to_text` reads a
+coefficient off its row.  The product, :func:`parse` and these kernels
+work on the rows and normalize each result once (``_operator``);
 :func:`_add_product` adds a scaled product of two rows at an offset.  The
 twists and the chart at infinity keep pole orders away from their point,
-so only the power of x - c dividing every row cancels; a product with
-M != 1 runs one gcd chain.  In :func:`_shift_d` a Horner step multiplies
-the row by the numerators of ``(x-c)^e = U/b^e`` and adds ``C(m+j, j)
-N_(m+j) P_j`` scaled by ``b^(e j)``; the chart at infinity adds each Lah
-term at the offset ``i + k``.
+so only the power of x - c dividing every row cancels.  In
+:func:`_shift_d` a Horner step multiplies the row by the numerators of
+``(x-c)^e = U/b^e`` and adds ``C(m+j, j) N_(m+j) P_j`` scaled by
+``b^(e j)``; the chart at infinity adds each Lah term at the offset
+``i + k``.
 
-The product (``DiffOperator.__mul__``): with ``P = sum_i N_i D^i / M`` and
-``Q = sum_j K_j D^j / L``, the Leibniz rule ``D^i b = sum_k C(i, k) b^(k)
-D^(i-k)`` needs ``(K_j/L)^(k) = R_jk / L^(k+1)``, where ``R_j0 = K_j`` and
-``R_j(k+1) = R_jk' L - (k+1) R_jk L'``.  So the coefficient of D^m is
-``sum_(i-k+j=m) C(i, k) N_i R_jk L^(I-k)`` over ``M L^(I+1)``, I the rank of
-P; for polynomial operators ``M = L = 1``.
+The product (``DiffOperator.__mul__``) is of polynomial operators: with
+``P = sum_i N_i D^i`` and ``Q = sum_j K_j D^j``, the Leibniz rule ``D^i b =
+sum_k C(i, k) b^(k) D^(i-k)`` makes the coefficient of D^m
+``sum_(i-k+j=m) C(i, k) N_i K_j^(k)``.
 """
 
 from __future__ import annotations
@@ -61,11 +63,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import comb, factorial, gcd as int_gcd, lcm, perm
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 from .polys import (
-    UNIT, Poly, RatFunc, RatLike, falling_factorial, from_row, int_rows, linear_quotient, poly_gcd,
-    pow_by_squaring,
+    UNIT, Poly, falling_factorial, from_row, int_rows, linear_quotient, poly_gcd, pow_by_squaring,
 )
 from .scalar import ParamExpr, parse_rat
 
@@ -118,18 +119,10 @@ class DiffOperator:
     ``sum_i N_i D^i / (d M)``: ``_rows`` are the N_i, trimmed integer rows;
     ``_d`` = d > 0; ``_den`` = M is monic, :data:`UNIT` for polynomial
     operators.  gcd(content, d) = 1 and gcd(M, N_0, ..., N_n) = 1, so the
-    form is unique.  ``coeffs`` (the reduced coefficients, ``coeffs[i]``
-    that of D^i) is a view built on first read; the zero operator has none.
+    form is unique.  :func:`_operator` builds one from rows.
     """
 
-    __slots__ = ("_rows", "_d", "_den", "_coeffs")
-
-    def __init__(self, coeffs: Iterable[RatLike] = ()):
-        cs = [RatFunc.of(c) for c in coeffs]
-        den = UNIT
-        for c in cs:
-            den = den * (c.den // poly_gcd(den, c.den))
-        self._set(*int_rows([c.num * (den // c.den) for c in cs]), den)
+    __slots__ = ("_rows", "_d", "_den")
 
     def _set(self, rows, d: int, den: Poly) -> "DiffOperator":
         """Hold ``sum_i rows[i] D^i / (d den)``, for d > 0 and den monic and
@@ -158,18 +151,9 @@ class DiffOperator:
     def of(value: "OpLike") -> "DiffOperator":
         if isinstance(value, DiffOperator):
             return value
-        if isinstance(value, (int, Fraction)):
-            return _operator([(value.numerator,)], value.denominator)
-        return DiffOperator((value,))
-
-    @property
-    def coeffs(self) -> tuple[RatFunc, ...]:
-        try:
-            return self._coeffs
-        except AttributeError:
-            cs = tuple(RatFunc(from_row(list(row), self._d), self._den) for row in self._rows)
-            object.__setattr__(self, "_coeffs", cs)
-            return cs
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"not an operator, int or Fraction: {value!r}")
+        return _operator([(value.numerator,)], value.denominator)
 
     def is_zero(self) -> bool:
         return not self._rows
@@ -181,15 +165,14 @@ class DiffOperator:
             raise ValueError("rank of the zero operator")
         return len(self._rows) - 1
 
-    def coeff(self, i: int) -> RatFunc:
-        if 0 <= i < len(self._rows):
-            return self.coeffs[i]
-        return RatFunc(0)
-
-    def leading(self) -> RatFunc:
+    def leading(self) -> Poly:
+        """The coefficient of the highest power of D, of a polynomial
+        operator."""
         if not self._rows:
             raise ValueError("leading coefficient of the zero operator")
-        return RatFunc(from_row(list(self._rows[-1]), self._d), self._den)
+        if self._den is not UNIT:
+            raise ValueError("leading coefficient of an operator with a denominator")
+        return from_row(list(self._rows[-1]), self._d)
 
     def is_polynomial(self) -> bool:
         return self._den is UNIT
@@ -208,56 +191,33 @@ class DiffOperator:
     # -- ring structure ---------------------------------------------------
 
     def __mul__(self, other: "OpLike") -> "DiffOperator":
-        # the closed form of the module docstring on integer rows; with
-        # L = lrow/ld, K_j/(d' L) = ld K_j/(d' lrow), so R_j0 = ld K_j
+        # the Leibniz rule of the module docstring on integer rows: each
+        # K_j^(k) once, then added under every N_i with i >= k
         other = DiffOperator.of(other)
-        if self.is_zero() or other.is_zero():
-            return DiffOperator()
+        if self._den is not UNIT or other._den is not UNIT:
+            raise ValueError("operator product needs polynomial coefficients")
+        if not self._rows or not other._rows:
+            return _operator([])
         top = len(self._rows) - 1
-        lrow, ld = other._den._n, other._den._d
-        dl = [k * a for k, a in enumerate(lrow)][1:]  # empty when L is 1
-        lpows = [(1,)]
-        for _ in range(top if dl else 0):
-            lpows.append(_product(lpows[-1], lrow))
         rights = []
         for j, r in enumerate(other._rows):
-            r = [ld * a for a in r]
             for k in range(top + 1):
                 if k:
-                    r, prev = [i * a for i, a in enumerate(r)][1:], r
-                    if dl:
-                        r = _product(r, lrow)
-                        _add_product(r, prev, dl, -k)
-                if not any(r):
+                    r = [i * a for i, a in enumerate(r)][1:]
+                if not r:
                     break
-                rights.append((j, k, _product(r, lpows[top - k]) if dl else r))
+                rights.append((j, k, r))
         width = max(map(len, self._rows)) + max(len(r) for _, _, r in rights)
         rows = [[0] * width for _ in range(top + len(other._rows))]
         for j, k, right in rights:
             for i, a in enumerate(self._rows[k:], k):
                 _add_product(rows[i - k + j], a, right, comb(i, k))
-        d = self._d * other._d * ld ** (top + 1)
-        if self._den is UNIT and other._den is UNIT:
-            return _operator(rows, d)
-        return _cancelled(rows, d, self._den * other._den ** (top + 1))
-
-    def __rmul__(self, other: "OpLike") -> "DiffOperator":
-        # functions and scalars commute into the coefficients
-        return DiffOperator.of(other) * self
+        return _operator(rows, self._d * other._d)
 
     def __pow__(self, n: int) -> "DiffOperator":
         if n < 0:
             raise ValueError("negative operator power")
         return pow_by_squaring(self, n, DiffOperator.of(1))
-
-    def apply(self, f: RatLike) -> RatFunc:
-        """Apply the operator to a rational function."""
-        f = RatFunc.of(f)
-        acc = RatFunc(0)
-        for a in self.coeffs:
-            acc += a * f
-            f = f.derivative()
-        return acc
 
     # -- text -------------------------------------------------------------
 
@@ -268,27 +228,13 @@ class DiffOperator:
         return f"DiffOperator({to_text(self)})"
 
 
-OpLike = Union[DiffOperator, RatFunc, Poly, Fraction, int]
+OpLike = Union[DiffOperator, Fraction, int]
 
 
 def _operator(rows: list, d: int = 1, den: Poly = UNIT) -> DiffOperator:
     """The operator ``sum_i rows[i] D^i / (d den)``: the one normalization
     of each operation (``DiffOperator._set``)."""
     return object.__new__(DiffOperator)._set(rows, d, den)
-
-
-def _cancelled(rows: list, d: int, den: Poly) -> DiffOperator:
-    """:func:`_operator` after dividing den and the rows by their gcd over
-    Q[x], one gcd chain when den is not 1: for products."""
-    if den is UNIT:
-        return _operator(rows, d)
-    nums = [from_row(list(row)) for row in rows]
-    g = den
-    for q in nums:
-        if q and g.degree > 0:
-            g = poly_gcd(g, q)
-    rows, dq = int_rows([q // g for q in nums])
-    return _operator(rows, d * dq, den // g)
 
 
 def _add_rows(a, da: int, b, db: int, sign: int) -> tuple[list, int]:
@@ -327,19 +273,34 @@ def _product(a, b) -> list:
     both are."""
     return _add_product([0] * (len(a) + len(b) - 1), a, b)
 
-X = DiffOperator([Poly.x()])
-D = DiffOperator([0, 1])
+X = _operator([(0, 1)])
+D = _operator([(), (1,)])
+
+
+def _coefficient(row, d: int, den: Poly) -> tuple[str, Poly]:
+    """The coefficient ``row/(d den)`` of a nonzero row in lowest terms, by
+    one gcd: its text, ``num`` or ``(num)/(den)``, and its monic
+    denominator."""
+    num = from_row(list(row), d)
+    if den.degree > 0:
+        g = poly_gcd(num, den)
+        if g.degree > 0:
+            num, den = num // g, den // g
+    if den.degree > 0:
+        return f"({num})/({den})", den
+    return str(num), den
 
 
 def to_text(p: DiffOperator) -> str:
-    """Canonical serialization: ``(poly)*D^i`` terms, lowest i first."""
+    """Canonical serialization: ``(c)*D^i`` terms, lowest i first, each
+    coefficient c in lowest terms (:func:`_coefficient`)."""
     if p.is_zero():
         return "0"
     parts = []
-    for i, c in enumerate(p.coeffs):
-        if c.is_zero():
+    for i, row in enumerate(p._rows):
+        if not row:
             continue
-        body = c.format()
+        body = _coefficient(row, p._d, p._den)[0]
         if i == 0:
             parts.append(f"({body})")
         elif i == 1:
@@ -586,8 +547,12 @@ def theta_expand(p: DiffOperator, at: Location) -> ThetaExpansion:
     # a monic denominator of degree s is (x-c)^s iff its order at c is s
     shift = q._den.degree
     if shift and q._den.order_at(c) != shift:
-        bad = next(a for a in q.coeffs if a.den.degree and a.den.order_at(c) != a.den.degree)
-        raise ValueError(f"coefficient {bad} is not a Laurent polynomial at {c}")
+        # M is the lcm of the coefficients' reduced denominators, so one of
+        # them is not a power of x - c either
+        for row in filter(None, q._rows):
+            text, den = _coefficient(row, q._d, q._den)
+            if den.degree and den.order_at(c) != den.degree:
+                raise ValueError(f"coefficient {text} is not a Laurent polynomial at {c}")
     shifted = [(j, from_row(list(row)).shift(c)) for j, row in enumerate(q._rows) if row]
     gammas, d = int_rows([s for _, s in shifted])
     rows: dict[int, list[int]] = {}
@@ -884,7 +849,7 @@ def singular_points(p: DiffOperator) -> list[Fraction]:
     """Finite singular points of the primitive operator ``p`` (as
     :func:`prim` returns it), sorted: the roots of its leading
     coefficient."""
-    lead = p.leading().as_poly()
+    lead = p.leading()
     roots = lead.rational_roots()
     if sum(roots.values()) != lead.degree:
         raise IrrationalSingularityError(

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 from irrkatz import corpus
-from irrkatz.polys import Poly, RatFunc
+from irrkatz.polys import Poly
 from irrkatz.weylalg import DiffOperator
+from oracles import operator
 
 
 def random_poly_op(rng: random.Random, max_rank: int = 3, max_deg: int = 3) -> DiffOperator:
@@ -17,9 +18,8 @@ def random_poly_op(rng: random.Random, max_rank: int = 3, max_deg: int = 3) -> D
     while True:
         coeffs = []
         for _ in range(rng.randint(1, max_rank + 1)):
-            poly = Poly([Fraction(rng.randint(-4, 4)) for _ in range(rng.randint(1, max_deg + 1))])
-            coeffs.append(RatFunc(poly))
-        op = DiffOperator(coeffs)
+            coeffs.append(Poly([Fraction(rng.randint(-4, 4)) for _ in range(rng.randint(1, max_deg + 1))]))
+        op = operator(coeffs)
         if not op.is_zero():
             return op
 

@@ -6,16 +6,16 @@ row, ker phi by Gaussian elimination, the support tuples and the
 fundamental domain by the full product, the operator product by the
 Leibniz rule term by term, ``Poly`` and its gcd on ``Fraction`` tuples,
 the operator and its kernels on reduced ``RatFunc`` coefficients, the
-Taylor shift, the order at a root, long
-division, the theta expansion, the chart at infinity and the twists in
-``Poly`` arithmetic, one new ``Poly`` per partial sum, the primitive
-component and the division by (x - c)^k as they were, the tokenizer that
-read every numeral as a ``Fraction``), a check no
-pipeline code runs (ker phi in
-the radical of the form, from its closed-form basis), or a small
-accessor no pipeline code needs (the degree of an operator, the sum and
-negation of operators, which the tests use to build operators), so it
-lives here and not in ``src``; ``test_reach.py`` keeps it that way.
+Taylor shift, the order at a root, long division, the theta expansion,
+the chart at infinity and the twists in ``Poly`` arithmetic, one new
+``Poly`` per partial sum, the primitive component and the division by
+(x - c)^k as they were, the tokenizer that read every numeral as a
+``Fraction``), a check no pipeline code runs (ker phi in the radical of
+the form, from its closed-form basis), or a small accessor no pipeline
+code needs (the degree of an operator, the sum and negation of
+operators, and ``RatFunc`` with the operator built from and read back as
+its coefficients, which the tests use to build and inspect operators), so
+it lives here and not in ``src``; ``test_reach.py`` keeps it that way.
 """
 
 from __future__ import annotations
@@ -26,18 +26,19 @@ from fractions import Fraction
 from itertools import product
 from math import comb, gcd, lcm, perm
 from operator import mul, ne
+from typing import Union
 
 from irrkatz import corpus
 from irrkatz.formal import FormalData, SpectralData
 from irrkatz.lattice import IndexTuple, LatticeShape, LatticeVector
 from irrkatz.polys import (
-    UNIT, Poly, RatFunc, _lifted_roots, from_row, int_rows, poly_gcd, pow_by_squaring,
+    UNIT, Poly, PolyLike, _lifted_roots, as_poly, from_row, int_rows, poly_gcd, pow_by_squaring,
 )
 from irrkatz.rootsys import Node, RootBasis, RootVector, build_basis, phi
 from irrkatz.scalar import ParamExpr
 from irrkatz.weylalg import (
-    INF, DiffOperator, Location, OperatorSyntaxError, OpLike, ThetaExpansion, _add_product,
-    _add_rows, _cancelled, _lah, _operator, _product,
+    INF, DiffOperator, Location, OperatorSyntaxError, ThetaExpansion, _add_product, _lah,
+    _operator,
 )
 
 # -- rootsys ---------------------------------------------------------------------
@@ -374,6 +375,138 @@ def fraction_poly_gcd(a: FractionPoly, b: FractionPoly) -> FractionPoly:
     return a if a.is_zero() else a.monic()
 
 
+class RatFunc:
+    """The coefficient of an operator as it was before integer rows: the
+    reduced fraction num/den of polynomials, den monic and nonzero, a
+    constant denominator always ``UNIT``.  The tests build operators from
+    these (:func:`operator`) and read them back as these (:func:`coeffs`)."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: PolyLike, den: PolyLike = UNIT):
+        num = as_poly(num)
+        if den is not UNIT:
+            den = as_poly(den)
+            if den.is_zero():
+                raise ZeroDivisionError("rational function with zero denominator")
+            if num.is_zero():
+                den = UNIT
+            else:
+                if den.degree > 0:
+                    g = poly_gcd(num, den)
+                    if g.degree > 0:
+                        num = num // g
+                        den = den // g
+                lead = den.leading()
+                if lead != 1:
+                    num = num * (1 / lead)
+                    den = den.monic()
+                if den.degree == 0:
+                    den = UNIT
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RatFunc is immutable")
+
+    @staticmethod
+    def of(value: "RatLike") -> "RatFunc":
+        if isinstance(value, RatFunc):
+            return value
+        return RatFunc(as_poly(value))
+
+    def is_zero(self) -> bool:
+        return self.num.is_zero()
+
+    def is_poly(self) -> bool:
+        return self.den.degree == 0
+
+    def as_poly(self) -> Poly:
+        if not self.is_poly():
+            raise ValueError(f"{self} is not a polynomial")
+        return self.num
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (int, Fraction, Poly)):
+            other = RatFunc.of(other)
+        if not isinstance(other, RatFunc):
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
+    def __add__(self, other: "RatLike") -> "RatFunc":
+        if not isinstance(other, _RAT_OPERANDS):
+            return NotImplemented
+        other = RatFunc.of(other)
+        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "RatFunc":
+        return RatFunc(-self.num, self.den)
+
+    def __sub__(self, other: "RatLike") -> "RatFunc":
+        if not isinstance(other, _RAT_OPERANDS):
+            return NotImplemented
+        return self + (-RatFunc.of(other))
+
+    def __rsub__(self, other: "RatLike") -> "RatFunc":
+        if not isinstance(other, _RAT_OPERANDS):
+            return NotImplemented
+        return RatFunc.of(other) + (-self)
+
+    def __mul__(self, other: "RatLike") -> "RatFunc":
+        if not isinstance(other, _RAT_OPERANDS):
+            return NotImplemented
+        other = RatFunc.of(other)
+        return RatFunc(self.num * other.num, self.den * other.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other: "RatLike") -> "RatFunc":
+        if not isinstance(other, _RAT_OPERANDS):
+            return NotImplemented
+        other = RatFunc.of(other)
+        return RatFunc(self.num * other.den, self.den * other.num)
+
+    def __rtruediv__(self, other: "RatLike") -> "RatFunc":
+        if not isinstance(other, _RAT_OPERANDS):
+            return NotImplemented
+        return RatFunc.of(other) / self
+
+    def __pow__(self, n: int) -> "RatFunc":
+        if n < 0:
+            return RatFunc(self.den ** (-n), self.num ** (-n))
+        return RatFunc(self.num ** n, self.den ** n)
+
+    def derivative(self) -> "RatFunc":
+        return RatFunc(
+            self.num.derivative() * self.den - self.num * self.den.derivative(),
+            self.den * self.den,
+        )
+
+    def format(self, var: str = "x") -> str:
+        if self.is_poly():
+            return self.num.format(var)
+        return f"({self.num.format(var)})/({self.den.format(var)})"
+
+    def __str__(self) -> str:
+        return self.format()
+
+    def __repr__(self) -> str:
+        return f"RatFunc({self.format()})"
+
+
+RatLike = Union[RatFunc, Poly, Fraction, int]
+#: The operands ``RatFunc`` arithmetic coerces, as ``_POLY_OPERANDS``.
+_RAT_OPERANDS = (RatFunc, Poly, Fraction, int)
+
+
 def taylor_shift(p: Poly, c) -> Poly:
     """q(y) = p(y + c) by Horner's rule on ``Poly`` objects."""
     if c == 0:
@@ -423,11 +556,12 @@ def falling_factorial(j: int) -> Poly:
 def over_common_denominator(p) -> tuple[Poly, list[Poly]]:
     """``(M, [N_i])`` with ``a_i = N_i / M`` for every coefficient, M the
     monic lcm of the denominators."""
+    cs = coeffs(p)
     den = UNIT
-    for c in p.coeffs:
+    for c in cs:
         if c.den.degree > 0:
             den = den * (c.den // poly_gcd(den, c.den))
-    return den, [c.num if c.den == den else c.num * (den // c.den) for c in p.coeffs]
+    return den, [c.num if c.den == den else c.num * (den // c.den) for c in cs]
 
 
 def subst_infinity(p: DiffOperator) -> DiffOperator:
@@ -445,7 +579,7 @@ def subst_infinity(p: DiffOperator) -> DiffOperator:
             acc = acc + Poly([0] * (i + k) + [lah * a for a in revs[i].coeffs])
         out.append(acc)
     rev_den = den.reverse(d)
-    return type(p)([RatFunc(q, rev_den) for q in out])
+    return _like(p, [RatFunc(q, rev_den) for q in out])
 
 
 def theta_expansion(p: DiffOperator, at: Location) -> ThetaExpansion:
@@ -455,7 +589,7 @@ def theta_expansion(p: DiffOperator, at: Location) -> ThetaExpansion:
         raise ValueError("theta expansion of the zero operator")
     q, c = (subst_infinity(p), Fraction(0)) if at is INF else (p, at)
     buckets: dict[int, Poly] = {}
-    for j, coeff in enumerate(q.coeffs):
+    for j, coeff in enumerate(coeffs(q)):
         if coeff.is_zero():
             continue
         shift = order_at(coeff.den, c)
@@ -484,7 +618,7 @@ def shift_d(p: DiffOperator, g: Poly, e: int, c: Fraction) -> DiffOperator:
         for j in range(len(nums) - m):
             acc = acc * ue + comb(m + j, j) * nums[m + j] * ys[j]
         out.append(RatFunc(acc, den * ue ** (len(nums) - 1 - m)))
-    return type(p)(out)
+    return _like(p, out)
 
 
 def subst_inverse(f: RatFunc) -> RatFunc:
@@ -498,40 +632,78 @@ def subst_inverse(f: RatFunc) -> RatFunc:
 # -- weylalg ---------------------------------------------------------------------
 
 
-def leibniz_product(p: DiffOperator, q: OpLike) -> DiffOperator:
-    """The product term by term in ``RatFunc`` arithmetic: ``D^i b =
+def operator(coeffs=()) -> DiffOperator:
+    """The operator ``sum_i coeffs[i] D^i`` for ``RatFunc``, ``Poly`` or
+    scalar coefficients: the rows of the numerators over the lcm of the
+    denominators."""
+    cs = [RatFunc.of(c) for c in coeffs]
+    den = UNIT
+    for c in cs:
+        den = den * (c.den // poly_gcd(den, c.den))
+    return _operator(*int_rows([c.num * (den // c.den) for c in cs]), den)
+
+
+def operator_of(value) -> DiffOperator:
+    """``value`` itself when it is an operator, else the rank-0 operator
+    of a ``RatFunc``, ``Poly`` or scalar."""
+    return value if isinstance(value, DiffOperator) else operator([value])
+
+
+def coeffs(p) -> tuple[RatFunc, ...]:
+    """The reduced coefficients of an operator, that of D^i at i; those of a
+    ``RatFuncOperator`` as it holds them."""
+    if isinstance(p, RatFuncOperator):
+        return p.coeffs
+    return tuple(RatFunc(from_row(list(row), p._d), p._den) for row in p._rows)
+
+
+def _like(p, cs) -> DiffOperator:
+    """The operator of the coefficients ``cs``, of the class of ``p``."""
+    return RatFuncOperator(cs) if isinstance(p, RatFuncOperator) else operator(cs)
+
+
+def apply(p: DiffOperator, f) -> RatFunc:
+    """The operator applied to a rational function."""
+    f = RatFunc.of(f)
+    acc = RatFunc(0)
+    for a in coeffs(p):
+        acc += a * f
+        f = f.derivative()
+    return acc
+
+
+
+def leibniz_product(p, q) -> DiffOperator:
+    """The product of two operators, or of a function or scalar and an
+    operator, term by term in ``RatFunc`` arithmetic: ``D^i b =
     sum_k C(i, k) b^(k) D^(i-k)``, each derivative of each coefficient of
-    q taken once."""
-    q = DiffOperator.of(q)
-    if p.is_zero() or q.is_zero():
-        return DiffOperator()
-    out = [RatFunc(0)] * (len(p.coeffs) + len(q.coeffs) - 1)
-    for j, b in enumerate(q.coeffs):
+    q taken once; on rational coefficients too, which ``DiffOperator``
+    refuses to multiply."""
+    pc, qc = coeffs(operator_of(p)), coeffs(operator_of(q))
+    if not pc or not qc:
+        return operator()
+    out = [RatFunc(0)] * (len(pc) + len(qc) - 1)
+    for j, b in enumerate(qc):
         if b.is_zero():
             continue
         derivs = [b]
-        for _ in range(len(p.coeffs) - 1):
+        for _ in range(len(pc) - 1):
             derivs.append(derivs[-1].derivative())
-        for i, a in enumerate(p.coeffs):
+        for i, a in enumerate(pc):
             if a.is_zero():
                 continue
             for k in range(i + 1):
                 if not derivs[k].is_zero():
                     out[i - k + j] += a * comb(i, k) * derivs[k]
-    return DiffOperator(out)
+    return operator(out)
 
 
-def op_sum(p: OpLike, q: OpLike, sign: int = 1) -> DiffOperator:
-    """``p + sign*q``, over the denominator they share or their product:
-    ``DiffOperator.__add__`` and ``__sub__`` as they were.  No pipeline step
+def op_sum(p, q, sign: int = 1) -> DiffOperator:
+    """``p + sign*q`` for operators, ``RatFunc``s, ``Poly``s or scalars,
+    coefficient by coefficient on ``RatFuncOperator``.  No pipeline step
     adds operators; parse adds integer rows itself."""
-    p, q = DiffOperator.of(p), DiffOperator.of(q)
-    (a, da), (b, db), den = (p._rows, p._d), (q._rows, q._d), p._den
-    if q._den is not den and q._den != den:
-        den = p._den * q._den
-        a, da = [_product(row, q._den._n) for row in a], da * q._den._d
-        b, db = [_product(row, p._den._n) for row in b], db * p._den._d
-    return _cancelled(*_add_rows(a, da, b, db, sign), den)
+    a, b = (RatFuncOperator(coeffs(operator_of(v))) for v in (p, q))
+    return operator((a + b if sign == 1 else a - b).coeffs)
 
 
 def op_neg(p: DiffOperator) -> DiffOperator:
@@ -608,7 +780,7 @@ def deg_of(p: DiffOperator) -> int:
         raise ValueError("degree is defined for polynomial operators")
     if p.is_zero():
         raise ValueError("degree of the zero operator")
-    return max(c.as_poly().degree for c in p.coeffs if not c.is_zero())
+    return max(c.as_poly().degree for c in coeffs(p) if not c.is_zero())
 
 
 # -- corpus ----------------------------------------------------------------------
@@ -725,6 +897,16 @@ class RatFuncOperator:
 
     def __pow__(self, n: int) -> "RatFuncOperator":
         return pow_by_squaring(self, n, RatFuncOperator.of(1))
+
+
+def rat_text(p: RatFuncOperator) -> str:
+    """``weylalg.to_text`` as it was: each reduced coefficient printed by
+    ``RatFunc.format``."""
+    parts = []
+    for i, c in enumerate(p.coeffs):
+        if not c.is_zero():
+            parts.append(f"({c.format()})" + ("" if i == 0 else "*D" if i == 1 else f"*D^{i}"))
+    return " + ".join(parts) or "0"
 
 
 def rat_prim(p: RatFuncOperator) -> RatFuncOperator:

@@ -25,7 +25,7 @@ from irrkatz.formal import (
 from irrkatz.polys import Poly
 from irrkatz.scalar import ParamExpr
 from irrkatz.weylalg import INF, ThetaExpansion, ad_power, parse, prim
-from oracles import instance_formal_data
+from oracles import RatFunc, instance_formal_data, leibniz_product, operator
 
 ZERO = Fraction(0)
 
@@ -191,10 +191,7 @@ def test_extract_ramified_rejected():
 def test_extract_stable_under_prim_and_shifts():
     p = corpus.instantiate("Gauss")
     data = extract_formal_data(p)
-    from irrkatz.polys import RatFunc
-    from irrkatz.weylalg import DiffOperator
-
-    scaled = DiffOperator.of(RatFunc(Poly([3, 1]), Poly([0, 1]))) * p
+    scaled = leibniz_product(operator([RatFunc(Poly([3, 1]), Poly([0, 1]))]), p)
     assert extract_formal_data(scaled) == data
     # integer shift at 0 keeps the residue classes, moving chain structure
     shifted = extract_formal_data(prim(ad_power(p, ZERO, Fraction(1, 9))))
@@ -237,17 +234,15 @@ def test_extraction_fuzz_total_and_fuchs():
     import random
 
     from irrkatz.formal import ExtractionError
-    from irrkatz.polys import RatFunc
-    from irrkatz.weylalg import DiffOperator, IrrationalSingularityError
+    from irrkatz.weylalg import IrrationalSingularityError
 
     rng = random.Random(99)
     succeeded = 0
     for _ in range(200):
-        coeffs = [
-            RatFunc(Poly([Fraction(rng.randint(-3, 3)) for _ in range(rng.randint(1, 4))]))
+        op = operator(
+            Poly([Fraction(rng.randint(-3, 3)) for _ in range(rng.randint(1, 4))])
             for _ in range(rng.randint(2, 4))
-        ]
-        op = DiffOperator(coeffs)
+        )
         if op.is_zero() or op.rank < 1:
             continue
         try:

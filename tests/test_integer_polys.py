@@ -7,20 +7,24 @@ monomial polynomials, negative leading coefficients, and points and
 divisors whose denominators are not 1.  The kernels and ``prim`` are
 checked by structure: under ``sys.setprofile`` a reduction of nF(4) makes
 no call into ``fractions`` from their frames, so a return to ``Fraction``
-rows fails here and not only in the benchmark.  In the same way, parse on
-the ``analyze_mix`` texts and that reduction build no ``RatFunc`` under
-parse, the operator ring or the kernels.
+rows fails here and not only in the benchmark.  Parse on the ``analyze_mix``
+texts and that reduction run parse, its row helpers, the operator product
+and power and the kernels; no module of the package defines a
+``RatFunc``, so none of them can build one.
 """
 
 import fractions
+import importlib
+import pkgutil
 import random
 import sys
 from fractions import Fraction
 from math import gcd
 
+import irrkatz
 from irrkatz import weylalg
 from conftest import bench_texts
-from irrkatz.polys import Poly, RatFunc, poly_gcd
+from irrkatz.polys import Poly, poly_gcd
 from irrkatz.reduce import reduce_operator
 from oracles import FractionPoly, fraction_poly_gcd
 
@@ -157,33 +161,23 @@ def test_row_kernels_call_no_fraction_arithmetic():
 
 
 #: parse and its row helpers, the ring methods of ``DiffOperator`` and the
-#: kernels: they read and write integer rows, so no call under them builds
-#: a ``RatFunc``.
+#: kernels: they read and write integer rows.
 ROW_CODE = (
-    weylalg.parse, weylalg._add_rows, weylalg._times, weylalg._power, weylalg.ad_power,
-    weylalg.ad_exp_raw, weylalg.laplace, weylalg.laplace_inv, weylalg.euler,
-    weylalg.local_chart, *KERNELS,
-    *(getattr(weylalg.DiffOperator, name) for name in (
-        "__init__", "__mul__", "__rmul__", "__pow__")),
-    weylalg.DiffOperator.of,
+    weylalg.parse, weylalg._add_rows, weylalg._times, weylalg._power,
+    weylalg.DiffOperator.__mul__, weylalg.DiffOperator.__pow__, weylalg.DiffOperator.of,
+    *KERNELS,
 )
 
 
 def test_operator_rows_build_no_ratfunc():
-    guarded = {f.__code__ for f in ROW_CODE}
-    init = RatFunc.__init__.__code__
-    ran, calls = set(), []
+    modules = [importlib.import_module(info.name)
+               for info in pkgutil.iter_modules(irrkatz.__path__, "irrkatz.")]
+    assert not [m.__name__ for m in modules if hasattr(m, "RatFunc")]
+    ran = set()
 
     def profile(frame, event, arg):
-        if event != "call":
-            return
-        ran.add(frame.f_code)
-        if frame.f_code is init:
-            caller = frame.f_back
-            while caller is not None and caller.f_code not in guarded:
-                caller = caller.f_back
-            if caller is not None:
-                calls.append(caller.f_code.co_name)
+        if event == "call":
+            ran.add(frame.f_code)
 
     texts = bench_texts("analyze_mix")
     sys.setprofile(profile)
@@ -194,6 +188,4 @@ def test_operator_rows_build_no_ratfunc():
     finally:
         sys.setprofile(None)
     assert result.final.rank == 1
-    names = {"parse", "_add_rows", "_times", "_power", "__mul__", "__pow__", "of"}
-    assert {f.__code__ for f in KERNELS} | {c for c in guarded if c.co_name in names} <= ran
-    assert calls == []
+    assert {f.__code__ for f in ROW_CODE} <= ran

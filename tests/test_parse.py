@@ -21,7 +21,7 @@ from irrkatz.weylalg import (
     X,
     parse,
 )
-from oracles import RatFuncOperator, op_neg, tokenize
+from oracles import RatFuncOperator, op_neg, operator, tokenize
 
 
 # -- the oracle: the recursive-descent parser as it was ------------------------
@@ -56,7 +56,7 @@ class _Parser:
         kind, _, pos = self.peek()
         if kind != "end":
             raise OperatorSyntaxError("trailing input", pos)
-        return DiffOperator(expr.coeffs)
+        return operator(expr.coeffs)
 
     def expr(self) -> RatFuncOperator:
         acc = self.term()

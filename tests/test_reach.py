@@ -7,7 +7,8 @@ A function only the tests call belongs in ``tests/oracles.py``, not in
 ``src``.  The walk below runs in-process under ``sys.setprofile`` and
 records the code object of every Python call; a function whose code
 object never ran, and that is not in ``ALLOWED`` with its reason, fails
-the test.
+the test; so does an ``ALLOWED`` entry that the walk reaches, since its
+reason no longer holds.
 """
 
 
@@ -38,51 +39,40 @@ ALLOWED = {
         "the shift sequence of a Coxeter element, read by the criterion-6 test",
     **{
         f"irrkatz.corpus.{name}": "the closed-form formal data of one corpus entry, "
-        "which the tests check extraction against; demo 04 reads only two of them"
-        for name in ("_heun_symbolic", "_cheun_symbolic", "_bheun_symbolic",
-                     "_theun_symbolic", "_dheun_symbolic", "_gauss_symbolic")
+        "which the tests check extraction against"
+        for name in ("_heun_symbolic", "_theun_symbolic", "_dheun_symbolic", "_gauss_symbolic")
     },
     # methods, by reason
     **dict.fromkeys(
         [f"irrkatz.{cls}.__setattr__" for cls in (
             "formal.ExponentialFactor", "formal.FormalData", "formal.SpectralData",
-            "lattice.SlotTable", "polys.Poly", "polys.RatFunc", "rootsys.RootVector",
-            "scalar.ParamExpr", "weylalg.DiffOperator")],
+            "lattice.SlotTable", "polys.Poly", "rootsys.RootVector", "scalar.ParamExpr",
+            "weylalg.DiffOperator")],
         "the guard of an immutable value: only an assignment, a caller's bug, reaches it"),
     **dict.fromkeys(
         [f"irrkatz.{cls}.__hash__" for cls in (
             "formal.FormalData", "formal.SpectralData", "lattice.SlotTable", "polys.Poly",
-            "polys.RatFunc", "rootsys.RootVector", "scalar.ParamExpr", "weylalg.DiffOperator")]
+            "rootsys.RootVector", "scalar.ParamExpr", "weylalg.DiffOperator")]
         + [f"irrkatz.{cls}.__repr__" for cls in (
             "formal.ExponentialFactor", "formal.SpectralData", "lattice.SlotTable", "polys.Poly",
-            "polys.RatFunc", "rootsys.RootVector", "scalar.ParamExpr", "weylalg.DiffOperator",
+            "rootsys.RootVector", "scalar.ParamExpr", "weylalg.DiffOperator",
             "weylalg._Infinity")]
-        + ["irrkatz.lattice.LatticeVector.__str__", "irrkatz.polys.RatFunc.__str__"],
-        "the value protocol: a value with __eq__ hashes, and every value shows in a "
-        "debugger; nothing the walk runs hashes or prints these"),
+        + ["irrkatz.lattice.LatticeVector.__str__", "irrkatz.weylalg.DiffOperator.__eq__",
+           "irrkatz.weylalg.DiffOperator.__bool__"],
+        "the value protocol: a value compares, is false when zero and hashes, and every "
+        "value shows in a debugger; nothing the walk runs compares, tests, hashes or "
+        "prints these"),
     **dict.fromkeys(
         ["irrkatz.cli.CliError.__init__", "irrkatz.weylalg.OperatorSyntaxError.__init__"],
         "raised on malformed input (a bad --param, bad operator text), which the walk "
         "does not give; test_cli and test_parse do"),
     "irrkatz.weylalg._Infinity.__new__": "runs once, when weylalg is imported, before the walk",
-    "irrkatz.weylalg.DiffOperator.__init__":
-        "the constructor from coefficients: builds X and D when weylalg is imported, before "
-        "the walk; parse and the kernels build operators from integer rows",
-    **dict.fromkeys(
-        [f"irrkatz.polys.{name}" for name in (
-            "Poly.__rsub__", "Poly.monomial", "RatFunc.__add__", "RatFunc.__radd__",
-            "RatFunc.__neg__", "RatFunc.of", "RatFunc.__bool__", "RatFunc.__eq__",
-            "RatFunc.__mul__", "RatFunc.__rmul__", "RatFunc.__pow__", "RatFunc.__sub__",
-            "RatFunc.__rsub__", "RatFunc.__truediv__", "RatFunc.__rtruediv__",
-            "RatFunc.derivative")]
-        + [f"irrkatz.weylalg.DiffOperator.{name}" for name in (
-            "__bool__", "__eq__", "__rmul__", "apply", "coeff")],
-        "the operator and rational-function algebra, public API for constructing "
-        "operators from formal data and for reducibility certificates (ROADMAP items 5-7)"),
-    "irrkatz.weylalg._cancelled":
-        "the product of operators with a denominator: the twists make such operators, so "
-        "DiffOperator.__mul__ must be right on them, but no pipeline step multiplies one "
-        "(parse forms only polynomial operators); test_operator_rows checks it",
+    "irrkatz.polys.Poly.__rsub__":
+        "the arithmetic protocol: Poly has __radd__, so a scalar minus a Poly is one too; "
+        "nothing the walk runs subtracts a Poly from a scalar",
+    "irrkatz.polys.Poly.monomial":
+        "ad_exp_raw builds a twist at infinity with it, which reduce_operator makes when an "
+        "Euler step's tuple picks a nonzero exponential factor there; no walked reduction does",
     **dict.fromkeys(
         [f"irrkatz.lattice.LatticeVector.{name}" for name in (
             "__neg__", "is_zero", "scale", "zero")]
@@ -187,3 +177,5 @@ def test_every_src_function_is_reached(tmp_path):
     )
     assert not unreached, "no CLI command, demo or bench pass reaches " + ", ".join(unreached)
     assert set(ALLOWED) <= set(functions), "an allowlisted function is gone"
+    stale = sorted(name for name in ALLOWED if functions[name] in reached)
+    assert not stale, "the walk reaches these allowlisted functions: " + ", ".join(stale)

@@ -8,7 +8,7 @@ import pytest
 from conftest import random_poly_op
 from irrkatz import corpus
 from irrkatz.formal import _edge_polynomial
-from irrkatz.polys import Poly, RatFunc, falling_factorial
+from irrkatz.polys import Poly, falling_factorial
 from irrkatz.weylalg import (
     D,
     INF,
@@ -32,7 +32,10 @@ from irrkatz.weylalg import (
     theta_expand,
     to_text,
 )
-from oracles import deg_of, leibniz_product, op_neg, op_sum, subst_inverse
+from oracles import (
+    RatFunc, apply, coeffs, deg_of, leibniz_product, op_neg, op_sum, operator, operator_of,
+    subst_inverse,
+)
 
 ZERO = Fraction(0)
 
@@ -42,15 +45,13 @@ ZERO = Fraction(0)
 
 def test_parse_examples():
     p = parse("x*D - 5")
-    assert p.coeffs == (RatFunc(-5), RatFunc(Poly.x()))
+    assert coeffs(p) == (RatFunc(-5), RatFunc(Poly.x()))
     q = parse("D*x")
     assert q == op_sum(X * D, 1)   # commutation moved D to the right
-    assert q.coeffs == (RatFunc(1), RatFunc(Poly.x()))
+    assert coeffs(q) == (RatFunc(1), RatFunc(Poly.x()))
     tri = parse("D^2 + (-x^2-7)*D + (-2*x+3)")
     assert tri.rank == 2
-    assert tri.coeff(0) == RatFunc(Poly([3, -2]))
-    assert tri.coeff(1) == RatFunc(Poly([-7, 0, -1]))
-    assert tri.coeff(2) == RatFunc(1)
+    assert coeffs(tri) == (RatFunc(Poly([3, -2])), RatFunc(Poly([-7, 0, -1])), RatFunc(1))
 
 
 def test_parse_errors_carry_position():
@@ -123,9 +124,21 @@ def test_product_associative_and_commutation():
     assert op_sum(X * D, D * X, -1) == DiffOperator.of(-1)
 
 
+def _check_product(p, q) -> bool:
+    """``p * q`` equals the Leibniz oracle when both are polynomial, and is
+    refused otherwise; True when it was refused."""
+    if p.is_polynomial() and q.is_polynomial():
+        assert p * q == leibniz_product(p, q)
+        return False
+    with pytest.raises(ValueError, match="product needs polynomial coefficients"):
+        p * q
+    return True
+
+
 def test_product_matches_the_leibniz_oracle():
     rng = random.Random(20)
     points = (ZERO, Fraction(1), Fraction(-2))
+    refused = 0
     for n in range(300):
         case = n % 6
         size = 2 if case in (1, 2, 3) else 3
@@ -138,22 +151,26 @@ def test_product_matches_the_leibniz_oracle():
         elif case == 3:   # poles on one side
             p, q = (_with_poles(rng, p, ZERO), q) if n % 4 == 1 else (p, _with_poles(rng, q, ZERO))
         elif case == 4:   # the zero operator on either side
-            p, q = (DiffOperator(), q) if n % 12 == 4 else (p, DiffOperator())
-        assert p * q == leibniz_product(p, q)
+            p, q = (operator(), q) if n % 12 == 4 else (p, operator())
+        refused += _check_product(p, q)
         # rank-0 scalars and functions on either side, and powers
         f = RatFunc(Poly([rng.randint(-3, 3), 1]), Poly([-points[n % 3], 1]) ** rng.randint(0, 2))
         s = (random_fraction_nonzero(rng), rng.randint(-3, 3), f.num, f)[n % 4]
-        assert p * s == leibniz_product(p, s)
-        assert DiffOperator.of(s) * p == leibniz_product(DiffOperator.of(s), p)
-        if n % 4 < 2:
-            assert s * p == DiffOperator.of(s) * p
+        if n % 4 < 2 and p.is_polynomial():
+            assert p * s == leibniz_product(p, s)   # a scalar on the right
+        refused += _check_product(p, operator_of(s)) + _check_product(operator_of(s), p)
         if n % 4 == 0:
             u = Poly([-points[n % 3], 1]) ** (n % 8 // 4)
-            r = DiffOperator([a / RatFunc(u) for a in random_poly_op(rng, 2, 2).coeffs])
+            r = operator([a / RatFunc(u) for a in coeffs(random_poly_op(rng, 2, 2))])
             repeated = DiffOperator.of(1)
             for k in range(4):
-                assert r ** k == repeated
+                if r.is_polynomial() or k < 2:
+                    assert r ** k == repeated
+                else:
+                    with pytest.raises(ValueError, match="product needs polynomial coefficients"):
+                        r ** k
                 repeated = leibniz_product(r, repeated)
+    assert refused > 100
 
 
 def _bench_workloads():
@@ -182,16 +199,22 @@ def test_parse_matches_the_leibniz_oracle_on_bench_and_corpus_texts(monkeypatch)
 
 
 def test_apply():
-    assert parse("x*D - 5").apply(RatFunc(Poly.x(5))).is_zero()
-    assert parse("D^2").apply(RatFunc(Poly([0, 0, 1]))) == RatFunc(2)
+    assert apply(parse("x*D - 5"), RatFunc(Poly.x(5))).is_zero()
+    assert apply(parse("D^2"), RatFunc(Poly([0, 0, 1]))) == RatFunc(2)
 
 
 def test_functions_and_scalars_on_the_left_of_an_operator():
+    # an operator multiplies only operators, ints and Fractions on its
+    # right; a function or scalar on its left is refused
     x = Poly([0, 1])
     f, g = Poly([1, 1]), RatFunc(1, x)
-    for h in (f, g, 3, Fraction(-2, 5)):
-        for p in (D, parse("x*D^2 - 3"), DiffOperator()):
-            assert h * p == DiffOperator.of(h) * p
+    for p in (D, parse("x*D^2 - 3"), operator()):
+        for h in (f, g, 3, Fraction(-2, 5)):
+            with pytest.raises(TypeError):
+                h * p
+        for h in (f, g):
+            with pytest.raises(TypeError):
+                p * h
     with pytest.raises(TypeError):
         g / D
     # scalars on either side of a function, as before
@@ -208,7 +231,9 @@ def test_functions_and_scalars_on_the_left_of_an_operator():
 
 def _padded_sum(p, q):
     """The sum position by position, the shorter operand padded with zeros."""
-    return DiffOperator([p.coeff(i) + q.coeff(i) for i in range(max(len(p.coeffs), len(q.coeffs)))])
+    a, b = coeffs(p), coeffs(q)
+    zero = (RatFunc(0),) * abs(len(a) - len(b))
+    return operator([x + y for x, y in zip(a + zero, b + zero)])
 
 
 def test_sums_of_unequal_length_match_the_padded_sum():
@@ -217,16 +242,15 @@ def test_sums_of_unequal_length_match_the_padded_sum():
     for _ in range(100):
         p, q = random_poly_op(rng, 5), random_poly_op(rng, 2)
         if rng.random() < 0.5:
-            q = DiffOperator([a * pole for a in q.coeffs])
+            q = operator([a * pole for a in coeffs(q)])
         # cancel's top coefficients cancel against p's, down to q
         cancel = _padded_sum(q, op_neg(p))
-        for x, y in ((p, q), (q, p), (p, cancel), (cancel, p), (p, op_neg(p)), (p, DiffOperator())):
-            assert op_sum(x, y).coeffs == _padded_sum(x, y).coeffs
-            assert op_sum(x, y, -1).coeffs == _padded_sum(x, op_neg(y)).coeffs
+        for x, y in ((p, q), (q, p), (p, cancel), (cancel, p), (p, op_neg(p)), (p, operator())):
+            assert op_sum(x, y) == _padded_sum(x, y)
+            assert op_sum(x, y, -1) == _padded_sum(x, op_neg(y))
         assert op_sum(p, cancel) == q
         for c in (0, 3, Fraction(-2, 7), Poly([1, 1]), pole):
-            assert op_sum(p, c).coeffs == op_sum(c, p).coeffs == _padded_sum(
-                p, DiffOperator.of(c)).coeffs
+            assert op_sum(p, c) == op_sum(c, p) == _padded_sum(p, operator_of(c))
 
 
 # -- weights and homogeneous parts ---------------------------------------------
@@ -239,7 +263,7 @@ def test_weight_examples():
     # oracle: enumerate monomials x^a D^b and take min of b - a
     expected = min(
         i - mono
-        for i, coeff in enumerate(tri.coeffs)
+        for i, coeff in enumerate(coeffs(tri))
         if not coeff.is_zero()
         for mono, cv in enumerate(coeff.as_poly().coeffs)
         if cv != 0
@@ -260,7 +284,7 @@ def test_homogeneous_parts_sum_to_operator():
         p = random_poly_op(rng)
         # x^a D^b has weight a - b at 0 and b - a at infinity
         for at, lo, hi in ((ZERO, -p.rank - 1, deg_of(p)), (INF, -deg_of(p), p.rank)):
-            total = DiffOperator()
+            total = operator()
             exp = theta_expand(p, at)
             for k in range(lo, hi + 1):
                 part = _homogeneous_part(exp, k)
@@ -326,7 +350,7 @@ def _weight_table(p, at):
     """{j: weight of the lowest monomial of a_j}, read off the coefficients
     directly: j - deg a_j at infinity, (lowest power of x - c) - j at c."""
     table = {}
-    for j, a in enumerate(p.coeffs):
+    for j, a in enumerate(coeffs(p)):
         if a.is_zero():
             continue
         if at is INF:
@@ -371,7 +395,7 @@ def test_newton_polygon_hull_at_finite_points():
         p = random_poly_op(rng, 4, 4)
         for c in (ZERO, Fraction(1), Fraction(-2)):
             # random valuations at c, so that the hull has several edges
-            q = DiffOperator([a * RatFunc(Poly([-c, 1]) ** rng.randint(0, 6)) for a in p.coeffs])
+            q = operator([a * RatFunc(Poly([-c, 1]) ** rng.randint(0, 6)) for a in coeffs(p)])
             _check_polygon(q, c)
 
 
@@ -434,7 +458,7 @@ def _laurent_weights(p: DiffOperator, c: Fraction) -> dict[int, int]:
     """{j: ord_c(a_j) - j} over the nonzero coefficients."""
     return {
         j: a.num.order_at(c) - a.den.order_at(c) - j
-        for j, a in enumerate(p.coeffs)
+        for j, a in enumerate(coeffs(p))
         if not a.is_zero()
     }
 
@@ -443,7 +467,7 @@ def _laurent_char_poly(p: DiffOperator, at) -> Poly:
     q, c = local_chart(p, at)
     wt = min(_laurent_weights(q, c).values())
     out = Poly()
-    for j, a in enumerate(q.coeffs):
+    for j, a in enumerate(coeffs(q)):
         gamma = _laurent_coeff(a, c, wt + j)
         if gamma != 0:
             out = out + gamma * falling_factorial(j)
@@ -454,7 +478,7 @@ def _laurent_homogeneous_part(p: DiffOperator, at, k: int) -> DiffOperator:
     q, c = local_chart(p, at)
     base = Poly([-c, 1])
     out = []
-    for i, a in enumerate(q.coeffs):
+    for i, a in enumerate(coeffs(q)):
         # monomial (x-c)^(k+i) D^i
         gamma = _laurent_coeff(a, c, k + i)
         if gamma == 0:
@@ -463,7 +487,7 @@ def _laurent_homogeneous_part(p: DiffOperator, at, k: int) -> DiffOperator:
             out.append(RatFunc(Poly.const(gamma) * base ** (k + i)))
         else:
             out.append(RatFunc(Poly.const(gamma), base ** (-k - i)))
-    part = DiffOperator(out)
+    part = operator(out)
     return subst_infty(part) if at is INF else part
 
 
@@ -493,15 +517,15 @@ def _laurent_newton_polygon(p: DiffOperator, at) -> tuple:
 
 def _laurent_edge_polynomial(q: DiffOperator, c: Fraction, np, slope: Fraction) -> Poly:
     (ia, ya), (ib, _) = np.slope_edge(slope)
-    coeffs = []
+    out = []
     for i in range(ia, ib + 1):
         y = ya + slope * (i - ia)
-        a_i = q.coeff(i)
+        a_i = coeffs(q)[i]
         if a_i.is_zero() or y.denominator != 1:
-            coeffs.append(Fraction(0))
+            out.append(Fraction(0))
         else:
-            coeffs.append(_laurent_coeff(a_i, c, int(y) + i))
-    return Poly(coeffs)
+            out.append(_laurent_coeff(a_i, c, int(y) + i))
+    return Poly(out)
 
 
 def test_laurent_oracle_examples():
@@ -513,11 +537,11 @@ def test_laurent_oracle_examples():
     assert _laurent_coeff(g, Fraction(0), -2) == 1
     assert _laurent_coeff(g, Fraction(0), -1) == 1
     assert _laurent_coeff(g, Fraction(0), 0) == 0
-    assert _laurent_weights(DiffOperator([g]), Fraction(0)) == {0: -2}
+    assert _laurent_weights(operator([g]), Fraction(0)) == {0: -2}
     # at a shifted point
     h = RatFunc(Poly([1]), Poly([-1, 1]) ** 2)
     assert _laurent_coeff(h, Fraction(1), -2) == 1
-    assert _laurent_weights(DiffOperator([h]), Fraction(1)) == {0: -2}
+    assert _laurent_weights(operator([h]), Fraction(1)) == {0: -2}
 
 
 def _oracle_cases(rng: random.Random):
@@ -532,7 +556,7 @@ def _oracle_cases(rng: random.Random):
             w = {k: random_fraction_nonzero(rng) for k in range(1, rng.randint(1, 3) + 1)}
             yield ad_exp_raw(q, c, w), c
             base = RatFunc(Poly([-c, 1]))
-            yield DiffOperator([a * base ** rng.randint(-3, 4) for a in q.coeffs]), c
+            yield operator([a * base ** rng.randint(-3, 4) for a in coeffs(q)]), c
 
 
 def test_readers_match_the_laurent_oracle():
@@ -559,13 +583,13 @@ def _horner_reconstruct(expansion):
     q_i(theta_c) by Horner's rule in operator products."""
     c = ZERO if expansion.point is INF else expansion.point
     base = RatFunc(Poly([-c, 1]))
-    theta = DiffOperator([RatFunc(0), base])
-    acc = DiffOperator()
+    theta = operator([RatFunc(0), base])
+    acc = operator()
     for i, q in expansion.terms:
-        power = DiffOperator()
+        power = operator()
         for coeff in reversed(q.coeffs):
             power = op_sum(power * theta, coeff)
-        acc = op_sum(acc, DiffOperator.of(base ** i) * power)
+        acc = op_sum(acc, leibniz_product(base ** i, power))
     return subst_infty(acc) if expansion.point is INF else acc
 
 
@@ -578,7 +602,7 @@ def _homogeneous_part(expansion, k):
 
 def test_readers_refuse_a_pole_away_from_the_point():
     # 1/(x - 1) has no Laurent polynomial at 0, nor does its chart at infinity
-    p = DiffOperator([RatFunc(1, Poly([-1, 1])), RatFunc(Poly.x(2))])
+    p = operator([RatFunc(1, Poly([-1, 1])), RatFunc(Poly.x(2))])
     readers = (
         lambda exp: exp.min_index,
         char_poly,
@@ -600,7 +624,7 @@ def test_readers_refuse_a_pole_away_from_the_point():
 def test_prim_examples():
     assert prim(parse("2*x*D - 2")) == parse("x*D - 1")
     assert prim(parse("x^2*D - x")) == parse("x*D - 1")
-    scaled = DiffOperator.of(RatFunc(1, Poly.x())) * parse("x*D - 5")
+    scaled = leibniz_product(RatFunc(1, Poly.x()), parse("x*D - 5"))
     assert prim(scaled) == parse("x*D - 5")
 
 
@@ -610,9 +634,9 @@ def test_prim_idempotent_and_unique():
         p = random_poly_op(rng)
         q = prim(p)
         assert prim(q) == q
-        assert q.leading().as_poly().leading() == 1
+        assert q.leading().leading() == 1
         f = RatFunc(Poly([1, 3]), Poly([2, 0, 1]))
-        assert prim(DiffOperator.of(f) * p) == q
+        assert prim(leibniz_product(f, p)) == q
 
 
 # -- additions and exponential twists ------------------------------------------------
@@ -669,7 +693,7 @@ def test_laplace_examples():
     assert laplace(parse("D + x")) == parse("x - D")
     assert laplace(parse("x*D")) == parse("-x*D - 1")
     with pytest.raises(ValueError):
-        laplace(DiffOperator.of(RatFunc(1, Poly.x())))
+        laplace(operator([RatFunc(1, Poly.x())]))
 
 
 def test_laplace_inverse_round_trip():
@@ -732,7 +756,7 @@ def test_divisibility_pattern_both_directions():
 
     def build(p0, p1, p2):
         def poly_at(q):
-            acc = DiffOperator()
+            acc = operator()
             for c in reversed(q.coeffs):
                 acc = op_sum(acc * theta, c)
             return acc
@@ -740,11 +764,11 @@ def test_divisibility_pattern_both_directions():
         return op_sum(op_sum(poly_at(p0), X * poly_at(p1)), X * X * poly_at(p2))
 
     good = build(falling_factorial(2), Poly([0, 1]), Poly([5]))
-    assert all((c / RatFunc(Poly.x(2))).is_poly() for c in good.coeffs)
+    assert all((c / RatFunc(Poly.x(2))).is_poly() for c in coeffs(good))
     bad1 = build(Poly([0, 1]) * Poly([-2, 1]), Poly([0, 1]), Poly([5]))
-    assert not all((c / RatFunc(Poly.x(2))).is_poly() for c in bad1.coeffs)
+    assert not all((c / RatFunc(Poly.x(2))).is_poly() for c in coeffs(bad1))
     bad2 = build(falling_factorial(2), Poly([1, 1]), Poly([5]))
-    assert not all((c / RatFunc(Poly.x(2))).is_poly() for c in bad2.coeffs)
+    assert not all((c / RatFunc(Poly.x(2))).is_poly() for c in coeffs(bad2))
 
 
 # -- singular points ---------------------------------------------------------------------
@@ -772,13 +796,13 @@ def test_subst_infty_involution():
 def _substitute(p: DiffOperator, coeff_image, d_image: DiffOperator) -> DiffOperator:
     """The image of ``p`` under the algebra map c -> coeff_image(c), D ->
     d_image, by multiplying out the powers of d_image (the oracle)."""
-    acc = DiffOperator()
+    acc = operator()
     power = DiffOperator.of(1)
-    for i, c in enumerate(p.coeffs):
+    for i, c in enumerate(coeffs(p)):
         if i:
-            power = power * d_image
+            power = leibniz_product(power, d_image)
         if not c.is_zero():
-            acc = op_sum(acc, coeff_image(c) * power)
+            acc = op_sum(acc, leibniz_product(coeff_image(c), power))
     return acc
 
 
@@ -786,7 +810,7 @@ def _polynomial_image(x_image: DiffOperator):
     def image(c: RatFunc) -> DiffOperator:
         if not c.is_poly():
             raise ValueError("Fourier-Laplace transform needs polynomial coefficients")
-        acc = DiffOperator()
+        acc = operator()
         for coeff in reversed(c.as_poly().coeffs):
             acc = op_sum(acc * x_image, coeff)
         return acc
@@ -795,23 +819,23 @@ def _polynomial_image(x_image: DiffOperator):
 
 
 def _oracle_subst_infty(p):
-    d_image = DiffOperator([RatFunc(0), RatFunc(Poly([0, 0, -1]))])
-    return _substitute(p, lambda c: DiffOperator.of(subst_inverse(c)), d_image)
+    d_image = operator([RatFunc(0), RatFunc(Poly([0, 0, -1]))])
+    return _substitute(p, lambda c: operator_of(subst_inverse(c)), d_image)
 
 
 def _oracle_ad_power(p, c, lam):
-    shift = DiffOperator.of(RatFunc(Poly.const(lam), Poly([-c, 1])))
-    return _substitute(p, DiffOperator.of, op_sum(D, shift, -1))
+    shift = RatFunc(Poly.const(lam), Poly([-c, 1]))
+    return _substitute(p, operator_of, op_sum(D, shift, -1))
 
 
-def _oracle_ad_exp_raw(p, at, coeffs):
+def _oracle_ad_exp_raw(p, at, w):
     f = RatFunc(0)
-    for k, wk in coeffs.items():
+    for k, wk in w.items():
         if at is INF:
             f += RatFunc(Poly.monomial(wk, k - 1))
         else:
             f += RatFunc(Poly.const(wk), Poly([-at, 1]) ** (k + 1))
-    return _substitute(p, DiffOperator.of, op_sum(D, f, -1))
+    return _substitute(p, operator_of, op_sum(D, f, -1))
 
 
 def _oracle_laplace(p):
@@ -830,13 +854,13 @@ def _oracle_euler(p, lam):
 def _with_poles(rng: random.Random, p: DiffOperator, c: Fraction) -> DiffOperator:
     """``p`` with each coefficient divided by a power of (x - c) and, now
     and then, by a factor vanishing elsewhere."""
-    coeffs = []
-    for a in p.coeffs:
+    out = []
+    for a in coeffs(p):
         den = Poly([-c, 1]) ** rng.randint(0, 2)
         if rng.random() < 0.3:
             den = den * Poly([rng.choice([3, -5, Fraction(1, 2)]), 1])
-        coeffs.append(a / RatFunc(den))
-    return DiffOperator(coeffs)
+        out.append(a / RatFunc(den))
+    return operator(out)
 
 
 def test_coordinate_changes_match_the_power_of_image_oracle():
@@ -845,7 +869,7 @@ def test_coordinate_changes_match_the_power_of_image_oracle():
     points = (ZERO, Fraction(1), Fraction(-2))
     refused = 0
     for n in range(300):
-        p = DiffOperator() if n == 0 else random_poly_op(rng, 3, 3)
+        p = operator() if n == 0 else random_poly_op(rng, 3, 3)
         q = _with_poles(rng, p, ZERO) if n % 2 else p
         assert subst_infty(q) == _oracle_subst_infty(q)
         c, lam = points[n % 3], lams[n % 5]
@@ -866,7 +890,7 @@ def test_coordinate_changes_match_the_power_of_image_oracle():
             lam = random_fraction_nonzero(rng)
             assert euler(p, lam) == _oracle_euler(p, lam)
         if p and n % 10 == 0:
-            q = DiffOperator([a / RatFunc(Poly([-1, 1])) for a in p.coeffs])
+            q = operator([a / RatFunc(Poly([-1, 1])) for a in coeffs(p)])
             if not q.is_polynomial():
                 refused += 1
                 for transform, oracle in ((laplace, _oracle_laplace), (laplace_inv, _oracle_laplace_inv)):
@@ -890,7 +914,7 @@ def test_coordinate_changes_make_no_operator_products(monkeypatch):
 
     gauss = corpus.instantiate("Gauss")
     heun = corpus.instantiate("Heun")
-    rational = DiffOperator([a / RatFunc(Poly([-1, 1]) ** 2) for a in heun.coeffs])
+    rational = operator([a / RatFunc(Poly([-1, 1]) ** 2) for a in coeffs(heun)])
     monkeypatch.setattr(DiffOperator, "__mul__", counted)
     for p in (gauss, heun, rational):
         subst_infty(p)

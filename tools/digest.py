@@ -185,6 +185,39 @@ def parse_fuzz() -> str:
     return out.getvalue()
 
 
+#: Seeds of the corpus instances whose twists ``twists`` prints.
+TWIST_SEEDS = range(41)
+
+
+def twists() -> str:
+    """``to_text`` of operators with a denominator, on each corpus entry at
+    ``TWIST_SEEDS``: ``ad_power`` at each finite singular point,
+    ``ad_exp_raw`` at infinity and at the last finite singular point (1/3
+    without one), ``subst_infty``, and the ``theta_expand`` error one unit
+    right of that finite point, where the twist's denominator is not a
+    power of x - c."""
+    out = io.StringIO()
+    for name in corpus.names():
+        for seed in TWIST_SEEDS:
+            p = weylalg.prim(corpus.instantiate(name, corpus.params_for(name, seed)))
+            lam = Fraction(2 * seed + 1, 5)
+            w = {1: Fraction(seed + 1, 3), 2: Fraction(-1, seed + 2)}
+            print(f"== {name} {seed}", file=out)
+            points = weylalg.singular_points(p)
+            for c in points:
+                print(f"ad_power {c}:", weylalg.ad_power(p, c, lam), file=out)
+            c = points[-1] if points else Fraction(1, 3)
+            for at in (weylalg.INF, c):
+                print(f"ad_exp_raw {at}:", weylalg.ad_exp_raw(p, at, w), file=out)
+            print("subst_infty:", weylalg.subst_infty(p), file=out)
+            try:
+                theta = weylalg.theta_expand(weylalg.ad_exp_raw(p, c, w), c + 1)
+                print("theta_expand:", theta.terms[0][1], file=out)
+            except ValueError as exc:
+                print(f"theta_expand: ValueError: {exc}", file=out)
+    return out.getvalue()
+
+
 SECTIONS = {
     "examples": examples,
     "demos": demos,
@@ -193,6 +226,7 @@ SECTIONS = {
     "ladders": ladders,
     "parse_errors": parse_errors,
     "parse_fuzz": parse_fuzz,
+    "twists": twists,
 }
 
 
