@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 from . import weylalg
 from .lattice import LatticeShape, LatticeVector
@@ -373,11 +373,17 @@ def group_chains(roots: Mapping[Fraction, int]) -> list[tuple[Fraction, int]]:
 # -- extraction ----------------------------------------------------------------
 
 
-def extract_formal_data(p: DiffOperator) -> FormalData:
+def extract_formal_data(
+    p: DiffOperator, hints: Mapping[Location, Collection[Fraction]] | None = None
+) -> FormalData:
     """Compute the formal datum of a primitive operator.
 
     Requires rational singular points, integer slopes and characteristic
     polynomials splitting over Q; failures raise the dedicated errors.
+    ``hints`` maps points to candidate roots that the root searches there
+    try first, and its finite points are candidates for the leading
+    coefficient; they change the work, not the result
+    (:meth:`Poly.rational_roots`).
     """
     if p.is_zero():
         raise ValueError("extraction needs an operator of rank >= 1, got the zero operator")
@@ -385,10 +391,11 @@ def extract_formal_data(p: DiffOperator) -> FormalData:
     if p.rank < 1:
         raise ValueError("extraction needs an operator of rank >= 1")
     points: list[tuple[Location, list[tuple[ExponentialFactor, SpectralData]]]] = []
-    finite = weylalg.singular_points(p)
+    hints = hints or {}
+    finite = weylalg.singular_points(p, [at for at in hints if at is not INF])
     for at in [INF] + finite:
         try:
-            raw = _peel_factors(*weylalg.local_chart(p, at), None)
+            raw = _peel_factors(*weylalg.local_chart(p, at), None, hints.get(at, ()))
         except ExtractionError as exc:
             # the same class, so the exit code does not change
             raise type(exc)(f"at {format_location(at)}: {exc}") from None
@@ -409,20 +416,20 @@ def extract_formal_data(p: DiffOperator) -> FormalData:
 
 
 def _peel_factors(
-    q: DiffOperator, c: Fraction, max_degree: int | None
+    q: DiffOperator, c: Fraction, max_degree: int | None, hints: Collection[Fraction]
 ) -> list[tuple[dict[int, Fraction], SpectralData]]:
     """Factors of the chart operator at c with theta-degree < max_degree.
 
     Returns raw coefficient maps in chart orientation; the caller flips
     signs for the point at infinity.  The chart is expanded once; the
     polygon, the boundary polynomials and the regular part read that
-    expansion.
+    expansion.  Every root search tries the candidates ``hints`` first.
     """
     theta = weylalg.theta_expand(q, c)
     np = weylalg.newton_polygon(theta)
     out: list[tuple[dict[int, Fraction], SpectralData]] = []
     if np.regular_rank > 0:
-        out.append(({}, _regular_spectral_data(theta, np.regular_rank)))
+        out.append(({}, _regular_spectral_data(theta, np.regular_rank, hints)))
     for slope in np.slopes:
         if slope == 0 or (max_degree is not None and slope >= max_degree):
             continue
@@ -432,14 +439,14 @@ def _peel_factors(
             )
         k = int(slope)
         edge = _edge_polynomial(theta, np, k)
-        roots = edge.rational_roots()
+        roots = edge.rational_roots(hints)
         if sum(roots.values()) != edge.degree:
             raise NonSplitCharPolyError(
                 f"slope-{k} boundary polynomial {edge} does not split over Q"
             )
         for v0, mult in sorted(roots.items()):
             twisted = weylalg.ad_exp_raw(q, c, {k: -v0})
-            sub = _peel_factors(twisted, c, k)
+            sub = _peel_factors(twisted, c, k, hints)
             got = sum(s.rank for _, s in sub)
             if got != mult:
                 raise ExtractionError(
@@ -452,13 +459,15 @@ def _peel_factors(
     return out
 
 
-def _regular_spectral_data(theta: ThetaExpansion, expected_rank: int) -> SpectralData:
+def _regular_spectral_data(
+    theta: ThetaExpansion, expected_rank: int, hints: Collection[Fraction]
+) -> SpectralData:
     char = weylalg.char_poly(theta)
     if char.degree != expected_rank:
         raise ExtractionError(
             f"characteristic polynomial degree {char.degree} != regular rank {expected_rank}"
         )
-    roots = char.rational_roots()
+    roots = char.rational_roots(hints)
     if sum(roots.values()) != char.degree:
         raise NonSplitCharPolyError(
             f"characteristic polynomial {char.format('theta')} does not split over Q"

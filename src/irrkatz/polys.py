@@ -133,11 +133,6 @@ class Poly:
             return self.coeffs[k]
         return Fraction(0)
 
-    def leading(self) -> Fraction:
-        if not self._n:
-            return Fraction(0)
-        return Fraction(self._n[-1], self._d)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = Poly.const(other)
@@ -312,7 +307,7 @@ class Poly:
         sign = -1 if self._n[-1] < 0 else 1
         return from_row([sign * a for a in self._n], sign * self._n[-1])
 
-    def rational_roots(self) -> dict[Fraction, int]:
+    def rational_roots(self, hints: Iterable[Scalar] = ()) -> dict[Fraction, int]:
         """All rational roots with multiplicities, by p-adic expansion.
 
         Loos, "Computing rational zeros of integral polynomials by p-adic
@@ -324,9 +319,21 @@ class Poly:
         candidate counts only if f(a/b) = 0 exactly.  The roots come 0
         first, then by (|a|, b, a < 0): the order of the rational root
         theorem's divisor enumeration.
+
+        ``hints`` are candidate roots, tried first by :meth:`order_at`:
+        when the multiplicities of those that are roots add up to the
+        degree, there is no other root, and the search is skipped.  The
+        result is the same for any hints.
         """
         if self.is_zero():
             raise ValueError("roots of the zero polynomial")
+        hinted, total = [], 0
+        for c in hints:
+            if (k := self.order_at(c)) and all(c != root for root, _ in hinted):
+                hinted.append((Fraction(c), k))
+                total += k
+                if total == self.degree:
+                    return dict(sorted(hinted, key=lambda item: _root_order(item[0])))
         low = self.order_at(0)
         roots = {Fraction(0): low} if low else {}
         _, zp = from_row(list(self._n[low:])).int_content_and_primitive()
@@ -334,7 +341,7 @@ class Poly:
             return roots
         _, sf = (zp // poly_gcd(zp, zp.derivative())).int_content_and_primitive()
         found = _lifted_roots(sf._n)
-        for root in sorted(found, key=lambda q: (abs(q.numerator), q.denominator, q < 0)):
+        for root in sorted(found, key=_root_order):
             roots[root] = zp.order_at(root)
         return roots
 
@@ -381,6 +388,11 @@ def as_poly(value: PolyLike) -> Poly:
     if isinstance(value, Poly):
         return value
     return Poly.const(value)
+
+
+def _root_order(q: Fraction) -> tuple:
+    """The order of :meth:`Poly.rational_roots`: 0, then by (|a|, b, a < 0)."""
+    return abs(q.numerator), q.denominator, q.numerator < 0
 
 
 def _eval_mod(f: list[int], r: int, m: int) -> int:

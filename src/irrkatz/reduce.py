@@ -15,15 +15,14 @@ twist back.  Its data are predicted as one chain table per operator
 (factor -> (exponent, multiplicity) chains at every point): before the
 step the genericity hypotheses are read off the table of the twisted
 operand, and after it the transformed operator is checked against the
-table predicted from the lattice and exponent moves.  The check is a set
-of polynomial identities with no root finding; the operator is extracted
-and compared only when they fail or the table has an irregular factor.
+table predicted from the lattice and exponent moves.  The check is an
+extraction whose root searches try the predicted roots first, so a step
+that keeps its prediction runs no p-adic root search.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -37,7 +36,6 @@ from .formal import (
     extract_formal_data,
 )
 from .lattice import IndexTuple, LatticeVector
-from .polys import Poly
 from .rootsys import Verdict
 from .weylalg import INF, DiffOperator, Location
 
@@ -339,73 +337,9 @@ def _reduce_operator_once(p: DiffOperator, data: FormalData | None) -> OperatorR
         cur_op = twisted_euler(cur_op, locations, factor_table, t, lambdas)
         cur_nu = act_sigma_t(cur_nu, t)
         predicted = _chain_table(factor_table, step.after, cur_nu, no_shift)
-        if not _verified(cur_op, locations, predicted, step.after.rank):
-            _check_prediction(cur_op, locations, predicted, step.after.rank)
+        _check_prediction(cur_op, locations, predicted, step.after.rank)
         ops.append(cur_op)
     return OperatorReduction(transcript, data, tuple(ops), cur_op)
-
-
-def _verified(
-    op: DiffOperator,
-    locations: Sequence[Location],
-    predicted: ChainTable,
-    rank: int,
-) -> bool:
-    """True when ``extract_formal_data(op)`` provably gives the
-    ``predicted`` table at ``locations``, shown by polynomial identities
-    and no root finding; on False, :func:`_check_prediction` decides.
-
-    ``op`` is primitive (``twisted_euler`` returns it so), so extraction
-    reads it as it is.  The orders k_c of its leading coefficient lc at
-    the finite locations add up to deg lc exactly when lc is a constant
-    times prod (x - c)^k_c: then every root of lc is rational and a
-    location, the singular points extraction finds are the c with
-    k_c > 0, and each other location is one that :func:`_check_prediction`
-    requires to be predicted as the zero factor with the chain (0, rank).
-    At infinity and at each singular point the prediction must be the zero
-    factor alone.  With no positive slope extraction peels nothing and
-    reads one regular part of rank ``regular_rank``, which must be
-    ``rank``.  Its characteristic polynomial is
-    lc(char) * prod (t - lam - v) over the predicted chains, so
-    ``rational_roots`` returns exactly those roots with those
-    multiplicities, and ``group_chains`` and ``oshima_check``, called here
-    as extraction calls them, accept them and give the predicted chains.
-    """
-    if rank < 1 or op.rank != rank:
-        return False
-    lead = op.leading()
-    orders = [lead.order_at(c) for c in locations[1:]]
-    if sum(orders) != lead.degree:
-        return False
-    for at, order in zip(locations, [None] + orders):   # infinity is always listed
-        point = predicted.get(weylalg.location_key(at), {})
-        if len(point) != 1:
-            return False
-        (w, chains), = point.items()
-        if not w.is_zero():
-            return False
-        if order == 0:
-            if chains != [(Fraction(0), rank)]:
-                return False
-            continue
-        theta = weylalg.theta_expand(op, at)
-        polygon = weylalg.newton_polygon(theta)
-        if any(slope > 0 for slope in polygon.slopes) or polygon.regular_rank != rank:
-            return False
-        char = weylalg.char_poly(theta)
-        exponents = [lam + v for lam, mult in chains for v in range(mult)]
-        product = Poly.const(char.leading())
-        for e in exponents:
-            product = product * Poly([-e, 1])
-        if char != product:
-            return False
-        try:
-            grouped = formal.group_chains(Counter(exponents))
-        except formal.OshimaCheckError:
-            return False
-        if grouped != chains or not formal.oshima_check(theta, formal.SpectralData(chains)):
-            return False
-    return True
 
 
 def _check_prediction(
@@ -417,10 +351,21 @@ def _check_prediction(
     """Extract ``op`` and compare it, point by point, with the predicted
     chain table.  A point the extraction omits is non-singular: it must be
     predicted as the zero factor with the single chain (0, rank).  Such a
-    point is finite, since ``FormalData`` always lists infinity."""
+    point is finite, since ``FormalData`` always lists infinity.
+
+    The extraction tries the roots the prediction names first: the
+    locations for the leading coefficient and, at each point, every
+    predicted exponent and factor coefficient.  When the prediction holds
+    they are all the roots, and no search for others runs."""
+    hints = {}
+    for loc in locations:
+        point = predicted[weylalg.location_key(loc)]
+        hints[loc] = [
+            lam + v for chains in point.values() for lam, mult in chains for v in range(mult)
+        ] + [s * v for w in point for v in w.coeffs.values() for s in (1, -1)]
     extracted = {
         weylalg.location_key(loc): (loc, factors)
-        for loc, factors in extract_formal_data(op).points
+        for loc, factors in extract_formal_data(op, hints).points
     }
     for loc in locations:
         key = weylalg.location_key(loc)

@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import comb, factorial, gcd as int_gcd, lcm, perm
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .polys import (
     UNIT, Poly, falling_factorial, from_row, int_rows, linear_quotient, poly_gcd, pow_by_squaring,
@@ -123,6 +123,12 @@ class DiffOperator:
     """
 
     __slots__ = ("_rows", "_d", "_den")
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError(
+            "DiffOperator has no public constructor: build operators with parse, X, D "
+            "and DiffOperator.of"
+        )
 
     def _set(self, rows, d: int, den: Poly) -> "DiffOperator":
         """Hold ``sum_i rows[i] D^i / (d den)``, for d > 0 and den monic and
@@ -845,12 +851,13 @@ class IrrationalSingularityError(ValueError):
     engine only handles rational singular locations."""
 
 
-def singular_points(p: DiffOperator) -> list[Fraction]:
+def singular_points(p: DiffOperator, hints: Iterable[Fraction] = ()) -> list[Fraction]:
     """Finite singular points of the primitive operator ``p`` (as
     :func:`prim` returns it), sorted: the roots of its leading
-    coefficient."""
+    coefficient, found with the candidate roots ``hints`` tried first
+    (:meth:`Poly.rational_roots`)."""
     lead = p.leading()
-    roots = lead.rational_roots()
+    roots = lead.rational_roots(hints)
     if sum(roots.values()) != lead.degree:
         raise IrrationalSingularityError(
             f"leading coefficient {lead} has irrational roots"

@@ -397,7 +397,7 @@ class RatFunc:
                     if g.degree > 0:
                         num = num // g
                         den = den // g
-                lead = den.leading()
+                lead = leading(den)
                 if lead != 1:
                     num = num * (1 / lead)
                     den = den.monic()
@@ -518,12 +518,17 @@ def taylor_shift(p: Poly, c) -> Poly:
     return out
 
 
+def leading(p: Poly) -> Fraction:
+    """The coefficient of the highest power of x; 0 for the zero polynomial."""
+    return p[p.degree]
+
+
 def long_divmod(p: Poly, other: Poly) -> tuple[Poly, Poly]:
     """Quotient and remainder by schoolbook long division."""
     if other.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     d = other.degree
-    lead = other.leading()
+    lead = leading(other)
     rem = list(p.coeffs)
     q = [Fraction(0)] * max(0, len(rem) - d)
     for k in range(len(rem) - 1 - d, -1, -1):
@@ -920,7 +925,7 @@ def rat_prim(p: RatFuncOperator) -> RatFuncOperator:
             g = q if g.is_zero() else poly_gcd(g, q)
     if g.degree > 0:
         nums = [q // g for q in nums]
-    lead = nums[-1].leading()
+    lead = leading(nums[-1])
     return RatFuncOperator([RatFunc(q * (1 / lead)) for q in nums])
 
 

@@ -390,24 +390,29 @@ def test_assumption_violation_exit_code(tmp_path, capsys):
     assert code == 5
 
 
-def test_examples_run_extracts_once_per_operator(monkeypatch, capsys):
-    # one extraction of the input; the single Euler step is verified
-    # against its predicted table, not extracted
+def test_examples_run_searches_roots_in_the_input_only(monkeypatch, capsys):
+    # the input's extraction searches for roots; the extraction that
+    # checks the Euler step finds the predicted roots without a search
+    from irrkatz import polys
     from irrkatz import reduce as reduction
 
-    calls = []
-    original = formal.extract_formal_data
+    calls, searches = [], []
+    original, lifted_roots = formal.extract_formal_data, polys._lifted_roots
 
-    def counting(op):
-        calls.append(op)
-        return original(op)
+    def counting(op, hints=None):
+        calls.append(len(searches))
+        return original(op, hints)
+
+    def counted(f):
+        searches.append(f)
+        return lifted_roots(f)
 
     monkeypatch.setattr(formal, "extract_formal_data", counting)
     monkeypatch.setattr(reduction, "extract_formal_data", counting)
+    monkeypatch.setattr(polys, "_lifted_roots", counted)
     code, out, _ = run(capsys, "examples", "--run", "--only", "Gauss")
     assert code == 0 and "ok" in out
-    assert len(calls) == 1
-
+    assert len(calls) == 2 and calls[1] == len(searches) > 0
 
 
 def test_examples_run_builds_the_shape_once_per_attempt(monkeypatch, capsys):
@@ -439,30 +444,40 @@ def test_examples_run_builds_the_shape_once_per_attempt(monkeypatch, capsys):
 
 def test_reduce_operator_extracts_input_once(tmp_path, monkeypatch, capsys):
     # the operator is extracted once for the comparison with the file and
-    # that extraction seeds the reduction; the Euler step is not extracted
+    # that extraction seeds the reduction; the Euler step's check extracts
+    # the step's operator without a root search
+    from irrkatz import polys
     from irrkatz import reduce as reduction
 
     gauss = corpus.instantiate("Gauss")
     code, out, _ = run(capsys, "analyze", "--op", to_text(gauss))
     path = tmp_path / "gauss.json"
     path.write_text(out, encoding="utf-8")
-    calls, steps = [], []
+    calls, steps, searches = [], [], []
     original, original_euler = formal.extract_formal_data, reduction.twisted_euler
+    lifted_roots = polys._lifted_roots
 
-    def counting(op):
-        calls.append(op)
-        return original(op)
+    def counting(op, hints=None):
+        calls.append((op, len(searches)))
+        return original(op, hints)
 
     def counting_euler(*args):
         steps.append(args)
         return original_euler(*args)
 
+    def counted(f):
+        searches.append(f)
+        return lifted_roots(f)
+
     monkeypatch.setattr(formal, "extract_formal_data", counting)
     monkeypatch.setattr(reduction, "extract_formal_data", counting)
     monkeypatch.setattr(reduction, "twisted_euler", counting_euler)
+    monkeypatch.setattr(polys, "_lifted_roots", counted)
     code, out, _ = run(capsys, "reduce", "--formal", str(path), "--operator", to_text(gauss))
     assert code == 0 and "final rank 1" in out
-    assert calls == [gauss] and len(steps) == 1
+    assert len(steps) == 1
+    assert [op for op, _ in calls] == [gauss, original_euler(*steps[0])]
+    assert calls[1][1] == len(searches)
     calls.clear()
     steps.clear()
     code, _, err = run(capsys, "reduce", "--formal", str(path), "--operator", "x*D - 5")

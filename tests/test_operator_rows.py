@@ -25,9 +25,9 @@ from irrkatz.weylalg import (
     theta_expand, to_text,
 )
 from oracles import (
-    RatFunc, RatFuncOperator, coeffs, divide_out_two_pass, op_neg, op_sum, operator, prim_by_gcd,
-    rat_ad_exp_raw, rat_ad_power, rat_euler, rat_fourier, rat_prim, rat_text, subst_infinity,
-    theta_expansion,
+    RatFunc, RatFuncOperator, coeffs, divide_out_two_pass, leading, op_neg, op_sum, operator,
+    prim_by_gcd, rat_ad_exp_raw, rat_ad_power, rat_euler, rat_fourier, rat_prim, rat_text,
+    subst_infinity, theta_expansion,
 )
 
 POINTS = [Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 2), Fraction(-3, 4)]
@@ -45,7 +45,7 @@ def _coeffs(rng: random.Random, k: int, c: Fraction) -> list[RatFunc]:
         return []
     cs = [RatFunc(_poly(rng, rng.randint(0, 4))) for _ in range(1 if kind == 1 else rng.randint(2, 4))]
     lead = _poly(rng, rng.randint(1, 3)) or Poly([1])
-    cs[-1] = RatFunc(-lead if (kind == 2) == (lead.leading() > 0) else lead)
+    cs[-1] = RatFunc(-lead if (kind == 2) == (leading(lead) > 0) else lead)
     if kind in (3, 5):
         u = Poly([-c, 1])
         cs = [a / RatFunc(u ** rng.randint(0, 3)) for a in cs]
@@ -79,7 +79,7 @@ def _same(new, old) -> None:
     assert all(type(a) is int for a in chain(*rows)) and type(d) is int and d > 0
     assert all(row[-1] for row in rows if row) and (not rows or rows[-1])
     assert gcd(d, *chain(*rows)) == 1
-    assert den.leading() == 1 and (den is UNIT) == (den.degree == 0) == old.is_polynomial()
+    assert leading(den) == 1 and (den is UNIT) == (den.degree == 0) == old.is_polynomial()
     g = den
     for row in rows:
         if row and g.degree > 0:

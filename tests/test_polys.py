@@ -7,7 +7,7 @@ import pytest
 import oracles
 from irrkatz import polys, weylalg
 from irrkatz.polys import Poly, falling_factorial, poly_gcd
-from oracles import RatFunc, subst_inverse
+from oracles import RatFunc, leading, subst_inverse
 
 
 def test_divmod_and_gcd():
@@ -50,7 +50,7 @@ def _enumerate_roots(p):
     if zp.degree == 0:
         return roots
     for p_div in _divisors(abs(int(zp.coeffs[0]))):
-        for q_div in _divisors(abs(int(zp.leading()))):
+        for q_div in _divisors(abs(int(leading(zp)))):
             for cand in (Fraction(p_div, q_div), Fraction(-p_div, q_div)):
                 if cand not in roots and zp.eval(cand) == 0:
                     roots[cand] = zp.order_at(cand)
@@ -110,6 +110,48 @@ def test_rational_roots_match_sympy():
                 root = -c0 / c1
                 want[Fraction(int(root.p), int(root.q))] = mult
         assert p.rational_roots() == want, p
+
+
+def test_rational_roots_with_hints_match_the_search(monkeypatch):
+    # candidate roots change nothing but the work: for every hint set the
+    # roots, their multiplicities and their order are those of the search,
+    # and the search is skipped exactly when the hinted roots fill the degree
+    rng = random.Random(28)
+    searches = []
+    lifted_roots = polys._lifted_roots
+
+    def counted(f):
+        searches.append(f)
+        return lifted_roots(f)
+
+    monkeypatch.setattr(polys, "_lifted_roots", counted)
+    skipped = 0
+    for _ in range(300):
+        p = random_root_poly(rng)
+        want = list(p.rational_roots().items())
+        roots = [r for r, _ in want]
+        split = sum(k for _, k in want) == p.degree
+        non_roots = [
+            Fraction(rng.randint(-99, 99), rng.choice([1, 6, 11, 10**12 + 39]))
+            for _ in range(3)
+        ]
+        non_roots = [c for c in non_roots if c not in roots]
+        hint_sets = {
+            "all": roots,
+            "subset": roots[: rng.randrange(len(roots))] if roots else [],
+            "extra": non_roots + roots,
+            "duplicates": roots + roots[::-1] + [int(r) for r in roots if r.denominator == 1],
+            "zero": [0] + roots,
+            "empty": [],
+        }
+        for name, hints in hint_sets.items():
+            rng.shuffle(hints)
+            searches.clear()
+            assert list(p.rational_roots(hints).items()) == want, (p, name)
+            filled = split and set(hints) >= set(roots)
+            assert (searches == []) == (filled or p.order_at(0) == p.degree), (p, name)
+            skipped += filled
+    assert skipped > 300
 
 
 def _order_by_division(p, c):
@@ -226,7 +268,7 @@ def _gcd_normalized(num, den):
         return (), (Fraction(1),)
     g = poly_gcd(num, den)
     num, den = num // g, den // g
-    lead = den.leading()
+    lead = leading(den)
     return tuple(c / lead for c in num.coeffs), tuple(c / lead for c in den.coeffs)
 
 

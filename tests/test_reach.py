@@ -57,8 +57,8 @@ ALLOWED = {
             "formal.ExponentialFactor", "formal.SpectralData", "lattice.SlotTable", "polys.Poly",
             "rootsys.RootVector", "scalar.ParamExpr", "weylalg.DiffOperator",
             "weylalg._Infinity")]
-        + ["irrkatz.lattice.LatticeVector.__str__", "irrkatz.weylalg.DiffOperator.__eq__",
-           "irrkatz.weylalg.DiffOperator.__bool__"],
+        + [f"irrkatz.{cls}.__eq__" for cls in ("polys.Poly", "weylalg.DiffOperator")]
+        + ["irrkatz.lattice.LatticeVector.__str__", "irrkatz.weylalg.DiffOperator.__bool__"],
         "the value protocol: a value compares, is false when zero and hashes, and every "
         "value shows in a debugger; nothing the walk runs compares, tests, hashes or "
         "prints these"),
@@ -67,6 +67,9 @@ ALLOWED = {
         "raised on malformed input (a bad --param, bad operator text), which the walk "
         "does not give; test_cli and test_parse do"),
     "irrkatz.weylalg._Infinity.__new__": "runs once, when weylalg is imported, before the walk",
+    "irrkatz.weylalg.DiffOperator.__init__":
+        "the guard of the class: operators are built by parse, X, D, DiffOperator.of and the "
+        "transforms, so only a caller's bug calls the class",
     "irrkatz.polys.Poly.__rsub__":
         "the arithmetic protocol: Poly has __radd__, so a scalar minus a Poly is one too; "
         "nothing the walk runs subtracts a Poly from a scalar",
@@ -127,7 +130,8 @@ def _bench_pass():
 
 
 #: An operator outside the corpus: the Kummer operator, whose Euler step
-#: keeps the factor x at infinity, so that step is checked by extraction.
+#: keeps the factor x at infinity, so that step's check peels an irregular
+#: factor.
 KUMMER = "x*D^2 + (-x + 1/13)*D - 1/7"
 
 

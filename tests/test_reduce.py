@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from irrkatz import cli, corpus, formal
+from irrkatz import cli, corpus, formal, polys
 from irrkatz import reduce as reduction
 from irrkatz.exponents import act_sigma_perm, act_sigma_t
 from irrkatz.lattice import LatticeShape, LatticeVector
@@ -20,7 +20,6 @@ from irrkatz.reduce import (
     _chain_table,
     _check_prediction,
     _conjugate,
-    _verified,
 )
 from irrkatz.rootsys import Verdict, idx
 from irrkatz.weylalg import (
@@ -646,20 +645,27 @@ def test_twisted_chains_match_extraction_on_all_tuples():
             assert_twisted_chains_extracted(op, data, m, nu, t)
 
 
-# -- the per-step verifier -------------------------------------------------------
+# -- the per-step cross-check --------------------------------------------------
 
 
 def record_checks(monkeypatch):
-    """Wrap the per-step verifier: each call appends (operator, locations,
-    predicted table, rank, verdict) to the returned list."""
-    calls = []
+    """Wrap the per-step cross-check: each call appends (operator,
+    locations, predicted table, rank, p-adic root searches it ran) to the
+    returned list."""
+    calls, searches = [], []
+    lifted_roots, check = polys._lifted_roots, reduction._check_prediction
+
+    def counted(f):
+        searches.append(f)
+        return lifted_roots(f)
 
     def record(op, locations, predicted, rank):
-        ok = _verified(op, locations, predicted, rank)
-        calls.append((op, locations, predicted, rank, ok))
-        return ok
+        before = len(searches)
+        check(op, locations, predicted, rank)
+        calls.append((op, locations, predicted, rank, len(searches) - before))
 
-    monkeypatch.setattr(reduction, "_verified", record)
+    monkeypatch.setattr(polys, "_lifted_roots", counted)
+    monkeypatch.setattr(reduction, "_check_prediction", record)
     return calls
 
 
@@ -671,40 +677,23 @@ def ladder(kummer):
         yield hypergeometric(a, b)
 
 
-def test_verified_steps_pass_the_extraction_check(monkeypatch, capsys):
-    # every Euler step of nF(n-1) is verified, with no fallback; the Kummer
-    # steps keep a factor x at infinity, which falls back; on every step the
-    # verifier accepts, extraction accepts the same prediction
+def test_euler_steps_run_no_root_search(monkeypatch, capsys):
+    # every Euler step is checked by extraction, and its root searches
+    # find the predicted roots without a p-adic search: on nF(n-1), on
+    # the Kummer ladder, whose steps keep the factor x at infinity, and
+    # on the corpus
     calls = record_checks(monkeypatch)
     for op in ladder(False):
         reduce_operator(op)
-    assert len(calls) == sum(range(1, 8)) and all(ok for *_, ok in calls)
+    assert len(calls) == sum(range(1, 8))
     for op in ladder(True):
         reduce_operator(op)
-    ladder_steps = len(calls)
+    assert len(calls) == 2 * sum(range(1, 8))
     for seed in range(41):
         assert cli.main(["examples", "--run", "--json", "--seed", str(seed)]) == 0
     capsys.readouterr()
-    assert len(calls) > ladder_steps
-    for op, locations, predicted, rank, ok in calls:
-        if ok:
-            _check_prediction(op, locations, predicted, rank)
-
-
-def test_reduce_operator_extracts_only_its_input(monkeypatch):
-    calls = []
-    original = formal.extract_formal_data
-
-    def counting(op):
-        calls.append(op)
-        return original(op)
-
-    monkeypatch.setattr(formal, "extract_formal_data", counting)
-    monkeypatch.setattr(reduction, "extract_formal_data", counting)
-    for n, op in enumerate(ladder(False), start=2):
-        calls.clear()
-        result = reduce_operator(op)
-        assert len(result.operators) == n - 1 and calls == [op], n
+    assert len(calls) > 2 * sum(range(1, 8))
+    assert [searches for *_, searches in calls] == [0] * len(calls)
 
 
 def table_of(data):
@@ -720,8 +709,9 @@ def first_step_of_4f3(monkeypatch):
     rank); at 1 the table reads [(beta, 1), (0, 2)]."""
     calls = record_checks(monkeypatch)
     reduce_operator(hypergeometric(*HYPERGEOMETRIC[2]))
-    op, locations, predicted, rank, ok = calls[0]
-    assert ok and rank == 3
+    monkeypatch.undo()
+    op, locations, predicted, rank, _ = calls[0]
+    assert rank == 3
     return op, list(locations), predicted, rank
 
 
@@ -770,15 +760,20 @@ def missing(table, locations):
     (irregular, r"^at inf: extracted \{ExponentialFactor\(inf: 0\)"),
     (missing, r"^unpredicted singular points: 1$"),
 ])
-def test_wrong_prediction_falls_back_to_the_extraction_check(monkeypatch, wrong, message):
+def test_wrong_prediction_fails_the_cross_check(monkeypatch, wrong, message):
+    # the roots a wrong table names change the work of the extraction, not
+    # its result: the message is the one an extraction without them gives
     op, locations, predicted, rank = first_step_of_4f3(monkeypatch)
     locations = wrong(predicted, locations)
-    assert not _verified(op, locations, predicted, rank)
-    with pytest.raises(CrossCheckError, match=message):
+    with pytest.raises(CrossCheckError, match=message) as hinted:
         _check_prediction(op, locations, predicted, rank)
+    monkeypatch.setattr(reduction, "extract_formal_data", lambda op, hints: formal.extract_formal_data(op))
+    with pytest.raises(CrossCheckError) as unhinted:
+        _check_prediction(op, locations, predicted, rank)
+    assert str(hinted.value) == str(unhinted.value)
 
 
-def test_extra_root_of_the_leading_coefficient_falls_back():
+def test_extra_root_of_the_leading_coefficient_fails_the_cross_check():
     # composing with x - 5 adds the root 5 to the leading coefficient; the
     # prediction is the extraction everywhere else
     moved, locations, _, rank = gauss_after_step()
@@ -786,8 +781,7 @@ def test_extra_root_of_the_leading_coefficient_falls_back():
     data = formal.extract_formal_data(op)
     assert data.locations() == tuple(locations) + (Fraction(5),)
     predicted = table_of(data)
-    assert _verified(op, data.locations(), predicted, rank)
-    assert not _verified(op, locations, predicted, rank)
+    _check_prediction(op, data.locations(), predicted, rank)
     with pytest.raises(CrossCheckError, match=r"^unpredicted singular points: 5$"):
         _check_prediction(op, locations, predicted, rank)
 

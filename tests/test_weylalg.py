@@ -33,8 +33,8 @@ from irrkatz.weylalg import (
     to_text,
 )
 from oracles import (
-    RatFunc, apply, coeffs, deg_of, leibniz_product, op_neg, op_sum, operator, operator_of,
-    subst_inverse,
+    RatFunc, apply, coeffs, deg_of, leading, leibniz_product, op_neg, op_sum, operator,
+    operator_of, subst_inverse,
 )
 
 ZERO = Fraction(0)
@@ -52,6 +52,17 @@ def test_parse_examples():
     tri = parse("D^2 + (-x^2-7)*D + (-2*x+3)")
     assert tri.rank == 2
     assert coeffs(tri) == (RatFunc(Poly([3, -2])), RatFunc(Poly([-7, 0, -1])), RatFunc(1))
+
+
+def test_constructor_refuses_and_names_the_builders():
+    # operators come from parse, X, D, DiffOperator.of and the transforms;
+    # the class itself builds no half-made value
+    for args in [(), ([1],), (parse("D"),)]:
+        with pytest.raises(TypeError, match=r"^DiffOperator has no public constructor: "
+                           r"build operators with parse, X, D and DiffOperator\.of$"):
+            DiffOperator(*args)
+    assert DiffOperator.of(Fraction(1, 2)) == parse("1/2")
+    assert (X * D).rank == 1
 
 
 def test_parse_errors_carry_position():
@@ -634,7 +645,7 @@ def test_prim_idempotent_and_unique():
         p = random_poly_op(rng)
         q = prim(p)
         assert prim(q) == q
-        assert q.leading().leading() == 1
+        assert leading(q.leading()) == 1
         f = RatFunc(Poly([1, 3]), Poly([2, 0, 1]))
         assert prim(leibniz_product(f, p)) == q
 
