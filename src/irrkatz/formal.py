@@ -16,6 +16,7 @@ certified by the triangular vanishing conditions on the theta expansion.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Collection, Mapping, Sequence
 
@@ -30,7 +31,6 @@ from .weylalg import (
     Location,
     ThetaExpansion,
     format_location,
-    location_key,
     parse_location,
 )
 
@@ -62,6 +62,7 @@ class OshimaCheckError(ExtractionError):
     conditions; the spectral data would be a guess."""
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class ExponentialFactor:
     """Exponential factor in theta form at a point.
 
@@ -73,6 +74,8 @@ class ExponentialFactor:
     """
 
     __slots__ = ("point", "_items")
+    point: Location
+    _items: tuple[tuple[int, Fraction], ...]
 
     def __init__(self, point: Location, coeffs: Mapping[int, Fraction] | None = None):
         items = []
@@ -85,9 +88,6 @@ class ExponentialFactor:
             items.append((int(k), v))
         object.__setattr__(self, "point", point)
         object.__setattr__(self, "_items", tuple(items))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExponentialFactor is immutable")
 
     @property
     def coeffs(self) -> dict[int, Fraction]:
@@ -113,17 +113,6 @@ class ExponentialFactor:
             coeffs[k] = coeffs.get(k, Fraction(0)) - v
         return ExponentialFactor(self.point, coeffs)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExponentialFactor):
-            return NotImplemented
-        return (
-            location_key(self.point) == location_key(other.point)
-            and self._items == other._items
-        )
-
-    def __hash__(self):
-        return hash((location_key(self.point), self._items))
-
     def format(self) -> str:
         if not self._items:
             return "0"
@@ -147,6 +136,7 @@ def factor_weight_diff(w1: ExponentialFactor, w2: ExponentialFactor) -> int:
     return (w1 - w2).weight()
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class SpectralData:
     """Chains ``(lam_s, m_s)``: exponents lam, lam+1, ..., lam+m-1.
 
@@ -155,6 +145,7 @@ class SpectralData:
     """
 
     __slots__ = ("chains",)
+    chains: tuple[tuple[ParamExpr, int], ...]
 
     def __init__(self, chains: Sequence[tuple[ParamLike, int]]):
         parsed = tuple((ParamExpr.of(lam), int(m)) for lam, m in chains)
@@ -170,20 +161,9 @@ class SpectralData:
                     )
         object.__setattr__(self, "chains", parsed)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SpectralData is immutable")
-
     @property
     def rank(self) -> int:
         return sum(m for _, m in self.chains)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SpectralData):
-            return NotImplemented
-        return self.chains == other.chains
-
-    def __hash__(self):
-        return hash(self.chains)
 
     def format(self) -> str:
         lams = ",".join(str(l) for l, _ in self.chains)
@@ -194,6 +174,7 @@ class SpectralData:
         return f"SpectralData({self.format()})"
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class FormalData:
     """Per-point factor lists; the point at infinity always comes first.
 
@@ -202,6 +183,7 @@ class FormalData:
     """
 
     __slots__ = ("points",)
+    points: tuple[tuple[Location, tuple[tuple[ExponentialFactor, SpectralData], ...]], ...]
 
     def __init__(
         self,
@@ -210,8 +192,8 @@ class FormalData:
         pts = tuple((loc, tuple(factors)) for loc, factors in points)
         if not pts or pts[0][0] is not INF:
             raise ValueError("the first point must be the point at infinity")
-        keys = [location_key(loc) for loc, _ in pts]
-        if len(set(keys)) != len(keys):
+        locs = [loc for loc, _ in pts]
+        if len(set(locs)) != len(locs):
             raise ValueError("duplicate points")
         ranks = []
         for loc, factors in pts:
@@ -221,15 +203,12 @@ class FormalData:
             if len(set(ws)) != len(ws):
                 raise ValueError(f"duplicate exponential factors at {format_location(loc)}")
             for w, _ in factors:
-                if location_key(w.point) != location_key(loc):
+                if w.point != loc:
                     raise ValueError("factor attached to the wrong point")
             ranks.append(sum(s.rank for _, s in factors))
         if len(set(ranks)) > 1:
             raise ValueError(f"unequal ranks across points: {ranks}")
         object.__setattr__(self, "points", pts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FormalData is immutable")
 
     @property
     def rank(self) -> int:
@@ -240,14 +219,6 @@ class FormalData:
 
     def factors(self, i: int) -> tuple[tuple[ExponentialFactor, SpectralData], ...]:
         return self.points[i][1]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FormalData):
-            return NotImplemented
-        return self.points == other.points
-
-    def __hash__(self):
-        return hash(self.points)
 
     def __repr__(self):
         rows = []
@@ -303,15 +274,12 @@ def fuchs_defect(data: FormalData) -> ParamExpr:
     """Deviation from the weighted exponent-sum identity; zero iff the
     Fuchs relation holds."""
     m = m_vector(data)
-    return fuchs_defect_of(m.shape, m, exponent_vector(data, m.shape))
+    return fuchs_defect_of(m, exponent_vector(data, m.shape))
 
 
-def fuchs_defect_of(
-    shape: LatticeShape, m: LatticeVector, nu: ExponentVector
-) -> ParamExpr:
+def fuchs_defect_of(m: LatticeVector, nu: ExponentVector) -> ParamExpr:
     """sum m.lam + idx(m)/2 - n, with idx(m) = :meth:`LatticeVector.form`
-    of m with itself: the Fuchs relation reads sum m.lam = n - idx(m)/2.
-    ``shape``, the shape of m, is not read."""
+    of m with itself: the Fuchs relation reads sum m.lam = n - idx(m)/2."""
     total = ParamExpr(Fraction(m.form(m), 2) - m.rank)
     for point, lams in zip(m.entries, nu.entries):
         for chain, lam_chain in zip(point, lams):
@@ -376,6 +344,16 @@ def group_chains(roots: Mapping[Fraction, int]) -> list[tuple[Fraction, int]]:
 def extract_formal_data(
     p: DiffOperator, hints: Mapping[Location, Collection[Fraction]] | None = None
 ) -> FormalData:
+    """Compute the formal datum of an operator: :func:`extract_primitive`
+    of ``prim(p)``."""
+    if p.is_zero():
+        raise ValueError("extraction needs an operator of rank >= 1, got the zero operator")
+    return extract_primitive(weylalg.prim(p), hints)
+
+
+def extract_primitive(
+    p: DiffOperator, hints: Mapping[Location, Collection[Fraction]] | None = None
+) -> FormalData:
     """Compute the formal datum of a primitive operator.
 
     Requires rational singular points, integer slopes and characteristic
@@ -385,9 +363,6 @@ def extract_formal_data(
     coefficient; they change the work, not the result
     (:meth:`Poly.rational_roots`).
     """
-    if p.is_zero():
-        raise ValueError("extraction needs an operator of rank >= 1, got the zero operator")
-    p = weylalg.prim(p)
     if p.rank < 1:
         raise ValueError("extraction needs an operator of rank >= 1")
     points: list[tuple[Location, list[tuple[ExponentialFactor, SpectralData]]]] = []

@@ -83,11 +83,14 @@ class LatticeShape:
         return (1 if i else -1) - self.weights[i][j][k]
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class SlotTable:
     """One immutable value per chain slot of a shape, as
     ``entries[i][j][s]``; a subclass sets ``_coerce`` to its value type."""
 
     __slots__ = ("shape", "entries")
+    shape: LatticeShape
+    entries: tuple[tuple[tuple, ...], ...]
 
     def __init__(self, shape: LatticeShape, entries: Sequence[Sequence[Sequence]]):
         coerce = self._coerce
@@ -103,17 +106,6 @@ class SlotTable:
                 raise ValueError(f"entries at point {i} do not match chain lengths")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "entries", ent)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.shape == other.shape and self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.shape, self.entries))
 
     def slot(self, i: int, j: int, s: int):
         return self.entries[i][j][s]

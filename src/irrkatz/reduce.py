@@ -220,7 +220,8 @@ def _exponent_sum(t: IndexTuple, lambdas: Sequence[Fraction]) -> Fraction:
     return lam_sum
 
 
-ChainTable = dict[tuple, dict[ExponentialFactor, list[tuple[Fraction, int]]]]
+#: Predicted chains per factor, keyed by location (see :func:`_chain_table`).
+ChainTable = dict[Location, dict[ExponentialFactor, list[tuple[Fraction, int]]]]
 
 
 def _chain_table(
@@ -229,13 +230,13 @@ def _chain_table(
     nu: ExponentVector,
     shifts: Sequence[Fraction],
 ) -> ChainTable:
-    """Predicted formal data as ``{location_key: {factor: chains}}``:
-    factor ``factor_table[i][j]`` carries the sorted (exponent,
-    multiplicity) chains of slot (i, j), exponents shifted by
+    """Predicted formal data as ``{location: {factor: chains}}``, keyed by
+    the location itself: factor ``factor_table[i][j]`` carries the sorted
+    (exponent, multiplicity) chains of slot (i, j), exponents shifted by
     ``shifts[i]``; only slots of nonzero multiplicity appear."""
     table = {}
     for i, factors in enumerate(factor_table):
-        point = table[weylalg.location_key(factors[0].point)] = {}
+        point = table[factors[0].point] = {}
         for j, w in enumerate(factors):
             chains = sorted(
                 (nu.slot(i, j, s).as_rat() + shifts[i], mult)
@@ -348,10 +349,11 @@ def _check_prediction(
     predicted: ChainTable,
     rank: int,
 ):
-    """Extract ``op`` and compare it, point by point, with the predicted
-    chain table.  A point the extraction omits is non-singular: it must be
-    predicted as the zero factor with the single chain (0, rank).  Such a
-    point is finite, since ``FormalData`` always lists infinity.
+    """Extract ``op``, primitive as :func:`twisted_euler` returns it, and
+    compare it, point by point, with the predicted chain table.  A point
+    the extraction omits is non-singular: it must be predicted as the zero
+    factor with the single chain (0, rank).  Such a point is finite, since
+    ``FormalData`` always lists infinity.
 
     The extraction tries the roots the prediction names first: the
     locations for the leading coefficient and, at each point, every
@@ -359,26 +361,22 @@ def _check_prediction(
     they are all the roots, and no search for others runs."""
     hints = {}
     for loc in locations:
-        point = predicted[weylalg.location_key(loc)]
+        point = predicted[loc]
         hints[loc] = [
             lam + v for chains in point.values() for lam, mult in chains for v in range(mult)
         ] + [s * v for w in point for v in w.coeffs.values() for s in (1, -1)]
-    extracted = {
-        weylalg.location_key(loc): (loc, factors)
-        for loc, factors in extract_formal_data(op, hints).points
-    }
+    extracted = dict(formal.extract_primitive(op, hints).points)
     for loc in locations:
-        key = weylalg.location_key(loc)
-        _, factors = extracted.pop(key, (loc, None))
+        factors = extracted.pop(loc, None)
         if factors is None:
             got = {ExponentialFactor(loc, {}): [(Fraction(0), rank)]}
         else:
             got = {w: sorted((lam.as_rat(), k) for lam, k in s.chains) for w, s in factors}
-        if got != predicted[key]:
+        if got != predicted[loc]:
             raise CrossCheckError(
-                f"at {weylalg.format_location(loc)}: extracted {got}, predicted {predicted[key]}"
+                f"at {weylalg.format_location(loc)}: extracted {got}, predicted {predicted[loc]}"
             )
     if extracted:
-        extra = ", ".join(weylalg.format_location(loc) for loc, _ in extracted.values())
+        extra = ", ".join(weylalg.format_location(loc) for loc in extracted)
         raise CrossCheckError(f"unpredicted singular points: {extra}")
 

@@ -170,10 +170,13 @@ def _suffix_row(per_point, memo, u: IndexTuple, c: int) -> list[int]:
     return row
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class RootVector:
     """Integer coordinates over a root basis."""
 
     __slots__ = ("basis", "coords")
+    basis: RootBasis
+    coords: tuple[int, ...]
 
     def __init__(self, basis: RootBasis, coords: Sequence[int]):
         coords = tuple(int(v) for v in coords)
@@ -182,22 +185,11 @@ class RootVector:
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "coords", coords)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RootVector is immutable")
-
     @staticmethod
     def unit(basis: RootBasis, node: Node) -> "RootVector":
         coords = [0] * len(basis.nodes)
         coords[basis.node_index(node)] = 1
         return RootVector(basis, coords)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RootVector):
-            return NotImplemented
-        return self.basis == other.basis and self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
 
     def __add__(self, other: "RootVector") -> "RootVector":
         return RootVector(self.basis, [a + b for a, b in zip(self.coords, other.coords)])

@@ -113,6 +113,7 @@ class OperatorSyntaxError(ValueError):
         self.pos = pos
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class DiffOperator:
     """A differential operator in normal form; immutable.
 
@@ -123,6 +124,9 @@ class DiffOperator:
     """
 
     __slots__ = ("_rows", "_d", "_den")
+    _rows: tuple[tuple[int, ...], ...]
+    _d: int
+    _den: Poly
 
     def __init__(self, *args, **kwargs):
         raise TypeError(
@@ -149,9 +153,6 @@ class DiffOperator:
         object.__setattr__(self, "_d", d)
         object.__setattr__(self, "_den", den if out and den.degree > 0 else UNIT)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DiffOperator is immutable")
 
     @staticmethod
     def of(value: "OpLike") -> "DiffOperator":
@@ -182,14 +183,6 @@ class DiffOperator:
 
     def is_polynomial(self) -> bool:
         return self._den is UNIT
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DiffOperator):
-            return NotImplemented
-        return self._rows == other._rows and self._d == other._d and self._den == other._den
-
-    def __hash__(self):
-        return hash((self._rows, self._d, self._den))
 
     def __bool__(self) -> bool:
         return bool(self._rows)

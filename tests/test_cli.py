@@ -334,9 +334,7 @@ def test_fuchs_builds_the_shape_once(tmp_path, capsys, monkeypatch):
             path.write_text(json.dumps(doc), encoding="utf-8")
             data = formal.from_json(path.read_text(encoding="utf-8"))
             # the defect as fuchs_defect composed it before building the shape once
-            expected = formal.fuchs_defect_of(
-                to_shape(data), formal.m_vector(data), formal.exponent_vector(data)
-            )
+            expected = formal.fuchs_defect_of(formal.m_vector(data), formal.exponent_vector(data))
             monkeypatch.setattr(formal, "to_shape", counted)
             shapes.clear()
             code, out, _ = run(capsys, "fuchs", "--formal", str(path))
@@ -392,12 +390,12 @@ def test_assumption_violation_exit_code(tmp_path, capsys):
 
 def test_examples_run_searches_roots_in_the_input_only(monkeypatch, capsys):
     # the input's extraction searches for roots; the extraction that
-    # checks the Euler step finds the predicted roots without a search
+    # checks the Euler step finds the predicted roots without a search.
+    # Both run extract_primitive, the input's after prim
     from irrkatz import polys
-    from irrkatz import reduce as reduction
 
     calls, searches = [], []
-    original, lifted_roots = formal.extract_formal_data, polys._lifted_roots
+    original, lifted_roots = formal.extract_primitive, polys._lifted_roots
 
     def counting(op, hints=None):
         calls.append(len(searches))
@@ -407,8 +405,7 @@ def test_examples_run_searches_roots_in_the_input_only(monkeypatch, capsys):
         searches.append(f)
         return lifted_roots(f)
 
-    monkeypatch.setattr(formal, "extract_formal_data", counting)
-    monkeypatch.setattr(reduction, "extract_formal_data", counting)
+    monkeypatch.setattr(formal, "extract_primitive", counting)
     monkeypatch.setattr(polys, "_lifted_roots", counted)
     code, out, _ = run(capsys, "examples", "--run", "--only", "Gauss")
     assert code == 0 and "ok" in out
@@ -445,7 +442,8 @@ def test_examples_run_builds_the_shape_once_per_attempt(monkeypatch, capsys):
 def test_reduce_operator_extracts_input_once(tmp_path, monkeypatch, capsys):
     # the operator is extracted once for the comparison with the file and
     # that extraction seeds the reduction; the Euler step's check extracts
-    # the step's operator without a root search
+    # the step's operator without a root search.  Every extraction runs
+    # extract_primitive, and the Gauss operator is primitive
     from irrkatz import polys
     from irrkatz import reduce as reduction
 
@@ -454,7 +452,7 @@ def test_reduce_operator_extracts_input_once(tmp_path, monkeypatch, capsys):
     path = tmp_path / "gauss.json"
     path.write_text(out, encoding="utf-8")
     calls, steps, searches = [], [], []
-    original, original_euler = formal.extract_formal_data, reduction.twisted_euler
+    original, original_euler = formal.extract_primitive, reduction.twisted_euler
     lifted_roots = polys._lifted_roots
 
     def counting(op, hints=None):
@@ -469,8 +467,7 @@ def test_reduce_operator_extracts_input_once(tmp_path, monkeypatch, capsys):
         searches.append(f)
         return lifted_roots(f)
 
-    monkeypatch.setattr(formal, "extract_formal_data", counting)
-    monkeypatch.setattr(reduction, "extract_formal_data", counting)
+    monkeypatch.setattr(formal, "extract_primitive", counting)
     monkeypatch.setattr(reduction, "twisted_euler", counting_euler)
     monkeypatch.setattr(polys, "_lifted_roots", counted)
     code, out, _ = run(capsys, "reduce", "--formal", str(path), "--operator", to_text(gauss))

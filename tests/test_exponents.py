@@ -69,7 +69,7 @@ def test_act_sigma_t_heun_keeps_fuchs():
     t = (0, 0, 0, 0)
     assert nu.tuple_sum(t) == ParamExpr.param("a")
     image = act_sigma_t(nu, t)
-    assert fuchs_defect_of(shape, m.sigma_t(t), image).is_zero()
+    assert fuchs_defect_of(m.sigma_t(t), image).is_zero()
 
 
 def test_act_sigma_perm():
@@ -204,11 +204,11 @@ def test_fuchs_defect_transforms_proportionally():
         shape = random_shape(rng)
         nu = symbolic_nu(shape)
         m = random_balanced(rng, shape)
-        base = fuchs_defect_of(shape, m, nu)
+        base = fuchs_defect_of(m, nu)
         if base.is_zero():
             continue
         for t in shape.index_tuples():
-            moved = fuchs_defect_of(shape, m.sigma_t(t), act_sigma_t(nu, t))
+            moved = fuchs_defect_of(m.sigma_t(t), act_sigma_t(nu, t))
             ratio = None
             for name, coeff in base.terms.items():
                 ratio = moved.terms.get(name, Fraction(0)) / coeff
@@ -276,7 +276,7 @@ def test_fuchs_defect_matches_the_triple_loop_oracle():
         ])
         m = random_balanced(rng, shape)
         for vec in (m, -m, m.scale(3), m.sigma_t(shape.index_tuples()[0])):
-            assert fuchs_defect_of(shape, vec, nu) == _fuchs_defect_oracle(shape, vec, nu)
+            assert fuchs_defect_of(vec, nu) == _fuchs_defect_oracle(shape, vec, nu)
 
 
 # -- one bilinear form behind defect, pair_coupling, idx and act_sigma_t -------------

@@ -8,7 +8,10 @@ A function only the tests call belongs in ``tests/oracles.py``, not in
 records the code object of every Python call; a function whose code
 object never ran, and that is not in ``ALLOWED`` with its reason, fails
 the test; so does an ``ALLOWED`` entry that the walk reaches, since its
-reason no longer holds.
+reason no longer holds.  Methods that ``@dataclass`` generates (the
+``__eq__``, ``__hash__`` and ``__setattr__`` of a frozen value class) are
+compiled from text built at import, not from the source files, so the walk
+does not list them.
 """
 
 
@@ -44,20 +47,15 @@ ALLOWED = {
     },
     # methods, by reason
     **dict.fromkeys(
-        [f"irrkatz.{cls}.__setattr__" for cls in (
-            "formal.ExponentialFactor", "formal.FormalData", "formal.SpectralData",
-            "lattice.SlotTable", "polys.Poly", "rootsys.RootVector", "scalar.ParamExpr",
-            "weylalg.DiffOperator")],
+        [f"irrkatz.{cls}.__setattr__" for cls in ("polys.Poly", "scalar.ParamExpr")],
         "the guard of an immutable value: only an assignment, a caller's bug, reaches it"),
     **dict.fromkeys(
-        [f"irrkatz.{cls}.__hash__" for cls in (
-            "formal.FormalData", "formal.SpectralData", "lattice.SlotTable", "polys.Poly",
-            "rootsys.RootVector", "scalar.ParamExpr", "weylalg.DiffOperator")]
+        [f"irrkatz.{cls}.__hash__" for cls in ("polys.Poly", "scalar.ParamExpr")]
         + [f"irrkatz.{cls}.__repr__" for cls in (
             "formal.ExponentialFactor", "formal.SpectralData", "lattice.SlotTable", "polys.Poly",
             "rootsys.RootVector", "scalar.ParamExpr", "weylalg.DiffOperator",
             "weylalg._Infinity")]
-        + [f"irrkatz.{cls}.__eq__" for cls in ("polys.Poly", "weylalg.DiffOperator")]
+        + ["irrkatz.polys.Poly.__eq__"]
         + ["irrkatz.lattice.LatticeVector.__str__", "irrkatz.weylalg.DiffOperator.__bool__"],
         "the value protocol: a value compares, is false when zero and hashes, and every "
         "value shows in a debugger; nothing the walk runs compares, tests, hashes or "
@@ -80,7 +78,7 @@ ALLOWED = {
         [f"irrkatz.lattice.LatticeVector.{name}" for name in (
             "__neg__", "is_zero", "scale", "zero")]
         + [f"irrkatz.rootsys.RootVector.{name}" for name in (
-            "__add__", "__eq__", "__neg__", "is_nonnegative")]
+            "__add__", "__neg__", "is_nonnegative")]
         + ["irrkatz.formal.FormalData.factors", "irrkatz.reduce.Transcript.euler_steps"],
         "lattice and formal-data accessors for is_phi_root and ROADMAP items 5-7; "
         "the tests read them"),

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from irrkatz import cli, corpus, formal, polys
+from irrkatz import cli, corpus, formal, polys, weylalg
 from irrkatz import reduce as reduction
 from irrkatz.exponents import act_sigma_perm, act_sigma_t
 from irrkatz.lattice import LatticeShape, LatticeVector
@@ -31,8 +31,8 @@ from irrkatz.weylalg import (
     ad_power,
     euler,
     format_location,
-    location_key,
     prim,
+    subst_infty,
     to_text,
 )
 from oracles import in_fundamental_domain, op_sum, support_tuples
@@ -479,7 +479,7 @@ def gauss_after_step():
 def test_cross_check_rejects_wrong_exponent():
     moved, locations, predicted, rank = gauss_after_step()
     _check_prediction(moved, locations, predicted, rank)
-    point = predicted[location_key(Fraction(1))]
+    point = predicted[Fraction(1)]
     for w, chains in point.items():
         point[w] = [(lam + 1, k) for lam, k in chains]
     with pytest.raises(CrossCheckError, match=r"^at 1: extracted "):
@@ -488,14 +488,14 @@ def test_cross_check_rejects_wrong_exponent():
 
 def test_cross_check_rejects_unpredicted_factor():
     moved, locations, predicted, rank = gauss_after_step()
-    predicted[location_key(INF)] = {}
+    predicted[INF] = {}
     with pytest.raises(CrossCheckError, match=r"^at inf: extracted \{ExponentialFactor\(inf: 0\)"):
         _check_prediction(moved, locations, predicted, rank)
 
 
 def test_cross_check_rejects_unpredicted_singular_point():
     moved, locations, predicted, rank = gauss_after_step()
-    del predicted[location_key(Fraction(1))]
+    del predicted[Fraction(1)]
     with pytest.raises(CrossCheckError, match=r"^unpredicted singular points: 1$"):
         _check_prediction(moved, locations[:2], predicted, rank)
 
@@ -512,9 +512,9 @@ def test_cross_check_accepts_point_made_non_singular():
     locations = [INF, Fraction(0), Fraction(1)]
     predicted = table_of(data)
     zero = formal.ExponentialFactor(Fraction(1))
-    predicted[location_key(Fraction(1))] = {zero: [(Fraction(0), 1)]}
+    predicted[Fraction(1)] = {zero: [(Fraction(0), 1)]}
     _check_prediction(op, locations, predicted, 1)
-    predicted[location_key(Fraction(1))] = {zero: [(Fraction(1), 1)]}
+    predicted[Fraction(1)] = {zero: [(Fraction(1), 1)]}
     with pytest.raises(CrossCheckError, match=r"^at 1: "):
         _check_prediction(op, locations, predicted, 1)
 
@@ -680,8 +680,10 @@ def ladder(kummer):
 def test_euler_steps_run_no_root_search(monkeypatch, capsys):
     # every Euler step is checked by extraction, and its root searches
     # find the predicted roots without a p-adic search: on nF(n-1), on
-    # the Kummer ladder, whose steps keep the factor x at infinity, and
-    # on the corpus
+    # the Kummer ladder, whose steps keep the factor x at infinity, on
+    # its mirror image under x -> 1/x, whose steps keep the factor -1/x
+    # at 0 (the factor hints carry both signs: extraction at infinity
+    # runs in the chart's opposite orientation), and on the corpus
     calls = record_checks(monkeypatch)
     for op in ladder(False):
         reduce_operator(op)
@@ -689,17 +691,45 @@ def test_euler_steps_run_no_root_search(monkeypatch, capsys):
     for op in ladder(True):
         reduce_operator(op)
     assert len(calls) == 2 * sum(range(1, 8))
+    for op in ladder(True):
+        mirrored = prim(subst_infty(op))
+        assert formal.extract_formal_data(mirrored).factors(1)[-1][0].coeffs == {1: -1}
+        reduce_operator(mirrored)
+    assert len(calls) == 3 * sum(range(1, 8))
     for seed in range(41):
         assert cli.main(["examples", "--run", "--json", "--seed", str(seed)]) == 0
     capsys.readouterr()
-    assert len(calls) > 2 * sum(range(1, 8))
+    assert len(calls) > 3 * sum(range(1, 8))
     assert [searches for *_, searches in calls] == [0] * len(calls)
+
+
+def test_euler_step_checks_run_no_prim(monkeypatch):
+    # twisted_euler returns a primitive operator, and its check extracts
+    # it as it is
+    prims, checks = [], []
+    original, check = weylalg.prim, reduction._check_prediction
+
+    def counted(p):
+        prims.append(p)
+        return original(p)
+
+    def record(*args):
+        before = len(prims)
+        check(*args)
+        checks.append(len(prims) - before)
+
+    monkeypatch.setattr(weylalg, "prim", counted)
+    monkeypatch.setattr(reduction, "_check_prediction", record)
+    for op in ladder(False):
+        reduce_operator(op)
+    assert checks == [0] * sum(range(1, 8))
+    assert len(prims) >= len(checks)
 
 
 def table_of(data):
     """The chain table of extracted formal data."""
     return {
-        location_key(loc): {w: sorted((lam.as_rat(), k) for lam, k in s.chains) for w, s in factors}
+        loc: {w: sorted((lam.as_rat(), k) for lam, k in s.chains) for w, s in factors}
         for loc, factors in data.points
     }
 
@@ -715,7 +745,7 @@ def first_step_of_4f3(monkeypatch):
     return op, list(locations), predicted, rank
 
 
-ONE, INF_KEY = location_key(Fraction(1)), location_key(INF)
+ONE = Fraction(1)
 
 
 def shifted(table, locations):
@@ -742,8 +772,8 @@ def dropped(table, locations):
 
 
 def irregular(table, locations):
-    (_, chains), = table[INF_KEY].items()
-    table[INF_KEY] = {formal.ExponentialFactor(INF, {1: Fraction(1)}): chains}
+    (_, chains), = table[INF].items()
+    table[INF] = {formal.ExponentialFactor(INF, {1: Fraction(1)}): chains}
     return locations
 
 
@@ -767,7 +797,8 @@ def test_wrong_prediction_fails_the_cross_check(monkeypatch, wrong, message):
     locations = wrong(predicted, locations)
     with pytest.raises(CrossCheckError, match=message) as hinted:
         _check_prediction(op, locations, predicted, rank)
-    monkeypatch.setattr(reduction, "extract_formal_data", lambda op, hints: formal.extract_formal_data(op))
+    extract = formal.extract_primitive
+    monkeypatch.setattr(formal, "extract_primitive", lambda op, hints: extract(op))
     with pytest.raises(CrossCheckError) as unhinted:
         _check_prediction(op, locations, predicted, rank)
     assert str(hinted.value) == str(unhinted.value)
