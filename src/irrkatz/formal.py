@@ -36,11 +36,12 @@ from .weylalg import (
 
 MAX_NODES = 1024
 """Bound on the root basis of formal data read from JSON: prod k_i index
-tuples plus sum (l_ij - 1) interior chain slots.  Only the commands that
-read a diagram (``diagram``, ``examples --run``) build the Gram matrix on
-it, but it is dense, so 8 points with 3 factors each (6561 nodes) already
-exhausts a 3 GB memory limit in ``diagram``; and ``reduce`` still lists
-the nodes to lift m for ``idx``, so the bound holds for every command."""
+tuples plus sum (l_ij - 1) interior chain slots.  Only ``diagram --gram``
+and ``--dot`` build the whole Gram matrix on it, but it is dense, so 8
+points with 3 factors each (6561 nodes) already exhausted a 3 GB memory
+limit in ``diagram`` when its label built the matrix; the label still
+builds the rows its walk reads, and ``reduce`` still lists the nodes to
+lift m for ``idx``, so the bound holds for every command."""
 
 
 class ExtractionError(Exception):

@@ -44,20 +44,19 @@ class LatticeShape:
     def __post_init__(self):
         if len(self.weights) != len(self.chain_lengths):
             raise ValueError("weight table does not match point count")
-        for i, lens in enumerate(self.chain_lengths):
+        for i, (lens, table) in enumerate(zip(self.chain_lengths, self.weights)):
             k = len(lens)
-            if k == 0 or any(l < 1 for l in lens):
+            if k == 0 or min(lens) < 1:
                 raise ValueError(f"point {i} needs factors with chains of length >= 1")
-            table = self.weights[i]
-            if len(table) != k or any(len(row) != k for row in table):
+            if [*map(len, table)] != [k] * k:
                 raise ValueError(f"weight table at point {i} is not {k}x{k}")
-            for j in range(k):
-                if table[j][j] != 0:
+            for j, row in enumerate(table):
+                if row[j] != 0:
                     raise ValueError("weight table diagonal must be zero")
                 for j2 in range(j + 1, k):
-                    if table[j][j2] != table[j2][j]:
+                    if row[j2] != table[j2][j]:
                         raise ValueError("weight table must be symmetric")
-                    if table[j][j2] > -1:
+                    if row[j2] > -1:
                         raise ValueError("distinct factors must have weight <= -1")
 
     @property
@@ -95,14 +94,13 @@ class SlotTable:
     def __init__(self, shape: LatticeShape, entries: Sequence[Sequence[Sequence]]):
         coerce = self._coerce
         ent = tuple(
-            tuple(tuple(coerce(v) for v in chain) for chain in point)
+            tuple(tuple(map(coerce, chain)) for chain in point)
             for point in entries
         )
         if len(ent) != shape.num_points:
             raise ValueError("entry blocks do not match point count")
-        for i, point in enumerate(ent):
-            lens = shape.chain_lengths[i]
-            if len(point) != len(lens) or any(len(ch) != l for ch, l in zip(point, lens)):
+        for i, (point, lens) in enumerate(zip(ent, shape.chain_lengths)):
+            if [*map(len, point)] != [*lens]:
                 raise ValueError(f"entries at point {i} do not match chain lengths")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "entries", ent)
@@ -137,7 +135,7 @@ class LatticeVector(SlotTable):
 
     def __init__(self, shape: LatticeShape, entries: Sequence[Sequence[Sequence[int]]]):
         super().__init__(shape, entries)
-        sums = [sum(sum(ch) for ch in point) for point in self.entries]
+        sums = [sum(map(sum, point)) for point in self.entries]
         if len(set(sums)) > 1:
             raise ValueError(f"unequal block sums {sums}")
 

@@ -24,8 +24,8 @@ So the form is the pullback of :meth:`LatticeVector.form` along the
 surjection: :func:`pairing`, :func:`reflect` and :func:`idx` evaluate it
 on the images and never read the Gram matrix.  A :class:`RootBasis` is
 its nodes; the Gram matrix is built on its first read, which only the
-diagram readers make (:func:`dot_text`, :func:`cartan_matrix_text`,
-:func:`classify_diagram`).
+texts of the diagram make (:func:`dot_text`, :func:`cartan_matrix_text`).
+:func:`classify_diagram` builds each Gram row only when its walk reads it.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import compress
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .lattice import IndexTuple, LatticeShape, LatticeVector
 
@@ -51,7 +51,8 @@ class Verdict(Enum):
 @dataclass(frozen=True)
 class RootBasis:
     """Ordered nodes, tuple nodes first and then chain nodes; the Gram
-    matrix of the bilinear form is built on its first read."""
+    matrix of the bilinear form is built on its first read, which only
+    :func:`dot_text` and :func:`cartan_matrix_text` make."""
 
     shape: LatticeShape
     nodes: tuple[Node, ...]
@@ -91,8 +92,30 @@ def build_basis(shape: LatticeShape) -> RootBasis:
 
 
 def _gram(shape: LatticeShape, nodes: tuple[Node, ...]) -> tuple[tuple[int, ...], ...]:
-    """The Gram matrix on the nodes of :func:`build_basis`, set block by
-    block in closed form:
+    """The Gram matrix on the nodes of :func:`build_basis`, the rows of
+    :func:`_gram_rows`.
+
+    Off-diagonal entries are checked to be <= 0, and a violation is
+    reported for the first pair (a, b) with a < b in row-major order.  A
+    validated :class:`LatticeShape` has none: every off-diagonal weight is
+    <= -1, so B(e_t, e_t') <= 2 - 2d with d >= 1 the number of points at
+    which t and t' differ, and the chain entries are -1 or 0.  Only a shape
+    that skipped its own validation reaches the error.
+    """
+    row = _gram_rows(shape, nodes)
+    gram = tuple(tuple(row(a)) for a in range(len(nodes)))
+    for a, entries in enumerate(gram):
+        if max(entries[a + 1:], default=0) > 0:
+            b = next(b for b in range(a + 1, len(nodes)) if entries[b] > 0)
+            raise ValueError(
+                f"positive off-diagonal pairing {entries[b]} between {nodes[a]} and {nodes[b]}"
+            )
+    return gram
+
+
+def _gram_rows(shape: LatticeShape, nodes: tuple[Node, ...]) -> Callable[[int], list[int]]:
+    """The function that builds row a of the Gram matrix on the nodes of
+    :func:`build_basis` as a new list, set block by block in closed form:
 
     - tuple-tuple: B(e_t, e_t') = sum_i ([t_i = t'_i] - euler_weight(i, t'_i, t_i)),
       the outer sum over the points of these rows (see :func:`_suffix_row`),
@@ -102,9 +125,7 @@ def _gram(shape: LatticeShape, nodes: tuple[Node, ...]) -> tuple[tuple[int, ...]
     - chain-chain: 2 on the diagonal, -1 between adjacent slots of one
       chain, 0 otherwise.
 
-    Off-diagonal entries are checked to be <= 0; a violation would leave
-    root-system territory and is reported, for the first pair (a, b) with
-    a < b in row-major order, rather than silently accepted.
+    The rows share one suffix memo, which lives as long as the function.
     """
     tuples = [t for kind, t in nodes if kind == "t"]
     nt = len(tuples)
@@ -115,34 +136,28 @@ def _gram(shape: LatticeShape, nodes: tuple[Node, ...]) -> tuple[tuple[int, ...]
         for i, k in enumerate(map(len, shape.chain_lengths))
     ]
     memo: dict[tuple[IndexTuple, int], list[int]] = {}
-    gram = []
-    for a, t in enumerate(tuples):
-        row = _suffix_row(per_point, memo, t, 0)
-        if max(row[a + 1:], default=0) > 0:
-            b = next(b for b in range(a + 1, nt) if row[b] > 0)
-            raise ValueError(
-                f"positive off-diagonal pairing {row[b]} between {nodes[a]} and {nodes[b]}"
-            )
+
+    def row(a: int) -> list[int]:
         coupling = [0] * len(chains)
-        for i, j in enumerate(t):
-            q = first_slot.get((i, j))
-            if q is not None:
-                coupling[q] = -1
-        row += coupling
-        gram.append(tuple(row))
-    for q, (i, j, s) in enumerate(chains):
-        if s == 0:
-            row = [-1 if t[i] == j else 0 for t in tuples]
-        else:
-            row = [0] * nt
-        coupling = [0] * len(chains)
+        if a < nt:
+            t = tuples[a]
+            for i, j in enumerate(t):
+                q = first_slot.get((i, j))
+                if q is not None:
+                    coupling[q] = -1
+            return _suffix_row(per_point, memo, t, 0) + coupling
+        q = a - nt
+        i, j, s = chains[q]
         coupling[q] = 2
         if s:
             coupling[q - 1] = -1
         if q + 1 < len(chains) and chains[q + 1][2] == s + 1:
             coupling[q + 1] = -1
-        gram.append(tuple(row + coupling))
-    return tuple(gram)
+        if s == 0:
+            return [-1 if t[i] == j else 0 for t in tuples] + coupling
+        return [0] * nt + coupling
+
+    return row
 
 
 def _suffix_row(per_point, memo, u: IndexTuple, c: int) -> list[int]:
@@ -316,53 +331,57 @@ def classify_diagram(basis: RootBasis) -> tuple[str, list[list[int]]]:
     """Label from the catalog {cycle, 5-node star, double edge, disjoint
     unions}, with "unrecognized" as the honest fallback, plus the connected
     components it labelled: sorted lists of node positions, one per term of
-    the label and in its order.  DOT text is :func:`dot_text`."""
-    gram = basis.gram
-    rest = set(range(len(gram)))
+    the label and in its order.  Each Gram row is built when the walk reads
+    it (:func:`_gram_rows`), so the dense Gram matrix is never built.  DOT
+    text is :func:`dot_text`."""
+    return _classify(_gram_rows(basis.shape, basis.nodes), len(basis.nodes))
+
+
+def _classify(row: Callable[[int], Sequence[int]], n: int) -> tuple[str, list[list[int]]]:
+    """:func:`classify_diagram` on the n nodes whose Gram rows ``row(a)``
+    gives.  Each component is found from its first node: every popped node
+    adds the nonzero positions of its row not yet in a component."""
+    nodes = range(n)
+    rest = set(nodes)
     labels = []
     components = []
-    for start in range(len(gram)):
+    for start in nodes:
         if start in rest:
-            component = _component(gram, start, rest)
-            labels.append(_classify_component(gram, component))
-            components.append(component)
+            rest.remove(start)
+            stack = [start]
+            comp = [start]
+            while stack and rest:
+                new = rest.intersection(compress(nodes, row(stack.pop())))
+                rest -= new
+                stack += new
+                comp += new
+            comp.sort()
+            labels.append(_classify_component(row, comp))
+            components.append(comp)
     return " + ".join(labels), components
 
 
-def _component(gram, start: int, rest: set[int]) -> list[int]:
-    """Sorted positions of the component of ``start``, which are taken out
-    of ``rest``, the nodes no component holds yet.  Each popped node adds
-    the nonzero positions of its Gram row still in ``rest``."""
-    nodes = range(len(gram))
-    rest.remove(start)
-    stack = [start]
-    comp = [start]
-    while stack and rest:
-        new = rest.intersection(compress(nodes, gram[stack.pop()]))
-        rest -= new
-        stack += new
-        comp += new
-    return sorted(comp)
-
-
-def _classify_component(gram, comp: list[int]) -> str:
+def _classify_component(row: Callable[[int], Sequence[int]], comp: list[int]) -> str:
     """Two nodes are A1(1) when joined by a double edge.  Otherwise the
     degrees (nonzero off-diagonal entries of a row) decide the candidate, a
-    cycle or a 5-node star.  Off-diagonal entries are <= 0 (``build_basis``),
-    so every edge is simple when every row's least entry is -1."""
+    cycle or a 5-node star, each row read once.  Off-diagonal entries are
+    <= 0 (see :func:`_gram`), so every edge is simple when every row's least
+    entry is -1."""
     if len(comp) == 2:
         a, b = comp
-        return "A1(1)" if gram[a][b] == -2 else "unrecognized"
-    n = len(gram)
-    if all(n - 1 - gram[a].count(0) == 2 for a in comp):
-        label = f"A{len(comp) - 1}(1)"
-    elif len(comp) == 5 and sorted(n - 1 - gram[a].count(0) for a in comp) == [1, 1, 1, 1, 4]:
-        label = "D4(1)"
-    else:
-        return "unrecognized"
-    if any(min(gram[a]) != -1 for a in comp):
-        return "unrecognized"
-    return label
+        return "A1(1)" if row(a)[b] == -2 else "unrecognized"
+    degrees = []
+    for a in comp:
+        entries = row(a)
+        degree = len(entries) - 1 - entries.count(0)
+        if min(entries) != -1 or (degree != 2 and len(comp) != 5):
+            return "unrecognized"
+        degrees.append(degree)
+    if degrees == [2] * len(comp):
+        return f"A{len(comp) - 1}(1)"
+    if sorted(degrees) == [1, 1, 1, 1, 4]:
+        return "D4(1)"
+    return "unrecognized"
 
 
 def is_phi_root(a: LatticeVector) -> Verdict:

@@ -2,8 +2,9 @@
 
 Each is the direct, slow form of something ``irrkatz`` computes another
 way (the form entry by entry or block by block, a reflection from a Gram
-row, ker phi by Gaussian elimination, the support tuples and the
-fundamental domain by the full product, the operator product by the
+row, the diagram's label from the whole Gram matrix, ker phi by Gaussian
+elimination, the support tuples and the fundamental domain by the full
+product, the operator product by the
 Leibniz rule term by term, ``Poly`` and its gcd on ``Fraction`` tuples,
 the operator and its kernels on reduced ``RatFunc`` coefficients, the
 Taylor shift, the order at a root, long division, the theta expansion,
@@ -23,7 +24,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 from math import comb, gcd, lcm, perm
 from operator import mul, ne
 from typing import Union
@@ -75,6 +76,55 @@ def basis_with_gram(shape: LatticeShape, nodes, gram) -> RootBasis:
     basis = RootBasis(shape, tuple(nodes))
     basis.__dict__["gram"] = tuple(tuple(row) for row in gram)
     return basis
+
+
+def classify_gram(gram) -> tuple[str, list[list[int]]]:
+    """``classify_diagram``'s walk and labels read from a whole Gram matrix,
+    the reference for the rows it builds on demand."""
+    rest = set(range(len(gram)))
+    labels = []
+    components = []
+    for start in range(len(gram)):
+        if start in rest:
+            component = _gram_component(gram, start, rest)
+            labels.append(_gram_label(gram, component))
+            components.append(component)
+    return " + ".join(labels), components
+
+
+def _gram_component(gram, start: int, rest: set[int]) -> list[int]:
+    """Sorted positions of the component of ``start``, which are taken out
+    of ``rest``, the nodes no component holds yet.  Each popped node adds
+    the nonzero positions of its Gram row still in ``rest``."""
+    nodes = range(len(gram))
+    rest.remove(start)
+    stack = [start]
+    comp = [start]
+    while stack and rest:
+        new = rest.intersection(compress(nodes, gram[stack.pop()]))
+        rest -= new
+        stack += new
+        comp += new
+    return sorted(comp)
+
+
+def _gram_label(gram, comp: list[int]) -> str:
+    """Two nodes are A1(1) when joined by a double edge.  Otherwise the
+    degrees (nonzero off-diagonal entries of a row) decide the candidate, a
+    cycle or a 5-node star, and every edge must be simple."""
+    if len(comp) == 2:
+        a, b = comp
+        return "A1(1)" if gram[a][b] == -2 else "unrecognized"
+    n = len(gram)
+    if all(n - 1 - gram[a].count(0) == 2 for a in comp):
+        label = f"A{len(comp) - 1}(1)"
+    elif len(comp) == 5 and sorted(n - 1 - gram[a].count(0) for a in comp) == [1, 1, 1, 1, 4]:
+        label = "D4(1)"
+    else:
+        return "unrecognized"
+    if any(min(gram[a]) != -1 for a in comp):
+        return "unrecognized"
+    return label
 
 
 def reflect(alpha: RootVector, node: Node) -> RootVector:

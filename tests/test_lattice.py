@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from irrkatz import corpus, formal, rootsys
+from irrkatz.exponents import ExponentVector
 from irrkatz.lattice import LatticeShape, LatticeVector
 from oracles import form, in_fundamental_domain, rank_one, support_tuples, tuple_defect
 
@@ -24,6 +25,50 @@ def test_shape_validation():
     shape = LatticeShape(((1, 1),), (((0, -3), (-3, 0)),))
     assert shape.p == 0
     assert shape.index_tuples() == ((0,), (1,))
+
+
+def test_constructors_name_the_first_fault():
+    # a point is checked whole before the next; in a table, the diagonal at
+    # j before the pairs (j, j2 > j), each pair symmetric before its weight
+    t2 = ((0, -1), (-1, 0))
+    shapes = [
+        (((1, 1),), (), "weight table does not match point count"),
+        (((1, 1), ()), (t2, ()), "point 1 needs factors with chains of length >= 1"),
+        (((1, 0),), (t2,), "point 0 needs factors with chains of length >= 1"),
+        (((1,), (1, 1)), (((0,),), ((0, -1),)), "weight table at point 1 is not 2x2"),
+        (((1, 1),), (((0, -1), (-1,)),), "weight table at point 0 is not 2x2"),
+        (((1, 1),), (((0, -1), (-1, 1)),), "weight table diagonal must be zero"),
+        (((1, 1),), (((0, -1), (-2, 0)),), "weight table must be symmetric"),
+        (((1, 1),), (((0, 0), (0, 0)),), "distinct factors must have weight <= -1"),
+        (((1, 1),), (((0, 0), (-1, 0)),), "weight table must be symmetric"),
+        (((1, 1, 1),), (((0, 0, -1), (0, 0, -1), (-2, -1, 0)),),
+         "distinct factors must have weight <= -1"),
+        (((1, 1, 1),), (((0, -1, -1), (-1, 1, -1), (-2, -1, 0)),),
+         "weight table must be symmetric"),
+        (((1, 1), (1, 1)), (((0, 0), (0, 0)), ((0, -1), (-2, 0))),
+         "distinct factors must have weight <= -1"),
+    ]
+    for chain_lengths, weights, message in shapes:
+        with pytest.raises(ValueError) as got:
+            LatticeShape(chain_lengths, weights)
+        assert str(got.value) == message
+    shape = LatticeShape(((1, 2), (1,)), (t2, ((0,),)))
+    vectors = [
+        ([[[1], [0, 0]]], "entry blocks do not match point count"),
+        ([[[1], [0, 0]], [[1]], [[0]]], "entry blocks do not match point count"),
+        ([[[1]], [[1]]], "entries at point 0 do not match chain lengths"),
+        ([[[1], [0]], [[1]]], "entries at point 0 do not match chain lengths"),
+        ([[[1], [0, 0]], [[1, 0]]], "entries at point 1 do not match chain lengths"),
+        ([[[1], [0, 1]], [[1]]], "unequal block sums [2, 1]"),
+        ([[[1, 1], [0, 1]], [[1]]], "entries at point 0 do not match chain lengths"),
+    ]
+    for entries, message in vectors:
+        with pytest.raises(ValueError) as got:
+            LatticeVector(shape, entries)
+        assert str(got.value) == message
+    with pytest.raises(ValueError) as got:
+        ExponentVector(shape, [[[1], [0]], [[1]]])
+    assert str(got.value) == "entries at point 0 do not match chain lengths"
 
 
 def test_vector_block_sums():

@@ -1,5 +1,7 @@
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,7 @@ from oracles import (
     basis_with_gram,
     block_sum,
     chain_nodes,
+    classify_gram,
     in_fundamental_domain,
     kernel_basis,
     kernel_radical_check,
@@ -139,7 +142,7 @@ def test_gram_matches_pairwise_oracle():
         assert basis.gram == reference.gram
         assert dot_text(basis) == dot_text(reference)
         assert cartan_matrix_text(basis) == cartan_matrix_text(reference)
-        assert classify_diagram(basis)[0] == classify_diagram(reference)[0]
+        assert classify_diagram(basis) == classify_gram(reference.gram)
         for k, node in enumerate(nodes):
             assert basis.node_index(node) == k
 
@@ -210,15 +213,26 @@ def test_only_the_diagram_readers_build_the_gram(monkeypatch, tmp_path, capsys):
         assert formal.fuchs_defect(data).is_zero()
         path = tmp_path / f"{name}.json"
         path.write_text(formal.to_json(data), encoding="utf-8")
-        for command in ("reduce", "fuchs"):
+        classify_diagram(lift.basis)
+        for command in ("reduce", "fuchs", "diagram"):
             assert cli.main([command, "--formal", str(path)]) == 0
+    assert cli.main(["examples", "--run"]) == 0
     capsys.readouterr()
     basis = build_basis(shape_of("dHeun"))
-    readers = [dot_text, cartan_matrix_text, classify_diagram,
-               lambda b: kernel_radical_check(b.shape)]
+    readers = [dot_text, cartan_matrix_text, lambda b: kernel_radical_check(b.shape)]
     for reader in readers:
         with pytest.raises(AssertionError, match="Gram matrix built"):
             reader(basis)
+
+
+def test_classify_diagram_keeps_no_gram():
+    # 4^5 tuple nodes; every row the walk reads is dropped after the call
+    shape = LatticeShape(((1, 1, 1, 1),) * 5, (((0, -1, -1, -1), (-1, 0, -1, -1),
+                                                (-1, -1, 0, -1), (-1, -1, -1, 0)),) * 5)
+    basis = build_basis(shape)
+    assert len(basis.nodes) >= 1000
+    assert classify_diagram(basis) == ("unrecognized", [list(range(len(basis.nodes)))])
+    assert "gram" not in basis.__dict__
 
 
 # -- reflections -------------------------------------------------------------------
@@ -487,12 +501,12 @@ def test_dot_output_contains_multiplicity():
     assert text.splitlines()[0].split() == ["2", "-2"]
 
 
-def _oracle_adjacency(basis, nodes):
+def _oracle_adjacency(gram, nodes):
     """Reference: neighbours from one Python pass over the upper triangle."""
     nodes = list(nodes)
     adjacency = {a: [] for a in nodes}
     for k, a in enumerate(nodes):
-        row = basis.gram[a]
+        row = gram[a]
         for b in nodes[k + 1:]:
             if row[b]:
                 adjacency[a].append(b)
@@ -514,9 +528,9 @@ def _oracle_component(adjacency, start):
     return sorted(comp)
 
 
-def _oracle_classify_component(basis, comp, adjacency):
+def _oracle_classify_component(gram, comp, adjacency):
     """Reference: every multiplicity first, then the degrees."""
-    mults = [-basis.gram[a][b] for a in comp for b in adjacency[a] if a < b]
+    mults = [-gram[a][b] for a in comp for b in adjacency[a] if a < b]
     if len(comp) == 2 and mults == [2]:
         return "A1(1)"
     if mults and any(m != 1 for m in mults):
@@ -529,8 +543,8 @@ def _oracle_classify_component(basis, comp, adjacency):
     return "unrecognized"
 
 
-def _oracle_classify(basis):
-    adjacency = _oracle_adjacency(basis, range(len(basis.nodes)))
+def _oracle_classify(gram):
+    adjacency = _oracle_adjacency(gram, range(len(gram)))
     seen = set()
     labels, components = [], []
     for start in adjacency:
@@ -538,21 +552,39 @@ def _oracle_classify(basis):
             continue
         component = _oracle_component(adjacency, start)
         seen |= set(component)
-        labels.append(_oracle_classify_component(basis, component, adjacency))
+        labels.append(_oracle_classify_component(gram, component, adjacency))
         components.append(component)
     return " + ".join(labels), components
 
 
-def graph_basis(n, edges):
-    """A basis with only a Gram matrix: diagonal 2 and -m on each edge
-    (a, b, m); ``classify_diagram`` reads nothing else."""
+def graph_gram(n, edges):
+    """A Gram matrix with no shape: diagonal 2 and -m on each edge (a, b, m)."""
     gram = [[0] * n for _ in range(n)]
     for a in range(n):
         gram[a][a] = 2
     for a, b, m in edges:
         gram[a][b] = gram[b][a] = -m
-    nodes = tuple(("c", (0, 0, k)) for k in range(n))
-    return basis_with_gram(None, nodes, gram)
+    return tuple(tuple(row) for row in gram)
+
+
+def classify_rows(gram):
+    """The walk of ``classify_diagram`` handed the rows of ``gram``."""
+    return rootsys._classify(gram.__getitem__, len(gram))
+
+
+def bench_lattice_shapes():
+    """The shapes of the first ``lattice_ladder`` pass of the benchmark at
+    seeds 0-40, up to 1051 nodes."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [
+        LatticeShape(tuple(map(tuple, inst["chain_lengths"])),
+                     tuple(tuple(map(tuple, table)) for table in inst["weights"]))
+        for seed in range(41)
+        for inst in next(workloads.GENERATORS["lattice_ladder"](seed))
+    ]
 
 
 def relabel(edges, perm):
@@ -597,15 +629,15 @@ def test_classify_catalog_shapes():
         for _ in range(4):
             perm = list(range(n))
             rng.shuffle(perm)
-            basis = graph_basis(n, relabel(edges, perm))
-            label, components = classify_diagram(basis)
+            gram = graph_gram(n, relabel(edges, perm))
+            label, components = classify_rows(gram)
             # the terms come in the order of each component's first node
             assert sorted(label.split(" + ")) == sorted(expected.split(" + ")), (n, edges)
-            assert (label, components) == _oracle_classify(basis)
+            assert (label, components) == _oracle_classify(gram) == classify_gram(gram)
             assert sorted(k for comp in components for k in comp) == list(range(n))
 
 
-def random_graph_basis(rng):
+def random_graph_gram(rng):
     """Sparse Gram matrices, whose components are often cycles, stars and
     small pieces, with an occasional double or triple edge."""
     n = rng.randint(1, 40)
@@ -627,20 +659,35 @@ def random_graph_basis(rng):
             edges += cycle(list(range(start, n)), rng.choice((1, 1, 1, 2)))
     perm = list(range(n))
     rng.shuffle(perm)
-    return graph_basis(n, relabel(edges, perm))
+    return graph_gram(n, relabel(edges, perm))
 
 
 def test_classify_matches_oracle():
     rng = random.Random(41)
-    bases = [build_basis(random_shape(rng)) for _ in range(40)]
-    bases += [build_basis(shape_of(name)) for name in corpus.names()]
-    bases += [random_graph_basis(rng) for _ in range(400)]
+    shapes = [random_shape(rng) for _ in range(300)]
+    shapes += [shape_of(name) for name in corpus.names()]
     labels = set()
-    for basis in bases:
+    for shape in shapes:
+        basis = build_basis(shape)
         got = classify_diagram(basis)
-        assert got == _oracle_classify(basis)
+        assert "gram" not in basis.__dict__
+        assert got == classify_gram(basis.gram) == _oracle_classify(basis.gram)
+        labels.update(got[0].split(" + "))
+    for _ in range(400):
+        gram = random_graph_gram(rng)
+        got = classify_rows(gram)
+        assert got == classify_gram(gram) == _oracle_classify(gram)
         labels.update(got[0].split(" + "))
     assert {"A1(1)", "A2(1)", "A3(1)", "D4(1)", "unrecognized"} <= labels
+
+
+def test_classify_matches_the_gram_walk_on_the_bench_shapes():
+    sizes = []
+    for shape in bench_lattice_shapes():
+        basis = build_basis(shape)
+        assert classify_diagram(basis) == classify_gram(basis.gram)
+        sizes.append(len(basis.nodes))
+    assert max(sizes) > 1000
 
 
 # -- equivariance (the central identities) ---------------------------------------------------

@@ -7,10 +7,11 @@ Run it from the root of each checkout and compare the lines:
     python3 tools/digest.py --show S   # the text of section S, to diff
 
 The program is imported from this checkout's ``src/``; the operator texts
-of ``analyze`` come from ``bench/workloads.py`` (the section is left out
-without ``bench/``), and those of ``parse_fuzz`` from the fuzz of
-``tests/test_parse.py``.  Nothing is written: the commands that read a
-formal-data file are replayed through the functions they call.
+of ``analyze`` and the shapes of ``diagrams`` come from
+``bench/workloads.py`` (left out without ``bench/``), and those of
+``parse_fuzz`` from the fuzz of ``tests/test_parse.py``.  Nothing is
+written: the commands that read a formal-data file are replayed through
+the functions they call.
 """
 
 from __future__ import annotations
@@ -29,11 +30,13 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from irrkatz import cli, corpus, formal, reduce as reduction, rootsys, weylalg  # noqa: E402
+from irrkatz.lattice import LatticeShape  # noqa: E402
 
-#: Seeds of ``examples --run --json``, of the bench texts, and the ranks of
-#: the hypergeometric and Kummer ladders.
+#: Seeds of ``examples --run --json``, of the bench texts and of the bench
+#: lattice shapes, and the ranks of the hypergeometric and Kummer ladders.
 EXAMPLE_SEEDS = range(41)
 BENCH_SEEDS = range(5)
+LATTICE_SEEDS = range(41)
 LADDER = range(2, 21)
 #: Denominators of the ladder parameters, as in ``tests/test_reduce.py``:
 #: rank n reads the first 2n - 1.
@@ -84,6 +87,34 @@ def bench_texts() -> list[str]:
         for seed in BENCH_SEEDS:
             texts += [inst["op"] for inst in next(workloads.GENERATORS[name](seed))]
     return texts
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def diagrams() -> str:
+    """The label and components of ``classify_diagram``, and a SHA-256 each
+    of ``dot_text`` and ``cartan_matrix_text``, on the shapes of the first
+    ``lattice_ladder`` pass at ``LATTICE_SEEDS`` and on the corpus shapes."""
+    workloads = _module("bench_workloads", ROOT / "bench" / "workloads.py")
+    shapes = [
+        (f"lattice_ladder {seed}", LatticeShape(
+            tuple(map(tuple, inst["chain_lengths"])),
+            tuple(tuple(map(tuple, table)) for table in inst["weights"])))
+        for seed in (LATTICE_SEEDS if workloads else ())
+        for inst in next(workloads.GENERATORS["lattice_ladder"](seed))
+    ]
+    shapes += [(name, formal.to_shape(corpus.symbolic_formal_data(name)))
+               for name in corpus.names()]
+    out = io.StringIO()
+    for name, shape in shapes:
+        basis = rootsys.build_basis(shape)
+        label, components = rootsys.classify_diagram(basis)
+        print(f"== {name}: {len(basis.nodes)} nodes\n{label} {components}", file=out)
+        print("dot", _sha(rootsys.dot_text(basis)), file=out)
+        print("gram", _sha(rootsys.cartan_matrix_text(basis)), file=out)
+    return out.getvalue()
 
 
 def analyze() -> str:
@@ -222,6 +253,7 @@ SECTIONS = {
     "examples": examples,
     "demos": demos,
     "analyze": analyze,
+    "diagrams": diagrams,
     "texts": corpus_texts,
     "ladders": ladders,
     "parse_errors": parse_errors,
@@ -238,7 +270,7 @@ def main(argv=None) -> int:
         sys.stdout.write(SECTIONS[args.show]())
         return 0
     for name, make in SECTIONS.items():
-        print(hashlib.sha256(make().encode("utf-8")).hexdigest(), name)
+        print(_sha(make()), name)
     return 0
 
 
