@@ -10,9 +10,14 @@ Algebra*, §8.4); division is pseudo-division over Z.  ``Poly.coeffs``, the
 coefficients as ``Fraction``s, is a read-only view built on first read; no
 arithmetic runs on it.  The row kernels of ``weylalg`` take their inputs
 through :func:`int_rows` and build their results with :func:`from_row`.
-Rational roots are found exactly by p-adic expansion (Loos, SIAM J.
-Comput. 12(2), 1983): roots modulo a small prime, Hensel-lifted and read
-back by rational reconstruction, each one checked over Z.
+Rational roots are exact: in closed form up to degree 2 (the root of a
+linear part, the square root of a discriminant by ``isqrt``), and above by
+p-adic expansion (Loos, SIAM J. Comput. 12(2), 1983): roots modulo a small
+prime, Hensel-lifted and read back by rational reconstruction, each one
+checked over Z.  The gcd, which the square-free step of that expansion
+needs, is the heuristic GCDHEU on integers (Char, Geddes and Gonnet, J.
+Symbolic Comput. 7, 1989), accepted only after exact division, with Euclid
+over Q as its fallback.
 
 Normalization is skipped where it cannot change the result.  The gcd with
 a nonzero constant is 1, so a constant denominator only divides the
@@ -308,17 +313,11 @@ class Poly:
         return from_row([sign * a for a in self._n], sign * self._n[-1])
 
     def rational_roots(self, hints: Iterable[Scalar] = ()) -> dict[Fraction, int]:
-        """All rational roots with multiplicities, by p-adic expansion.
-
-        Loos, "Computing rational zeros of integral polynomials by p-adic
-        expansion", SIAM J. Comput. 12(2), 1983: after the factor x^k, the
-        square-free part f of the primitive part is reduced modulo the
-        smallest odd prime p that leaves lc(f) a unit and every root mod p
-        simple.  Each root mod p is Newton-lifted until p^e > 2|f(0)||lc(f)|
-        and read back as a/b with |a| <= |f(0)| and 0 < b <= |lc(f)|; a
-        candidate counts only if f(a/b) = 0 exactly.  The roots come 0
-        first, then by (|a|, b, a < 0): the order of the rational root
-        theorem's divisor enumeration.
+        """All rational roots with multiplicities: 0 first, then by (|a|,
+        b, a < 0), the order of the rational root theorem's divisor
+        enumeration.  After the factor x^k, :func:`_searched_roots` finds
+        the roots of the rest: in closed form up to degree 2, by p-adic
+        expansion above.
 
         ``hints`` are candidate roots, tried first by :meth:`order_at`:
         when the multiplicities of those that are roots add up to the
@@ -336,13 +335,8 @@ class Poly:
                     return dict(sorted(hinted, key=lambda item: _root_order(item[0])))
         low = self.order_at(0)
         roots = {Fraction(0): low} if low else {}
-        _, zp = from_row(list(self._n[low:])).int_content_and_primitive()
-        if zp.degree == 0:
-            return roots
-        _, sf = (zp // poly_gcd(zp, zp.derivative())).int_content_and_primitive()
-        found = _lifted_roots(sf._n)
-        for root in sorted(found, key=_root_order):
-            roots[root] = zp.order_at(root)
+        if low < self.degree:
+            roots.update(_searched_roots(self._n[low:]))
         return roots
 
     # -- text ---------------------------------------------------------------
@@ -402,9 +396,41 @@ def _eval_mod(f: list[int], r: int, m: int) -> int:
     return acc
 
 
+def _searched_roots(f: Sequence[int]) -> list[tuple[Fraction, int]]:
+    """The rational roots of a nonzero f in Z[x] of degree >= 1 with f(0)
+    != 0 (lowest degree first), with their multiplicities, in the order of
+    :meth:`Poly.rational_roots`: the one root search.
+
+    Degree 1 is the root -f_0/f_1.  Degree 2 is c + b x + a x^2 with
+    discriminant b^2 - 4ac: none when it is negative or not a square
+    (``isqrt``), the double root -b/2a when it is 0.  Above, the square-free
+    part of the primitive part is lifted p-adically (Loos, "Computing
+    rational zeros of integral polynomials by p-adic expansion", SIAM J.
+    Comput. 12(2), 1983; :func:`_lifted_roots`), and each root's
+    multiplicity is its order.
+    """
+    if len(f) == 2:
+        return [(Fraction(-f[0], f[1]), 1)]
+    if len(f) == 3:
+        c, b, a = f
+        disc = b * b - 4 * a * c
+        if disc < 0 or (s := isqrt(disc)) ** 2 != disc:
+            return []
+        if not s:
+            return [(Fraction(-b, 2 * a), 2)]
+        roots = (Fraction(-b + s, 2 * a), Fraction(-b - s, 2 * a))
+        return [(root, 1) for root in sorted(roots, key=_root_order)]
+    _, zp = from_row(list(f)).int_content_and_primitive()
+    _, sf = (zp // poly_gcd(zp, zp.derivative())).int_content_and_primitive()
+    return [(root, zp.order_at(root)) for root in sorted(_lifted_roots(sf._n), key=_root_order)]
+
+
 def _lifted_roots(f: tuple[int, ...]) -> list[Fraction]:
     """Rational roots of a square-free f in Z[x] (lowest degree first,
-    f(0) != 0), by lifting the roots modulo a good prime."""
+    f(0) != 0): the smallest odd prime p that leaves lc(f) a unit and every
+    root mod p simple; each root mod p Newton-lifted until p^e >
+    2|f(0)||lc(f)| and read back as a/b with |a| <= |f(0)| and 0 < b <=
+    |lc(f)|; a candidate counts only if f(a/b) = 0 exactly."""
     a0, lead = abs(f[0]), abs(f[-1])
     df = [k * c for k, c in enumerate(f)][1:]
     p = 3
@@ -436,12 +462,81 @@ def _lifted_roots(f: tuple[int, ...]) -> list[Fraction]:
     return out
 
 
+#: Evaluation points GCDHEU tries before Euclid runs.
+HEU_TRIES = 6
+#: Largest bit size, (bits of xi) * (degree + 1), of an evaluation GCDHEU
+#: makes; above it Euclid runs.  Two rows that ``parse`` accepts (at most
+#: 33 numerators of at most 4300 digits) fit; the integer gcd, quadratic in
+#: this size, takes about a second at the bound.
+HEU_BITS = 1 << 19
+
+
+def _divides(g: list[int], f: Sequence[int]) -> bool:
+    """Whether g in Z[x], primitive with a positive leading coefficient,
+    divides f in Z[x] (by Gauss's lemma, in Q[x]): long division from the
+    top, stopped at the first quotient coefficient that is not an
+    integer."""
+    d, lead = len(g) - 1, g[-1]
+    rem = list(f)
+    for k in range(len(f) - 1 - d, -1, -1):
+        q, r = divmod(rem[k + d], lead)
+        if r:
+            return False
+        if q:
+            for j in range(d):
+                rem[k + j] -= q * g[j]
+    return len(f) > d and not any(rem[:d])
+
+
+def _heuristic_gcd(a: Sequence[int], b: Sequence[int]) -> list[int] | None:
+    """The primitive gcd, with a positive leading coefficient, of a and b
+    in Z[x], primitive and of degree >= 1, by GCDHEU (Char, Geddes and
+    Gonnet, J. Symbolic Comput. 7, 1989); None when it fails.
+
+    Take the integer gcd of a(xi) and b(xi) and read it back xi-adically,
+    with remainders in (-xi/2, xi/2].  With xi >= 2 min(|a|, |b|) + 2 (max
+    norms), the primitive part of that polynomial is the gcd exactly when
+    it divides both a and b.  Each failure grows xi by about 2.73 (the
+    factor 73794/27011 of the paper), up to :data:`HEU_TRIES` points and
+    an evaluation of :data:`HEU_BITS` bits.
+    """
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    for _ in range(HEU_TRIES):
+        if xi.bit_length() * max(len(a), len(b)) > HEU_BITS:
+            return None
+        values = []
+        for f in (a, b):
+            acc = 0
+            for c in reversed(f):
+                acc = acc * xi + c
+            values.append(acc)
+        gamma, g = int_gcd(*values), []
+        while gamma:
+            c = gamma % xi
+            if 2 * c > xi:
+                c -= xi
+            g.append(c)
+            gamma = (gamma - c) // xi
+        content = int_gcd(*g) if g[-1] > 0 else -int_gcd(*g)
+        g = [c // content for c in g]
+        if _divides(g, a) and _divides(g, b):
+            return g
+        xi = xi * 73794 // 27011
+    return None
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd over Q[x].  With a monomial c*x^k on one side it is
-    x^min(k, v), v the order at 0 of the other side, without division."""
+    x^min(k, v), v the order at 0 of the other side, without division.
+    Otherwise GCDHEU (:func:`_heuristic_gcd`) runs on the primitive
+    numerators; when it fails, Euclid over Q."""
     for mono, other in ((a, b), (b, a)):
         if mono._n and not any(mono._n[:-1]) and other._n:
             return Poly.x(min(mono.degree, other.order_at(0)))
+    if a._n and b._n:
+        g = _heuristic_gcd(*([c // int_gcd(*p._n) for c in p._n] for p in (a, b)))
+        if g is not None:
+            return from_row(g, g[-1])
     while not b.is_zero():
         a, b = b, a % b
     if a.is_zero():

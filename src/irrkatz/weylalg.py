@@ -349,6 +349,24 @@ def _power(a, d: int, n: int) -> tuple[list, int]:
     return value
 
 
+def _bounded(value: tuple[list, int], pos: int) -> tuple[list, int]:
+    """``value``, trimmed rows over one integer, when that integer and
+    every numerator have at most as many digits as a numeral may have
+    (``sys.get_int_max_str_digits()``, L); otherwise an OperatorSyntaxError
+    at ``pos``.  Only an integer of more than 3L bits can reach 10^L.
+
+    ``parse`` bounds the base of each power and the whole text's value.  A
+    sum or a product adds the digits of its operands, so only a power
+    multiplies the size of what the text wrote, by at most MAX_DEGREE."""
+    limit = sys.get_int_max_str_digits()
+    rows, d = value
+    if limit and max(map(int.bit_length, chain((d,), *rows))) > 3 * limit:
+        big = 10**limit
+        if d >= big or any(abs(a) >= big for a in chain(*rows)):
+            raise OperatorSyntaxError(f"coefficient with more than {limit} digits", pos)
+    return value
+
+
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)(?:/(\d+))?|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*^]))")
 
 
@@ -411,7 +429,9 @@ def parse(text: str) -> DiffOperator:
     is rejected before it is computed, a product as soon as its right
     factor is complete.  Each ``(`` and each unary sign opens a level until
     its factor is complete; the opener of level ``MAX_NESTING + 1`` is
-    rejected, whatever the caller's stack depth.
+    rejected, whatever the caller's stack depth.  The integers of the base
+    of each power and of the text's value have at most as many digits as a
+    numeral (:func:`_bounded`).
     """
     tokens = _tokenize(text)
     too_large = f"too large: rank and degree are limited to {MAX_DEGREE}"
@@ -454,7 +474,7 @@ def parse(text: str) -> DiffOperator:
                     raise OperatorSyntaxError("exponent must be a nonnegative integer", epos)
                 if exp > MAX_DEGREE or exp * _size(value[0]) > MAX_DEGREE:
                     raise OperatorSyntaxError("power " + too_large, epos)
-                value = _power(*value, int(exp))
+                value = _power(*_bounded(value, epos), int(exp))
             if signs.count("-") % 2:
                 value = [[-a for a in row] for row in value[0]], value[1]
             depth -= len(signs)
@@ -479,7 +499,7 @@ def parse(text: str) -> DiffOperator:
             if not stack:
                 if kind != "end":
                     raise OperatorSyntaxError("trailing input", pos)
-                return _operator(*value)
+                return _operator(*_bounded(value, pos))
             if val != ")":
                 raise OperatorSyntaxError("expected ')'", pos)
             depth -= 1

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -395,7 +396,7 @@ def test_examples_run_searches_roots_in_the_input_only(monkeypatch, capsys):
     from irrkatz import polys
 
     calls, searches = [], []
-    original, lifted_roots = formal.extract_primitive, polys._lifted_roots
+    original, searched_roots = formal.extract_primitive, polys._searched_roots
 
     def counting(op, hints=None):
         calls.append(len(searches))
@@ -403,10 +404,10 @@ def test_examples_run_searches_roots_in_the_input_only(monkeypatch, capsys):
 
     def counted(f):
         searches.append(f)
-        return lifted_roots(f)
+        return searched_roots(f)
 
     monkeypatch.setattr(formal, "extract_primitive", counting)
-    monkeypatch.setattr(polys, "_lifted_roots", counted)
+    monkeypatch.setattr(polys, "_searched_roots", counted)
     code, out, _ = run(capsys, "examples", "--run", "--only", "Gauss")
     assert code == 0 and "ok" in out
     assert len(calls) == 2 and calls[1] == len(searches) > 0
@@ -453,7 +454,7 @@ def test_reduce_operator_extracts_input_once(tmp_path, monkeypatch, capsys):
     path.write_text(out, encoding="utf-8")
     calls, steps, searches = [], [], []
     original, original_euler = formal.extract_primitive, reduction.twisted_euler
-    lifted_roots = polys._lifted_roots
+    searched_roots = polys._searched_roots
 
     def counting(op, hints=None):
         calls.append((op, len(searches)))
@@ -465,11 +466,11 @@ def test_reduce_operator_extracts_input_once(tmp_path, monkeypatch, capsys):
 
     def counted(f):
         searches.append(f)
-        return lifted_roots(f)
+        return searched_roots(f)
 
     monkeypatch.setattr(formal, "extract_primitive", counting)
     monkeypatch.setattr(reduction, "twisted_euler", counting_euler)
-    monkeypatch.setattr(polys, "_lifted_roots", counted)
+    monkeypatch.setattr(polys, "_searched_roots", counted)
     code, out, _ = run(capsys, "reduce", "--formal", str(path), "--operator", to_text(gauss))
     assert code == 0 and "final rank 1" in out
     assert len(steps) == 1
@@ -661,6 +662,39 @@ def test_analyze_overlong_numeral_names_the_position(capsys, numeral):
     code, _, err = run(capsys, "analyze", "--op", f"D - {numeral}")
     assert code == 2
     assert "numeral with more than 4300 digits (at position 4)" in err
+
+
+def _sixth_order_text():
+    """16 KB of sixth-order text with four random 4000-digit numerals."""
+    rng = random.Random(6)
+    h, a, b, c = (rng.randrange(10**3999, 10**4000) for _ in range(4))
+    return f"({h})*x^6*D^6 + ({a}/{b})*x*D + ({c})"
+
+
+#: Texts whose numerals each pass, but whose value has an integer of more
+#: than 4300 digits, and the position named: a product of two 4300-digit
+#: numerals; a sixth-order text whose sum puts 4000-digit coefficients
+#: over a 4000-digit denominator; the square of that product, refused at
+#: the exponent before it is built.  The first two used to exit 2 with
+#: Python's message about integer string conversion, the second after its
+#: characteristic polynomials.
+LONG_VALUES = [
+    (f"x*D - ({'7' * 4300})*({'7' * 4300})", 8611),
+    (_sixth_order_text(), 16025),
+    (f"x*D - (({'7' * 4300})*({'7' * 4300}))^2", 8614),
+]
+
+
+@pytest.mark.parametrize("text, position", LONG_VALUES, ids=["product", "sixth_order", "power"])
+def test_analyze_overlong_value_names_the_limit(capsys, text, position):
+    code, out, err = run(capsys, "analyze", "--op", text)
+    assert code == 2 and out == ""
+    assert err == f"error: coefficient with more than 4300 digits (at position {position})\n"
+
+
+def test_analyze_accepts_a_value_at_the_limit(capsys):
+    code, out, _ = run(capsys, "analyze", "--op", f"x*D - {'7' * 4300}")
+    assert code == 0 and "7" * 4300 in out
 
 
 @pytest.mark.parametrize("depth", [1000, 100000])

@@ -118,13 +118,13 @@ def test_rational_roots_with_hints_match_the_search(monkeypatch):
     # and the search is skipped exactly when the hinted roots fill the degree
     rng = random.Random(28)
     searches = []
-    lifted_roots = polys._lifted_roots
+    searched_roots = polys._searched_roots
 
     def counted(f):
         searches.append(f)
-        return lifted_roots(f)
+        return searched_roots(f)
 
-    monkeypatch.setattr(polys, "_lifted_roots", counted)
+    monkeypatch.setattr(polys, "_searched_roots", counted)
     skipped = 0
     for _ in range(300):
         p = random_root_poly(rng)
@@ -152,6 +152,72 @@ def test_rational_roots_with_hints_match_the_search(monkeypatch):
             assert (searches == []) == (filled or p.order_at(0) == p.degree), (p, name)
             skipped += filled
     assert skipped > 300
+
+
+def _closed_form_polys(rng):
+    """Polynomials whose part after x^k has degree 1 or 2: random ones
+    with a rational content, then a negative, a non-square and a zero
+    discriminant, and both roots of one sign."""
+    out = []
+    for _ in range(150):
+        row = [rng.randint(-30, 30) or 1 for _ in range(rng.randint(2, 3))]
+        if rng.random() < 0.5 and len(row) == 3:
+            (a, b), (c, d) = [(rng.randint(-12, 12) or 1, rng.randint(1, 12)) for _ in range(2)]
+            row = [a * c, -(a * d + b * c), b * d]        # (b x - a)(d x - c)
+        content = Fraction(rng.choice([1, -1]) * rng.randint(1, 9), rng.randint(1, 9))
+        out.append(Poly(row) * Poly.x(rng.randint(0, 3)) * content)
+    out += [
+        Poly([1, 1, 1]),                        # disc -3
+        Poly([-3, 0, 1]) * Poly.x(2),           # disc 12
+        Poly([4, -12, 9]),                      # (3x - 2)^2, disc 0
+        Poly([6, 5, 1]),                        # -2, -3
+        Poly([-5, 2]) * Poly.x(),
+        Poly([-Fraction(2, 3), -1, Fraction(5, 2)]),
+    ]
+    return out
+
+
+def test_closed_form_roots_match_enumeration_and_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(31)
+    for p in _closed_form_polys(rng):
+        want = list(_enumerate_roots(p).items())
+        assert list(p.rational_roots().items()) == want, p
+        factors = sympy.Poly(list(reversed(p.coeffs)), x, domain="QQ").factor_list()[1]
+        linear = {}
+        for f, mult in factors:
+            if f.degree() == 1:
+                root = -f.all_coeffs()[1] / f.all_coeffs()[0]
+                linear[Fraction(int(root.p), int(root.q))] = mult
+        assert p.rational_roots() == linear, p
+        roots = [r for r, _ in want]
+        for hints in ([], roots, roots[::-1] + [Fraction(7, 5), 0], roots[:1], [Fraction(-1, 3)]):
+            assert list(p.rational_roots(hints).items()) == want, (p, hints)
+
+
+def test_closed_form_roots_of_4000_digit_numerals():
+    # roots with 2000-digit numerator and denominator, so the quadratic
+    # has 4000-digit numerals; the p-adic oracle agrees on each
+    rng = random.Random(4000)
+
+    def numeral(digits):
+        return rng.randrange(10 ** (digits - 1), 10**digits)
+
+    (a, b), (c, d) = [(numeral(2000), numeral(2000)) for _ in range(2)]
+    cases = {
+        Poly([-a, b]) * Poly.x(2): {Fraction(0): 2, Fraction(a, b): 1},
+        Poly([-a * c, a * d + b * c, -b * d]): {Fraction(a, b): 1, Fraction(c, d): 1},
+        Poly([a * c, a * d + b * c, b * d]): {Fraction(-a, b): 1, Fraction(-c, d): 1},
+        Poly([a * a, -2 * a * b, b * b]): {Fraction(a, b): 2},
+        Poly([numeral(4000), numeral(4000), numeral(4000)]): {},        # disc < 0
+        Poly([-numeral(4000), 0, 10**3999]): {},
+    }
+    for p, want in cases.items():
+        want = dict(sorted(want.items(), key=lambda item: polys._root_order(item[0])))
+        assert list(p.rational_roots().items()) == list(want.items())
+        assert p.rational_roots() == oracles.FractionPoly(p.coeffs).rational_roots()
+        assert p.rational_roots(list(want)[::-1]) == want
 
 
 def _order_by_division(p, c):
@@ -368,6 +434,93 @@ def test_gcd_with_a_monomial_matches_euclid():
         for a, b in ((mono, other), (other, mono), (mono, Poly()), (Poly(), mono), (mono, mono)):
             assert poly_gcd(a, b) == _euclid_gcd(a, b)
     assert poly_gcd(Poly(), Poly()) == Poly()
+
+
+def _gcd_pairs(rng):
+    """Pairs (a, b) with a planted common factor g: repeated factors, a
+    constant gcd, a monomial side, a rational content, negative leading
+    coefficients and 1000-bit coefficients."""
+
+    def poly(degree, bits):
+        top = rng.choice([1, -1]) * rng.randint(1, 2**bits)
+        return Poly([rng.randint(-(2**bits), 2**bits) for _ in range(degree)] + [top])
+
+    for _ in range(400):
+        bits = rng.choice([1, 2, 4, 8, 1000])
+        g = poly(rng.randint(0, 2), bits) ** rng.choice([1, 1, 2, 3])
+        a, b = poly(rng.randint(0, 3), bits), poly(rng.randint(0, 3), bits)
+        if rng.random() < 0.2:
+            a = a * g                                   # g^2 divides a
+        if rng.random() < 0.1:
+            b = Poly.monomial(rng.randint(1, 9), rng.randint(0, 3))
+        content = Fraction(rng.choice([1, -1]) * rng.randint(1, 50), rng.randint(1, 50))
+        yield a * g * content, b * g
+
+
+def test_gcd_matches_euclid(monkeypatch):
+    # GCDHEU reads the gcd off one integer gcd and accepts it only after
+    # exact division: it must equal Euclid's gcd on every pair, reject some
+    # candidates (so the trial division is what decides), and never fall
+    # back to Euclid, whose only division is Poly.__mod__
+    mods, rejected = [], []
+    mod, divides = Poly.__mod__, polys._divides
+
+    def counted_mod(a, b):
+        mods.append((a, b))
+        return mod(a, b)
+
+    def counted_divides(g, f):
+        ok = divides(g, f)
+        rejected.extend([] if ok else [(g, f)])
+        return ok
+
+    monkeypatch.setattr(Poly, "__mod__", counted_mod)
+    monkeypatch.setattr(polys, "_divides", counted_divides)
+    rng = random.Random(32)
+    pairs = list(_gcd_pairs(rng))
+    f = Poly([1, -3, 1])
+    pairs += [
+        (f**3 * Poly([2, 1]), f**2 * Poly([-5, 1]) ** 2),              # repeated factors
+        (Poly([1, 0, 1]), Poly([-2, 0, 1])),                            # gcd 1
+        (Poly.monomial(3, 4), Poly([0, 0, 1, 1])),                      # monomial side
+        (Poly([-3, 2, 1]) * Fraction(6, 35), Poly([5, -7, 2]) * Fraction(-10, 3)),
+        (-Poly([-2, -1, 1]), -Poly([1, 3, 2])),                         # negative leads
+    ]
+    for a, b in pairs:
+        want = _euclid_gcd(a, b)
+        mods.clear()
+        assert poly_gcd(a, b) == want, (a, b)
+        assert poly_gcd(b, a) == want, (a, b)
+        assert mods == [], (a, b)
+    assert len(rejected) > 20
+    assert [poly_gcd(*pair) for pair in pairs[-5:]] == [
+        f**2, Poly([1]), Poly.x(2), Poly([-1, 1]), Poly([1, 1]),
+    ]
+
+
+def test_gcd_falls_back_to_euclid_above_the_evaluation_bound(monkeypatch):
+    # coefficients of HEU_BITS/2 bits put xi * (degree + 1) past the bound:
+    # Euclid computes the gcd
+    mods = []
+    mod = Poly.__mod__
+
+    def counted_mod(a, b):
+        mods.append((a, b))
+        return mod(a, b)
+
+    rng = random.Random(33)
+    A, B, C = (rng.getrandbits(polys.HEU_BITS // 4) for _ in range(3))
+    a, b = Poly([A, 1]) * Poly([B, 1]), Poly([A, 1]) * Poly([-C, 1])
+    monkeypatch.setattr(Poly, "__mod__", counted_mod)
+    assert poly_gcd(a, b) == Poly([A, 1])
+    assert mods
+    # a planted failure: with one point allowed and GCDHEU's first point
+    # rejected, Euclid also runs
+    mods.clear()
+    monkeypatch.setattr(polys, "HEU_TRIES", 1)
+    a, b = Poly([-6, -3, -2, 5, 0, 2]), Poly([6, 9, -4, 12, -2, 3])
+    assert poly_gcd(a, b) == _euclid_gcd(a, b) == Poly([3, 0, 1]).monic()
+    assert mods
 
 
 def test_polynomial_paths_make_no_gcd_calls(monkeypatch):

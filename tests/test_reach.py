@@ -71,6 +71,9 @@ ALLOWED = {
     "irrkatz.polys.Poly.__rsub__":
         "the arithmetic protocol: Poly has __radd__, so a scalar minus a Poly is one too; "
         "nothing the walk runs subtracts a Poly from a scalar",
+    "irrkatz.polys.Poly.__mod__":
+        "the Euclid fallback of poly_gcd, which runs only when GCDHEU fails at HEU_TRIES "
+        "points or its evaluation passes HEU_BITS; no walked gcd does",
     "irrkatz.polys.Poly.monomial":
         "ad_exp_raw builds a twist at infinity with it, which reduce_operator makes when an "
         "Euler step's tuple picks a nonzero exponential factor there; no walked reduction does",

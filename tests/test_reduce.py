@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 
 import pytest
 
@@ -616,19 +617,56 @@ def test_reduce_operator_irregular_kummer_ladder():
         a = [Fraction(k + 1, PRIMES[k]) for k in range(n - 1)]
         b = [Fraction(1, PRIMES[n + k]) for k in range(n - 1)]
         op = hypergeometric(a, b)
-        closed_form = {
-            ("inf", ()): sorted((ai, 1) for ai in a),
-            ("inf", ((1, 1),)): [(sum(b) - sum(a), 1)],
-            ("0", ()): sorted([(Fraction(0), 1)] + [(1 - bj, 1) for bj in b]),
-        }
-        extracted = {
-            (format_location(loc), tuple(sorted(w.coeffs.items()))): sorted(
-                (lam.as_rat(), m) for lam, m in s.chains
-            )
-            for loc, factors in formal.extract_formal_data(op).points
-            for w, s in factors
-        }
-        assert extracted == closed_form, n
+        assert formal_table(op) == hypergeometric_formal_data(a, b, kummer=True), n
+        result = reduce_operator(op)
+        assert result.final.rank == 1
+        assert result.transcript.verdict is Verdict.REAL_ROOT
+
+
+def formal_table(op):
+    """The extracted formal data of ``op``: (location, factor) -> sorted
+    (exponent, multiplicity) chains."""
+    return {
+        (format_location(loc), tuple(sorted(w.coeffs.items()))): sorted(
+            (lam.as_rat(), m) for lam, m in s.chains
+        )
+        for loc, factors in formal.extract_formal_data(op).points
+        for w, s in factors
+    }
+
+
+def hypergeometric_formal_data(a, b, kummer):
+    """The closed form of ``formal_table``: the a_i at infinity, 0 and
+    1 - b_j at 0; for nF(n-1) the chain 0 of length n - 1 and sum(b) -
+    sum(a) at 1, for the Kummer operator the factor x at infinity with
+    sum(b) - sum(a)."""
+    table = {
+        ("inf", ()): sorted((ai, 1) for ai in a),
+        ("0", ()): sorted([(Fraction(0), 1)] + [(1 - bj, 1) for bj in b]),
+    }
+    if kummer:
+        table[("inf", ((1, 1),))] = [(sum(b) - sum(a), 1)]
+    else:
+        table[("1", ())] = sorted([(Fraction(0), len(b)), (sum(b) - sum(a), 1)])
+    return table
+
+
+def test_top_rung_of_the_reach_ladder():
+    # nF(n-1) and the Kummer operator at n = 31, the largest rank whose
+    # text x * prod(theta + a_i) parse accepts (degree 32 in x), built from
+    # text with the parameters of the ladders in tools/digest.py: a_k =
+    # (k + 1)/p_k and b_k = 1/p_(n+k), the primes from 7 on continued past 181
+    n = 31
+    primes = [p for p in range(7, 400) if all(p % q for q in range(2, isqrt(p) + 1))]
+    assert len(primes) >= 2 * n - 1 and primes[38] == 181
+    for kummer in (False, True):
+        a = [Fraction(k + 1, primes[k]) for k in range(n - kummer)]
+        b = [Fraction(1, primes[n + k]) for k in range(n - 1)]
+        left = "".join(f"*(x*D + ({bj - 1}))" for bj in b)
+        right = "".join(f"*(x*D + ({ai}))" for ai in a)
+        op = prim(weylalg.parse(f"x*D{left} - x{right}"))
+        assert op.rank == n
+        assert formal_table(op) == hypergeometric_formal_data(a, b, kummer), kummer
         result = reduce_operator(op)
         assert result.final.rank == 1
         assert result.transcript.verdict is Verdict.REAL_ROOT
@@ -650,21 +688,21 @@ def test_twisted_chains_match_extraction_on_all_tuples():
 
 def record_checks(monkeypatch):
     """Wrap the per-step cross-check: each call appends (operator,
-    locations, predicted table, rank, p-adic root searches it ran) to the
+    locations, predicted table, rank, root searches it ran) to the
     returned list."""
     calls, searches = [], []
-    lifted_roots, check = polys._lifted_roots, reduction._check_prediction
+    searched_roots, check = polys._searched_roots, reduction._check_prediction
 
     def counted(f):
         searches.append(f)
-        return lifted_roots(f)
+        return searched_roots(f)
 
     def record(op, locations, predicted, rank):
         before = len(searches)
         check(op, locations, predicted, rank)
         calls.append((op, locations, predicted, rank, len(searches) - before))
 
-    monkeypatch.setattr(polys, "_lifted_roots", counted)
+    monkeypatch.setattr(polys, "_searched_roots", counted)
     monkeypatch.setattr(reduction, "_check_prediction", record)
     return calls
 
@@ -678,8 +716,8 @@ def ladder(kummer):
 
 
 def test_euler_steps_run_no_root_search(monkeypatch, capsys):
-    # every Euler step is checked by extraction, and its root searches
-    # find the predicted roots without a p-adic search: on nF(n-1), on
+    # every Euler step is checked by extraction, and that extraction
+    # finds the predicted roots without a root search: on nF(n-1), on
     # the Kummer ladder, whose steps keep the factor x at infinity, on
     # its mirror image under x -> 1/x, whose steps keep the factor -1/x
     # at 0 (the factor hints carry both signs: extraction at infinity
