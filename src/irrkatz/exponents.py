@@ -44,10 +44,11 @@ def act_sigma_t(nu: ExponentVector, t: IndexTuple) -> ExponentVector:
         blocks = []
         for j, chain in enumerate(point):
             step = shape.euler_weight(i, j, t[i]) * shortfall
-            blocks.append([val - step for val in chain])
-        blocks[t[i]][0] += shortfall
-        out.append(blocks)
-    return ExponentVector(shape, out)
+            blocks.append(tuple(val - step for val in chain))
+        first = blocks[t[i]]
+        blocks[t[i]] = (first[0] + shortfall, *first[1:])
+        out.append(tuple(blocks))
+    return nu._derived(tuple(out))
 
 
 def act_sigma_perm(nu: ExponentVector, i: int, j: int, s: int) -> ExponentVector:

@@ -16,6 +16,7 @@ certified by the triangular vanishing conditions on the theta expansion.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Collection, Mapping, Sequence
@@ -471,15 +472,20 @@ def _edge_polynomial(theta: ThetaExpansion, np: weylalg.NewtonPolygon, k: int) -
 
 
 def to_json(data: FormalData) -> str:
-    """Canonical JSON form; bit-exact round trip with :func:`from_json`."""
+    """Canonical JSON form; bit-exact round trip with :func:`from_json`.
+
+    A coefficient or exponent whose text would pass Python's limit on
+    integer strings (``sys.get_int_max_str_digits()``) raises ValueError
+    naming its point, and the order of a coefficient; the limit is not
+    lifted, so the file stays one that :func:`from_json` reads."""
     doc = {
         "points": [
             {
                 "location": format_location(loc),
                 "factors": [
                     {
-                        "w": [[k, str(v)] for k, v in w._items],
-                        "spectral": [[str(lam), m] for lam, m in s.chains],
+                        "w": [[k, _text(v, loc, k)] for k, v in w._items],
+                        "spectral": [[_text(lam, loc), m] for lam, m in s.chains],
                     }
                     for w, s in factors
                 ],
@@ -488,6 +494,20 @@ def to_json(data: FormalData) -> str:
         ]
     }
     return json.dumps(doc, separators=(",", ":"))
+
+
+def _text(value, loc: Location, order: int | None = None) -> str:
+    """``str(value)`` of a factor coefficient of ``order`` or, without one,
+    of an exponent at ``loc``; a ValueError naming them when the text has
+    more digits than Python's limit on integer strings."""
+    try:
+        return str(value)
+    except ValueError:
+        what = "exponent" if order is None else f"exponential factor coefficient of order {order}"
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(
+            f"at {format_location(loc)}: {what} with more than {limit} digits"
+        ) from None
 
 
 def from_json(text: str) -> FormalData:

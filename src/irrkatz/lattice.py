@@ -85,7 +85,16 @@ class LatticeShape:
 @dataclass(frozen=True, init=False, repr=False)
 class SlotTable:
     """One immutable value per chain slot of a shape, as
-    ``entries[i][j][s]``; a subclass sets ``_coerce`` to its value type."""
+    ``entries[i][j][s]``; a subclass sets ``_coerce`` to its value type.
+
+    The constructor coerces every slot to that type and checks the table
+    against the shape (a :class:`LatticeVector` also its block sums), so
+    tables read from input or built by callers are checked.  The moves
+    (:meth:`swap_slots`, :meth:`LatticeVector.sigma_t` and
+    ``exponents.act_sigma_t``) build their tables from checked ones, keep
+    every chain length and, on lattice vectors, keep the block sums equal;
+    they assemble the tuples themselves (:meth:`_derived`) and skip both.
+    """
 
     __slots__ = ("shape", "entries")
     shape: LatticeShape
@@ -105,16 +114,27 @@ class SlotTable:
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "entries", ent)
 
+    def _derived(self, entries: tuple[tuple[tuple, ...], ...]):
+        """A table of the same type and shape holding ``entries``, nested
+        tuples of values of the type, which a move has built so that they
+        fit the shape: neither coerced nor checked again."""
+        table = object.__new__(type(self))
+        object.__setattr__(table, "shape", self.shape)
+        object.__setattr__(table, "entries", entries)
+        return table
+
     def slot(self, i: int, j: int, s: int):
         return self.entries[i][j][s]
 
     def swap_slots(self, i: int, j: int, s: int):
-        """Swap chain slots s and s+1 of factor (i, j); an involution."""
+        """Swap chain slots s and s+1 of factor (i, j); an involution.  It
+        keeps every chain length and block sum."""
         if not (0 <= s <= self.shape.chain_lengths[i][j] - 2):
             raise IndexError(f"slot {s} out of range for chain (i={i}, j={j})")
-        entries = [[list(ch) for ch in point] for point in self.entries]
-        entries[i][j][s], entries[i][j][s + 1] = entries[i][j][s + 1], entries[i][j][s]
-        return type(self)(self.shape, entries)
+        point = list(self.entries[i])
+        chain = point[j]
+        point[j] = (*chain[:s], chain[s + 1], chain[s], *chain[s + 2:])
+        return self._derived((*self.entries[:i], tuple(point), *self.entries[i + 1:]))
 
     def to_text(self) -> str:
         """Blocks per point joined by '|'; factors by ';'; slots by ','."""
@@ -175,14 +195,17 @@ class LatticeVector(SlotTable):
         """``g[i][k]``, the share of point i in the defect of a tuple that
         chooses factor k there: the sum over j of euler_weight(i, j, k)
         times the block sum of factor (i, j), minus the first slot of
-        factor (i, k).  The defect along t is the sum of ``g[i][t_i]``."""
-        weight = self.shape.euler_weight
+        factor (i, k).  The defect along t is the sum of ``g[i][t_i]``.
+
+        The table is symmetric, so euler_weight(i, j, k) is +-1 minus entry
+        j of row k, and the sum is +-n, n the rank (+ at a finite point, -
+        at infinity), minus row k of the table times the block sums."""
         shares = []
-        for i, point in enumerate(self.entries):
+        for i, (point, table) in enumerate(zip(self.entries, self.shape.weights)):
             blocks = [sum(chain) for chain in point]
+            n = sum(blocks) if i else -sum(blocks)
             shares.append([
-                sum(weight(i, j, k) * b for j, b in enumerate(blocks)) - point[k][0]
-                for k in range(len(point))
+                n - sum(map(mul, row, blocks)) - chain[0] for row, chain in zip(table, point)
             ])
         return shares
 
@@ -208,10 +231,13 @@ class LatticeVector(SlotTable):
         """Add the defect to the first chain slot of the chosen factor at
         every point; an involution that changes the rank by the defect."""
         d = self.defect(t)
-        entries = [[list(ch) for ch in point] for point in self.entries]
-        for i in range(self.shape.num_points):
-            entries[i][t[i]][0] += d
-        return LatticeVector(self.shape, entries)
+        entries = []
+        for point, k in zip(self.entries, t):
+            point = list(point)
+            point[k] = (point[k][0] + d, *point[k][1:])
+            entries.append(tuple(point))
+        # the same defect at every point keeps the block sums equal
+        return self._derived(tuple(entries))
 
     sigma_perm = SlotTable.swap_slots
 

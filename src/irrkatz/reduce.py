@@ -237,10 +237,11 @@ def _chain_table(
     table = {}
     for i, factors in enumerate(factor_table):
         point = table[factors[0].point] = {}
+        shift = shifts[i]
         for j, w in enumerate(factors):
             chains = sorted(
-                (nu.slot(i, j, s).as_rat() + shifts[i], mult)
-                for s, mult in enumerate(m.entries[i][j])
+                (lam.as_rat() + shift if shift else lam.as_rat(), mult)
+                for lam, mult in zip(nu.entries[i][j], m.entries[i][j])
                 if mult
             )
             if chains:
@@ -263,7 +264,10 @@ def _check_euler_hypotheses(
     and the nonzero chains of the zero factor at finite points must stay
     off the integer resonance with the exponent sum."""
     lam_sum = _exponent_sum(t, lambdas)
-    twisted = [[w - factors[t[i]] for w in factors] for i, factors in enumerate(factor_table)]
+    twisted = [
+        factors if factors[k].is_zero() else [w - factors[k] for w in factors]
+        for factors, k in zip(factor_table, t)
+    ]
     shifts = [sum(lambdas[1:], Fraction(0))] + [-lam for lam in lambdas[1:]]
     for point in _chain_table(twisted, m, nu, shifts).values():
         for w, chains in point.items():

@@ -60,12 +60,15 @@ class ParamExpr:
     def of(value: "ParamLike") -> "ParamExpr":
         if isinstance(value, ParamExpr):
             return value
-        return ParamExpr(_as_rat(value))
+        return _constant(_as_rat(value))
 
     # -- arithmetic -------------------------------------------------------
+    # on constants (no terms) each operation is one Fraction operation
 
     def __add__(self, other: "ParamLike") -> "ParamExpr":
         other = ParamExpr.of(other)
+        if not self.terms and not other.terms:
+            return _constant(self.const + other.const)
         terms = dict(self.terms)
         for name, coeff in other.terms.items():
             terms[name] = terms.get(name, Fraction(0)) + coeff
@@ -74,16 +77,23 @@ class ParamExpr:
     __radd__ = __add__
 
     def __neg__(self) -> "ParamExpr":
+        if not self.terms:
+            return _constant(-self.const)
         return ParamExpr(-self.const, {n: -c for n, c in self.terms.items()})
 
     def __sub__(self, other: "ParamLike") -> "ParamExpr":
-        return self + (-ParamExpr.of(other))
+        other = ParamExpr.of(other)
+        if not self.terms and not other.terms:
+            return _constant(self.const - other.const)
+        return self + (-other)
 
     def __rsub__(self, other: "ParamLike") -> "ParamExpr":
-        return ParamExpr.of(other) + (-self)
+        return ParamExpr.of(other) - self
 
     def __mul__(self, scalar: RatLike) -> "ParamExpr":
         scalar = _as_rat(scalar)
+        if not self.terms:
+            return _constant(self.const * scalar)
         return ParamExpr(self.const * scalar, {n: c * scalar for n, c in self.terms.items()})
 
     __rmul__ = __mul__
@@ -124,6 +134,16 @@ class ParamExpr:
 
 
 ParamLike = Union[ParamExpr, Fraction, int]
+
+
+def _constant(value: Fraction) -> ParamExpr:
+    """The expression without terms whose value is the ``Fraction``
+    ``value``, as ``ParamExpr(value)`` builds it, with its own empty terms."""
+    expr = object.__new__(ParamExpr)
+    object.__setattr__(expr, "const", value)
+    object.__setattr__(expr, "terms", {})
+    return expr
+
 
 _RAT_RE = r"-?\d+(?:/\d+)?"
 _TERM_RE = re.compile(

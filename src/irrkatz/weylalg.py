@@ -44,8 +44,10 @@ work on the rows and normalize each result once (``_operator``);
 :func:`_add_product` adds a scaled product of two rows at an offset.  The
 twists and the chart at infinity keep pole orders away from their point,
 so only the power of x - c dividing every row cancels.  In
-:func:`_shift_d` a Horner step multiplies the row by the numerators of
-``(x-c)^e = U/b^e`` and adds ``C(m+j, j) N_(m+j) P_j`` scaled by
+:func:`_shift_d` the numerators P_j of the Y_j are integer rows, one
+integer scale M per step of their recurrence (integer constants for
+:func:`ad_power`), and a Horner step multiplies the row by the numerators
+of ``(x-c)^e = U/b^e`` and adds ``C(m+j, j) N_(m+j) P_j`` scaled by
 ``b^(e j)``; the chart at infinity adds each Lah term at the offset
 ``i + k``.
 
@@ -724,20 +726,46 @@ def _shift_d(p: DiffOperator, g: Poly, e: int, c: Fraction) -> DiffOperator:
     coefficient of D^m is ``sum_j C(m+j, j) a_(m+j) Y_j``, summed over
     ``p``'s denominator times ``(x-c)^(e J)``, J the rank.  Away from c the
     twist keeps pole orders, so only a power of x - c can cancel.
+
+    The P_j are integer rows: with ``(x-c)^e = U/b^e``, ``g = G/d`` and
+    ``M = lcm(b^e, d)``, ``A = (M/b^e) U`` and ``H = (M/d) G`` are in Z[x],
+    and ``R_(j+1) = A R_j' - (j A' + H) R_j`` from ``R_0 = 1`` gives
+    ``P_j = R_j/M^j``.  For g constant and e <= 1 (:func:`ad_power`) the
+    R_j are the constants ``prod_(i<j) -(i e M + H)``.
     """
     if p.is_zero():
         return p
     n = len(p._rows)
     u = Poly.x() - c
-    ue = u ** e
-    drop = e * u ** (e - 1) if e else Poly()
-    ys = [UNIT]
-    for j in range(n - 1):
-        ys.append(ue * ys[-1].derivative() - (j * drop + g) * ys[-1])
-    # with ue = U/b^e, term j is scaled by b^(e j) to keep the rows over one
-    # integer denominator; Horner's rule in U takes J steps for every m
-    yrows, dy = int_rows(ys)
-    (urow,), du = int_rows([ue])
+    du = u._d ** e
+    urow = [1]
+    for _ in range(e):
+        urow = _product(urow, u._n)
+    scale = lcm(du, g._d)
+    h = [scale // g._d * x for x in g._n]
+    rows = [[1]]
+    if e <= 1 and len(h) <= 1:
+        # A' = e M and R_j' = 0
+        step, h0 = e * scale, h[0] if h else 0
+        for j in range(n - 1):
+            rows.append([-(j * step + h0) * rows[-1][0]])
+    else:
+        arow = [scale // du * x for x in urow]
+        drop = [k * x for k, x in enumerate(arow)][1:]
+        for j in range(n - 1):
+            r = rows[-1]
+            nxt = [0] * (len(arow) + len(h) + len(r))
+            _add_product(nxt, arow, [k * x for k, x in enumerate(r)][1:])
+            _add_product(nxt, drop, r, -j)
+            _add_product(nxt, h, r, -1)
+            while nxt and not nxt[-1]:
+                nxt.pop()
+            rows.append(nxt)
+    # over M^J, P_j is R_j M^(J-j); term j is scaled by b^(e j) to keep the
+    # rows over one integer denominator; Horner's rule in U takes J steps
+    # for every m
+    yrows = [[scale ** (n - 1 - j) * x for x in r] for j, r in enumerate(rows)]
+    dy = scale ** (n - 1)
     width = max(map(len, p._rows)) + max(map(len, yrows)) + e * (n - 1)
     out = []
     for m in range(n):

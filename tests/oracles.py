@@ -9,7 +9,8 @@ Leibniz rule term by term, ``Poly`` and its gcd on ``Fraction`` tuples,
 the operator and its kernels on reduced ``RatFunc`` coefficients, the
 Taylor shift, the order at a root, long division, the theta expansion,
 the chart at infinity and the twists in ``Poly`` arithmetic, one new
-``Poly`` per partial sum, the primitive component and the division by
+``Poly`` per partial sum, the twists' P_j as one new ``Poly`` each, the
+primitive component and the division by
 (x - c)^k as they were, the tokenizer that read every numeral as a
 ``Fraction``), a check no pipeline code runs (ker phi in the radical of
 the form, from its closed-form basis), or a small accessor no pipeline
@@ -38,8 +39,8 @@ from irrkatz.polys import (
 from irrkatz.rootsys import Node, RootBasis, RootVector, build_basis, phi
 from irrkatz.scalar import ParamExpr
 from irrkatz.weylalg import (
-    INF, DiffOperator, Location, OperatorSyntaxError, ThetaExpansion, _add_product, _lah,
-    _operator,
+    INF, DiffOperator, Location, OperatorSyntaxError, ThetaExpansion, _add_product, _divide_out,
+    _lah, _operator,
 )
 
 # -- rootsys ---------------------------------------------------------------------
@@ -790,6 +791,38 @@ def divide_out_two_pass(rows: list, c, most: int) -> tuple[int, list, int]:
     k = min([most] + [q.order_at(c) for q in nums if q])
     u = Poly.x(k) if c == 0 else (Poly.x() - c) ** k
     return (k, *int_rows([q // u for q in nums]))
+
+
+def shift_d_by_polys(p: DiffOperator, g: Poly, e: int, c: Fraction) -> DiffOperator:
+    """``weylalg._shift_d`` as it was: each P_j a new ``Poly``, from
+    ``P_(j+1) = (x-c)^e P_j' - (e j (x-c)^(e-1) + g) P_j``, then the same
+    Horner rows over one integer denominator."""
+    if p.is_zero():
+        return p
+    n = len(p._rows)
+    u = Poly.x() - c
+    ue = u ** e
+    drop = e * u ** (e - 1) if e else Poly()
+    ys = [UNIT]
+    for j in range(n - 1):
+        ys.append(ue * ys[-1].derivative() - (j * drop + g) * ys[-1])
+    yrows, dy = int_rows(ys)
+    (urow,), du = int_rows([ue])
+    width = max(map(len, p._rows)) + max(map(len, yrows)) + e * (n - 1)
+    out = []
+    for m in range(n):
+        acc = ()
+        for j in range(n):
+            row = [0] * width
+            _add_product(row, acc, urow)
+            if j < n - m:
+                _add_product(row, p._rows[m + j], yrows[j], comb(m + j, j) * du**j)
+            acc = row
+        out.append(acc)
+    k, out = _divide_out(out, c, e * (n - 1) + p._den.order_at(c)) if e else (0, out)
+    t = e * (n - 1) - k
+    den = p._den * u**t if t >= 0 else p._den // u ** -t
+    return _operator(out, p._d * dy * du ** (n - 1), den)
 
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+(?:/\d+)?)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*^]))")

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from irrkatz import cli, corpus, formal, rootsys
-from irrkatz.weylalg import to_text
+from irrkatz.weylalg import INF, to_text
 
 
 def run(capsys, *argv):
@@ -695,6 +695,28 @@ def test_analyze_overlong_value_names_the_limit(capsys, text, position):
 def test_analyze_accepts_a_value_at_the_limit(capsys):
     code, out, _ = run(capsys, "analyze", "--op", f"x*D - {'7' * 4300}")
     assert code == 0 and "7" * 4300 in out
+
+
+def test_analyze_overlong_factor_coefficient_names_the_point_and_order(capsys):
+    # the text is within the parse bound, its rows of at most 4000 digits,
+    # but the factor at infinity of (x - N)^2 D + x^5 has a coefficient of
+    # order 1 past the 4300 digits of an integer string
+    number = str(random.Random(31).randint(10**1999, 10**2000 - 1))
+    code, out, err = run(capsys, "analyze", "--op", f"(x - ({number}))^2*D + x^5")
+    assert code == 2 and out == ""
+    assert err == ("error: at inf: exponential factor coefficient of order 1"
+                   " with more than 4300 digits\n")
+
+
+def test_formal_json_names_an_overlong_exponent():
+    data = formal.FormalData([
+        (INF, [(formal.ExponentialFactor(INF), formal.SpectralData([(Fraction(1, 3), 1)]))]),
+        (Fraction(2), [(formal.ExponentialFactor(Fraction(2)),
+                        formal.SpectralData([(Fraction(10**4300 + 1, 7), 1)]))]),
+    ])
+    with pytest.raises(ValueError) as info:
+        formal.to_json(data)
+    assert str(info.value) == "at 2: exponent with more than 4300 digits"
 
 
 @pytest.mark.parametrize("depth", [1000, 100000])

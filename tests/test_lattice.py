@@ -1,12 +1,17 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from irrkatz import corpus, formal, rootsys
-from irrkatz.exponents import ExponentVector
+from irrkatz.exponents import ExponentVector, act_sigma_perm, act_sigma_t
 from irrkatz.lattice import LatticeShape, LatticeVector
-from oracles import form, in_fundamental_domain, rank_one, support_tuples, tuple_defect
+from irrkatz.reduce import reduce_vector
+from irrkatz.scalar import ParamExpr
+from oracles import (
+    form, in_fundamental_domain, instance_formal_data, rank_one, support_tuples, tuple_defect,
+)
 
 
 def shape_of(name):
@@ -277,3 +282,62 @@ def random_vector(rng, shape, max_rank=5):
             point[j][s] += 1
         entries.append(point)
     return LatticeVector(shape, entries)
+
+
+# -- the moves build the tables their constructors build ---------------------------
+
+
+def assert_constructor_built(table, value_type):
+    """``table``, built by a move, equals and hashes like the table its
+    public constructor builds from the same entries (which also checks
+    them against the shape), with the same tuples and slot types."""
+    built = type(table)(table.shape, table.entries)
+    assert table == built and hash(table) == hash(built)
+    assert type(table.entries) is tuple
+    for point in table.entries:
+        assert type(point) is tuple and all(type(chain) is tuple for chain in point)
+        assert all(type(v) is value_type for chain in point for v in chain)
+
+
+def mixed_exponents(rng, shape):
+    """A parameter at about half the slots and a rational at the rest."""
+    return ExponentVector(shape, [
+        [[ParamExpr.param(f"n{i}_{j}_{s}") if rng.random() < 0.5
+          else Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for s in range(l)]
+         for j, l in enumerate(lens)]
+        for i, lens in enumerate(shape.chain_lengths)
+    ])
+
+
+def test_moves_build_the_tables_their_constructors_build():
+    rng = random.Random(32)
+    cases = []
+    for name in corpus.names():
+        for data in (corpus.symbolic_formal_data(name), instance_formal_data(name)):
+            m = formal.m_vector(data)
+            cases.append((m, formal.exponent_vector(data, m.shape)))
+    for _ in range(200):
+        shape = random_shape(rng)
+        if len(shape.index_tuples()) <= 64:
+            cases.append((random_vector(rng, shape), mixed_exponents(rng, shape)))
+    steps = 0
+    for m, nu in cases:
+        # along the transcript, and every move of the start (unsorted or not)
+        for step in reduce_vector(m).steps:
+            assert_constructor_built(step.after, int)
+            if step.kind == "twisted_euler":
+                nu = act_sigma_t(nu, step.index)
+            else:
+                nu = act_sigma_perm(nu, *step.index)
+            assert_constructor_built(nu, ParamExpr)
+            steps += 1
+        a = mixed_vector(rng, m.shape)
+        for t in m.shape.index_tuples():
+            assert_constructor_built(a.sigma_t(t), int)
+            assert_constructor_built(act_sigma_t(nu, t), ParamExpr)
+        for i, lens in enumerate(m.shape.chain_lengths):
+            for j, length in enumerate(lens):
+                for s in range(length - 1):
+                    assert_constructor_built(a.sigma_perm(i, j, s), int)
+                    assert_constructor_built(act_sigma_perm(nu, i, j, s), ParamExpr)
+    assert steps > 500, steps

@@ -1,18 +1,21 @@
 """The row kernels of ``polys`` and ``weylalg`` against their ``Poly``
 forms in ``oracles``: the Taylor shift, the order at a root, division by a
-monomial, the theta expansion, the chart at infinity and the twists.  And
-none of the first five builds a partial ``Poly`` on the pipeline's inputs."""
+monomial, the theta expansion, the chart at infinity and the twists, the
+last also against their P_j built as ``Poly`` objects.  And none of the
+first five builds a partial ``Poly`` on the pipeline's inputs."""
 
 import random
 from fractions import Fraction
 
-from conftest import bench_texts, random_poly_op
+from conftest import bench_texts, random_fraction, random_poly_op
 from irrkatz import corpus
 from irrkatz.polys import Poly
-from irrkatz.weylalg import INF, DiffOperator, _shift_d, parse, subst_infty, theta_expand
+from irrkatz.weylalg import (
+    INF, DiffOperator, _shift_d, parse, prim, singular_points, subst_infty, theta_expand,
+)
 from oracles import (
-    RatFunc, coeffs, long_divmod, operator, order_at, shift_d, subst_infinity, taylor_shift,
-    theta_expansion,
+    RatFunc, coeffs, long_divmod, operator, order_at, shift_d, shift_d_by_polys, subst_infinity,
+    taylor_shift, theta_expansion,
 )
 
 
@@ -67,6 +70,48 @@ def test_row_kernels_match_their_poly_oracles():
         divisor = Poly.monomial(rng.choice([1, -1, 3, Fraction(-2, 5)]), rng.randint(0, 4))
         for dividend in (Poly(), Poly([rng.randint(-3, 3)]), rooted, *(a.num for a in coeffs(p))):
             assert dividend.divmod(divisor) == long_divmod(dividend, divisor), k
+
+
+#: Denominators of the ladder parameters: rank n reads the first 2n - 1.
+PRIMES = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+
+
+def _hypergeometric(n: int, kummer: bool) -> DiffOperator:
+    """nF(n-1), or the Kummer operator with n - 1 parameters a_i, from text:
+    theta * prod(theta + b_j - 1) - x * prod(theta + a_i), made primitive."""
+    a = [Fraction(k + 1, PRIMES[k]) for k in range(n - kummer)]
+    b = [Fraction(1, PRIMES[n + k]) for k in range(n - 1)]
+    left = "".join(f"*(x*D + ({bj - 1}))" for bj in b)
+    right = "".join(f"*(x*D + ({ai}))" for ai in a)
+    return prim(parse(f"x*D{left} - x{right}"))
+
+
+def test_shift_d_matches_the_poly_recurrence():
+    # the twists of ad_power (g = lam, e = 1) and ad_exp_raw (e = 2 and 3 at
+    # a finite point, e = 0 at infinity) at every singular point and at 1/3,
+    # on the corpus at seeds 0-40 and on nF(n-1) and Kummer for n = 2..8
+    ops = [prim(corpus.instantiate(name, corpus.params_for(name, seed)))
+           for name in corpus.names() for seed in range(41)]
+    ops += [_hypergeometric(n, kummer) for kummer in (False, True) for n in range(2, 9)]
+    twists = 0
+    for k, p in enumerate(ops):
+        lam, w1, w2 = Fraction(2 * k + 1, 5), Fraction(k + 1, 3), Fraction(-1, k + 2)
+        cases = [(Poly([w1, w2]), 0, Fraction(0))]
+        for c in [*singular_points(p), Fraction(1, 3)]:
+            cases += [(Poly.const(lam), 1, c), (Poly.const(w1), 2, c),
+                      (w1 * Poly([-c, 1]) + w2, 3, c)]
+        for g, e, c in cases:
+            assert _shift_d(p, g, e, c) == shift_d_by_polys(p, g, e, c), (k, e, c)
+            twists += 1
+    assert twists > 2000, twists
+    # random points a/b, e = 0..4, g of degree up to 3 (or zero), on the
+    # operators of the kernel test above, rational coefficients included
+    for k in range(400):
+        rng = random.Random(k)
+        c = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        p = _operator(rng, k, c)
+        g = Poly([random_fraction(rng) for _ in range(rng.randint(0, 4))])
+        assert _shift_d(p, g, k % 5, c) == shift_d_by_polys(p, g, k % 5, c), k
 
 
 def test_row_kernels_build_no_partial_polys(monkeypatch):

@@ -31,6 +31,24 @@ def test_agrees_with_rational_arithmetic(r1, r2):
     assert (ParamExpr(r1) * r2).as_rat() == r1 * r2
 
 
+@given(rationals, st.one_of(rationals, st.integers(-50, 50)), exprs)
+def test_constant_results_are_constructor_built(r1, r2, e):
+    # constants take a path of their own: each result is the expression
+    # the constructor builds, with a Fraction constant and its own terms
+    c = ParamExpr(r1)
+    results = [(c + r2, r1 + r2), (r2 + c, r1 + r2), (c - r2, r1 - r2), (r2 - c, r2 - r1),
+               (-c, -r1), (c * r2, r1 * r2), (r2 * c, r1 * r2), (ParamExpr.of(r2), r2),
+               (c + ParamExpr(r2), r1 + r2), (c - ParamExpr(r2), r1 - r2)]
+    for got, value in results:
+        built = ParamExpr(value)
+        assert got == built and hash(got) == hash(built) and str(got) == str(built)
+        assert type(got.const) is Fraction and got.terms == {}
+    terms = [got.terms for got, _ in results]
+    assert len({id(t) for t in terms}) == len(terms)
+    # with terms on either side the sum is the symbolic one
+    assert (c + e) - e == c and (e - c) + c == e and (c - e).terms == (-e).terms
+
+
 @given(exprs, rationals)
 def test_scaling_distributes(e, r):
     assert (e + e) == e * 2

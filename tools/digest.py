@@ -30,6 +30,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from irrkatz import cli, corpus, formal, reduce as reduction, rootsys, weylalg  # noqa: E402
+from irrkatz.exponents import act_sigma_perm, act_sigma_t, mu_sequence  # noqa: E402
 from irrkatz.lattice import LatticeShape  # noqa: E402
 
 #: Seeds of ``examples --run --json``, of the bench texts and of the bench
@@ -249,6 +250,42 @@ def twists() -> str:
     return out.getvalue()
 
 
+def exponents() -> str:
+    """The exponent action on the symbolic formal data of each corpus entry:
+    ``act_sigma_perm``, ``act_sigma_t`` and ``fuchs_defect_of`` along its
+    ``reduce_vector`` transcript, then ``act_sigma_t`` along every index
+    tuple, ``act_sigma_perm`` at every slot of the start and ``mu_sequence``
+    (six steps) for every ordered pair of distinct tuples."""
+    out = io.StringIO()
+    for name in corpus.names():
+        data = corpus.symbolic_formal_data(name)
+        m = formal.m_vector(data)
+        nu = formal.exponent_vector(data, m.shape)
+        print(f"== {name}\n{nu.to_text()}\nfuchs {formal.fuchs_defect_of(m, nu)}", file=out)
+        cur = nu
+        for step in reduction.reduce_vector(m).steps:
+            if step.kind == "twisted_euler":
+                cur = act_sigma_t(cur, step.index)
+            else:
+                cur = act_sigma_perm(cur, *step.index)
+            print(step.kind, step.index, cur.to_text(), file=out)
+            print("fuchs", formal.fuchs_defect_of(step.after, cur), file=out)
+        tuples = m.shape.index_tuples()
+        for t in tuples:
+            moved = act_sigma_t(nu, t)
+            print("t", t, moved.to_text(), formal.fuchs_defect_of(m.sigma_t(t), moved), file=out)
+        for i, lens in enumerate(m.shape.chain_lengths):
+            for j, length in enumerate(lens):
+                for s in range(length - 1):
+                    print("perm", (i, j, s), act_sigma_perm(nu, i, j, s).to_text(), file=out)
+        for t in tuples:
+            for t2 in tuples:
+                if t != t2:
+                    pairs = mu_sequence(m.shape, t, t2, nu, 6)
+                    print("mu", t, t2, "; ".join(f"{a}, {b}" for a, b in pairs), file=out)
+    return out.getvalue()
+
+
 SECTIONS = {
     "examples": examples,
     "demos": demos,
@@ -259,6 +296,7 @@ SECTIONS = {
     "parse_errors": parse_errors,
     "parse_fuzz": parse_fuzz,
     "twists": twists,
+    "exponents": exponents,
 }
 
 
