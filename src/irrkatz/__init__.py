@@ -19,7 +19,6 @@ The package has three layers:
 
 from .scalar import (
     ParamExpr,
-    Rat,
     diff_in_integers,
     is_generically_integer,
 )

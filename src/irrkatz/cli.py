@@ -8,7 +8,7 @@ transcript, optionally cross-checked against a concrete operator),
 Exit codes: 0 success; 1 failed check (nonzero defect, corpus mismatch,
 cross-check failure); 2 malformed input; 3 ramified or otherwise
 unsupported local structure; 4 unverifiable spectral data; 5 genericity
-assumption violated after retries.
+assumption violated at the instance given.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ def cmd_reduce(args) -> int:
 def cmd_fuchs(args) -> int:
     data = _load_formal(args.formal)
     defect = formal.fuchs_defect(data)
-    print(defect)
+    print(formal.bounded_str(defect, "Fuchs defect"))
     return 0 if defect.is_zero() else EXIT_CHECK_FAILED
 
 
@@ -143,9 +143,7 @@ def _run_entry(name: str, seed: int, overrides) -> dict:
     entry = corpus.get(name)
     params = corpus.params_for(name, seed, overrides)
     op = corpus.instantiate(name, params)
-    result = reduction.reduce_operator(
-        op, reinstantiate=corpus.reinstantiator(name, seed, overrides)
-    )
+    result = reduction.reduce_operator(op)
     m = result.transcript.initial
     label, _ = rootsys.classify_diagram(rootsys.build_basis(m.shape))
     verdict = result.transcript.verdict.value

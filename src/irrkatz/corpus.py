@@ -5,7 +5,9 @@ Each entry carries the operator as a parameterized template, a default
 (generic) instantiation, the symbolic formal datum, and the expected
 classification results.  Parameters are instantiated at rationals with
 large prime denominators so that every genericity hypothesis holds; seed
-0 means the documented defaults, any other seed draws fresh values.
+0 means the documented defaults, any other seed draws fresh values.  An
+override is used as given: the reduction runs at it and reports a
+hypothesis it breaks, with no other instance drawn in its place.
 """
 
 from __future__ import annotations
@@ -241,12 +243,3 @@ def symbolic_formal_data(name: str, params: Params | None = None) -> FormalData:
     params = dict(entry.defaults) if params is None else dict(params)
     return entry.symbolic(params)
 
-
-def reinstantiator(name: str, seed: int, overrides: Params | None = None):
-    """Fresh-instance callback for the operator-level reduction retries;
-    retry k draws from seed*991 + k + 1 (documented scheme)."""
-
-    def draw(attempt: int) -> DiffOperator:
-        return instantiate(name, params_for(name, seed * 991 + attempt + 1, overrides))
-
-    return draw

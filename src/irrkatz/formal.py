@@ -343,14 +343,12 @@ def group_chains(roots: Mapping[Fraction, int]) -> list[tuple[Fraction, int]]:
 # -- extraction ----------------------------------------------------------------
 
 
-def extract_formal_data(
-    p: DiffOperator, hints: Mapping[Location, Collection[Fraction]] | None = None
-) -> FormalData:
+def extract_formal_data(p: DiffOperator) -> FormalData:
     """Compute the formal datum of an operator: :func:`extract_primitive`
     of ``prim(p)``."""
     if p.is_zero():
         raise ValueError("extraction needs an operator of rank >= 1, got the zero operator")
-    return extract_primitive(weylalg.prim(p), hints)
+    return extract_primitive(weylalg.prim(p))
 
 
 def extract_primitive(
@@ -475,39 +473,38 @@ def to_json(data: FormalData) -> str:
     """Canonical JSON form; bit-exact round trip with :func:`from_json`.
 
     A coefficient or exponent whose text would pass Python's limit on
-    integer strings (``sys.get_int_max_str_digits()``) raises ValueError
-    naming its point, and the order of a coefficient; the limit is not
-    lifted, so the file stays one that :func:`from_json` reads."""
-    doc = {
-        "points": [
-            {
-                "location": format_location(loc),
-                "factors": [
-                    {
-                        "w": [[k, _text(v, loc, k)] for k, v in w._items],
-                        "spectral": [[_text(lam, loc), m] for lam, m in s.chains],
-                    }
-                    for w, s in factors
-                ],
-            }
-            for loc, factors in data.points
-        ]
-    }
-    return json.dumps(doc, separators=(",", ":"))
+    integer strings raises ValueError naming its point, and the order of
+    a coefficient (:func:`bounded_str`); the limit is not lifted, so the
+    file stays one that :func:`from_json` reads."""
+    points = []
+    for loc, factors in data.points:
+        at = format_location(loc)
+        exponent = f"at {at}: exponent"
+        points.append({
+            "location": at,
+            "factors": [
+                {
+                    "w": [
+                        [k, bounded_str(v, f"at {at}: exponential factor coefficient of order {k}")]
+                        for k, v in w._items
+                    ],
+                    "spectral": [[bounded_str(lam, exponent), m] for lam, m in s.chains],
+                }
+                for w, s in factors
+            ],
+        })
+    return json.dumps({"points": points}, separators=(",", ":"))
 
 
-def _text(value, loc: Location, order: int | None = None) -> str:
-    """``str(value)`` of a factor coefficient of ``order`` or, without one,
-    of an exponent at ``loc``; a ValueError naming them when the text has
-    more digits than Python's limit on integer strings."""
+def bounded_str(value, what: str) -> str:
+    """``str(value)``; a ValueError naming ``what`` when the text has more
+    digits than Python's limit on integer strings
+    (``sys.get_int_max_str_digits()``)."""
     try:
         return str(value)
     except ValueError:
-        what = "exponent" if order is None else f"exponential factor coefficient of order {order}"
         limit = sys.get_int_max_str_digits()
-        raise ValueError(
-            f"at {format_location(loc)}: {what} with more than {limit} digits"
-        ) from None
+        raise ValueError(f"{what} with more than {limit} digits") from None
 
 
 def from_json(text: str) -> FormalData:

@@ -25,16 +25,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import formal, weylalg
 from .exponents import ExponentVector, act_sigma_perm, act_sigma_t
-from .formal import (
-    ExponentialFactor,
-    ExtractionError,
-    FormalData,
-    extract_formal_data,
-)
+from .formal import ExponentialFactor, FormalData, extract_formal_data
 from .lattice import IndexTuple, LatticeVector
 from .rootsys import Verdict
 from .weylalg import INF, DiffOperator, Location
@@ -47,9 +42,6 @@ class AssumptionViolatedError(Exception):
 
 class CrossCheckError(Exception):
     """Operator-level invariants disagree with the lattice prediction."""
-
-
-RETRIES = 3   # fresh instances drawn after a failed operator-level reduction
 
 
 @dataclass(frozen=True)
@@ -293,30 +285,21 @@ class OperatorReduction:
     final: DiffOperator
 
 
-def reduce_operator(
-    p: DiffOperator,
-    reinstantiate: Callable[[int], DiffOperator] | None = None,
-    data: FormalData | None = None,
-) -> OperatorReduction:
+def reduce_operator(p: DiffOperator, data: FormalData | None = None) -> OperatorReduction:
     """Drive the lattice reduction on a concrete operator.
 
     Applies the operator-level twisted Euler transform for every lattice
     step and checks the invariants of the result against the predicted
-    multiplicities and exponents.  On an integer resonance the instance is
-    re-drawn through ``reinstantiate`` (attempt number passed in), up to
-    ``RETRIES`` times.  ``data``, when given, must be the formal data
-    extracted from ``p``; the first attempt then does not extract ``p``
-    again.
+    multiplicities and exponents.  A failed hypothesis or check raises at
+    the operator given.  ``data``, when given, must be the formal data
+    extracted from ``p``; ``p`` is then not extracted again.
+
+    The work is done by :func:`_reduce_operator_once`.  The two names stay
+    apart only because the bench traces each (``reduce.reduce_operator``
+    and ``reduce.attempts``); they can be folded into one together with
+    the bench's span list, and ``reduce.retries`` reads 0 by construction.
     """
-    attempt = 0
-    while True:
-        try:
-            return _reduce_operator_once(p, data)
-        except (AssumptionViolatedError, ExtractionError, CrossCheckError):
-            if reinstantiate is None or attempt >= RETRIES:
-                raise
-            p, data = reinstantiate(attempt), None
-            attempt += 1
+    return _reduce_operator_once(p, data)
 
 
 def _reduce_operator_once(p: DiffOperator, data: FormalData | None) -> OperatorReduction:

@@ -5,8 +5,8 @@ formal parameters.  All the transforms we implement move characteristic
 exponents by affine maps, so affine expressions ``c0 + sum(ci * name_i)``
 with rational coefficients are closed under every operation we need.
 
-``Rat`` is an alias for :class:`fractions.Fraction` (always reduced,
-positive denominator).  :class:`ParamExpr` is the affine expression type.
+Rationals are :class:`fractions.Fraction` (always reduced, positive
+denominator).  :class:`ParamExpr` is the affine expression type.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ import re
 import sys
 from fractions import Fraction
 from typing import Mapping, Union
-
-Rat = Fraction
 
 RatLike = Union[Fraction, int]
 
@@ -223,7 +221,4 @@ def is_generically_integer(e: ParamLike) -> bool:
 def diff_in_integers(e1: ParamLike, e2: ParamLike) -> bool:
     """True iff ``e1 - e2`` is generically an integer; between constants,
     iff their difference is an integer."""
-    e1, e2 = ParamExpr.of(e1), ParamExpr.of(e2)
-    if e1.terms or e2.terms:
-        return is_generically_integer(e1 - e2)
-    return (e1.const - e2.const).denominator == 1
+    return is_generically_integer(ParamExpr.of(e1) - e2)

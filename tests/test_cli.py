@@ -364,11 +364,34 @@ def test_examples_run_json(capsys):
     assert results[0]["got"]["diagram"] == "A1(1) + A1(1)"
 
 
-def test_examples_param_override(capsys):
-    code, out, _ = run(
-        capsys, "examples", "--run", "--only", "Gauss", "--param", "a=2/13"
-    )
-    assert code == 0
+@pytest.mark.parametrize("param, code, err", [
+    ("a=2/13", 0, ""),
+    ("a=1", 5, "error: resonance: exponent 2/5 at 0 plus -2/5 is an integer\n"),
+    ("a=3/5", 5, "error: exponent sum 0 along (0, 0, 0) is an integer\n"),
+], ids=["generic", "resonant", "integer-sum"])
+def test_examples_param_override(capsys, param, code, err):
+    # the reduction runs at the value asked for: a value that breaks a
+    # hypothesis is reported, and no other instance is drawn in its place
+    got_code, out, got_err = run(capsys, "examples", "--run", "--only", "Gauss", "--param", param)
+    assert (got_code, got_err) == (code, err)
+    assert out.startswith("Gauss    ok ") if code == 0 else out == ""
+
+
+def test_examples_failed_cross_check_is_reported(monkeypatch, capsys):
+    # only the first step check disagrees: a second instance would pass
+    from irrkatz import reduce as reduction
+
+    check, calls = reduction._check_prediction, []
+
+    def disagree_once(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise reduction.CrossCheckError("at 1: injected disagreement")
+        return check(*args)
+
+    monkeypatch.setattr(reduction, "_check_prediction", disagree_once)
+    code, out, err = run(capsys, "examples", "--run", "--only", "Gauss")
+    assert (code, out, err) == (1, "", "error: at 1: injected disagreement\n")
 
 
 def test_examples_unknown_entry(capsys):
@@ -378,8 +401,7 @@ def test_examples_unknown_entry(capsys):
 
 
 def test_assumption_violation_exit_code(tmp_path, capsys):
-    # integer exponent at infinity: the twisted Euler hypotheses fail and
-    # no retry hook is available for a bare operator
+    # integer exponent at infinity: the twisted Euler hypotheses fail
     op = corpus.instantiate("Gauss", {"a": 1, "b": corpus.get("Gauss").defaults["b"], "c": corpus.get("Gauss").defaults["c"]})
     code, out, _ = run(capsys, "analyze", "--op", to_text(op))
     assert code == 0
@@ -432,12 +454,12 @@ def test_examples_run_builds_the_shape_once_per_attempt(monkeypatch, capsys):
     code, out, _ = run(capsys, "examples", "--run", "--only", "Gauss")
     assert code == 0 and "ok" in out
     assert len(shapes) == 1 and attempts == [0]
-    # a = 1 is resonant at every draw: each attempt builds one shape and fails
+    # a = 1 is resonant: the one attempt builds one shape and fails
     shapes.clear()
     attempts.clear()
     code, _, _ = run(capsys, "examples", "--run", "--only", "Gauss", "--param", "a=1")
     assert code == 5
-    assert attempts == list(range(reduction.RETRIES + 1)) and len(shapes) == len(attempts)
+    assert attempts == [0] and len(shapes) == 1
 
 
 def test_reduce_operator_extracts_input_once(tmp_path, monkeypatch, capsys):
@@ -706,6 +728,22 @@ def test_analyze_overlong_factor_coefficient_names_the_point_and_order(capsys):
     assert code == 2 and out == ""
     assert err == ("error: at inf: exponential factor coefficient of order 1"
                    " with more than 4300 digits\n")
+
+
+def test_fuchs_overlong_defect_names_the_limit(tmp_path, capsys):
+    # two exponents 1/p and 1/q at infinity, p and q of 4000 digits each:
+    # the file is within every bound, but the defect's denominator p*q has
+    # about 8000 digits
+    rng = random.Random(4000)
+    p, q = (rng.randrange(10**3999, 10**4000) for _ in range(2))
+    path = tmp_path / "long.json"
+    path.write_text(
+        '{"points":[{"location":"inf","factors":[{"w":[],"spectral":[["1/%d",1],["1/%d",1]]}]}]}'
+        % (p, q), encoding="utf-8")
+    assert run(capsys, "fuchs", "--formal", str(path)) == (
+        2, "", "error: Fuchs defect with more than 4300 digits\n")
+    code, out, _ = run(capsys, "reduce", "--formal", str(path))
+    assert code == 0 and out.endswith("verdict=NotRoot idx=6\n")
 
 
 def test_formal_json_names_an_overlong_exponent():

@@ -317,12 +317,6 @@ def test_euler_hypotheses_on_resonant_gauss(a, b, c, message):
     assert str(info.value) == message
 
 
-def test_reduce_operator_retries_with_fresh_instance():
-    bad = corpus.instantiate("Gauss", {"a": Fraction(1), "b": Fraction(2, 11), "c": Fraction(3, 5)})
-    result = reduce_operator(bad, reinstantiate=corpus.reinstantiator("Gauss", seed=7))
-    assert result.final.rank == 1
-
-
 def test_reduce_operator_rank_three_rigid():
     # rank-3 operator with spectral type (1,1,1 | 1,1,1 | 2,1): rigid, so
     # the reduction takes two steps of defect -1 through a rank-2 stage,

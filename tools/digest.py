@@ -286,6 +286,22 @@ def exponents() -> str:
     return out.getvalue()
 
 
+#: Corpus entries and ``--param`` overrides that ``overrides`` runs.
+OVERRIDES = (
+    ("Gauss", "a=2/13"), ("Gauss", "a=1"), ("Gauss", "a=3/5"), ("Gauss", "c=0"),
+    ("Heun", "t=1"), ("Heun", "c=1"),
+)
+
+
+def overrides() -> str:
+    """Exit code, stdout and stderr of ``examples --run --only E --param P``
+    for each pair of ``OVERRIDES``: each run reduces the instance asked
+    for, whether it passes or fails."""
+    return "".join(
+        _cli("examples", "--run", "--only", name, "--param", param) for name, param in OVERRIDES
+    )
+
+
 SECTIONS = {
     "examples": examples,
     "demos": demos,
@@ -297,6 +313,7 @@ SECTIONS = {
     "parse_fuzz": parse_fuzz,
     "twists": twists,
     "exponents": exponents,
+    "overrides": overrides,
 }
 
 
