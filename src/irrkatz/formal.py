@@ -370,7 +370,7 @@ def extract_primitive(
     finite = weylalg.singular_points(p, [at for at in hints if at is not INF])
     for at in [INF] + finite:
         try:
-            raw = _peel_factors(*weylalg.local_chart(p, at), None, hints.get(at, ()))
+            raw = _peel_factors(weylalg.local_chart(p, at), None, hints.get(at, ()))
         except ExtractionError as exc:
             # the same class, so the exit code does not change
             raise type(exc)(f"at {format_location(at)}: {exc}") from None
@@ -391,16 +391,16 @@ def extract_primitive(
 
 
 def _peel_factors(
-    q: DiffOperator, c: Fraction, max_degree: int | None, hints: Collection[Fraction]
+    q: DiffOperator, max_degree: int | None, hints: Collection[Fraction]
 ) -> list[tuple[dict[int, Fraction], SpectralData]]:
-    """Factors of the chart operator at c with theta-degree < max_degree.
+    """Factors of the chart operator at 0 with theta-degree < max_degree.
 
     Returns raw coefficient maps in chart orientation; the caller flips
     signs for the point at infinity.  The chart is expanded once; the
     polygon, the boundary polynomials and the regular part read that
     expansion.  Every root search tries the candidates ``hints`` first.
     """
-    theta = weylalg.theta_expand(q, c)
+    theta = weylalg.theta_expand(q, Fraction(0))
     np = weylalg.newton_polygon(theta)
     out: list[tuple[dict[int, Fraction], SpectralData]] = []
     if np.regular_rank > 0:
@@ -420,8 +420,8 @@ def _peel_factors(
                 f"slope-{k} boundary polynomial {edge} does not split over Q"
             )
         for v0, mult in sorted(roots.items()):
-            twisted = weylalg.ad_exp_raw(q, c, {k: -v0})
-            sub = _peel_factors(twisted, c, k, hints)
+            twisted = weylalg.ad_exp_raw(q, Fraction(0), {k: -v0})
+            sub = _peel_factors(twisted, k, hints)
             got = sum(s.rank for _, s in sub)
             if got != mult:
                 raise ExtractionError(

@@ -4,29 +4,32 @@ Operators are sums ``a_0 + a_1*D + ... + a_n*D^n`` kept in normal form (all
 powers of D commuted to the right) under the relation ``x*D - D*x = -1``.
 Their coefficients are polynomials, so they lie in the Weyl algebra,
 except just after a twist or the chart at infinity: those make rational
-coefficients, which the twists, :func:`theta_expand` and :func:`prim` read
-and nothing multiplies.  On top of the product this module provides the
+coefficients, which the twists, the translation, :func:`theta_expand` and
+:func:`prim` read and nothing multiplies.  On top of the product this module provides the
 local invariants (weights, characteristic polynomials, Newton polygons,
 theta expansions) and the global transforms (primitive component,
 additions, exponential twists, Fourier-Laplace, Euler).
 
 Points are either finite rationals or the point at infinity (``INF``).
-Local analysis goes through :func:`theta_expand`, the only local
-computation that reads an operator's coefficients: it takes its operator
-and finite point from :func:`local_chart`, which routes infinity through
-the involution ``x -> 1/x, D -> -x^2*D`` (:func:`subst_infty`) to the
-point 0.  The weight (``min_index``), :func:`char_poly`,
-:func:`newton_polygon` and :func:`is_regular_singular` read the
-:class:`ThetaExpansion` it returns.
+Local analysis runs at the point 0, on a chart operator
+(:func:`local_chart`): a finite point c is brought there by the
+translation ``x -> x + c`` (:func:`translate`), infinity by the involution
+``x -> 1/x, D -> -x^2*D`` (:func:`subst_infty`).  :func:`theta_expand` is
+the only local computation that reads an operator's coefficients; the
+weight (``min_index``), :func:`char_poly`, :func:`newton_polygon` and
+:func:`is_regular_singular` read the :class:`ThetaExpansion` it returns.
 
-The coordinate changes (the chart at infinity, the twists, Fourier-Laplace
-and so Euler) are coefficient formulas; none multiplies operators:
+The coordinate changes (the charts, the twists, Fourier-Laplace and so
+Euler) are coefficient formulas; none multiplies operators:
 
+- the translation shifts every coefficient, ``a_i(x) -> a_i(x + c)``, by
+  :meth:`Poly.shift`, the one Taylor shift;
 - a twist D -> D - f is conjugation by e^F with F' = f, so
   ``(D - f)^i = sum_j C(i, j) Y_j D^(i-j)`` with ``Y_0 = 1`` and
   ``Y_(j+1) = Y_j' - f Y_j`` (:func:`_shift_d`, shared by :func:`ad_power`,
-  where ``Y_j = (-lam)(-lam-1)...(-lam-j+1)/(x-c)^j``, and
-  :func:`ad_exp_raw`);
+  where ``Y_j = (-lam)(-lam-1)...(-lam-j+1)/x^j``, and
+  :func:`ad_exp_raw`); it runs at 0, so a twist at c is translated there
+  and back;
 - the chart at infinity uses ``(-x^2 D)^i = (-1)^i sum_k L(i, k) x^(i+k)
   D^k`` with the Lah numbers ``L(i, k) = C(i-1, k-1) i!/k!``;
 - Fourier-Laplace sends ``a x^k D^i`` to ``+-a D^k x^i`` and normal-orders
@@ -42,14 +45,13 @@ polynomial operators; this is its only form, and :func:`to_text` reads a
 coefficient off its row.  The product, :func:`parse` and these kernels
 work on the rows and normalize each result once (``_operator``);
 :func:`_add_product` adds a scaled product of two rows at an offset.  The
-twists and the chart at infinity keep pole orders away from their point,
-so only the power of x - c dividing every row cancels.  In
+twists and the chart at infinity keep pole orders away from 0, so only the
+power of x dividing every row cancels, a slice of each row.  In
 :func:`_shift_d` the numerators P_j of the Y_j are integer rows, one
 integer scale M per step of their recurrence (integer constants for
-:func:`ad_power`), and a Horner step multiplies the row by the numerators
-of ``(x-c)^e = U/b^e`` and adds ``C(m+j, j) N_(m+j) P_j`` scaled by
-``b^(e j)``; the chart at infinity adds each Lah term at the offset
-``i + k``.
+:func:`ad_power`), and each term ``C(m+j, j) N_(m+j) P_j x^(e(J-j))``, J
+the rank, is added at the offset ``e(J-j)``; the chart at infinity adds
+each Lah term at the offset ``i + k``.
 
 The product (``DiffOperator.__mul__``) is of polynomial operators: with
 ``P = sum_i N_i D^i`` and ``Q = sum_j K_j D^j``, the Leibniz rule ``D^i b =
@@ -68,7 +70,7 @@ from math import comb, factorial, gcd as int_gcd, lcm, perm
 from typing import Iterable, Mapping, Union
 
 from .polys import (
-    UNIT, Poly, falling_factorial, from_row, int_rows, linear_quotient, poly_gcd, pow_by_squaring,
+    UNIT, Poly, falling_factorial, from_row, int_rows, poly_gcd, pow_by_squaring,
 )
 from .scalar import ParamExpr, parse_rat
 
@@ -511,26 +513,36 @@ def parse(text: str) -> DiffOperator:
 # -- local invariants --------------------------------------------------------
 
 
-def local_chart(p: DiffOperator, at: Location) -> tuple[DiffOperator, Fraction]:
-    """The operator and finite point on which local analysis at ``at`` runs:
-    the chart operator :func:`subst_infty` at 0 for infinity, ``p`` itself
-    at a finite point."""
-    if at is INF:
-        return subst_infty(p), Fraction(0)
-    return p, at
+def translate(p: DiffOperator, c: Fraction) -> DiffOperator:
+    """The operator with x -> x + c: every row and the denominator
+    Taylor-shifted by c (:meth:`Poly.shift`); D is unchanged.  ``p`` itself
+    at c = 0."""
+    if c == 0 or p.is_zero():
+        return p
+    rows, d = int_rows([from_row(list(row)).shift(c) if row else Poly() for row in p._rows])
+    return _operator(rows, p._d * d, p._den.shift(c))
+
+
+def local_chart(p: DiffOperator, at: Location) -> DiffOperator:
+    """The operator on which local analysis at ``at`` runs, at the point 0:
+    the chart :func:`subst_infty` for infinity, :func:`translate` by ``at``
+    for a finite point."""
+    return subst_infty(p) if at is INF else translate(p, at)
 
 
 @dataclass(frozen=True)
 class ThetaExpansion:
     """Expansion ``P = sum_i (x-c)^i p_i(theta_c)`` with ``theta_c = (x-c)D``.
 
-    At infinity the terms are those of the chart operator at 0, which is
-    the same as writing ``P = sum_i x^(-i) p_i(theta_inf)`` with
-    ``theta_inf = -x*D``.  ``terms`` lists the nonzero ``(i, p_i)`` by
-    ascending i.  The monomial ``(x-c)^(i+j) D^j`` has weight i and puts
-    the falling factorial of degree j into ``p_i``, so ``deg p_i`` is the
-    largest D-degree of weight i, ``min_index`` is the weight of the
-    operator, and the largest ``deg p_i`` is its rank.
+    It is read at 0, from the chart operator: ``translate(P, c)`` at a
+    finite point, where it is ``sum_i x^i p_i(theta)`` with ``theta = xD``,
+    and :func:`subst_infty` at infinity, which is the same as writing ``P =
+    sum_i x^(-i) p_i(theta_inf)`` with ``theta_inf = -x*D``.  ``terms``
+    lists the nonzero ``(i, p_i)`` by ascending i.  The monomial ``x^(i+j)
+    D^j`` of the chart has weight i and puts the falling factorial of
+    degree j into ``p_i``, so ``deg p_i`` is the largest D-degree of weight
+    i, ``min_index`` is the weight of the operator, and the largest ``deg
+    p_i`` is its rank.
 
     Every local invariant (characteristic polynomial, Newton polygon,
     regularity, slope-boundary polynomials) is read off
@@ -564,7 +576,7 @@ def theta_expand(p: DiffOperator, at: Location) -> ThetaExpansion:
     """
     if p.is_zero():
         raise ValueError("theta expansion of the zero operator")
-    q, c = local_chart(p, at)
+    q, c = (subst_infty(p), Fraction(0)) if at is INF else (p, at)
     # a monic denominator of degree s is (x-c)^s iff its order at c is s
     shift = q._den.degree
     if shift and q._den.order_at(c) != shift:
@@ -574,10 +586,10 @@ def theta_expand(p: DiffOperator, at: Location) -> ThetaExpansion:
             text, den = _coefficient(row, q._d, q._den)
             if den.degree and den.order_at(c) != den.degree:
                 raise ValueError(f"coefficient {text} is not a Laurent polynomial at {c}")
-    shifted = [(j, from_row(list(row)).shift(c)) for j, row in enumerate(q._rows) if row]
-    gammas, d = int_rows([s for _, s in shifted])
+    # at 0 the denominator is x^s and the rows hold the Taylor coefficients
+    q = translate(q, c)
     rows: dict[int, list[int]] = {}
-    for (j, _), row in zip(shifted, gammas):
+    for j, row in enumerate(q._rows):
         ff = falling_factorial(j)._n
         for m, gamma in enumerate(row):
             if gamma:
@@ -585,7 +597,7 @@ def theta_expand(p: DiffOperator, at: Location) -> ThetaExpansion:
                 if w not in rows:
                     rows[w] = [0] * len(q._rows)
                 _add_product(rows[w], ff, (gamma,))
-    terms = ((i, from_row(rows[i], d * q._d)) for i in sorted(rows))
+    terms = ((i, from_row(rows[i], q._d)) for i in sorted(rows))
     return ThetaExpansion(at, tuple((i, t) for i, t in terms if t))
 
 
@@ -690,59 +702,37 @@ def prim(p: DiffOperator) -> DiffOperator:
     return _operator([[sign * a for a in row] for row in rows], sign * rows[-1][-1])
 
 
-def _divide_out(rows: list, c, most: int) -> tuple[int, list]:
-    """The largest k <= most such that (x - c)^k divides every integer row,
-    and the rows divided by it, integer rows again.
-
-    At c = 0 the quotients are slices.  At c = a/b each step divides every
-    nonzero row by b*x - a over Z (``linear_quotient``) and keeps the
-    quotients, until a row does not divide; the rows over (x - c)^k are the
-    last quotients times b^k."""
-    if c == 0:
-        k = min([most] + [next(i for i, a in enumerate(row) if a) for row in rows if any(row)])
-        return k, [row[k:] for row in rows]
-    a, b = c.numerator, c.denominator
-    for k in range(most):
-        quotients = [linear_quotient(row, a, b) if any(row) else row for row in rows]
-        if None in quotients:
-            break
-        rows = quotients
-    else:
-        k = most
-    if b != 1 and k:
-        scale = b**k
-        rows = [[scale * x for x in row] for row in rows]
-    return k, rows
+def _divide_out(rows: list, most: int) -> tuple[int, list]:
+    """The largest k <= most such that x^k divides every integer row, and
+    the rows divided by it: their slices from k."""
+    k = min([most] + [next(i for i, a in enumerate(row) if a) for row in rows if any(row)])
+    return k, [row[k:] for row in rows]
 
 
-def _shift_d(p: DiffOperator, g: Poly, e: int, c: Fraction) -> DiffOperator:
-    """Image of ``p`` under the twist D -> D - f with f = g/(x-c)^e.
+def _shift_d(p: DiffOperator, g: Poly, e: int) -> DiffOperator:
+    """Image of ``p`` under the twist D -> D - f with f = g/x^e, a twist
+    at 0; :func:`translate` brings any other finite point there.
 
     D - f is e^F D e^(-F) with F' = f, so ``(D - f)^i = sum_j C(i, j) Y_j
     D^(i-j)``, where ``Y_j e^(-F)`` is the j-th derivative of e^(-F):
     ``Y_0 = 1`` and ``Y_(j+1) = Y_j' - f Y_j``.  In numerators over
-    ``(x-c)^(e j)``, ``Y_j = P_j/(x-c)^(e j)`` with ``P_0 = 1`` and
-    ``P_(j+1) = (x-c)^e P_j' - (e j (x-c)^(e-1) + g) P_j``.  The
-    coefficient of D^m is ``sum_j C(m+j, j) a_(m+j) Y_j``, summed over
-    ``p``'s denominator times ``(x-c)^(e J)``, J the rank.  Away from c the
-    twist keeps pole orders, so only a power of x - c can cancel.
+    ``x^(e j)``, ``Y_j = P_j/x^(e j)`` with ``P_0 = 1`` and ``P_(j+1) = x^e
+    P_j' - (e j x^(e-1) + g) P_j``.  The coefficient of D^m is ``sum_j
+    C(m+j, j) a_(m+j) Y_j``, summed over ``p``'s denominator times ``x^(e
+    J)``, J the rank.  Away from 0 the twist keeps pole orders, so only a
+    power of x can cancel.
 
-    The P_j are integer rows: with ``(x-c)^e = U/b^e``, ``g = G/d`` and
-    ``M = lcm(b^e, d)``, ``A = (M/b^e) U`` and ``H = (M/d) G`` are in Z[x],
-    and ``R_(j+1) = A R_j' - (j A' + H) R_j`` from ``R_0 = 1`` gives
-    ``P_j = R_j/M^j``.  For g constant and e <= 1 (:func:`ad_power`) the
-    R_j are the constants ``prod_(i<j) -(i e M + H)``.
+    The P_j are integer rows: with ``g = G/M``, ``A = M x^e`` and
+    ``R_(j+1) = A R_j' - (j A' + G) R_j`` from ``R_0 = 1`` give ``P_j =
+    R_j/M^j``.  For g constant and e <= 1 (:func:`ad_power`) the R_j are
+    the constants ``prod_(i<j) -(i e M + G)``.  Over ``M^J x^(e J)`` the
+    coefficient of D^m is ``sum_j C(m+j, j) N_(m+j) R_j M^(J-j) x^(e(J-j))``:
+    each term added at the offset ``e(J-j)``.
     """
     if p.is_zero():
         return p
     n = len(p._rows)
-    u = Poly.x() - c
-    du = u._d ** e
-    urow = [1]
-    for _ in range(e):
-        urow = _product(urow, u._n)
-    scale = lcm(du, g._d)
-    h = [scale // g._d * x for x in g._n]
+    scale, h = g._d, g._n
     rows = [[1]]
     if e <= 1 and len(h) <= 1:
         # A' = e M and R_j' = 0
@@ -750,7 +740,7 @@ def _shift_d(p: DiffOperator, g: Poly, e: int, c: Fraction) -> DiffOperator:
         for j in range(n - 1):
             rows.append([-(j * step + h0) * rows[-1][0]])
     else:
-        arow = [scale // du * x for x in urow]
+        arow = [0] * e + [scale]
         drop = [k * x for k, x in enumerate(arow)][1:]
         for j in range(n - 1):
             r = rows[-1]
@@ -761,56 +751,45 @@ def _shift_d(p: DiffOperator, g: Poly, e: int, c: Fraction) -> DiffOperator:
             while nxt and not nxt[-1]:
                 nxt.pop()
             rows.append(nxt)
-    # over M^J, P_j is R_j M^(J-j); term j is scaled by b^(e j) to keep the
-    # rows over one integer denominator; Horner's rule in U takes J steps
-    # for every m
-    yrows = [[scale ** (n - 1 - j) * x for x in r] for j, r in enumerate(rows)]
-    dy = scale ** (n - 1)
-    width = max(map(len, p._rows)) + max(map(len, yrows)) + e * (n - 1)
-    out = []
+    top = n - 1
+    width = max(map(len, p._rows)) + max(map(len, rows)) + e * top
+    out = [[0] * width for _ in range(n)]
     for m in range(n):
-        acc = ()
-        for j in range(n):
-            row = [0] * width
-            _add_product(row, acc, urow)
-            if j < n - m:
-                _add_product(row, p._rows[m + j], yrows[j], comb(m + j, j) * du**j)
-            acc = row
-        out.append(acc)
-    k, out = _divide_out(out, c, e * (n - 1) + p._den.order_at(c)) if e else (0, out)
-    t = e * (n - 1) - k
-    den = p._den * u**t if t >= 0 else p._den // u ** -t
-    return _operator(out, p._d * dy * du ** (n - 1), den)
+        for j in range(n - m):
+            _add_product(out[m], p._rows[m + j], rows[j], comb(m + j, j) * scale ** (top - j),
+                         e * (top - j))
+    k, out = _divide_out(out, e * top + p._den.order_at(0)) if e else (0, out)
+    t = e * top - k
+    den = p._den * Poly.x(t) if t >= 0 else p._den // Poly.x(-t)
+    return _operator(out, p._d * scale**top, den)
 
 
 def ad_power(p: DiffOperator, c: Fraction, lam) -> DiffOperator:
     """Addition at x - c: the automorphism D -> D - lam/(x-c).
 
     Shifts the characteristic exponents at c by +lam.  The concrete engine
-    requires a rational lam; parameter-carrying values are rejected.  Here
-    the ``Y_j`` of :func:`_shift_d` are ``(-lam)(-lam-1)...(-lam-j+1) /
-    (x-c)^j``.
+    requires a rational lam; parameter-carrying values are rejected.  The
+    twist runs at 0 (:func:`translate`), where the ``Y_j`` of
+    :func:`_shift_d` are ``(-lam)(-lam-1)...(-lam-j+1) / x^j``.
     """
     lam = ParamExpr.of(lam).as_rat()
-    return _shift_d(p, Poly.const(lam), 1, c)
+    return translate(_shift_d(translate(p, c), Poly.const(lam), 1), -c)
 
 
 def ad_exp_raw(p: DiffOperator, at: Location, coeffs: Mapping[int, Fraction]) -> DiffOperator:
     """Exponential twist by the theta-form factor w = sum w_k (x-c)^(-k)
     (sum w_k x^k at infinity): D -> D - w/(x-c) (D -> D - w/x).
 
-    At a finite point f = g/(x-c)^(K+1) with ``g = sum w_k (x-c)^(K-k)``,
-    K the largest order; at infinity f is the polynomial
-    ``sum w_k x^(k-1)``."""
+    At a finite point the twist runs at 0 (:func:`translate`), where f =
+    g/x^(K+1) with ``g = sum w_k x^(K-k)``, K the largest order; at
+    infinity f is the polynomial ``sum w_k x^(k-1)``."""
     if any(k < 1 for k in coeffs):
         raise ValueError("theta-form orders must be >= 1")
-    if at is INF:
-        g = sum((Poly.monomial(wk, k - 1) for k, wk in coeffs.items()), Poly())
-        return _shift_d(p, g, 0, Fraction(0))
     top = max(coeffs, default=0)
-    u = Poly([-at, 1])
-    g = sum((wk * u ** (top - k) for k, wk in coeffs.items()), Poly())
-    return _shift_d(p, g, top + 1, at)
+    if at is INF:
+        return _shift_d(p, Poly([coeffs.get(i + 1, 0) for i in range(top)]), 0)
+    g = Poly([coeffs.get(top - i, 0) for i in range(top)])
+    return translate(_shift_d(translate(p, at), g, top + 1), -at)
 
 
 def _lah(i: int, k: int) -> int:
@@ -842,7 +821,7 @@ def subst_infty(p: DiffOperator) -> DiffOperator:
     rev = den.reverse(d)
     lead = rev._n[-1]
     scale = rev._d if lead > 0 else -rev._d
-    k, rows = _divide_out(rows, 0, d - den.degree)
+    k, rows = _divide_out(rows, d - den.degree)
     return _operator([[scale * a for a in row] for row in rows], p._d * abs(lead),
                      rev.monic() // Poly.x(k))
 

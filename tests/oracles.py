@@ -34,13 +34,13 @@ from irrkatz import corpus
 from irrkatz.formal import FormalData, SpectralData
 from irrkatz.lattice import IndexTuple, LatticeShape, LatticeVector
 from irrkatz.polys import (
-    UNIT, Poly, PolyLike, _lifted_roots, as_poly, from_row, int_rows, poly_gcd, pow_by_squaring,
+    UNIT, Poly, PolyLike, _lifted_roots, as_poly, from_row, int_rows, linear_quotient, poly_gcd,
+    pow_by_squaring,
 )
 from irrkatz.rootsys import Node, RootBasis, RootVector, build_basis, phi
 from irrkatz.scalar import ParamExpr
 from irrkatz.weylalg import (
-    INF, DiffOperator, Location, OperatorSyntaxError, ThetaExpansion, _add_product, _divide_out,
-    _lah, _operator,
+    INF, DiffOperator, Location, OperatorSyntaxError, ThetaExpansion, _add_product, _lah, _operator,
 )
 
 # -- rootsys ---------------------------------------------------------------------
@@ -793,10 +793,37 @@ def divide_out_two_pass(rows: list, c, most: int) -> tuple[int, list, int]:
     return (k, *int_rows([q // u for q in nums]))
 
 
+def divide_out(rows: list, c, most: int) -> tuple[int, list]:
+    """``weylalg._divide_out`` as it was while twists ran at any point: the
+    largest k <= most such that (x - c)^k divides every integer row, and the
+    rows divided by it, integer rows again.
+
+    At c = 0 the quotients are slices.  At c = a/b each step divides every
+    nonzero row by b*x - a over Z (``linear_quotient``) and keeps the
+    quotients, until a row does not divide; the rows over (x - c)^k are the
+    last quotients times b^k."""
+    if c == 0:
+        k = min([most] + [next(i for i, a in enumerate(row) if a) for row in rows if any(row)])
+        return k, [row[k:] for row in rows]
+    a, b = c.numerator, c.denominator
+    for k in range(most):
+        quotients = [linear_quotient(row, a, b) if any(row) else row for row in rows]
+        if None in quotients:
+            break
+        rows = quotients
+    else:
+        k = most
+    if b != 1 and k:
+        scale = b**k
+        rows = [[scale * x for x in row] for row in rows]
+    return k, rows
+
+
 def shift_d_by_polys(p: DiffOperator, g: Poly, e: int, c: Fraction) -> DiffOperator:
-    """``weylalg._shift_d`` as it was: each P_j a new ``Poly``, from
-    ``P_(j+1) = (x-c)^e P_j' - (e j (x-c)^(e-1) + g) P_j``, then the same
-    Horner rows over one integer denominator."""
+    """``weylalg._shift_d`` as it was while twists ran at any point: each P_j
+    a new ``Poly``, from ``P_(j+1) = (x-c)^e P_j' - (e j (x-c)^(e-1) + g)
+    P_j``, then Horner's rule in x - c on integer rows and the division by
+    (x - c)^k of :func:`divide_out`."""
     if p.is_zero():
         return p
     n = len(p._rows)
@@ -819,7 +846,7 @@ def shift_d_by_polys(p: DiffOperator, g: Poly, e: int, c: Fraction) -> DiffOpera
                 _add_product(row, p._rows[m + j], yrows[j], comb(m + j, j) * du**j)
             acc = row
         out.append(acc)
-    k, out = _divide_out(out, c, e * (n - 1) + p._den.order_at(c)) if e else (0, out)
+    k, out = divide_out(out, c, e * (n - 1) + p._den.order_at(c)) if e else (0, out)
     t = e * (n - 1) - k
     den = p._den * u**t if t >= 0 else p._den // u ** -t
     return _operator(out, p._d * dy * du ** (n - 1), den)

@@ -190,24 +190,21 @@ def test_prim_returns_primitive_input_itself():
 
 
 def test_divide_out_matches_the_two_pass_form():
-    # rows (x - c)^j * N_i with zero rows and trailing zeros, as the twists
-    # and the chart at infinity leave them; the bound `most` below, at and
+    # rows x^j * N_i with zero rows and trailing zeros, as the twists and
+    # the chart at infinity leave them at 0; the bound `most` below, at and
     # above the common order
     cases = set()
     for k in range(400):
         rng = random.Random(3000 + k)
-        c = (Fraction(0), *POINTS)[k % (len(POINTS) + 1)]
         j = rng.randint(0, 3)
-        u = Poly([-c, 1]) ** j
-        polys = [u * _poly(rng, rng.randint(1, 4)) if rng.random() < 0.8 else Poly()
+        polys = [Poly.x(j) * _poly(rng, rng.randint(1, 4)) if rng.random() < 0.8 else Poly()
                  for _ in range(rng.randint(1, 4))]
         rows = [list(row) + [0] * rng.randint(0, 2) for row in int_rows(polys)[0]]
         most = rng.randint(0, j + 2)
-        got_k, got = _divide_out(rows, c, most)
-        want_k, want, want_d = divide_out_two_pass(rows, c, most)
+        got_k, got = _divide_out(rows, most)
+        want_k, want, want_d = divide_out_two_pass(rows, Fraction(0), most)
         assert got_k == want_k, k
         assert ([from_row(list(row)) for row in got]
                 == [from_row(list(row), want_d) for row in want]), k
-        cases.add((c == 0, got_k == 0, got_k == most))
-    assert {(zero, k0, top) for zero in (True, False) for k0, top in (
-        (True, False), (False, True), (False, False))} <= cases
+        cases.add((got_k == 0, got_k == most))
+    assert {(True, False), (False, True), (False, False)} <= cases

@@ -68,15 +68,18 @@ ALLOWED = {
     "irrkatz.weylalg.DiffOperator.__init__":
         "the guard of the class: operators are built by parse, X, D, DiffOperator.of and the "
         "transforms, so only a caller's bug calls the class",
-    "irrkatz.polys.Poly.__rsub__":
-        "the arithmetic protocol: Poly has __radd__, so a scalar minus a Poly is one too; "
-        "nothing the walk runs subtracts a Poly from a scalar",
+    **dict.fromkeys(
+        [f"irrkatz.polys.Poly.{name}" for name in (
+            "__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__pow__")],
+        "the arithmetic protocol: a Poly adds, subtracts, negates and raises to a power as "
+        "it multiplies; the pipeline works on integer rows and twists at 0, so none of its "
+        "steps does, but the tests and oracles build their polynomials with these"),
     "irrkatz.polys.Poly.__mod__":
         "the Euclid fallback of poly_gcd, which runs only when GCDHEU fails at HEU_TRIES "
         "points or its evaluation passes HEU_BITS; no walked gcd does",
     "irrkatz.polys.Poly.monomial":
-        "ad_exp_raw builds a twist at infinity with it, which reduce_operator makes when an "
-        "Euler step's tuple picks a nonzero exponential factor there; no walked reduction does",
+        "a constructor beside Poly.x and Poly.const: ad_exp_raw builds its twist from a list "
+        "of coefficients, so no pipeline step calls it, but the tests build divisors with it",
     **dict.fromkeys(
         [f"irrkatz.lattice.LatticeVector.{name}" for name in (
             "__neg__", "is_zero", "scale", "zero")]

@@ -1,8 +1,10 @@
 """The row kernels of ``polys`` and ``weylalg`` against their ``Poly``
 forms in ``oracles``: the Taylor shift, the order at a root, division by a
 monomial, the theta expansion, the chart at infinity and the twists, the
-last also against their P_j built as ``Poly`` objects.  And none of the
-first five builds a partial ``Poly`` on the pipeline's inputs."""
+last also against their P_j built as ``Poly`` objects.  A twist at a point
+c runs at 0 between two translations, as ``ad_power`` and ``ad_exp_raw``
+run it; the oracles twist at c itself.  And none of the first five builds
+a partial ``Poly`` on the pipeline's inputs."""
 
 import random
 from fractions import Fraction
@@ -11,7 +13,8 @@ from conftest import bench_texts, random_fraction, random_poly_op
 from irrkatz import corpus
 from irrkatz.polys import Poly
 from irrkatz.weylalg import (
-    INF, DiffOperator, _shift_d, parse, prim, singular_points, subst_infty, theta_expand,
+    INF, DiffOperator, _shift_d, ad_exp_raw, ad_power, parse, prim, singular_points, subst_infty,
+    theta_expand, translate,
 )
 from oracles import (
     RatFunc, coeffs, long_divmod, operator, order_at, shift_d, shift_d_by_polys, subst_infinity,
@@ -43,6 +46,12 @@ def _operator(rng: random.Random, k: int, c: Fraction) -> DiffOperator:
     return operator([a / RatFunc(q) for a, q in zip(coeffs(p), poles)])
 
 
+def _twist(p: DiffOperator, g: Poly, e: int, c: Fraction) -> DiffOperator:
+    """The twist D -> D - g/(x-c)^e, run at 0: D - g(x+c)/x^e on the
+    translate of ``p``, translated back."""
+    return translate(_shift_d(translate(p, c), g.shift(c), e), -c)
+
+
 def _outcome(f, *args):
     try:
         return f(*args)
@@ -59,7 +68,7 @@ def test_row_kernels_match_their_poly_oracles():
         for at in (c, INF):
             assert _outcome(theta_expand, p, at) == _outcome(theta_expansion, p, at), k
         g = Poly([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(rng.randint(1, 3))])
-        assert _shift_d(p, g, k % 4, c) == shift_d(p, g, k % 4, c), k
+        assert _twist(p, g, k % 4, c) == shift_d(p, g, k % 4, c), k
         for a in coeffs(p):
             assert a.num.shift(c) == taylor_shift(a.num, c), k
         # a root of multiplicity 0-3 at c, the cofactor nonzero there or not
@@ -96,12 +105,13 @@ def test_shift_d_matches_the_poly_recurrence():
     twists = 0
     for k, p in enumerate(ops):
         lam, w1, w2 = Fraction(2 * k + 1, 5), Fraction(k + 1, 3), Fraction(-1, k + 2)
-        cases = [(Poly([w1, w2]), 0, Fraction(0))]
+        cases = [(ad_exp_raw(p, INF, {1: w1, 2: w2}), Poly([w1, w2]), 0, Fraction(0))]
         for c in [*singular_points(p), Fraction(1, 3)]:
-            cases += [(Poly.const(lam), 1, c), (Poly.const(w1), 2, c),
-                      (w1 * Poly([-c, 1]) + w2, 3, c)]
-        for g, e, c in cases:
-            assert _shift_d(p, g, e, c) == shift_d_by_polys(p, g, e, c), (k, e, c)
+            cases += [(ad_power(p, c, lam), Poly.const(lam), 1, c),
+                      (ad_exp_raw(p, c, {1: w1}), Poly.const(w1), 2, c),
+                      (ad_exp_raw(p, c, {1: w1, 2: w2}), w1 * Poly([-c, 1]) + w2, 3, c)]
+        for got, g, e, c in cases:
+            assert got == shift_d_by_polys(p, g, e, c), (k, e, c)
             twists += 1
     assert twists > 2000, twists
     # random points a/b, e = 0..4, g of degree up to 3 (or zero), on the
@@ -111,7 +121,7 @@ def test_shift_d_matches_the_poly_recurrence():
         c = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
         p = _operator(rng, k, c)
         g = Poly([random_fraction(rng) for _ in range(rng.randint(0, 4))])
-        assert _shift_d(p, g, k % 5, c) == shift_d_by_polys(p, g, k % 5, c), k
+        assert _twist(p, g, k % 5, c) == shift_d_by_polys(p, g, k % 5, c), k
 
 
 def test_row_kernels_build_no_partial_polys(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from conftest import random_poly_op
 from irrkatz import corpus
 from irrkatz.formal import _edge_polynomial
-from irrkatz.polys import Poly, falling_factorial
+from irrkatz.polys import UNIT, Poly, falling_factorial
 from irrkatz.weylalg import (
     D,
     INF,
@@ -31,6 +31,7 @@ from irrkatz.weylalg import (
     subst_infty,
     theta_expand,
     to_text,
+    translate,
 )
 from oracles import (
     RatFunc, apply, coeffs, deg_of, leading, leibniz_product, op_neg, op_sum, operator,
@@ -465,6 +466,12 @@ def _laurent_coeff(f: RatFunc, c: Fraction, k: int) -> Fraction:
     return series[need]
 
 
+def _chart(p: DiffOperator, at) -> tuple[DiffOperator, Fraction]:
+    """The operator and point the oracle expands: the chart ``subst_infty``
+    at 0 for infinity, ``p`` itself at a finite point."""
+    return (subst_infty(p), ZERO) if at is INF else (p, at)
+
+
 def _laurent_weights(p: DiffOperator, c: Fraction) -> dict[int, int]:
     """{j: ord_c(a_j) - j} over the nonzero coefficients."""
     return {
@@ -475,7 +482,7 @@ def _laurent_weights(p: DiffOperator, c: Fraction) -> dict[int, int]:
 
 
 def _laurent_char_poly(p: DiffOperator, at) -> Poly:
-    q, c = local_chart(p, at)
+    q, c = _chart(p, at)
     wt = min(_laurent_weights(q, c).values())
     out = Poly()
     for j, a in enumerate(coeffs(q)):
@@ -486,7 +493,7 @@ def _laurent_char_poly(p: DiffOperator, at) -> Poly:
 
 
 def _laurent_homogeneous_part(p: DiffOperator, at, k: int) -> DiffOperator:
-    q, c = local_chart(p, at)
+    q, c = _chart(p, at)
     base = Poly([-c, 1])
     out = []
     for i, a in enumerate(coeffs(q)):
@@ -504,7 +511,7 @@ def _laurent_homogeneous_part(p: DiffOperator, at, k: int) -> DiffOperator:
 
 def _laurent_newton_polygon(p: DiffOperator, at) -> tuple:
     """(vertices, slopes) by the monotone-chain hull over the weight table."""
-    pts = _laurent_weights(*local_chart(p, at))
+    pts = _laurent_weights(*_chart(p, at))
     wt = min(pts.values())
     i0 = max(i for i, y in pts.items() if y == wt)
     vertices = [(i0, wt)]
@@ -563,7 +570,7 @@ def _oracle_cases(rng: random.Random):
         p = random_poly_op(rng, 4, 4)
         for at in (ZERO, Fraction(1), Fraction(-2), INF):
             yield p, at
-            q, c = local_chart(p, at)
+            q, c = _chart(p, at)
             w = {k: random_fraction_nonzero(rng) for k in range(1, rng.randint(1, 3) + 1)}
             yield ad_exp_raw(q, c, w), c
             base = RatFunc(Poly([-c, 1]))
@@ -573,7 +580,7 @@ def _oracle_cases(rng: random.Random):
 def test_readers_match_the_laurent_oracle():
     for p, at in _oracle_cases(random.Random(14)):
         exp = theta_expand(p, at)
-        wt = min(_laurent_weights(*local_chart(p, at)).values())
+        wt = min(_laurent_weights(*_chart(p, at)).values())
         assert exp.min_index == wt
         char = char_poly(exp)
         assert char == _laurent_char_poly(p, at)
@@ -582,7 +589,7 @@ def test_readers_match_the_laurent_oracle():
         assert (np.vertices, np.slopes) == _laurent_newton_polygon(p, at)
         for k in range(wt, wt + 6):
             assert _homogeneous_part(exp, k) == _laurent_homogeneous_part(p, at, k)
-        q, c = local_chart(p, at)
+        q, c = _chart(p, at)
         for slope in np.slopes:
             if slope > 0 and slope.denominator == 1:
                 edge = _edge_polynomial(exp, np, int(slope))
@@ -799,6 +806,68 @@ def test_subst_infty_involution():
     for _ in range(20):
         p = random_poly_op(rng)
         assert subst_infty(subst_infty(p)) == p
+
+
+#: Translation points: negative, and with denominators b != 1.
+TRANSLATIONS = (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), Fraction(-3), Fraction(-7, 4))
+
+
+def _rational_op(rng: random.Random, c: Fraction) -> DiffOperator:
+    """A random operator whose coefficients have denominators: powers of
+    x - c, times x + 1 or x^2 + 1 for some of them."""
+    p = random_poly_op(rng, 3, 3)
+    poles = [Poly([-c, 1]) ** rng.randint(0, 2) * rng.choice([UNIT, Poly([1, 1]), Poly([1, 0, 1])])
+             for _ in coeffs(p)]
+    return operator([a / RatFunc(q) for a, q in zip(coeffs(p), poles)])
+
+
+def test_translate_matches_sympy():
+    # coefficient i of translate(p, c) is a_i(x + c): SymPy composes each
+    # numerator and denominator with x + c, and the two fractions agree
+    # cross-multiplied, both denominators being nonzero
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def spoly(f: Poly):
+        return sympy.Poly([sympy.Rational(a.numerator, a.denominator) for a in reversed(f.coeffs)]
+                          or [0], x, domain="QQ")
+
+    for k in range(200):
+        rng = random.Random(k)
+        c = TRANSLATIONS[k % len(TRANSLATIONS)]
+        p = _rational_op(rng, c)
+        shift = sympy.Poly(x + sympy.Rational(c.numerator, c.denominator), x, domain="QQ")
+        got = coeffs(translate(p, c))
+        assert len(got) == len(coeffs(p)), k
+        for a, b in zip(coeffs(p), got):
+            assert (spoly(b.num) * spoly(a.den).compose(shift)
+                    == spoly(b.den) * spoly(a.num).compose(shift)), k
+
+
+def test_translate_round_trip_zero_point_and_zero_operator():
+    for k in range(100):
+        rng = random.Random(700 + k)
+        c = TRANSLATIONS[k % len(TRANSLATIONS)]
+        p = _rational_op(rng, c) if k % 2 else random_poly_op(rng)
+        assert translate(translate(p, c), -c) == p, k
+        assert translate(p, ZERO) is p
+    zero = operator()
+    assert translate(zero, ZERO) is zero
+    assert translate(zero, Fraction(1, 2)).is_zero()
+
+
+def test_theta_expand_is_the_expansion_of_the_translate_at_0():
+    # operators Laurent at c: polynomial ones, their coefficients over
+    # powers of x - c, and twists at c
+    for k in range(60):
+        rng = random.Random(900 + k)
+        c = TRANSLATIONS[k % len(TRANSLATIONS)]
+        p = random_poly_op(rng, 4, 4)
+        base = RatFunc(Poly([-c, 1]))
+        cases = (p, operator([a * base ** rng.randint(-3, 3) for a in coeffs(p)]),
+                 ad_exp_raw(p, c, {1: Fraction(k + 1, 3), 2: Fraction(-1, k + 2)}))
+        for q in cases:
+            assert theta_expand(q, c).terms == theta_expand(translate(q, c), ZERO).terms, k
 
 
 # -- coordinate changes against the power-of-image oracle ----------------------------

@@ -250,6 +250,33 @@ def twists() -> str:
     return out.getvalue()
 
 
+#: Points off the integers (and one on them) at which ``rational_twists``
+#: twists every corpus instance.
+RATIONAL_POINTS = (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), Fraction(3))
+
+
+def rational_twists() -> str:
+    """``to_text`` of ``ad_power`` and of ``ad_exp_raw`` with orders 1-3 at
+    each of ``RATIONAL_POINTS``, on each corpus entry at ``TWIST_SEEDS``,
+    and ``min_index`` and the first three terms of the ``theta_expand`` of
+    each at that point."""
+    out = io.StringIO()
+    for name in corpus.names():
+        for seed in TWIST_SEEDS:
+            p = weylalg.prim(corpus.instantiate(name, corpus.params_for(name, seed)))
+            lam = Fraction(2 * seed + 1, 5)
+            w = {1: Fraction(seed + 1, 3), 2: Fraction(-1, seed + 2), 3: Fraction(seed + 2, 7)}
+            print(f"== {name} {seed}", file=out)
+            for c in RATIONAL_POINTS:
+                for label, q in (("ad_power", weylalg.ad_power(p, c, lam)),
+                                 ("ad_exp_raw", weylalg.ad_exp_raw(p, c, w))):
+                    theta = weylalg.theta_expand(q, c)
+                    print(f"{label} {c}:", q, file=out)
+                    print(f"theta_expand: {theta.min_index}",
+                          *(f"{i}: {t}" for i, t in theta.terms[:3]), sep="; ", file=out)
+    return out.getvalue()
+
+
 def exponents() -> str:
     """The exponent action on the symbolic formal data of each corpus entry:
     ``act_sigma_perm``, ``act_sigma_t`` and ``fuchs_defect_of`` along its
@@ -312,6 +339,7 @@ SECTIONS = {
     "parse_errors": parse_errors,
     "parse_fuzz": parse_fuzz,
     "twists": twists,
+    "rational_twists": rational_twists,
     "exponents": exponents,
     "overrides": overrides,
 }
