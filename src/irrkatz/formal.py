@@ -19,13 +19,14 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Collection, Mapping, Sequence
 
 from . import weylalg
 from .lattice import LatticeShape, LatticeVector
 from .exponents import ExponentVector
 from .polys import Poly
-from .scalar import ParamExpr, ParamLike, diff_in_integers, parse_param_expr, parse_rat
+from .scalar import ParamExpr, ParamLike, parse_param_expr, parse_rat
 from .weylalg import (
     INF,
     DiffOperator,
@@ -143,7 +144,10 @@ class SpectralData:
     """Chains ``(lam_s, m_s)``: exponents lam, lam+1, ..., lam+m-1.
 
     Bases of distinct chains never differ by an integer (for parameter
-    expressions this is the generic reading).
+    expressions this is the generic reading).  Two bases differ by an
+    integer exactly when their keys, the terms and the residue (a mod b, b)
+    of the constant a/b, agree; the constructor groups the bases by key and
+    names the first pair, in the order of the chains, that shares one.
     """
 
     __slots__ = ("chains",)
@@ -155,12 +159,13 @@ class SpectralData:
             raise ValueError("spectral data needs at least one chain")
         if any(m < 1 for _, m in parsed):
             raise ValueError("chain multiplicities must be positive")
-        for i in range(len(parsed)):
-            for j in range(i + 1, len(parsed)):
-                if diff_in_integers(parsed[i][0], parsed[j][0]):
-                    raise ValueError(
-                        f"chain bases {parsed[i][0]} and {parsed[j][0]} differ by an integer"
-                    )
+        classes: dict[tuple, list[int]] = {}
+        for i, (lam, _) in enumerate(parsed):
+            a, b = lam.const.numerator, lam.const.denominator
+            classes.setdefault((tuple(lam.terms.items()), a % b, b), []).append(i)
+        if len(classes) < len(parsed):
+            i, j = min(members[:2] for members in classes.values() if len(members) > 1)
+            raise ValueError(f"chain bases {parsed[i][0]} and {parsed[j][0]} differ by an integer")
         object.__setattr__(self, "chains", parsed)
 
     @property
@@ -298,15 +303,17 @@ def oshima_check(expansion: ThetaExpansion, data: SpectralData) -> bool:
 
     For each chain (lam, m): the term of minimal index vanishes at lam,
     ..., lam+m-1, the next at lam, ..., lam+m-2, and so on.  Chain bases
-    must be parameter-free.
+    must be parameter-free.  With lam = a/b, each test is
+    :meth:`Poly.vanishes_at` at (a + v b)/b, on integers.
     """
     r = expansion.min_index
     for lam, m in data.chains:
         base = lam.as_rat()
+        a, b = base.numerator, base.denominator
         for u in range(m):
             poly = expansion.term(r + u)
             for v in range(m - u):
-                if poly.eval(base + v) != 0:
+                if not poly.vanishes_at(a + v * b, b):
                     return False
     return True
 
@@ -316,23 +323,26 @@ def group_chains(roots: Mapping[Fraction, int]) -> list[tuple[Fraction, int]]:
 
     Each residue class modulo 1 must form a gap-free, multiplicity-free
     run lam, lam+1, ..., lam+m-1; anything else is not representable as
-    spectral data and is reported honestly.
+    spectral data and is reported honestly.  The class of a/b is the key
+    (a mod b, b); its members share the denominator b, so they sort by
+    numerator, and two neighbours are a unit apart when their numerators
+    are b apart.
     """
-    classes: dict[Fraction, list[Fraction]] = {}
+    classes: dict[tuple[int, int], list[Fraction]] = {}
     for root, mult in roots.items():
         if mult != 1:
             raise OshimaCheckError(
                 f"repeated characteristic exponent {root}; chain grouping is ambiguous"
             )
-        residue = root - (root.numerator // root.denominator)
-        classes.setdefault(residue, []).append(root)
+        b = root.denominator
+        classes.setdefault((root.numerator % b, b), []).append(root)
     chains = []
-    for members in classes.values():
-        members.sort()
-        for a, b in zip(members, members[1:]):
-            if b - a != 1:
+    for (_, b), members in classes.items():
+        members.sort(key=attrgetter("numerator"))
+        for lo, hi in zip(members, members[1:]):
+            if hi.numerator - lo.numerator != b:
                 raise OshimaCheckError(
-                    f"exponents {a} and {b} differ by a non-unit integer; "
+                    f"exponents {lo} and {hi} differ by a non-unit integer; "
                     "no valid chain grouping"
                 )
         chains.append((members[0], len(members)))

@@ -26,6 +26,14 @@ numerator.  A product with the constant 1 is the other factor, shared as
 of the chart at infinity and of the twists at 0) is a slice: the quotient
 is ``coeffs[d:]/a``, the remainder ``coeffs[:d]``.  The Taylor shift and
 the order at a point ``a/b`` run on integers, scaled by powers of ``b``.
+
+A rational point is read as its numerator and denominator, and no
+``Fraction`` is built to test it: :func:`root_order` counts the exact
+divisions of the numerators by ``b*x - a``, which is how candidate roots
+(the hints of :meth:`Poly.rational_roots`) are tested, each distinct one
+once; :func:`scaled_value` is the integer ``b^m n(a/b)``, zero exactly at
+a root, which checks the p-adic roots and, as :meth:`Poly.vanishes_at`,
+the vanishing conditions of ``formal.oshima_check``.
 """
 
 from __future__ import annotations
@@ -84,6 +92,30 @@ def linear_quotient(n: Sequence[int], a: int, b: int) -> list[int] | None:
             return None
         s[k - 1] = carry
     return s if n[0] + a * carry == 0 else None
+
+
+def root_order(n: Sequence[int], a: int, b: int) -> int:
+    """The multiplicity of the root a/b (b > 0, coprime to a) of a nonzero
+    integer row n: at 0 the number of low zero coefficients, elsewhere the
+    number of exact divisions by b*x - a over Z (:func:`linear_quotient`).
+    A non-root costs one pass at most: b divides lc(n) at every root."""
+    if not a:
+        return next(k for k, c in enumerate(n) if c)
+    m = 0
+    while (n := linear_quotient(n, a, b)) is not None:
+        m += 1
+    return m
+
+
+def scaled_value(n: Sequence[int], a: int, b: int) -> int:
+    """b^m n(a/b) for an integer row n of degree m and b > 0, by Horner's
+    rule on integers: it has the sign of n(a/b), and is 0 exactly at a
+    root."""
+    acc, bk = 0, 1
+    for c in reversed(n):
+        acc = acc * a + c * bk
+        bk *= b
+    return acc
 
 
 class Poly:
@@ -238,19 +270,6 @@ class Poly:
     def __mod__(self, other: "Poly") -> "Poly":
         return self.divmod(other)[1]
 
-    def eval(self, point: Scalar) -> Fraction:
-        """p(a/b) = (sum n_k a^k b^(m-k)) / (b^m d), m = deg p, by Horner's
-        rule on integers."""
-        if not self._n:
-            return Fraction(0)
-        point = Fraction(point)
-        a, b = point.numerator, point.denominator
-        acc, bk = 0, 1
-        for c in reversed(self._n):
-            acc = acc * a + c * bk
-            bk *= b
-        return Fraction(acc, self._d * (bk // b))
-
     def derivative(self) -> "Poly":
         return from_row([k * c for k, c in enumerate(self._n)][1:], self._d)
 
@@ -260,10 +279,9 @@ class Poly:
         b^m n(z/b) in Z[z]; the integer shift by a is synthetic: pass i
         divides by z - a in place and leaves the i-th Taylor coefficient in
         slot i."""
-        if c == 0:
-            return self
-        c = Fraction(c)
         a, b = c.numerator, c.denominator
+        if not a:
+            return self
         m = self.degree
         s = [x * b ** (m - k) for k, x in enumerate(self._n)] if b != 1 else list(self._n)
         for i in range(m):
@@ -280,20 +298,17 @@ class Poly:
             raise ValueError("reversal degree below actual degree")
         return from_row([0] * (n - self.degree) + list(reversed(self._n)), self._d)
 
+    def vanishes_at(self, a: int, b: int) -> bool:
+        """Whether p(a/b) = 0, for b > 0: :func:`scaled_value` of the
+        numerators is 0."""
+        return not scaled_value(self._n, a, b)
+
     def order_at(self, c: Scalar) -> int:
-        """Multiplicity of the root x = c (0 if p(c) != 0); error on zero.
-        At c = 0 it is the number of low zero coefficients.  At c = a/b
-        the numerators are divided exactly by b*x - a over Z, while the
-        division leaves no remainder (Gauss's lemma: b*x - a is primitive)."""
+        """Multiplicity of the root x = c (0 if p(c) != 0); error on zero:
+        :func:`root_order` of the numerators at c = a/b."""
         if self.is_zero():
             raise ValueError("order of the zero polynomial")
-        if c == 0:
-            return next(k for k, a in enumerate(self._n) if a)
-        c = Fraction(c)
-        n, m = self._n, 0
-        while (n := linear_quotient(n, c.numerator, c.denominator)) is not None:
-            m += 1
-        return m
+        return root_order(self._n, c.numerator, c.denominator)
 
     # -- integer structure --------------------------------------------------
 
@@ -319,24 +334,30 @@ class Poly:
         the roots of the rest: in closed form up to degree 2, by p-adic
         expansion above.
 
-        ``hints`` are candidate roots, tried first by :meth:`order_at`:
-        when the multiplicities of those that are roots add up to the
-        degree, there is no other root, and the search is skipped.  The
-        result is the same for any hints.
+        ``hints`` are candidate roots, tried first: each distinct one once,
+        by :func:`root_order` on its numerator and denominator.  When the
+        multiplicities of those that are roots add up to the degree, there
+        is no other root, and the search is skipped.  The result is the
+        same for any hints.
         """
         if self.is_zero():
             raise ValueError("roots of the zero polynomial")
-        hinted, total = [], 0
+        n, degree = self._n, len(self._n) - 1
+        hinted, seen, total = [], set(), 0
         for c in hints:
-            if (k := self.order_at(c)) and all(c != root for root, _ in hinted):
-                hinted.append((Fraction(c), k))
+            a, b = c.numerator, c.denominator
+            if (a, b) in seen:
+                continue
+            seen.add((a, b))
+            if k := root_order(n, a, b):
+                hinted.append((_root_order(c), c if type(c) is Fraction else Fraction(c), k))
                 total += k
-                if total == self.degree:
-                    return dict(sorted(hinted, key=lambda item: _root_order(item[0])))
-        low = self.order_at(0)
+                if total == degree:
+                    return {root: k for _, root, k in sorted(hinted)}
+        low = root_order(n, 0, 1)
         roots = {Fraction(0): low} if low else {}
-        if low < self.degree:
-            roots.update(_searched_roots(self._n[low:]))
+        if low < degree:
+            roots.update(_searched_roots(n[low:]))
         return roots
 
     # -- text ---------------------------------------------------------------
@@ -441,7 +462,6 @@ def _lifted_roots(f: tuple[int, ...]) -> list[Fraction]:
                 break
         p += 2
     bound = 2 * a0 * lead
-    n = len(f) - 1
     out = []
     for r in residues:
         m = p
@@ -456,7 +476,7 @@ def _lifted_roots(f: tuple[int, ...]) -> list[Fraction]:
         a, b = (r1, t1) if t1 > 0 else (-r1, -t1)
         if (
             a and b <= lead and a0 % a == 0 and lead % b == 0
-            and sum(c * a**k * b ** (n - k) for k, c in enumerate(f)) == 0
+            and scaled_value(f, a, b) == 0
         ):
             out.append(Fraction(a, b))
     return out

@@ -220,19 +220,17 @@ def _chain_table(
     factor_table: Sequence[Sequence[ExponentialFactor]],
     m: LatticeVector,
     nu: ExponentVector,
-    shifts: Sequence[Fraction],
 ) -> ChainTable:
     """Predicted formal data as ``{location: {factor: chains}}``, keyed by
     the location itself: factor ``factor_table[i][j]`` carries the sorted
-    (exponent, multiplicity) chains of slot (i, j), exponents shifted by
-    ``shifts[i]``; only slots of nonzero multiplicity appear."""
+    (exponent, multiplicity) chains of slot (i, j); only slots of nonzero
+    multiplicity appear."""
     table = {}
     for i, factors in enumerate(factor_table):
         point = table[factors[0].point] = {}
-        shift = shifts[i]
         for j, w in enumerate(factors):
             chains = sorted(
-                (lam.as_rat() + shift if shift else lam.as_rat(), mult)
+                (lam.as_rat(), mult)
                 for lam, mult in zip(nu.entries[i][j], m.entries[i][j])
                 if mult
             )
@@ -248,33 +246,39 @@ def _check_euler_hypotheses(
     t: IndexTuple,
     lambdas: Sequence[Fraction],
 ):
-    """Genericity hypotheses of the Euler step, read off the predicted
-    chain table of the twisted operand: factor j at point i moves to
-    ``w_ij - w_it_i``, exponents shift by the sum of the finite
-    ``lambdas`` at infinity (point 0) and by ``-lambdas[i]`` at finite
-    points.  Low-degree factors at infinity must avoid integer exponents,
-    and the nonzero chains of the zero factor at finite points must stay
-    off the integer resonance with the exponent sum."""
+    """Genericity hypotheses of the Euler step, read off the twisted
+    operand: factor j at point i moves to ``w_ij - w_it_i``, exponents shift
+    by the sum of the finite ``lambdas`` at infinity (point 0) and by
+    ``-lambdas[i]`` at finite points.  Low-degree factors at infinity must
+    avoid integer exponents, and the nonzero chains of the zero factor at
+    finite points must stay off the integer resonance with the exponent
+    sum.  The degree of ``w_ij - w_it_i`` is minus the shape's weight
+    ``weights[i][j][t_i]``; the slots of nonzero multiplicity are checked
+    point by point and factor by factor, and a failure names the least
+    exponent of its factor that fails."""
     lam_sum = _exponent_sum(t, lambdas)
-    twisted = [
-        factors if factors[k].is_zero() else [w - factors[k] for w in factors]
-        for factors, k in zip(factor_table, t)
-    ]
-    shifts = [sum(lambdas[1:], Fraction(0))] + [-lam for lam in lambdas[1:]]
-    for point in _chain_table(twisted, m, nu, shifts).values():
-        for w, chains in point.items():
-            for base, _ in chains:
-                if w.point is INF and w.degree <= 1 and base.denominator == 1:
+    weights = m.shape.weights
+    for i, factors in enumerate(factor_table):
+        shift = sum(lambdas[1:], Fraction(0)) if i == 0 else -lambdas[i]
+        for j in range(len(factors)):
+            weight = weights[i][j][t[i]]
+            if weight < -1 or (i and weight):
+                continue
+            bases = [
+                lam.as_rat() + shift
+                for lam, mult in zip(nu.entries[i][j], m.entries[i][j])
+                if mult
+            ]
+            if i == 0:
+                if bad := [base for base in bases if base.denominator == 1]:
                     raise AssumptionViolatedError(
-                        f"integer exponent {base} in a low-degree factor at infinity"
+                        f"integer exponent {min(bad)} in a low-degree factor at infinity"
                     )
-                if (
-                    w.point is not INF and w.is_zero() and base != 0
-                    and (base + lam_sum).denominator == 1
-                ):
-                    raise AssumptionViolatedError(
-                        f"resonance: exponent {base} at {w.point} plus {lam_sum} is an integer"
-                    )
+            elif bad := [base for base in bases if base and (base + lam_sum).denominator == 1]:
+                raise AssumptionViolatedError(
+                    f"resonance: exponent {min(bad)} at {factors[0].point} plus {lam_sum} "
+                    "is an integer"
+                )
 
 
 @dataclass(frozen=True)
@@ -307,7 +311,6 @@ def _reduce_operator_once(p: DiffOperator, data: FormalData | None) -> OperatorR
         data = extract_formal_data(p)
     locations = data.locations()
     factor_table = [[w for w, _ in factors] for _, factors in data.points]
-    no_shift = [Fraction(0)] * len(locations)
     m = formal.m_vector(data)
     nu = formal.exponent_vector(data, m.shape)
     transcript = reduce_vector(m)
@@ -324,7 +327,7 @@ def _reduce_operator_once(p: DiffOperator, data: FormalData | None) -> OperatorR
         _check_euler_hypotheses(factor_table, step.before, cur_nu, t, lambdas)
         cur_op = twisted_euler(cur_op, locations, factor_table, t, lambdas)
         cur_nu = act_sigma_t(cur_nu, t)
-        predicted = _chain_table(factor_table, step.after, cur_nu, no_shift)
+        predicted = _chain_table(factor_table, step.after, cur_nu)
         _check_prediction(cur_op, locations, predicted, step.after.rank)
         ops.append(cur_op)
     return OperatorReduction(transcript, data, tuple(ops), cur_op)

@@ -89,7 +89,8 @@ class ParamExpr:
         return ParamExpr.of(other) - self
 
     def __mul__(self, scalar: RatLike) -> "ParamExpr":
-        scalar = _as_rat(scalar)
+        if type(scalar) is not int:
+            scalar = _as_rat(scalar)
         if not self.terms:
             return _constant(self.const * scalar)
         return ParamExpr(self.const * scalar, {n: c * scalar for n, c in self.terms.items()})

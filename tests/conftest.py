@@ -37,6 +37,15 @@ def bench_texts(*workloads: str, seeds=range(3)) -> list[str]:
             for inst in next(module.GENERATORS[name](seed))]
 
 
+def outcome(f, *args):
+    """What ``f(*args)`` gives: ("ok", its value), or the class and message
+    of the exception it raises, so two implementations compare as one."""
+    try:
+        return "ok", f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 def random_fraction(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-12, 12), rng.randint(1, 9))
 

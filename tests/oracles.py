@@ -7,7 +7,10 @@ elimination, the support tuples and the fundamental domain by the full
 product, the operator product by the
 Leibniz rule term by term, ``Poly`` and its gcd on ``Fraction`` tuples,
 the operator and its kernels on reduced ``RatFunc`` coefficients, the
-Taylor shift, the order at a root, long division, the theta expansion,
+Taylor shift, the value at a point, the order at a root and the hinted
+root loop on ``Fraction``s, the chain grouping, the triangular check and
+the separation of chain bases on ``Fraction``s, the Euler step's
+hypotheses on the twisted chain table, long division, the theta expansion,
 the chart at infinity and the twists in ``Poly`` arithmetic, one new
 ``Poly`` per partial sum, the twists' P_j as one new ``Poly`` each, the
 primitive component and the division by
@@ -31,14 +34,15 @@ from operator import mul, ne
 from typing import Union
 
 from irrkatz import corpus
-from irrkatz.formal import FormalData, SpectralData
+from irrkatz.formal import FormalData, OshimaCheckError, SpectralData
 from irrkatz.lattice import IndexTuple, LatticeShape, LatticeVector
 from irrkatz.polys import (
     UNIT, Poly, PolyLike, _lifted_roots, as_poly, from_row, int_rows, linear_quotient, poly_gcd,
     pow_by_squaring,
 )
+from irrkatz.reduce import AssumptionViolatedError
 from irrkatz.rootsys import Node, RootBasis, RootVector, build_basis, phi
-from irrkatz.scalar import ParamExpr
+from irrkatz.scalar import ParamExpr, diff_in_integers
 from irrkatz.weylalg import (
     INF, DiffOperator, Location, OperatorSyntaxError, ThetaExpansion, _add_product, _lah, _operator,
 )
@@ -589,16 +593,46 @@ def long_divmod(p: Poly, other: Poly) -> tuple[Poly, Poly]:
     return Poly(q), Poly(rem[:d])
 
 
+def poly_eval(p: Poly, point) -> Fraction:
+    """p(a/b) = (sum n_k a^k b^(m-k)) / (b^m d), m = deg p, by Horner's
+    rule on integers: the value as a ``Fraction``."""
+    if not p._n:
+        return Fraction(0)
+    point = Fraction(point)
+    a, b = point.numerator, point.denominator
+    acc, bk = 0, 1
+    for c in reversed(p._n):
+        acc = acc * a + c * bk
+        bk *= b
+    return Fraction(acc, p._d * (bk // b))
+
+
 def order_at(p: Poly, c) -> int:
     """Multiplicity of the root c: evaluate, then divide by x - c, while
     p(c) = 0."""
     if p.is_zero():
         raise ValueError("order of the zero polynomial")
     c, m = Fraction(c), 0
-    while p.eval(c) == 0:
+    while poly_eval(p, c) == 0:
         p = long_divmod(p, Poly([-c, 1]))[0]
         m += 1
     return m
+
+
+def hinted_rational_roots(p: Poly, hints) -> dict[Fraction, int]:
+    """``Poly.rational_roots(hints)`` with the hints tried as ``Fraction``s:
+    the order of each at :func:`order_at`, a linear scan for repeats, and
+    the search (``rational_roots()`` without hints) when they do not fill
+    the degree."""
+    hinted, total = [], 0
+    for c in hints:
+        if (k := order_at(p, c)) and all(c != root for root, _ in hinted):
+            hinted.append((Fraction(c), k))
+            total += k
+            if total == p.degree:
+                return dict(sorted(hinted, key=lambda item: (
+                    abs(item[0].numerator), item[0].denominator, item[0] < 0)))
+    return p.rational_roots()
 
 
 def falling_factorial(j: int) -> Poly:
@@ -896,6 +930,108 @@ def deg_of(p: DiffOperator) -> int:
     if p.is_zero():
         raise ValueError("degree of the zero operator")
     return max(c.as_poly().degree for c in coeffs(p) if not c.is_zero())
+
+
+# -- formal ----------------------------------------------------------------------
+
+
+def group_chains(roots) -> list[tuple[Fraction, int]]:
+    """``formal.group_chains`` on ``Fraction``s: each class keyed by the
+    residue root - floor(root), and the gaps tested as differences."""
+    classes: dict[Fraction, list[Fraction]] = {}
+    for root, mult in roots.items():
+        if mult != 1:
+            raise OshimaCheckError(
+                f"repeated characteristic exponent {root}; chain grouping is ambiguous"
+            )
+        residue = root - (root.numerator // root.denominator)
+        classes.setdefault(residue, []).append(root)
+    chains = []
+    for members in classes.values():
+        members.sort()
+        for a, b in zip(members, members[1:]):
+            if b - a != 1:
+                raise OshimaCheckError(
+                    f"exponents {a} and {b} differ by a non-unit integer; "
+                    "no valid chain grouping"
+                )
+        chains.append((members[0], len(members)))
+    chains.sort()
+    return chains
+
+
+def oshima_check(expansion: ThetaExpansion, data: SpectralData) -> bool:
+    """``formal.oshima_check`` by evaluation: each term's value at each
+    lam + v, a ``Fraction``, compared with 0."""
+    r = expansion.min_index
+    for lam, m in data.chains:
+        base = lam.as_rat()
+        for u in range(m):
+            poly = expansion.term(r + u)
+            for v in range(m - u):
+                if poly_eval(poly, base + v) != 0:
+                    return False
+    return True
+
+
+def check_chain_bases(chains) -> None:
+    """The separation check of ``SpectralData`` as a walk over all pairs:
+    the first pair of bases that differ by an integer raises ValueError."""
+    bases = [ParamExpr.of(lam) for lam, _ in chains]
+    for i in range(len(bases)):
+        for j in range(i + 1, len(bases)):
+            if diff_in_integers(bases[i], bases[j]):
+                raise ValueError(f"chain bases {bases[i]} and {bases[j]} differ by an integer")
+
+
+# -- reduce ----------------------------------------------------------------------
+
+
+def chain_table(factor_table, m: LatticeVector, nu, shifts) -> dict:
+    """``reduce._chain_table`` with the exponents of point i shifted by
+    ``shifts[i]``: ``{location: {factor: sorted (exponent, multiplicity)
+    chains}}``, slots of multiplicity 0 left out."""
+    table = {}
+    for i, factors in enumerate(factor_table):
+        point = table[factors[0].point] = {}
+        shift = shifts[i]
+        for j, w in enumerate(factors):
+            chains = sorted(
+                (lam.as_rat() + shift if shift else lam.as_rat(), mult)
+                for lam, mult in zip(nu.entries[i][j], m.entries[i][j])
+                if mult
+            )
+            if chains:
+                point[w] = chains
+    return table
+
+
+def euler_hypotheses(factor_table, m: LatticeVector, nu, t: IndexTuple, lambdas) -> None:
+    """``reduce._check_euler_hypotheses`` on the whole twisted chain table:
+    each factor minus the chosen one, as an ``ExponentialFactor``, and its
+    shifted chains sorted; the first chain that fails raises."""
+    lam_sum = sum(lambdas, Fraction(0))
+    if lam_sum.denominator == 1:
+        raise AssumptionViolatedError(f"exponent sum {lam_sum} along {t} is an integer")
+    twisted = [
+        factors if factors[k].is_zero() else [w - factors[k] for w in factors]
+        for factors, k in zip(factor_table, t)
+    ]
+    shifts = [sum(lambdas[1:], Fraction(0))] + [-lam for lam in lambdas[1:]]
+    for point in chain_table(twisted, m, nu, shifts).values():
+        for w, chains in point.items():
+            for base, _ in chains:
+                if w.point is INF and w.degree <= 1 and base.denominator == 1:
+                    raise AssumptionViolatedError(
+                        f"integer exponent {base} in a low-degree factor at infinity"
+                    )
+                if (
+                    w.point is not INF and w.is_zero() and base != 0
+                    and (base + lam_sum).denominator == 1
+                ):
+                    raise AssumptionViolatedError(
+                        f"resonance: exponent {base} at {w.point} plus {lam_sum} is an integer"
+                    )
 
 
 # -- corpus ----------------------------------------------------------------------

@@ -40,6 +40,11 @@ ALLOWED = {
         "construction of operators from formal data (ROADMAP)",
     "irrkatz.exponents.mu_sequence":
         "the shift sequence of a Coxeter element, read by the criterion-6 test",
+    **dict.fromkeys(
+        ["irrkatz.scalar.diff_in_integers", "irrkatz.scalar.is_generically_integer"],
+        "public exports that only the tests call: SpectralData tells bases a whole "
+        "number apart by their residue keys, and tests/oracles.check_chain_bases keeps "
+        "the pairwise test with diff_in_integers as its reference"),
     **{
         f"irrkatz.corpus.{name}": "the closed-form formal data of one corpus entry, "
         "which the tests check extraction against"

@@ -7,7 +7,7 @@ import pytest
 
 from irrkatz import cli, corpus, formal, polys, weylalg
 from irrkatz import reduce as reduction
-from irrkatz.exponents import act_sigma_perm, act_sigma_t
+from irrkatz.exponents import ExponentVector, act_sigma_perm, act_sigma_t
 from irrkatz.lattice import LatticeShape, LatticeVector
 from irrkatz.reduce import (
     AssumptionViolatedError,
@@ -36,6 +36,8 @@ from irrkatz.weylalg import (
     subst_infty,
     to_text,
 )
+import oracles
+from conftest import outcome
 from oracles import in_fundamental_domain, op_sum, support_tuples
 
 
@@ -317,6 +319,51 @@ def test_euler_hypotheses_on_resonant_gauss(a, b, c, message):
     assert str(info.value) == message
 
 
+def test_euler_hypotheses_match_the_chain_table_oracle():
+    # the hypotheses read the shape's weights and the chains slot by slot;
+    # the oracle builds the twisted factors and the shifted chain table: on
+    # corpus data at small parameters, many of them resonant, each index
+    # tuple of the start (also on scrambled exponents) and each step of the
+    # reduction gives both the same verdict and message
+    rng = random.Random(40)
+    values = [Fraction(k, d) for k in range(-3, 4) for d in (1, 2, 3)]
+    # rank 4, so that one factor can hold several failing exponents
+    ladder = formal.extract_formal_data(hypergeometric(
+        [Fraction(k + 1, p) for k, p in enumerate((7, 11, 13, 17))],
+        [Fraction(1, p) for p in (19, 23, 29)]))
+    outcomes = {}
+    for _ in range(600):
+        name, params, data = rng.choice(corpus.names() + ["4F3"]), {}, ladder
+        if name != "4F3":
+            params = {k: rng.choice(values) for k in corpus.get(name).defaults}
+            try:
+                data = oracles.instance_formal_data(name, params)
+            except ValueError:
+                continue
+        factor_table = [[w for w, _ in factors] for _, factors in data.points]
+        m = formal.m_vector(data)
+        nu = formal.exponent_vector(data, m.shape)
+        # and each tuple on random exponents, often several integers per factor
+        scrambled = ExponentVector(m.shape, [
+            [[rng.choice(values) for _ in chain] for chain in point] for point in nu.entries])
+        states = [(m, exps, t) for t in m.shape.index_tuples() for exps in (nu, scrambled)]
+        for step in reduce_vector(m).steps:
+            if step.kind == "permutation":
+                nu = act_sigma_perm(nu, *step.index)
+            else:
+                states.append((step.before, nu, step.index))
+                nu = act_sigma_t(nu, step.index)
+        for before, cur, t in states:
+            lambdas = [cur.slot(i, t[i], 0).as_rat() for i in range(len(factor_table))]
+            args = (factor_table, before, cur, t, lambdas)
+            got = outcome(reduction._check_euler_hypotheses, *args)
+            assert got == outcome(oracles.euler_hypotheses, *args), (name, params, t)
+            kind = got[1].split(":")[0].split(" ")[0] if got[0] is AssumptionViolatedError else "ok"
+            outcomes[kind] = outcomes.get(kind, 0) + 1
+    assert set(outcomes) == {"ok", "exponent", "integer", "resonance"}, outcomes
+    assert min(outcomes.values()) > 40, outcomes
+
+
 def test_reduce_operator_rank_three_rigid():
     # rank-3 operator with spectral type (1,1,1 | 1,1,1 | 2,1): rigid, so
     # the reduction takes two steps of defect -1 through a rank-2 stage,
@@ -370,7 +417,7 @@ def check_after_step(moved, locations, factor_table, m, nu, t):
     """Extraction of the moved operator equals the chain table predicted
     by sigma_t on the multiplicities and the exponents."""
     after = m.sigma_t(t)
-    predicted = _chain_table(factor_table, after, act_sigma_t(nu, t), [0] * len(locations))
+    predicted = _chain_table(factor_table, after, act_sigma_t(nu, t))
     _check_prediction(moved, locations, predicted, after.rank)
 
 
@@ -467,7 +514,7 @@ def gauss_after_step():
     lambdas = [nu.slot(i, 0, 0).as_rat() for i in range(3)]
     moved = twisted_euler(op, locations, factor_table, t, lambdas)
     after = m.sigma_t(t)
-    predicted = _chain_table(factor_table, after, act_sigma_t(nu, t), [0] * 3)
+    predicted = _chain_table(factor_table, after, act_sigma_t(nu, t))
     return moved, locations, predicted, after.rank
 
 
@@ -529,7 +576,7 @@ def assert_twisted_chains_extracted(op, data, m, nu, t):
     lambdas = [nu.slot(i, t[i], 0).as_rat() for i in range(len(locations))]
     twisted = [[w - ws[t[i]] for w in ws] for i, ws in enumerate(factor_table)]
     shifts = [sum(lambdas[1:], Fraction(0))] + [-lam for lam in lambdas[1:]]
-    predicted = _chain_table(twisted, m, nu, shifts)
+    predicted = oracles.chain_table(twisted, m, nu, shifts)
     operand = _conjugate(op, locations, factor_table, t, lambdas, -1)
     _check_prediction(operand, locations, predicted, m.rank)
 

@@ -8,8 +8,10 @@ Run it from the root of each checkout and compare the lines:
 
 The program is imported from this checkout's ``src/``; the operator texts
 of ``analyze`` and the shapes of ``diagrams`` come from
-``bench/workloads.py`` (left out without ``bench/``), and those of
-``parse_fuzz`` from the fuzz of ``tests/test_parse.py``.  Nothing is
+``bench/workloads.py`` (left out without ``bench/``), those of
+``parse_fuzz`` from the fuzz of ``tests/test_parse.py`` and those of
+``random_operators`` from the generator of
+``tests/test_random_operators.py``.  Nothing is
 written: the commands that read a formal-data file are replayed through
 the functions they call.
 """
@@ -21,6 +23,7 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import random
 import runpy
 import sys
 from fractions import Fraction
@@ -198,14 +201,19 @@ def parse_errors() -> str:
 FUZZ = ((16, 2500), (17, 1500))
 
 
+def _test_module(name: str):
+    """The module ``tests/<name>.py``, imported with ``tests/`` on the path."""
+    sys.path.insert(0, str(ROOT / "tests"))
+    try:
+        return _module(name, ROOT / "tests" / f"{name}.py")
+    finally:
+        sys.path.remove(str(ROOT / "tests"))
+
+
 def parse_fuzz() -> str:
     """``to_text(parse(t))``, or the ``OperatorSyntaxError`` text with its
     position, of each fuzz text of ``tests/test_parse.py``."""
-    sys.path.insert(0, str(ROOT / "tests"))
-    try:
-        tests = _module("test_parse", ROOT / "tests" / "test_parse.py")
-    finally:
-        sys.path.remove(str(ROOT / "tests"))
+    tests = _test_module("test_parse")
     out = io.StringIO()
     for seed, count in FUZZ:
         for text in tests.fuzz_texts(seed, count):
@@ -215,6 +223,18 @@ def parse_fuzz() -> str:
                 result = f"OperatorSyntaxError: {exc}"
             print(f"{text!r} -> {result}", file=out)
     return out.getvalue()
+
+
+def random_operators() -> str:
+    """Exit code, stdout and stderr of ``analyze --op`` on the texts that
+    ``tests/test_random_operators.random_operator_text`` draws at that
+    test's seed and count: accepted data, and refusals that name every
+    message of the spectral stage."""
+    tests = _test_module("test_random_operators")
+    rng = random.Random(tests.SEED)
+    return "".join(
+        _cli("analyze", "--op", tests.random_operator_text(rng)) for _ in range(tests.DRAWS)
+    )
 
 
 #: Seeds of the corpus instances whose twists ``twists`` prints.
@@ -338,6 +358,7 @@ SECTIONS = {
     "ladders": ladders,
     "parse_errors": parse_errors,
     "parse_fuzz": parse_fuzz,
+    "random_operators": random_operators,
     "twists": twists,
     "rational_twists": rational_twists,
     "exponents": exponents,
