@@ -17,11 +17,7 @@ The package has three layers:
   (:mod:`irrkatz.corpus`) and a CLI (:mod:`irrkatz.cli`).
 """
 
-from .scalar import (
-    ParamExpr,
-    diff_in_integers,
-    is_generically_integer,
-)
+from .scalar import ParamExpr
 from .weylalg import (
     D,
     INF,
@@ -62,7 +58,6 @@ from .rootsys import (
     classify_diagram,
     dot_text,
     idx,
-    is_phi_root,
     pairing,
     phi,
     reflect,

@@ -104,18 +104,6 @@ class ExponentialFactor:
         """Top order (the Newton-polygon slope); 0 for the zero factor."""
         return self._items[-1][0] if self._items else 0
 
-    def weight(self) -> int:
-        """wt of the factor: minus the top order, and 0 for the zero factor."""
-        return -self.degree
-
-    def __sub__(self, other: "ExponentialFactor") -> "ExponentialFactor":
-        if self.point is not other.point and self.point != other.point:
-            raise ValueError("factors live at different points")
-        coeffs = self.coeffs
-        for k, v in other._items:
-            coeffs[k] = coeffs.get(k, Fraction(0)) - v
-        return ExponentialFactor(self.point, coeffs)
-
     def format(self) -> str:
         if not self._items:
             return "0"
@@ -125,8 +113,10 @@ class ExponentialFactor:
                 var = "x" if k == 1 else f"x^{k}"
             elif self.point == 0:
                 var = f"x^-{k}"
-            else:
+            elif self.point > 0:
                 var = f"(x-{self.point})^-{k}"
+            else:
+                var = f"(x+{-self.point})^-{k}"
             parts.append(f"{v}*{var}")
         return " + ".join(parts)
 
@@ -135,8 +125,10 @@ class ExponentialFactor:
 
 
 def factor_weight_diff(w1: ExponentialFactor, w2: ExponentialFactor) -> int:
-    """wt of the difference of two factors; 0 when they are equal."""
-    return (w1 - w2).weight()
+    """wt of the difference of two factors at one point: minus the largest
+    order at which their coefficients differ, and 0 when they are equal."""
+    c1, c2 = w1.coeffs, w2.coeffs
+    return -max((k for k in c1.keys() | c2.keys() if c1.get(k) != c2.get(k)), default=0)
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -223,9 +215,6 @@ class FormalData:
 
     def locations(self) -> tuple[Location, ...]:
         return tuple(loc for loc, _ in self.points)
-
-    def factors(self, i: int) -> tuple[tuple[ExponentialFactor, SpectralData], ...]:
-        return self.points[i][1]
 
     def __repr__(self):
         rows = []

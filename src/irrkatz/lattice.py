@@ -159,13 +159,6 @@ class LatticeVector(SlotTable):
         if len(set(sums)) > 1:
             raise ValueError(f"unequal block sums {sums}")
 
-    @staticmethod
-    def zero(shape: LatticeShape) -> "LatticeVector":
-        return LatticeVector(
-            shape,
-            [[[0] * l for l in lens] for lens in shape.chain_lengths],
-        )
-
     @property
     def rank(self) -> int:
         """The common block sum."""
@@ -173,21 +166,6 @@ class LatticeVector(SlotTable):
 
     def is_nonnegative(self) -> bool:
         return all(v >= 0 for point in self.entries for ch in point for v in ch)
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for point in self.entries for ch in point for v in ch)
-
-    def __neg__(self) -> "LatticeVector":
-        return LatticeVector(
-            self.shape,
-            [[[-v for v in ch] for ch in point] for point in self.entries],
-        )
-
-    def scale(self, factor: int) -> "LatticeVector":
-        return LatticeVector(
-            self.shape,
-            [[[factor * v for v in ch] for ch in point] for point in self.entries],
-        )
 
     # -- the twisted-Euler endomorphisms ----------------------------------
 

@@ -142,10 +142,6 @@ class Poly:
     def x(power: int = 1) -> "Poly":
         return from_row([0] * power + [1])
 
-    @staticmethod
-    def monomial(coeff: Scalar, power: int) -> "Poly":
-        return Poly([0] * power + [coeff])
-
     # -- basics -----------------------------------------------------------
 
     @property

@@ -11,11 +11,11 @@ leaves the nonnegative cone (not a root).
 Operator level: replay the lattice transcript on a concrete operator.
 Each Euler step is one conjugation around ``weylalg.euler``: twist the
 chosen factors to exponential part and first exponent zero, transform,
-twist back.  Its data are predicted as one chain table per operator
-(factor -> (exponent, multiplicity) chains at every point): before the
-step the genericity hypotheses are read off the table of the twisted
-operand, and after it the transformed operator is checked against the
-table predicted from the lattice and exponent moves.  The check is an
+twist back.  Before the step the genericity hypotheses are read off the
+shape's weights and the exponent slots, without building the twisted
+operand's data.  After it the transformed operator is checked against
+one predicted chain table (factor -> (exponent, multiplicity) chains at
+every point), built from the lattice and exponent moves.  The check is an
 extraction whose root searches try the predicted roots first, so a step
 that keeps its prediction runs no p-adic root search.
 """

@@ -206,20 +206,11 @@ class RootVector:
         coords[basis.node_index(node)] = 1
         return RootVector(basis, coords)
 
-    def __add__(self, other: "RootVector") -> "RootVector":
-        return RootVector(self.basis, [a + b for a, b in zip(self.coords, other.coords)])
-
     def __sub__(self, other: "RootVector") -> "RootVector":
         return RootVector(self.basis, [a - b for a, b in zip(self.coords, other.coords)])
 
-    def __neg__(self) -> "RootVector":
-        return RootVector(self.basis, [-a for a in self.coords])
-
     def scale(self, k: int) -> "RootVector":
         return RootVector(self.basis, [k * a for a in self.coords])
-
-    def is_nonnegative(self) -> bool:
-        return all(v >= 0 for v in self.coords)
 
     def __repr__(self):
         body = ", ".join(
@@ -383,19 +374,3 @@ def _classify_component(row: Callable[[int], Sequence[int]], comp: list[int]) ->
         return "D4(1)"
     return "unrecognized"
 
-
-def is_phi_root(a: LatticeVector) -> Verdict:
-    """Classify a lattice vector by running the reduction.
-
-    Nonpositive vectors are classified through their negation; vectors of
-    mixed sign are never roots.
-    """
-    from . import reduce as _reduce
-
-    if a.is_zero():
-        return Verdict.NOT_ROOT
-    if a.is_nonnegative():
-        return _reduce.reduce_vector(a).verdict
-    if (-a).is_nonnegative():
-        return _reduce.reduce_vector(-a).verdict
-    return Verdict.NOT_ROOT

@@ -208,18 +208,3 @@ def parse_param_expr(text: str, field: str) -> ParamExpr:
         sign = 1
     return ParamExpr(const, terms)
 
-
-def is_generically_integer(e: ParamLike) -> bool:
-    """True iff ``e`` is an integer for generic parameter values.
-
-    Any parameter dependence makes the value non-integer: parameters stand
-    for generic points of the ground field.
-    """
-    e = ParamExpr.of(e)
-    return not e.terms and e.const.denominator == 1
-
-
-def diff_in_integers(e1: ParamLike, e2: ParamLike) -> bool:
-    """True iff ``e1 - e2`` is generically an integer; between constants,
-    iff their difference is an integer."""
-    return is_generically_integer(ParamExpr.of(e1) - e2)

@@ -19,8 +19,11 @@ primitive component and the division by
 the form, from its closed-form basis), or a small accessor no pipeline
 code needs (the degree of an operator, the sum and negation of
 operators, and ``RatFunc`` with the operator built from and read back as
-its coefficients, which the tests use to build and inspect operators), so
-it lives here and not in ``src``; ``test_reach.py`` keeps it that way.
+its coefficients, which the tests use to build and inspect operators; the
+zero lattice vector, multiples of one and the test for zero; the
+difference of two exponential factors; the test whether a parameter
+expression, or the difference of two, is generically an integer), so it
+lives here and not in ``src``; ``test_reach.py`` keeps it that way.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from operator import mul, ne
 from typing import Union
 
 from irrkatz import corpus
-from irrkatz.formal import FormalData, OshimaCheckError, SpectralData
+from irrkatz.formal import ExponentialFactor, FormalData, OshimaCheckError, SpectralData
 from irrkatz.lattice import IndexTuple, LatticeShape, LatticeVector
 from irrkatz.polys import (
     UNIT, Poly, PolyLike, _lifted_roots, as_poly, from_row, int_rows, linear_quotient, poly_gcd,
@@ -42,7 +45,7 @@ from irrkatz.polys import (
 )
 from irrkatz.reduce import AssumptionViolatedError
 from irrkatz.rootsys import Node, RootBasis, RootVector, build_basis, phi
-from irrkatz.scalar import ParamExpr, diff_in_integers
+from irrkatz.scalar import ParamExpr, ParamLike
 from irrkatz.weylalg import (
     INF, DiffOperator, Location, OperatorSyntaxError, ThetaExpansion, _add_product, _lah, _operator,
 )
@@ -186,7 +189,7 @@ def kernel_radical_check(shape: LatticeShape) -> bool:
     from the Gram matrix: the proof that the form pulls back exactly."""
     basis = build_basis(shape)
     return all(
-        phi(v).is_zero() and not any(sum(map(mul, row, v.coords)) for row in basis.gram)
+        is_zero_vector(phi(v)) and not any(sum(map(mul, row, v.coords)) for row in basis.gram)
         for v in kernel_basis(basis)
     )
 
@@ -267,11 +270,24 @@ def tuple_defect(a: LatticeVector, t: IndexTuple) -> int:
     return total
 
 
+def zero_vector(shape: LatticeShape) -> LatticeVector:
+    return LatticeVector(shape, [[[0] * l for l in lens] for lens in shape.chain_lengths])
+
+
+def scaled(a: LatticeVector, k: int) -> LatticeVector:
+    """k times ``a``, slot by slot; ``scaled(a, -1)`` is -a."""
+    return LatticeVector(a.shape, [[[k * v for v in ch] for ch in point] for point in a.entries])
+
+
+def is_zero_vector(a: LatticeVector) -> bool:
+    return not any(v for point in a.entries for ch in point for v in ch)
+
+
 def in_fundamental_domain(a: LatticeVector) -> bool:
     """Membership in the terminal set of the reduction: nonzero, all
     entries nonnegative, chains sorted descending, and no index tuple of
     the full product with negative defect."""
-    if a.is_zero() or not a.is_nonnegative():
+    if is_zero_vector(a) or not a.is_nonnegative():
         return False
     if any(list(ch) != sorted(ch, reverse=True) for point in a.entries for ch in point):
         return False
@@ -974,6 +990,22 @@ def oshima_check(expansion: ThetaExpansion, data: SpectralData) -> bool:
     return True
 
 
+def is_generically_integer(e: ParamLike) -> bool:
+    """True iff ``e`` is an integer for generic parameter values.
+
+    Any parameter dependence makes the value non-integer: parameters stand
+    for generic points of the ground field.
+    """
+    e = ParamExpr.of(e)
+    return not e.terms and e.const.denominator == 1
+
+
+def diff_in_integers(e1: ParamLike, e2: ParamLike) -> bool:
+    """True iff ``e1 - e2`` is generically an integer; between constants,
+    iff their difference is an integer."""
+    return is_generically_integer(ParamExpr.of(e1) - e2)
+
+
 def check_chain_bases(chains) -> None:
     """The separation check of ``SpectralData`` as a walk over all pairs:
     the first pair of bases that differ by an integer raises ValueError."""
@@ -1006,6 +1038,14 @@ def chain_table(factor_table, m: LatticeVector, nu, shifts) -> dict:
     return table
 
 
+def factor_difference(w1: ExponentialFactor, w2: ExponentialFactor) -> ExponentialFactor:
+    """``w1 - w2``, coefficient by coefficient, at their common point."""
+    coeffs = w1.coeffs
+    for k, v in w2.coeffs.items():
+        coeffs[k] = coeffs.get(k, Fraction(0)) - v
+    return ExponentialFactor(w1.point, coeffs)
+
+
 def euler_hypotheses(factor_table, m: LatticeVector, nu, t: IndexTuple, lambdas) -> None:
     """``reduce._check_euler_hypotheses`` on the whole twisted chain table:
     each factor minus the chosen one, as an ``ExponentialFactor``, and its
@@ -1014,7 +1054,7 @@ def euler_hypotheses(factor_table, m: LatticeVector, nu, t: IndexTuple, lambdas)
     if lam_sum.denominator == 1:
         raise AssumptionViolatedError(f"exponent sum {lam_sum} along {t} is an integer")
     twisted = [
-        factors if factors[k].is_zero() else [w - factors[k] for w in factors]
+        factors if factors[k].is_zero() else [factor_difference(w, factors[k]) for w in factors]
         for factors, k in zip(factor_table, t)
     ]
     shifts = [sum(lambdas[1:], Fraction(0))] + [-lam for lam in lambdas[1:]]
@@ -1181,7 +1221,7 @@ def rat_ad_power(p: RatFuncOperator, c: Fraction, lam) -> RatFuncOperator:
 
 def rat_ad_exp_raw(p: RatFuncOperator, at: Location, coeffs) -> RatFuncOperator:
     if at is INF:
-        return shift_d(p, sum((Poly.monomial(wk, k - 1) for k, wk in coeffs.items()), Poly()), 0, 0)
+        return shift_d(p, sum((Poly([0] * (k - 1) + [wk]) for k, wk in coeffs.items()), Poly()), 0, 0)
     top = max(coeffs)
     u = Poly([-at, 1])
     return shift_d(p, sum((wk * u ** (top - k) for k, wk in coeffs.items()), Poly()), top + 1, at)
@@ -1198,7 +1238,7 @@ def rat_fourier(p: RatFuncOperator, x_sign: int, d_sign: int) -> RatFuncOperator
             for j in range(min(i, k) + 1):
                 while len(out) <= k - j:
                     out.append(RatFunc(0))
-                out[k - j] += RatFunc(Poly.monomial(t * comb(k, j) * perm(i, j), i - j))
+                out[k - j] += RatFunc(Poly([0] * (i - j) + [t * comb(k, j) * perm(i, j)]))
     return RatFuncOperator(out)
 
 

@@ -290,7 +290,7 @@ def test_criterion_8_operator_engine_conformance():
             data = extract_formal_data(op)
             n = op.rank
             lead_deg = op.leading().degree
-            factors_inf = [(w.degree, s.rank) for w, s in data.factors(0)]
+            factors_inf = [(w.degree, s.rank) for w, s in data.points[0][1]]
             assert deg_of(op) == lead_deg + sum(
                 (d - 1) * r for d, r in factors_inf if d > 1
             )

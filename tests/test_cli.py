@@ -22,6 +22,17 @@ def test_analyze_emits_formal_json(capsys):
     assert "w = 0" in err
 
 
+@pytest.mark.parametrize("text, line", [
+    ("(x+2)^2*D + 1", "        -2  w = -1*(x+2)^-1          {(0);(1)}"),
+    ("(2*x+1)^3*D + 1", "      -1/2  w = -1/8*(x+1/2)^-2      {(0);(1)}"),
+    ("(x-3)^2*D + 1", "         3  w = -1*(x-3)^-1          {(0);(1)}"),
+])
+def test_analyze_writes_the_factor_at_a_finite_point_with_its_sign(capsys, text, line):
+    code, _, err = run(capsys, "analyze", "--op", text)
+    assert code == 0
+    assert err.splitlines()[2] == line
+
+
 def test_analyze_file_input(tmp_path, capsys):
     path = tmp_path / "op.txt"
     path.write_text("D^2 + (-x^2-7)*D + (-2*x+3)", encoding="utf-8")

@@ -16,7 +16,7 @@ from irrkatz.exponents import (
 from irrkatz.formal import fuchs_defect_of
 from irrkatz.lattice import LatticeShape
 from irrkatz.scalar import ParamExpr
-from oracles import block_sum, form, node_pairing, rank_one
+from oracles import block_sum, form, node_pairing, rank_one, scaled
 
 
 def shape_of(name):
@@ -275,7 +275,7 @@ def test_fuchs_defect_matches_the_triple_loop_oracle():
             for i, lens in enumerate(shape.chain_lengths)
         ])
         m = random_balanced(rng, shape)
-        for vec in (m, -m, m.scale(3), m.sigma_t(shape.index_tuples()[0])):
+        for vec in (m, scaled(m, -1), scaled(m, 3), m.sigma_t(shape.index_tuples()[0])):
             assert fuchs_defect_of(vec, nu) == _fuchs_defect_oracle(shape, vec, nu)
 
 

@@ -25,7 +25,7 @@ from irrkatz.formal import (
 from irrkatz.polys import Poly
 from irrkatz.scalar import ParamExpr
 from irrkatz.weylalg import INF, ThetaExpansion, ad_power, parse, prim
-from oracles import RatFunc, instance_formal_data, leibniz_product, operator
+from oracles import RatFunc, factor_difference, instance_formal_data, leibniz_product, operator
 
 ZERO = Fraction(0)
 
@@ -36,13 +36,30 @@ ZERO = Fraction(0)
 def test_exponential_factor_invariants():
     w = ExponentialFactor(INF, {1: Fraction(2), 3: Fraction(1)})
     assert w.degree == 3
-    assert w.weight() == -3
-    assert ExponentialFactor(INF).weight() == 0
+    assert ExponentialFactor(INF).degree == 0
     with pytest.raises(ValueError):
         ExponentialFactor(INF, {0: Fraction(1)})
     w2 = ExponentialFactor(INF, {1: Fraction(2)})
     assert factor_weight_diff(w, w2) == -3
     assert factor_weight_diff(w, w) == 0
+    assert factor_weight_diff(w, ExponentialFactor(INF, {1: Fraction(5), 3: Fraction(1)})) == -1
+
+
+def test_factor_weight_diff_is_the_degree_of_the_difference():
+    # the closed form against the factor w1 - w2 built coefficient by
+    # coefficient: equal, disjoint and shared orders, equal and unequal tops
+    rng = random.Random(36)
+    for point in (INF, Fraction(0), Fraction(-1, 2)):
+        factors = [
+            ExponentialFactor(point, {
+                k: Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                for k in rng.sample(range(1, 5), rng.randint(0, 3))
+            })
+            for _ in range(40)
+        ]
+        for w1 in factors:
+            for w2 in factors:
+                assert factor_weight_diff(w1, w2) == -factor_difference(w1, w2).degree, (w1, w2)
 
 
 def test_spectral_data_separation():
@@ -106,8 +123,8 @@ def test_oshima_check_examples():
 def test_extract_first_order():
     data = extract_formal_data(parse("x*D - 5"))
     assert data.locations() == (INF, ZERO)
-    (w_inf, s_inf), = data.factors(0)
-    (w_0, s_0), = data.factors(1)
+    (w_inf, s_inf), = data.points[0][1]
+    (w_0, s_0), = data.points[1][1]
     assert w_inf.is_zero() and w_0.is_zero()
     assert s_0.chains == ((ParamExpr(5), 1),)
     assert s_inf.chains == ((ParamExpr(-5), 1),)
@@ -116,7 +133,7 @@ def test_extract_first_order():
 def test_extract_confluent_heun_instance():
     # c = 1/3, d = 1/5, a = 1/7, t = 2
     data = extract_formal_data(corpus.instantiate("cHeun"))
-    factors = data.factors(0)
+    factors = data.points[0][1]
     assert factors[0][0].is_zero()
     assert factors[0][1].chains == ((ParamExpr(Fraction(1, 7)), 1),)
     assert factors[1][0] == ExponentialFactor(INF, {1: Fraction(2)})
@@ -126,9 +143,9 @@ def test_extract_confluent_heun_instance():
 def test_extract_triconfluent_factor_degrees():
     data = extract_formal_data(parse("D^2 + (-x^2-7)*D + (-2*x+3)"))
     assert data.locations() == (INF,)
-    degrees = sorted(w.degree for w, _ in data.factors(0))
+    degrees = sorted(w.degree for w, _ in data.points[0][1])
     assert degrees == [0, 3]
-    by_degree = {w.degree: s for w, s in data.factors(0)}
+    by_degree = {w.degree: s for w, s in data.points[0][1]}
     assert by_degree[0].chains == ((ParamExpr(2), 1),)
     assert by_degree[3].chains == ((ParamExpr(0), 1),)
 
@@ -137,7 +154,7 @@ def test_extract_multiplicity_two_chain():
     # D^2 has exponents 0 and -1 at infinity: a single chain of length 2
     data = extract_formal_data(parse("D^2"))
     assert data.locations() == (INF,)
-    (w, s), = data.factors(0)
+    (w, s), = data.points[0][1]
     assert w.is_zero()
     assert s.chains == ((ParamExpr(-1), 2),)
 
@@ -146,9 +163,9 @@ def test_extract_multiple_factors_on_one_slope():
     # the slope-2 boundary polynomial has the two roots +-1, giving two
     # distinct degree-2 factors plus the moderate one
     data = extract_formal_data(parse("D^3 - x^2*D"))
-    ws = [w.coeffs for w, _ in data.factors(0)]
+    ws = [w.coeffs for w, _ in data.points[0][1]]
     assert ws == [{}, {2: Fraction(-1)}, {2: Fraction(1)}]
-    assert [s.rank for _, s in data.factors(0)] == [1, 1, 1]
+    assert [s.rank for _, s in data.points[0][1]] == [1, 1, 1]
     assert fuchs_defect(data).is_zero()
 
 
@@ -195,8 +212,8 @@ def test_extract_stable_under_prim_and_shifts():
     assert extract_formal_data(scaled) == data
     # integer shift at 0 keeps the residue classes, moving chain structure
     shifted = extract_formal_data(prim(ad_power(p, ZERO, Fraction(1, 9))))
-    chains0 = {lam.as_rat() for lam, _ in shifted.factors(1)[0][1].chains}
-    original = {lam.as_rat() for lam, _ in data.factors(1)[0][1].chains}
+    chains0 = {lam.as_rat() for lam, _ in shifted.points[1][1][0][1].chains}
+    original = {lam.as_rat() for lam, _ in data.points[1][1][0][1].chains}
     assert chains0 == {lam + Fraction(1, 9) for lam in original}
 
 
@@ -213,17 +230,17 @@ def test_extract_integer_shift_keeps_residues():
                 out.add(r - (r.numerator // r.denominator))
         return out
 
-    assert residues(shifted.factors(1)) == residues(data.factors(1))
+    assert residues(shifted.points[1][1]) == residues(data.points[1][1])
 
 
 def test_extract_shift_at_other_points_fixed():
     p = corpus.instantiate("Gauss")
     data = extract_formal_data(p)
     shifted = extract_formal_data(prim(ad_power(p, Fraction(1), Fraction(1, 9))))
-    assert shifted.factors(1) == data.factors(1)[0:0] + shifted.factors(1)
+    assert shifted.points[1][1] == data.points[1][1][0:0] + shifted.points[1][1]
     # exponents at 1 move by exactly the shift
-    moved = {lam.as_rat() for lam, _ in shifted.factors(2)[0][1].chains}
-    base = {lam.as_rat() for lam, _ in data.factors(2)[0][1].chains}
+    moved = {lam.as_rat() for lam, _ in shifted.points[2][1][0][1].chains}
+    base = {lam.as_rat() for lam, _ in data.points[2][1][0][1].chains}
     assert moved == {lam + Fraction(1, 9) for lam in base}
 
 
@@ -267,7 +284,7 @@ def test_laplace_image_local_data():
     op = corpus.instantiate("Gauss")
     a, b, c = (corpus.get("Gauss").defaults[k] for k in "abc")
     data = extract_formal_data(prim(laplace(op)))
-    by_w = {w: s for w, s in data.factors(0)}
+    by_w = {w: s for w, s in data.points[0][1]}
     zero = by_w[ExponentialFactor(INF)]
     minus_x = by_w[ExponentialFactor(INF, {1: Fraction(-1)})]
     assert zero.rank == 1 and minus_x.rank == 1

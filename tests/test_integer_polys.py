@@ -109,7 +109,7 @@ def test_poly_matches_the_fraction_tuple_oracle():
             assert p.rational_roots() == fp.rational_roots(), k
         # divisors: q itself, monomials with a leading coefficient not 1,
         # and x - c for a point c with a denominator
-        divisors = [(q, fq), (Poly.monomial(Fraction(-3, 5), k % 3), FractionPoly(
+        divisors = [(q, fq), (Poly([0] * (k % 3) + [Fraction(-3, 5)]), FractionPoly(
             [0] * (k % 3) + [Fraction(-3, 5)])), (Poly([-c, 1]), FractionPoly([-c, 1]))]
         for (b, fb) in divisors:
             if b.is_zero():

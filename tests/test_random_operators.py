@@ -10,6 +10,9 @@ degree capped so that infinity is at most of slope 1.  An operator
 without a D^0 term is D times something on the right, so reducible, and
 is skipped.  Each ``NotRoot`` drawn must be a known product ``REDUCIBLE``:
 its two first-order factors, found by hand, multiply back to it exactly.
+Each ``RealRoot`` drawn is reduced on the operator itself: it must reach
+rank 1, or stop at a genericity hypothesis the instance breaks, and never
+fail a cross-check.
 """
 
 import random
@@ -17,7 +20,7 @@ from fractions import Fraction
 
 from irrkatz import formal
 from irrkatz.formal import ExtractionError
-from irrkatz.reduce import reduce_vector
+from irrkatz.reduce import AssumptionViolatedError, reduce_operator, reduce_vector
 from irrkatz.rootsys import Verdict
 from irrkatz.weylalg import IrrationalSingularityError, parse, prim
 
@@ -74,6 +77,7 @@ def test_accepted_random_operators_are_roots_or_reducible():
     verdicts = {verdict: 0 for verdict in Verdict}
     refused = skipped = 0
     irregular = 0  # accepted operators with a nonzero exponential factor at 1/2
+    reduced = violated = 0  # RealRoot draws reduced to rank 1, or stopped by a hypothesis
     for _ in range(DRAWS):
         text = random_operator_text(rng)
         p = parse(text)
@@ -93,6 +97,16 @@ def test_accepted_random_operators_are_roots_or_reducible():
             assert text in REDUCIBLE, text
             left, right = REDUCIBLE[text]
             assert prim(parse(left) * parse(right)) == prim(p), text
+        if verdict is Verdict.REAL_ROOT:
+            try:
+                result = reduce_operator(p, data=data)
+            except AssumptionViolatedError:
+                violated += 1
+            else:
+                assert result.final.rank == 1, text
+                reduced += 1
+    # both ends of a reduction occur: rank 1 reached, and a resonant instance
+    assert reduced >= 1 and violated >= 1, (reduced, violated)
     assert verdicts[Verdict.IMAGINARY_ROOT] > 150 and verdicts[Verdict.REAL_ROOT] >= 5, verdicts
     assert verdicts[Verdict.NOT_ROOT] >= 1 and refused > 500 and skipped > 20
     # irregular points off the integers: extraction peeled a factor at 1/2

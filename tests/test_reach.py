@@ -35,16 +35,8 @@ BENCH = ROOT / "bench"
 #: Functions no CLI command, demo or bench pass reaches, each with the
 #: reason it stays.
 ALLOWED = {
-    "irrkatz.rootsys.is_phi_root":
-        "the verdict on a bare lattice vector: public API for the planned "
-        "construction of operators from formal data (ROADMAP)",
     "irrkatz.exponents.mu_sequence":
         "the shift sequence of a Coxeter element, read by the criterion-6 test",
-    **dict.fromkeys(
-        ["irrkatz.scalar.diff_in_integers", "irrkatz.scalar.is_generically_integer"],
-        "public exports that only the tests call: SpectralData tells bases a whole "
-        "number apart by their residue keys, and tests/oracles.check_chain_bases keeps "
-        "the pairwise test with diff_in_integers as its reference"),
     **{
         f"irrkatz.corpus.{name}": "the closed-form formal data of one corpus entry, "
         "which the tests check extraction against"
@@ -82,17 +74,9 @@ ALLOWED = {
     "irrkatz.polys.Poly.__mod__":
         "the Euclid fallback of poly_gcd, which runs only when GCDHEU fails at HEU_TRIES "
         "points or its evaluation passes HEU_BITS; no walked gcd does",
-    "irrkatz.polys.Poly.monomial":
-        "a constructor beside Poly.x and Poly.const: ad_exp_raw builds its twist from a list "
-        "of coefficients, so no pipeline step calls it, but the tests build divisors with it",
-    **dict.fromkeys(
-        [f"irrkatz.lattice.LatticeVector.{name}" for name in (
-            "__neg__", "is_zero", "scale", "zero")]
-        + [f"irrkatz.rootsys.RootVector.{name}" for name in (
-            "__add__", "__neg__", "is_nonnegative")]
-        + ["irrkatz.formal.FormalData.factors", "irrkatz.reduce.Transcript.euler_steps"],
-        "lattice and formal-data accessors for is_phi_root and ROADMAP items 5-7; "
-        "the tests read them"),
+    "irrkatz.reduce.Transcript.euler_steps":
+        "the bench's reduce_operator span counts a traced run's Euler steps with it; the "
+        "walk's bench pass is untraced",
 }
 
 

@@ -38,7 +38,7 @@ from irrkatz.weylalg import (
 )
 import oracles
 from conftest import outcome
-from oracles import in_fundamental_domain, op_sum, support_tuples
+from oracles import in_fundamental_domain, op_sum, scaled, support_tuples, zero_vector
 
 
 def shape_of(name):
@@ -109,15 +109,15 @@ def test_reduce_heun_family_fixed():
 
 
 def test_reduce_doubled_heun():
-    transcript = reduce_vector(m_of("Heun").scale(2))
+    transcript = reduce_vector(scaled(m_of("Heun"), 2))
     assert transcript.verdict is Verdict.IMAGINARY_ROOT
-    assert transcript.fundamental == m_of("Heun").scale(2)
+    assert transcript.fundamental == scaled(m_of("Heun"), 2)
 
 
 def test_reduce_rejects_bad_input():
     shape = shape_of("Heun")
     with pytest.raises(ValueError):
-        reduce_vector(LatticeVector.zero(shape))
+        reduce_vector(zero_vector(shape))
     with pytest.raises(ValueError):
         reduce_vector(LatticeVector(shape, [[[2, -1]], [[1, 0]], [[1, 0]], [[1, 0]]]))
     with pytest.raises(ValueError):
@@ -221,7 +221,7 @@ def test_reduce_vector_matches_full_product_search():
     cases = []
     for name in corpus.names():
         shape = shape_of(name)
-        cases += [m_of(name), m_of(name).scale(3)]
+        cases += [m_of(name), scaled(m_of(name), 3)]
         cases += [random_balanced(rng, shape, max_rank=8) for _ in range(10)]
     for k in range(150):
         points, factors = rng.randint(1, 5), rng.randint(1, 4)
@@ -275,7 +275,7 @@ def test_reduce_operator_gauss_end_to_end():
     assert result.final.rank == 1
     data = formal.extract_formal_data(result.final)
     a, b, c = (corpus.get("Gauss").defaults[k] for k in "abc")
-    chains_inf = [(lam.as_rat(), m) for lam, m in data.factors(0)[0][1].chains]
+    chains_inf = [(lam.as_rat(), m) for lam, m in data.points[0][1][0][1].chains]
     assert chains_inf == [(b + 1 - a, 1)]
 
 
@@ -378,7 +378,7 @@ def test_reduce_operator_rank_three_rigid():
                X * op_sum(th, a1) * op_sum(th, a2) * op_sum(th, a3), -1)
     )
     data = formal.extract_formal_data(p)
-    point_one = {w.is_zero(): s for w, s in data.factors(2)}
+    point_one = {w.is_zero(): s for w, s in data.points[2][1]}
     chains = sorted((lam.as_rat(), m) for lam, m in point_one[True].chains)
     assert chains == [(b1 + b2 - a1 - a2 - a3, 1), (Fraction(0), 2)]
     m = formal.m_vector(data)
@@ -574,7 +574,7 @@ def assert_twisted_chains_extracted(op, data, m, nu, t):
     locations = data.locations()
     factor_table = [[w for w, _ in factors] for _, factors in data.points]
     lambdas = [nu.slot(i, t[i], 0).as_rat() for i in range(len(locations))]
-    twisted = [[w - ws[t[i]] for w in ws] for i, ws in enumerate(factor_table)]
+    twisted = [[oracles.factor_difference(w, ws[t[i]]) for w in ws] for i, ws in enumerate(factor_table)]
     shifts = [sum(lambdas[1:], Fraction(0))] + [-lam for lam in lambdas[1:]]
     predicted = oracles.chain_table(twisted, m, nu, shifts)
     operand = _conjugate(op, locations, factor_table, t, lambdas, -1)
@@ -772,7 +772,7 @@ def test_euler_steps_run_no_root_search(monkeypatch, capsys):
     assert len(calls) == 2 * sum(range(1, 8))
     for op in ladder(True):
         mirrored = prim(subst_infty(op))
-        assert formal.extract_formal_data(mirrored).factors(1)[-1][0].coeffs == {1: -1}
+        assert formal.extract_formal_data(mirrored).points[1][1][-1][0].coeffs == {1: -1}
         reduce_operator(mirrored)
     assert len(calls) == 3 * sum(range(1, 8))
     for seed in range(41):

@@ -2,12 +2,8 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from irrkatz.scalar import (
-    ParamExpr,
-    diff_in_integers,
-    is_generically_integer,
-    parse_param_expr,
-)
+from irrkatz.scalar import ParamExpr, parse_param_expr
+from oracles import diff_in_integers, is_generically_integer
 
 rationals = st.fractions(max_denominator=40)
 names = st.sampled_from(["a", "b", "c", "d"])

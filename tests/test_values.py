@@ -9,6 +9,7 @@ import pytest
 from irrkatz import corpus, formal, rootsys, weylalg
 from irrkatz.exponents import ExponentVector
 from irrkatz.scalar import ParamExpr
+from oracles import scaled
 
 
 def _root(node):
@@ -36,7 +37,7 @@ VALUES = {
     ),
     "LatticeVector": (
         lambda: formal.m_vector(corpus.symbolic_formal_data("Heun")),
-        lambda: formal.m_vector(corpus.symbolic_formal_data("Heun")).scale(2),
+        lambda: scaled(formal.m_vector(corpus.symbolic_formal_data("Heun")), 2),
     ),
     "ExponentVector": (
         lambda: formal.exponent_vector(corpus.symbolic_formal_data("Heun")),

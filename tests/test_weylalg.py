@@ -912,7 +912,7 @@ def _oracle_ad_exp_raw(p, at, w):
     f = RatFunc(0)
     for k, wk in w.items():
         if at is INF:
-            f += RatFunc(Poly.monomial(wk, k - 1))
+            f += RatFunc(Poly([0] * (k - 1) + [wk]))
         else:
             f += RatFunc(Poly.const(wk), Poly([-at, 1]) ** (k + 1))
     return _substitute(p, operator_of, op_sum(D, f, -1))
