@@ -14,7 +14,7 @@ nodes).
 from __future__ import annotations
 
 from .lattice import IndexTuple, LatticeShape, SlotTable
-from .scalar import ParamExpr
+from .scalar import ParamExpr, add_scaled
 
 INFINITE_ORDER = float("inf")
 
@@ -27,7 +27,7 @@ class ExponentVector(SlotTable):
 
     def tuple_sum(self, t: IndexTuple) -> ParamExpr:
         """Sum of the first-slot exponents along an index tuple."""
-        acc = ParamExpr(0)
+        acc = ParamExpr.of(0)
         for i in range(self.shape.num_points):
             acc = acc + self.entries[i][t[i]][0]
         return acc
@@ -36,17 +36,19 @@ class ExponentVector(SlotTable):
 def act_sigma_t(nu: ExponentVector, t: IndexTuple) -> ExponentVector:
     """The affine involution on exponents matching the lattice move at t:
     slot (i, j, s) moves by -(euler_weight(i, j, t_i) - [j = t_i and s = 0])
-    times the shortfall 1 - tuple_sum(t)."""
+    times the shortfall 1 - tuple_sum(t): one ``scalar.add_scaled`` per
+    slot, integer arithmetic and one gcd."""
     shape = nu.shape
-    shortfall = ParamExpr(1) - nu.tuple_sum(t)
+    shortfall = 1 - nu.tuple_sum(t)
     out = []
     for i, point in enumerate(nu.entries):
         blocks = []
         for j, chain in enumerate(point):
-            step = shape.euler_weight(i, j, t[i]) * shortfall
-            blocks.append(tuple(val - step for val in chain))
-        first = blocks[t[i]]
-        blocks[t[i]] = (first[0] + shortfall, *first[1:])
+            k = -shape.euler_weight(i, j, t[i])
+            first = j == t[i]
+            blocks.append(tuple(
+                add_scaled(v, k + (first and not s), shortfall) for s, v in enumerate(chain)
+            ))
         out.append(tuple(blocks))
     return nu._derived(tuple(out))
 
@@ -85,7 +87,8 @@ def mu_sequence(
     nu: ExponentVector,
     m: int,
 ) -> list[tuple[ParamExpr, ParamExpr]]:
-    """Unroll the shift recursion driving the composite move m steps.
+    """Unroll the shift recursion driving the composite move m >= 1 steps,
+    one pair per step.
 
     For E <= 1 the partial sums of both columns vanish exactly at the
     order reported by :func:`coxeter_order` (2 or 3) and not before.  For
@@ -94,6 +97,8 @@ def mu_sequence(
     """
     if t == t2:
         raise ValueError("mu_sequence needs two distinct index tuples")
+    if m < 1:
+        raise ValueError(f"mu_sequence unrolls at least one step, got m = {m}")
     e = pair_coupling(shape, t, t2)
     mu_t = ParamExpr(1) - nu.tuple_sum(t)
     mu_t2 = ParamExpr(1) - nu.tuple_sum(t2) + e * mu_t

@@ -136,10 +136,10 @@ class SpectralData:
     """Chains ``(lam_s, m_s)``: exponents lam, lam+1, ..., lam+m-1.
 
     Bases of distinct chains never differ by an integer (for parameter
-    expressions this is the generic reading).  Two bases differ by an
-    integer exactly when their keys, the terms and the residue (a mod b, b)
-    of the constant a/b, agree; the constructor groups the bases by key and
-    names the first pair, in the order of the chains, that shares one.
+    expressions this is the generic reading): exactly when their
+    :meth:`ParamExpr.residue_key` agree.  The constructor groups the bases
+    by key and names the first pair, in the order of the chains, that
+    shares one.
     """
 
     __slots__ = ("chains",)
@@ -153,8 +153,7 @@ class SpectralData:
             raise ValueError("chain multiplicities must be positive")
         classes: dict[tuple, list[int]] = {}
         for i, (lam, _) in enumerate(parsed):
-            a, b = lam.const.numerator, lam.const.denominator
-            classes.setdefault((tuple(lam.terms.items()), a % b, b), []).append(i)
+            classes.setdefault(lam.residue_key(), []).append(i)
         if len(classes) < len(parsed):
             i, j = min(members[:2] for members in classes.values() if len(members) > 1)
             raise ValueError(f"chain bases {parsed[i][0]} and {parsed[j][0]} differ by an integer")
@@ -297,8 +296,7 @@ def oshima_check(expansion: ThetaExpansion, data: SpectralData) -> bool:
     """
     r = expansion.min_index
     for lam, m in data.chains:
-        base = lam.as_rat()
-        a, b = base.numerator, base.denominator
+        a, b = lam.as_pair()
         for u in range(m):
             poly = expansion.term(r + u)
             for v in range(m - u):

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from . import formal, weylalg
@@ -32,6 +33,7 @@ from .exponents import ExponentVector, act_sigma_perm, act_sigma_t
 from .formal import ExponentialFactor, FormalData, extract_formal_data
 from .lattice import IndexTuple, LatticeVector
 from .rootsys import Verdict
+from .scalar import ParamExpr, ParamLike
 from .weylalg import INF, DiffOperator, Location
 
 
@@ -164,21 +166,22 @@ def twisted_euler(
     locations: Sequence[Location],
     factors: Sequence[Sequence[ExponentialFactor]],
     t: IndexTuple,
-    lambdas: Sequence[Fraction],
+    lambdas: Sequence[ParamLike],
 ) -> DiffOperator:
     """Twisted Euler transform along the index tuple ``t``: one
     conjugation around the Euler transform.
 
     ``lambdas[i]`` is the first-slot exponent of the chosen factor at
-    point i.  :func:`_conjugate` moves the chosen factors to exponential
+    point i; it becomes a ``Fraction`` only where a twist or the transform
+    takes it.  :func:`_conjugate` moves the chosen factors to exponential
     part zero and first exponent zero, the Euler transform with parameter
     ``1 - sum(lambdas)`` acts, and the same conjugation undoes the move.
     An integer exponent sum raises AssumptionViolatedError here; the
     hypotheses on the chains of the twisted operand are checked by
     :func:`reduce_operator` on its predicted chain table, before the step.
     """
-    lam_sum = _exponent_sum(t, lambdas)
-    q = weylalg.euler(_conjugate(p, locations, factors, t, lambdas, -1), 1 - lam_sum)
+    n, d = _exponent_sum(t, [ParamExpr.of(lam).as_pair() for lam in lambdas])
+    q = weylalg.euler(_conjugate(p, locations, factors, t, lambdas, -1), Fraction(d - n, d))
     return weylalg.prim(_conjugate(q, locations, factors, t, lambdas, 1))
 
 
@@ -187,7 +190,7 @@ def _conjugate(
     locations: Sequence[Location],
     factors: Sequence[Sequence[ExponentialFactor]],
     t: IndexTuple,
-    lambdas: Sequence[Fraction],
+    lambdas: Sequence[ParamLike],
     sign: int,
 ) -> DiffOperator:
     """Twist ``q`` at every point by ``sign`` times the chosen factor
@@ -203,17 +206,30 @@ def _conjugate(
     return q
 
 
-def _exponent_sum(t: IndexTuple, lambdas: Sequence[Fraction]) -> Fraction:
-    lam_sum = sum(lambdas, Fraction(0))
-    if lam_sum.denominator == 1:
-        raise AssumptionViolatedError(
-            f"exponent sum {lam_sum} along {t} is an integer"
-        )
-    return lam_sum
+#: A rational as its numerator and positive denominator.
+Pair = tuple[int, int]
 
 
-#: Predicted chains per factor, keyed by location (see :func:`_chain_table`).
-ChainTable = dict[Location, dict[ExponentialFactor, list[tuple[Fraction, int]]]]
+def _pair_sum(pairs: Sequence[Pair]) -> Pair:
+    """The sum of rationals given as pairs, over the product of their
+    denominators, reduced by one gcd."""
+    n, d = 0, 1
+    for a, b in pairs:
+        n, d = n * b + a * d, d * b
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def _exponent_sum(t: IndexTuple, pairs: Sequence[Pair]) -> Pair:
+    n, d = _pair_sum(pairs)
+    if d == 1:
+        raise AssumptionViolatedError(f"exponent sum {n} along {t} is an integer")
+    return n, d
+
+
+#: Predicted chains per factor, keyed by location (see :func:`_chain_table`):
+#: each chain is ((numerator, denominator) of its base, multiplicity).
+ChainTable = dict[Location, dict[ExponentialFactor, list[tuple[Pair, int]]]]
 
 
 def _chain_table(
@@ -223,14 +239,14 @@ def _chain_table(
 ) -> ChainTable:
     """Predicted formal data as ``{location: {factor: chains}}``, keyed by
     the location itself: factor ``factor_table[i][j]`` carries the sorted
-    (exponent, multiplicity) chains of slot (i, j); only slots of nonzero
-    multiplicity appear."""
+    (exponent pair, multiplicity) chains of slot (i, j); only slots of
+    nonzero multiplicity appear."""
     table = {}
     for i, factors in enumerate(factor_table):
         point = table[factors[0].point] = {}
         for j, w in enumerate(factors):
             chains = sorted(
-                (lam.as_rat(), mult)
+                (lam.as_pair(), mult)
                 for lam, mult in zip(nu.entries[i][j], m.entries[i][j])
                 if mult
             )
@@ -244,7 +260,7 @@ def _check_euler_hypotheses(
     m: LatticeVector,
     nu: ExponentVector,
     t: IndexTuple,
-    lambdas: Sequence[Fraction],
+    lambdas: Sequence[ParamLike],
 ):
     """Genericity hypotheses of the Euler step, read off the twisted
     operand: factor j at point i moves to ``w_ij - w_it_i``, exponents shift
@@ -255,29 +271,32 @@ def _check_euler_hypotheses(
     sum.  The degree of ``w_ij - w_it_i`` is minus the shape's weight
     ``weights[i][j][t_i]``; the slots of nonzero multiplicity are checked
     point by point and factor by factor, and a failure names the least
-    exponent of its factor that fails."""
-    lam_sum = _exponent_sum(t, lambdas)
+    exponent of its factor that fails.  Each shifted exponent is an
+    unreduced pair (a, b), integral when b divides a; a ``Fraction`` is
+    built only for the message of a failure."""
+    pairs = [ParamExpr.of(lam).as_pair() for lam in lambdas]
+    ln, ld = _exponent_sum(t, pairs)
     weights = m.shape.weights
     for i, factors in enumerate(factor_table):
-        shift = sum(lambdas[1:], Fraction(0)) if i == 0 else -lambdas[i]
+        sn, sd = _pair_sum(pairs[1:]) if i == 0 else (-pairs[i][0], pairs[i][1])
         for j in range(len(factors)):
             weight = weights[i][j][t[i]]
             if weight < -1 or (i and weight):
                 continue
-            bases = [
-                lam.as_rat() + shift
-                for lam, mult in zip(nu.entries[i][j], m.entries[i][j])
-                if mult
-            ]
+            bases = []
+            for lam, mult in zip(nu.entries[i][j], m.entries[i][j]):
+                if mult:
+                    a, b = lam.as_pair()
+                    bases.append((a * sd + sn * b, b * sd))
             if i == 0:
-                if bad := [base for base in bases if base.denominator == 1]:
+                if bad := [Fraction(a, b) for a, b in bases if a % b == 0]:
                     raise AssumptionViolatedError(
                         f"integer exponent {min(bad)} in a low-degree factor at infinity"
                     )
-            elif bad := [base for base in bases if base and (base + lam_sum).denominator == 1]:
+            elif bad := [Fraction(a, b) for a, b in bases if a and (a * ld + ln * b) % (b * ld) == 0]:
                 raise AssumptionViolatedError(
-                    f"resonance: exponent {min(bad)} at {factors[0].point} plus {lam_sum} "
-                    "is an integer"
+                    f"resonance: exponent {min(bad)} at {factors[0].point} plus "
+                    f"{Fraction(ln, ld)} is an integer"
                 )
 
 
@@ -323,7 +342,7 @@ def _reduce_operator_once(p: DiffOperator, data: FormalData | None) -> OperatorR
             cur_nu = act_sigma_perm(cur_nu, *step.index)
             continue
         t = step.index
-        lambdas = [cur_nu.slot(i, t[i], 0).as_rat() for i in range(len(locations))]
+        lambdas = [cur_nu.slot(i, t[i], 0) for i in range(len(locations))]
         _check_euler_hypotheses(factor_table, step.before, cur_nu, t, lambdas)
         cur_op = twisted_euler(cur_op, locations, factor_table, t, lambdas)
         cur_nu = act_sigma_t(cur_nu, t)
@@ -348,23 +367,30 @@ def _check_prediction(
     The extraction tries the roots the prediction names first: the
     locations for the leading coefficient and, at each point, every
     predicted exponent and factor coefficient.  When the prediction holds
-    they are all the roots, and no search for others runs."""
+    they are all the roots, and no search for others runs.  The chains
+    are compared as pairs; a failure prints them as sorted ``Fraction``
+    lists."""
     hints = {}
     for loc in locations:
         point = predicted[loc]
         hints[loc] = [
-            lam + v for chains in point.values() for lam, mult in chains for v in range(mult)
+            Fraction(a + v * b, b)
+            for chains in point.values() for (a, b), mult in chains for v in range(mult)
         ] + [s * v for w in point for v in w.coeffs.values() for s in (1, -1)]
     extracted = dict(formal.extract_primitive(op, hints).points)
     for loc in locations:
         factors = extracted.pop(loc, None)
         if factors is None:
-            got = {ExponentialFactor(loc, {}): [(Fraction(0), rank)]}
+            got = {ExponentialFactor(loc, {}): [((0, 1), rank)]}
         else:
-            got = {w: sorted((lam.as_rat(), k) for lam, k in s.chains) for w, s in factors}
+            got = {w: sorted((lam.as_pair(), k) for lam, k in s.chains) for w, s in factors}
         if got != predicted[loc]:
+            got, want = (
+                {w: sorted((Fraction(a, b), k) for (a, b), k in chains) for w, chains in table.items()}
+                for table in (got, predicted[loc])
+            )
             raise CrossCheckError(
-                f"at {weylalg.format_location(loc)}: extracted {got}, predicted {predicted[loc]}"
+                f"at {weylalg.format_location(loc)}: extracted {got}, predicted {want}"
             )
     if extracted:
         extra = ", ".join(weylalg.format_location(loc) for loc in extracted)

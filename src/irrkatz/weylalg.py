@@ -772,7 +772,8 @@ def ad_power(p: DiffOperator, c: Fraction, lam) -> DiffOperator:
     twist runs at 0 (:func:`translate`), where the ``Y_j`` of
     :func:`_shift_d` are ``(-lam)(-lam-1)...(-lam-j+1) / x^j``.
     """
-    lam = ParamExpr.of(lam).as_rat()
+    if not isinstance(lam, Fraction):
+        lam = ParamExpr.of(lam).as_rat()
     return translate(_shift_d(translate(p, c), Poly.const(lam), 1), -c)
 
 
@@ -858,7 +859,8 @@ def laplace_inv(p: DiffOperator) -> DiffOperator:
 def euler(p: DiffOperator, lam) -> DiffOperator:
     """Euler transform with parameter lam:
     Laplace . Prim . Ad(x^lam) . Laplace^(-1) . Prim."""
-    lam = ParamExpr.of(lam).as_rat()
+    if not isinstance(lam, Fraction):
+        lam = ParamExpr.of(lam).as_rat()
     q = prim(p)
     q = laplace_inv(q)
     q = ad_power(q, Fraction(0), lam)

@@ -1,7 +1,9 @@
 """Reference implementations and helpers that only the tests use.
 
 Each is the direct, slow form of something ``irrkatz`` computes another
-way (the form entry by entry or block by block, a reflection from a Gram
+way (``ParamExpr`` on a ``Fraction`` constant and ``Fraction``
+coefficients, the exponent action as one loop of ``ParamExpr`` sums,
+the form entry by entry or block by block, a reflection from a Gram
 row, the diagram's label from the whole Gram matrix, ker phi by Gaussian
 elimination, the support tuples and the fundamental domain by the full
 product, the operator product by the
@@ -37,6 +39,7 @@ from operator import mul, ne
 from typing import Union
 
 from irrkatz import corpus
+from irrkatz.exponents import ExponentVector
 from irrkatz.formal import ExponentialFactor, FormalData, OshimaCheckError, SpectralData
 from irrkatz.lattice import IndexTuple, LatticeShape, LatticeVector
 from irrkatz.polys import (
@@ -233,6 +236,119 @@ def rational_kernel(matrix: list[list[int]]) -> list[list[Fraction]]:
             vec[pc] = -rows[rr][fc]
         basis.append(vec)
     return basis
+
+
+# -- scalar ----------------------------------------------------------------------
+
+
+class RefParamExpr:
+    """``scalar.ParamExpr`` as it was stored before its integer form: a
+    ``Fraction`` constant and a dict of ``Fraction`` coefficients, zero
+    coefficients dropped, every operation in ``Fraction`` arithmetic (on
+    constants, one ``Fraction`` operation each)."""
+
+    __slots__ = ("const", "terms")
+
+    def __init__(self, const=0, terms=None):
+        object.__setattr__(self, "const", _ref_rat(const))
+        cleaned = {}
+        if terms:
+            for name, coeff in terms.items():
+                coeff = _ref_rat(coeff)
+                if coeff != 0:
+                    cleaned[name] = coeff
+        object.__setattr__(self, "terms", dict(sorted(cleaned.items())))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RefParamExpr is immutable")
+
+    @staticmethod
+    def param(name: str) -> "RefParamExpr":
+        return RefParamExpr(0, {name: 1})
+
+    @staticmethod
+    def of(value) -> "RefParamExpr":
+        if isinstance(value, RefParamExpr):
+            return value
+        return _ref_constant(_ref_rat(value))
+
+    def __add__(self, other) -> "RefParamExpr":
+        other = RefParamExpr.of(other)
+        if not self.terms and not other.terms:
+            return _ref_constant(self.const + other.const)
+        terms = dict(self.terms)
+        for name, coeff in other.terms.items():
+            terms[name] = terms.get(name, Fraction(0)) + coeff
+        return RefParamExpr(self.const + other.const, terms)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "RefParamExpr":
+        if not self.terms:
+            return _ref_constant(-self.const)
+        return RefParamExpr(-self.const, {n: -c for n, c in self.terms.items()})
+
+    def __sub__(self, other) -> "RefParamExpr":
+        other = RefParamExpr.of(other)
+        if not self.terms and not other.terms:
+            return _ref_constant(self.const - other.const)
+        return self + (-other)
+
+    def __rsub__(self, other) -> "RefParamExpr":
+        return RefParamExpr.of(other) - self
+
+    def __mul__(self, scalar) -> "RefParamExpr":
+        if type(scalar) is not int:
+            scalar = _ref_rat(scalar)
+        if not self.terms:
+            return _ref_constant(self.const * scalar)
+        return RefParamExpr(self.const * scalar, {n: c * scalar for n, c in self.terms.items()})
+
+    __rmul__ = __mul__
+
+    def as_rat(self) -> Fraction:
+        if self.terms:
+            raise ValueError(f"{self} depends on parameters")
+        return self.const
+
+    def is_zero(self) -> bool:
+        return self.const == 0 and not self.terms
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (int, Fraction)):
+            other = RefParamExpr(other)
+        if not isinstance(other, RefParamExpr):
+            return NotImplemented
+        return self.const == other.const and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.const, tuple(self.terms.items())))
+
+    def __str__(self) -> str:
+        out = [str(self.const)]
+        for name, coeff in self.terms.items():
+            if coeff < 0:
+                out.append(f"- {-coeff}*{name}")
+            else:
+                out.append(f"+ {coeff}*{name}")
+        return " ".join(out)
+
+
+def _ref_rat(value) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise TypeError(f"expected a rational, got {value!r}")
+
+
+def _ref_constant(value: Fraction) -> RefParamExpr:
+    """The expression without terms whose value is ``value``, as
+    ``RefParamExpr(value)`` builds it, with its own empty terms."""
+    expr = object.__new__(RefParamExpr)
+    object.__setattr__(expr, "const", value)
+    object.__setattr__(expr, "terms", {})
+    return expr
 
 
 # -- lattice ---------------------------------------------------------------------
@@ -948,6 +1064,27 @@ def deg_of(p: DiffOperator) -> int:
     return max(c.as_poly().degree for c in coeffs(p) if not c.is_zero())
 
 
+# -- exponents -------------------------------------------------------------------
+
+
+def act_sigma_t(nu: ExponentVector, t: IndexTuple) -> ExponentVector:
+    """``exponents.act_sigma_t`` as one loop of ``ParamExpr`` arithmetic:
+    each chain moves by the step ``euler_weight * shortfall``, and the
+    chosen first slot back by the shortfall, whether the shortfall is
+    constant or not."""
+    shape = nu.shape
+    shortfall = ParamExpr(1) - nu.tuple_sum(t)
+    out = []
+    for i, point in enumerate(nu.entries):
+        blocks = []
+        for j, chain in enumerate(point):
+            step = shape.euler_weight(i, j, t[i]) * shortfall
+            blocks.append([val - step for val in chain])
+        blocks[t[i]][0] = blocks[t[i]][0] + shortfall
+        out.append(blocks)
+    return ExponentVector(shape, out)
+
+
 # -- formal ----------------------------------------------------------------------
 
 
@@ -1036,6 +1173,19 @@ def chain_table(factor_table, m: LatticeVector, nu, shifts) -> dict:
             if chains:
                 point[w] = chains
     return table
+
+
+def pair_table(table: dict) -> dict:
+    """A chain table of ``Fraction`` exponents (:func:`chain_table`) in the
+    form ``reduce._chain_table`` builds: each chain ((numerator,
+    denominator), multiplicity), sorted."""
+    return {
+        loc: {
+            w: sorted(((lam.numerator, lam.denominator), k) for lam, k in chains)
+            for w, chains in point.items()
+        }
+        for loc, point in table.items()
+    }
 
 
 def factor_difference(w1: ExponentialFactor, w2: ExponentialFactor) -> ExponentialFactor:

@@ -16,7 +16,9 @@ from irrkatz.exponents import (
 from irrkatz.formal import fuchs_defect_of
 from irrkatz.lattice import LatticeShape
 from irrkatz.scalar import ParamExpr
+import oracles
 from oracles import block_sum, form, node_pairing, rank_one, scaled
+from test_lattice import mixed_exponents, random_shape as lattice_shape
 
 
 def shape_of(name):
@@ -49,6 +51,44 @@ def test_act_sigma_t_involutive_symbolically():
         nu = symbolic_nu(shape)
         for t in shape.index_tuples():
             assert act_sigma_t(act_sigma_t(nu, t), t) == nu
+
+
+def constant_exponents(rng, shape):
+    """A rational at every slot, denominators 1 to 12."""
+    return ExponentVector(shape, [
+        [[Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(l)] for l in lens]
+        for lens in shape.chain_lengths
+    ])
+
+
+def test_act_sigma_t_matches_the_general_loop():
+    # each slot moves by one add_scaled on the stored integers; the oracle
+    # is the loop of ParamExpr sums: on constant vectors of random shapes,
+    # on the corpus's symbolic exponents, and on mixed vectors, where slots
+    # with and without parameters share one call (and the shortfall is
+    # constant or not); the move is an involution on each
+    rng = random.Random(37)
+    cases = []
+    for _ in range(150):
+        shape = lattice_shape(rng)
+        if len(shape.index_tuples()) <= 48:
+            cases += [constant_exponents(rng, shape), mixed_exponents(rng, shape)]
+    for name in corpus.names():
+        data = corpus.symbolic_formal_data(name)
+        cases.append(formal.exponent_vector(data))
+        cases.append(mixed_exponents(rng, formal.to_shape(data)))
+    kinds = set()
+    for nu in cases:
+        for t in nu.shape.index_tuples():
+            moved = act_sigma_t(nu, t)
+            assert moved == oracles.act_sigma_t(nu, t), (nu.shape, t)
+            assert act_sigma_t(moved, t) == nu, (nu.shape, t)
+            constant = [not v.terms for point in nu.entries for chain in point for v in chain]
+            kinds.add((not nu.tuple_sum(t).terms, all(constant), any(constant)))
+    # constant vectors, mixed ones under a constant and a parametric
+    # shortfall, and wholly parametric ones
+    assert kinds >= {(True, True, True), (True, False, True), (False, False, True),
+                     (False, False, False)}, kinds
 
 
 def test_act_sigma_t_fixed_point():
@@ -137,6 +177,18 @@ def test_mu_sequence_partial_sums_vanish_exactly_at_low_orders():
         total_t2 = sum((mu2 for _, mu2 in seq), ParamExpr(0))
         assert total_t.is_zero()
         assert total_t2.is_zero()
+
+
+def test_mu_sequence_needs_at_least_one_step():
+    # m steps of the recursion: one pair per step, and no step count below 1
+    shape = two_factor_shape(2)
+    nu = symbolic_nu(shape)
+    assert [len(mu_sequence(shape, (0,), (1,), nu, m)) for m in (1, 2, 6)] == [1, 2, 6]
+    for m in (0, -1, -5):
+        with pytest.raises(ValueError, match=f"^mu_sequence unrolls at least one step, got m = {m}$"):
+            mu_sequence(shape, (0,), (1,), nu, m)
+    with pytest.raises(ValueError, match="two distinct index tuples"):
+        mu_sequence(shape, (0,), (0,), nu, 0)
 
 
 def test_mu_sequence_never_vanishes_for_high_coupling():

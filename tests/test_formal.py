@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -348,6 +349,30 @@ def test_json_golden_first_order():
         '{"points":[{"location":"inf","factors":[{"w":[],"spectral":[["-5",1]]}]},'
         '{"location":"0","factors":[{"w":[],"spectral":[["5",1]]}]}]}'
     )
+
+
+def test_json_exponent_over_coprime_long_denominators():
+    # an exponent whose constant and 8 coefficients have pairwise coprime
+    # denominators of about 4000 digits: its common denominator has about
+    # 36000, yet the file reads and writes back byte for byte, fast, and
+    # every numeral of its text stays within the limit on integer strings
+    step = 420 * 10**3998
+    # (i + 1) * step + 1 and (j + 1) * step + 1 have a common factor only if
+    # it divides j - i < 9, and none of 2, 3, 5, 7 divides either
+    dens = [(i + 1) * step + 1 for i in range(9)]
+    lam = f"-1/{dens[0]}" + "".join(
+        f" {'-' if i % 2 else '+'} {i + 2}/{d}*p{i}" for i, d in enumerate(dens[1:]))
+    text = (
+        '{"points":[{"location":"inf","factors":[{"w":[],"spectral":[["' + lam + '",1]]}]},'
+        '{"location":"0","factors":[{"w":[],"spectral":[["0",1]]}]}]}'
+    )
+    start = time.perf_counter()
+    data = from_json(text)
+    assert to_json(data) == text
+    assert time.perf_counter() - start < 1.0
+    (exponent, _), = data.points[0][1][0][1].chains
+    assert len(exponent.terms) == 8
+    assert formal.bounded_str(exponent, "exponent") == lam
 
 
 def test_json_malformed():

@@ -523,7 +523,7 @@ def test_cross_check_rejects_wrong_exponent():
     _check_prediction(moved, locations, predicted, rank)
     point = predicted[Fraction(1)]
     for w, chains in point.items():
-        point[w] = [(lam + 1, k) for lam, k in chains]
+        point[w] = [((a + b, b), k) for (a, b), k in chains]
     with pytest.raises(CrossCheckError, match=r"^at 1: extracted "):
         _check_prediction(moved, locations, predicted, rank)
 
@@ -554,9 +554,9 @@ def test_cross_check_accepts_point_made_non_singular():
     locations = [INF, Fraction(0), Fraction(1)]
     predicted = table_of(data)
     zero = formal.ExponentialFactor(Fraction(1))
-    predicted[Fraction(1)] = {zero: [(Fraction(0), 1)]}
+    predicted[Fraction(1)] = {zero: [((0, 1), 1)]}
     _check_prediction(op, locations, predicted, 1)
-    predicted[Fraction(1)] = {zero: [(Fraction(1), 1)]}
+    predicted[Fraction(1)] = {zero: [((1, 1), 1)]}
     with pytest.raises(CrossCheckError, match=r"^at 1: "):
         _check_prediction(op, locations, predicted, 1)
 
@@ -576,7 +576,7 @@ def assert_twisted_chains_extracted(op, data, m, nu, t):
     lambdas = [nu.slot(i, t[i], 0).as_rat() for i in range(len(locations))]
     twisted = [[oracles.factor_difference(w, ws[t[i]]) for w in ws] for i, ws in enumerate(factor_table)]
     shifts = [sum(lambdas[1:], Fraction(0))] + [-lam for lam in lambdas[1:]]
-    predicted = oracles.chain_table(twisted, m, nu, shifts)
+    predicted = oracles.pair_table(oracles.chain_table(twisted, m, nu, shifts))
     operand = _conjugate(op, locations, factor_table, t, lambdas, -1)
     _check_prediction(operand, locations, predicted, m.rank)
 
@@ -808,14 +808,14 @@ def test_euler_step_checks_run_no_prim(monkeypatch):
 def table_of(data):
     """The chain table of extracted formal data."""
     return {
-        loc: {w: sorted((lam.as_rat(), k) for lam, k in s.chains) for w, s in factors}
+        loc: {w: sorted((lam.as_pair(), k) for lam, k in s.chains) for w, s in factors}
         for loc, factors in data.points
     }
 
 
 def first_step_of_4f3(monkeypatch):
     """The first Euler step of 4F3: (operator, locations, predicted table,
-    rank); at 1 the table reads [(beta, 1), (0, 2)]."""
+    rank); at 1 the table reads [((a, b), 1), ((0, 1), 2)], beta = a/b < 0."""
     calls = record_checks(monkeypatch)
     reduce_operator(hypergeometric(*HYPERGEOMETRIC[2]))
     monkeypatch.undo()
@@ -828,7 +828,7 @@ ONE = Fraction(1)
 
 
 def shifted(table, locations):
-    table[ONE] = {w: [(lam + 1, k) for lam, k in chains] for w, chains in table[ONE].items()}
+    table[ONE] = {w: [((a + b, b), k) for (a, b), k in chains] for w, chains in table[ONE].items()}
     return locations
 
 
@@ -839,8 +839,8 @@ def swapped(table, locations):
 
 
 def split(table, locations):
-    (w, [(beta, _), (zero, _)]), = table[ONE].items()
-    table[ONE] = {w: [(beta, 1), (zero, 1), (zero + 1, 1)]}
+    (w, [(beta, _), ((a, b), _)]), = table[ONE].items()
+    table[ONE] = {w: [(beta, 1), ((a, b), 1), ((a + b, b), 1)]}
     return locations
 
 
