@@ -8,8 +8,10 @@ Python ints and normalizes each result once, with one gcd, instead of once
 per coefficient product (von zur Gathen and Gerhard, *Modern Computer
 Algebra*, §8.4); division is pseudo-division over Z.  ``Poly.coeffs``, the
 coefficients as ``Fraction``s, is a read-only view built on first read; no
-arithmetic runs on it.  The row kernels of ``weylalg`` take their inputs
-through :func:`int_rows` and build their results with :func:`from_row`.
+arithmetic runs on it.  The row kernels of ``weylalg`` read integer rows and
+build a ``Poly`` only where a result leaves them, with :func:`from_row`;
+they share the Taylor shift (:func:`shift_row`) and the exact division
+over Z (:func:`exact_quotient`) with ``Poly``.
 Rational roots are exact: in closed form up to degree 2 (the root of a
 linear part, the square root of a discriminant by ``isqrt``), and above by
 p-adic expansion (Loos, SIAM J. Comput. 12(2), 1983): roots modulo a small
@@ -73,10 +75,20 @@ def from_row(n: list[int], d: int = 1) -> "Poly":
     return p
 
 
-def int_rows(polys: Sequence["Poly"]) -> tuple[list, int]:
-    """The numerators of ``polys`` over one denominator, the lcm of theirs."""
-    d = lcm(*(q._d for q in polys))
-    return [q._n if q._d == d else [a * (d // q._d) for a in q._n] for q in polys], d
+def shift_row(n: Sequence[int], a: int, b: int, m: int) -> list[int]:
+    """The integer row b^m n(y + a/b), for an integer row n of degree at
+    most m and b > 0: the one Taylor shift.  With s(z) = b^m n(z/b) in
+    Z[z], b^m n(y + a/b) = s(b y + a), and the shift by a is synthetic:
+    pass i divides by z - a in place and leaves the i-th Taylor coefficient
+    in slot i."""
+    s = [x * b ** (m - k) for k, x in enumerate(n)] if b != 1 else list(n)
+    top = len(s) - 1
+    for i in range(top):
+        for k in range(top - 1, i - 1, -1):
+            s[k] += a * s[k + 1]
+    if b != 1:
+        s = [x * b**k for k, x in enumerate(s)]
+    return s
 
 
 def linear_quotient(n: Sequence[int], a: int, b: int) -> list[int] | None:
@@ -184,7 +196,9 @@ class Poly:
     def __add__(self, other: "PolyLike") -> "Poly":
         if not isinstance(other, _POLY_OPERANDS):
             return NotImplemented
-        (a, b), d = int_rows((self, as_poly(other)))
+        other = as_poly(other)
+        d = lcm(self._d, other._d)
+        a, b = (q._n if q._d == d else [x * (d // q._d) for x in q._n] for q in (self, other))
         if len(a) < len(b):
             a, b = b, a
         return from_row([x + y for x, y in zip(a, b)] + list(a[len(b):]), d)
@@ -271,21 +285,13 @@ class Poly:
 
     def shift(self, c: Scalar) -> "Poly":
         """The polynomial q with q(y) = p(y + c) (Taylor shift); p itself
-        at c = 0.  At c = a/b, n(y + a/b) = b^(-m) s(b y + a) with s(z) =
-        b^m n(z/b) in Z[z]; the integer shift by a is synthetic: pass i
-        divides by z - a in place and leaves the i-th Taylor coefficient in
-        slot i."""
+        at c = 0.  At c = a/b it is :func:`shift_row` of the numerators
+        over ``_d b^m``, m the degree."""
         a, b = c.numerator, c.denominator
-        if not a:
+        if not a or not self._n:
             return self
         m = self.degree
-        s = [x * b ** (m - k) for k, x in enumerate(self._n)] if b != 1 else list(self._n)
-        for i in range(m):
-            for k in range(m - 1, i - 1, -1):
-                s[k] += a * s[k + 1]
-        if b != 1:
-            s = [x * b**k for k, x in enumerate(s)]
-        return from_row(s, self._d * b**m)
+        return from_row(shift_row(self._n, a, b, m), self._d * b**m)
 
     def reverse(self, at_degree: int | None = None) -> "Poly":
         """Coefficient reversal: x^n * p(1/x) for n = at_degree (default deg p)."""
@@ -487,21 +493,25 @@ HEU_TRIES = 6
 HEU_BITS = 1 << 19
 
 
-def _divides(g: list[int], f: Sequence[int]) -> bool:
-    """Whether g in Z[x], primitive with a positive leading coefficient,
-    divides f in Z[x] (by Gauss's lemma, in Q[x]): long division from the
-    top, stopped at the first quotient coefficient that is not an
-    integer."""
+def exact_quotient(f: Sequence[int], g: Sequence[int]) -> list[int] | None:
+    """f/g for f and g in Z[x], g primitive with a positive leading
+    coefficient, when g divides f (by Gauss's lemma, in Q[x] as in Z[x]),
+    else None: long division over Z from the top, stopped at the first
+    quotient coefficient that is not an integer."""
     d, lead = len(g) - 1, g[-1]
+    if len(f) <= d:
+        return None
     rem = list(f)
+    q = [0] * (len(f) - d)
     for k in range(len(f) - 1 - d, -1, -1):
-        q, r = divmod(rem[k + d], lead)
+        c, r = divmod(rem[k + d], lead)
         if r:
-            return False
-        if q:
+            return None
+        if c:
+            q[k] = c
             for j in range(d):
-                rem[k + j] -= q * g[j]
-    return len(f) > d and not any(rem[:d])
+                rem[k + j] -= c * g[j]
+    return None if any(rem[:d]) else q
 
 
 def _heuristic_gcd(a: Sequence[int], b: Sequence[int]) -> list[int] | None:
@@ -535,7 +545,7 @@ def _heuristic_gcd(a: Sequence[int], b: Sequence[int]) -> list[int] | None:
             gamma = (gamma - c) // xi
         content = int_gcd(*g) if g[-1] > 0 else -int_gcd(*g)
         g = [c // content for c in g]
-        if _divides(g, a) and _divides(g, b):
+        if exact_quotient(a, g) is not None and exact_quotient(b, g) is not None:
             return g
         xi = xi * 73794 // 27011
     return None

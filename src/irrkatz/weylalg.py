@@ -65,12 +65,13 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 from math import comb, factorial, gcd as int_gcd, lcm, perm
 from typing import Iterable, Mapping, Union
 
 from .polys import (
-    UNIT, Poly, falling_factorial, from_row, int_rows, poly_gcd, pow_by_squaring,
+    UNIT, Poly, exact_quotient, falling_factorial, from_row, poly_gcd, pow_by_squaring, shift_row,
 )
 from .scalar import ParamExpr, parse_rat
 
@@ -514,13 +515,15 @@ def parse(text: str) -> DiffOperator:
 
 
 def translate(p: DiffOperator, c: Fraction) -> DiffOperator:
-    """The operator with x -> x + c: every row and the denominator
-    Taylor-shifted by c (:meth:`Poly.shift`); D is unchanged.  ``p`` itself
-    at c = 0."""
+    """The operator with x -> x + c; D is unchanged.  ``p`` itself at c = 0.
+    At c = a/b every row is Taylor-shifted over the one denominator b^m, m
+    the largest row degree (:func:`polys.shift_row`, the shift of
+    :meth:`Poly.shift`), and the denominator by :meth:`Poly.shift`."""
     if c == 0 or p.is_zero():
         return p
-    rows, d = int_rows([from_row(list(row)).shift(c) if row else Poly() for row in p._rows])
-    return _operator(rows, p._d * d, p._den.shift(c))
+    a, b = c.numerator, c.denominator
+    m = max(map(len, p._rows)) - 1
+    return _operator([shift_row(row, a, b, m) for row in p._rows], p._d * b**m, p._den.shift(c))
 
 
 def local_chart(p: DiffOperator, at: Location) -> DiffOperator:
@@ -682,20 +685,31 @@ def newton_polygon(expansion: ThetaExpansion) -> NewtonPolygon:
 
 def prim(p: DiffOperator) -> DiffOperator:
     """The primitive component: polynomial coefficients with trivial common
-    factor and monic top coefficient.  Unique in W(x) f-multiples."""
+    factor and monic top coefficient.  Unique in W(x) f-multiples.
+
+    It reads the integer rows only.  The power x^v, v the least order at 0
+    of a nonzero row, is sliced off.  Unless a row is then a nonzero
+    constant, the gcd of the rows is taken by :func:`polys.poly_gcd`,
+    shortest rows first, until it has degree 0; a gcd of degree > 0 divides
+    every row over Z by its primitive numerators
+    (:func:`polys.exact_quotient`), exactly by Gauss's lemma."""
     if p.is_zero():
         raise ValueError("primitive component of the zero operator")
     rows = p._rows
-    g = UNIT  # the gcd of the rows; 1 when one of them is a nonzero constant
-    if not any(len(row) == 1 for row in rows):
-        nums = [from_row(list(row)) for row in rows]
-        g = Poly()
-        for q in nums:
-            if q and g.degree:
-                g = poly_gcd(g, q) if g else q
-    if g.degree > 0:
-        rows = int_rows([q // g for q in nums])[0]
-    elif p._den is UNIT and rows[-1][-1] == p._d:
+    if v := min(next(i for i, a in enumerate(row) if a) for row in rows if row):
+        rows = [row[v:] for row in rows]
+    if all(len(row) != 1 for row in rows):
+        g = None
+        for row in sorted(filter(None, rows), key=len):
+            q = from_row(list(row))
+            g = q if g is None else poly_gcd(g, q)
+            if not g.degree:
+                break
+        if g.degree:
+            content = int_gcd(*g._n) if g._n[-1] > 0 else -int_gcd(*g._n)
+            g = [a // content for a in g._n]
+            rows = [exact_quotient(row, g) if row else () for row in rows]
+    if rows is p._rows and p._den is UNIT and rows[-1][-1] == p._d:
         return p  # polynomial, coprime rows and a monic top coefficient
     # a_i / lead is the ratio of integer numerators over one denominator
     sign = -1 if rows[-1][-1] < 0 else 1
@@ -793,9 +807,11 @@ def ad_exp_raw(p: DiffOperator, at: Location, coeffs: Mapping[int, Fraction]) ->
     return translate(_shift_d(translate(p, at), g, top + 1), -at)
 
 
+@cache
 def _lah(i: int, k: int) -> int:
     """The Lah number ``L(i, k) = C(i-1, k-1) i!/k!`` (1 <= k <= i): the
-    coefficient in ``(x^2 D)^i = sum_k L(i, k) x^(i+k) D^k``."""
+    coefficient in ``(x^2 D)^i = sum_k L(i, k) x^(i+k) D^k``.  Memoized,
+    as :func:`polys.falling_factorial` is."""
     return comb(i - 1, k - 1) * factorial(i) // factorial(k)
 
 

@@ -15,9 +15,9 @@ the separation of chain bases on ``Fraction``s, the Euler step's
 hypotheses on the twisted chain table, long division, the theta expansion,
 the chart at infinity and the twists in ``Poly`` arithmetic, one new
 ``Poly`` per partial sum, the twists' P_j as one new ``Poly`` each, the
-primitive component and the division by
-(x - c)^k as they were, the tokenizer that read every numeral as a
-``Fraction``), a check no pipeline code runs (ker phi in the radical of
+primitive component, the translation and the division by (x - c)^k as
+they were, the numerators of ``Poly``s over one denominator, the
+tokenizer that read every numeral as a ``Fraction``), a check no pipeline code runs (ker phi in the radical of
 the form, from its closed-form basis), or a small accessor no pipeline
 code needs (the degree of an operator, the sum and negation of
 operators, and ``RatFunc`` with the operator built from and read back as
@@ -43,7 +43,7 @@ from irrkatz.exponents import ExponentVector
 from irrkatz.formal import ExponentialFactor, FormalData, OshimaCheckError, SpectralData
 from irrkatz.lattice import IndexTuple, LatticeShape, LatticeVector
 from irrkatz.polys import (
-    UNIT, Poly, PolyLike, _lifted_roots, as_poly, from_row, int_rows, linear_quotient, poly_gcd,
+    UNIT, Poly, PolyLike, _lifted_roots, as_poly, from_row, linear_quotient, poly_gcd,
     pow_by_squaring,
 )
 from irrkatz.reduce import AssumptionViolatedError
@@ -428,6 +428,12 @@ def support_tuples(a: LatticeVector) -> tuple[IndexTuple, ...]:
 
 
 # -- polys -----------------------------------------------------------------------
+
+
+def int_rows(polys) -> tuple[list, int]:
+    """The numerators of ``polys`` over one denominator, the lcm of theirs."""
+    d = lcm(*(q._d for q in polys))
+    return [q._n if q._d == d else [a * (d // q._d) for a in q._n] for q in polys], d
 
 
 class FractionPoly:
@@ -947,6 +953,15 @@ def prim_by_gcd(p: DiffOperator) -> DiffOperator:
     rows = int_rows([q // g for q in nums])[0] if g.degree > 0 else p._rows
     sign = -1 if rows[-1][-1] < 0 else 1
     return _operator([[sign * a for a in row] for row in rows], sign * rows[-1][-1])
+
+
+def translate_by_polys(p: DiffOperator, c: Fraction) -> DiffOperator:
+    """``weylalg.translate`` as it was: each row a ``Poly``, shifted by
+    ``Poly.shift``, the rows over the lcm of their denominators."""
+    if c == 0 or p.is_zero():
+        return p
+    rows, d = int_rows([from_row(list(row)).shift(c) if row else Poly() for row in p._rows])
+    return _operator(rows, p._d * d, p._den.shift(c))
 
 
 def divide_out_two_pass(rows: list, c, most: int) -> tuple[int, list, int]:

@@ -19,15 +19,15 @@ from math import gcd
 
 import pytest
 
-from irrkatz.polys import UNIT, Poly, from_row, int_rows, poly_gcd
+from irrkatz.polys import UNIT, Poly, from_row, poly_gcd
 from irrkatz.weylalg import (
     INF, _divide_out, ad_exp_raw, ad_power, euler, laplace, laplace_inv, prim, subst_infty,
     theta_expand, to_text,
 )
 from oracles import (
-    RatFunc, RatFuncOperator, coeffs, divide_out_two_pass, leading, op_neg, op_sum, operator,
-    prim_by_gcd, rat_ad_exp_raw, rat_ad_power, rat_euler, rat_fourier, rat_prim, rat_text,
-    subst_infinity, theta_expansion,
+    RatFunc, RatFuncOperator, coeffs, divide_out_two_pass, int_rows, leading, op_neg, op_sum,
+    operator, prim_by_gcd, rat_ad_exp_raw, rat_ad_power, rat_euler, rat_fourier, rat_prim,
+    rat_text, subst_infinity, theta_expansion,
 )
 
 POINTS = [Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 2), Fraction(-3, 4)]

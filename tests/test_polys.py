@@ -463,19 +463,19 @@ def test_gcd_matches_euclid(monkeypatch):
     # candidates (so the trial division is what decides), and never fall
     # back to Euclid, whose only division is Poly.__mod__
     mods, rejected = [], []
-    mod, divides = Poly.__mod__, polys._divides
+    mod, quotient = Poly.__mod__, polys.exact_quotient
 
     def counted_mod(a, b):
         mods.append((a, b))
         return mod(a, b)
 
-    def counted_divides(g, f):
-        ok = divides(g, f)
-        rejected.extend([] if ok else [(g, f)])
-        return ok
+    def counted_quotient(f, g):
+        q = quotient(f, g)
+        rejected.extend([] if q is not None else [(g, f)])
+        return q
 
     monkeypatch.setattr(Poly, "__mod__", counted_mod)
-    monkeypatch.setattr(polys, "_divides", counted_divides)
+    monkeypatch.setattr(polys, "exact_quotient", counted_quotient)
     rng = random.Random(32)
     pairs = list(_gcd_pairs(rng))
     f = Poly([1, -3, 1])
@@ -525,8 +525,8 @@ def test_gcd_falls_back_to_euclid_above_the_evaluation_bound(monkeypatch):
 
 def test_polynomial_paths_make_no_gcd_calls(monkeypatch):
     # the gcd with a constant is 1: a constant denominator, a sum of
-    # polynomials and the lcm loop of prim on a polynomial operator must
-    # not ask for it
+    # polynomials and prim of rows whose common factor is a power of x
+    # must not ask for it
     calls = []
 
     def counted(a, b):
@@ -544,8 +544,11 @@ def test_polynomial_paths_make_no_gcd_calls(monkeypatch):
     assert RatFunc(p, 5).den == 1
     assert RatFunc(p) + RatFunc(q) == RatFunc(p + q)
     assert calls == []
-    # prim of x (x D^2 + 3 D + 1): only the content loop over the three
-    # coefficients x, 3x, x^2 calls the gcd
+    # prim of x (x D^2 + 3 D + 1): the common power of x is a slice of the
+    # rows, which leaves the constant 1, so no gcd is asked for
     assert weylalg.prim(op) == weylalg.parse("x*D^2 + 3*D + 1")
-    x = Poly.x()
-    assert calls == [(x, 3 * x), (x, x * x)]
+    assert calls == []
+    # prim of (x - 1)(x D + 2): the gcd of the rows 2x - 2 and x^2 - x,
+    # shortest first, is x - 1 after one call, and divides both over Z
+    assert weylalg.prim(weylalg.parse("(x - 1)*(x*D + 2)")) == weylalg.parse("x*D + 2")
+    assert calls == [(Poly([-2, 2]), Poly([0, -1, 1]))]

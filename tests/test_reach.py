@@ -162,6 +162,7 @@ def test_every_src_function_is_reached(tmp_path):
     # memos fill once per process: drop an earlier test's so the walk fills them
     cli.build_parser.cache_clear()
     polys.falling_factorial.cache_clear()
+    weylalg._lah.cache_clear()
     sink = io.StringIO()
     sys.setprofile(profile)
     try:

@@ -1,24 +1,26 @@
 """The row kernels of ``polys`` and ``weylalg`` against their ``Poly``
 forms in ``oracles``: the Taylor shift, the order at a root, division by a
 monomial, the theta expansion, the chart at infinity and the twists, the
-last also against their P_j built as ``Poly`` objects.  A twist at a point
-c runs at 0 between two translations, as ``ad_power`` and ``ad_exp_raw``
-run it; the oracles twist at c itself.  And none of the first five builds
-a partial ``Poly`` on the pipeline's inputs."""
+last also against their P_j built as ``Poly`` objects, the primitive
+component and the translation of an operator, and the Lah numbers.  A
+twist at a point c runs at 0 between two translations, as ``ad_power`` and
+``ad_exp_raw`` run it; the oracles twist at c itself.  And none of the
+first five builds a partial ``Poly`` on the pipeline's inputs."""
 
 import random
 from fractions import Fraction
+from math import comb, factorial
 
 from conftest import bench_texts, random_fraction, random_poly_op
 from irrkatz import corpus
 from irrkatz.polys import Poly
 from irrkatz.weylalg import (
-    INF, DiffOperator, _shift_d, ad_exp_raw, ad_power, parse, prim, singular_points, subst_infty,
-    theta_expand, translate,
+    INF, DiffOperator, _lah, _shift_d, ad_exp_raw, ad_power, parse, prim, singular_points,
+    subst_infty, theta_expand, translate,
 )
 from oracles import (
-    RatFunc, coeffs, long_divmod, operator, order_at, shift_d, shift_d_by_polys, subst_infinity,
-    taylor_shift, theta_expansion,
+    RatFunc, coeffs, long_divmod, operator, order_at, prim_by_gcd, shift_d, shift_d_by_polys,
+    subst_infinity, taylor_shift, theta_expansion, translate_by_polys,
 )
 
 
@@ -79,6 +81,51 @@ def test_row_kernels_match_their_poly_oracles():
         divisor = Poly([0] * rng.randint(0, 4) + [rng.choice([1, -1, 3, Fraction(-2, 5)])])
         for dividend in (Poly(), Poly([rng.randint(-3, 3)]), rooted, *(a.num for a in coeffs(p))):
             assert dividend.divmod(divisor) == long_divmod(dividend, divisor), k
+
+
+def _common_factor(rng: random.Random, c: Fraction) -> Poly:
+    """1, x^k, (x - c)^k, 2x + 3, or a product of them (k = 1, 2)."""
+    f = Poly([1])
+    for g in (Poly.x(1), Poly([-c, 1]), Poly([3, 2])):
+        if rng.random() < 0.5:
+            f = f * g ** rng.randint(1, 2)
+    return f
+
+
+def test_prim_and_translate_match_their_poly_oracles():
+    # rows with a common factor, integer content, a negative lead and zero
+    # rows; the same with the denominators x^k and (x - c)^k of the twists;
+    # points a/b with b up to 10^6.  Operators compare as their fields
+    # _rows, _d and _den, the normal form
+    gcds = set()
+    for k in range(400):
+        rng = random.Random(7000 + k)
+        c = _point(rng, k) if k % 2 else Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+        f = _common_factor(rng, c)
+        scale = rng.choice([1, -1, 6, -10, Fraction(3, 7)])
+        nums = [Poly() if rng.random() < 0.2 else scale * f * a.num
+                for a in coeffs(random_poly_op(rng, max_rank=4, max_deg=3))]
+        p = operator(nums if any(nums) else [f])
+        lam, w = random_fraction(rng) or Fraction(1, 2), random_fraction(rng) or Fraction(-1, 3)
+        for q in (p, ad_power(p, c, lam), ad_power(p, Fraction(0), lam), ad_exp_raw(p, c, {1: w}),
+                  ad_exp_raw(p, c, {1: w, 2: lam})):
+            expected = prim_by_gcd(q)
+            assert prim(q) == expected, k
+            gcds.add(len(q._rows[-1]) - len(expected._rows[-1]))
+            for at in (c, -c, Fraction(1, 3)):
+                assert translate(q, at) == translate_by_polys(q, at), (k, at)
+    # prim took factors of every degree from 0 to 6 off the leading row
+    assert set(range(7)) <= gcds, gcds
+
+
+def test_lah_numbers_expand_the_chart_derivative():
+    # (x^2 D)^i = sum_k L(i, k) x^(i+k) D^k, L(i, k) = C(i-1, k-1) i!/k!
+    for i in range(1, 9):
+        terms = " + ".join(f"{_lah(i, k)}*x^{i + k}*D^{k}" for k in range(1, i + 1))
+        assert parse("x^2*D") ** i == parse(terms), i
+    for i in range(1, 40):
+        for k in range(1, i + 1):
+            assert _lah(i, k) == comb(i - 1, k - 1) * Fraction(factorial(i), factorial(k)), (i, k)
 
 
 #: Denominators of the ladder parameters: rank n reads the first 2n - 1.
