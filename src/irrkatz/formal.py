@@ -11,6 +11,14 @@ slope supplies candidate leading theta-form coefficients, and twisting a
 candidate away recursively peels the factor down to its regular-singular
 core, whose characteristic polynomial is grouped into integer chains and
 certified by the triangular vanishing conditions on the theta expansion.
+
+Roots and chain bases stay (numerator, denominator) pairs through the
+root search, the chain grouping and the triangular check; a ``Fraction``
+is built only for a factor coefficient and for the text of an error.
+What extraction builds holds every condition the constructors of
+:class:`SpectralData` and :class:`FormalData` check, so it assembles both
+without checking again (``_grouped``, ``_assembled``); every other caller
+goes through the checks.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
+from functools import cmp_to_key
 from typing import Collection, Mapping, Sequence
 
 from . import weylalg
@@ -139,7 +147,8 @@ class SpectralData:
     expressions this is the generic reading): exactly when their
     :meth:`ParamExpr.residue_key` agree.  The constructor groups the bases
     by key and names the first pair, in the order of the chains, that
-    shares one.
+    shares one.  Extraction builds its data with :meth:`_grouped` instead,
+    from chains that hold all three checks by construction.
     """
 
     __slots__ = ("chains",)
@@ -159,6 +168,18 @@ class SpectralData:
             raise ValueError(f"chain bases {parsed[i][0]} and {parsed[j][0]} differ by an integer")
         object.__setattr__(self, "chains", parsed)
 
+    @staticmethod
+    def _grouped(chains: Sequence[tuple[tuple[int, int], int]]) -> "SpectralData":
+        """The data of the chains :func:`group_chains` returns, bases as
+        coprime pairs, not checked again: the roots of a characteristic
+        polynomial of degree >= 1 give at least one chain, each chain has
+        at least one member, and the chains are distinct classes (a mod b,
+        b), which is the residue key of the base a/b."""
+        data = object.__new__(SpectralData)
+        object.__setattr__(
+            data, "chains", tuple((ParamExpr.of_pair(a, b), m) for (a, b), m in chains))
+        return data
+
     @property
     def rank(self) -> int:
         return sum(m for _, m in self.chains)
@@ -177,7 +198,9 @@ class FormalData:
     """Per-point factor lists; the point at infinity always comes first.
 
     Factor list order is significant: it fixes the slot indexing shared
-    with lattice vectors and exponent vectors.
+    with lattice vectors and exponent vectors.  The constructor checks the
+    points and factors; extraction, whose points hold every check by
+    construction, assembles them with :meth:`_assembled`.
     """
 
     __slots__ = ("points",)
@@ -207,6 +230,23 @@ class FormalData:
         if len(set(ranks)) > 1:
             raise ValueError(f"unequal ranks across points: {ranks}")
         object.__setattr__(self, "points", pts)
+
+    @staticmethod
+    def _assembled(
+        points: tuple[tuple[Location, tuple[tuple[ExponentialFactor, SpectralData], ...]], ...],
+    ) -> "FormalData":
+        """The data of the points :func:`extract_primitive` builds, not
+        checked again.  Infinity comes first, and the finite points are
+        distinct roots of the leading coefficient.  Each point's factor
+        ranks add up to the operator's rank, so a point has a factor and the
+        ranks agree.  Each factor is built at its own point.  The factors at
+        a point are distinct: factors of distinct slopes have distinct top
+        orders, and those of one slope distinct leading coefficients, the
+        distinct roots of its boundary polynomial, and below them distinct
+        factors of the twisted operator, by induction."""
+        data = object.__new__(FormalData)
+        object.__setattr__(data, "points", points)
+        return data
 
     @property
     def rank(self) -> int:
@@ -305,35 +345,38 @@ def oshima_check(expansion: ThetaExpansion, data: SpectralData) -> bool:
     return True
 
 
-def group_chains(roots: Mapping[Fraction, int]) -> list[tuple[Fraction, int]]:
+def group_chains(roots: Mapping[tuple[int, int], int]) -> list[tuple[tuple[int, int], int]]:
     """Group characteristic roots into integer chains.
 
+    ``roots`` maps each root, a coprime pair (a, b) with b > 0, to its
+    multiplicity, as :meth:`Poly.rational_roots` returns them; the chains
+    are ((a, b) of the base, length), sorted by the value of the base.
     Each residue class modulo 1 must form a gap-free, multiplicity-free
     run lam, lam+1, ..., lam+m-1; anything else is not representable as
     spectral data and is reported honestly.  The class of a/b is the key
     (a mod b, b); its members share the denominator b, so they sort by
     numerator, and two neighbours are a unit apart when their numerators
-    are b apart.
+    are b apart.  Bases compare by cross-multiplication: a/b < c/e exactly
+    when a*e < c*b.  A ``Fraction`` is built only for an error's text.
     """
-    classes: dict[tuple[int, int], list[Fraction]] = {}
-    for root, mult in roots.items():
+    classes: dict[tuple[int, int], list[int]] = {}
+    for (a, b), mult in roots.items():
         if mult != 1:
             raise OshimaCheckError(
-                f"repeated characteristic exponent {root}; chain grouping is ambiguous"
+                f"repeated characteristic exponent {Fraction(a, b)}; chain grouping is ambiguous"
             )
-        b = root.denominator
-        classes.setdefault((root.numerator % b, b), []).append(root)
+        classes.setdefault((a % b, b), []).append(a)
     chains = []
     for (_, b), members in classes.items():
-        members.sort(key=attrgetter("numerator"))
+        members.sort()
         for lo, hi in zip(members, members[1:]):
-            if hi.numerator - lo.numerator != b:
+            if hi - lo != b:
                 raise OshimaCheckError(
-                    f"exponents {lo} and {hi} differ by a non-unit integer; "
-                    "no valid chain grouping"
+                    f"exponents {Fraction(lo, b)} and {Fraction(hi, b)} differ by a non-unit "
+                    "integer; no valid chain grouping"
                 )
-        chains.append((members[0], len(members)))
-    chains.sort()
+        chains.append(((members[0], b), len(members)))
+    chains.sort(key=cmp_to_key(lambda x, y: x[0][0] * y[0][1] - y[0][0] * x[0][1]))
     return chains
 
 
@@ -349,20 +392,21 @@ def extract_formal_data(p: DiffOperator) -> FormalData:
 
 
 def extract_primitive(
-    p: DiffOperator, hints: Mapping[Location, Collection[Fraction]] | None = None
+    p: DiffOperator, hints: Mapping[Location, Collection[tuple[int, int]]] | None = None
 ) -> FormalData:
     """Compute the formal datum of a primitive operator.
 
     Requires rational singular points, integer slopes and characteristic
     polynomials splitting over Q; failures raise the dedicated errors.
-    ``hints`` maps points to candidate roots that the root searches there
-    try first, and its finite points are candidates for the leading
-    coefficient; they change the work, not the result
-    (:meth:`Poly.rational_roots`).
+    ``hints`` maps points to candidate roots, coprime pairs (a, b) with b
+    > 0, that the root searches there try first, and its finite points are
+    candidates for the leading coefficient; they change the work, not the
+    result (:meth:`Poly.rational_roots`).  The datum is assembled without
+    the constructors' checks (:meth:`FormalData._assembled`).
     """
     if p.rank < 1:
         raise ValueError("extraction needs an operator of rank >= 1")
-    points: list[tuple[Location, list[tuple[ExponentialFactor, SpectralData]]]] = []
+    points = []
     hints = hints or {}
     finite = weylalg.singular_points(p, [at for at in hints if at is not INF])
     for at in [INF] + finite:
@@ -383,12 +427,12 @@ def extract_primitive(
                 coeffs = {k: -v for k, v in coeffs.items()}
             factors.append((ExponentialFactor(at, coeffs), spectral))
         factors.sort(key=lambda fs: (fs[0].degree, fs[0]._items))
-        points.append((at, factors))
-    return FormalData(points)
+        points.append((at, tuple(factors)))
+    return FormalData._assembled(tuple(points))
 
 
 def _peel_factors(
-    q: DiffOperator, max_degree: int | None, hints: Collection[Fraction]
+    q: DiffOperator, max_degree: int | None, hints: Collection[tuple[int, int]]
 ) -> list[tuple[dict[int, Fraction], SpectralData]]:
     """Factors of the chart operator at 0 with theta-degree < max_degree.
 
@@ -416,7 +460,7 @@ def _peel_factors(
             raise NonSplitCharPolyError(
                 f"slope-{k} boundary polynomial {edge} does not split over Q"
             )
-        for v0, mult in sorted(roots.items()):
+        for v0, mult in sorted((Fraction(a, b), m) for (a, b), m in roots.items()):
             twisted = weylalg.ad_exp_raw(q, Fraction(0), {k: -v0})
             sub = _peel_factors(twisted, k, hints)
             got = sum(s.rank for _, s in sub)
@@ -432,7 +476,7 @@ def _peel_factors(
 
 
 def _regular_spectral_data(
-    theta: ThetaExpansion, expected_rank: int, hints: Collection[Fraction]
+    theta: ThetaExpansion, expected_rank: int, hints: Collection[tuple[int, int]]
 ) -> SpectralData:
     char = weylalg.char_poly(theta)
     if char.degree != expected_rank:
@@ -444,8 +488,7 @@ def _regular_spectral_data(
         raise NonSplitCharPolyError(
             f"characteristic polynomial {char.format('theta')} does not split over Q"
         )
-    chains = group_chains(roots)
-    data = SpectralData(chains)
+    data = SpectralData._grouped(group_chains(roots))
     if not oshima_check(theta, data):
         raise OshimaCheckError(
             f"triangular vanishing conditions fail for chains {data.format()}"

@@ -25,17 +25,20 @@ Normalization is skipped where it cannot change the result.  The gcd with
 a nonzero constant is 1, so a constant denominator only divides the
 numerator.  A product with the constant 1 is the other factor, shared as
 ``Poly`` is immutable.  Division by a monomial ``a*x^d`` (the denominators
-of the chart at infinity and of the twists at 0) is a slice: the quotient
-is ``coeffs[d:]/a``, the remainder ``coeffs[:d]``.  The Taylor shift and
-the order at a point ``a/b`` run on integers, scaled by powers of ``b``.
+of the twists at 0) is a slice: the quotient is ``coeffs[d:]/a``, the
+remainder ``coeffs[:d]``.  The Taylor shift and the order at a point
+``a/b`` run on integers, scaled by powers of ``b``.
 
-A rational point is read as its numerator and denominator, and no
-``Fraction`` is built to test it: :func:`root_order` counts the exact
-divisions of the numerators by ``b*x - a``, which is how candidate roots
-(the hints of :meth:`Poly.rational_roots`) are tested, each distinct one
-once; :func:`scaled_value` is the integer ``b^m n(a/b)``, zero exactly at
-a root, which checks the p-adic roots and, as :meth:`Poly.vanishes_at`,
-the vanishing conditions of ``formal.oshima_check``.
+A rational point is read as its numerator and denominator, a coprime
+pair (a, b) with b > 0, and no ``Fraction`` is built to test it:
+:func:`root_order` counts the exact divisions of the numerators by ``b*x -
+a``, which is how candidate roots (the hints of :meth:`Poly.rational_roots`)
+are tested, each distinct one once; :func:`scaled_value` is the integer
+``b^m n(a/b)``, zero exactly at a root, which checks the p-adic roots and,
+as :meth:`Poly.vanishes_at`, the vanishing conditions of
+``formal.oshima_check``.  The roots themselves are such pairs, as hints and
+as results: the callers build a ``Fraction`` only for a value that leaves
+local analysis (a singular point, a factor coefficient).
 """
 
 from __future__ import annotations
@@ -293,13 +296,6 @@ class Poly:
         m = self.degree
         return from_row(shift_row(self._n, a, b, m), self._d * b**m)
 
-    def reverse(self, at_degree: int | None = None) -> "Poly":
-        """Coefficient reversal: x^n * p(1/x) for n = at_degree (default deg p)."""
-        n = self.degree if at_degree is None else at_degree
-        if n < self.degree:
-            raise ValueError("reversal degree below actual degree")
-        return from_row([0] * (n - self.degree) + list(reversed(self._n)), self._d)
-
     def vanishes_at(self, a: int, b: int) -> bool:
         """Whether p(a/b) = 0, for b > 0: :func:`scaled_value` of the
         numerators is 0."""
@@ -323,41 +319,34 @@ class Poly:
             g = -g
         return Fraction(g, self._d), from_row([a // g for a in self._n])
 
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        sign = -1 if self._n[-1] < 0 else 1
-        return from_row([sign * a for a in self._n], sign * self._n[-1])
+    def rational_roots(self, hints: Iterable[tuple[int, int]] = ()) -> dict[tuple[int, int], int]:
+        """All rational roots a/b with multiplicities, keyed by the coprime
+        pair (a, b), b > 0: 0 first, then by (|a|, b, a < 0), the order of
+        the rational root theorem's divisor enumeration.  After the factor
+        x^k, :func:`_searched_roots` finds the roots of the rest: in closed
+        form up to degree 2, by p-adic expansion above.
 
-    def rational_roots(self, hints: Iterable[Scalar] = ()) -> dict[Fraction, int]:
-        """All rational roots with multiplicities: 0 first, then by (|a|,
-        b, a < 0), the order of the rational root theorem's divisor
-        enumeration.  After the factor x^k, :func:`_searched_roots` finds
-        the roots of the rest: in closed form up to degree 2, by p-adic
-        expansion above.
-
-        ``hints`` are candidate roots, tried first: each distinct one once,
-        by :func:`root_order` on its numerator and denominator.  When the
-        multiplicities of those that are roots add up to the degree, there
-        is no other root, and the search is skipped.  The result is the
-        same for any hints.
+        ``hints`` are candidate roots, coprime pairs (a, b) with b > 0,
+        tried first: each distinct one once, by :func:`root_order`.  When
+        the multiplicities of those that are roots add up to the degree,
+        there is no other root, and the search is skipped.  The result is
+        the same for any hints.
         """
         if self.is_zero():
             raise ValueError("roots of the zero polynomial")
         n, degree = self._n, len(self._n) - 1
         hinted, seen, total = [], set(), 0
         for c in hints:
-            a, b = c.numerator, c.denominator
-            if (a, b) in seen:
+            if c in seen:
                 continue
-            seen.add((a, b))
-            if k := root_order(n, a, b):
-                hinted.append((_root_order(c), c if type(c) is Fraction else Fraction(c), k))
+            seen.add(c)
+            if k := root_order(n, *c):
+                hinted.append((_root_order(c), c, k))
                 total += k
                 if total == degree:
                     return {root: k for _, root, k in sorted(hinted)}
         low = root_order(n, 0, 1)
-        roots = {Fraction(0): low} if low else {}
+        roots = {(0, 1): low} if low else {}
         if low < degree:
             roots.update(_searched_roots(n[low:]))
         return roots
@@ -407,9 +396,17 @@ def as_poly(value: PolyLike) -> Poly:
     return Poly.const(value)
 
 
-def _root_order(q: Fraction) -> tuple:
+def _root_order(root: tuple[int, int]) -> tuple:
     """The order of :meth:`Poly.rational_roots`: 0, then by (|a|, b, a < 0)."""
-    return abs(q.numerator), q.denominator, q.numerator < 0
+    a, b = root
+    return abs(a), b, a < 0
+
+
+def _pair(a: int, b: int) -> tuple[int, int]:
+    """The rational a/b, b nonzero, as a coprime pair with a positive
+    denominator."""
+    g = int_gcd(a, b)
+    return (a // g, b // g) if b > 0 else (-a // g, -b // g)
 
 
 def _eval_mod(f: list[int], r: int, m: int) -> int:
@@ -419,10 +416,10 @@ def _eval_mod(f: list[int], r: int, m: int) -> int:
     return acc
 
 
-def _searched_roots(f: Sequence[int]) -> list[tuple[Fraction, int]]:
+def _searched_roots(f: Sequence[int]) -> list[tuple[tuple[int, int], int]]:
     """The rational roots of a nonzero f in Z[x] of degree >= 1 with f(0)
-    != 0 (lowest degree first), with their multiplicities, in the order of
-    :meth:`Poly.rational_roots`: the one root search.
+    != 0 (lowest degree first), as pairs with their multiplicities, in the
+    order of :meth:`Poly.rational_roots`: the one root search.
 
     Degree 1 is the root -f_0/f_1.  Degree 2 is c + b x + a x^2 with
     discriminant b^2 - 4ac: none when it is negative or not a square
@@ -433,27 +430,29 @@ def _searched_roots(f: Sequence[int]) -> list[tuple[Fraction, int]]:
     multiplicity is its order.
     """
     if len(f) == 2:
-        return [(Fraction(-f[0], f[1]), 1)]
+        return [(_pair(-f[0], f[1]), 1)]
     if len(f) == 3:
         c, b, a = f
         disc = b * b - 4 * a * c
         if disc < 0 or (s := isqrt(disc)) ** 2 != disc:
             return []
         if not s:
-            return [(Fraction(-b, 2 * a), 2)]
-        roots = (Fraction(-b + s, 2 * a), Fraction(-b - s, 2 * a))
+            return [(_pair(-b, 2 * a), 2)]
+        roots = (_pair(-b + s, 2 * a), _pair(-b - s, 2 * a))
         return [(root, 1) for root in sorted(roots, key=_root_order)]
     _, zp = from_row(list(f)).int_content_and_primitive()
     _, sf = (zp // poly_gcd(zp, zp.derivative())).int_content_and_primitive()
-    return [(root, zp.order_at(root)) for root in sorted(_lifted_roots(sf._n), key=_root_order)]
+    return [
+        (root, root_order(zp._n, *root)) for root in sorted(_lifted_roots(sf._n), key=_root_order)
+    ]
 
 
-def _lifted_roots(f: tuple[int, ...]) -> list[Fraction]:
-    """Rational roots of a square-free f in Z[x] (lowest degree first,
-    f(0) != 0): the smallest odd prime p that leaves lc(f) a unit and every
-    root mod p simple; each root mod p Newton-lifted until p^e >
-    2|f(0)||lc(f)| and read back as a/b with |a| <= |f(0)| and 0 < b <=
-    |lc(f)|; a candidate counts only if f(a/b) = 0 exactly."""
+def _lifted_roots(f: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Rational roots, as coprime pairs, of a square-free f in Z[x] (lowest
+    degree first, f(0) != 0): the smallest odd prime p that leaves lc(f) a
+    unit and every root mod p simple; each root mod p Newton-lifted until
+    p^e > 2|f(0)||lc(f)| and read back as a/b with |a| <= |f(0)| and 0 < b
+    <= |lc(f)|; a candidate counts only if f(a/b) = 0 exactly."""
     a0, lead = abs(f[0]), abs(f[-1])
     df = [k * c for k, c in enumerate(f)][1:]
     p = 3
@@ -480,7 +479,7 @@ def _lifted_roots(f: tuple[int, ...]) -> list[Fraction]:
             a and b <= lead and a0 % a == 0 and lead % b == 0
             and scaled_value(f, a, b) == 0
         ):
-            out.append(Fraction(a, b))
+            out.append(_pair(a, b))
     return out
 
 
@@ -567,7 +566,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         a, b = b, a % b
     if a.is_zero():
         return a
-    return a.monic()
+    sign = -1 if a._n[-1] < 0 else 1
+    return from_row([sign * c for c in a._n], sign * a._n[-1])
 
 
 @cache

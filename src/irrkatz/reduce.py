@@ -369,14 +369,17 @@ def _check_prediction(
     predicted exponent and factor coefficient.  When the prediction holds
     they are all the roots, and no search for others runs.  The chains
     are compared as pairs; a failure prints them as sorted ``Fraction``
-    lists."""
+    lists.  The hints are coprime pairs too: the exponents (a + v b, b) of
+    each chain of base (a, b), and each factor coefficient n/d as (n, d) and
+    (-n, d)."""
     hints = {}
     for loc in locations:
         point = predicted[loc]
         hints[loc] = [
-            Fraction(a + v * b, b)
+            (a + v * b, b)
             for chains in point.values() for (a, b), mult in chains for v in range(mult)
-        ] + [s * v for w in point for v in w.coeffs.values() for s in (1, -1)]
+        ] + [(s * v.numerator, v.denominator) for w in point for v in w.coeffs.values()
+             for s in (1, -1)]
     extracted = dict(formal.extract_primitive(op, hints).points)
     for loc in locations:
         factors = extracted.pop(loc, None)

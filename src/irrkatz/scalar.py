@@ -14,7 +14,8 @@ with one gcd; a sum with an integer needs none.  A ``Fraction`` is built
 only where a value leaves the stage (:attr:`ParamExpr.const`,
 :attr:`ParamExpr.terms`, :meth:`ParamExpr.as_rat`, the coefficients of
 the text form), and a parameter-free value is read as its (numerator,
-denominator) pair by :meth:`ParamExpr.as_pair`.
+denominator) pair by :meth:`ParamExpr.as_pair` and built from one by
+:meth:`ParamExpr.of_pair`.
 """
 
 from __future__ import annotations
@@ -65,6 +66,12 @@ class ParamExpr:
     def param(name: str) -> "ParamExpr":
         """The bare parameter ``name``."""
         return _expr(0, ((name, 1),), 1)
+
+    @staticmethod
+    def of_pair(a: int, b: int) -> "ParamExpr":
+        """The constant a/b of a coprime pair with b > 0, as
+        :meth:`as_pair` reads it back; no ``Fraction`` is built."""
+        return _expr(a, (), b)
 
     @staticmethod
     def of(value: "ParamLike") -> "ParamExpr":

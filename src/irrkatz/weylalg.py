@@ -50,8 +50,10 @@ power of x dividing every row cancels, a slice of each row.  In
 :func:`_shift_d` the numerators P_j of the Y_j are integer rows, one
 integer scale M per step of their recurrence (integer constants for
 :func:`ad_power`), and each term ``C(m+j, j) N_(m+j) P_j x^(e(J-j))``, J
-the rank, is added at the offset ``e(J-j)``; the chart at infinity adds
-each Lah term at the offset ``i + k``.
+the rank, is added at the offset ``e(J-j)``.  The chart at infinity adds
+each Lah term, a reversed row times one integer, at the offset ``i + k``,
+and the theta expansion each falling factorial times one integer, both
+inline.
 
 The product (``DiffOperator.__mul__``) is of polynomial operators: with
 ``P = sum_i N_i D^i`` and ``Q = sum_j K_j D^j``, the Leibniz rule ``D^i b =
@@ -576,6 +578,11 @@ def theta_expand(p: DiffOperator, at: Location) -> ThetaExpansion:
     denominators must be powers of (x - c); this holds for polynomial
     operators and for everything produced by the extraction pipeline.
     Anything else raises ``ValueError``.
+
+    At 0, over ``d x^s``, the entry gamma of x^m D^j has weight m - s - j
+    and adds gamma times the falling factorial of degree j to the integer
+    row of that weight, in place, one entry at a time; each row becomes a
+    ``Poly`` once, and a row that cancels to zero is no term.
     """
     if p.is_zero():
         raise ValueError("theta expansion of the zero operator")
@@ -591,15 +598,17 @@ def theta_expand(p: DiffOperator, at: Location) -> ThetaExpansion:
                 raise ValueError(f"coefficient {text} is not a Laurent polynomial at {c}")
     # at 0 the denominator is x^s and the rows hold the Taylor coefficients
     q = translate(q, c)
+    # the falling factorial of degree j >= 1 has constant term 0
     rows: dict[int, list[int]] = {}
     for j, row in enumerate(q._rows):
         ff = falling_factorial(j)._n
-        for m, gamma in enumerate(row):
+        for w, gamma in enumerate(row, -shift - j):
             if gamma:
-                w = (m - shift) - j
-                if w not in rows:
-                    rows[w] = [0] * len(q._rows)
-                _add_product(rows[w], ff, (gamma,))
+                acc = rows.get(w)
+                if acc is None:
+                    acc = rows[w] = [0] * len(q._rows)
+                for k in range(1 if j else 0, j + 1):
+                    acc[k] += gamma * ff[k]
     terms = ((i, from_row(rows[i], q._d)) for i in sorted(rows))
     return ThetaExpansion(at, tuple((i, t) for i, t in terms if t))
 
@@ -823,24 +832,36 @@ def subst_infty(p: DiffOperator) -> DiffOperator:
     and d the largest degree among M and the N_i, ``a_i(1/x) =
     rev_d(N_i)/rev_d(M)``, so the coefficient of D^k is
     ``sum_i (-1)^i L(i, k) x^(i+k) rev_d(N_i)`` over ``rev_d(M)``.
+
+    It runs on the integer rows: each Lah term adds the reversed row N_i,
+    times one integer, at the offset ``i + k`` plus the zeros that pad it to
+    degree d; ``rev_d(M)`` is the reversed numerator row of M, padded the
+    same way.  For a polynomial operator M = 1, so the denominator is the
+    power x^(d - k) that remains after the common power x^k is sliced off.
     """
     if p.is_zero():
         return p
-    den = p._den
-    d = max(den.degree, *(len(row) - 1 for row in p._rows))
-    revs = [[0] * (d + 1 - len(row)) + list(row[::-1]) for row in p._rows]
-    rows = [revs[0]] + [[0] * (d + 2 * len(revs)) for _ in revs[1:]]
-    for i in range(1, len(revs)):
+    den, ins = p._den, p._rows
+    d = max(den.degree, *(len(row) - 1 for row in ins))
+    rows = [[0] * (d + 1 - len(ins[0])) + list(ins[0][::-1])]
+    rows += [[0] * (d + 2 * len(ins)) for _ in ins[1:]]
+    for i in range(1, len(ins)):
+        terms = [(s, x) for s, x in enumerate(reversed(ins[i]), d + 1 - len(ins[i]) + i) if x]
         for k in range(1, i + 1):
-            _add_product(rows[k], revs[i], ((-1) ** i * _lah(i, k),), offset=i + k)
+            lah, acc = (-_lah(i, k) if i % 2 else _lah(i, k)), rows[k]
+            for s, x in terms:
+                acc[s + k] += lah * x
     # rev_d(M) = x^(d - deg M) rev(M) is lead/R_d times its monic form; away
     # from 0 the involution keeps pole orders, so only powers of x cancel
-    rev = den.reverse(d)
-    lead = rev._n[-1]
-    scale = rev._d if lead > 0 else -rev._d
+    rev = [0] * (d - den.degree) + list(den._n[::-1])
+    while not rev[-1]:
+        rev.pop()
+    lead = abs(rev[-1])
+    sign = 1 if rev[-1] > 0 else -1
     k, rows = _divide_out(rows, d - den.degree)
-    return _operator([[scale * a for a in row] for row in rows], p._d * abs(lead),
-                     rev.monic() // Poly.x(k))
+    if (scale := sign * den._d) != 1:
+        rows = [[scale * a for a in row] for row in rows]
+    return _operator(rows, p._d * lead, from_row([sign * a for a in rev[k:]], lead))
 
 
 def _fourier(p: DiffOperator, x_sign: int, d_sign: int) -> DiffOperator:
@@ -895,10 +916,10 @@ def singular_points(p: DiffOperator, hints: Iterable[Fraction] = ()) -> list[Fra
     coefficient, found with the candidate roots ``hints`` tried first
     (:meth:`Poly.rational_roots`)."""
     lead = p.leading()
-    roots = lead.rational_roots(hints)
+    roots = lead.rational_roots((c.numerator, c.denominator) for c in hints)
     if sum(roots.values()) != lead.degree:
         raise IrrationalSingularityError(
             f"leading coefficient {lead} has irrational roots"
         )
-    return sorted(roots)
+    return sorted(Fraction(a, b) for a, b in roots)
 

@@ -14,12 +14,16 @@ root loop on ``Fraction``s, the chain grouping, the triangular check and
 the separation of chain bases on ``Fraction``s, the Euler step's
 hypotheses on the twisted chain table, long division, the theta expansion,
 the chart at infinity and the twists in ``Poly`` arithmetic, one new
-``Poly`` per partial sum, the twists' P_j as one new ``Poly`` each, the
+``Poly`` per partial sum, the theta expansion and the chart at infinity
+with one ``_add_product`` call per term, the twists' P_j as one new
+``Poly`` each, the
 primitive component, the translation and the division by (x - c)^k as
 they were, the numerators of ``Poly``s over one denominator, the
 tokenizer that read every numeral as a ``Fraction``), a check no pipeline code runs (ker phi in the radical of
 the form, from its closed-form basis), or a small accessor no pipeline
-code needs (the degree of an operator, the sum and negation of
+code needs (the reversal and the monic form of a ``Poly``, rationals as
+(numerator, denominator) pairs and back, the degree of an operator, the
+sum and negation of
 operators, and ``RatFunc`` with the operator built from and read back as
 its coefficients, which the tests use to build and inspect operators; the
 zero lattice vector, multiples of one and the test for zero; the
@@ -50,7 +54,8 @@ from irrkatz.reduce import AssumptionViolatedError
 from irrkatz.rootsys import Node, RootBasis, RootVector, build_basis, phi
 from irrkatz.scalar import ParamExpr, ParamLike
 from irrkatz.weylalg import (
-    INF, DiffOperator, Location, OperatorSyntaxError, ThetaExpansion, _add_product, _lah, _operator,
+    INF, DiffOperator, Location, OperatorSyntaxError, ThetaExpansion, _add_product, _coefficient,
+    _divide_out, _lah, _operator, translate,
 )
 
 # -- rootsys ---------------------------------------------------------------------
@@ -555,7 +560,7 @@ class FractionPoly:
         if zp.degree == 0:
             return roots
         _, sf = zp.divmod(fraction_poly_gcd(zp, zp.derivative()))[0].int_content_and_primitive()
-        found = _lifted_roots(tuple(int(c) for c in sf.coeffs))
+        found = [Fraction(a, b) for a, b in _lifted_roots(tuple(int(c) for c in sf.coeffs))]
         for root in sorted(found, key=lambda q: (abs(q.numerator), q.denominator, q < 0)):
             roots[root] = zp.order_at(root)
         return roots
@@ -593,7 +598,7 @@ class RatFunc:
                 lead = leading(den)
                 if lead != 1:
                     num = num * (1 / lead)
-                    den = den.monic()
+                    den = monic(den)
                 if den.degree == 0:
                     den = UNIT
         object.__setattr__(self, "num", num)
@@ -716,6 +721,22 @@ def leading(p: Poly) -> Fraction:
     return p[p.degree]
 
 
+def reverse(p: Poly, at_degree: int | None = None) -> Poly:
+    """Coefficient reversal: x^n * p(1/x) for n = at_degree (default deg p)."""
+    n = p.degree if at_degree is None else at_degree
+    if n < p.degree:
+        raise ValueError("reversal degree below actual degree")
+    return from_row([0] * (n - p.degree) + list(reversed(p._n)), p._d)
+
+
+def monic(p: Poly) -> Poly:
+    """p over its leading coefficient; the zero polynomial itself."""
+    if p.is_zero():
+        return p
+    sign = -1 if p._n[-1] < 0 else 1
+    return from_row([sign * a for a in p._n], sign * p._n[-1])
+
+
 def long_divmod(p: Poly, other: Poly) -> tuple[Poly, Poly]:
     """Quotient and remainder by schoolbook long division."""
     if other.is_zero():
@@ -757,11 +778,30 @@ def order_at(p: Poly, c) -> int:
     return m
 
 
+def pairs(values) -> list[tuple[int, int]]:
+    """Rationals, ``Fraction``s or ints, as the coprime (numerator,
+    denominator) pairs that ``Poly.rational_roots`` takes as hints."""
+    return [(Fraction(c).numerator, Fraction(c).denominator) for c in values]
+
+
+def pair_keys(roots) -> dict[tuple[int, int], int]:
+    """A dict keyed by rationals, keyed by their pairs instead, in the same
+    order: roots as ``Poly.rational_roots`` returns them."""
+    return dict(zip(pairs(roots), roots.values()))
+
+
+def fraction_keys(roots) -> dict[Fraction, int]:
+    """A dict keyed by (numerator, denominator) pairs, keyed by the
+    ``Fraction``s instead, in the same order."""
+    return {Fraction(a, b): m for (a, b), m in roots.items()}
+
+
 def hinted_rational_roots(p: Poly, hints) -> dict[Fraction, int]:
-    """``Poly.rational_roots(hints)`` with the hints tried as ``Fraction``s:
-    the order of each at :func:`order_at`, a linear scan for repeats, and
-    the search (``rational_roots()`` without hints) when they do not fill
-    the degree."""
+    """``Poly.rational_roots(hints)`` with the hints tried as ``Fraction``s
+    and the roots keyed by ``Fraction``s: the order of each at
+    :func:`order_at`, a linear scan for repeats, and the search
+    (``rational_roots()`` without hints) when they do not fill the
+    degree."""
     hinted, total = [], 0
     for c in hints:
         if (k := order_at(p, c)) and all(c != root for root, _ in hinted):
@@ -770,7 +810,7 @@ def hinted_rational_roots(p: Poly, hints) -> dict[Fraction, int]:
             if total == p.degree:
                 return dict(sorted(hinted, key=lambda item: (
                     abs(item[0].numerator), item[0].denominator, item[0] < 0)))
-    return p.rational_roots()
+    return fraction_keys(p.rational_roots())
 
 
 def falling_factorial(j: int) -> Poly:
@@ -798,7 +838,7 @@ def subst_infinity(p: DiffOperator) -> DiffOperator:
         return p
     den, nums = over_common_denominator(p)
     d = max(q.degree for q in [den, *nums])
-    revs = [q.reverse(d) for q in nums]
+    revs = [reverse(q, d) for q in nums]
     out = [revs[0]]
     for k in range(1, len(revs)):
         acc = Poly()
@@ -806,7 +846,7 @@ def subst_infinity(p: DiffOperator) -> DiffOperator:
             lah = (-1) ** i * _lah(i, k)
             acc = acc + Poly([0] * (i + k) + [lah * a for a in revs[i].coeffs])
         out.append(acc)
-    rev_den = den.reverse(d)
+    rev_den = reverse(den, d)
     return _like(p, [RatFunc(q, rev_den) for q in out])
 
 
@@ -854,7 +894,7 @@ def subst_inverse(f: RatFunc) -> RatFunc:
     n = max(f.num.degree, f.den.degree)
     if n < 0:
         return f
-    return RatFunc(f.num.reverse(n), f.den.reverse(n))
+    return RatFunc(reverse(f.num, n), reverse(f.den, n))
 
 
 # -- weylalg ---------------------------------------------------------------------
@@ -1034,6 +1074,54 @@ def shift_d_by_polys(p: DiffOperator, g: Poly, e: int, c: Fraction) -> DiffOpera
 
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+(?:/\d+)?)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*^]))")
+
+
+def theta_expand_by_products(p: DiffOperator, at: Location) -> ThetaExpansion:
+    """``weylalg.theta_expand`` with one ``_add_product`` call per monomial,
+    the falling factorial times a one-entry row, and the chart at infinity
+    of :func:`subst_infty_by_products`."""
+    if p.is_zero():
+        raise ValueError("theta expansion of the zero operator")
+    q, c = (subst_infty_by_products(p), Fraction(0)) if at is INF else (p, at)
+    shift = q._den.degree
+    if shift and q._den.order_at(c) != shift:
+        for row in filter(None, q._rows):
+            text, den = _coefficient(row, q._d, q._den)
+            if den.degree and den.order_at(c) != den.degree:
+                raise ValueError(f"coefficient {text} is not a Laurent polynomial at {c}")
+    q = translate(q, c)
+    rows: dict[int, list[int]] = {}
+    for j, row in enumerate(q._rows):
+        ff = falling_factorial(j)._n
+        for m, gamma in enumerate(row):
+            if gamma:
+                w = (m - shift) - j
+                if w not in rows:
+                    rows[w] = [0] * len(q._rows)
+                _add_product(rows[w], ff, (gamma,))
+    terms = ((i, from_row(rows[i], q._d)) for i in sorted(rows))
+    return ThetaExpansion(at, tuple((i, t) for i, t in terms if t))
+
+
+def subst_infty_by_products(p: DiffOperator) -> DiffOperator:
+    """``weylalg.subst_infty`` with one ``_add_product`` call per Lah term,
+    on rows padded to degree d, and the denominator as ``Poly`` arithmetic:
+    ``monic(rev_d(M)) // x^k``."""
+    if p.is_zero():
+        return p
+    den = p._den
+    d = max(den.degree, *(len(row) - 1 for row in p._rows))
+    revs = [[0] * (d + 1 - len(row)) + list(row[::-1]) for row in p._rows]
+    rows = [revs[0]] + [[0] * (d + 2 * len(revs)) for _ in revs[1:]]
+    for i in range(1, len(revs)):
+        for k in range(1, i + 1):
+            _add_product(rows[k], revs[i], ((-1) ** i * _lah(i, k),), offset=i + k)
+    rev = reverse(den, d)
+    lead = rev._n[-1]
+    scale = rev._d if lead > 0 else -rev._d
+    k, rows = _divide_out(rows, d - den.degree)
+    return _operator([[scale * a for a in row] for row in rows], p._d * abs(lead),
+                     monic(rev) // Poly.x(k))
 
 
 def tokenize(text: str) -> list[tuple[str, object, int]]:

@@ -26,7 +26,7 @@ def test_divmod_and_gcd():
 
 def test_rational_roots_with_multiplicity():
     p = Poly([-Fraction(1, 2), 1]) ** 2 * Poly([3, 1]) * Poly([0, 1])
-    assert p.rational_roots() == {Fraction(1, 2): 2, Fraction(-3): 1, Fraction(0): 1}
+    assert p.rational_roots() == {(1, 2): 2, (-3, 1): 1, (0, 1): 1}
     assert sum(p.rational_roots().values()) == p.degree
     assert sum(Poly([1, 0, 1]).rational_roots().values()) == 0     # x^2 + 1
     assert sum(Poly([-2, 0, 1]).rational_roots().values()) == 0    # x^2 - 2
@@ -86,11 +86,12 @@ def test_rational_roots_match_divisor_enumeration():
         Poly([1, 105]) * Poly([-2, 35]) ** 2 * Poly([1, 0, 1]),
     ]
     for p in polys:
-        assert list(p.rational_roots().items()) == list(_enumerate_roots(p).items()), p
+        assert list(p.rational_roots().items()) == list(
+            oracles.pair_keys(_enumerate_roots(p)).items()), p
     assert Poly([5]).rational_roots() == {}
     assert Poly([-9, -1, 1]).rational_roots() == {}
     assert list((Poly([-4, 0, 1]) * Poly([-1, 0, 4])).rational_roots()) == [
-        Fraction(1, 2), Fraction(-1, 2), Fraction(2), Fraction(-2)
+        (1, 2), (-1, 2), (2, 1), (-2, 1)
     ]
 
 
@@ -108,7 +109,7 @@ def test_rational_roots_match_sympy():
             if f.degree() == 1:
                 c1, c0 = f.all_coeffs()
                 root = -c0 / c1
-                want[Fraction(int(root.p), int(root.q))] = mult
+                want[int(root.p), int(root.q)] = mult
         assert p.rational_roots() == want, p
 
 
@@ -131,17 +132,17 @@ def test_rational_roots_with_hints_match_the_search(monkeypatch):
         want = list(p.rational_roots().items())
         roots = [r for r, _ in want]
         split = sum(k for _, k in want) == p.degree
-        non_roots = [
+        non_roots = oracles.pairs(
             Fraction(rng.randint(-99, 99), rng.choice([1, 6, 11, 10**12 + 39]))
             for _ in range(3)
-        ]
+        )
         non_roots = [c for c in non_roots if c not in roots]
         hint_sets = {
             "all": roots,
             "subset": roots[: rng.randrange(len(roots))] if roots else [],
             "extra": non_roots + roots,
-            "duplicates": roots + roots[::-1] + [int(r) for r in roots if r.denominator == 1],
-            "zero": [0] + roots,
+            "duplicates": roots + roots[::-1] + [(a, 1) for a, b in roots if b == 1],
+            "zero": [(0, 1)] + roots,
             "empty": [],
         }
         for name, hints in hint_sets.items():
@@ -182,17 +183,17 @@ def test_closed_form_roots_match_enumeration_and_sympy():
     x = sympy.Symbol("x")
     rng = random.Random(31)
     for p in _closed_form_polys(rng):
-        want = list(_enumerate_roots(p).items())
+        want = list(oracles.pair_keys(_enumerate_roots(p)).items())
         assert list(p.rational_roots().items()) == want, p
         factors = sympy.Poly(list(reversed(p.coeffs)), x, domain="QQ").factor_list()[1]
         linear = {}
         for f, mult in factors:
             if f.degree() == 1:
                 root = -f.all_coeffs()[1] / f.all_coeffs()[0]
-                linear[Fraction(int(root.p), int(root.q))] = mult
+                linear[int(root.p), int(root.q)] = mult
         assert p.rational_roots() == linear, p
         roots = [r for r, _ in want]
-        for hints in ([], roots, roots[::-1] + [Fraction(7, 5), 0], roots[:1], [Fraction(-1, 3)]):
+        for hints in ([], roots, roots[::-1] + [(7, 5), (0, 1)], roots[:1], [(-1, 3)]):
             assert list(p.rational_roots(hints).items()) == want, (p, hints)
 
 
@@ -214,9 +215,11 @@ def test_closed_form_roots_of_4000_digit_numerals():
         Poly([-numeral(4000), 0, 10**3999]): {},
     }
     for p, want in cases.items():
-        want = dict(sorted(want.items(), key=lambda item: polys._root_order(item[0])))
+        want = dict(sorted(oracles.pair_keys(want).items(),
+                           key=lambda item: polys._root_order(item[0])))
         assert list(p.rational_roots().items()) == list(want.items())
-        assert p.rational_roots() == oracles.FractionPoly(p.coeffs).rational_roots()
+        assert p.rational_roots() == oracles.pair_keys(
+            oracles.FractionPoly(p.coeffs).rational_roots())
         assert p.rational_roots(list(want)[::-1]) == want
 
 
@@ -244,8 +247,8 @@ def test_order_at_zero_counts_low_zero_coefficients():
 def test_shift_and_reverse():
     p = Poly([1, 2, 3])
     assert oracles.poly_eval(p.shift(Fraction(1)), 0) == oracles.poly_eval(p, 1)
-    assert p.reverse() == Poly([3, 2, 1])
-    assert p.reverse(4) == Poly([0, 0, 3, 2, 1])
+    assert oracles.reverse(p) == Poly([3, 2, 1])
+    assert oracles.reverse(p, 4) == Poly([0, 0, 3, 2, 1])
 
 
 def _shift_by_horner(p: Poly, c: Fraction) -> Poly:
@@ -423,7 +426,7 @@ def test_poly_constructor_coerces_only_non_fractions():
 def _euclid_gcd(a, b):
     while not b.is_zero():
         a, b = b, a % b
-    return a if a.is_zero() else a.monic()
+    return a if a.is_zero() else oracles.monic(a)
 
 
 def test_gcd_with_a_monomial_matches_euclid():
@@ -519,7 +522,7 @@ def test_gcd_falls_back_to_euclid_above_the_evaluation_bound(monkeypatch):
     mods.clear()
     monkeypatch.setattr(polys, "HEU_TRIES", 1)
     a, b = Poly([-6, -3, -2, 5, 0, 2]), Poly([6, 9, -4, 12, -2, 3])
-    assert poly_gcd(a, b) == _euclid_gcd(a, b) == Poly([3, 0, 1]).monic()
+    assert poly_gcd(a, b) == _euclid_gcd(a, b) == oracles.monic(Poly([3, 0, 1]))
     assert mods
 
 

@@ -2,7 +2,9 @@
 forms in ``oracles``: the Taylor shift, the order at a root, division by a
 monomial, the theta expansion, the chart at infinity and the twists, the
 last also against their P_j built as ``Poly`` objects, the primitive
-component and the translation of an operator, and the Lah numbers.  A
+component and the translation of an operator, and the Lah numbers; the
+theta expansion and the chart at infinity also against their forms with
+one ``_add_product`` call per term.  A
 twist at a point c runs at 0 between two translations, as ``ad_power`` and
 ``ad_exp_raw`` run it; the oracles twist at c itself.  And none of the
 first five builds a partial ``Poly`` on the pipeline's inputs."""
@@ -19,8 +21,9 @@ from irrkatz.weylalg import (
     subst_infty, theta_expand, translate,
 )
 from oracles import (
-    RatFunc, coeffs, long_divmod, operator, order_at, prim_by_gcd, shift_d, shift_d_by_polys,
-    subst_infinity, taylor_shift, theta_expansion, translate_by_polys,
+    RatFunc, coeffs, fraction_keys, long_divmod, operator, order_at, prim_by_gcd, shift_d,
+    shift_d_by_polys, subst_infinity, subst_infty_by_products, taylor_shift,
+    theta_expand_by_products, theta_expansion, translate_by_polys,
 )
 
 
@@ -174,7 +177,7 @@ def test_shift_d_matches_the_poly_recurrence():
 def test_row_kernels_build_no_partial_polys(monkeypatch):
     ops = [corpus.instantiate(name) for name in corpus.names()]
     ops += [parse(text) for text in bench_texts("analyze_mix", "hyp_ladder")]
-    roots = [p.leading().rational_roots() for p in ops]
+    roots = [fraction_keys(p.leading().rational_roots()) for p in ops]
 
     def refuse(*args):
         raise AssertionError("a Poly sum or product")
@@ -193,3 +196,26 @@ def test_row_kernels_build_no_partial_polys(monkeypatch):
                 a.num.shift(c)
             for divisor in (Poly.x(2), Poly([0, 3]), Poly([Fraction(-1, 2)])):
                 a.num.divmod(divisor)
+
+
+def test_theta_expand_and_subst_infty_match_their_per_term_forms():
+    # the kernels that add each falling factorial and each Lah term inline,
+    # against the forms with one _add_product call per term and the chart's
+    # denominator in Poly arithmetic, on seeded operators: polynomial ones,
+    # and the outputs of ad_power and ad_exp_raw, whose denominators are
+    # x^k at 0 and (x - c)^k at another point c
+    rng = random.Random(39)
+    rational = 0
+    for k in range(300):
+        p = random_poly_op(rng)
+        c = Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 3))
+        lam, w = random_fraction(rng) or 1, {1: random_fraction(rng) or 1, 2: random_fraction(rng)}
+        for q in (p, ad_power(p, Fraction(0), lam), ad_power(p, c, lam),
+                  ad_exp_raw(p, Fraction(0), w), ad_exp_raw(p, c, w), ad_exp_raw(p, INF, w)):
+            rational += not q.is_polynomial()
+            got, want = subst_infty(q), subst_infty_by_products(q)
+            assert (got._rows, got._d, got._den) == (want._rows, want._d, want._den), k
+            for at in (Fraction(0), c, INF):
+                got = _outcome(theta_expand, q, at)
+                assert got == _outcome(theta_expand_by_products, q, at), (k, at)
+    assert rational > 700, rational

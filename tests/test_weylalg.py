@@ -316,7 +316,7 @@ def test_char_poly_examples():
     heun = corpus.instantiate("Heun")
     c = corpus.get("Heun").defaults["c"]
     roots = char_poly(theta_expand(heun, ZERO)).rational_roots()
-    assert roots == {Fraction(0): 1, 1 - c: 1}
+    assert roots == {(0, 1): 1, ((1 - c).numerator, (1 - c).denominator): 1}
 
 
 def test_is_regular_singular_examples():
@@ -339,7 +339,7 @@ def test_char_poly_degree_dichotomy_on_corpus():
 
 def test_char_poly_at_infinity_orientation():
     # solutions x^5 have exponent -5 at infinity
-    assert char_poly(theta_expand(parse("x*D - 5"), INF)).rational_roots() == {Fraction(-5): 1}
+    assert char_poly(theta_expand(parse("x*D - 5"), INF)).rational_roots() == {(-5, 1): 1}
 
 
 # -- Newton polygons -----------------------------------------------------------
@@ -741,7 +741,7 @@ def test_euler_on_rank_one():
     p = parse("x*D - 1/3")
     q = prim(euler(p, Fraction(1, 2)))
     assert q.rank == 1
-    assert char_poly(theta_expand(q, INF)).rational_roots() == {Fraction(1, 6): 1}
+    assert char_poly(theta_expand(q, INF)).rational_roots() == {(1, 6): 1}
 
 
 def test_deg_of_examples():
@@ -760,7 +760,7 @@ def test_degree_change_under_addition():
 
     exp = theta_expand(p, ZERO)
     char_roots = char_poly(exp).rational_roots()
-    assert char_roots == {Fraction(0): 1, Fraction(1): 1, lam: 1}
+    assert char_roots == {(0, 1): 1, (1, 1): 1, (1, 3): 1}
     data = SpectralData([(Fraction(0), 2), (lam, 1)])
     assert oshima_check(exp, data)
     q = prim(ad_power(p, ZERO, -lam))
