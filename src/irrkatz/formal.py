@@ -13,12 +13,11 @@ core, whose characteristic polynomial is grouped into integer chains and
 certified by the triangular vanishing conditions on the theta expansion.
 
 Roots and chain bases stay (numerator, denominator) pairs through the
-root search, the chain grouping and the triangular check; a ``Fraction``
-is built only for a factor coefficient and for the text of an error.
-What extraction builds holds every condition the constructors of
-:class:`SpectralData` and :class:`FormalData` check, so it assembles both
-without checking again (``_grouped``, ``_assembled``); every other caller
-goes through the checks.
+root search, the chain grouping and the triangular check, and
+:func:`extract_primitive` returns them as such; a ``Fraction`` is built
+only for a factor coefficient and for the text of an error.  Only
+:func:`extract_formal_data` builds :class:`SpectralData` and
+:class:`FormalData` from them, through the constructors' checks.
 """
 
 from __future__ import annotations
@@ -146,9 +145,8 @@ class SpectralData:
     Bases of distinct chains never differ by an integer (for parameter
     expressions this is the generic reading): exactly when their
     :meth:`ParamExpr.residue_key` agree.  The constructor groups the bases
-    by key and names the first pair, in the order of the chains, that
-    shares one.  Extraction builds its data with :meth:`_grouped` instead,
-    from chains that hold all three checks by construction.
+    by key, when two share one, and names the first pair, in the order of
+    the chains, that does.
     """
 
     __slots__ = ("chains",)
@@ -160,25 +158,13 @@ class SpectralData:
             raise ValueError("spectral data needs at least one chain")
         if any(m < 1 for _, m in parsed):
             raise ValueError("chain multiplicities must be positive")
-        classes: dict[tuple, list[int]] = {}
-        for i, (lam, _) in enumerate(parsed):
-            classes.setdefault(lam.residue_key(), []).append(i)
-        if len(classes) < len(parsed):
+        if len({lam.residue_key() for lam, _ in parsed}) < len(parsed):
+            classes: dict[tuple, list[int]] = {}
+            for i, (lam, _) in enumerate(parsed):
+                classes.setdefault(lam.residue_key(), []).append(i)
             i, j = min(members[:2] for members in classes.values() if len(members) > 1)
             raise ValueError(f"chain bases {parsed[i][0]} and {parsed[j][0]} differ by an integer")
         object.__setattr__(self, "chains", parsed)
-
-    @staticmethod
-    def _grouped(chains: Sequence[tuple[tuple[int, int], int]]) -> "SpectralData":
-        """The data of the chains :func:`group_chains` returns, bases as
-        coprime pairs, not checked again: the roots of a characteristic
-        polynomial of degree >= 1 give at least one chain, each chain has
-        at least one member, and the chains are distinct classes (a mod b,
-        b), which is the residue key of the base a/b."""
-        data = object.__new__(SpectralData)
-        object.__setattr__(
-            data, "chains", tuple((ParamExpr.of_pair(a, b), m) for (a, b), m in chains))
-        return data
 
     @property
     def rank(self) -> int:
@@ -198,9 +184,7 @@ class FormalData:
     """Per-point factor lists; the point at infinity always comes first.
 
     Factor list order is significant: it fixes the slot indexing shared
-    with lattice vectors and exponent vectors.  The constructor checks the
-    points and factors; extraction, whose points hold every check by
-    construction, assembles them with :meth:`_assembled`.
+    with lattice vectors and exponent vectors.
     """
 
     __slots__ = ("points",)
@@ -220,33 +204,16 @@ class FormalData:
         for loc, factors in pts:
             if not factors:
                 raise ValueError(f"point {format_location(loc)} has no factors")
-            ws = [w for w, _ in factors]
-            if len(set(ws)) != len(ws):
+            # a single factor cannot repeat
+            if len(factors) > 1 and len({w for w, _ in factors}) < len(factors):
                 raise ValueError(f"duplicate exponential factors at {format_location(loc)}")
             for w, _ in factors:
-                if w.point != loc:
+                if w.point is not loc and w.point != loc:
                     raise ValueError("factor attached to the wrong point")
             ranks.append(sum(s.rank for _, s in factors))
         if len(set(ranks)) > 1:
             raise ValueError(f"unequal ranks across points: {ranks}")
         object.__setattr__(self, "points", pts)
-
-    @staticmethod
-    def _assembled(
-        points: tuple[tuple[Location, tuple[tuple[ExponentialFactor, SpectralData], ...]], ...],
-    ) -> "FormalData":
-        """The data of the points :func:`extract_primitive` builds, not
-        checked again.  Infinity comes first, and the finite points are
-        distinct roots of the leading coefficient.  Each point's factor
-        ranks add up to the operator's rank, so a point has a factor and the
-        ranks agree.  Each factor is built at its own point.  The factors at
-        a point are distinct: factors of distinct slopes have distinct top
-        orders, and those of one slope distinct leading coefficients, the
-        distinct roots of its boundary polynomial, and below them distinct
-        factors of the twisted operator, by induction."""
-        data = object.__new__(FormalData)
-        object.__setattr__(data, "points", points)
-        return data
 
     @property
     def rank(self) -> int:
@@ -325,18 +292,21 @@ def fuchs_defect_of(m: LatticeVector, nu: ExponentVector) -> ParamExpr:
 
 # -- the triangular certification ----------------------------------------------
 
+#: Chains ((a, b) of the base, length), as :func:`group_chains` returns them.
+Chains = list[tuple[tuple[int, int], int]]
 
-def oshima_check(expansion: ThetaExpansion, data: SpectralData) -> bool:
+
+def oshima_check(expansion: ThetaExpansion, chains: Chains) -> bool:
     """Triangular vanishing pattern certifying the chain grouping.
 
-    For each chain (lam, m): the term of minimal index vanishes at lam,
-    ..., lam+m-1, the next at lam, ..., lam+m-2, and so on.  Chain bases
-    must be parameter-free.  With lam = a/b, each test is
-    :meth:`Poly.vanishes_at` at (a + v b)/b, on integers.
+    ``chains`` are ((a, b) of the base, length) as :func:`group_chains`
+    returns them.  For each chain of base lam = a/b and length m: the term
+    of minimal index vanishes at lam, ..., lam+m-1, the next at lam, ...,
+    lam+m-2, and so on.  Each test is :meth:`Poly.vanishes_at` at
+    (a + v b)/b, on integers.
     """
     r = expansion.min_index
-    for lam, m in data.chains:
-        a, b = lam.as_pair()
+    for (a, b), m in chains:
         for u in range(m):
             poly = expansion.term(r + u)
             for v in range(m - u):
@@ -345,7 +315,7 @@ def oshima_check(expansion: ThetaExpansion, data: SpectralData) -> bool:
     return True
 
 
-def group_chains(roots: Mapping[tuple[int, int], int]) -> list[tuple[tuple[int, int], int]]:
+def group_chains(roots: Mapping[tuple[int, int], int]) -> Chains:
     """Group characteristic roots into integer chains.
 
     ``roots`` maps each root, a coprime pair (a, b) with b > 0, to its
@@ -384,25 +354,30 @@ def group_chains(roots: Mapping[tuple[int, int], int]) -> list[tuple[tuple[int, 
 
 
 def extract_formal_data(p: DiffOperator) -> FormalData:
-    """Compute the formal datum of an operator: :func:`extract_primitive`
-    of ``prim(p)``."""
+    """Compute the formal datum of an operator: the local data
+    :func:`extract_primitive` peels from ``prim(p)``, built through the
+    constructors' checks."""
     if p.is_zero():
         raise ValueError("extraction needs an operator of rank >= 1, got the zero operator")
-    return extract_primitive(weylalg.prim(p))
+    return FormalData([
+        (at, [(w, SpectralData([(ParamExpr.of_pair(a, b), m) for (a, b), m in chains]))
+              for w, chains in factors])
+        for at, factors in extract_primitive(weylalg.prim(p))
+    ])
 
 
 def extract_primitive(
     p: DiffOperator, hints: Mapping[Location, Collection[tuple[int, int]]] | None = None
-) -> FormalData:
-    """Compute the formal datum of a primitive operator.
+) -> list[tuple[Location, tuple[tuple[ExponentialFactor, Chains], ...]]]:
+    """Peel the local data of a primitive operator: per point, infinity
+    first, its exponential factors, each with its chains.
 
     Requires rational singular points, integer slopes and characteristic
     polynomials splitting over Q; failures raise the dedicated errors.
     ``hints`` maps points to candidate roots, coprime pairs (a, b) with b
     > 0, that the root searches there try first, and its finite points are
     candidates for the leading coefficient; they change the work, not the
-    result (:meth:`Poly.rational_roots`).  The datum is assembled without
-    the constructors' checks (:meth:`FormalData._assembled`).
+    result (:meth:`Poly.rational_roots`).
     """
     if p.rank < 1:
         raise ValueError("extraction needs an operator of rank >= 1")
@@ -415,25 +390,25 @@ def extract_primitive(
         except ExtractionError as exc:
             # the same class, so the exit code does not change
             raise type(exc)(f"at {format_location(at)}: {exc}") from None
-        total = sum(s.rank for _, s in raw)
+        total = sum(m for _, chains in raw for _, m in chains)
         if total != p.rank:
             raise ExtractionError(
                 f"local ranks at {format_location(at)} sum to {total}, "
                 f"expected {p.rank}"
             )
         factors = []
-        for coeffs, spectral in raw:
+        for coeffs, chains in raw:
             if at is INF:
                 coeffs = {k: -v for k, v in coeffs.items()}
-            factors.append((ExponentialFactor(at, coeffs), spectral))
+            factors.append((ExponentialFactor(at, coeffs), chains))
         factors.sort(key=lambda fs: (fs[0].degree, fs[0]._items))
         points.append((at, tuple(factors)))
-    return FormalData._assembled(tuple(points))
+    return points
 
 
 def _peel_factors(
     q: DiffOperator, max_degree: int | None, hints: Collection[tuple[int, int]]
-) -> list[tuple[dict[int, Fraction], SpectralData]]:
+) -> list[tuple[dict[int, Fraction], Chains]]:
     """Factors of the chart operator at 0 with theta-degree < max_degree.
 
     Returns raw coefficient maps in chart orientation; the caller flips
@@ -443,9 +418,9 @@ def _peel_factors(
     """
     theta = weylalg.theta_expand(q, Fraction(0))
     np = weylalg.newton_polygon(theta)
-    out: list[tuple[dict[int, Fraction], SpectralData]] = []
+    out: list[tuple[dict[int, Fraction], Chains]] = []
     if np.regular_rank > 0:
-        out.append(({}, _regular_spectral_data(theta, np.regular_rank, hints)))
+        out.append(({}, _regular_chains(theta, np.regular_rank, hints)))
     for slope in np.slopes:
         if slope == 0 or (max_degree is not None and slope >= max_degree):
             continue
@@ -463,21 +438,21 @@ def _peel_factors(
         for v0, mult in sorted((Fraction(a, b), m) for (a, b), m in roots.items()):
             twisted = weylalg.ad_exp_raw(q, Fraction(0), {k: -v0})
             sub = _peel_factors(twisted, k, hints)
-            got = sum(s.rank for _, s in sub)
+            got = sum(m for _, chains in sub for _, m in chains)
             if got != mult:
                 raise ExtractionError(
                     f"slope-{k} candidate {v0} produced rank {got}, expected {mult}"
                 )
-            for coeffs, spectral in sub:
+            for coeffs, chains in sub:
                 coeffs = dict(coeffs)
                 coeffs[k] = v0
-                out.append((coeffs, spectral))
+                out.append((coeffs, chains))
     return out
 
 
-def _regular_spectral_data(
+def _regular_chains(
     theta: ThetaExpansion, expected_rank: int, hints: Collection[tuple[int, int]]
-) -> SpectralData:
+) -> Chains:
     char = weylalg.char_poly(theta)
     if char.degree != expected_rank:
         raise ExtractionError(
@@ -488,12 +463,13 @@ def _regular_spectral_data(
         raise NonSplitCharPolyError(
             f"characteristic polynomial {char.format('theta')} does not split over Q"
         )
-    data = SpectralData._grouped(group_chains(roots))
-    if not oshima_check(theta, data):
+    chains = group_chains(roots)
+    if not oshima_check(theta, chains):
+        data = SpectralData([(Fraction(a, b), m) for (a, b), m in chains])
         raise OshimaCheckError(
             f"triangular vanishing conditions fail for chains {data.format()}"
         )
-    return data
+    return chains
 
 
 def _edge_polynomial(theta: ThetaExpansion, np: weylalg.NewtonPolygon, k: int) -> Poly:

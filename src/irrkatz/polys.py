@@ -452,7 +452,9 @@ def _lifted_roots(f: tuple[int, ...]) -> list[tuple[int, int]]:
     degree first, f(0) != 0): the smallest odd prime p that leaves lc(f) a
     unit and every root mod p simple; each root mod p Newton-lifted until
     p^e > 2|f(0)||lc(f)| and read back as a/b with |a| <= |f(0)| and 0 < b
-    <= |lc(f)|; a candidate counts only if f(a/b) = 0 exactly."""
+    <= |lc(f)|; a candidate counts only if f(a/b) = 0 exactly.  The lift
+    carries z = 1/f'(r) mod m: one modular inverse mod p per root, then
+    one Newton step z(2 - f'(r) z) per squaring of m."""
     a0, lead = abs(f[0]), abs(f[-1])
     df = [k * c for k, c in enumerate(f)][1:]
     p = 3
@@ -465,10 +467,13 @@ def _lifted_roots(f: tuple[int, ...]) -> list[tuple[int, int]]:
     bound = 2 * a0 * lead
     out = []
     for r in residues:
-        m = p
+        m, z = p, pow(_eval_mod(df, r, p), -1, p)
         while m <= bound:
+            # f(r) = 0 and z f'(r) = 1 mod m, so both hold mod m^2 after the step
             m *= m
-            r = (r - _eval_mod(f, r, m) * pow(_eval_mod(df, r, m), -1, m)) % m
+            r = (r - _eval_mod(f, r, m) * z) % m
+            if m <= bound:
+                z = z * (2 - _eval_mod(df, r, m) * z) % m
         # half-extended Euclid: the unique a = b*r (mod m) with |a| <= a0
         r0, r1, t0, t1 = m, r, 0, 1
         while r1 > a0:

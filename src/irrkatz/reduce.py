@@ -362,31 +362,32 @@ def _check_prediction(
     compare it, point by point, with the predicted chain table.  A point
     the extraction omits is non-singular: it must be predicted as the zero
     factor with the single chain (0, rank).  Such a point is finite, since
-    ``FormalData`` always lists infinity.
+    extraction always lists infinity.
 
     The extraction tries the roots the prediction names first: the
     locations for the leading coefficient and, at each point, every
     predicted exponent and factor coefficient.  When the prediction holds
     they are all the roots, and no search for others runs.  The chains
-    are compared as pairs; a failure prints them as sorted ``Fraction``
-    lists.  The hints are coprime pairs too: the exponents (a + v b, b) of
-    each chain of base (a, b), and each factor coefficient n/d as (n, d) and
-    (-n, d)."""
+    are compared as the pairs extraction returns; a failure prints them as
+    sorted ``Fraction`` lists.  The hints are coprime pairs too: the
+    exponents (a + v b, b) of each chain of base (a, b), and each factor
+    coefficient n/d as the chart reads it, (n, d) at a finite point and
+    (-n, d) at infinity, whose chart flips the sign."""
     hints = {}
     for loc in locations:
         point = predicted[loc]
+        sign = -1 if loc is INF else 1
         hints[loc] = [
             (a + v * b, b)
             for chains in point.values() for (a, b), mult in chains for v in range(mult)
-        ] + [(s * v.numerator, v.denominator) for w in point for v in w.coeffs.values()
-             for s in (1, -1)]
-    extracted = dict(formal.extract_primitive(op, hints).points)
+        ] + [(sign * v.numerator, v.denominator) for w in point for v in w.coeffs.values()]
+    extracted = dict(formal.extract_primitive(op, hints))
     for loc in locations:
         factors = extracted.pop(loc, None)
         if factors is None:
             got = {ExponentialFactor(loc, {}): [((0, 1), rank)]}
         else:
-            got = {w: sorted((lam.as_pair(), k) for lam, k in s.chains) for w, s in factors}
+            got = {w: sorted(chains) for w, chains in factors}
         if got != predicted[loc]:
             got, want = (
                 {w: sorted((Fraction(a, b), k) for (a, b), k in chains) for w, chains in table.items()}

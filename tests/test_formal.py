@@ -109,13 +109,13 @@ def test_group_chains():
 
 def test_oshima_check_examples():
     exp = ThetaExpansion(ZERO, ((0, Poly([0, -1, 1])), (1, Poly([0, 1]))))
-    assert oshima_check(exp, SpectralData([(Fraction(0), 2)]))
+    assert oshima_check(exp, [((0, 1), 2)])
     # m = 1 chains impose only root conditions
     exp2 = ThetaExpansion(ZERO, ((0, Poly([0, 1]) * Poly([-Fraction(1, 2), 1])),))
-    assert oshima_check(exp2, SpectralData([(Fraction(0), 1), (Fraction(1, 2), 1)]))
+    assert oshima_check(exp2, [((0, 1), 1), ((1, 2), 1)])
     # violating witness: p_{r+1}(lam_1) != 0 with m_1 = 2
     bad = ThetaExpansion(ZERO, ((0, Poly([0, -1, 1])), (1, Poly([1, 1]))))
-    assert not oshima_check(bad, SpectralData([(Fraction(0), 2)]))
+    assert not oshima_check(bad, [((0, 1), 2)])
 
 
 # -- extraction -------------------------------------------------------------------

@@ -223,6 +223,47 @@ def test_closed_form_roots_of_4000_digit_numerals():
         assert p.rational_roots(list(want)[::-1]) == want
 
 
+def test_newton_lift_takes_one_inverse_per_residue(monkeypatch):
+    # square-free products of 2-4 factors b x - a with 20-60 digit
+    # numerals, times x^2 + 1 or x^2 - 2 (roots mod small primes that lift
+    # to no rational root): the lift finds the known roots, and lifts each
+    # root mod p with one modular inverse, taken mod p
+    rng = random.Random(41)
+    inverses = []
+
+    def counted(base, exp, mod=None):
+        if exp == -1:
+            inverses.append(mod)
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(polys, "pow", counted, raising=False)
+    lifted = 0
+    for _ in range(40):
+        roots = set()
+        p = Poly([rng.choice((1, -1, 3))])
+        for _ in range(rng.randint(2, 4)):
+            a, b = (rng.randrange(10 ** rng.randint(20, 60)) + 1 for _ in range(2))
+            root = Fraction(rng.choice((1, -1)) * a, b)
+            if root not in roots:
+                roots.add(root)
+                p = p * Poly([-root.numerator, root.denominator])
+        for extra in (Poly([1, 0, 1]), Poly([-2, 0, 1])):
+            if rng.random() < 0.5:
+                p = p * extra
+        f = tuple(int(c) for c in p.coeffs)
+        inverses.clear()
+        got = polys._lifted_roots(f)
+        assert sorted(Fraction(a, b) for a, b in got) == sorted(roots), p
+        assert all(type(a) is int and type(b) is int and b > 0 for a, b in got), p
+        prime = inverses[0]
+        residues = [r for r in range(prime) if polys._eval_mod(list(f), r, prime) == 0]
+        assert inverses == [prime] * len(residues), (p, prime, inverses)
+        assert p.rational_roots() == oracles.pair_keys(dict.fromkeys(roots, 1)), p
+        lifted += len(residues) > len(roots)
+    # some of the residues lift to no rational root
+    assert lifted > 5, lifted
+
+
 def _order_by_division(p, c):
     """Reference: divide by (x - c) while c is a root."""
     m = 0

@@ -37,6 +37,7 @@ from irrkatz.weylalg import (
     to_text,
 )
 import oracles
+import test_katz_forward
 from conftest import outcome
 from oracles import in_fundamental_domain, op_sum, scaled, support_tuples, zero_vector
 
@@ -761,8 +762,10 @@ def test_euler_steps_run_no_root_search(monkeypatch, capsys):
     # finds the predicted roots without a root search: on nF(n-1), on
     # the Kummer ladder, whose steps keep the factor x at infinity, on
     # its mirror image under x -> 1/x, whose steps keep the factor -1/x
-    # at 0 (the factor hints carry both signs: extraction at infinity
-    # runs in the chart's opposite orientation), and on the corpus
+    # at 0 (each factor hint carries the one sign the chart reads: the
+    # coefficient at 0, its negative at infinity, where the chart runs in
+    # the opposite orientation), on the corpus at seeds 0-40 and on the
+    # forward draws of test_katz_forward
     calls = record_checks(monkeypatch)
     for op in ladder(False):
         reduce_operator(op)
@@ -778,7 +781,15 @@ def test_euler_steps_run_no_root_search(monkeypatch, capsys):
     for seed in range(41):
         assert cli.main(["examples", "--run", "--json", "--seed", str(seed)]) == 0
     capsys.readouterr()
-    assert len(calls) > 3 * sum(range(1, 8))
+    assert len(calls) == 3 * sum(range(1, 8)) + 41
+    rng = random.Random(test_katz_forward.SEED)
+    draws = 0
+    for _ in range(test_katz_forward.DRAWS):
+        draw = test_katz_forward.forward_draw(rng)
+        if draw is not None and draw[0].rank > 1:
+            reduce_operator(draw[0])
+            draws += 1
+    assert draws == 159 and len(calls) > 3 * sum(range(1, 8)) + 41 + draws
     assert [searches for *_, searches in calls] == [0] * len(calls)
 
 

@@ -756,13 +756,12 @@ def test_degree_change_under_addition():
     theta = X * D
     p0 = theta * op_sum(theta, 1, -1) * op_sum(theta, lam, -1)
     p = prim(op_sum(p0, X * theta))
-    from irrkatz.formal import SpectralData, oshima_check
+    from irrkatz.formal import oshima_check
 
     exp = theta_expand(p, ZERO)
     char_roots = char_poly(exp).rational_roots()
     assert char_roots == {(0, 1): 1, (1, 1): 1, (1, 3): 1}
-    data = SpectralData([(Fraction(0), 2), (lam, 1)])
-    assert oshima_check(exp, data)
+    assert oshima_check(exp, [((0, 1), 2), ((1, 3), 1)])
     q = prim(ad_power(p, ZERO, -lam))
     assert deg_of(q) - deg_of(p) == 2 - 1
 
