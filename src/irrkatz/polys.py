@@ -6,12 +6,14 @@ lowest degree first, over one positive denominator coprime to their
 content; the pair is unique, so equality is structural.  Arithmetic runs on
 Python ints and normalizes each result once, with one gcd, instead of once
 per coefficient product (von zur Gathen and Gerhard, *Modern Computer
-Algebra*, §8.4); division is pseudo-division over Z.  ``Poly.coeffs``, the
-coefficients as ``Fraction``s, is a read-only view built on first read; no
-arithmetic runs on it.  The row kernels of ``weylalg`` read integer rows and
-build a ``Poly`` only where a result leaves them, with :func:`from_row`;
-they share the Taylor shift (:func:`shift_row`) and the exact division
-over Z (:func:`exact_quotient`) with ``Poly``.
+Algebra*, §8.4).  ``Poly.coeffs``, the coefficients as ``Fraction``s, is a
+read-only view built on first read; no arithmetic runs on it.  The row
+kernels of ``weylalg`` read integer rows and build a ``Poly`` only where a
+result leaves them, with :func:`from_row`; they share the Taylor shift
+(:func:`shift_row`), the primitive part (:func:`primitive`) and the exact
+division over Z (:func:`exact_quotient`) with the gcd and the root search
+here.  Every division the pipeline makes is exact, so that one is the only
+division: ``Poly`` has no quotient or remainder.
 Rational roots are exact: in closed form up to degree 2 (the root of a
 linear part, the square root of a discriminant by ``isqrt``), and above by
 p-adic expansion (Loos, SIAM J. Comput. 12(2), 1983): roots modulo a small
@@ -19,23 +21,22 @@ prime, Hensel-lifted and read back by rational reconstruction, each one
 checked over Z.  The gcd, which the square-free step of that expansion
 needs, is the heuristic GCDHEU on integers (Char, Geddes and Gonnet, J.
 Symbolic Comput. 7, 1989), accepted only after exact division, with Euclid
-over Q as its fallback.
+over Z, a primitive remainder sequence, as its fallback.
 
 Normalization is skipped where it cannot change the result.  The gcd with
 a nonzero constant is 1, so a constant denominator only divides the
 numerator.  A product with the constant 1 is the other factor, shared as
-``Poly`` is immutable.  Division by a monomial ``a*x^d`` (the denominators
-of the twists at 0) is a slice: the quotient is ``coeffs[d:]/a``, the
-remainder ``coeffs[:d]``.  The Taylor shift and the order at a point
-``a/b`` run on integers, scaled by powers of ``b``.
+``Poly`` is immutable.  The Taylor shift and the order at a point ``a/b``
+run on integers, scaled by powers of ``b``.
 
 A rational point is read as its numerator and denominator, a coprime
 pair (a, b) with b > 0, and no ``Fraction`` is built to test it:
 :func:`root_order` counts the exact divisions of the numerators by ``b*x -
 a``, which is how candidate roots (the hints of :meth:`Poly.rational_roots`)
 are tested, each distinct one once; :func:`scaled_value` is the integer
-``b^m n(a/b)``, zero exactly at a root, which checks the p-adic roots and,
-as :meth:`Poly.vanishes_at`, the vanishing conditions of
+``b^m n(a/b)``, zero exactly at a root, which checks the p-adic roots,
+evaluates GCDHEU's points (b = 1) and, as :meth:`Poly.vanishes_at`, checks
+the vanishing conditions of
 ``formal.oshima_check``.  The roots themselves are such pairs, as hints and
 as results: the callers build a ``Fraction`` only for a value that leaves
 local analysis (a singular point, a factor coefficient).
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import gcd as int_gcd, isqrt, lcm
+from math import gcd as int_gcd, isqrt, lcm, log
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[Fraction, int]
@@ -120,6 +121,15 @@ def root_order(n: Sequence[int], a: int, b: int) -> int:
     while (n := linear_quotient(n, a, b)) is not None:
         m += 1
     return m
+
+
+def primitive(n: Sequence[int]) -> list[int]:
+    """A nonzero integer row over its content, with a positive leading
+    coefficient: its primitive part."""
+    g = int_gcd(*n)
+    if n[-1] < 0:
+        g = -g
+    return [a // g for a in n]
 
 
 def scaled_value(n: Sequence[int], a: int, b: int) -> int:
@@ -246,43 +256,6 @@ class Poly:
             raise ValueError("negative power of a polynomial")
         return pow_by_squaring(self, n, UNIT)
 
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Quotient and remainder, by pseudo-division over Z: the
-        numerators are scaled by a factor of the divisor's leading
-        numerator only where a quotient term needs it."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        b, d = other._n, other.degree
-        lead = b[-1]
-        if not any(b[:d]):
-            # a monomial lead*x^d: the quotient and remainder are slices
-            sign = -1 if lead < 0 else 1
-            high = [sign * other._d * a for a in self._n[d:]]
-            return from_row(high, sign * lead * self._d), from_row(list(self._n[:d]), self._d)
-        # scale * numerators = q * b + rem, the scale a product of factors of lead
-        rem = list(self._n)
-        q = [0] * max(0, len(rem) - d)
-        scale = 1
-        for k in range(len(rem) - 1 - d, -1, -1):
-            t = rem[k + d]
-            if t:
-                f = abs(lead) // int_gcd(t, lead)
-                if f != 1:
-                    rem = [f * a for a in rem]
-                    q = [f * a for a in q]
-                    scale *= f
-                factor = q[k] = t * f // lead
-                for j in range(d):
-                    rem[k + j] -= factor * b[j]
-        den = scale * self._d
-        return from_row([other._d * a for a in q], den), from_row(rem[:d], den)
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return self.divmod(other)[0]
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return self.divmod(other)[1]
-
     def derivative(self) -> "Poly":
         return from_row([k * c for k, c in enumerate(self._n)][1:], self._d)
 
@@ -308,16 +281,7 @@ class Poly:
             raise ValueError("order of the zero polynomial")
         return root_order(self._n, c.numerator, c.denominator)
 
-    # -- integer structure --------------------------------------------------
-
-    def int_content_and_primitive(self) -> tuple[Fraction, "Poly"]:
-        """Write p = r * q with q in Z[x], content 1, positive leading coeff."""
-        if self.is_zero():
-            return Fraction(0), Poly()
-        g = int_gcd(*self._n)
-        if self._n[-1] < 0:
-            g = -g
-        return Fraction(g, self._d), from_row([a // g for a in self._n])
+    # -- roots --------------------------------------------------------------
 
     def rational_roots(self, hints: Iterable[tuple[int, int]] = ()) -> dict[tuple[int, int], int]:
         """All rational roots a/b with multiplicities, keyed by the coprime
@@ -440,19 +404,21 @@ def _searched_roots(f: Sequence[int]) -> list[tuple[tuple[int, int], int]]:
             return [(_pair(-b, 2 * a), 2)]
         roots = (_pair(-b + s, 2 * a), _pair(-b - s, 2 * a))
         return [(root, 1) for root in sorted(roots, key=_root_order)]
-    _, zp = from_row(list(f)).int_content_and_primitive()
-    _, sf = (zp // poly_gcd(zp, zp.derivative())).int_content_and_primitive()
+    zp = from_row(primitive(f))
+    # a monic gcd's numerators are primitive, so the quotient is too
+    sf = exact_quotient(zp._n, poly_gcd(zp, zp.derivative())._n)
     return [
-        (root, root_order(zp._n, *root)) for root in sorted(_lifted_roots(sf._n), key=_root_order)
+        (root, root_order(zp._n, *root)) for root in sorted(_lifted_roots(sf), key=_root_order)
     ]
 
 
-def _lifted_roots(f: tuple[int, ...]) -> list[tuple[int, int]]:
+def _lifted_roots(f: Sequence[int]) -> list[tuple[int, int]]:
     """Rational roots, as coprime pairs, of a square-free f in Z[x] (lowest
     degree first, f(0) != 0): the smallest odd prime p that leaves lc(f) a
-    unit and every root mod p simple; each root mod p Newton-lifted until
-    p^e > 2|f(0)||lc(f)| and read back as a/b with |a| <= |f(0)| and 0 < b
-    <= |lc(f)|; a candidate counts only if f(a/b) = 0 exactly.  The lift
+    unit and every root mod p simple; each root mod p Newton-lifted to the
+    least power p^e > 2|f(0)||lc(f)| and read back as a/b with |a| <= |f(0)|
+    and 0 < b <= |lc(f)|; a candidate counts only if f(a/b) = 0 exactly.
+    The lift squares the modulus m, the last square cut down to p^e, and
     carries z = 1/f'(r) mod m: one modular inverse mod p per root, then
     one Newton step z(2 - f'(r) z) per squaring of m."""
     a0, lead = abs(f[0]), abs(f[-1])
@@ -465,14 +431,20 @@ def _lifted_roots(f: tuple[int, ...]) -> list[tuple[int, int]]:
                 break
         p += 2
     bound = 2 * a0 * lead
+    # the float log is off by at most a rounding step, so at most two
+    # products by p remain
+    top = p ** int(log(bound, p))
+    while top <= bound:
+        top *= p
     out = []
     for r in residues:
         m, z = p, pow(_eval_mod(df, r, p), -1, p)
-        while m <= bound:
-            # f(r) = 0 and z f'(r) = 1 mod m, so both hold mod m^2 after the step
-            m *= m
+        while m < top:
+            # f(r) = 0 and z f'(r) = 1 mod m, so both hold mod m^2, and mod
+            # its divisor top, after the step
+            m = min(m * m, top)
             r = (r - _eval_mod(f, r, m) * z) % m
-            if m <= bound:
+            if m < top:
                 z = z * (2 - _eval_mod(df, r, m) * z) % m
         # half-extended Euclid: the unique a = b*r (mod m) with |a| <= a0
         r0, r1, t0, t1 = m, r, 0, 1
@@ -534,21 +506,14 @@ def _heuristic_gcd(a: Sequence[int], b: Sequence[int]) -> list[int] | None:
     for _ in range(HEU_TRIES):
         if xi.bit_length() * max(len(a), len(b)) > HEU_BITS:
             return None
-        values = []
-        for f in (a, b):
-            acc = 0
-            for c in reversed(f):
-                acc = acc * xi + c
-            values.append(acc)
-        gamma, g = int_gcd(*values), []
+        gamma, g = int_gcd(scaled_value(a, xi, 1), scaled_value(b, xi, 1)), []
         while gamma:
             c = gamma % xi
             if 2 * c > xi:
                 c -= xi
             g.append(c)
             gamma = (gamma - c) // xi
-        content = int_gcd(*g) if g[-1] > 0 else -int_gcd(*g)
-        g = [c // content for c in g]
+        g = primitive(g)
         if exact_quotient(a, g) is not None and exact_quotient(b, g) is not None:
             return g
         xi = xi * 73794 // 27011
@@ -559,20 +524,27 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd over Q[x].  With a monomial c*x^k on one side it is
     x^min(k, v), v the order at 0 of the other side, without division.
     Otherwise GCDHEU (:func:`_heuristic_gcd`) runs on the primitive
-    numerators; when it fails, Euclid over Q."""
+    numerators; when it fails, Euclid over Z: each remainder a
+    pseudo-remainder made primitive (the primitive remainder sequence of
+    von zur Gathen and Gerhard, *Modern Computer Algebra*)."""
     for mono, other in ((a, b), (b, a)):
         if mono._n and not any(mono._n[:-1]) and other._n:
             return Poly.x(min(mono.degree, other.order_at(0)))
-    if a._n and b._n:
-        g = _heuristic_gcd(*([c // int_gcd(*p._n) for c in p._n] for p in (a, b)))
-        if g is not None:
-            return from_row(g, g[-1])
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return a
-    sign = -1 if a._n[-1] < 0 else 1
-    return from_row([sign * c for c in a._n], sign * a._n[-1])
+    f, g = (primitive(p._n) if p._n else [] for p in (a, b))
+    if f and g and (h := _heuristic_gcd(f, g)) is not None:
+        return from_row(h, h[-1])
+    while g:
+        # r = lc(g)^k f - q g, one top coefficient cancelled per pass
+        r, top = f, len(g) - 1
+        while len(r) > top:
+            t, s = r[-1], len(r) - 1 - top
+            r = [g[-1] * c for c in r[:-1]]
+            for j in range(top):
+                r[s + j] -= t * g[j]
+            while r and not r[-1]:
+                r.pop()
+        f, g = g, primitive(r) if r else []
+    return from_row(f, f[-1] if f else 1)
 
 
 @cache

@@ -46,7 +46,8 @@ coefficient off its row.  The product, :func:`parse` and these kernels
 work on the rows and normalize each result once (``_operator``);
 :func:`_add_product` adds a scaled product of two rows at an offset.  The
 twists and the chart at infinity keep pole orders away from 0, so only the
-power of x dividing every row cancels, a slice of each row.  In
+power of x dividing every row cancels, a slice of each row and of the
+denominator.  In
 :func:`_shift_d` the numerators P_j of the Y_j are integer rows, one
 integer scale M per step of their recurrence (integer constants for
 :func:`ad_power`), and each term ``C(m+j, j) N_(m+j) P_j x^(e(J-j))``, J
@@ -73,7 +74,8 @@ from math import comb, factorial, gcd as int_gcd, lcm, perm
 from typing import Iterable, Mapping, Union
 
 from .polys import (
-    UNIT, Poly, exact_quotient, falling_factorial, from_row, poly_gcd, pow_by_squaring, shift_row,
+    UNIT, Poly, exact_quotient, falling_factorial, from_row, poly_gcd, pow_by_squaring, primitive,
+    shift_row,
 )
 from .scalar import ParamExpr, parse_rat
 
@@ -291,7 +293,9 @@ def _coefficient(row, d: int, den: Poly) -> tuple[str, Poly]:
     if den.degree > 0:
         g = poly_gcd(num, den)
         if g.degree > 0:
-            num, den = num // g, den // g
+            # monic g is g._n/g._d, g._n primitive: q/g is q._n/g._n times g._d/q._d
+            num, den = (from_row([g._d * c for c in exact_quotient(q._n, g._n)], q._d)
+                        for q in (num, den))
     if den.degree > 0:
         return f"({num})/({den})", den
     return str(num), den
@@ -704,9 +708,8 @@ def prim(p: DiffOperator) -> DiffOperator:
     (:func:`polys.exact_quotient`), exactly by Gauss's lemma."""
     if p.is_zero():
         raise ValueError("primitive component of the zero operator")
-    rows = p._rows
-    if v := min(next(i for i, a in enumerate(row) if a) for row in rows if row):
-        rows = [row[v:] for row in rows]
+    # the top row's order at 0 bounds the common one
+    rows = _divide_out(p._rows, len(p._rows[-1]))[1]
     if all(len(row) != 1 for row in rows):
         g = None
         for row in sorted(filter(None, rows), key=len):
@@ -715,8 +718,7 @@ def prim(p: DiffOperator) -> DiffOperator:
             if not g.degree:
                 break
         if g.degree:
-            content = int_gcd(*g._n) if g._n[-1] > 0 else -int_gcd(*g._n)
-            g = [a // content for a in g._n]
+            g = primitive(g._n)
             rows = [exact_quotient(row, g) if row else () for row in rows]
     if rows is p._rows and p._den is UNIT and rows[-1][-1] == p._d:
         return p  # polynomial, coprime rows and a monic top coefficient
@@ -727,9 +729,10 @@ def prim(p: DiffOperator) -> DiffOperator:
 
 def _divide_out(rows: list, most: int) -> tuple[int, list]:
     """The largest k <= most such that x^k divides every integer row, and
-    the rows divided by it: their slices from k."""
+    the rows divided by it: their slices from k, or the rows themselves at
+    k = 0."""
     k = min([most] + [next(i for i, a in enumerate(row) if a) for row in rows if any(row)])
-    return k, [row[k:] for row in rows]
+    return k, [row[k:] for row in rows] if k else rows
 
 
 def _shift_d(p: DiffOperator, g: Poly, e: int) -> DiffOperator:
@@ -783,7 +786,7 @@ def _shift_d(p: DiffOperator, g: Poly, e: int) -> DiffOperator:
                          e * (top - j))
     k, out = _divide_out(out, e * top + p._den.order_at(0)) if e else (0, out)
     t = e * top - k
-    den = p._den * Poly.x(t) if t >= 0 else p._den // Poly.x(-t)
+    den = p._den * Poly.x(t) if t >= 0 else from_row(list(p._den._n[-t:]), p._den._d)
     return _operator(out, p._d * scale**top, den)
 
 
@@ -896,8 +899,6 @@ def laplace_inv(p: DiffOperator) -> DiffOperator:
 def euler(p: DiffOperator, lam) -> DiffOperator:
     """Euler transform with parameter lam:
     Laplace . Prim . Ad(x^lam) . Laplace^(-1) . Prim."""
-    if not isinstance(lam, Fraction):
-        lam = ParamExpr.of(lam).as_rat()
     q = prim(p)
     q = laplace_inv(q)
     q = ad_power(q, Fraction(0), lam)

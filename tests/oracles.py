@@ -593,8 +593,8 @@ class RatFunc:
                 if den.degree > 0:
                     g = poly_gcd(num, den)
                     if g.degree > 0:
-                        num = num // g
-                        den = den // g
+                        num = quo(num, g)
+                        den = quo(den, g)
                 lead = leading(den)
                 if lead != 1:
                     num = num * (1 / lead)
@@ -741,15 +741,20 @@ def long_divmod(p: Poly, other: Poly) -> tuple[Poly, Poly]:
     """Quotient and remainder by schoolbook long division."""
     if other.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    d = other.degree
-    lead = leading(other)
+    d, lead, b = other.degree, leading(other), other.coeffs
     rem = list(p.coeffs)
     q = [Fraction(0)] * max(0, len(rem) - d)
     for k in range(len(rem) - 1 - d, -1, -1):
         factor = q[k] = rem[k + d] / lead
-        for j in range(d):
-            rem[k + j] -= factor * other.coeffs[j]
+        if factor:
+            for j in range(d):
+                rem[k + j] -= factor * b[j]
     return Poly(q), Poly(rem[:d])
+
+
+def quo(p: Poly, other: Poly) -> Poly:
+    """The quotient of :func:`long_divmod`."""
+    return long_divmod(p, other)[0]
 
 
 def poly_eval(p: Poly, point) -> Fraction:
@@ -773,7 +778,7 @@ def order_at(p: Poly, c) -> int:
         raise ValueError("order of the zero polynomial")
     c, m = Fraction(c), 0
     while poly_eval(p, c) == 0:
-        p = long_divmod(p, Poly([-c, 1]))[0]
+        p = quo(p, Poly([-c, 1]))
         m += 1
     return m
 
@@ -828,8 +833,8 @@ def over_common_denominator(p) -> tuple[Poly, list[Poly]]:
     den = UNIT
     for c in cs:
         if c.den.degree > 0:
-            den = den * (c.den // poly_gcd(den, c.den))
-    return den, [c.num if c.den == den else c.num * (den // c.den) for c in cs]
+            den = den * quo(c.den, poly_gcd(den, c.den))
+    return den, [c.num if c.den == den else c.num * quo(den, c.den) for c in cs]
 
 
 def subst_infinity(p: DiffOperator) -> DiffOperator:
@@ -907,8 +912,8 @@ def operator(coeffs=()) -> DiffOperator:
     cs = [RatFunc.of(c) for c in coeffs]
     den = UNIT
     for c in cs:
-        den = den * (c.den // poly_gcd(den, c.den))
-    return _operator(*int_rows([c.num * (den // c.den) for c in cs]), den)
+        den = den * quo(c.den, poly_gcd(den, c.den))
+    return _operator(*int_rows([c.num * quo(den, c.den) for c in cs]), den)
 
 
 def operator_of(value) -> DiffOperator:
@@ -990,7 +995,7 @@ def prim_by_gcd(p: DiffOperator) -> DiffOperator:
     for q in nums:
         if q and g.degree:
             g = poly_gcd(g, q) if g else q
-    rows = int_rows([q // g for q in nums])[0] if g.degree > 0 else p._rows
+    rows = int_rows([quo(q, g) for q in nums])[0] if g.degree > 0 else p._rows
     sign = -1 if rows[-1][-1] < 0 else 1
     return _operator([[sign * a for a in row] for row in rows], sign * rows[-1][-1])
 
@@ -1011,7 +1016,7 @@ def divide_out_two_pass(rows: list, c, most: int) -> tuple[int, list, int]:
     nums = [from_row(list(row)) for row in rows]
     k = min([most] + [q.order_at(c) for q in nums if q])
     u = Poly.x(k) if c == 0 else (Poly.x() - c) ** k
-    return (k, *int_rows([q // u for q in nums]))
+    return (k, *int_rows([quo(q, u) for q in nums]))
 
 
 def divide_out(rows: list, c, most: int) -> tuple[int, list]:
@@ -1069,7 +1074,7 @@ def shift_d_by_polys(p: DiffOperator, g: Poly, e: int, c: Fraction) -> DiffOpera
         out.append(acc)
     k, out = divide_out(out, c, e * (n - 1) + p._den.order_at(c)) if e else (0, out)
     t = e * (n - 1) - k
-    den = p._den * u**t if t >= 0 else p._den // u ** -t
+    den = p._den * u**t if t >= 0 else quo(p._den, u ** -t)
     return _operator(out, p._d * dy * du ** (n - 1), den)
 
 
@@ -1106,7 +1111,7 @@ def theta_expand_by_products(p: DiffOperator, at: Location) -> ThetaExpansion:
 def subst_infty_by_products(p: DiffOperator) -> DiffOperator:
     """``weylalg.subst_infty`` with one ``_add_product`` call per Lah term,
     on rows padded to degree d, and the denominator as ``Poly`` arithmetic:
-    ``monic(rev_d(M)) // x^k``."""
+    ``monic(rev_d(M))`` over ``x^k`` by :func:`long_divmod`."""
     if p.is_zero():
         return p
     den = p._den
@@ -1121,7 +1126,7 @@ def subst_infty_by_products(p: DiffOperator) -> DiffOperator:
     scale = rev._d if lead > 0 else -rev._d
     k, rows = _divide_out(rows, d - den.degree)
     return _operator([[scale * a for a in row] for row in rows], p._d * abs(lead),
-                     monic(rev) // Poly.x(k))
+                     quo(monic(rev), Poly.x(k)))
 
 
 def tokenize(text: str) -> list[tuple[str, object, int]]:
@@ -1463,7 +1468,7 @@ def rat_prim(p: RatFuncOperator) -> RatFuncOperator:
         if not q.is_zero():
             g = q if g.is_zero() else poly_gcd(g, q)
     if g.degree > 0:
-        nums = [q // g for q in nums]
+        nums = [quo(q, g) for q in nums]
     lead = leading(nums[-1])
     return RatFuncOperator([RatFunc(q * (1 / lead)) for q in nums])
 

@@ -19,6 +19,7 @@ finite and at infinity, and reductions of more than one step through them.
 
 import random
 from fractions import Fraction
+from functools import cache
 
 from irrkatz import formal
 from irrkatz.reduce import reduce_operator
@@ -62,11 +63,17 @@ def forward_draw(rng: random.Random) -> tuple[DiffOperator, int] | None:
     return p, steps
 
 
-def test_forward_operators_reduce_back_to_rank_one():
+@cache
+def forward_draws() -> tuple[tuple[DiffOperator, int] | None, ...]:
+    """The ``DRAWS`` draws from ``SEED``, in order: drawn once, and shared
+    by the tests that read them."""
     rng = random.Random(SEED)
+    return tuple(forward_draw(rng) for _ in range(DRAWS))
+
+
+def test_forward_operators_reduce_back_to_rank_one():
     ranks, taken_counts, irregular = set(), set(), 0
-    for k in range(DRAWS):
-        draw = forward_draw(rng)
+    for k, draw in enumerate(forward_draws()):
         if draw is None or draw[0].rank == 1:
             continue
         p, steps = draw

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
@@ -17,11 +17,8 @@ def test_divmod_and_gcd():
         b = Poly([Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(1, 4))])
         if b.is_zero():
             continue
-        q, r = a.divmod(b)
-        assert q * b + r == a
-        assert r.is_zero() or r.degree < b.degree
         g = poly_gcd(a * b, b)
-        assert (b % g).is_zero()
+        assert oracles.long_divmod(b, g)[1].is_zero()
 
 
 def test_rational_roots_with_multiplicity():
@@ -46,7 +43,7 @@ def _enumerate_roots(p):
     if low:
         roots[Fraction(0)] = low
         p = Poly(p.coeffs[low:])
-    _, zp = p.int_content_and_primitive()
+    zp = Poly(oracles.FractionPoly(p.coeffs).int_content_and_primitive()[1].coeffs)
     if zp.degree == 0:
         return roots
     for p_div in _divisors(abs(int(zp.coeffs[0]))):
@@ -264,11 +261,52 @@ def test_newton_lift_takes_one_inverse_per_residue(monkeypatch):
     assert lifted > 5, lifted
 
 
+def test_newton_lift_stops_at_the_least_power_above_the_bound(monkeypatch):
+    # each root mod p is lifted to p^e, the least power of p above
+    # 2|f(0)||lc(f)|, the last squaring cut down to it: no modulus the lift
+    # evaluates at passes p^e, and the roots stay those planted, on x times
+    # a quadratic with 4000-digit numerals times a linear factor with
+    # 2000-digit ones, and on the quadratic of the 4000-digit case of
+    # test_spectral_stage
+    moduli, primes, eval_mod = [], [], polys._eval_mod
+
+    def counted(f, r, m):
+        moduli.append(m)
+        return eval_mod(f, r, m)
+
+    def inverse(base, exp, mod):
+        primes.append(mod)
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(polys, "_eval_mod", counted)
+    monkeypatch.setattr(polys, "pow", inverse, raising=False)
+    for seed in (0, 2, 38):
+        rng = random.Random(seed)
+        a, b, c, d, e, f = (rng.randrange(10**1999, 10**2000) for _ in range(6))
+        p = Poly([a * c, a * d + b * c, b * d])
+        roots = [Fraction(-a, b), Fraction(-c, d)]
+        if seed != 38:
+            p = p * Poly([-e, f])
+            roots.append(Fraction(e, f))
+            assert (p * Poly.x()).rational_roots() == oracles.pair_keys(
+                dict.fromkeys([Fraction(0)] + roots, 1)), seed
+        row = [int(x) for x in p.coeffs]
+        row = [x // gcd(*row) for x in row]
+        moduli.clear()
+        primes.clear()
+        assert sorted(Fraction(*root) for root in polys._lifted_roots(row)) == sorted(roots)
+        bound, prime = 2 * abs(row[0] * row[-1]), primes[0]
+        top = prime
+        while top <= bound:
+            top *= prime
+        assert max(moduli) == top, seed
+
+
 def _order_by_division(p, c):
     """Reference: divide by (x - c) while c is a root."""
     m = 0
     while oracles.poly_eval(p, c) == 0:
-        p = p // Poly([-c, 1])
+        p = oracles.quo(p, Poly([-c, 1]))
         m += 1
     return m
 
@@ -377,7 +415,7 @@ def _gcd_normalized(num, den):
     if num.is_zero():
         return (), (Fraction(1),)
     g = poly_gcd(num, den)
-    num, den = num // g, den // g
+    num, den = oracles.quo(num, g), oracles.quo(den, g)
     lead = leading(den)
     return tuple(c / lead for c in num.coeffs), tuple(c / lead for c in den.coeffs)
 
@@ -466,7 +504,7 @@ def test_poly_constructor_coerces_only_non_fractions():
 
 def _euclid_gcd(a, b):
     while not b.is_zero():
-        a, b = b, a % b
+        a, b = b, oracles.long_divmod(a, b)[1]
     return a if a.is_zero() else oracles.monic(a)
 
 
@@ -501,24 +539,33 @@ def _gcd_pairs(rng):
         yield a * g * content, b * g
 
 
+def _counted_heuristic(monkeypatch) -> list:
+    """Spy on ``polys._heuristic_gcd``: the list of the pairs on which it
+    failed, so that Euclid ran."""
+    fallbacks, heuristic = [], polys._heuristic_gcd
+
+    def counted(a, b):
+        g = heuristic(a, b)
+        fallbacks.extend([(a, b)] if g is None else [])
+        return g
+
+    monkeypatch.setattr(polys, "_heuristic_gcd", counted)
+    return fallbacks
+
+
 def test_gcd_matches_euclid(monkeypatch):
     # GCDHEU reads the gcd off one integer gcd and accepts it only after
     # exact division: it must equal Euclid's gcd on every pair, reject some
-    # candidates (so the trial division is what decides), and never fall
-    # back to Euclid, whose only division is Poly.__mod__
-    mods, rejected = [], []
-    mod, quotient = Poly.__mod__, polys.exact_quotient
-
-    def counted_mod(a, b):
-        mods.append((a, b))
-        return mod(a, b)
+    # candidates (so the trial division is what decides), and never fail,
+    # which would hand the pair to Euclid
+    rejected, quotient = [], polys.exact_quotient
 
     def counted_quotient(f, g):
         q = quotient(f, g)
         rejected.extend([] if q is not None else [(g, f)])
         return q
 
-    monkeypatch.setattr(Poly, "__mod__", counted_mod)
+    fallbacks = _counted_heuristic(monkeypatch)
     monkeypatch.setattr(polys, "exact_quotient", counted_quotient)
     rng = random.Random(32)
     pairs = list(_gcd_pairs(rng))
@@ -532,10 +579,10 @@ def test_gcd_matches_euclid(monkeypatch):
     ]
     for a, b in pairs:
         want = _euclid_gcd(a, b)
-        mods.clear()
+        fallbacks.clear()
         assert poly_gcd(a, b) == want, (a, b)
         assert poly_gcd(b, a) == want, (a, b)
-        assert mods == [], (a, b)
+        assert fallbacks == [], (a, b)
     assert len(rejected) > 20
     assert [poly_gcd(*pair) for pair in pairs[-5:]] == [
         f**2, Poly([1]), Poly.x(2), Poly([-1, 1]), Poly([1, 1]),
@@ -544,27 +591,46 @@ def test_gcd_matches_euclid(monkeypatch):
 
 def test_gcd_falls_back_to_euclid_above_the_evaluation_bound(monkeypatch):
     # coefficients of HEU_BITS/2 bits put xi * (degree + 1) past the bound:
-    # Euclid computes the gcd
-    mods = []
-    mod = Poly.__mod__
-
-    def counted_mod(a, b):
-        mods.append((a, b))
-        return mod(a, b)
-
+    # GCDHEU gives up and Euclid computes the gcd
+    fallbacks = _counted_heuristic(monkeypatch)
     rng = random.Random(33)
     A, B, C = (rng.getrandbits(polys.HEU_BITS // 4) for _ in range(3))
     a, b = Poly([A, 1]) * Poly([B, 1]), Poly([A, 1]) * Poly([-C, 1])
-    monkeypatch.setattr(Poly, "__mod__", counted_mod)
     assert poly_gcd(a, b) == Poly([A, 1])
-    assert mods
+    assert fallbacks
     # a planted failure: with one point allowed and GCDHEU's first point
     # rejected, Euclid also runs
-    mods.clear()
+    fallbacks.clear()
     monkeypatch.setattr(polys, "HEU_TRIES", 1)
     a, b = Poly([-6, -3, -2, 5, 0, 2]), Poly([6, 9, -4, 12, -2, 3])
     assert poly_gcd(a, b) == _euclid_gcd(a, b) == oracles.monic(Poly([3, 0, 1]))
-    assert mods
+    assert fallbacks
+
+
+def test_euclid_fallback_matches_the_fraction_oracle(monkeypatch):
+    # with GCDHEU failing on every pair, poly_gcd is its Euclid over Z (a
+    # primitive remainder sequence), which must give the monic gcd that
+    # Euclid over Q gives, on the planted pairs and on edge cases
+    fallbacks = []
+    # every GCDHEU call fails: list.append returns None
+    monkeypatch.setattr(polys, "_heuristic_gcd", lambda a, b: fallbacks.append((a, b)))
+    pairs = list(_gcd_pairs(random.Random(34)))
+    f = Poly([1, -3, 1])
+    pairs += [
+        (f**3 * Poly([2, 1]), f**2 * Poly([-5, 1]) ** 2),              # repeated factors
+        (f**4, f**2 * Poly([Fraction(-1, 3), 1])),
+        (-Poly([-2, -1, 1]), -Poly([1, 3, 2]) * Fraction(7, 2)),       # negative leads
+        (Poly(), f * Poly([0, 1])),                                     # a zero side
+        (Poly([0, 3, 0, 2]) * f, Poly()),
+        (Poly([Fraction(-5, 7)]), f),                                   # a constant side
+        (Poly(), Poly()),                                               # both zero
+    ]
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            want = oracles.fraction_poly_gcd(
+                oracles.FractionPoly(x.coeffs), oracles.FractionPoly(y.coeffs))
+            assert poly_gcd(x, y) == Poly(want.coeffs), (x, y)
+    assert len(fallbacks) > 600
 
 
 def test_polynomial_paths_make_no_gcd_calls(monkeypatch):

@@ -71,9 +71,6 @@ ALLOWED = {
         "the arithmetic protocol: a Poly adds, subtracts, negates and raises to a power as "
         "it multiplies; the pipeline works on integer rows and twists at 0, so none of its "
         "steps does, but the tests and oracles build their polynomials with these"),
-    "irrkatz.polys.Poly.__mod__":
-        "the Euclid fallback of poly_gcd, which runs only when GCDHEU fails at HEU_TRIES "
-        "points or its evaluation passes HEU_BITS; no walked gcd does",
     "irrkatz.reduce.Transcript.euler_steps":
         "the bench's reduce_operator span counts a traced run's Euler steps with it; the "
         "walk's bench pass is untraced",

@@ -782,10 +782,8 @@ def test_euler_steps_run_no_root_search(monkeypatch, capsys):
         assert cli.main(["examples", "--run", "--json", "--seed", str(seed)]) == 0
     capsys.readouterr()
     assert len(calls) == 3 * sum(range(1, 8)) + 41
-    rng = random.Random(test_katz_forward.SEED)
     draws = 0
-    for _ in range(test_katz_forward.DRAWS):
-        draw = test_katz_forward.forward_draw(rng)
+    for draw in test_katz_forward.forward_draws():
         if draw is not None and draw[0].rank > 1:
             reduce_operator(draw[0])
             draws += 1

@@ -1,13 +1,13 @@
 """The row kernels of ``polys`` and ``weylalg`` against their ``Poly``
-forms in ``oracles``: the Taylor shift, the order at a root, division by a
-monomial, the theta expansion, the chart at infinity and the twists, the
+forms in ``oracles``: the Taylor shift, the order at a root, the theta
+expansion, the chart at infinity and the twists, the
 last also against their P_j built as ``Poly`` objects, the primitive
 component and the translation of an operator, and the Lah numbers; the
 theta expansion and the chart at infinity also against their forms with
 one ``_add_product`` call per term.  A
 twist at a point c runs at 0 between two translations, as ``ad_power`` and
 ``ad_exp_raw`` run it; the oracles twist at c itself.  And none of the
-first five builds a partial ``Poly`` on the pipeline's inputs."""
+first four builds a partial ``Poly`` on the pipeline's inputs."""
 
 import random
 from fractions import Fraction
@@ -21,7 +21,7 @@ from irrkatz.weylalg import (
     subst_infty, theta_expand, translate,
 )
 from oracles import (
-    RatFunc, coeffs, fraction_keys, long_divmod, operator, order_at, prim_by_gcd, shift_d,
+    RatFunc, coeffs, fraction_keys, operator, order_at, prim_by_gcd, shift_d,
     shift_d_by_polys, subst_infinity, subst_infty_by_products, taylor_shift,
     theta_expand_by_products, theta_expansion, translate_by_polys,
 )
@@ -80,10 +80,6 @@ def test_row_kernels_match_their_poly_oracles():
         h = Poly([rng.randint(-4, 4) for _ in range(rng.randint(1, 4))]) or Poly([1])
         rooted = Poly([-c, 1]) ** rng.randint(0, 3) * h
         assert rooted.order_at(c) == order_at(rooted, c), k
-        # lead*x^d, d >= 0, the lead not always 1; zero and low-degree dividends
-        divisor = Poly([0] * rng.randint(0, 4) + [rng.choice([1, -1, 3, Fraction(-2, 5)])])
-        for dividend in (Poly(), Poly([rng.randint(-3, 3)]), rooted, *(a.num for a in coeffs(p))):
-            assert dividend.divmod(divisor) == long_divmod(dividend, divisor), k
 
 
 def _common_factor(rng: random.Random, c: Fraction) -> Poly:
@@ -194,8 +190,6 @@ def test_row_kernels_build_no_partial_polys(monkeypatch):
         for a in coeffs(p):
             for c in (Fraction(-2), Fraction(1, 3), *lead_roots):
                 a.num.shift(c)
-            for divisor in (Poly.x(2), Poly([0, 3]), Poly([Fraction(-1, 2)])):
-                a.num.divmod(divisor)
 
 
 def test_theta_expand_and_subst_infty_match_their_per_term_forms():

@@ -306,9 +306,8 @@ def test_extracted_data_passes_the_constructors_checks(monkeypatch):
         if p._rows[0]:
             with contextlib.suppress(refused):
                 formal.extract_formal_data(p)
-    rng = random.Random(test_katz_forward.SEED)
-    for _ in range(test_katz_forward.DRAWS):
-        if draw := test_katz_forward.forward_draw(rng):
+    for draw in test_katz_forward.forward_draws():
+        if draw:
             formal.extract_formal_data(draw[0])
     steps = len(extracted)
     for kummer in (False, True):

@@ -1,11 +1,14 @@
 import importlib.util
 import random
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
 from conftest import random_poly_op
+from test_katz_forward import forward_draws
+from test_reduce import ladder
 from irrkatz import corpus
 from irrkatz.formal import _edge_polynomial
 from irrkatz.polys import UNIT, Poly, falling_factorial
@@ -742,6 +745,26 @@ def test_euler_on_rank_one():
     q = prim(euler(p, Fraction(1, 2)))
     assert q.rank == 1
     assert char_poly(theta_expand(q, INF)).rational_roots() == {(1, 6): 1}
+
+
+def test_euler_transforms_compose_as_convolutions():
+    # middle convolution is additive, MC_a MC_b = MC_(a+b), and MC_(-a)
+    # inverts MC_a (Dettweiler-Reiter, J. Symbolic Comput. 30, 2000); on
+    # operators the laws hold up to the primitive component, here with
+    # a = (k+1)/151 and b = (k+2)/157 on the forward draws of rank 2-8,
+    # nF(n-1) for n = 2..5 with the ladder parameters and every corpus
+    # entry at seeds 1-5
+    ops = [draw[0] for draw in forward_draws() if draw and 2 <= draw[0].rank <= 8]
+    assert len(ops) == 136
+    ops += islice(ladder(False), 4)
+    ops += [corpus.instantiate(name, corpus.params_for(name, seed))
+            for name in corpus.names() for seed in range(1, 6)]
+    for k, p in enumerate(ops):
+        a, b = Fraction(k + 1, 151), Fraction(k + 2, 157)
+        q = prim(euler(p, a))
+        assert prim(euler(q, b)) == prim(euler(p, a + b)), (k, str(p))
+        assert prim(euler(q, -a)) == prim(p), (k, str(p))
+    assert len(ops) == 170
 
 
 def test_deg_of_examples():
