@@ -219,9 +219,6 @@ class FormalData:
     def rank(self) -> int:
         return sum(s.rank for _, s in self.points[0][1])
 
-    def locations(self) -> tuple[Location, ...]:
-        return tuple(loc for loc, _ in self.points)
-
     def __repr__(self):
         rows = []
         for loc, factors in self.points:

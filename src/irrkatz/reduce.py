@@ -8,10 +8,11 @@ the rank, so the loop ends at rank <= 1 (a real-root terminal), at a
 stable sorted vector (an imaginary-root fundamental representative), or
 leaves the nonnegative cone (not a root).
 
-Operator level: replay the lattice transcript on a concrete operator.
-Each Euler step is one conjugation around ``weylalg.euler``: twist the
-chosen factors to exponential part and first exponent zero, transform,
-twist back.  Before the step the genericity hypotheses are read off the
+Operator level: replay the lattice transcript on a concrete operator,
+one :func:`step` per move, which pairs the lattice move with its operator
+move.  A slot swap moves the exponents only.  Each Euler step is one
+conjugation around ``weylalg.euler``: twist the chosen factors to
+exponential part and first exponent zero, transform, twist back.  Before the step the genericity hypotheses are read off the
 shape's weights and the exponent slots, without building the twisted
 operand's data.  After it the transformed operator is checked against
 one predicted chain table (factor -> (exponent, multiplicity) chains at
@@ -163,7 +164,6 @@ def reduce_vector(a: LatticeVector) -> Transcript:
 
 def twisted_euler(
     p: DiffOperator,
-    locations: Sequence[Location],
     factors: Sequence[Sequence[ExponentialFactor]],
     t: IndexTuple,
     lambdas: Sequence[ParamLike],
@@ -171,23 +171,24 @@ def twisted_euler(
     """Twisted Euler transform along the index tuple ``t``: one
     conjugation around the Euler transform.
 
-    ``lambdas[i]`` is the first-slot exponent of the chosen factor at
-    point i; it becomes a ``Fraction`` only where a twist or the transform
-    takes it.  :func:`_conjugate` moves the chosen factors to exponential
-    part zero and first exponent zero, the Euler transform with parameter
+    ``factors[i]`` lists the exponential factors at point i (infinity
+    first), and each factor names its point.  ``lambdas[i]`` is the
+    first-slot exponent of the chosen factor at point i; it becomes a
+    ``Fraction`` only where a twist or the transform takes it.
+    :func:`_conjugate` moves the chosen factors to exponential part zero
+    and first exponent zero, the Euler transform with parameter
     ``1 - sum(lambdas)`` acts, and the same conjugation undoes the move.
     An integer exponent sum raises AssumptionViolatedError here; the
-    hypotheses on the chains of the twisted operand are checked by
-    :func:`reduce_operator` on its predicted chain table, before the step.
+    hypotheses on the chains of the twisted operand, and the check of the
+    result, are run around it by :func:`step`.
     """
     n, d = _exponent_sum(t, [ParamExpr.of(lam).as_pair() for lam in lambdas])
-    q = weylalg.euler(_conjugate(p, locations, factors, t, lambdas, -1), Fraction(d - n, d))
-    return weylalg.prim(_conjugate(q, locations, factors, t, lambdas, 1))
+    q = weylalg.euler(_conjugate(p, factors, t, lambdas, -1), Fraction(d - n, d))
+    return weylalg.prim(_conjugate(q, factors, t, lambdas, 1))
 
 
 def _conjugate(
     q: DiffOperator,
-    locations: Sequence[Location],
     factors: Sequence[Sequence[ExponentialFactor]],
     t: IndexTuple,
     lambdas: Sequence[ParamLike],
@@ -197,12 +198,12 @@ def _conjugate(
     ``factors[i][t[i]]`` and, at finite points, add ``sign * lambdas[i]``
     to the exponents.  All these twists commute, so ``sign = -1`` before
     the Euler transform and ``+1`` after it undo each other."""
-    for i, loc in enumerate(locations):
-        w = factors[i][t[i]]
+    for i, j in enumerate(t):
+        w = factors[i][j]
         if not w.is_zero():
-            q = weylalg.ad_exp_raw(q, loc, {k: sign * v for k, v in w.coeffs.items()})
-        if loc is not INF and lambdas[i] != 0:
-            q = weylalg.ad_power(q, loc, sign * lambdas[i])
+            q = weylalg.ad_exp_raw(q, w.point, {k: sign * v for k, v in w.coeffs.items()})
+        if w.point is not INF and lambdas[i] != 0:
+            q = weylalg.ad_power(q, w.point, sign * lambdas[i])
     return q
 
 
@@ -311,11 +312,12 @@ class OperatorReduction:
 def reduce_operator(p: DiffOperator, data: FormalData | None = None) -> OperatorReduction:
     """Drive the lattice reduction on a concrete operator.
 
-    Applies the operator-level twisted Euler transform for every lattice
-    step and checks the invariants of the result against the predicted
-    multiplicities and exponents.  A failed hypothesis or check raises at
-    the operator given.  ``data``, when given, must be the formal data
-    extracted from ``p``; ``p`` is then not extracted again.
+    Runs :func:`step` on every move of the lattice transcript: each
+    twisted Euler move is applied to the operator and its result checked
+    against the predicted multiplicities and exponents.  A failed
+    hypothesis or check raises at the operator given.  ``data``, when
+    given, must be the formal data extracted from ``p``; ``p`` is then
+    not extracted again.
 
     The work is done by :func:`_reduce_operator_once`.  The two names stay
     apart only because the bench traces each (``reduce.reduce_operator``
@@ -328,44 +330,55 @@ def reduce_operator(p: DiffOperator, data: FormalData | None = None) -> Operator
 def _reduce_operator_once(p: DiffOperator, data: FormalData | None) -> OperatorReduction:
     if data is None:
         data = extract_formal_data(p)
-    locations = data.locations()
     factor_table = [[w for w, _ in factors] for _, factors in data.points]
     m = formal.m_vector(data)
     nu = formal.exponent_vector(data, m.shape)
     transcript = reduce_vector(m)
-
     cur_op = p
-    cur_nu = nu
     ops = []
-    for step in transcript.steps:
-        if step.kind == "permutation":
-            cur_nu = act_sigma_perm(cur_nu, *step.index)
-            continue
-        t = step.index
-        lambdas = [cur_nu.slot(i, t[i], 0) for i in range(len(locations))]
-        _check_euler_hypotheses(factor_table, step.before, cur_nu, t, lambdas)
-        cur_op = twisted_euler(cur_op, locations, factor_table, t, lambdas)
-        cur_nu = act_sigma_t(cur_nu, t)
-        predicted = _chain_table(factor_table, step.after, cur_nu)
-        _check_prediction(cur_op, locations, predicted, step.after.rank)
-        ops.append(cur_op)
+    for move in transcript.steps:
+        cur_op, nu = step(cur_op, factor_table, nu, move)
+        if move.kind == "twisted_euler":
+            ops.append(cur_op)
     return OperatorReduction(transcript, data, tuple(ops), cur_op)
 
 
-def _check_prediction(
+def step(
     op: DiffOperator,
-    locations: Sequence[Location],
-    predicted: ChainTable,
-    rank: int,
-):
+    factors: Sequence[Sequence[ExponentialFactor]],
+    nu: ExponentVector,
+    move: ReductionStep,
+) -> tuple[DiffOperator, ExponentVector]:
+    """Apply the lattice move ``move`` to ``op``, whose factor table is
+    ``factors`` and exponents ``nu``: the next (operator, exponents).
+
+    A slot swap moves the exponents only.  A twisted Euler move along
+    ``t`` checks the hypotheses at ``move.before``, applies
+    :func:`twisted_euler`, moves the exponents by sigma_t and checks the
+    result against the chain table of ``move.after``; the multiplicities
+    are read from the move, not recomputed.  A failure raises
+    AssumptionViolatedError or CrossCheckError."""
+    if move.kind == "permutation":
+        return op, act_sigma_perm(nu, *move.index)
+    t = move.index
+    lambdas = [nu.slot(i, j, 0) for i, j in enumerate(t)]
+    _check_euler_hypotheses(factors, move.before, nu, t, lambdas)
+    op = twisted_euler(op, factors, t, lambdas)
+    nu = act_sigma_t(nu, t)
+    _check_prediction(op, _chain_table(factors, move.after, nu), move.after.rank)
+    return op, nu
+
+
+def _check_prediction(op: DiffOperator, predicted: ChainTable, rank: int):
     """Extract ``op``, primitive as :func:`twisted_euler` returns it, and
-    compare it, point by point, with the predicted chain table.  A point
-    the extraction omits is non-singular: it must be predicted as the zero
-    factor with the single chain (0, rank).  Such a point is finite, since
-    extraction always lists infinity.
+    compare it, point by point, with the predicted chain table, whose keys
+    are the points in order.  A point the extraction omits is
+    non-singular: it must be predicted as the zero factor with the single
+    chain (0, rank).  Such a point is finite, since extraction always
+    lists infinity.
 
     The extraction tries the roots the prediction names first: the
-    locations for the leading coefficient and, at each point, every
+    predicted points for the leading coefficient and, at each point, every
     predicted exponent and factor coefficient.  When the prediction holds
     they are all the roots, and no search for others runs.  The chains
     are compared as the pairs extraction returns; a failure prints them as
@@ -374,24 +387,23 @@ def _check_prediction(
     coefficient n/d as the chart reads it, (n, d) at a finite point and
     (-n, d) at infinity, whose chart flips the sign."""
     hints = {}
-    for loc in locations:
-        point = predicted[loc]
+    for loc, point in predicted.items():
         sign = -1 if loc is INF else 1
         hints[loc] = [
             (a + v * b, b)
             for chains in point.values() for (a, b), mult in chains for v in range(mult)
         ] + [(sign * v.numerator, v.denominator) for w in point for v in w.coeffs.values()]
     extracted = dict(formal.extract_primitive(op, hints))
-    for loc in locations:
+    for loc, point in predicted.items():
         factors = extracted.pop(loc, None)
         if factors is None:
             got = {ExponentialFactor(loc, {}): [((0, 1), rank)]}
         else:
             got = {w: sorted(chains) for w, chains in factors}
-        if got != predicted[loc]:
+        if got != point:
             got, want = (
                 {w: sorted((Fraction(a, b), k) for (a, b), k in chains) for w, chains in table.items()}
-                for table in (got, predicted[loc])
+                for table in (got, point)
             )
             raise CrossCheckError(
                 f"at {weylalg.format_location(loc)}: extracted {got}, predicted {want}"

@@ -394,11 +394,11 @@ def test_examples_failed_cross_check_is_reported(monkeypatch, capsys):
 
     check, calls = reduction._check_prediction, []
 
-    def disagree_once(*args):
-        calls.append(args)
+    def disagree_once(op, predicted, rank):
+        calls.append(op)
         if len(calls) == 1:
             raise reduction.CrossCheckError("at 1: injected disagreement")
-        return check(*args)
+        return check(op, predicted, rank)
 
     monkeypatch.setattr(reduction, "_check_prediction", disagree_once)
     code, out, err = run(capsys, "examples", "--run", "--only", "Gauss")

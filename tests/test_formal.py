@@ -123,7 +123,7 @@ def test_oshima_check_examples():
 
 def test_extract_first_order():
     data = extract_formal_data(parse("x*D - 5"))
-    assert data.locations() == (INF, ZERO)
+    assert [loc for loc, _ in data.points] == [INF, ZERO]
     (w_inf, s_inf), = data.points[0][1]
     (w_0, s_0), = data.points[1][1]
     assert w_inf.is_zero() and w_0.is_zero()
@@ -143,7 +143,7 @@ def test_extract_confluent_heun_instance():
 
 def test_extract_triconfluent_factor_degrees():
     data = extract_formal_data(parse("D^2 + (-x^2-7)*D + (-2*x+3)"))
-    assert data.locations() == (INF,)
+    assert [loc for loc, _ in data.points] == [INF]
     degrees = sorted(w.degree for w, _ in data.points[0][1])
     assert degrees == [0, 3]
     by_degree = {w.degree: s for w, s in data.points[0][1]}
@@ -154,7 +154,7 @@ def test_extract_triconfluent_factor_degrees():
 def test_extract_multiplicity_two_chain():
     # D^2 has exponents 0 and -1 at infinity: a single chain of length 2
     data = extract_formal_data(parse("D^2"))
-    assert data.locations() == (INF,)
+    assert [loc for loc, _ in data.points] == [INF]
     (w, s), = data.points[0][1]
     assert w.is_zero()
     assert s.chains == ((ParamExpr(-1), 2),)
@@ -195,7 +195,7 @@ def test_extraction_expands_each_chart_once(monkeypatch):
     points = 0
     for op in ops:
         data = extract_formal_data(op)
-        points += len(data.locations())
+        points += len(data.points)
     # the twisted charts of the irregular points are peeled too
     assert calls["_peel_factors"] > points
     assert calls["theta_expand"] == calls["_peel_factors"]
